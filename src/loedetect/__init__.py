@@ -16,7 +16,6 @@ from .detector import (
     config_from_dict,
     config_to_dict,
     config_with,
-    create,
     default_config,
     read_config,
     step_runtime_budget,
@@ -41,7 +40,7 @@ from .filters import (
     filter_step,
 )
 from .flightlog import FlightLog, LogFormatError, load_log, save_log
-from .kalman import EstimatorState, NoiseConfig, ObservationFrame, clamp
+from .kalman import EstimatorState, NoiseConfig, clamp
 from .kalman import init as estimator_init
 from .kalman import step as estimator_step
 from .replay import (

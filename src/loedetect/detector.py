@@ -1,11 +1,12 @@
 """Streaming loss-of-effectiveness detector.
 
 Wires the conditioning filters, backward differencing, observation building,
-effectiveness estimator and hypothesis test into one per-sample pipeline. The
-filters advance on every sensor sample; the estimator and the decision logic
-advance on every estimator tick once a takeoff thrust gate has armed the
-detector. Ground contact would otherwise read as zero effectiveness and
-trigger false alarms, so nothing can latch while disarmed.
+effectiveness estimator and hypothesis test into one per-sample pipeline of
+three stages: conditioning, estimation and decision. The filters advance on
+every sensor sample; the estimator and the decision logic advance on every
+estimator tick once a takeoff thrust gate has armed the detector. Ground
+contact would otherwise read as zero effectiveness and trigger false alarms,
+so nothing can latch while disarmed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .filters import (
     filter_step,
 )
 from . import kalman
-from .kalman import EstimatorState, NoiseConfig, ObservationFrame
+from .kalman import EstimatorState, NoiseConfig
 
 # Sum of squared rotor speeds at hover for the default airframe
 # (mass * g / thrust_coeff = 0.5 * 9.81 / 2.5e-6).
@@ -71,6 +72,20 @@ class DetectorConfig:
 
     def steps_per_estimate(self) -> int:
         return round(self.estimator_interval / self.sensor_interval)
+
+    def conditioning_key(self) -> tuple:
+        """The fields the conditioning stage reads; equal keys give equal ticks."""
+        return (
+            self.lowpass,
+            self.sensor_interval,
+            self.estimator_interval,
+            self.takeoff_thrust_fraction,
+            self.hover_thrust_reference,
+        )
+
+    def estimator_key(self) -> tuple:
+        """The fields the conditioning and estimation stages read."""
+        return (self.conditioning_key(), self.gains, self.noise)
 
 
 def default_config() -> DetectorConfig:
@@ -210,32 +225,111 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-class Detector:
-    """One detection stream: feed samples in timestamp order, read outputs."""
+# ---------------------------------------------------------------------------
+# The three pipeline stages. ``Detector`` runs them in order on every sample;
+# the sweep runs each once per distinct upstream key (see
+# ``DetectorConfig.conditioning_key`` and ``estimator_key``).
+
+
+class Conditioner:
+    """Conditioning stage: input checks, filter bank, takeoff gate, differencing.
+
+    Reads only the fields in ``config.conditioning_key()``.
+    """
 
     def __init__(self, config: DetectorConfig):
-        self.config = config
         self._filter = FilterState(design_lowpass(config.lowpass))
-        self._gains_col = config.gains.as_array()[:, None]
-        self._estimator = kalman.init()
-        self._status = DetectionStatus()
         self._steps_per_estimate = config.steps_per_estimate()
         self._sample_index = 0
         self._last_timestamp: float | None = None
         self._prev_tick: FilteredSample | None = None
         # Takeoff gate: moving average of sum(w_i^2) over a 1 s window.
-        self._armed = False
+        self.armed = False
         self._gate_level = config.takeoff_thrust_fraction * config.hover_thrust_reference
         self._gate_len = max(1, round(ARMING_WINDOW_S / config.sensor_interval))
         self._gate_buf = np.zeros(self._gate_len)
         self._gate_sum = 0.0
         self._gate_count = 0
         self._gate_pos = 0
-        self._refresh_snapshots()
+
+    def push(self, raw: RawSample) -> tuple[np.ndarray, np.ndarray] | None:
+        """Advance one sample; on an armed estimator tick return ``(z, w_sq)``.
+
+        ``z`` is (p_dot, q_dot, a_z) and ``w_sq`` the squared filtered rotor
+        speeds.
+        """
+        t = raw.timestamp
+        if self._last_timestamp is not None and t <= self._last_timestamp:
+            raise ValueError(
+                f"non-monotone timestamp: {t} after {self._last_timestamp}"
+            )
+        if not (
+            math.isfinite(t)
+            and math.isfinite(raw.proper_accel_z)
+            and np.isfinite(raw.angular_rate).all()
+            and np.isfinite(raw.rotor_speeds).all()
+        ):
+            raise ValueError(f"NaN or Inf in sample at t={t}")
+        self._last_timestamp = t
+
+        filtered = filter_step(self._filter, raw)
+        if not self.armed:
+            thrust_proxy = float(raw.rotor_speeds @ raw.rotor_speeds)
+            self._gate_sum += thrust_proxy - self._gate_buf[self._gate_pos]
+            self._gate_buf[self._gate_pos] = thrust_proxy
+            self._gate_pos = (self._gate_pos + 1) % self._gate_len
+            if self._gate_count < self._gate_len:
+                self._gate_count += 1
+            if self._gate_sum / self._gate_count > self._gate_level:
+                self.armed = True  # one-way: landing detection is out of scope
+
+        self._sample_index += 1
+        if self._sample_index % self._steps_per_estimate:
+            return None
+        accel = differentiate(self._prev_tick, filtered)
+        self._prev_tick = filtered
+        if not self.armed:
+            return None
+        return np.array([accel[0], accel[1], filtered.accel_z]), np.square(filtered.rotor_speeds)
+
+
+def estimation_step(
+    state: EstimatorState, gains_col: np.ndarray, noise: NoiseConfig, z: np.ndarray, w_sq: np.ndarray
+) -> EstimatorState:
+    """Estimation stage: one estimator update from an armed tick.
+
+    ``gains_col`` is ``gains.as_array()[:, None]``.
+    """
+    H = SIGN_MATRIX * gains_col * w_sq[None, :]
+    return kalman.step(state, H, z, noise)
+
+
+def decision_step(
+    k_hat: np.ndarray, variances: np.ndarray, status: DetectionStatus, config: DecisionConfig, now: float
+) -> tuple[np.ndarray, DetectionStatus]:
+    """Decision stage: failure probabilities and the latched status after them."""
+    p_fail = failure_probabilities(k_hat, variances, config.k_threshold)
+    return p_fail, decide(p_fail, status, config, now=now)
+
+
+class Detector:
+    """One detection stream: feed samples in timestamp order, read outputs."""
+
+    def __init__(self, config: DetectorConfig):
+        self.config = config
+        self._conditioner = Conditioner(config)
+        self._gains_col = config.gains.as_array()[:, None]
+        self._estimator = kalman.init()
+        self._status = DetectionStatus()
+        self._snap_k = _frozen(self._estimator.x)
+        self._snap_var = _frozen(self._estimator.P.diagonal())
+        self._snap_pfail = _frozen(
+            failure_probabilities(self._snap_k, self._snap_var, config.decision.k_threshold)
+        )
 
     @property
     def armed(self) -> bool:
-        return self._armed
+        return self._conditioner.armed
 
     @property
     def status(self) -> DetectionStatus:
@@ -245,78 +339,29 @@ class Detector:
     def estimator_state(self) -> EstimatorState:
         return self._estimator.copy()
 
-    def _refresh_snapshots(self) -> None:
-        est = self._estimator
-        self._snap_k = _frozen(est.x)
-        self._snap_var = _frozen(est.P.diagonal())
-        self._snap_pfail = _frozen(
-            failure_probabilities(est.x, self._snap_var, self.config.decision.k_threshold)
-        )
-
-    def _update_gate(self, rotor_speeds: np.ndarray) -> None:
-        if self._armed:
-            return
-        thrust_proxy = float(rotor_speeds @ rotor_speeds)
-        self._gate_sum += thrust_proxy - self._gate_buf[self._gate_pos]
-        self._gate_buf[self._gate_pos] = thrust_proxy
-        self._gate_pos = (self._gate_pos + 1) % self._gate_len
-        if self._gate_count < self._gate_len:
-            self._gate_count += 1
-        if self._gate_sum / self._gate_count > self._gate_level:
-            self._armed = True  # one-way: landing detection is out of scope
-
     def process_sample(self, raw: RawSample) -> DetectorOutput:
-        t = raw.timestamp
-        if self._last_timestamp is not None and t <= self._last_timestamp:
-            raise ValueError(
-                f"non-monotone timestamp: {t} after {self._last_timestamp}"
+        tick = self._conditioner.push(raw)
+        if tick is not None:
+            config = self.config
+            self._estimator = estimation_step(self._estimator, self._gains_col, config.noise, *tick)
+            self._snap_k = _frozen(self._estimator.x)
+            self._snap_var = _frozen(self._estimator.P.diagonal())
+            p_fail, self._status = decision_step(
+                self._snap_k, self._snap_var, self._status, config.decision, raw.timestamp
             )
-        if (
-            math.isnan(t)
-            or math.isnan(raw.proper_accel_z)
-            or np.isnan(raw.angular_rate).any()
-            or np.isnan(raw.rotor_speeds).any()
-        ):
-            raise ValueError(f"NaN in sample at t={t}")
-        self._last_timestamp = t
-
-        filtered = filter_step(self._filter, raw)
-        self._update_gate(raw.rotor_speeds)
-
-        self._sample_index += 1
-        if self._sample_index % self._steps_per_estimate == 0:
-            accel = differentiate(self._prev_tick, filtered)
-            filtered.angular_accel = accel
-            if self._armed:
-                w_sq = np.square(filtered.rotor_speeds)
-                frame = ObservationFrame(
-                    z=np.array([accel[0], accel[1], filtered.accel_z]),
-                    rotor_speeds_sq=w_sq,
-                )
-                obs = SIGN_MATRIX * self._gains_col * w_sq[None, :]
-                self._estimator = kalman.step(self._estimator, obs, frame.z, self.config.noise)
-                self._refresh_snapshots()
-                self._status = decide(
-                    self._snap_pfail, self._status, self.config.decision, now=t
-                )
-            self._prev_tick = filtered
+            self._snap_pfail = _frozen(p_fail)
 
         return DetectorOutput(
-            timestamp=t,
+            timestamp=raw.timestamp,
             k_hat=self._snap_k,
             variances=self._snap_var,
             p_fail=self._snap_pfail,
             status=self._status,
-            armed=self._armed,
+            armed=self._conditioner.armed,
         )
 
     def process_stream(self, samples) -> list[DetectorOutput]:
         return [self.process_sample(s) for s in samples]
-
-
-def create(config: DetectorConfig) -> Detector:
-    """Build a detector in the disarmed state; invalid configs raise ValueError."""
-    return Detector(config)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,6 @@ SIGN_MATRIX = np.array(
 )
 SIGN_MATRIX.setflags(write=False)
 
-# Scaling factor bounds: 1 is nominal effectiveness, 0 is total loss.
-K_NOMINAL = 1.0
-
 
 @dataclass(frozen=True)
 class EffectivenessGains:

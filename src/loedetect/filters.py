@@ -152,13 +152,12 @@ class RawSample:
 
 @dataclass(slots=True)
 class FilteredSample:
-    """Low-passed copy of one sample, plus the differenced accelerations once known."""
+    """Low-passed copy of one sample."""
 
     timestamp: float
     rates: np.ndarray  # (3,) filtered p, q, r
     accel_z: float
     rotor_speeds: np.ndarray  # (4,) filtered
-    angular_accel: np.ndarray | None = None  # (2,) p_dot, q_dot in rad/s^2
 
 
 def filter_step(state: FilterState, raw: RawSample) -> FilteredSample:

@@ -72,6 +72,16 @@ class FlightLog:
             raise LogFormatError("log contains no samples")
         if self.gyro.shape != (n, 3) or self.rotor_speeds.shape != (n, 4) or self.accel_z.shape != (n,):
             raise LogFormatError("log arrays have inconsistent shapes")
+        for name, arr in (
+            ("t", self.t),
+            ("gyro", self.gyro),
+            ("az", self.accel_z),
+            ("rotor speeds", self.rotor_speeds),
+        ):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                bad = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
+                raise LogFormatError(f"NaN or Inf in {name} at sample {bad} (t={self.t[bad]})")
         dt = np.diff(self.t)
         if n > 1 and not np.all(dt > 0):
             bad = int(np.argmax(dt <= 0))
@@ -86,9 +96,6 @@ class FlightLog:
                     f"header sample_rate_hz={self.sample_rate_hz} does not match the "
                     f"median timestamp delta {median_dt:.6g} s within 1%"
                 )
-        for name, arr in (("gyro", self.gyro), ("az", self.accel_z), ("rotor speeds", self.rotor_speeds)):
-            if np.isnan(arr).any():
-                raise LogFormatError(f"NaN values in {name} columns")
         if np.any(self.rotor_speeds < 0):
             raise LogFormatError("negative rotor speeds")
 
@@ -197,8 +204,8 @@ def load_log(path) -> FlightLog:
             values[i] = [float(p) for p in parts]
         except ValueError as exc:
             raise LogFormatError(f"line {lineno}: unparseable number in {line!r}") from exc
-        if np.isnan(values[i]).any():
-            raise LogFormatError(f"line {lineno}: NaN field")
+        if not np.isfinite(values[i]).all():
+            raise LogFormatError(f"line {lineno}: NaN or Inf field")
 
     t = values[:, 0]
     deltas = np.diff(t)

@@ -50,17 +50,6 @@ class EstimatorState:
     def copy(self) -> "EstimatorState":
         return EstimatorState(self.x.copy(), self.P.copy())
 
-    def variances(self) -> np.ndarray:
-        return self.P.diagonal().copy()
-
-
-@dataclass(slots=True)
-class ObservationFrame:
-    """One estimator tick: measured accelerations plus squared rotor speeds."""
-
-    z: np.ndarray  # (3,) p_dot, q_dot, a_z
-    rotor_speeds_sq: np.ndarray  # (4,) (rad/s)^2
-
 
 def init(initial_k: np.ndarray | None = None, initial_variance: float = 1.0) -> EstimatorState:
     """Fresh estimator state; defaults to nominal effectiveness with unit variance."""

@@ -2,8 +2,9 @@
 
 Replaying a log feeds the exact same per-sample pipeline the streaming
 detector runs, so offline results are bit-identical to online processing of
-the same samples. Evaluation produces the three metrics that matter for a
-fault detector: detection delay, false alarms, missed detections.
+the same samples. A sweep runs the same three pipeline stages, each once per
+distinct upstream configuration. Evaluation produces the three metrics that
+matter for a fault detector: detection delay, false alarms, missed detections.
 """
 
 from __future__ import annotations
@@ -13,7 +14,19 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .detector import Detector, DetectorConfig, DetectorOutput, config_to_dict, config_with, default_config
+from . import kalman
+from .decision import DetectionStatus
+from .detector import (
+    Conditioner,
+    Detector,
+    DetectorConfig,
+    DetectorOutput,
+    config_to_dict,
+    config_with,
+    decision_step,
+    default_config,
+    estimation_step,
+)
 from .flightlog import FlightLog
 
 
@@ -44,9 +57,15 @@ def evaluate(
 ) -> EvaluationResult:
     if not outputs:
         raise ValueError("cannot evaluate an empty output stream")
-    final = outputs[-1].status
-    t0, t_end = outputs[0].timestamp, outputs[-1].timestamp
+    return evaluate_status(
+        outputs[-1].status, outputs[0].timestamp, outputs[-1].timestamp, ground_truth
+    )
 
+
+def evaluate_status(
+    final: DetectionStatus, t0: float, t_end: float, ground_truth: tuple[int, float] | None
+) -> EvaluationResult:
+    """Evaluate a run from its final status and the time span ``[t0, t_end]`` it covered."""
     detected_actuator = None
     first_time = math.inf
     for i in range(4):
@@ -158,21 +177,41 @@ class SweepResultRow:
     missed: bool
 
 
-def _run_one_set(args) -> list[SweepResultRow]:
-    pset, logs, log_ids = args
-    rows = []
-    for log, log_id in zip(logs, log_ids):
-        result = evaluate(run_detector(log, pset.config), log.ground_truth())
-        rows.append(
-            SweepResultRow(
-                param_set_id=pset.set_id,
-                log_id=log_id,
-                delay_s=result.detection_delay,
-                false_alarms=result.false_alarm_count,
-                missed=result.missed_detection,
-            )
-        )
-    return rows
+def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[EvaluationResult]:
+    """Evaluate one log under every config, one result per config in order.
+
+    Conditioning runs once per distinct conditioning key, estimation once per
+    distinct estimator key over those ticks, and only the decision stage runs
+    per config, so each result equals ``evaluate_log(log, config)``.
+    """
+    log.validate()
+    span = float(log.t[0]), float(log.t[-1])
+    ticks: dict[tuple, list] = {}  # conditioning key -> [(t, z, w_sq)] per armed tick
+    estimates: dict[tuple, list] = {}  # estimator key -> [(t, k_hat, variances)] per armed tick
+    results = []
+    for config in configs:
+        ckey = config.conditioning_key()
+        if ckey not in ticks:
+            conditioner = Conditioner(config)
+            ticks[ckey] = [
+                (raw.timestamp, *tick)
+                for raw in log.samples()
+                if (tick := conditioner.push(raw)) is not None
+            ]
+        ekey = config.estimator_key()
+        if ekey not in estimates:
+            state = kalman.init()
+            gains_col = config.gains.as_array()[:, None]
+            trajectory = []
+            for t, z, w_sq in ticks[ckey]:
+                state = estimation_step(state, gains_col, config.noise, z, w_sq)
+                trajectory.append((t, state.x, state.P.diagonal()))
+            estimates[ekey] = trajectory
+        status = DetectionStatus()
+        for t, k_hat, variances in estimates[ekey]:
+            _, status = decision_step(k_hat, variances, status, config.decision, t)
+        results.append(evaluate_status(status, *span, log.ground_truth()))
+    return results
 
 
 def run_sweep(
@@ -183,8 +222,9 @@ def run_sweep(
 ) -> list[SweepResultRow]:
     """Evaluate every (parameter set, log) pair exactly once.
 
-    Pairs are independent detector runs; ``jobs > 1`` fans parameter sets out
-    over processes. Row order is deterministic regardless of ``jobs``.
+    Work is shared within a log (see ``_sweep_log``); ``jobs > 1`` fans logs
+    out over processes. Rows are ordered by parameter set, then log,
+    regardless of ``jobs``.
     """
     if not logs:
         raise ValueError("sweep needs at least one log")
@@ -193,14 +233,24 @@ def run_sweep(
     if len(log_ids) != len(logs):
         raise ValueError("log_ids and logs must have the same length")
     psets = spec.parameter_sets()
+    configs = [pset.config for pset in psets]
 
-    tasks = [(pset, logs, log_ids) for pset in psets]
     if jobs <= 1:
-        chunks = [_run_one_set(task) for task in tasks]
+        per_log = [_sweep_log(log, configs) for log in logs]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_one_set, tasks))
-    return [row for chunk in chunks for row in chunk]
+            per_log = list(pool.map(_sweep_log, logs, [configs] * len(logs)))
+    return [
+        SweepResultRow(
+            param_set_id=pset.set_id,
+            log_id=log_id,
+            delay_s=results[i].detection_delay,
+            false_alarms=results[i].false_alarm_count,
+            missed=results[i].missed_detection,
+        )
+        for i, pset in enumerate(psets)
+        for log_id, results in zip(log_ids, per_log)
+    ]
 
 
 # ---------------------------------------------------------------------------

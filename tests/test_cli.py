@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from loedetect.cli import main
@@ -109,6 +110,33 @@ def test_detect_missing_config_names_path(tmp_path, capsys):
 
 def test_detect_missing_log_is_usage_error(tmp_path, capsys):
     assert run_cli("detect", "--log", str(tmp_path / "absent.csv")) == 2
+
+
+def _write_hover_log(path, rotor_speed="700.0", gyro_p_at_row=None):
+    """Hand-written 40-row hover log; ``gyro_p_at_row`` is ``(row, text)`` to corrupt one p value."""
+    lines = ["# sample_rate_hz=500.0", "t,p,q,r,az,w1,w2,w3,w4"]
+    for i in range(40):
+        p = gyro_p_at_row[1] if gyro_p_at_row and gyro_p_at_row[0] == i else "0.0"
+        lines.append(f"{(i + 1) * 0.002!r},{p},0.0,0.0,-9.81," + ",".join([rotor_speed] * 4))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_detect_inf_gyro_is_bad_log_naming_the_line(tmp_path, capsys):
+    log = _write_hover_log(tmp_path / "inf.csv", gyro_p_at_row=(5, "inf"))
+    assert run_cli("detect", "--log", str(log)) == 2
+    err = capsys.readouterr().err
+    assert f"bad log {log}: line 8:" in err  # two header lines, then row index 5
+
+
+def test_detect_overflowing_rotor_speed_is_runtime_error(tmp_path, capsys):
+    # Finite, but its square overflows to inf inside the estimator.
+    log = _write_hover_log(tmp_path / "huge.csv", rotor_speed="1e160")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("detect", "--log", str(log))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: innovation covariance is numerically singular")
 
 
 def test_sweep_and_report_round_trip(tmp_path, capsys):

@@ -12,7 +12,6 @@ from loedetect.detector import (
     config_from_dict,
     config_to_dict,
     config_with,
-    create,
     default_config,
     format_config,
     parse_config,
@@ -42,7 +41,7 @@ def idle_sample(i, dt=0.002, speed=200.0):
 
 
 def test_create_starts_disarmed_at_nominal_estimate():
-    det = create(default_config())
+    det = Detector(default_config())
     assert det.armed is False
     assert np.array_equal(det.estimator_state.x, np.ones(4))
     out = det.process_sample(hover_sample(0))
@@ -146,6 +145,21 @@ def test_nan_sample_rejected():
     bad2.rotor_speeds = np.array([700.0, np.nan, 700.0, 700.0])
     with pytest.raises(ValueError, match="NaN"):
         det2.process_sample(bad2)
+
+
+@pytest.mark.parametrize("field", ["timestamp", "angular_rate", "proper_accel_z", "rotor_speeds"])
+def test_inf_sample_rejected_with_timestamp(field):
+    det = Detector(default_config())
+    det.process_sample(hover_sample(0))
+    bad = hover_sample(1)
+    if field in ("angular_rate", "rotor_speeds"):
+        values = getattr(bad, field).copy()
+        values[1] = -np.inf
+        setattr(bad, field, values)
+    else:
+        setattr(bad, field, np.inf)
+    with pytest.raises(ValueError, match=r"Inf in sample at t=(0\.004|inf)"):
+        det.process_sample(bad)
 
 
 def test_identical_streams_give_bit_identical_outputs():

@@ -146,7 +146,6 @@ def test_filter_step_maps_channels_correctly():
     assert abs(out.accel_z - (-9.81)) < 1e-9
     assert np.allclose(out.rotor_speeds, [500.0, 600.0, 700.0, 800.0], rtol=1e-12)
     assert out.timestamp == 0.002
-    assert out.angular_accel is None
 
 
 def _filtered(t, p, q=0.0):

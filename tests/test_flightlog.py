@@ -108,6 +108,31 @@ def test_nan_field_reports_line(tmp_path):
         load_log(path)
 
 
+def test_inf_field_reports_line(tmp_path):
+    path = _write(
+        tmp_path / "inf.csv",
+        "# sample_rate_hz=500.0\n"
+        + ",".join(COLUMNS)
+        + "\n0.002,0,0,0,-9.81,500,500,500,500\n"
+        "0.004,0,0,0,-9.81,500,500,500,500\n"
+        "0.006,0,-inf,0,-9.81,500,500,500,500\n",
+    )
+    with pytest.raises(LogFormatError, match="line 5: NaN or Inf"):
+        load_log(path)
+
+
+@pytest.mark.parametrize("column", ["t", "gyro", "accel_z", "rotor_speeds"])
+def test_validate_rejects_non_finite_values(column):
+    log = synthetic_log()
+    values = getattr(log, column)
+    if column == "t":
+        values[-1] = np.inf  # still strictly increasing
+    else:
+        values[7] = np.nan if column == "gyro" else np.inf
+    with pytest.raises(LogFormatError, match="NaN or Inf"):
+        log.validate()
+
+
 def test_short_row_reports_line(tmp_path):
     path = _write(
         tmp_path / "short.csv",

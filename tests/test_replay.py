@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loedetect.decision import DetectionStatus
-from loedetect.detector import Detector, DetectorOutput, config_with, default_config
+from loedetect.detector import Conditioner, Detector, DetectorOutput, config_with, default_config
 from loedetect.replay import (
     SweepSpec,
     box_stats,
@@ -173,6 +173,41 @@ def test_parallel_sweep_matches_serial(ejection_log):
     serial = run_sweep([ejection_log], spec, jobs=1)
     parallel = run_sweep([ejection_log], spec, jobs=2)
     assert serial == parallel
+
+
+def test_staged_sweep_equals_per_set_evaluation(ejection_log):
+    base = default_config()
+    spec = SweepSpec(
+        base=base,
+        variations=(
+            ("filter_natural_frequency", (40.0,)),
+            ("takeoff_thrust_fraction", (0.6,)),
+            ("g_p", (1.2e-4,)),
+            ("process_noise_q", (0.05, base.noise.process_noise_q)),  # second value repeats base
+            ("k_threshold", (0.15,)),
+            ("probability_threshold", (0.99,)),
+        ),
+    )
+    configs = [p.config for p in spec.parameter_sets()]
+    assert len({c.conditioning_key() for c in configs}) == 3
+    assert len({c.estimator_key() for c in configs}) == 5
+    hover = fly_scenario("hover", duration=2.0, noise=SensorNoiseModel(seed=81))
+    idle = fly_scenario("ground_idle", duration=1.5, noise=SensorNoiseModel(seed=82))
+    assert all(Conditioner(base).push(raw) is None for raw in idle.samples())
+    logs = [ejection_log, hover, idle]
+
+    rows = run_sweep(logs, spec, log_ids=["eject", "hover", "idle"])
+    assert [(r.param_set_id, r.log_id) for r in rows] == [
+        (p.set_id, log_id) for p in spec.parameter_sets() for log_id in ("eject", "hover", "idle")
+    ]
+    for row, (pset, log) in zip(rows, [(p, log) for p in spec.parameter_sets() for log in logs]):
+        direct = evaluate_log(log, pset.config)
+        assert (row.delay_s, row.false_alarms, row.missed) == (
+            direct.detection_delay,
+            direct.false_alarm_count,
+            direct.missed_detection,
+        ), (row, direct)
+    assert run_sweep(logs, spec, log_ids=["eject", "hover", "idle"], jobs=2) == rows
 
 
 def test_raising_probability_threshold_never_speeds_detection(ejection_log):
