@@ -20,6 +20,7 @@ import numpy as np
 from .decision import DecisionConfig, DetectionStatus, decide, failure_probabilities
 from .effectiveness import SIGN_MATRIX, EffectivenessGains
 from .filters import (
+    MAX_ROTOR_SPEED_RAD_S,
     FilterDesign,
     FilterState,
     FilteredSample,
@@ -263,13 +264,16 @@ class Conditioner:
             raise ValueError(
                 f"non-monotone timestamp: {t} after {self._last_timestamp}"
             )
+        top = MAX_ROTOR_SPEED_RAD_S
         if not (
             math.isfinite(t)
             and math.isfinite(raw.proper_accel_z)
             and np.isfinite(raw.angular_rate).all()
-            and np.isfinite(raw.rotor_speeds).all()
+            and all([-top <= w <= top for w in raw.rotor_speeds.tolist()])  # False on NaN
         ):
-            raise ValueError(f"NaN or Inf in sample at t={t}")
+            values = np.hstack([t, raw.proper_accel_z, raw.angular_rate, raw.rotor_speeds])
+            problem = f"rotor speed above {top:g} rad/s" if np.isfinite(values).all() else "NaN or Inf"
+            raise ValueError(f"{problem} in sample at t={t}")
         self._last_timestamp = t
 
         filtered = filter_step(self._filter, raw)

@@ -17,6 +17,11 @@ import numpy as np
 CHANNELS = ("p", "q", "r", "az", "w1", "w2", "w3", "w4")
 N_CHANNELS = len(CHANNELS)
 
+# Physical ceiling on a reported rotor speed, rad/s (about 955,000 RPM). Real
+# motors stay two orders of magnitude below it; above it a value is a data
+# error, and its square would overflow the estimator's arithmetic soon after.
+MAX_ROTOR_SPEED_RAD_S = 1e5
+
 
 @dataclass(frozen=True)
 class FilterDesign:

@@ -13,8 +13,9 @@ row, then one data row per sample:
 
 ``fault_actuator``/``fault_time_s`` are present only for annotated failure
 logs. ``rpm_units`` is ``rad_s`` or ``rpm``; rotor speed columns written in
-RPM are converted to rad/s on load. Floats are written with ``repr`` so a
-write/read cycle is lossless.
+RPM are converted to rad/s on load. Rotor speeds above
+``MAX_ROTOR_SPEED_RAD_S`` are rejected as data errors. Floats are written
+with ``repr`` so a write/read cycle is lossless.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .filters import RawSample
+from .filters import MAX_ROTOR_SPEED_RAD_S, RawSample
 
 COLUMNS = ("t", "p", "q", "r", "az", "w1", "w2", "w3", "w4")
 
@@ -82,6 +83,12 @@ class FlightLog:
             if not finite.all():
                 bad = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
                 raise LogFormatError(f"NaN or Inf in {name} at sample {bad} (t={self.t[bad]})")
+        too_fast = (self.rotor_speeds > MAX_ROTOR_SPEED_RAD_S).any(axis=1)
+        if too_fast.any():
+            bad = int(np.argmax(too_fast))
+            raise LogFormatError(
+                f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s at sample {bad} (t={self.t[bad]})"
+            )
         dt = np.diff(self.t)
         if n > 1 and not np.all(dt > 0):
             bad = int(np.argmax(dt <= 0))
@@ -111,19 +118,8 @@ def save_log(log: FlightLog, path) -> None:
         lines.append(f"# fault_actuator={log.fault_actuator}")
         lines.append(f"# fault_time_s={log.fault_time_s!r}")
     lines.append(",".join(COLUMNS))
-    for i in range(len(log)):
-        row = (
-            log.t[i],
-            log.gyro[i, 0],
-            log.gyro[i, 1],
-            log.gyro[i, 2],
-            log.accel_z[i],
-            log.rotor_speeds[i, 0],
-            log.rotor_speeds[i, 1],
-            log.rotor_speeds[i, 2],
-            log.rotor_speeds[i, 3],
-        )
-        lines.append(",".join(repr(float(v)) for v in row))
+    rows = np.column_stack((log.t, log.gyro, log.accel_z, log.rotor_speeds)).tolist()
+    lines.extend(",".join(map(repr, row)) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -219,6 +215,12 @@ def load_log(path) -> FlightLog:
     speeds = values[:, 5:9]
     if rpm_units == "rpm":
         speeds = speeds * RPM_TO_RAD_S
+    too_fast = (speeds > MAX_ROTOR_SPEED_RAD_S).any(axis=1)
+    if too_fast.any():
+        raise LogFormatError(
+            f"line {data_lines[int(np.argmax(too_fast))][0]}: "
+            f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s"
+        )
 
     log = FlightLog(
         sample_rate_hz=sample_rate,

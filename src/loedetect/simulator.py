@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effectiveness import VehicleGeometry
+from .effectiveness import SIGN_MATRIX, VehicleGeometry
 from .filters import RawSample
 from .flightlog import FlightLog
 
@@ -25,8 +25,10 @@ GRAVITY = 9.81  # m/s^2
 # the other); losing rotor 3 leaves a net negative yaw moment.
 YAW_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
-ROLL_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-PITCH_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+# Roll and pitch signs are rows 0 and 1 of the detector's SIGN_MATRIX. The
+# per-step code runs on Python floats, so it reads the signs as lists.
+_ROLL, _PITCH = SIGN_MATRIX[:2].tolist()
+_YAW = YAW_SIGNS.tolist()
 
 SCENARIOS = ("hover", "step", "wind", "ground_idle")
 
@@ -185,20 +187,7 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def _quat_rate(q: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    ox, oy, oz = omega
-    return 0.5 * np.array(
-        [
-            -x * ox - y * oy - z * oz,
-            w * ox + y * oz - z * oy,
-            w * oy + z * ox - x * oz,
-            w * oz + x * oy - y * ox,
-        ]
-    )
-
-
-def _roll_pitch(q: np.ndarray) -> tuple[float, float]:
+def _roll_pitch(q: list[float]) -> tuple[float, float]:
     w, x, y, z = q
     roll = math.atan2(2 * (w * x + y * z), 1 - 2 * (x * x + y * y))
     pitch = math.asin(max(-1.0, min(1.0, 2 * (w * y - z * x))))
@@ -220,17 +209,35 @@ def hover_state(params: VehicleParams, altitude: float = 1.5) -> SimState:
     )
 
 
+def _signed_sum(signs: list, values: list) -> float:
+    # Left-to-right sum: equals numpy's ``signs @ values`` bit for bit.
+    return signs[0] * values[0] + signs[1] * values[1] + signs[2] * values[2] + signs[3] * values[3]
+
+
+def _moments_and_thrust(
+    speeds: list, true_k: list, params: VehicleParams
+) -> tuple[float, float, float, float]:
+    """Scalar core: body moments (m_x, m_y, m_z) and the total thrust."""
+    ct = params.thrust_coeff
+    w_sq = [w * w for w in speeds]
+    thrusts = [ct * k * s for k, s in zip(true_k, w_sq)]
+    reaction = [k * s for k, s in zip(true_k, w_sq)]
+    return (
+        params.arm_y * _signed_sum(_ROLL, thrusts),
+        params.arm_x * _signed_sum(_PITCH, thrusts),
+        params.moment_coeff * _signed_sum(_YAW, reaction),
+        thrusts[0] + thrusts[1] + thrusts[2] + thrusts[3],
+    )
+
+
 def actuator_moments_and_thrust(
     state: SimState, params: VehicleParams
 ) -> tuple[np.ndarray, float]:
     """Body moments from the actuators and the total thrust magnitude."""
-    thrusts = params.thrust_coeff * state.true_k * np.square(state.rotor_speeds)
-    m_x = params.arm_y * float(ROLL_SIGNS @ thrusts)
-    m_y = params.arm_x * float(PITCH_SIGNS @ thrusts)
-    m_z = params.moment_coeff * float(
-        YAW_SIGNS @ (state.true_k * np.square(state.rotor_speeds))
+    m_x, m_y, m_z, thrust = _moments_and_thrust(
+        state.rotor_speeds.tolist(), state.true_k.tolist(), params
     )
-    return np.array([m_x, m_y, m_z]), float(thrusts.sum())
+    return np.array([m_x, m_y, m_z]), thrust
 
 
 def dynamics_step(
@@ -247,59 +254,76 @@ def dynamics_step(
     constant inside the integration step. The Euler coupling term
     ``-Omega x I Omega`` is always included; external force is expressed in
     the world frame, external moment in the body frame.
+
+    The arithmetic runs on Python floats in the operation order of the
+    vector form, so results are bit-identical to it; only the quaternion
+    normalisation stays on a numpy array, whose BLAS dot a scalar sum of
+    squares does not reproduce.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     lo, hi = params.rotor_speed_limits
     decay = math.exp(-dt / params.motor_time_constant)
-    new_speeds = np.clip(
-        np.asarray(rotor_setpoints, dtype=float)
-        + (state.rotor_speeds - rotor_setpoints) * decay,
-        lo,
-        hi,
-    )
+    speeds = []
+    for sp, w in zip(np.asarray(rotor_setpoints, dtype=float).tolist(), state.rotor_speeds.tolist()):
+        x = sp + (w - sp) * decay
+        speeds.append(hi if x > hi else lo if x < lo else x)
 
-    work = state.copy()
-    work.rotor_speeds = new_speeds
-    moments, thrust_total = actuator_moments_and_thrust(work, params)
+    m_x, m_y, m_z, thrust = _moments_and_thrust(speeds, state.true_k.tolist(), params)
     if external_moment is not None:
-        moments = moments + external_moment
-    inertia = np.asarray(params.inertia_diag)
-    f_body = np.array([0.0, 0.0, -thrust_total / params.mass])
-    g_world = np.array([0.0, 0.0, GRAVITY])
-    f_ext = (
-        np.zeros(3) if external_force is None else np.asarray(external_force) / params.mass
-    )
+        e_x, e_y, e_z = np.asarray(external_moment, dtype=float).tolist()
+        m_x, m_y, m_z = m_x + e_x, m_y + e_y, m_z + e_z
+    ix, iy, iz = params.inertia_diag
+    f_z = -thrust / params.mass  # body-frame specific force, along body z only
+    if external_force is None:
+        a_x = a_y = a_z = 0.0
+    else:
+        a_x, a_y, a_z = (np.asarray(external_force, dtype=float) / params.mass).tolist()
 
-    def deriv(omega, q, vel):
-        omega_dot = (moments - np.cross(omega, inertia * omega)) / inertia
-        q_dot = _quat_rate(q, omega)
-        v_dot = quat_to_matrix(q) @ f_body + g_world + f_ext
-        return omega_dot, q_dot, v_dot
+    def deriv(p, q, r, qw, qx, qy, qz):
+        # omega_dot = (M - omega x I omega) / I, q_dot = q * (0, omega) / 2,
+        # v_dot = R(q) f_body + g + a_ext with R's third column written out.
+        bx, by, bz = ix * p, iy * q, iz * r
+        return (
+            (m_x - (q * bz - r * by)) / ix,
+            (m_y - (r * bx - p * bz)) / iy,
+            (m_z - (p * by - q * bx)) / iz,
+            0.5 * (-qx * p - qy * q - qz * r),
+            0.5 * (qw * p + qy * r - qz * q),
+            0.5 * (qw * q + qz * p - qx * r),
+            0.5 * (qw * r + qx * q - qy * p),
+            2 * (qx * qz + qw * qy) * f_z + a_x,
+            2 * (qy * qz - qw * qx) * f_z + a_y,
+            (1 - 2 * (qx * qx + qy * qy)) * f_z + GRAVITY + a_z,
+        )
 
-    om, q, v, pos = state.angular_rate, state.quaternion, state.velocity, state.position
-
-    k1 = deriv(om, q, v)
-    k2 = deriv(om + 0.5 * dt * k1[0], q + 0.5 * dt * k1[1], v + 0.5 * dt * k1[2])
-    k3 = deriv(om + 0.5 * dt * k2[0], q + 0.5 * dt * k2[1], v + 0.5 * dt * k2[2])
-    k4 = deriv(om + dt * k3[0], q + dt * k3[1], v + dt * k3[2])
+    # y = (omega, q, v); the derivative does not depend on v or position.
+    y = state.angular_rate.tolist() + state.quaternion.tolist() + state.velocity.tolist()
+    half = 0.5 * dt
+    k1 = deriv(*y[:7])
+    y2 = [a + half * d for a, d in zip(y, k1)]
+    k2 = deriv(*y2[:7])
+    y3 = [a + half * d for a, d in zip(y, k2)]
+    k3 = deriv(*y3[:7])
+    y4 = [a + dt * d for a, d in zip(y, k3)]
+    k4 = deriv(*y4[:7])
 
     sixth = dt / 6.0
-    new_omega = om + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    new_q = q + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    new_q = new_q / np.linalg.norm(new_q)
-    new_v = v + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+    new = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+    new_q = np.array(new[3:7])
+    new_q /= math.sqrt(new_q.dot(new_q))  # np.linalg.norm's own formula
     # velocity enters position linearly; same RK4 weights on the v stages
-    new_pos = pos + sixth * (
-        v + 2 * (v + 0.5 * dt * k1[2]) + 2 * (v + 0.5 * dt * k2[2]) + (v + dt * k3[2])
-    )
+    new_pos = [
+        x + sixth * (v1 + 2 * v2 + 2 * v3 + v4)
+        for x, v1, v2, v3, v4 in zip(state.position.tolist(), y[7:], y2[7:], y3[7:], y4[7:])
+    ]
 
     return SimState(
-        angular_rate=new_omega,
+        angular_rate=np.array(new[:3]),
         quaternion=new_q,
-        velocity=new_v,
-        position=new_pos,
-        rotor_speeds=new_speeds,
+        velocity=np.array(new[7:]),
+        position=np.array(new_pos),
+        rotor_speeds=np.array(speeds),
         true_k=state.true_k.copy(),
     )
 
@@ -318,7 +342,8 @@ def _measure(
     noise: SensorNoiseModel,
     t: float,
 ) -> RawSample:
-    wbar = float(rotor_speeds.mean())
+    w1, w2, w3, w4 = rotor_speeds.tolist()
+    wbar = (w1 + w2 + w3 + w4) / 4  # rotor_speeds.mean(), bit for bit
     gyro = (
         omega
         + noise._gyro_bias_vec
@@ -347,9 +372,11 @@ def synthesize_sensors(
     external_force: np.ndarray | None = None,
 ) -> RawSample:
     """Corrupted gyro/accelerometer readings plus exact rotor speeds."""
-    _, thrust_total = actuator_moments_and_thrust(state, params)
-    az_true = -thrust_total / params.mass
+    thrust = _moments_and_thrust(state.rotor_speeds.tolist(), state.true_k.tolist(), params)[3]
+    az_true = -thrust / params.mass
     if external_force is not None:
+        # Stays a numpy product: BLAS rounds this 3-term sum differently
+        # from a scalar one, and the logs must stay bit-stable.
         f_body = quat_to_matrix(state.quaternion).T @ np.asarray(external_force)
         az_true += float(f_body[2]) / params.mass
     return _measure(state.angular_rate, az_true, state.rotor_speeds, noise, t)
@@ -374,8 +401,8 @@ class _Controller:
         alloc = np.array(
             [
                 [ct, ct, ct, ct],
-                ct * params.arm_y * ROLL_SIGNS,
-                ct * params.arm_x * PITCH_SIGNS,
+                ct * params.arm_y * SIGN_MATRIX[0],
+                ct * params.arm_x * SIGN_MATRIX[1],
                 cm * YAW_SIGNS,
             ]
         )
@@ -387,10 +414,10 @@ class _Controller:
 
     def setpoints(
         self, state: SimState, roll_sp: float, pitch_sp: float, z_sp: float
-    ) -> np.ndarray:
+    ) -> list[float]:
         params = self.params
-        roll, pitch = _roll_pitch(state.quaternion)
-        p, q, r = state.angular_rate
+        roll, pitch = _roll_pitch(state.quaternion.tolist())
+        p, q, r = state.angular_rate.tolist()
         ix, iy, iz = params.inertia_diag
 
         p_sp = self.ATT_P * (roll_sp - roll)
@@ -399,15 +426,15 @@ class _Controller:
         m_y = iy * self.RATE_P * (q_sp - q)
         m_z = iz * self.YAW_RATE_P * (0.0 - r)
 
-        z, vz = state.position[2], state.velocity[2]
+        z, vz = float(state.position[2]), float(state.velocity[2])
         thrust = params.mass * (
             GRAVITY + self.ALT_P * (z - z_sp) + self.ALT_D * vz
         )
         thrust = max(thrust, 0.1 * params.mass * GRAVITY)
 
-        w_sq = self._alloc_inv @ np.array([thrust, m_x, m_y, m_z])
-        w_sq = np.clip(w_sq, *self._w_sq_limits)
-        return np.sqrt(w_sq)
+        lo, hi = self._w_sq_limits
+        w_sq = (self._alloc_inv @ np.array([thrust, m_x, m_y, m_z])).tolist()
+        return [math.sqrt(hi if x > hi else lo if x < lo else x) for x in w_sq]
 
 
 def _attitude_schedule(scenario: str, t: float) -> tuple[float, float]:
@@ -438,13 +465,13 @@ def _wind(scenario: str, t: float) -> tuple[np.ndarray | None, np.ndarray | None
 
 
 def _check_plausible(state: SimState, step_index: int, t: float) -> None:
-    finite = (
-        np.isfinite(state.angular_rate).all()
-        and np.isfinite(state.velocity).all()
-        and np.isfinite(state.position).all()
-        and np.isfinite(state.quaternion).all()
-    )
-    if not finite or np.abs(state.angular_rate).max() > 1000.0 or np.abs(state.velocity).max() > 1000.0:
+    rate, vel = state.angular_rate.tolist(), state.velocity.tolist()
+    values = rate + vel + state.position.tolist() + state.quaternion.tolist()
+    if (
+        not all(map(math.isfinite, values))
+        or max(map(abs, rate)) > 1000.0
+        or max(map(abs, vel)) > 1000.0
+    ):
         raise DivergenceError(f"simulation diverged at step {step_index} (t={t:.3f} s)")
 
 
@@ -504,7 +531,7 @@ def fly_scenario(
 
     controller = _Controller(params)
     state = hover_state(params)
-    z_sp = state.position[2]
+    z_sp = float(state.position[2])
     fault_applied = fault is None
 
     for i in range(n):

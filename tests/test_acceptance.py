@@ -38,7 +38,8 @@ def test_criterion_01_detection_delay_envelope(ejection_corpus):
     logs, build_seconds = ejection_corpus
     t0 = time.monotonic()
     results = _replay_corpus(logs)
-    elapsed = build_seconds + (time.monotonic() - t0)
+    replay_seconds = time.monotonic() - t0
+    elapsed = build_seconds + replay_seconds
 
     delays = [r.detection_delay for r in results if r.detection_delay is not None]
     in_window = sum(1 for d in delays if DELAY_WINDOW[0] <= d <= DELAY_WINDOW[1])
@@ -55,7 +56,8 @@ def test_criterion_01_detection_delay_envelope(ejection_corpus):
     detail = (
         f"{in_window}/{len(logs)} delays in [{DELAY_WINDOW[0]}, {DELAY_WINDOW[1]}] s, "
         f"missed={missed}, false_alarms={false_alarms}, "
-        f"delay range [{min(delays):.3f}, {max(delays):.3f}] s, runtime {elapsed:.1f} s"
+        f"delay range [{min(delays):.3f}, {max(delays):.3f}] s, runtime {elapsed:.1f} s "
+        f"(corpus build {build_seconds:.1f} s, replay {replay_seconds:.1f} s)"
     )
     _verdict("01 detection-delay-envelope", ok, detail)
 

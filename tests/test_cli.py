@@ -129,14 +129,15 @@ def test_detect_inf_gyro_is_bad_log_naming_the_line(tmp_path, capsys):
     assert f"bad log {log}: line 8:" in err  # two header lines, then row index 5
 
 
-def test_detect_overflowing_rotor_speed_is_runtime_error(tmp_path, capsys):
-    # Finite, but its square overflows to inf inside the estimator.
+def test_detect_overflowing_rotor_speed_is_bad_log_naming_the_line(tmp_path, capsys):
+    # Finite, but its square would overflow inside the estimator: rejected on
+    # load by the rotor speed ceiling, before any arithmetic.
     log = _write_hover_log(tmp_path / "huge.csv", rotor_speed="1e160")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="raise", invalid="raise"):
         code = run_cli("detect", "--log", str(log))
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: innovation covariance is numerically singular")
+    assert f"bad log {log}: line 3: rotor speed above 100000 rad/s" in err
 
 
 def test_sweep_and_report_round_trip(tmp_path, capsys):

@@ -162,6 +162,18 @@ def test_inf_sample_rejected_with_timestamp(field):
         det.process_sample(bad)
 
 
+@pytest.mark.parametrize("speed", [1.5e5, 1e160, -1e160])
+def test_rotor_speed_above_ceiling_rejected_with_timestamp(speed):
+    det = Detector(default_config())
+    at_ceiling = hover_sample(0)
+    at_ceiling.rotor_speeds = np.array([700.0, 1e5, 700.0, 700.0])
+    det.process_sample(at_ceiling)
+    bad = hover_sample(1)
+    bad.rotor_speeds = np.array([700.0, 700.0, speed, 700.0])
+    with pytest.raises(ValueError, match=r"rotor speed above 100000 rad/s in sample at t=0\.004"):
+        det.process_sample(bad)
+
+
 def test_identical_streams_give_bit_identical_outputs():
     config = default_config()
     stream = list(_budget_stream(config, 3000, 1500))

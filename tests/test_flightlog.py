@@ -133,6 +133,29 @@ def test_validate_rejects_non_finite_values(column):
         log.validate()
 
 
+@pytest.mark.parametrize(
+    ("units", "fast", "ok"),
+    [
+        ("rad_s", "1e160", "1e5"),  # its square overflows; the ceiling itself loads
+        ("rpm", "955000", "954900"),  # the ceiling applies after the RPM conversion
+    ],
+)
+def test_rotor_speed_above_ceiling_reports_line(tmp_path, units, fast, ok):
+    header = f"# sample_rate_hz=500.0\n# rpm_units={units}\n" + ",".join(COLUMNS) + "\n"
+    good_row = f"0.002,0,0,0,-9.81,500,500,500,{ok}\n"
+    path = _write(tmp_path / "fast.csv", header + good_row + f"0.004,0,0,0,-9.81,500,{fast},500,500\n")
+    with pytest.raises(LogFormatError, match=r"line 5: rotor speed above 100000 rad/s"):
+        load_log(path)
+    assert len(load_log(_write(tmp_path / "ok.csv", header + good_row))) == 1
+
+
+def test_validate_rejects_rotor_speed_above_ceiling():
+    log = synthetic_log()
+    log.rotor_speeds[7, 2] = 1.5e5
+    with pytest.raises(LogFormatError, match=r"rotor speed above 100000 rad/s at sample 7 \(t=0\.016\)"):
+        log.validate()
+
+
 def test_short_row_reports_line(tmp_path):
     path = _write(
         tmp_path / "short.csv",

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from loedetect.effectiveness import EffectivenessGains, observation_matrix
+from loedetect.effectiveness import SIGN_MATRIX, EffectivenessGains, observation_matrix
 from loedetect.filters import FilterState, design_lowpass, FilterDesign
 from loedetect.simulator import (
     GRAVITY,
+    YAW_SIGNS,
     DivergenceError,
     FaultEvent,
     SensorNoiseModel,
+    SimState,
     VehicleParams,
     _check_plausible,
     actuator_moments_and_thrust,
@@ -17,11 +19,153 @@ from loedetect.simulator import (
     fly_scenario,
     hover_state,
     inject_fault,
+    quat_to_matrix,
     synthesize_sensors,
 )
 
 PARAMS = VehicleParams()
 QUIET = SensorNoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Vector-form oracle: the numpy RK4 and sensor model the simulator's scalar
+# per-step code reproduces bit for bit (same operations, same order).
+
+
+def oracle_moments_and_thrust(state, params):
+    thrusts = params.thrust_coeff * state.true_k * np.square(state.rotor_speeds)
+    m_x = params.arm_y * float(SIGN_MATRIX[0] @ thrusts)
+    m_y = params.arm_x * float(SIGN_MATRIX[1] @ thrusts)
+    m_z = params.moment_coeff * float(YAW_SIGNS @ (state.true_k * np.square(state.rotor_speeds)))
+    return np.array([m_x, m_y, m_z]), float(thrusts.sum())
+
+
+def oracle_quat_rate(q, omega):
+    w, x, y, z = q
+    ox, oy, oz = omega
+    return 0.5 * np.array(
+        [
+            -x * ox - y * oy - z * oz,
+            w * ox + y * oz - z * oy,
+            w * oy + z * ox - x * oz,
+            w * oz + x * oy - y * ox,
+        ]
+    )
+
+
+def oracle_dynamics_step(state, rotor_setpoints, params, dt, external_force=None, external_moment=None):
+    lo, hi = params.rotor_speed_limits
+    decay = math.exp(-dt / params.motor_time_constant)
+    new_speeds = np.clip(
+        np.asarray(rotor_setpoints, dtype=float) + (state.rotor_speeds - rotor_setpoints) * decay,
+        lo,
+        hi,
+    )
+    work = state.copy()
+    work.rotor_speeds = new_speeds
+    moments, thrust_total = oracle_moments_and_thrust(work, params)
+    if external_moment is not None:
+        moments = moments + external_moment
+    inertia = np.asarray(params.inertia_diag)
+    f_body = np.array([0.0, 0.0, -thrust_total / params.mass])
+    g_world = np.array([0.0, 0.0, GRAVITY])
+    f_ext = np.zeros(3) if external_force is None else np.asarray(external_force) / params.mass
+
+    def deriv(omega, q, vel):
+        omega_dot = (moments - np.cross(omega, inertia * omega)) / inertia
+        return omega_dot, oracle_quat_rate(q, omega), quat_to_matrix(q) @ f_body + g_world + f_ext
+
+    om, q, v, pos = state.angular_rate, state.quaternion, state.velocity, state.position
+    k1 = deriv(om, q, v)
+    k2 = deriv(om + 0.5 * dt * k1[0], q + 0.5 * dt * k1[1], v + 0.5 * dt * k1[2])
+    k3 = deriv(om + 0.5 * dt * k2[0], q + 0.5 * dt * k2[1], v + 0.5 * dt * k2[2])
+    k4 = deriv(om + dt * k3[0], q + dt * k3[1], v + dt * k3[2])
+    sixth = dt / 6.0
+    new_q = q + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return SimState(
+        angular_rate=om + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+        quaternion=new_q / np.linalg.norm(new_q),
+        velocity=v + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+        position=pos
+        + sixth * (v + 2 * (v + 0.5 * dt * k1[2]) + 2 * (v + 0.5 * dt * k2[2]) + (v + dt * k3[2])),
+        rotor_speeds=new_speeds,
+        true_k=state.true_k.copy(),
+    )
+
+
+def oracle_synthesize_sensors(state, params, noise, t, external_force=None):
+    _, thrust_total = oracle_moments_and_thrust(state, params)
+    az_true = -thrust_total / params.mass
+    if external_force is not None:
+        f_body = quat_to_matrix(state.quaternion).T @ np.asarray(external_force)
+        az_true += float(f_body[2]) / params.mass
+    wbar = float(state.rotor_speeds.mean())
+    gyro = (
+        state.angular_rate
+        + noise._gyro_bias_vec
+        + noise._rng.normal(0.0, noise.gyro_noise_std, 3)
+        + noise.gyro_vibration * np.sin(wbar * t + noise._phases[:3])
+    )
+    az = (
+        az_true
+        + noise._accel_bias_val
+        + float(noise._rng.normal(0.0, noise.accel_noise_std))
+        + noise.accel_vibration * math.sin(wbar * t + noise._phases[3])
+    )
+    return gyro, az
+
+
+def random_state(rng):
+    """A random flight state: attitude anywhere, some actuators faulted."""
+    q = rng.normal(0.0, 1.0, 4)
+    true_k = np.ones(4)
+    faulted = rng.random(4) < 0.3
+    true_k[faulted] = rng.choice([0.0, 0.4, 0.75], int(faulted.sum()))
+    return SimState(
+        angular_rate=rng.normal(0.0, 3.0, 3),
+        quaternion=q / np.linalg.norm(q),
+        velocity=rng.normal(0.0, 5.0, 3),
+        position=rng.normal(0.0, 10.0, 3),
+        rotor_speeds=rng.uniform(150.0, 1300.0, 4),
+        true_k=true_k,
+    )
+
+
+def random_wind(rng):
+    force = rng.normal(0.0, 0.5, 3) if rng.random() < 0.5 else None
+    moment = rng.normal(0.0, 0.003, 3) if rng.random() < 0.5 else None
+    return force, moment
+
+
+def test_dynamics_step_matches_vector_oracle_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        state = random_state(rng)
+        # setpoints beyond both rotor speed limits exercise the clip
+        setpoints = rng.uniform(0.0, 1600.0, 4)
+        dt = float(rng.choice([0.002, 0.0005, 0.01]))
+        force, moment = random_wind(rng)
+        got = dynamics_step(state, setpoints, PARAMS, dt, force, moment)
+        want = oracle_dynamics_step(state, setpoints, PARAMS, dt, force, moment)
+        for name in ("angular_rate", "quaternion", "velocity", "position", "rotor_speeds", "true_k"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
+    rng = np.random.default_rng(7)
+    noise, oracle_noise = SensorNoiseModel(seed=11), SensorNoiseModel(seed=11)
+    for i in range(2000):
+        state = random_state(rng)
+        force, _ = random_wind(rng)
+        t = (i + 1) * 0.002
+        raw = synthesize_sensors(state, PARAMS, noise, t, external_force=force)
+        gyro, az = oracle_synthesize_sensors(state, PARAMS, oracle_noise, t, external_force=force)
+        assert np.array_equal(raw.angular_rate, gyro)
+        assert raw.proper_accel_z == az
+        assert np.array_equal(raw.rotor_speeds, state.rotor_speeds)
+    moments, thrust = actuator_moments_and_thrust(state, PARAMS)
+    want_moments, want_thrust = oracle_moments_and_thrust(state, PARAMS)
+    assert np.array_equal(moments, want_moments) and thrust == want_thrust
 
 
 def test_vehicle_params_validation():
@@ -235,6 +379,29 @@ def test_divergence_check_raises():
     state.angular_rate = np.array([np.inf, 0.0, 0.0])
     with pytest.raises(DivergenceError, match="step 7"):
         _check_plausible(state, 7, 0.016)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("angular_rate", [0.0, 0.0, -1000.5]),
+        ("position", [0.0, np.nan, -1.5]),
+        ("quaternion", [np.nan, 0.0, 0.0, 0.0]),
+        ("velocity", [0.0, -1000.5, 0.0]),
+    ],
+)
+def test_divergence_check_catches_nan_and_runaway_states(field, value):
+    state = hover_state(PARAMS)
+    setattr(state, field, np.array(value))
+    with pytest.raises(DivergenceError, match="step 7"):
+        _check_plausible(state, 7, 0.016)
+
+
+def test_divergence_check_accepts_the_envelope_edge():
+    state = hover_state(PARAMS)
+    state.angular_rate = np.array([0.0, -1000.0, 0.0])
+    state.velocity = np.array([1000.0, 0.0, 0.0])
+    _check_plausible(state, 7, 0.016)
 
 
 def test_ground_idle_stays_below_gate():
