@@ -114,16 +114,17 @@ def _write_outputs_csv(outputs, path) -> None:
             + [f"failed{i}" for i in range(1, 5)]
         )
         fh.write(",".join(names) + "\n")
+        # Estimator fields and status change only on estimator ticks, where
+        # the detector publishes new snapshot objects: format each one once.
+        k_hat = variances = p_fail = status = None
         for out in outputs:
-            row = (
-                [repr(out.timestamp)]
-                + [repr(float(v)) for v in out.k_hat]
-                + [repr(float(v)) for v in out.variances]
-                + [repr(float(v)) for v in out.p_fail]
-                + [str(int(out.armed))]
-                + [str(int(f)) for f in out.status.failed]
-            )
-            fh.write(",".join(row) + "\n")
+            if out.k_hat is not k_hat or out.variances is not variances or out.p_fail is not p_fail:
+                k_hat, variances, p_fail = out.k_hat, out.variances, out.p_fail
+                estimates = ",".join(map(repr, k_hat.tolist() + variances.tolist() + p_fail.tolist()))
+            if out.status is not status:
+                status = out.status
+                flags = ",".join([str(int(f)) for f in status.failed])
+            fh.write(f"{out.timestamp!r},{estimates},{int(out.armed)},{flags}\n")
 
 
 def cmd_detect(args) -> int:

@@ -62,9 +62,9 @@ def failure_probabilities(
     k_hat: np.ndarray, variances: np.ndarray, k_threshold: float
 ) -> np.ndarray:
     """Vector form over the four actuators."""
-    return np.array(
-        [failure_probability(float(k_hat[i]), float(variances[i]), k_threshold) for i in range(4)]
-    )
+    k = np.asarray(k_hat, dtype=float).tolist()
+    v = np.asarray(variances, dtype=float).tolist()
+    return np.array([failure_probability(k[i], v[i], k_threshold) for i in range(4)])
 
 
 def decide(

@@ -33,11 +33,15 @@ from . import kalman
 from .kalman import EstimatorState, NoiseConfig
 
 # Sum of squared rotor speeds at hover for the default airframe
-# (mass * g / thrust_coeff = 0.5 * 9.81 / 2.5e-6).
+# (mass * g / thrust_coeff = 0.5 * 9.81 / 2.5e-6). Copied by hand, not derived
+# from ``simulator.VehicleParams``: the onboard detector must not import the
+# simulator. A test pins it to ``4 * VehicleParams().hover_speed()**2``.
 DEFAULT_HOVER_THRUST_REFERENCE = 1.962e6
 
 # Length of the arming moving-average window, seconds.
 ARMING_WINDOW_S = 1.0
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -221,9 +225,18 @@ class DetectorOutput:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+    """``a`` made read-only in place, not copied; only for fresh arrays nothing writes again."""
+    a.setflags(write=False)
+    return a
+
+
+def _snapshot(state: EstimatorState) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(x, diag(P))`` of a fresh estimator state.
+
+    ``x`` is published itself. The diagonal is copied: a view would keep all
+    of ``P`` alive for as long as a caller keeps the output.
+    """
+    return _frozen(state.x), _frozen(state.P.diagonal().copy())
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +261,12 @@ class Conditioner:
         self.armed = False
         self._gate_level = config.takeoff_thrust_fraction * config.hover_thrust_reference
         self._gate_len = max(1, round(ARMING_WINDOW_S / config.sensor_interval))
-        self._gate_buf = np.zeros(self._gate_len)
+        self._gate_buf = [0.0] * self._gate_len
         self._gate_sum = 0.0
         self._gate_count = 0
         self._gate_pos = 0
 
-    def push(self, raw: RawSample) -> tuple[np.ndarray, np.ndarray] | None:
+    def push(self, raw: RawSample) -> tuple[np.ndarray, list[float]] | None:
         """Advance one sample; on an armed estimator tick return ``(z, w_sq)``.
 
         ``z`` is (p_dot, q_dot, a_z) and ``w_sq`` the squared filtered rotor
@@ -264,20 +277,34 @@ class Conditioner:
             raise ValueError(
                 f"non-monotone timestamp: {t} after {self._last_timestamp}"
             )
+        p, q, r = raw.angular_rate.tolist()
+        w1, w2, w3, w4 = raw.rotor_speeds.tolist()
         top = MAX_ROTOR_SPEED_RAD_S
+        # Chained comparisons are False on NaN, so this also rejects NaN.
         if not (
-            math.isfinite(t)
-            and math.isfinite(raw.proper_accel_z)
-            and np.isfinite(raw.angular_rate).all()
-            and all([-top <= w <= top for w in raw.rotor_speeds.tolist()])  # False on NaN
+            -_INF < t < _INF
+            and -_INF < raw.proper_accel_z < _INF
+            and -_INF < p < _INF
+            and -_INF < q < _INF
+            and -_INF < r < _INF
+            and 0.0 <= w1 <= top
+            and 0.0 <= w2 <= top
+            and 0.0 <= w3 <= top
+            and 0.0 <= w4 <= top
         ):
-            values = np.hstack([t, raw.proper_accel_z, raw.angular_rate, raw.rotor_speeds])
-            problem = f"rotor speed above {top:g} rad/s" if np.isfinite(values).all() else "NaN or Inf"
+            values = (t, raw.proper_accel_z, p, q, r, w1, w2, w3, w4)
+            if not all(-_INF < v < _INF for v in values):
+                problem = "NaN or Inf"
+            elif max(abs(w1), abs(w2), abs(w3), abs(w4)) > top:
+                problem = f"rotor speed above {top:g} rad/s"
+            else:
+                problem = "negative rotor speed"
             raise ValueError(f"{problem} in sample at t={t}")
         self._last_timestamp = t
 
         filtered = filter_step(self._filter, raw)
         if not self.armed:
+            # numpy dot, not a scalar sum: BLAS rounds it differently.
             thrust_proxy = float(raw.rotor_speeds @ raw.rotor_speeds)
             self._gate_sum += thrust_proxy - self._gate_buf[self._gate_pos]
             self._gate_buf[self._gate_pos] = thrust_proxy
@@ -294,18 +321,26 @@ class Conditioner:
         self._prev_tick = filtered
         if not self.armed:
             return None
-        return np.array([accel[0], accel[1], filtered.accel_z]), np.square(filtered.rotor_speeds)
+        return (
+            np.array([accel[0], accel[1], filtered.accel_z]),
+            [w * w for w in filtered.rotor_speeds],
+        )
+
+
+def signed_gains(gains: EffectivenessGains) -> np.ndarray:
+    """``SIGN_MATRIX * gains`` per row: the observation matrix before ``w_sq``."""
+    return SIGN_MATRIX * gains.as_array()[:, None]
 
 
 def estimation_step(
-    state: EstimatorState, gains_col: np.ndarray, noise: NoiseConfig, z: np.ndarray, w_sq: np.ndarray
+    state: EstimatorState, gains: np.ndarray, noise: NoiseConfig, z: np.ndarray, w_sq: list[float]
 ) -> EstimatorState:
     """Estimation stage: one estimator update from an armed tick.
 
-    ``gains_col`` is ``gains.as_array()[:, None]``.
+    ``gains`` is ``signed_gains(config.gains)``, so ``H = (sign*g)*w_sq``
+    holds the same products as ``observation_matrix_from_sq``.
     """
-    H = SIGN_MATRIX * gains_col * w_sq[None, :]
-    return kalman.step(state, H, z, noise)
+    return kalman.step(state, gains * w_sq, z, noise)
 
 
 def decision_step(
@@ -322,11 +357,10 @@ class Detector:
     def __init__(self, config: DetectorConfig):
         self.config = config
         self._conditioner = Conditioner(config)
-        self._gains_col = config.gains.as_array()[:, None]
+        self._gains = signed_gains(config.gains)
         self._estimator = kalman.init()
         self._status = DetectionStatus()
-        self._snap_k = _frozen(self._estimator.x)
-        self._snap_var = _frozen(self._estimator.P.diagonal())
+        self._snap_k, self._snap_var = _snapshot(self._estimator)
         self._snap_pfail = _frozen(
             failure_probabilities(self._snap_k, self._snap_var, config.decision.k_threshold)
         )
@@ -347,9 +381,8 @@ class Detector:
         tick = self._conditioner.push(raw)
         if tick is not None:
             config = self.config
-            self._estimator = estimation_step(self._estimator, self._gains_col, config.noise, *tick)
-            self._snap_k = _frozen(self._estimator.x)
-            self._snap_var = _frozen(self._estimator.P.diagonal())
+            self._estimator = estimation_step(self._estimator, self._gains, config.noise, *tick)
+            self._snap_k, self._snap_var = _snapshot(self._estimator)
             p_fail, self._status = decision_step(
                 self._snap_k, self._snap_var, self._status, config.decision, raw.timestamp
             )

@@ -103,45 +103,42 @@ class FilterState:
     """Recursion memory for one stream; every channel shares the same biquad.
 
     The memory is warm-started from the first sample, so a constant stream is
-    a fixed point and there is no startup transient.
+    a fixed point and there is no startup transient. The recursion runs on
+    Python floats, channel by channel, in the order
+    ``b0*x + b1*x1 + b2*x2 - a1*y1 - a2*y2``; every operation is elementwise,
+    so it rounds exactly like the same recursion on float64 arrays.
     """
 
     def __init__(self, coeffs: FilterCoefficients, n_channels: int = N_CHANNELS):
         self.coeffs = coeffs
         self.n_channels = n_channels
-        self._x1 = np.zeros(n_channels)
-        self._x2 = np.zeros(n_channels)
-        self._y1 = np.zeros(n_channels)
-        self._y2 = np.zeros(n_channels)
-        self._primed = False
+        self._c = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2)
+        self._mem: tuple[list[float], list[float], list[float], list[float]] | None = None
 
     def reset(self) -> None:
-        self._x1[:] = 0.0
-        self._x2[:] = 0.0
-        self._y1[:] = 0.0
-        self._y2[:] = 0.0
-        self._primed = False
+        self._mem = None
 
     def step(self, inputs: np.ndarray) -> np.ndarray:
         """Advance all channels one sample and return the filtered values."""
-        x = np.array(inputs, dtype=float)
+        x = np.asarray(inputs, dtype=float)
         if x.shape != (self.n_channels,):
             raise ValueError(f"expected {self.n_channels} channels, got shape {x.shape}")
-        if not self._primed:
-            self._x1 = x.copy()
-            self._x2 = x.copy()
-            self._y1 = x.copy()
-            self._y2 = x.copy()
-            self._primed = True
-        c = self.coeffs
-        y = c.b0 * x + c.b1 * self._x1
-        y += c.b2 * self._x2
-        y -= c.a1 * self._y1
-        y -= c.a2 * self._y2
-        self._x2 = self._x1
-        self._x1 = x
-        self._y2 = self._y1
-        self._y1 = y
+        return np.array(self._advance(x.tolist()))
+
+    def _advance(self, x: list[float]) -> list[float]:
+        """``step`` on a list of ``n_channels`` Python floats; returns a new list."""
+        if len(x) != self.n_channels:
+            raise ValueError(f"expected {self.n_channels} channels, got {len(x)}")
+        if self._mem is None:
+            x1 = x2 = y1 = y2 = x  # warm start; lists are never written in place
+        else:
+            x1, x2, y1, y2 = self._mem
+        b0, b1, b2, a1, a2 = self._c
+        y = [
+            b0 * u + b1 * u1 + b2 * u2 - a1 * v1 - a2 * v2
+            for u, u1, u2, v1, v2 in zip(x, x1, x2, y1, y2)
+        ]
+        self._mem = (x, x1, y, y1)
         return y
 
 
@@ -160,22 +157,20 @@ class FilteredSample:
     """Low-passed copy of one sample."""
 
     timestamp: float
-    rates: np.ndarray  # (3,) filtered p, q, r
+    rates: list[float]  # filtered p, q, r
     accel_z: float
-    rotor_speeds: np.ndarray  # (4,) filtered
+    rotor_speeds: list[float]  # filtered, one per rotor
 
 
 def filter_step(state: FilterState, raw: RawSample) -> FilteredSample:
     """Advance every channel of ``state`` by one sample of ``raw``."""
-    vec = np.empty(N_CHANNELS)
-    vec[0:3] = raw.angular_rate
-    vec[3] = raw.proper_accel_z
-    vec[4:8] = raw.rotor_speeds
-    out = state.step(vec)
+    out = state._advance(
+        raw.angular_rate.tolist() + [float(raw.proper_accel_z)] + raw.rotor_speeds.tolist()
+    )
     return FilteredSample(
         timestamp=raw.timestamp,
         rates=out[0:3],
-        accel_z=float(out[3]),
+        accel_z=out[3],
         rotor_speeds=out[4:8],
     )
 
@@ -193,4 +188,5 @@ def differentiate(previous: FilteredSample | None, current: FilteredSample) -> n
         raise ValueError(
             f"non-increasing timestamps: {previous.timestamp} -> {current.timestamp}"
         )
-    return (current.rates[:2] - previous.rates[:2]) / dt
+    now, before = current.rates, previous.rates
+    return np.array([(now[0] - before[0]) / dt, (now[1] - before[1]) / dt])

@@ -21,6 +21,7 @@ with ``repr`` so a write/read cycle is lossless.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -89,6 +90,10 @@ class FlightLog:
             raise LogFormatError(
                 f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s at sample {bad} (t={self.t[bad]})"
             )
+        negative = (self.rotor_speeds < 0.0).any(axis=1)
+        if negative.any():
+            bad = int(np.argmax(negative))
+            raise LogFormatError(f"negative rotor speed at sample {bad} (t={self.t[bad]})")
         dt = np.diff(self.t)
         if n > 1 and not np.all(dt > 0):
             bad = int(np.argmax(dt <= 0))
@@ -103,8 +108,6 @@ class FlightLog:
                     f"header sample_rate_hz={self.sample_rate_hz} does not match the "
                     f"median timestamp delta {median_dt:.6g} s within 1%"
                 )
-        if np.any(self.rotor_speeds < 0):
-            raise LogFormatError("negative rotor speeds")
 
 
 def save_log(log: FlightLog, path) -> None:
@@ -133,6 +136,14 @@ def _parse_header(lines: list[tuple[int, str]]) -> dict[str, str]:
         key, _, value = body.partition("=")
         header[key.strip()] = value.strip()
     return header
+
+
+def _reject_non_finite(flat: array, n_rows: int, data_lines: list[tuple[int, str]]) -> None:
+    """Raise naming the first of the ``n_rows`` parsed rows in ``flat`` with a NaN or Inf field."""
+    rows = np.frombuffer(flat, count=n_rows * len(COLUMNS)).reshape(n_rows, len(COLUMNS))
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise LogFormatError(f"line {data_lines[int(np.argmin(finite))][0]}: NaN or Inf field")
 
 
 def load_log(path) -> FlightLog:
@@ -189,19 +200,20 @@ def load_log(path) -> FlightLog:
         fault_time = float(header["fault_time_s"])
 
     n = len(data_lines)
-    values = np.empty((n, len(COLUMNS)))
+    n_columns = len(COLUMNS)
+    flat = array("d")  # row-major, 8 bytes a field, no float objects kept
     for i, (lineno, line) in enumerate(data_lines):
         parts = line.split(",")
-        if len(parts) != len(COLUMNS):
-            raise LogFormatError(
-                f"line {lineno}: expected {len(COLUMNS)} columns, got {len(parts)}"
-            )
+        if len(parts) != n_columns:
+            _reject_non_finite(flat, i, data_lines)  # an earlier bad line is named first
+            raise LogFormatError(f"line {lineno}: expected {n_columns} columns, got {len(parts)}")
         try:
-            values[i] = [float(p) for p in parts]
+            flat.extend(map(float, parts))
         except ValueError as exc:
+            _reject_non_finite(flat, i, data_lines)
             raise LogFormatError(f"line {lineno}: unparseable number in {line!r}") from exc
-        if not np.isfinite(values[i]).all():
-            raise LogFormatError(f"line {lineno}: NaN or Inf field")
+    _reject_non_finite(flat, n, data_lines)
+    values = np.frombuffer(flat).reshape(n, n_columns)
 
     t = values[:, 0]
     deltas = np.diff(t)
@@ -221,6 +233,9 @@ def load_log(path) -> FlightLog:
             f"line {data_lines[int(np.argmax(too_fast))][0]}: "
             f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s"
         )
+    negative = (speeds < 0.0).any(axis=1)
+    if negative.any():
+        raise LogFormatError(f"line {data_lines[int(np.argmax(negative))][0]}: negative rotor speed")
 
     log = FlightLog(
         sample_rate_hz=sample_rate,

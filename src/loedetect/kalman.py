@@ -67,15 +67,20 @@ def init(initial_k: np.ndarray | None = None, initial_variance: float = 1.0) -> 
 
 
 def clamp(x: np.ndarray) -> np.ndarray:
-    """Componentwise clip of the effectiveness factors into [0, 1.5]."""
-    return np.clip(x, K_MIN, K_MAX)
+    """Componentwise clip of the effectiveness factors into [0, 1.5].
+
+    ``np.clip`` calls this same method after a Python-level dispatch.
+    """
+    return np.asarray(x).clip(K_MIN, K_MAX)
 
 
 def _inv3(m: np.ndarray) -> np.ndarray:
-    """Explicit adjugate inverse of a 3x3 matrix; cheap and branch-free."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
+    """Explicit adjugate inverse of a 3x3 matrix; cheap and branch-free.
+
+    The cofactors and the division run on Python floats, which round
+    exactly like float64 scalars and arrays.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
     ca = e * i - f * h
     cb = c * h - b * i
     cc = b * f - c * e
@@ -88,7 +93,13 @@ def _inv3(m: np.ndarray) -> np.ndarray:
     det = a * ca + b * cd + c * cg
     if not det > 0.0:
         raise ArithmeticError(f"innovation covariance is numerically singular (det={det})")
-    return np.array([[ca, cb, cc], [cd, ce, cf], [cg, ch, ci]]) / det
+    return np.array(
+        [
+            [ca / det, cb / det, cc / det],
+            [cd / det, ce / det, cf / det],
+            [cg / det, ch / det, ci / det],
+        ]
+    )
 
 
 def step(

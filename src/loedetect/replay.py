@@ -26,6 +26,7 @@ from .detector import (
     decision_step,
     default_config,
     estimation_step,
+    signed_gains,
 )
 from .flightlog import FlightLog
 
@@ -201,10 +202,10 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
         ekey = config.estimator_key()
         if ekey not in estimates:
             state = kalman.init()
-            gains_col = config.gains.as_array()[:, None]
+            gains = signed_gains(config.gains)
             trajectory = []
             for t, z, w_sq in ticks[ckey]:
-                state = estimation_step(state, gains_col, config.noise, z, w_sq)
+                state = estimation_step(state, gains, config.noise, z, w_sq)
                 trajectory.append((t, state.x, state.P.diagonal()))
             estimates[ekey] = trajectory
         status = DetectionStatus()

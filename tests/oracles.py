@@ -1,0 +1,169 @@
+"""Array-form oracles for the detector's per-sample path.
+
+The package runs the conditioning stage and the 3x3 inverse on Python
+floats, and builds the observation matrix from precomputed signed gains.
+These are the array forms they replaced, kept operation for operation:
+every operation involved is elementwise, so the package must reproduce them
+bit for bit, and the tests assert ``array_equal``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from loedetect import kalman
+from loedetect.decision import DetectionStatus, decide, failure_probability
+from loedetect.detector import ARMING_WINDOW_S
+from loedetect.effectiveness import SIGN_MATRIX
+from loedetect.filters import MAX_ROTOR_SPEED_RAD_S, N_CHANNELS, design_lowpass
+from loedetect.kalman import EstimatorState
+
+_I4 = np.eye(4)
+
+
+class OracleFilterState:
+    """The biquad bank on float64 arrays, warm-started from the first sample."""
+
+    def __init__(self, coeffs, n_channels=N_CHANNELS):
+        self.coeffs = coeffs
+        self.n_channels = n_channels
+        self._primed = False
+
+    def reset(self):
+        self._primed = False
+
+    def step(self, inputs):
+        x = np.array(inputs, dtype=float)
+        assert x.shape == (self.n_channels,)
+        if not self._primed:
+            self._x1 = x.copy()
+            self._x2 = x.copy()
+            self._y1 = x.copy()
+            self._y2 = x.copy()
+            self._primed = True
+        c = self.coeffs
+        y = c.b0 * x + c.b1 * self._x1
+        y += c.b2 * self._x2
+        y -= c.a1 * self._y1
+        y -= c.a2 * self._y2
+        self._x2 = self._x1
+        self._x1 = x
+        self._y2 = self._y1
+        self._y1 = y
+        return y
+
+
+class OracleConditioner:
+    """``Conditioner`` on arrays: filter bank, takeoff gate, differencing.
+
+    Input checks are left out; the oracle is only fed valid samples.
+    """
+
+    def __init__(self, config):
+        self._filter = OracleFilterState(design_lowpass(config.lowpass))
+        self._steps_per_estimate = config.steps_per_estimate()
+        self._sample_index = 0
+        self._prev = None  # (timestamp, filtered vector) at the last tick
+        self.armed = False
+        self._gate_level = config.takeoff_thrust_fraction * config.hover_thrust_reference
+        self._gate_len = max(1, round(ARMING_WINDOW_S / config.sensor_interval))
+        self._gate_buf = np.zeros(self._gate_len)
+        self._gate_sum = 0.0
+        self._gate_count = 0
+        self._gate_pos = 0
+
+    def push(self, raw):
+        assert np.all(np.abs(raw.rotor_speeds) <= MAX_ROTOR_SPEED_RAD_S)
+        vec = np.empty(N_CHANNELS)
+        vec[0:3] = raw.angular_rate
+        vec[3] = raw.proper_accel_z
+        vec[4:8] = raw.rotor_speeds
+        out = self._filter.step(vec)
+        if not self.armed:
+            thrust_proxy = float(raw.rotor_speeds @ raw.rotor_speeds)
+            self._gate_sum += thrust_proxy - self._gate_buf[self._gate_pos]
+            self._gate_buf[self._gate_pos] = thrust_proxy
+            self._gate_pos = (self._gate_pos + 1) % self._gate_len
+            if self._gate_count < self._gate_len:
+                self._gate_count += 1
+            if self._gate_sum / self._gate_count > self._gate_level:
+                self.armed = True
+
+        self._sample_index += 1
+        if self._sample_index % self._steps_per_estimate:
+            return None
+        if self._prev is None:
+            accel = np.zeros(2)
+        else:
+            t_prev, prev = self._prev
+            accel = (out[:2] - prev[:2]) / (raw.timestamp - t_prev)
+        self._prev = (raw.timestamp, out)
+        if not self.armed:
+            return None
+        return np.array([accel[0], accel[1], float(out[3])]), np.square(out[4:8])
+
+
+def oracle_inv3(m):
+    """Adjugate inverse on numpy float64 scalars."""
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    ca = e * i - f * h
+    cb = c * h - b * i
+    cc = b * f - c * e
+    cd = f * g - d * i
+    ce = a * i - c * g
+    cf = c * d - a * f
+    cg = d * h - e * g
+    ch = b * g - a * h
+    ci = a * e - b * d
+    det = a * ca + b * cd + c * cg
+    return np.array([[ca, cb, cc], [cd, ce, cf], [cg, ch, ci]]) / det
+
+
+def oracle_kalman_step(state, H, z, noise):
+    p_pred = state.P + noise.process_noise_q * _I4
+    y = z - H @ state.x
+    pht = p_pred @ H.T
+    s = H @ pht
+    s[0, 0] += noise.measurement_noise_r
+    s[1, 1] += noise.measurement_noise_r
+    s[2, 2] += noise.measurement_noise_r
+    gain = pht @ oracle_inv3(s)
+    x_new = state.x + gain @ y
+    p_new = (_I4 - gain @ H) @ p_pred
+    p_new = 0.5 * (p_new + p_new.T)
+    return EstimatorState(x=np.clip(x_new, kalman.K_MIN, kalman.K_MAX), P=p_new)
+
+
+def oracle_failure_probabilities(k_hat, variances, k_threshold):
+    return np.array(
+        [failure_probability(float(k_hat[i]), float(variances[i]), k_threshold) for i in range(4)]
+    )
+
+
+class OracleDetector:
+    """The whole per-sample pipeline on arrays; outputs are plain tuples."""
+
+    def __init__(self, config):
+        self.config = config
+        self.conditioner = OracleConditioner(config)
+        self._gains_col = config.gains.as_array()[:, None]
+        self._estimator = kalman.init()
+        self._status = DetectionStatus()
+        self._publish()
+
+    def _publish(self):
+        self._k = self._estimator.x.copy()
+        self._var = self._estimator.P.diagonal().copy()
+        self._pfail = oracle_failure_probabilities(self._k, self._var, self.config.decision.k_threshold)
+
+    def process_sample(self, raw):
+        tick = self.conditioner.push(raw)
+        if tick is not None:
+            z, w_sq = tick
+            H = SIGN_MATRIX * self._gains_col * w_sq[None, :]
+            self._estimator = oracle_kalman_step(self._estimator, H, z, self.config.noise)
+            self._publish()
+            self._status = decide(self._pfail, self._status, self.config.decision, raw.timestamp)
+        return raw.timestamp, self._k, self._var, self._pfail, self._status, self.conditioner.armed

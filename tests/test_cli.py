@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from loedetect import flightlog
 from loedetect.cli import main
 from loedetect.detector import default_config, parse_config
+from loedetect.replay import run_detector
 
 
 def run_cli(*argv):
@@ -93,6 +95,39 @@ def test_detect_reports_delay_in_range(tmp_path, capsys):
     assert header.startswith("t,k1,k2,k3,k4,var1")
 
 
+def _oracle_ticks_csv(outputs):
+    """The ticks CSV formatted row by row, every field every row."""
+    names = (
+        ["t"]
+        + [f"k{i}" for i in range(1, 5)]
+        + [f"var{i}" for i in range(1, 5)]
+        + [f"pfail{i}" for i in range(1, 5)]
+        + ["armed"]
+        + [f"failed{i}" for i in range(1, 5)]
+    )
+    lines = [",".join(names)]
+    for out in outputs:
+        row = (
+            [repr(out.timestamp)]
+            + [repr(float(v)) for v in out.k_hat]
+            + [repr(float(v)) for v in out.variances]
+            + [repr(float(v)) for v in out.p_fail]
+            + [str(int(out.armed))]
+            + [str(int(f)) for f in out.status.failed]
+        )
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_detect_ticks_csv_equals_row_by_row_formatting(tmp_path, capsys):
+    path = simulate_log(tmp_path, "flight.csv")
+    out_csv = tmp_path / "outputs.csv"
+    assert run_cli("detect", "--log", str(path), "--out", str(out_csv)) == 0
+    outputs = run_detector(flightlog.load_log(path), default_config())
+    assert any(out.status.any_failed() for out in outputs)
+    assert out_csv.read_bytes() == _oracle_ticks_csv(outputs)
+
+
 def test_detect_no_fault_log_reports_false_alarms(tmp_path, capsys):
     path = tmp_path / "clean.csv"
     assert run_cli("simulate", "--duration", "2", "--seed", "1", "--out", str(path)) == 0
@@ -138,6 +173,13 @@ def test_detect_overflowing_rotor_speed_is_bad_log_naming_the_line(tmp_path, cap
     assert code == 2
     err = capsys.readouterr().err
     assert f"bad log {log}: line 3: rotor speed above 100000 rad/s" in err
+
+
+def test_detect_negative_rotor_speed_is_bad_log_naming_the_line(tmp_path, capsys):
+    log = _write_hover_log(tmp_path / "neg.csv", rotor_speed="-700.357")
+    assert run_cli("detect", "--log", str(log)) == 2
+    err = capsys.readouterr().err
+    assert f"bad log {log}: line 3: negative rotor speed" in err
 
 
 def test_sweep_and_report_round_trip(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from loedetect.decision import DecisionConfig
 from loedetect.detector import (
     CONFIG_KEYS,
+    DEFAULT_HOVER_THRUST_REFERENCE,
+    Conditioner,
     Detector,
     DetectorConfig,
     _budget_stream,
@@ -20,6 +22,9 @@ from loedetect.detector import (
     write_config,
 )
 from loedetect.filters import FilterDesign, RawSample
+from loedetect.simulator import VehicleParams
+
+from oracles import OracleConditioner, OracleDetector
 
 
 def hover_sample(i, dt=0.002, speed=700.357, az=-9.81):
@@ -283,3 +288,126 @@ def test_runtime_budget_smoke():
 def test_runtime_budget_rejects_tiny_sample_counts():
     with pytest.raises(ValueError):
         step_runtime_budget(default_config(), n_samples=10)
+
+
+def test_hover_thrust_reference_matches_default_airframe():
+    # hand-copied so the detector need not import the simulator
+    assert math.isclose(DEFAULT_HOVER_THRUST_REFERENCE, 4.0 * VehicleParams().hover_speed() ** 2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("index", [0, 1, 600])
+def test_negative_rotor_speed_rejected_with_timestamp(index):
+    det = Detector(default_config())
+    for i in range(index):
+        det.process_sample(hover_sample(i))
+    bad = hover_sample(index)
+    bad.rotor_speeds = np.array([700.0, 700.0, -0.5, 700.0])
+    t = (index + 1) * 0.002
+    with pytest.raises(ValueError, match=rf"negative rotor speed in sample at t={t}$"):
+        det.process_sample(bad)
+
+
+def test_negative_hover_stream_rejected_before_arming():
+    # every rotor at -700.357 rad/s: the squares alone would arm the gate
+    det = Detector(default_config())
+    with pytest.raises(ValueError, match=r"negative rotor speed in sample at t=0\.002"):
+        det.process_sample(hover_sample(0, speed=-700.357))
+    assert det.armed is False
+
+
+def test_zero_rotor_speed_is_accepted():
+    det = Detector(default_config())
+    raw = hover_sample(0)
+    raw.rotor_speeds = np.array([0.0, -0.0, 700.0, 700.0])
+    det.process_sample(raw)
+
+
+# ---------------------------------------------------------------------------
+# The conditioning stage, the observation matrix and the 3x3 inverse run on
+# Python floats; the array-form pipeline in ``oracles`` must come out bit for
+# bit the same, output by output.
+
+
+def _random_stream(config, n, seed):
+    """Idle (disarmed), then a noisy hover with rotor-speed jumps."""
+    rng = np.random.default_rng(seed)
+    dt = config.sensor_interval
+    w_hover = math.sqrt(config.hover_thrust_reference / 4.0)
+    for i in range(n):
+        level = 0.3 if i < n // 5 else rng.choice([0.8, 1.0, 1.3])
+        yield RawSample(
+            timestamp=(i + 1) * dt,
+            angular_rate=rng.normal(0.0, 0.5, 3),
+            proper_accel_z=float(rng.normal(-9.81, 0.5)),
+            rotor_speeds=w_hover * level * rng.uniform(0.9, 1.1, 4),
+        )
+
+
+def _assert_conditioner_matches_oracle(config, samples):
+    mine, oracle = Conditioner(config), OracleConditioner(config)
+    ticks = 0
+    for raw in samples:
+        got, want = mine.push(raw), oracle.push(raw)
+        assert mine.armed == oracle.armed
+        assert (got is None) == (want is None)
+        if got is not None:
+            ticks += 1
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+    assert ticks > 0
+
+
+def _assert_detector_matches_oracle(config, samples):
+    mine, oracle = Detector(config), OracleDetector(config)
+    for raw in samples:
+        out = mine.process_sample(raw)
+        t, k_hat, variances, p_fail, status, armed = oracle.process_sample(raw)
+        assert out.timestamp == t
+        assert np.array_equal(out.k_hat, k_hat)
+        assert np.array_equal(out.variances, variances)
+        assert np.array_equal(out.p_fail, p_fail)
+        assert out.status == status
+        assert out.armed == armed
+    return out
+
+
+OTHER_CONFIG = config_from_dict(
+    {
+        **config_to_dict(default_config()),
+        "filter_natural_frequency": 80.0,
+        "filter_damping_ratio": 0.7,
+        "estimator_interval": 0.01,
+        "process_noise_q": 0.05,
+    }
+)
+
+
+@pytest.mark.parametrize("config", [default_config(), OTHER_CONFIG], ids=["default", "other"])
+def test_conditioner_equals_array_oracle(config, ejection_log):
+    _assert_conditioner_matches_oracle(config, _random_stream(config, 5000, 21))
+    _assert_conditioner_matches_oracle(config, list(ejection_log.samples()))
+
+
+@pytest.mark.parametrize("config", [default_config(), OTHER_CONFIG], ids=["default", "other"])
+def test_detector_equals_array_oracle_on_budget_stream(config):
+    out = _assert_detector_matches_oracle(config, _budget_stream(config, 6000, 2500))
+    assert out.status.failed == (False, False, True, False)
+
+
+def test_detector_equals_array_oracle_on_noisy_fault_log(ejection_log):
+    config = default_config()
+    out = _assert_detector_matches_oracle(config, ejection_log.samples())
+    assert out.status.failed[ejection_log.fault_actuator - 1]
+    _assert_detector_matches_oracle(config, _random_stream(config, 5000, 22))
+
+
+def test_published_snapshots_are_read_only():
+    det = Detector(default_config())
+    for i in range(40):
+        out = det.process_sample(hover_sample(i))
+    for arr in (out.k_hat, out.variances, out.p_fail):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    state = det.estimator_state
+    state.x[0] = 0.5  # a copy: writable, and the detector's own state is untouched
+    assert out.k_hat[0] != 0.5

@@ -14,6 +14,8 @@ from loedetect.filters import (
     frequency_response,
 )
 
+from oracles import OracleFilterState
+
 DT = 0.002
 ZETA = 0.55
 WN = 50.0
@@ -194,3 +196,52 @@ def test_telescoping_reconstruction_over_long_stream():
     recon = out[0] + np.cumsum(diffs)
     drift = np.abs(recon - out[1:]).max()
     assert drift <= 1e-9 * max(1.0, np.abs(out).max())
+
+
+# ---------------------------------------------------------------------------
+# The recursion runs on Python floats; the float64-array form in
+# ``oracles.OracleFilterState`` must come out bit for bit the same.
+
+
+@pytest.mark.parametrize("n_channels", [1, 8])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_scalar_recursion_equals_array_oracle(n_channels, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = design_lowpass(FilterDesign(natural_frequency=rng.uniform(20.0, 300.0), damping_ratio=rng.uniform(0.2, 0.95)))
+    mine = FilterState(coeffs, n_channels=n_channels)
+    oracle = OracleFilterState(coeffs, n_channels=n_channels)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, n_channels)
+    for i in range(3000):
+        if i == 1700:  # the warm start again, mid-stream
+            mine.reset()
+            oracle.reset()
+        x = rng.normal(size=n_channels) * scales
+        assert np.array_equal(mine.step(x), oracle.step(x))
+
+
+def test_filter_step_equals_array_oracle():
+    rng = np.random.default_rng(8)
+    coeffs = design_lowpass(FilterDesign())
+    mine = FilterState(coeffs)
+    oracle = OracleFilterState(coeffs)
+    for i in range(2000):
+        raw = RawSample(
+            timestamp=(i + 1) * DT,
+            angular_rate=rng.normal(0.0, 2.0, 3),
+            proper_accel_z=float(rng.normal(-9.81, 1.0)),
+            rotor_speeds=rng.uniform(0.0, 1500.0, 4),
+        )
+        out = filter_step(mine, raw)
+        want = oracle.step(np.concatenate([raw.angular_rate, [raw.proper_accel_z], raw.rotor_speeds]))
+        got = np.array([*out.rates, out.accel_z, *out.rotor_speeds])
+        assert np.array_equal(got, want)
+        assert out.timestamp == raw.timestamp
+
+
+def test_filter_step_rejects_wrong_channel_count():
+    state = FilterState(design_lowpass(FilterDesign()))
+    raw = RawSample(DT, np.zeros(3), -9.81, np.full(3, 500.0))
+    with pytest.raises(ValueError, match="expected 8 channels"):
+        filter_step(state, raw)
+    with pytest.raises(ValueError, match="expected 8 channels"):
+        state.step(np.zeros(7))

@@ -222,3 +222,54 @@ def test_negative_rotor_speed_rejected(tmp_path):
     )
     with pytest.raises(LogFormatError, match="negative rotor"):
         load_log(path)
+
+
+@pytest.mark.parametrize(
+    "later", ["0.010,0,0,0,-9.81,500,500,500", "0.010,0,0,0,-9.81,500,5x0,500,500"], ids=["columns", "number"]
+)
+def test_non_finite_line_named_before_a_later_bad_line(tmp_path, later):
+    path = _write(
+        tmp_path / "inf_then_bad.csv",
+        "# sample_rate_hz=500.0\n"
+        + ",".join(COLUMNS)
+        + "\n0.002,0,0,0,-9.81,500,500,500,500\n"
+        "0.004,0,0,nan,-9.81,500,500,500,500\n"
+        "0.006,0,0,0,-9.81,500,500,inf,500\n"
+        "0.008,0,0,0,-9.81,500,500,500,500\n"
+        + later
+        + "\n",
+    )
+    with pytest.raises(LogFormatError, match="^line 4: NaN or Inf field$"):
+        load_log(path)
+
+
+def test_bad_line_named_when_earlier_lines_are_finite(tmp_path):
+    path = _write(
+        tmp_path / "bad.csv",
+        "# sample_rate_hz=500.0\n"
+        + ",".join(COLUMNS)
+        + "\n0.002,0,0,0,-9.81,500,500,500,500\n"
+        "0.004,0,0,0,-9.81,500,500,500\n"
+        "0.006,0,0,0,-9.81,500,500,inf,500\n",
+    )
+    with pytest.raises(LogFormatError, match="^line 4: expected 9 columns, got 8$"):
+        load_log(path)
+
+
+def test_negative_rotor_speed_reports_line(tmp_path):
+    path = _write(
+        tmp_path / "neg_line.csv",
+        "# sample_rate_hz=500.0\n"
+        + ",".join(COLUMNS)
+        + "\n0.002,0,0,0,-9.81,700.357,700.357,700.357,700.357\n"
+        "0.004,0,0,0,-9.81,700.357,700.357,-700.357,700.357\n",
+    )
+    with pytest.raises(LogFormatError, match="^line 4: negative rotor speed$"):
+        load_log(path)
+
+
+def test_validate_negative_rotor_speed_names_sample_and_time():
+    log = synthetic_log()
+    log.rotor_speeds[7, 2] = -700.357
+    with pytest.raises(LogFormatError, match=rf"^negative rotor speed at sample 7 \(t={log.t[7]}\)$"):
+        log.validate()

@@ -5,6 +5,8 @@ from loedetect import kalman
 from loedetect.effectiveness import EffectivenessGains, observation_matrix
 from loedetect.kalman import NoiseConfig, _inv3, clamp
 
+from oracles import oracle_inv3, oracle_kalman_step
+
 TABLE_NOISE = NoiseConfig()  # q = 0.1, r = 1
 
 
@@ -173,3 +175,29 @@ def test_inv3_matches_lapack_on_random_spd():
 def test_inv3_rejects_singular():
     with pytest.raises(ArithmeticError):
         _inv3(np.zeros((3, 3)))
+
+
+def test_inv3_equals_numpy_scalar_oracle_bit_for_bit():
+    # the cofactors run on Python floats; numpy float64 scalars must agree exactly
+    rng = np.random.default_rng(14)
+    for scale in (1e-3, 1.0, 30.0, 1e3):
+        for _ in range(500):
+            a = rng.normal(size=(3, 3)) * scale
+            m = a @ a.T + scale * np.eye(3)
+            assert np.array_equal(_inv3(m), oracle_inv3(m))
+    for _ in range(500):
+        H = random_observation(rng)
+        s = H @ (rng.uniform(0.01, 2.0) * np.eye(4)) @ H.T + np.eye(3)
+        assert np.array_equal(_inv3(s), oracle_inv3(s))
+
+
+def test_step_equals_array_oracle_bit_for_bit():
+    rng = np.random.default_rng(15)
+    mine = oracle = kalman.init()
+    for _ in range(500):
+        H = random_observation(rng)
+        z = H @ rng.uniform(0.0, 1.5, 4) + rng.normal(0.0, 1.0, 3)
+        mine = kalman.step(mine, H, z, TABLE_NOISE)
+        oracle = oracle_kalman_step(oracle, H, z, TABLE_NOISE)
+        assert np.array_equal(mine.x, oracle.x)
+        assert np.array_equal(mine.P, oracle.P)
