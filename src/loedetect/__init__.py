@@ -24,7 +24,7 @@ from .detector import (
 from .effectiveness import (
     SIGN_MATRIX,
     EffectivenessGains,
-    VehicleGeometry,
+    VehicleParams,
     gains_from_geometry,
     observation_matrix,
     predict_accelerations,
@@ -41,8 +41,6 @@ from .filters import (
 )
 from .flightlog import FlightLog, LogFormatError, load_log, save_log
 from .kalman import EstimatorState, NoiseConfig, clamp
-from .kalman import init as estimator_init
-from .kalman import step as estimator_step
 from .replay import (
     BoxStats,
     EvaluationResult,
@@ -62,7 +60,6 @@ from .simulator import (
     FaultEvent,
     SensorNoiseModel,
     SimState,
-    VehicleParams,
     dynamics_step,
     fly_scenario,
     hover_state,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decision import DecisionConfig, DetectionStatus, decide, failure_probabilities
-from .effectiveness import SIGN_MATRIX, EffectivenessGains
+from .effectiveness import DEFAULT_GAINS, SIGN_MATRIX, EffectivenessGains, VehicleParams
 from .filters import (
     MAX_ROTOR_SPEED_RAD_S,
     FilterDesign,
@@ -32,11 +32,8 @@ from .filters import (
 from . import kalman
 from .kalman import EstimatorState, NoiseConfig
 
-# Sum of squared rotor speeds at hover for the default airframe
-# (mass * g / thrust_coeff = 0.5 * 9.81 / 2.5e-6). Copied by hand, not derived
-# from ``simulator.VehicleParams``: the onboard detector must not import the
-# simulator. A test pins it to ``4 * VehicleParams().hover_speed()**2``.
-DEFAULT_HOVER_THRUST_REFERENCE = 1.962e6
+# Sum of squared rotor speeds at hover for the default airframe.
+DEFAULT_HOVER_THRUST_REFERENCE = VehicleParams().hover_thrust_reference()
 
 # Length of the arming moving-average window, seconds.
 ARMING_WINDOW_S = 1.0
@@ -48,7 +45,7 @@ _INF = math.inf
 class DetectorConfig:
     """Full parameterization of one detector instance."""
 
-    gains: EffectivenessGains = EffectivenessGains()
+    gains: EffectivenessGains = DEFAULT_GAINS
     lowpass: FilterDesign = FilterDesign()
     noise: NoiseConfig = NoiseConfig()
     decision: DecisionConfig = DecisionConfig()
@@ -338,7 +335,7 @@ def estimation_step(
     """Estimation stage: one estimator update from an armed tick.
 
     ``gains`` is ``signed_gains(config.gains)``, so ``H = (sign*g)*w_sq``
-    holds the same products as ``observation_matrix_from_sq``.
+    holds the same products as ``observation_matrix``.
     """
     return kalman.step(state, gains * w_sq, z, noise)
 
@@ -460,18 +457,17 @@ def _budget_stream(config: DetectorConfig, n_samples: int, fault_index: int):
         )
 
 
-def step_runtime_budget(
-    config: DetectorConfig, n_samples: int = 100_000, fault_fraction: float = 0.5
-) -> RuntimeReport:
+def step_runtime_budget(config: DetectorConfig, n_samples: int = 100_000) -> RuntimeReport:
     """Time ``process_sample`` over a synthetic stream on a fresh detector.
 
-    The stream hovers, then carries a sudden-loss signature so the report can
-    compare per-sample cost before and after a latched detection.
+    The stream hovers for its first half, then carries a sudden-loss
+    signature so the report can compare per-sample cost before and after a
+    latched detection.
     """
     if n_samples < 100:
         raise ValueError("n_samples too small for a meaningful budget")
     detector = Detector(config)
-    fault_index = int(n_samples * fault_fraction)
+    fault_index = n_samples // 2
     times = np.empty(n_samples)
     perf = time.perf_counter
     for i, raw in enumerate(_budget_stream(config, n_samples, fault_index)):

@@ -3,13 +3,20 @@
 Maps squared rotor speeds and per-actuator effectiveness factors to roll and
 pitch angular acceleration and vertical specific force. The model is linear in
 the effectiveness factors, which is what makes them estimable online.
+
+Also holds the airframe, ``VehicleParams``, with its sign conventions: the
+detector's default gains and hover thrust reference derive from it, and the
+simulator flies it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+GRAVITY = 9.81  # m/s^2
 
 # Rows: roll, pitch, vertical specific force. Columns: actuators 1..4.
 SIGN_MATRIX = np.array(
@@ -21,6 +28,48 @@ SIGN_MATRIX = np.array(
 )
 SIGN_MATRIX.setflags(write=False)
 
+# Reaction-torque sign of each rotor about body z (1 & 3 spin one way, 2 & 4
+# the other); losing rotor 3 leaves a net negative yaw moment.
+YAW_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+@dataclass(frozen=True)
+class VehicleParams:
+    """The airframe: the simulator's vehicle and the source of the detector defaults."""
+
+    mass: float = 0.5  # kg
+    inertia_diag: tuple[float, float, float] = (1.5e-3, 1.5e-3, 2.8e-3)  # kg m^2
+    thrust_coeff: float = 2.5e-6  # N s^2
+    moment_coeff: float = 5e-8  # N m s^2
+    arm_x: float = 0.06  # h, m
+    arm_y: float = 0.06  # b, m
+    motor_time_constant: float = 0.03  # s
+    rotor_speed_limits: tuple[float, float] = (150.0, 1300.0)  # rad/s
+
+    def __post_init__(self) -> None:
+        positives = (
+            self.mass,
+            *self.inertia_diag,
+            self.thrust_coeff,
+            self.moment_coeff,
+            self.arm_x,
+            self.arm_y,
+            self.motor_time_constant,
+            self.rotor_speed_limits[0],
+        )
+        if not all(v > 0 for v in positives):
+            raise ValueError("all vehicle parameters must be positive")
+        if not self.rotor_speed_limits[0] < self.rotor_speed_limits[1]:
+            raise ValueError("rotor_speed_limits must satisfy min < max")
+
+    def hover_speed(self) -> float:
+        """Rotor speed at which four nominal rotors balance the weight."""
+        return math.sqrt(self.mass * GRAVITY / (4.0 * self.thrust_coeff))
+
+    def hover_thrust_reference(self) -> float:
+        """Sum of squared rotor speeds at hover, (rad/s)^2."""
+        return self.mass * GRAVITY / self.thrust_coeff
+
 
 @dataclass(frozen=True)
 class EffectivenessGains:
@@ -29,9 +78,9 @@ class EffectivenessGains:
     g_p, g_q in rad/s^2 per (rad/s)^2; g_az in m/s^2 per (rad/s)^2.
     """
 
-    g_p: float = 100e-6
-    g_q: float = 100e-6
-    g_az: float = 5e-6
+    g_p: float
+    g_q: float
+    g_az: float
 
     def __post_init__(self) -> None:
         for name in ("g_p", "g_q", "g_az"):
@@ -42,53 +91,17 @@ class EffectivenessGains:
         return np.array([self.g_p, self.g_q, self.g_az])
 
 
-@dataclass(frozen=True)
-class VehicleGeometry:
-    """Physical quantities the lumped gains derive from."""
-
-    arm_x: float  # h, m: actuator offset along body x
-    arm_y: float  # b, m: actuator offset along body y
-    thrust_coeff: float  # N s^2
-    moment_coeff: float  # N m s^2, used by the simulator's yaw model only
-    inertia_diag: tuple[float, float, float]  # kg m^2
-    mass: float  # kg
-
-    def __post_init__(self) -> None:
-        if not (self.arm_x > 0 and self.arm_y > 0):
-            raise ValueError("arm lengths must be positive")
-        if not (self.thrust_coeff > 0 and self.moment_coeff > 0):
-            raise ValueError("thrust and moment coefficients must be positive")
-        if not all(i > 0 for i in self.inertia_diag):
-            raise ValueError("inertia_diag entries must be positive")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
-
-    def actuator_positions(self) -> np.ndarray:
-        """Body-frame actuator positions, one row per actuator."""
-        h, b = self.arm_x, self.arm_y
-        return np.array(
-            [
-                [h, -b, 0.0],
-                [h, b, 0.0],
-                [-h, b, 0.0],
-                [-h, -b, 0.0],
-            ]
-        )
-
-
-def gains_from_geometry(geom: VehicleGeometry) -> EffectivenessGains:
+def gains_from_geometry(params: VehicleParams) -> EffectivenessGains:
     """Lump geometry and coefficients into the three effectiveness gains."""
-    ix, iy, _ = geom.inertia_diag
+    ix, iy, _ = params.inertia_diag
     return EffectivenessGains(
-        g_p=geom.thrust_coeff * geom.arm_y / ix,
-        g_q=geom.thrust_coeff * geom.arm_x / iy,
-        g_az=geom.thrust_coeff / geom.mass,
+        g_p=params.thrust_coeff * params.arm_y / ix,
+        g_q=params.thrust_coeff * params.arm_x / iy,
+        g_az=params.thrust_coeff / params.mass,
     )
 
 
-def observation_matrix_from_sq(gains: EffectivenessGains, rotor_speeds_sq: np.ndarray) -> np.ndarray:
-    """3x4 observation matrix from already-squared rotor speeds."""
-    return SIGN_MATRIX * gains.as_array()[:, None] * np.asarray(rotor_speeds_sq)[None, :]
+DEFAULT_GAINS = gains_from_geometry(VehicleParams())
 
 
 def observation_matrix(gains: EffectivenessGains, rotor_speeds: np.ndarray) -> np.ndarray:
@@ -96,7 +109,7 @@ def observation_matrix(gains: EffectivenessGains, rotor_speeds: np.ndarray) -> n
     w = np.asarray(rotor_speeds, dtype=float)
     if np.any(w < 0):
         raise ValueError("rotor speeds must be non-negative")
-    return observation_matrix_from_sq(gains, np.square(w))
+    return SIGN_MATRIX * gains.as_array()[:, None] * np.square(w)[None, :]
 
 
 def predict_accelerations(

@@ -14,8 +14,10 @@ row, then one data row per sample:
 ``fault_actuator``/``fault_time_s`` are present only for annotated failure
 logs. ``rpm_units`` is ``rad_s`` or ``rpm``; rotor speed columns written in
 RPM are converted to rad/s on load. Rotor speeds above
-``MAX_ROTOR_SPEED_RAD_S`` are rejected as data errors. Floats are written
-with ``repr`` so a write/read cycle is lossless.
+``MAX_ROTOR_SPEED_RAD_S`` are rejected as data errors, and so is any
+timestamp step outside (0.5, 1.5) x ``1 / sample_rate_hz``: a dropped or
+inserted sample. Floats are written with ``repr`` so a write/read cycle is
+lossless.
 """
 
 from __future__ import annotations
@@ -108,6 +110,16 @@ class FlightLog:
                     f"header sample_rate_hz={self.sample_rate_hz} does not match the "
                     f"median timestamp delta {median_dt:.6g} s within 1%"
                 )
+            # The filter assumes a fixed step and the estimator ticks by
+            # sample count, so a dropped or inserted sample is a data error.
+            steps = dt * self.sample_rate_hz
+            off = (steps <= 0.5) | (steps >= 1.5)
+            if off.any():
+                bad = int(np.argmax(off)) + 1
+                raise LogFormatError(
+                    f"timestamp step {dt[bad - 1]:.6g} s at sample {bad} (t={self.t[bad]}) is outside "
+                    f"(0.5, 1.5) x the sample period {1.0 / self.sample_rate_hz:.6g} s"
+                )
 
 
 def save_log(log: FlightLog, path) -> None:
@@ -138,33 +150,52 @@ def _parse_header(lines: list[tuple[int, str]]) -> dict[str, str]:
     return header
 
 
-def _reject_non_finite(flat: array, n_rows: int, data_lines: list[tuple[int, str]]) -> None:
+def _reject_non_finite(flat: array, n_rows: int, linenos: array) -> None:
     """Raise naming the first of the ``n_rows`` parsed rows in ``flat`` with a NaN or Inf field."""
     rows = np.frombuffer(flat, count=n_rows * len(COLUMNS)).reshape(n_rows, len(COLUMNS))
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        raise LogFormatError(f"line {data_lines[int(np.argmin(finite))][0]}: NaN or Inf field")
+        raise LogFormatError(f"line {linenos[int(np.argmin(finite))]}: NaN or Inf field")
 
 
 def load_log(path) -> FlightLog:
-    """Parse and validate a log file; schema violations name the first bad line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+    """Parse and validate a log file; schema violations name the first bad line.
 
+    One pass over the file: data rows are parsed as they are read, so only
+    the parsed values and each row's line number are kept. The first bad
+    data row is held back and reported after the column and header checks,
+    which take precedence over it.
+    """
     header_lines: list[tuple[int, str]] = []
     column_line: tuple[int, str] | None = None
-    data_lines: list[tuple[int, str]] = []
-    for lineno, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if column_line is not None:
-                raise LogFormatError(f"line {lineno}: header line after data began")
-            header_lines.append((lineno, line))
-        elif column_line is None:
-            column_line = (lineno, line)
-        else:
-            data_lines.append((lineno, line))
+    n_columns = len(COLUMNS)
+    flat = array("d")  # row-major, 8 bytes a field, no float objects kept
+    linenos = array("l")  # file line number of each parsed data row
+    bad_row: str | None = None  # message for the first data row that does not parse
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                if column_line is not None:
+                    raise LogFormatError(f"line {lineno}: header line after data began")
+                header_lines.append((lineno, line.rstrip("\n")))
+            elif column_line is None:
+                column_line = (lineno, line.rstrip("\n"))
+            elif bad_row is None:
+                # Rows after a bad one are not parsed, so ``flat`` and
+                # ``linenos`` end at the last good row before it.
+                parts = line.split(",")
+                if len(parts) != n_columns:
+                    bad_row = f"line {lineno}: expected {n_columns} columns, got {len(parts)}"
+                    continue
+                try:
+                    flat.extend(map(float, parts))
+                except ValueError:
+                    text = line.rstrip("\n")
+                    bad_row = f"line {lineno}: unparseable number in {text!r}"
+                    continue
+                linenos.append(lineno)
 
     if column_line is None:
         raise LogFormatError(f"{path}: empty log file (no column header)")
@@ -172,7 +203,7 @@ def load_log(path) -> FlightLog:
         raise LogFormatError(
             f"line {column_line[0]}: expected columns {','.join(COLUMNS)}, got {column_line[1]!r}"
         )
-    if not data_lines:
+    if bad_row is None and not linenos:
         raise LogFormatError(f"{path}: log contains no data rows")
 
     header = _parse_header(header_lines)
@@ -199,20 +230,10 @@ def load_log(path) -> FlightLog:
             raise LogFormatError("fault_actuator given without fault_time_s")
         fault_time = float(header["fault_time_s"])
 
-    n = len(data_lines)
-    n_columns = len(COLUMNS)
-    flat = array("d")  # row-major, 8 bytes a field, no float objects kept
-    for i, (lineno, line) in enumerate(data_lines):
-        parts = line.split(",")
-        if len(parts) != n_columns:
-            _reject_non_finite(flat, i, data_lines)  # an earlier bad line is named first
-            raise LogFormatError(f"line {lineno}: expected {n_columns} columns, got {len(parts)}")
-        try:
-            flat.extend(map(float, parts))
-        except ValueError as exc:
-            _reject_non_finite(flat, i, data_lines)
-            raise LogFormatError(f"line {lineno}: unparseable number in {line!r}") from exc
-    _reject_non_finite(flat, n, data_lines)
+    n = len(linenos)
+    _reject_non_finite(flat, n, linenos)  # before a bad row: an earlier bad line is named first
+    if bad_row is not None:
+        raise LogFormatError(bad_row)
     values = np.frombuffer(flat).reshape(n, n_columns)
 
     t = values[:, 0]
@@ -220,7 +241,7 @@ def load_log(path) -> FlightLog:
     if n > 1 and not np.all(deltas > 0):
         bad = int(np.argmax(deltas <= 0))
         raise LogFormatError(
-            f"line {data_lines[bad + 1][0]}: non-monotone timestamp "
+            f"line {linenos[bad + 1]}: non-monotone timestamp "
             f"({t[bad]} -> {t[bad + 1]})"
         )
 
@@ -230,12 +251,12 @@ def load_log(path) -> FlightLog:
     too_fast = (speeds > MAX_ROTOR_SPEED_RAD_S).any(axis=1)
     if too_fast.any():
         raise LogFormatError(
-            f"line {data_lines[int(np.argmax(too_fast))][0]}: "
+            f"line {linenos[int(np.argmax(too_fast))]}: "
             f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s"
         )
     negative = (speeds < 0.0).any(axis=1)
     if negative.any():
-        raise LogFormatError(f"line {data_lines[int(np.argmax(negative))][0]}: negative rotor speed")
+        raise LogFormatError(f"line {linenos[int(np.argmax(negative))]}: negative rotor speed")
 
     log = FlightLog(
         sample_rate_hz=sample_rate,

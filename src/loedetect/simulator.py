@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effectiveness import SIGN_MATRIX, VehicleGeometry
+from .effectiveness import GRAVITY, SIGN_MATRIX, YAW_SIGNS, VehicleParams
 from .filters import RawSample
 from .flightlog import FlightLog
-
-GRAVITY = 9.81  # m/s^2
-
-# Reaction-torque sign of each rotor about body z (1 & 3 spin one way, 2 & 4
-# the other); losing rotor 3 leaves a net negative yaw moment.
-YAW_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 # Roll and pitch signs are rows 0 and 1 of the detector's SIGN_MATRIX. The
 # per-step code runs on Python floats, so it reads the signs as lists.
@@ -35,50 +29,6 @@ SCENARIOS = ("hover", "step", "wind", "ground_idle")
 
 class DivergenceError(RuntimeError):
     """Simulated state left the plausible envelope."""
-
-
-@dataclass(frozen=True)
-class VehicleParams:
-    """Default airframe sized so the lumped gains match the detector defaults."""
-
-    mass: float = 0.5  # kg
-    inertia_diag: tuple[float, float, float] = (1.5e-3, 1.5e-3, 2.8e-3)  # kg m^2
-    thrust_coeff: float = 2.5e-6  # N s^2
-    moment_coeff: float = 5e-8  # N m s^2
-    arm_x: float = 0.06  # h, m
-    arm_y: float = 0.06  # b, m
-    motor_time_constant: float = 0.03  # s
-    rotor_speed_limits: tuple[float, float] = (150.0, 1300.0)  # rad/s
-
-    def __post_init__(self) -> None:
-        positives = (
-            self.mass,
-            *self.inertia_diag,
-            self.thrust_coeff,
-            self.moment_coeff,
-            self.arm_x,
-            self.arm_y,
-            self.motor_time_constant,
-            self.rotor_speed_limits[0],
-        )
-        if not all(v > 0 for v in positives):
-            raise ValueError("all vehicle parameters must be positive")
-        if not self.rotor_speed_limits[0] < self.rotor_speed_limits[1]:
-            raise ValueError("rotor_speed_limits must satisfy min < max")
-
-    def geometry(self) -> VehicleGeometry:
-        return VehicleGeometry(
-            arm_x=self.arm_x,
-            arm_y=self.arm_y,
-            thrust_coeff=self.thrust_coeff,
-            moment_coeff=self.moment_coeff,
-            inertia_diag=self.inertia_diag,
-            mass=self.mass,
-        )
-
-    def hover_speed(self) -> float:
-        """Rotor speed at which four nominal rotors balance the weight."""
-        return math.sqrt(self.mass * GRAVITY / (4.0 * self.thrust_coeff))
 
 
 @dataclass
@@ -197,13 +147,13 @@ def _roll_pitch(q: list[float]) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-def hover_state(params: VehicleParams, altitude: float = 1.5) -> SimState:
-    """Trimmed hover ``altitude`` meters above the ground (NED: z = -altitude)."""
+def hover_state(params: VehicleParams) -> SimState:
+    """Trimmed hover 1.5 m above the ground (NED: z = -1.5)."""
     return SimState(
         angular_rate=np.zeros(3),
         quaternion=np.array([1.0, 0.0, 0.0, 0.0]),
         velocity=np.zeros(3),
-        position=np.array([0.0, 0.0, -altitude]),
+        position=np.array([0.0, 0.0, -1.5]),
         rotor_speeds=np.full(4, params.hover_speed()),
         true_k=np.ones(4),
     )
@@ -482,11 +432,9 @@ def fly_scenario(
     scenario: str = "hover",
     duration: float = 10.0,
     fault: FaultEvent | None = None,
-    params: VehicleParams | None = None,
     noise: SensorNoiseModel | None = None,
-    sample_interval: float = 0.002,
 ) -> FlightLog:
-    """Simulate a closed-loop flight and return the annotated sensor log.
+    """Simulate a closed-loop flight of the default airframe; return its 500 Hz log.
 
     Scenarios: ``hover`` holds altitude and level attitude, ``step`` flies a
     repeating sequence of attitude steps, ``wind`` adds a constant-plus-gust
@@ -499,12 +447,12 @@ def fly_scenario(
         raise ValueError("duration must be positive")
     if fault is not None and fault.time >= duration:
         raise ValueError("fault time must fall inside the flight duration")
-    params = params or VehicleParams()
+    params = VehicleParams()
     noise = noise if noise is not None else SensorNoiseModel()
     noise.reset()
 
-    n = round(duration / sample_interval)
-    dt = sample_interval
+    dt = 0.002  # s
+    n = round(duration / dt)
     rows_gyro = np.empty((n, 3))
     rows_az = np.empty(n)
     rows_w = np.empty((n, 4))

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from loedetect import kalman
 from loedetect.detector import Detector, default_config, step_runtime_budget
 from loedetect.decision import failure_probability
-from loedetect.effectiveness import EffectivenessGains, observation_matrix
+from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
 from loedetect.filters import FilterDesign, FilterState, design_lowpass, frequency_response
 from loedetect.replay import default_sweep_spec, evaluate, run_detector, run_sweep, summarize_sweep
 from loedetect.simulator import SensorNoiseModel, fly_scenario
@@ -85,7 +85,7 @@ def test_criterion_03_kalman_oracle_equivalence():
         return x + gain @ (z - H @ x), (np.eye(4) - gain @ H) @ p_pred
 
     rng = np.random.default_rng(101)
-    gains = EffectivenessGains()
+    gains = DEFAULT_GAINS
     noise = kalman.NoiseConfig()
     mine = kalman.init()
     x_ref, p_ref = mine.x.copy(), mine.P.copy()

@@ -147,12 +147,17 @@ def test_detect_missing_log_is_usage_error(tmp_path, capsys):
     assert run_cli("detect", "--log", str(tmp_path / "absent.csv")) == 2
 
 
-def _write_hover_log(path, rotor_speed="700.0", gyro_p_at_row=None):
-    """Hand-written 40-row hover log; ``gyro_p_at_row`` is ``(row, text)`` to corrupt one p value."""
+def _write_hover_log(path, rotor_speed="700.0", gyro_p_at_row=None, gap_before_row=None):
+    """Hand-written 40-row hover log.
+
+    ``gyro_p_at_row`` is ``(row, text)`` to corrupt one p value;
+    ``gap_before_row`` drops 100 samples (0.2 s) before that row.
+    """
     lines = ["# sample_rate_hz=500.0", "t,p,q,r,az,w1,w2,w3,w4"]
     for i in range(40):
         p = gyro_p_at_row[1] if gyro_p_at_row and gyro_p_at_row[0] == i else "0.0"
-        lines.append(f"{(i + 1) * 0.002!r},{p},0.0,0.0,-9.81," + ",".join([rotor_speed] * 4))
+        k = i + 1 + (100 if gap_before_row is not None and i >= gap_before_row else 0)
+        lines.append(f"{k * 0.002!r},{p},0.0,0.0,-9.81," + ",".join([rotor_speed] * 4))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -180,6 +185,13 @@ def test_detect_negative_rotor_speed_is_bad_log_naming_the_line(tmp_path, capsys
     assert run_cli("detect", "--log", str(log)) == 2
     err = capsys.readouterr().err
     assert f"bad log {log}: line 3: negative rotor speed" in err
+
+
+def test_detect_dropped_samples_is_bad_log_naming_the_sample(tmp_path, capsys):
+    log = _write_hover_log(tmp_path / "gap.csv", gap_before_row=20)
+    assert run_cli("detect", "--log", str(log)) == 2
+    err = capsys.readouterr().err
+    assert f"bad log {log}: timestamp step 0.202 s at sample 20 (t=0.242) is outside" in err
 
 
 def test_sweep_and_report_round_trip(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loedetect
 from loedetect.decision import DecisionConfig
 from loedetect.detector import (
     CONFIG_KEYS,
@@ -22,7 +25,7 @@ from loedetect.detector import (
     write_config,
 )
 from loedetect.filters import FilterDesign, RawSample
-from loedetect.simulator import VehicleParams
+from loedetect.effectiveness import VehicleParams
 
 from oracles import OracleConditioner, OracleDetector
 
@@ -291,8 +294,28 @@ def test_runtime_budget_rejects_tiny_sample_counts():
 
 
 def test_hover_thrust_reference_matches_default_airframe():
-    # hand-copied so the detector need not import the simulator
-    assert math.isclose(DEFAULT_HOVER_THRUST_REFERENCE, 4.0 * VehicleParams().hover_speed() ** 2, rel_tol=1e-12)
+    # Exact: 0.5 * 9.81 / 2.5e-6 is 1.962e6 in float64.
+    assert DEFAULT_HOVER_THRUST_REFERENCE == VehicleParams().hover_thrust_reference() == 1.962e6
+
+
+def test_default_config_text_is_pinned():
+    # The defaults derive from the airframe; the file format must not move.
+    assert format_config(default_config()) == (
+        "# loedetect detector configuration\n"
+        "g_p = 0.0001\n"
+        "g_q = 0.0001\n"
+        "g_az = 5e-06\n"
+        "filter_natural_frequency = 50.0\n"
+        "filter_damping_ratio = 0.55\n"
+        "process_noise_q = 0.1\n"
+        "measurement_noise_r = 1.0\n"
+        "k_threshold = 0.25\n"
+        "probability_threshold = 0.9\n"
+        "estimator_interval = 0.02\n"
+        "sensor_interval = 0.002\n"
+        "takeoff_thrust_fraction = 0.5\n"
+        "hover_thrust_reference = 1962000.0\n"
+    )
 
 
 @pytest.mark.parametrize("index", [0, 1, 600])
@@ -411,3 +434,38 @@ def test_published_snapshots_are_read_only():
     state = det.estimator_state
     state.x[0] = 0.5  # a copy: writable, and the detector's own state is untouched
     assert out.k_hat[0] != 0.5
+
+
+ONBOARD_MODULES = ("filters", "effectiveness", "kalman", "decision", "detector")
+OFFLINE_MODULES = {"simulator", "flightlog", "replay", "cli"}
+
+
+def _package_modules_imported(source: str) -> set[str]:
+    """Names of the ``loedetect`` modules a source file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["loedetect" if node.level else "", node.module]))
+            # "from . import x" and "from loedetect import x" name the modules in the list.
+            modules = [f"{module}.{alias.name}" for alias in node.names] if module == "loedetect" else [module]
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("loedetect."))
+    return found
+
+
+def test_package_import_scan_sees_every_import_form():
+    source = (
+        "from . import simulator\nfrom .flightlog import load_log\n"
+        "import loedetect.replay\nfrom loedetect import cli\nfrom loedetect.kalman import step\n"
+    )
+    assert _package_modules_imported(source) == {"simulator", "flightlog", "replay", "cli", "kalman"}
+
+
+@pytest.mark.parametrize("module", ONBOARD_MODULES)
+def test_onboard_module_imports_no_offline_module(module):
+    # The package __init__ imports everything, so check the sources, not sys.modules.
+    source = Path(loedetect.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    assert not _package_modules_imported(source) & OFFLINE_MODULES

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from loedetect.effectiveness import (
+    DEFAULT_GAINS,
     SIGN_MATRIX,
     EffectivenessGains,
-    VehicleGeometry,
+    VehicleParams,
     gains_from_geometry,
     observation_matrix,
     predict_accelerations,
 )
-from loedetect.simulator import VehicleParams
 
-TABLE_GAINS = EffectivenessGains()  # g_p = g_q = 100e-6, g_az = 5e-6
+TABLE_GAINS = DEFAULT_GAINS  # g_p = g_q = 100e-6, g_az = 5e-6
 
 
 def test_sign_matrix_is_exactly_as_printed():
@@ -28,7 +28,7 @@ def test_sign_matrix_is_exactly_as_printed():
 
 
 def test_gains_direct_substitution():
-    geom = VehicleGeometry(
+    geom = VehicleParams(
         arm_x=0.08,
         arm_y=0.1,
         thrust_coeff=1e-5,
@@ -43,8 +43,8 @@ def test_gains_direct_substitution():
 
 
 def test_doubling_mass_halves_only_vertical_gain():
-    base = VehicleGeometry(0.06, 0.06, 2.5e-6, 5e-8, (1.5e-3, 1.5e-3, 2.8e-3), 0.5)
-    heavy = VehicleGeometry(0.06, 0.06, 2.5e-6, 5e-8, (1.5e-3, 1.5e-3, 2.8e-3), 1.0)
+    base = VehicleParams(mass=0.5)
+    heavy = VehicleParams(mass=1.0)
     g0, g1 = gains_from_geometry(base), gains_from_geometry(heavy)
     assert g1.g_az == pytest.approx(g0.g_az / 2, rel=1e-12)
     assert g1.g_p == g0.g_p
@@ -52,19 +52,18 @@ def test_doubling_mass_halves_only_vertical_gain():
 
 
 def test_default_vehicle_reproduces_default_gains():
-    gains = gains_from_geometry(VehicleParams().geometry())
-    assert gains.g_p == pytest.approx(TABLE_GAINS.g_p, rel=1e-9)
-    assert gains.g_q == pytest.approx(TABLE_GAINS.g_q, rel=1e-9)
-    assert gains.g_az == pytest.approx(TABLE_GAINS.g_az, rel=1e-9)
+    # Exact: the README's default gains are what the default airframe gives.
+    assert gains_from_geometry(VehicleParams()) == DEFAULT_GAINS
+    assert DEFAULT_GAINS == EffectivenessGains(g_p=100e-6, g_q=100e-6, g_az=5e-6)
 
 
 def test_zero_or_negative_geometry_rejected():
     with pytest.raises(ValueError):
-        VehicleGeometry(0.06, 0.06, 2.5e-6, 5e-8, (1.5e-3, 1.5e-3, 2.8e-3), 0.0)
+        VehicleParams(mass=0.0)
     with pytest.raises(ValueError):
-        VehicleGeometry(0.06, 0.06, 2.5e-6, 5e-8, (0.0, 1.5e-3, 2.8e-3), 0.5)
+        VehicleParams(inertia_diag=(0.0, 1.5e-3, 2.8e-3))
     with pytest.raises(ValueError):
-        EffectivenessGains(g_p=-1e-6)
+        EffectivenessGains(g_p=-1e-6, g_q=100e-6, g_az=5e-6)
 
 
 def test_observation_matrix_zero_speeds():

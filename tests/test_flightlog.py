@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,20 @@ def test_round_trip_is_lossless(tmp_path):
     assert np.array_equal(loaded.rotor_speeds, log.rotor_speeds)
     assert loaded.ground_truth() == (3, 0.05)
     assert loaded.sample_rate_hz == log.sample_rate_hz
+
+
+def test_load_log_peak_memory_under_twice_the_file_size(tmp_path):
+    # One pass: no whole-file text, line list or per-row tuples held at once.
+    path = tmp_path / "long.csv"
+    save_log(synthetic_log(n=4000), path)
+    tracemalloc.start()
+    try:
+        log = load_log(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 4000
+    assert peak < 2 * path.stat().st_size
 
 
 def test_samples_iterator_matches_arrays():
@@ -273,3 +288,36 @@ def test_validate_negative_rotor_speed_names_sample_and_time():
     log.rotor_speeds[7, 2] = -700.357
     with pytest.raises(LogFormatError, match=rf"^negative rotor speed at sample 7 \(t={log.t[7]}\)$"):
         log.validate()
+
+
+def _with_steps(log, t):
+    return FlightLog(log.sample_rate_hz, t, log.gyro, log.accel_z, log.rotor_speeds)
+
+
+@pytest.mark.parametrize(
+    ("shift", "step"),
+    [(0.2, "0.202"), (-0.0012, "0.0008")],
+    ids=["0.2 s gap", "inserted sample"],
+)
+def test_validate_rejects_dropped_or_inserted_samples(shift, step):
+    log = synthetic_log()
+    t = log.t.copy()
+    t[20:] += shift  # the step into sample 20 leaves (0.5, 1.5) x 2 ms
+    with pytest.raises(LogFormatError, match=rf"^timestamp step {step} s at sample 20 \(t={t[20]}\) is outside"):
+        _with_steps(log, t).validate()
+
+
+def test_validate_accepts_steps_within_tolerance():
+    log = synthetic_log()
+    t = log.t.copy()
+    t[10:] += 0.0009  # one 1.45x step
+    t[30:] -= 0.0009  # one 0.55x step
+    _with_steps(log, t).validate()
+
+
+def test_wrong_header_rate_reported_before_the_step_check():
+    log = synthetic_log()
+    t = log.t.copy()
+    t[20:] += 0.2
+    with pytest.raises(LogFormatError, match="^header sample_rate_hz=100.0 does not match"):
+        FlightLog(100.0, t, log.gyro, log.accel_z, log.rotor_speeds).validate()

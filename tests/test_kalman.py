@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loedetect import kalman
-from loedetect.effectiveness import EffectivenessGains, observation_matrix
+from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
 from loedetect.kalman import NoiseConfig, _inv3, clamp
 
 from oracles import oracle_inv3, oracle_kalman_step
@@ -19,7 +19,7 @@ def reference_step(x, P, H, z, q, r):
     return x + gain @ y, (np.eye(4) - gain @ H) @ p_pred
 
 
-def random_observation(rng, gains=EffectivenessGains()):
+def random_observation(rng, gains=DEFAULT_GAINS):
     w = rng.uniform(300.0, 1200.0, 4)
     return observation_matrix(gains, w)
 
@@ -74,7 +74,7 @@ def test_no_excitation_grows_variance_by_exactly_q():
 def test_single_step_matches_hand_built_oracle():
     # trimmed start, one rotor dead, noiseless measurement of that condition
     st = kalman.init(np.ones(4), 1.0)
-    H = observation_matrix(EffectivenessGains(), np.full(4, 500.0))
+    H = observation_matrix(DEFAULT_GAINS, np.full(4, 500.0))
     z = np.array([25.0, 25.0, -3.75])
     mine = kalman.step(st, H, z, TABLE_NOISE, clamp_state=False)
     x_ref, p_ref = reference_step(st.x, st.P, H, z, 0.1, 1.0)
@@ -119,7 +119,7 @@ def test_equal_speeds_leave_null_component_unchanged():
     var = float(null @ st.P @ null)
     for _ in range(30):
         w = np.full(4, rng.uniform(400.0, 900.0))
-        H = observation_matrix(EffectivenessGains(), w)
+        H = observation_matrix(DEFAULT_GAINS, w)
         st = kalman.step(st, H, H @ np.ones(4) + rng.normal(0, 0.1, 3), TABLE_NOISE, clamp_state=False)
         assert abs(float(null @ st.x) - base) <= 1e-12
         new_var = float(null @ st.P @ null)

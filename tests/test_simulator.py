@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loedetect.effectiveness import SIGN_MATRIX, EffectivenessGains, observation_matrix
+from loedetect.effectiveness import DEFAULT_GAINS, SIGN_MATRIX, observation_matrix
 from loedetect.filters import FilterState, design_lowpass, FilterDesign
 from loedetect.simulator import (
     GRAVITY,
@@ -184,7 +184,7 @@ def test_hover_trim_prediction_matches_gravity():
     # detector model and simulator truth agree at trim: predicted a_z is -g
     from loedetect.effectiveness import gains_from_geometry, predict_accelerations
 
-    gains = gains_from_geometry(PARAMS.geometry())
+    gains = gains_from_geometry(PARAMS)
     speeds = np.full(4, PARAMS.hover_speed())
     pred = predict_accelerations(gains, speeds, np.ones(4))
     assert abs(pred[2] + GRAVITY) / GRAVITY < 0.01
@@ -346,7 +346,7 @@ def test_fault_annotation_uses_requested_time():
 def test_model_residual_small_in_benign_hover():
     # with noise off, measured accelerations match the effectiveness model
     log = fly_scenario("hover", duration=4.0, noise=QUIET)
-    gains = EffectivenessGains()
+    gains = DEFAULT_GAINS
     bank = FilterState(design_lowpass(FilterDesign()), n_channels=8)
     prev = None
     worst = 0.0
