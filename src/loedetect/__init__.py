@@ -40,7 +40,7 @@ from .filters import (
     filter_step,
 )
 from .flightlog import FlightLog, LogFormatError, load_log, save_log
-from .kalman import EstimatorState, NoiseConfig, clamp
+from .kalman import EstimatorState, NoiseConfig
 from .replay import (
     BoxStats,
     EvaluationResult,

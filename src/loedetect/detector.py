@@ -21,6 +21,7 @@ from .decision import DecisionConfig, DetectionStatus, decide, failure_probabili
 from .effectiveness import DEFAULT_GAINS, SIGN_MATRIX, EffectivenessGains, VehicleParams
 from .filters import (
     MAX_ROTOR_SPEED_RAD_S,
+    STEP_TOLERANCE,
     FilterDesign,
     FilterState,
     FilteredSample,
@@ -251,6 +252,7 @@ class Conditioner:
     def __init__(self, config: DetectorConfig):
         self._filter = FilterState(design_lowpass(config.lowpass))
         self._steps_per_estimate = config.steps_per_estimate()
+        self._sensor_interval = config.sensor_interval
         self._sample_index = 0
         self._last_timestamp: float | None = None
         self._prev_tick: FilteredSample | None = None
@@ -267,13 +269,13 @@ class Conditioner:
         """Advance one sample; on an armed estimator tick return ``(z, w_sq)``.
 
         ``z`` is (p_dot, q_dot, a_z) and ``w_sq`` the squared filtered rotor
-        speeds.
+        speeds. Timestamp steps outside (1 -/+ ``STEP_TOLERANCE``) x
+        ``sensor_interval`` are rejected, as ``FlightLog.validate`` does.
         """
         t = raw.timestamp
-        if self._last_timestamp is not None and t <= self._last_timestamp:
-            raise ValueError(
-                f"non-monotone timestamp: {t} after {self._last_timestamp}"
-            )
+        last = self._last_timestamp
+        if last is not None and t <= last:
+            raise ValueError(f"non-monotone timestamp: {t} after {last}")
         p, q, r = raw.angular_rate.tolist()
         w1, w2, w3, w4 = raw.rotor_speeds.tolist()
         top = MAX_ROTOR_SPEED_RAD_S
@@ -297,6 +299,12 @@ class Conditioner:
             else:
                 problem = "negative rotor speed"
             raise ValueError(f"{problem} in sample at t={t}")
+        if last is not None and abs((t - last) / self._sensor_interval - 1.0) >= STEP_TOLERANCE:
+            raise ValueError(
+                f"timestamp step {t - last:.6g} s at t={t} is outside "
+                f"({1.0 - STEP_TOLERANCE:g}, {1.0 + STEP_TOLERANCE:g}) x sensor_interval "
+                f"{self._sensor_interval:g} s"
+            )
         self._last_timestamp = t
 
         filtered = filter_step(self._filter, raw)

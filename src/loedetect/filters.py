@@ -22,6 +22,12 @@ N_CHANNELS = len(CHANNELS)
 # error, and its square would overflow the estimator's arithmetic soon after.
 MAX_ROTOR_SPEED_RAD_S = 1e5
 
+# A timestamp step must lie strictly within (1 - STEP_TOLERANCE, 1 +
+# STEP_TOLERANCE) x the nominal sample interval. The filter assumes a fixed
+# step and the estimator ticks by sample count, so a dropped or inserted
+# sample is a data error.
+STEP_TOLERANCE = 0.5
+
 
 @dataclass(frozen=True)
 class FilterDesign:

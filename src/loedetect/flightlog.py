@@ -15,9 +15,9 @@ row, then one data row per sample:
 logs. ``rpm_units`` is ``rad_s`` or ``rpm``; rotor speed columns written in
 RPM are converted to rad/s on load. Rotor speeds above
 ``MAX_ROTOR_SPEED_RAD_S`` are rejected as data errors, and so is any
-timestamp step outside (0.5, 1.5) x ``1 / sample_rate_hz``: a dropped or
-inserted sample. Floats are written with ``repr`` so a write/read cycle is
-lossless.
+timestamp step outside (1 -/+ ``STEP_TOLERANCE``) x ``1 / sample_rate_hz``: a
+dropped or inserted sample. Floats are written with ``repr`` so a write/read
+cycle is lossless.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .filters import MAX_ROTOR_SPEED_RAD_S, RawSample
+from .filters import MAX_ROTOR_SPEED_RAD_S, STEP_TOLERANCE, RawSample
 
 COLUMNS = ("t", "p", "q", "r", "az", "w1", "w2", "w3", "w4")
 
@@ -110,15 +110,13 @@ class FlightLog:
                     f"header sample_rate_hz={self.sample_rate_hz} does not match the "
                     f"median timestamp delta {median_dt:.6g} s within 1%"
                 )
-            # The filter assumes a fixed step and the estimator ticks by
-            # sample count, so a dropped or inserted sample is a data error.
-            steps = dt * self.sample_rate_hz
-            off = (steps <= 0.5) | (steps >= 1.5)
+            off = np.abs(dt * self.sample_rate_hz - 1.0) >= STEP_TOLERANCE
             if off.any():
                 bad = int(np.argmax(off)) + 1
                 raise LogFormatError(
                     f"timestamp step {dt[bad - 1]:.6g} s at sample {bad} (t={self.t[bad]}) is outside "
-                    f"(0.5, 1.5) x the sample period {1.0 / self.sample_rate_hz:.6g} s"
+                    f"({1.0 - STEP_TOLERANCE:g}, {1.0 + STEP_TOLERANCE:g}) x the sample period "
+                    f"{1.0 / self.sample_rate_hz:.6g} s"
                 )
 
 

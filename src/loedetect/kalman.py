@@ -1,29 +1,29 @@
 """Recursive estimator of the four actuator effectiveness factors.
 
-The state transition is a random walk (the prediction leaves the estimate
-unchanged and inflates the covariance by Q), and the observation model is the
-rotor-speed-parameterized linear effectiveness model. One update runs:
+The state transition is a random walk (P_pred = P + q*I, x unchanged), and
+the observation model is the rotor-speed-parameterized linear effectiveness
+model. R = r*I is diagonal, so the three-row update runs as three scalar
+updates in turn (sequential measurement processing). With ``y = z - H x``
+taken once, each row ``h_j`` runs
 
-    P_pred = P + Q
-    y      = z - H x
-    S      = R + H P_pred H^T
-    K      = P_pred H^T S^-1
-    x'     = x + K y
-    P'     = (I - K H) P_pred
+    a = P h_j,  s = h_j.a + r,  g = (y_j - h_j.dx) / s,  dx += a g,  P -= a (a/s)^T
 
-followed by resymmetrization of P' and clamping of x' into [0, 1.5].
+and then x' = x + dx, clamped into [0, 1.5]. The ``h_j.dx`` term removes what
+the earlier rows already applied, and keeps x bit-unchanged when y is zero.
+Only the upper triangle of P is computed and then mirrored, so P is exactly
+symmetric. No inverse is taken; ``s >= r > 0`` unless the arithmetic
+overflows, and a non-finite ``s`` raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 K_MIN = 0.0
 K_MAX = 1.5
-
-_I4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -66,42 +66,6 @@ def init(initial_k: np.ndarray | None = None, initial_variance: float = 1.0) -> 
     return EstimatorState(x=x, P=initial_variance * np.eye(4))
 
 
-def clamp(x: np.ndarray) -> np.ndarray:
-    """Componentwise clip of the effectiveness factors into [0, 1.5].
-
-    ``np.clip`` calls this same method after a Python-level dispatch.
-    """
-    return np.asarray(x).clip(K_MIN, K_MAX)
-
-
-def _inv3(m: np.ndarray) -> np.ndarray:
-    """Explicit adjugate inverse of a 3x3 matrix; cheap and branch-free.
-
-    The cofactors and the division run on Python floats, which round
-    exactly like float64 scalars and arrays.
-    """
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    ca = e * i - f * h
-    cb = c * h - b * i
-    cc = b * f - c * e
-    cd = f * g - d * i
-    ce = a * i - c * g
-    cf = c * d - a * f
-    cg = d * h - e * g
-    ch = b * g - a * h
-    ci = a * e - b * d
-    det = a * ca + b * cd + c * cg
-    if not det > 0.0:
-        raise ArithmeticError(f"innovation covariance is numerically singular (det={det})")
-    return np.array(
-        [
-            [ca / det, cb / det, cc / det],
-            [cd / det, ce / det, cf / det],
-            [cg / det, ch / det, ci / det],
-        ]
-    )
-
-
 def step(
     state: EstimatorState,
     H: np.ndarray,
@@ -112,24 +76,36 @@ def step(
     """One predict/update cycle; returns a new state, input state untouched.
 
     ``clamp_state=False`` skips the [0, 1.5] bound (used when comparing
-    trajectories against an unconstrained reference).
+    trajectories against an unconstrained reference). The lower triangle of
+    ``state.P`` is not read.
     """
     H = np.asarray(H, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.isnan(H).any() or np.isnan(z).any():
+    y = (np.asarray(z, dtype=float) - H @ state.x).tolist()
+    if any(v != v for v in y):  # a NaN anywhere in H or z reaches y
         raise ValueError("NaN in estimator input")
-
-    p_pred = state.P + noise.process_noise_q * _I4
-    y = z - H @ state.x
-    pht = p_pred @ H.T
-    s = H @ pht
-    s[0, 0] += noise.measurement_noise_r
-    s[1, 1] += noise.measurement_noise_r
-    s[2, 2] += noise.measurement_noise_r
-    gain = pht @ _inv3(s)
-    x_new = state.x + gain @ y
-    p_new = (_I4 - gain @ H) @ p_pred
-    p_new = 0.5 * (p_new + p_new.T)
+    q = noise.process_noise_q
+    r = noise.measurement_noise_r
+    (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = state.P.tolist()
+    p00, p11, p22, p33 = p00 + q, p11 + q, p22 + q, p33 + q
+    d0 = d1 = d2 = d3 = 0.0
+    for (h0, h1, h2, h3), y_j in zip(H.tolist(), y):
+        a0 = p00 * h0 + p01 * h1 + p02 * h2 + p03 * h3
+        a1 = p01 * h0 + p11 * h1 + p12 * h2 + p13 * h3
+        a2 = p02 * h0 + p12 * h1 + p22 * h2 + p23 * h3
+        a3 = p03 * h0 + p13 * h1 + p23 * h2 + p33 * h3
+        s = h0 * a0 + h1 * a1 + h2 * a2 + h3 * a3 + r
+        if not 0.0 < s < math.inf:
+            raise ArithmeticError(f"innovation variance s={s} is not finite and positive")
+        g = (y_j - (h0 * d0 + h1 * d1 + h2 * d2 + h3 * d3)) / s
+        d0, d1, d2, d3 = d0 + a0 * g, d1 + a1 * g, d2 + a2 * g, d3 + a3 * g
+        b0, b1, b2, b3 = a0 / s, a1 / s, a2 / s, a3 / s
+        p00, p01, p02, p03 = p00 - a0 * b0, p01 - a0 * b1, p02 - a0 * b2, p03 - a0 * b3
+        p11, p12, p13 = p11 - a1 * b1, p12 - a1 * b2, p13 - a1 * b3
+        p22, p23 = p22 - a2 * b2, p23 - a2 * b3
+        p33 -= a3 * b3
+    x0, x1, x2, x3 = state.x.tolist()
+    x = [x0 + d0, x1 + d1, x2 + d2, x3 + d3]
     if clamp_state:
-        x_new = clamp(x_new)
-    return EstimatorState(x=x_new, P=p_new)
+        x = [K_MIN if v < K_MIN else K_MAX if v > K_MAX else v for v in x]
+    P = [[p00, p01, p02, p03], [p01, p11, p12, p13], [p02, p12, p22, p23], [p03, p13, p23, p33]]
+    return EstimatorState(x=np.array(x), P=np.array(P))

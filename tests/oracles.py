@@ -1,10 +1,13 @@
 """Array-form oracles for the detector's per-sample path.
 
-The package runs the conditioning stage and the 3x3 inverse on Python
+The package runs the conditioning stage and the estimator update on Python
 floats, and builds the observation matrix from precomputed signed gains.
-These are the array forms they replaced, kept operation for operation:
-every operation involved is elementwise, so the package must reproduce them
-bit for bit, and the tests assert ``array_equal``.
+These are the same computations written on float64 arrays and scalars: the
+conditioning stage as the array forms it replaced, operation for operation,
+and the estimator as the sequential scalar update written with vector and
+outer-product operations. Every operation involved is elementwise, so the
+package must reproduce them bit for bit, and the tests assert
+``array_equal``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from loedetect.detector import ARMING_WINDOW_S
 from loedetect.effectiveness import SIGN_MATRIX
 from loedetect.filters import MAX_ROTOR_SPEED_RAD_S, N_CHANNELS, design_lowpass
 from loedetect.kalman import EstimatorState
-
-_I4 = np.eye(4)
 
 
 class OracleFilterState:
@@ -103,37 +104,23 @@ class OracleConditioner:
         return np.array([accel[0], accel[1], float(out[3])]), np.square(out[4:8])
 
 
-def oracle_inv3(m):
-    """Adjugate inverse on numpy float64 scalars."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    ca = e * i - f * h
-    cb = c * h - b * i
-    cc = b * f - c * e
-    cd = f * g - d * i
-    ce = a * i - c * g
-    cf = c * d - a * f
-    cg = d * h - e * g
-    ch = b * g - a * h
-    ci = a * e - b * d
-    det = a * ca + b * cd + c * cg
-    return np.array([[ca, cb, cc], [cd, ce, cf], [cg, ch, ci]]) / det
+def _dot4(u, v):
+    """``u . v`` summed left to right, never by a BLAS reduction."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
 def oracle_kalman_step(state, H, z, noise):
-    p_pred = state.P + noise.process_noise_q * _I4
+    """``kalman.step``: the rows of ``H`` as scalar updates, in order."""
+    P = state.P + noise.process_noise_q * np.eye(4)
     y = z - H @ state.x
-    pht = p_pred @ H.T
-    s = H @ pht
-    s[0, 0] += noise.measurement_noise_r
-    s[1, 1] += noise.measurement_noise_r
-    s[2, 2] += noise.measurement_noise_r
-    gain = pht @ oracle_inv3(s)
-    x_new = state.x + gain @ y
-    p_new = (_I4 - gain @ H) @ p_pred
-    p_new = 0.5 * (p_new + p_new.T)
-    return EstimatorState(x=np.clip(x_new, kalman.K_MIN, kalman.K_MAX), P=p_new)
+    dx = np.zeros(4)
+    for h, y_j in zip(H, y):
+        a = P[:, 0] * h[0] + P[:, 1] * h[1] + P[:, 2] * h[2] + P[:, 3] * h[3]
+        s = _dot4(h, a) + noise.measurement_noise_r
+        dx = dx + a * ((y_j - _dot4(h, dx)) / s)
+        P = P - np.outer(a, a / s)
+        P = np.triu(P) + np.triu(P, 1).T  # the upper triangle, mirrored
+    return EstimatorState(x=np.clip(state.x + dx, kalman.K_MIN, kalman.K_MAX), P=P)
 
 
 def oracle_failure_probabilities(k_hat, variances, k_threshold):

@@ -1,12 +1,13 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from loedetect import flightlog
 from loedetect.cli import main
-from loedetect.detector import default_config, parse_config
+from loedetect.detector import config_with, default_config, format_config, parse_config
 from loedetect.replay import run_detector
 
 
@@ -147,14 +148,14 @@ def test_detect_missing_log_is_usage_error(tmp_path, capsys):
     assert run_cli("detect", "--log", str(tmp_path / "absent.csv")) == 2
 
 
-def _write_hover_log(path, rotor_speed="700.0", gyro_p_at_row=None, gap_before_row=None):
-    """Hand-written 40-row hover log.
+def _write_hover_log(path, rotor_speed="700.0", gyro_p_at_row=None, gap_before_row=None, rows=40):
+    """Hand-written hover log at 500 Hz, 40 rows unless ``rows`` says otherwise.
 
     ``gyro_p_at_row`` is ``(row, text)`` to corrupt one p value;
     ``gap_before_row`` drops 100 samples (0.2 s) before that row.
     """
     lines = ["# sample_rate_hz=500.0", "t,p,q,r,az,w1,w2,w3,w4"]
-    for i in range(40):
+    for i in range(rows):
         p = gyro_p_at_row[1] if gyro_p_at_row and gyro_p_at_row[0] == i else "0.0"
         k = i + 1 + (100 if gap_before_row is not None and i >= gap_before_row else 0)
         lines.append(f"{k * 0.002!r},{p},0.0,0.0,-9.81," + ",".join([rotor_speed] * 4))
@@ -185,6 +186,31 @@ def test_detect_negative_rotor_speed_is_bad_log_naming_the_line(tmp_path, capsys
     assert run_cli("detect", "--log", str(log)) == 2
     err = capsys.readouterr().err
     assert f"bad log {log}: line 3: negative rotor speed" in err
+
+
+def _write_config_with_q(path, q):
+    path.write_text(format_config(config_with(default_config(), "process_noise_q", q)))
+    return path
+
+
+def test_detect_overflowing_estimator_is_one_error_line(tmp_path, capsys):
+    # q = 1e308 overflows the innovation variance on the first armed tick
+    log = _write_hover_log(tmp_path / "hover.csv")
+    cfg = _write_config_with_q(tmp_path / "huge_q.cfg", 1e308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("detect", "--log", str(log), "--config", str(cfg))
+    assert code == 1
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"^error: innovation variance s=(inf|nan) is not finite", err[0])
+
+
+def test_detect_large_but_finite_process_noise_runs(tmp_path, capsys):
+    log = _write_hover_log(tmp_path / "hover.csv", rows=2000)  # 4 s
+    cfg = _write_config_with_q(tmp_path / "big_q.cfg", 1e200)
+    assert run_cli("detect", "--log", str(log), "--config", str(cfg)) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_detect_dropped_samples_is_bad_log_naming_the_sample(tmp_path, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import loedetect
-from loedetect.decision import DecisionConfig
+from loedetect import kalman
+from loedetect.decision import DecisionConfig, DetectionStatus
 from loedetect.detector import (
     CONFIG_KEYS,
     DEFAULT_HOVER_THRUST_REFERENCE,
@@ -17,10 +18,13 @@ from loedetect.detector import (
     config_from_dict,
     config_to_dict,
     config_with,
+    decision_step,
     default_config,
+    estimation_step,
     format_config,
     parse_config,
     read_config,
+    signed_gains,
     step_runtime_budget,
     write_config,
 )
@@ -338,6 +342,68 @@ def test_negative_hover_stream_rejected_before_arming():
     assert det.armed is False
 
 
+@pytest.mark.parametrize(
+    ("shift", "step"),
+    [(0.2, "0.202"), (-0.0012, "0.0008")],
+    ids=["0.2 s gap", "0.4x step"],
+)
+def test_stream_rejects_dropped_or_inserted_samples(shift, step):
+    det = Detector(default_config())
+    for i in range(600):
+        det.process_sample(hover_sample(i))
+    bad = hover_sample(600)
+    bad.timestamp += shift
+    message = rf"^timestamp step {step} s at t={bad.timestamp} is outside \(0\.5, 1\.5\) x sensor_interval 0\.002 s$"
+    with pytest.raises(ValueError, match=message):
+        det.process_sample(bad)
+
+
+def test_stream_accepts_steps_within_tolerance():
+    det = Detector(default_config())
+    for i in range(40):
+        raw = hover_sample(i)
+        raw.timestamp += 0.0009 * (i >= 10) - 0.0009 * (i >= 30)  # one 1.45x, one 0.55x step
+        det.process_sample(raw)
+
+
+def test_hour_of_hover_keeps_the_estimator_healthy():
+    # 180,000 estimator ticks (one hour at 50 Hz) of the budget stream's
+    # hover tick, then its loss of actuator 3, against a 500-tick hover.
+    config = default_config()
+    fault_time = 2500 * config.sensor_interval
+    conditioner = Conditioner(config)
+    ticks = [(raw.timestamp, tick) for raw in _budget_stream(config, 6000, 2500) if (tick := conditioner.push(raw)) is not None]
+    hover_z, hover_w_sq = [tick for t, tick in ticks if t <= fault_time][-1]
+    loss = [tick for t, tick in ticks if t > fault_time]
+    gains = signed_gains(config.gains)
+
+    def run(state, status, ticks):
+        """Feed ticks; return the new state, status and the index of the tick that latched."""
+        latched_at = None
+        for n, (z, w_sq) in enumerate(ticks):
+            state = estimation_step(state, gains, config.noise, z, w_sq)
+            _, status = decision_step(state.x, state.P.diagonal(), status, config.decision, 0.0)
+            if latched_at is None and status.any_failed():
+                latched_at = n
+        return state, status, latched_at
+
+    hour = 180_000
+    state, status, _ = run(kalman.init(), DetectionStatus(), [(hover_z, hover_w_sq)] * hour)
+    P = state.P
+    assert np.isfinite(P).all() and np.array_equal(P, P.T)
+    assert np.linalg.eigvalsh(P).min() > 0.0
+    # along the unobservable (1, -1, 1, -1) direction each diagonal entry grows by q/4 per tick
+    assert P.diagonal().max() == pytest.approx(hour * config.noise.process_noise_q / 4, rel=1e-3)
+    assert not status.any_failed()
+    after_hour = run(state, status, loss)
+    state, status, _ = run(kalman.init(), DetectionStatus(), [(hover_z, hover_w_sq)] * 500)
+    after_500 = run(state, status, loss)
+    for state, status, _ in (after_hour, after_500):
+        assert status.failed == (False, False, True, False)
+        assert np.isfinite(state.P).all() and np.linalg.eigvalsh(state.P).min() > 0.0
+    assert after_hour[2] == after_500[2] is not None
+
+
 def test_zero_rotor_speed_is_accepted():
     det = Detector(default_config())
     raw = hover_sample(0)
@@ -346,7 +412,7 @@ def test_zero_rotor_speed_is_accepted():
 
 
 # ---------------------------------------------------------------------------
-# The conditioning stage, the observation matrix and the 3x3 inverse run on
+# The conditioning stage, the observation matrix and the estimator update run on
 # Python floats; the array-form pipeline in ``oracles`` must come out bit for
 # bit the same, output by output.
 
