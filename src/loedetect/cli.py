@@ -19,6 +19,7 @@ from .detector import (
 )
 from . import flightlog
 from .replay import (
+    SampleRateMismatchError,
     SweepSpec,
     default_sweep_spec,
     evaluate,
@@ -269,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except SampleRateMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

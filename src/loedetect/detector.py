@@ -276,13 +276,15 @@ class Conditioner:
         last = self._last_timestamp
         if last is not None and t <= last:
             raise ValueError(f"non-monotone timestamp: {t} after {last}")
-        p, q, r = raw.angular_rate.tolist()
-        w1, w2, w3, w4 = raw.rotor_speeds.tolist()
+        # The sample's one list of channel values, in ``CHANNELS`` order: the
+        # checks read it and the filter bank keeps it as recursion memory.
+        values = [*raw.angular_rate.tolist(), float(raw.proper_accel_z), *raw.rotor_speeds.tolist()]
+        p, q, r, az, w1, w2, w3, w4 = values
         top = MAX_ROTOR_SPEED_RAD_S
         # Chained comparisons are False on NaN, so this also rejects NaN.
         if not (
             -_INF < t < _INF
-            and -_INF < raw.proper_accel_z < _INF
+            and -_INF < az < _INF
             and -_INF < p < _INF
             and -_INF < q < _INF
             and -_INF < r < _INF
@@ -291,8 +293,7 @@ class Conditioner:
             and 0.0 <= w3 <= top
             and 0.0 <= w4 <= top
         ):
-            values = (t, raw.proper_accel_z, p, q, r, w1, w2, w3, w4)
-            if not all(-_INF < v < _INF for v in values):
+            if not all(-_INF < v < _INF for v in (t, *values)):
                 problem = "NaN or Inf"
             elif max(abs(w1), abs(w2), abs(w3), abs(w4)) > top:
                 problem = f"rotor speed above {top:g} rad/s"
@@ -307,7 +308,7 @@ class Conditioner:
             )
         self._last_timestamp = t
 
-        filtered = filter_step(self._filter, raw)
+        out = filter_step(self._filter, values)
         if not self.armed:
             # numpy dot, not a scalar sum: BLAS rounds it differently.
             thrust_proxy = float(raw.rotor_speeds @ raw.rotor_speeds)
@@ -322,6 +323,7 @@ class Conditioner:
         self._sample_index += 1
         if self._sample_index % self._steps_per_estimate:
             return None
+        filtered = FilteredSample(timestamp=t, rates=out[0:3], accel_z=out[3], rotor_speeds=out[4:8])
         accel = differentiate(self._prev_tick, filtered)
         self._prev_tick = filtered
         if not self.armed:

@@ -109,8 +109,8 @@ class FilterState:
     """Recursion memory for one stream; every channel shares the same biquad.
 
     The memory is warm-started from the first sample, so a constant stream is
-    a fixed point and there is no startup transient. The recursion runs on
-    Python floats, channel by channel, in the order
+    a fixed point and there is no startup transient. The recursion
+    (``filter_step``) runs on Python floats, channel by channel, in the order
     ``b0*x + b1*x1 + b2*x2 - a1*y1 - a2*y2``; every operation is elementwise,
     so it rounds exactly like the same recursion on float64 arrays.
     """
@@ -129,23 +129,7 @@ class FilterState:
         x = np.asarray(inputs, dtype=float)
         if x.shape != (self.n_channels,):
             raise ValueError(f"expected {self.n_channels} channels, got shape {x.shape}")
-        return np.array(self._advance(x.tolist()))
-
-    def _advance(self, x: list[float]) -> list[float]:
-        """``step`` on a list of ``n_channels`` Python floats; returns a new list."""
-        if len(x) != self.n_channels:
-            raise ValueError(f"expected {self.n_channels} channels, got {len(x)}")
-        if self._mem is None:
-            x1 = x2 = y1 = y2 = x  # warm start; lists are never written in place
-        else:
-            x1, x2, y1, y2 = self._mem
-        b0, b1, b2, a1, a2 = self._c
-        y = [
-            b0 * u + b1 * u1 + b2 * u2 - a1 * v1 - a2 * v2
-            for u, u1, u2, v1, v2 in zip(x, x1, x2, y1, y2)
-        ]
-        self._mem = (x, x1, y, y1)
-        return y
+        return np.array(filter_step(self, x.tolist()))
 
 
 @dataclass(slots=True)
@@ -168,17 +152,27 @@ class FilteredSample:
     rotor_speeds: list[float]  # filtered, one per rotor
 
 
-def filter_step(state: FilterState, raw: RawSample) -> FilteredSample:
-    """Advance every channel of ``state`` by one sample of ``raw``."""
-    out = state._advance(
-        raw.angular_rate.tolist() + [float(raw.proper_accel_z)] + raw.rotor_speeds.tolist()
-    )
-    return FilteredSample(
-        timestamp=raw.timestamp,
-        rates=out[0:3],
-        accel_z=out[3],
-        rotor_speeds=out[4:8],
-    )
+def filter_step(state: FilterState, values: list[float]) -> list[float]:
+    """Advance every channel of ``state`` by one sample; returns a new list.
+
+    ``values`` holds one Python float per channel (``CHANNELS`` order for the
+    detector's bank). The filter keeps it as recursion memory, so the caller
+    must not write to it afterwards.
+    """
+    if len(values) != state.n_channels:
+        raise ValueError(f"expected {state.n_channels} channels, got {len(values)}")
+    mem = state._mem
+    if mem is None:
+        x1 = x2 = y1 = y2 = values  # warm start; lists are never written in place
+    else:
+        x1, x2, y1, y2 = mem
+    b0, b1, b2, a1, a2 = state._c
+    y = [
+        b0 * u + b1 * u1 + b2 * u2 - a1 * v1 - a2 * v2
+        for u, u1, u2, v1, v2 in zip(values, x1, x2, y1, y2)
+    ]
+    state._mem = (values, x1, y, y1)
+    return y
 
 
 def differentiate(previous: FilteredSample | None, current: FilteredSample) -> np.ndarray:

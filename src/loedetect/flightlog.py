@@ -57,13 +57,11 @@ class FlightLog:
         return len(self.t)
 
     def samples(self) -> Iterator[RawSample]:
-        for i in range(len(self.t)):
-            yield RawSample(
-                timestamp=float(self.t[i]),
-                angular_rate=self.gyro[i],
-                proper_accel_z=float(self.accel_z[i]),
-                rotor_speeds=self.rotor_speeds[i],
-            )
+        """One ``RawSample`` per row; the rate and speed fields are row views."""
+        for t, rates, accel_z, speeds in zip(
+            self.t.tolist(), self.gyro, self.accel_z.tolist(), self.rotor_speeds
+        ):
+            yield RawSample(t, rates, accel_z, speeds)
 
     def ground_truth(self) -> tuple[int, float] | None:
         if self.fault_actuator is None or self.fault_time_s is None:

@@ -31,9 +31,26 @@ from .detector import (
 from .flightlog import FlightLog
 
 
+class SampleRateMismatchError(ValueError):
+    """A config's ``sensor_interval`` does not match the rate of the log it meets."""
+
+
+def _check_sample_rate(log: FlightLog, config: DetectorConfig) -> None:
+    """Reject ``config`` for ``log`` unless ``sensor_interval`` is ``1 / sample_rate_hz`` within 1%.
+
+    The tolerance is the one ``FlightLog.validate`` gives the header rate.
+    """
+    if abs(config.sensor_interval * log.sample_rate_hz - 1.0) > 0.01:
+        raise SampleRateMismatchError(
+            f"config sensor_interval={config.sensor_interval!r} s does not match the log's "
+            f"sample_rate_hz={log.sample_rate_hz!r} (period {1.0 / log.sample_rate_hz:.6g} s) within 1%"
+        )
+
+
 def run_detector(log: FlightLog, config: DetectorConfig) -> list[DetectorOutput]:
     """Replay a log through a fresh detector, one output per sample."""
     log.validate()
+    _check_sample_rate(log, config)
     detector = Detector(config)
     return [detector.process_sample(s) for s in log.samples()]
 
@@ -182,15 +199,19 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
     """Evaluate one log under every config, one result per config in order.
 
     Conditioning runs once per distinct conditioning key, estimation once per
-    distinct estimator key over those ticks, and only the decision stage runs
-    per config, so each result equals ``evaluate_log(log, config)``.
+    distinct estimator key over those ticks, and the decision stage once per
+    distinct config, so each result equals ``evaluate_log(log, config)``.
     """
     log.validate()
+    for config in configs:
+        _check_sample_rate(log, config)
     span = float(log.t[0]), float(log.t[-1])
     ticks: dict[tuple, list] = {}  # conditioning key -> [(t, z, w_sq)] per armed tick
     estimates: dict[tuple, list] = {}  # estimator key -> [(t, k_hat, variances)] per armed tick
-    results = []
+    decided: dict[DetectorConfig, EvaluationResult] = {}
     for config in configs:
+        if config in decided:
+            continue
         ckey = config.conditioning_key()
         if ckey not in ticks:
             conditioner = Conditioner(config)
@@ -211,8 +232,8 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
         status = DetectionStatus()
         for t, k_hat, variances in estimates[ekey]:
             _, status = decision_step(k_hat, variances, status, config.decision, t)
-        results.append(evaluate_status(status, *span, log.ground_truth()))
-    return results
+        decided[config] = evaluate_status(status, *span, log.ground_truth())
+    return [decided[config] for config in configs]
 
 
 def run_sweep(

@@ -220,6 +220,28 @@ def test_detect_dropped_samples_is_bad_log_naming_the_sample(tmp_path, capsys):
     assert f"bad log {log}: timestamp step 0.202 s at sample 20 (t=0.242) is outside" in err
 
 
+def test_detect_sensor_interval_mismatching_the_log_rate_is_config_error(tmp_path, capsys):
+    log = _write_hover_log(tmp_path / "hover.csv")  # 500 Hz
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(format_config(config_with(default_config(), "sensor_interval", 0.001)))
+    assert run_cli("detect", "--log", str(log), "--config", str(cfg)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "sensor_interval=0.001 s" in err[0] and "sample_rate_hz=500.0" in err[0]
+
+
+def test_sweep_sensor_interval_mismatching_the_log_rate_is_config_error(tmp_path, capsys):
+    log = simulate_log(tmp_path, "a.csv")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"parameters": {"sensor_interval": [0.001]}}))
+    out_dir = tmp_path / "out"
+    code = run_cli("sweep", "--logs", str(log), "--spec", str(spec_path), "--out-dir", str(out_dir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sensor_interval=0.001 s" in err and "sample_rate_hz=500.0" in err
+    assert not out_dir.exists()
+
+
 def test_sweep_and_report_round_trip(tmp_path, capsys):
     log_a = simulate_log(tmp_path, "a.csv")
     log_b = simulate_log(tmp_path, "b.csv", "--seed", "6")

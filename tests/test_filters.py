@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from loedetect.filters import (
+    CHANNELS,
     FilterDesign,
     FilterState,
     FilteredSample,
-    RawSample,
     design_lowpass,
     differentiate,
     filter_step,
@@ -136,18 +136,13 @@ def test_linearity_to_machine_precision():
 
 def test_filter_step_maps_channels_correctly():
     state = FilterState(design_lowpass(FilterDesign()))
-    raw = RawSample(
-        timestamp=0.002,
-        angular_rate=np.array([1.0, 2.0, 3.0]),
-        proper_accel_z=-9.81,
-        rotor_speeds=np.array([500.0, 600.0, 700.0, 800.0]),
-    )
-    out = filter_step(state, raw)
+    values = [1.0, 2.0, 3.0, -9.81, 500.0, 600.0, 700.0, 800.0]  # CHANNELS order
+    out = filter_step(state, values)
     # warm start: constant input passes through on the first sample
-    assert np.allclose(out.rates, [1.0, 2.0, 3.0], rtol=1e-12)
-    assert abs(out.accel_z - (-9.81)) < 1e-9
-    assert np.allclose(out.rotor_speeds, [500.0, 600.0, 700.0, 800.0], rtol=1e-12)
-    assert out.timestamp == 0.002
+    assert np.allclose(out[0:3], [1.0, 2.0, 3.0], rtol=1e-12)
+    assert abs(out[3] - (-9.81)) < 1e-9
+    assert np.allclose(out[4:8], [500.0, 600.0, 700.0, 800.0], rtol=1e-12)
+    assert len(out) == len(CHANNELS)
 
 
 def _filtered(t, p, q=0.0):
@@ -225,23 +220,17 @@ def test_filter_step_equals_array_oracle():
     mine = FilterState(coeffs)
     oracle = OracleFilterState(coeffs)
     for i in range(2000):
-        raw = RawSample(
-            timestamp=(i + 1) * DT,
-            angular_rate=rng.normal(0.0, 2.0, 3),
-            proper_accel_z=float(rng.normal(-9.81, 1.0)),
-            rotor_speeds=rng.uniform(0.0, 1500.0, 4),
-        )
-        out = filter_step(mine, raw)
-        want = oracle.step(np.concatenate([raw.angular_rate, [raw.proper_accel_z], raw.rotor_speeds]))
-        got = np.array([*out.rates, out.accel_z, *out.rotor_speeds])
-        assert np.array_equal(got, want)
-        assert out.timestamp == raw.timestamp
+        rates = rng.normal(0.0, 2.0, 3)
+        accel_z = float(rng.normal(-9.81, 1.0))
+        speeds = rng.uniform(0.0, 1500.0, 4)
+        out = filter_step(mine, [*rates.tolist(), accel_z, *speeds.tolist()])
+        want = oracle.step(np.concatenate([rates, [accel_z], speeds]))
+        assert np.array_equal(np.array(out), want)
 
 
 def test_filter_step_rejects_wrong_channel_count():
     state = FilterState(design_lowpass(FilterDesign()))
-    raw = RawSample(DT, np.zeros(3), -9.81, np.full(3, 500.0))
     with pytest.raises(ValueError, match="expected 8 channels"):
-        filter_step(state, raw)
+        filter_step(state, [0.0, 0.0, 0.0, -9.81, 500.0, 500.0, 500.0])
     with pytest.raises(ValueError, match="expected 8 channels"):
         state.step(np.zeros(7))

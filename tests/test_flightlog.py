@@ -58,6 +58,17 @@ def test_samples_iterator_matches_arrays():
         assert np.array_equal(raw.rotor_speeds, log.rotor_speeds[i])
 
 
+def test_samples_yield_every_row_with_python_float_scalars():
+    log = synthetic_log(n=300)
+    samples = list(log.samples())
+    assert len(samples) == len(log)
+    for i, raw in enumerate(samples):
+        assert type(raw.timestamp) is float and raw.timestamp == log.t[i]
+        assert type(raw.proper_accel_z) is float and raw.proper_accel_z == log.accel_z[i]
+        assert isinstance(raw.angular_rate, np.ndarray) and np.array_equal(raw.angular_rate, log.gyro[i])
+        assert isinstance(raw.rotor_speeds, np.ndarray) and np.array_equal(raw.rotor_speeds, log.rotor_speeds[i])
+
+
 def _write(path, text):
     path.write_text(text)
     return path

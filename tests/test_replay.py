@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from loedetect.decision import DetectionStatus
-from loedetect.detector import Conditioner, Detector, DetectorOutput, config_with, default_config
+from loedetect import replay
+from loedetect.detector import Conditioner, Detector, DetectorOutput, config_with, decision_step, default_config
 from loedetect.replay import (
     SweepSpec,
     box_stats,
@@ -175,7 +176,7 @@ def test_parallel_sweep_matches_serial(ejection_log):
     assert serial == parallel
 
 
-def test_staged_sweep_equals_per_set_evaluation(ejection_log):
+def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
     base = default_config()
     spec = SweepSpec(
         base=base,
@@ -191,12 +192,23 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log):
     configs = [p.config for p in spec.parameter_sets()]
     assert len({c.conditioning_key() for c in configs}) == 3
     assert len({c.estimator_key() for c in configs}) == 5
+    assert len(set(configs)) == len(configs) - 1
     hover = fly_scenario("hover", duration=2.0, noise=SensorNoiseModel(seed=81))
     idle = fly_scenario("ground_idle", duration=1.5, noise=SensorNoiseModel(seed=82))
     assert all(Conditioner(base).push(raw) is None for raw in idle.samples())
     logs = [ejection_log, hover, idle]
 
-    rows = run_sweep(logs, spec, log_ids=["eject", "hover", "idle"])
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(replay, "decision_step", lambda *args: calls.append(args) or decision_step(*args))
+        rows = run_sweep(logs, spec, log_ids=["eject", "hover", "idle"])
+
+    def armed_ticks(config, log):
+        conditioner = Conditioner(config)
+        return sum(conditioner.push(raw) is not None for raw in log.samples())
+
+    # Equal configs are decided once per log.
+    assert len(calls) == sum(armed_ticks(c, log) for c in set(configs) for log in logs) > 0
     assert [(r.param_set_id, r.log_id) for r in rows] == [
         (p.set_id, log_id) for p in spec.parameter_sets() for log_id in ("eject", "hover", "idle")
     ]

@@ -3,12 +3,39 @@
 import importlib.util
 from pathlib import Path
 
+from loedetect import cli
+from loedetect.flightlog import save_log
+from loedetect.simulator import SensorNoiseModel, fly_scenario
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_span_target_resolves():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_span_target_resolves():
+    spans = _load_spans()
     missing = [name for owner, attr, name in spans.TARGETS if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_detect_calls_each_layer_through_the_detector_names(tmp_path):
+    # The per-layer split counts calls through the names the detector looks
+    # up; a refactor that stops calling through them would read zero here.
+    log = fly_scenario("hover", duration=1.0, noise=SensorNoiseModel(seed=3))
+    path = tmp_path / "hover.csv"
+    save_log(log, path)
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["detect", "--log", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["filters.filter_step.calls"][0] == len(log)
+    assert metrics["detector.process_sample.calls"][0] == len(log)
+    assert metrics["filters.differentiate.calls"][0] == len(log) // 10
