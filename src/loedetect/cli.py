@@ -157,6 +157,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise CommandError(f"--jobs must be >= 1, got {args.jobs}", USAGE_ERROR)
     paths = sorted(glob.glob(args.logs))
     if not paths:
         raise CommandError(f"no logs match {args.logs!r}", USAGE_ERROR)
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     det = sub.add_parser("detect", help="replay a log through the detector")
     det.add_argument("--log", required=True)
     det.add_argument("--config", help="detector config file (defaults otherwise)")
-    det.add_argument("--out", help="per-tick detector output CSV")
+    det.add_argument("--out", help="detector output CSV, one row per input sample")
     det.set_defaults(func=cmd_detect)
 
     swp = sub.add_parser("sweep", help="one-at-a-time parameter sweep over logs")
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--spec", help="JSON sweep spec (default: the 19-set sweep)")
     swp.add_argument("--config", help="base detector config file")
     swp.add_argument("--out-dir", required=True)
-    swp.add_argument("--jobs", type=int, default=1)
+    swp.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1; at most one per log")
     swp.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="render box-plot tables from sweep results")

@@ -70,8 +70,7 @@ class DetectorConfig:
             raise ValueError("takeoff_thrust_fraction must be in (0, 1)")
         if not self.hover_thrust_reference > 0.0:
             raise ValueError("hover_thrust_reference must be positive")
-        if not math.isclose(self.lowpass.sample_interval, self.sensor_interval, rel_tol=1e-9):
-            raise ValueError("lowpass.sample_interval must equal sensor_interval")
+        design_lowpass(self.lowpass, self.sensor_interval)  # rejects a filter above Nyquist
 
     def steps_per_estimate(self) -> int:
         return round(self.estimator_interval / self.sensor_interval)
@@ -145,7 +144,6 @@ def config_from_dict(values: dict[str, float]) -> DetectorConfig:
         lowpass=FilterDesign(
             natural_frequency=values["filter_natural_frequency"],
             damping_ratio=values["filter_damping_ratio"],
-            sample_interval=values["sensor_interval"],
         ),
         noise=NoiseConfig(values["process_noise_q"], values["measurement_noise_r"]),
         decision=DecisionConfig(values["k_threshold"], values["probability_threshold"]),
@@ -250,7 +248,7 @@ class Conditioner:
     """
 
     def __init__(self, config: DetectorConfig):
-        self._filter = FilterState(design_lowpass(config.lowpass))
+        self._filter = FilterState(design_lowpass(config.lowpass, config.sensor_interval))
         self._steps_per_estimate = config.steps_per_estimate()
         self._sensor_interval = config.sensor_interval
         self._sample_index = 0

@@ -34,26 +34,18 @@ class FilterDesign:
     """Continuous-time prototype of the conditioning low-pass.
 
     The prototype is the unit-DC-gain second-order section
-    ``wn^2 / (s^2 + 2*zeta*wn*s + wn^2)`` sampled every ``sample_interval``
-    seconds.
+    ``wn^2 / (s^2 + 2*zeta*wn*s + wn^2)``; ``design_lowpass`` samples it at
+    the stream's sample interval.
     """
 
     natural_frequency: float = 50.0  # rad/s
     damping_ratio: float = 0.55
-    sample_interval: float = 0.002  # s
 
     def __post_init__(self) -> None:
         if not self.natural_frequency > 0.0:
             raise ValueError("natural_frequency must be positive")
         if not 0.0 < self.damping_ratio < 1.0:
             raise ValueError("damping_ratio must be in (0, 1)")
-        if not self.sample_interval > 0.0:
-            raise ValueError("sample_interval must be positive")
-        if self.natural_frequency >= math.pi / self.sample_interval:
-            raise ValueError(
-                "natural_frequency must stay below the Nyquist rate "
-                f"pi/sample_interval = {math.pi / self.sample_interval:.3f} rad/s"
-            )
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,7 @@ class FilterCoefficients:
     a2: float
 
 
-def design_lowpass(design: FilterDesign) -> FilterCoefficients:
+def design_lowpass(design: FilterDesign, sample_interval: float) -> FilterCoefficients:
     """Discretize the second-order low-pass with the bilinear transform.
 
     The transform is prewarped at the natural frequency, so the discrete
@@ -76,9 +68,15 @@ def design_lowpass(design: FilterDesign) -> FilterCoefficients:
     denominator sum so that unity DC gain holds exactly in floating point
     (``math.fsum`` of the b's equals ``math.fsum`` of (1, a1, a2)).
     """
+    dt = sample_interval
+    if not dt > 0.0:
+        raise ValueError("sample_interval must be positive")
     wn = design.natural_frequency
+    if wn >= math.pi / dt:
+        raise ValueError(
+            f"natural_frequency must stay below the Nyquist rate pi/sample_interval = {math.pi / dt:.3f} rad/s"
+        )
     zeta = design.damping_ratio
-    dt = design.sample_interval
 
     k = wn / math.tan(wn * dt / 2.0)  # prewarped bilinear rate
     d0 = k * k + 2.0 * zeta * wn * k + wn * wn

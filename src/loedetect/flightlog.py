@@ -37,12 +37,20 @@ RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 
 
 class LogFormatError(ValueError):
-    """Raised when a log file violates the schema; carries the first bad line."""
+    """Raised when a log violates the schema; ``sample`` is the bad sample's index, else ``None``."""
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message)
+        self.sample = sample
 
 
 @dataclass
 class FlightLog:
-    """Time series of raw samples plus the optional ground-truth annotation."""
+    """Time series of raw samples plus the optional ground-truth annotation.
+
+    A log is validated when it is built; ``validate`` re-checks one whose
+    arrays were changed in place.
+    """
 
     sample_rate_hz: float
     t: np.ndarray  # (n,)
@@ -52,6 +60,9 @@ class FlightLog:
     fault_actuator: int | None = None
     fault_time_s: float | None = None
     vehicle: str = "default"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def __len__(self) -> int:
         return len(self.t)
@@ -83,23 +94,22 @@ class FlightLog:
             finite = np.isfinite(arr)
             if not finite.all():
                 bad = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
-                raise LogFormatError(f"NaN or Inf in {name} at sample {bad} (t={self.t[bad]})")
+                raise LogFormatError(f"NaN or Inf in {name} at sample {bad} (t={self.t[bad]})", bad)
         too_fast = (self.rotor_speeds > MAX_ROTOR_SPEED_RAD_S).any(axis=1)
         if too_fast.any():
             bad = int(np.argmax(too_fast))
             raise LogFormatError(
-                f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s at sample {bad} (t={self.t[bad]})"
+                f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s at sample {bad} (t={self.t[bad]})", bad
             )
         negative = (self.rotor_speeds < 0.0).any(axis=1)
         if negative.any():
             bad = int(np.argmax(negative))
-            raise LogFormatError(f"negative rotor speed at sample {bad} (t={self.t[bad]})")
+            raise LogFormatError(f"negative rotor speed at sample {bad} (t={self.t[bad]})", bad)
         dt = np.diff(self.t)
         if n > 1 and not np.all(dt > 0):
-            bad = int(np.argmax(dt <= 0))
+            bad = int(np.argmax(dt <= 0)) + 1
             raise LogFormatError(
-                f"non-monotone timestamps at sample {bad + 1} "
-                f"(t={self.t[bad]} -> {self.t[bad + 1]})"
+                f"non-monotone timestamps at sample {bad} (t={self.t[bad - 1]} -> {self.t[bad]})", bad
             )
         if n > 1:
             median_dt = float(np.median(dt))
@@ -114,12 +124,12 @@ class FlightLog:
                 raise LogFormatError(
                     f"timestamp step {dt[bad - 1]:.6g} s at sample {bad} (t={self.t[bad]}) is outside "
                     f"({1.0 - STEP_TOLERANCE:g}, {1.0 + STEP_TOLERANCE:g}) x the sample period "
-                    f"{1.0 / self.sample_rate_hz:.6g} s"
+                    f"{1.0 / self.sample_rate_hz:.6g} s",
+                    bad,
                 )
 
 
 def save_log(log: FlightLog, path) -> None:
-    log.validate()
     lines = [
         f"# sample_rate_hz={log.sample_rate_hz!r}",
         "# rpm_units=rad_s",
@@ -155,12 +165,14 @@ def _reject_non_finite(flat: array, n_rows: int, linenos: array) -> None:
 
 
 def load_log(path) -> FlightLog:
-    """Parse and validate a log file; schema violations name the first bad line.
+    """Parse a log file into a ``FlightLog``; schema violations name the first bad line.
 
     One pass over the file: data rows are parsed as they are read, so only
     the parsed values and each row's line number are kept. The first bad
     data row is held back and reported after the column and header checks,
-    which take precedence over it.
+    which take precedence over it. The rules on the parsed values are
+    ``FlightLog.validate``'s; an error it raises about one sample is
+    re-raised naming that sample's line.
     """
     header_lines: list[tuple[int, str]] = []
     column_line: tuple[int, str] | None = None
@@ -231,38 +243,21 @@ def load_log(path) -> FlightLog:
     if bad_row is not None:
         raise LogFormatError(bad_row)
     values = np.frombuffer(flat).reshape(n, n_columns)
-
-    t = values[:, 0]
-    deltas = np.diff(t)
-    if n > 1 and not np.all(deltas > 0):
-        bad = int(np.argmax(deltas <= 0))
-        raise LogFormatError(
-            f"line {linenos[bad + 1]}: non-monotone timestamp "
-            f"({t[bad]} -> {t[bad + 1]})"
-        )
-
     speeds = values[:, 5:9]
     if rpm_units == "rpm":
         speeds = speeds * RPM_TO_RAD_S
-    too_fast = (speeds > MAX_ROTOR_SPEED_RAD_S).any(axis=1)
-    if too_fast.any():
-        raise LogFormatError(
-            f"line {linenos[int(np.argmax(too_fast))]}: "
-            f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s"
+    try:
+        return FlightLog(
+            sample_rate_hz=sample_rate,
+            t=values[:, 0].copy(),
+            gyro=values[:, 1:4].copy(),
+            accel_z=values[:, 4].copy(),
+            rotor_speeds=np.ascontiguousarray(speeds),
+            fault_actuator=fault_actuator,
+            fault_time_s=fault_time,
+            vehicle=header.get("vehicle", "default"),
         )
-    negative = (speeds < 0.0).any(axis=1)
-    if negative.any():
-        raise LogFormatError(f"line {linenos[int(np.argmax(negative))]}: negative rotor speed")
-
-    log = FlightLog(
-        sample_rate_hz=sample_rate,
-        t=t.copy(),
-        gyro=values[:, 1:4].copy(),
-        accel_z=values[:, 4].copy(),
-        rotor_speeds=np.ascontiguousarray(speeds),
-        fault_actuator=fault_actuator,
-        fault_time_s=fault_time,
-        vehicle=header.get("vehicle", "default"),
-    )
-    log.validate()
-    return log
+    except LogFormatError as exc:
+        if exc.sample is None:
+            raise
+        raise LogFormatError(f"line {linenos[exc.sample]}: {exc}", exc.sample) from None

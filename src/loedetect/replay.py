@@ -49,7 +49,6 @@ def _check_sample_rate(log: FlightLog, config: DetectorConfig) -> None:
 
 def run_detector(log: FlightLog, config: DetectorConfig) -> list[DetectorOutput]:
     """Replay a log through a fresh detector, one output per sample."""
-    log.validate()
     _check_sample_rate(log, config)
     detector = Detector(config)
     return [detector.process_sample(s) for s in log.samples()]
@@ -202,7 +201,6 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
     distinct estimator key over those ticks, and the decision stage once per
     distinct config, so each result equals ``evaluate_log(log, config)``.
     """
-    log.validate()
     for config in configs:
         _check_sample_rate(log, config)
     span = float(log.t[0]), float(log.t[-1])
@@ -245,8 +243,8 @@ def run_sweep(
     """Evaluate every (parameter set, log) pair exactly once.
 
     Work is shared within a log (see ``_sweep_log``); ``jobs > 1`` fans logs
-    out over processes. Rows are ordered by parameter set, then log,
-    regardless of ``jobs``.
+    out over ``min(jobs, len(logs))`` processes. Rows are ordered by
+    parameter set, then log, regardless of ``jobs``.
     """
     if not logs:
         raise ValueError("sweep needs at least one log")
@@ -257,10 +255,11 @@ def run_sweep(
     psets = spec.parameter_sets()
     configs = [pset.config for pset in psets]
 
-    if jobs <= 1:
+    workers = min(jobs, len(logs))
+    if workers <= 1:
         per_log = [_sweep_log(log, configs) for log in logs]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_log = list(pool.map(_sweep_log, logs, [configs] * len(logs)))
     return [
         SweepResultRow(

@@ -61,7 +61,7 @@ class OracleConditioner:
     """
 
     def __init__(self, config):
-        self._filter = OracleFilterState(design_lowpass(config.lowpass))
+        self._filter = OracleFilterState(design_lowpass(config.lowpass, config.sensor_interval))
         self._steps_per_estimate = config.steps_per_estimate()
         self._sample_index = 0
         self._prev = None  # (timestamp, filtered vector) at the last tick

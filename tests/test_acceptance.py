@@ -140,10 +140,11 @@ def test_criterion_04_hypothesis_test_oracle():
 
 def test_criterion_05_filter_fidelity():
     design = FilterDesign()
-    c = design_lowpass(design)
+    dt = default_config().sensor_interval
+    c = design_lowpass(design, dt)
     dc = math.fsum((c.b0, c.b1, c.b2)) / math.fsum((1.0, c.a1, c.a2))
 
-    mag = abs(frequency_response(c, design.natural_frequency, design.sample_interval))
+    mag = abs(frequency_response(c, design.natural_frequency, dt))
     mag_target = 1.0 / (2.0 * design.damping_ratio)
     mag_err = abs(mag - mag_target) / mag_target
 

@@ -217,7 +217,7 @@ def test_detect_dropped_samples_is_bad_log_naming_the_sample(tmp_path, capsys):
     log = _write_hover_log(tmp_path / "gap.csv", gap_before_row=20)
     assert run_cli("detect", "--log", str(log)) == 2
     err = capsys.readouterr().err
-    assert f"bad log {log}: timestamp step 0.202 s at sample 20 (t=0.242) is outside" in err
+    assert f"bad log {log}: line 23: timestamp step 0.202 s at sample 20 (t=0.242) is outside" in err
 
 
 def test_detect_sensor_interval_mismatching_the_log_rate_is_config_error(tmp_path, capsys):
@@ -298,3 +298,12 @@ def test_sweep_empty_glob_is_usage_error(tmp_path, capsys):
         "sweep", "--logs", str(tmp_path / "none-*.csv"), "--out-dir", str(tmp_path / "out")
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    log = _write_hover_log(tmp_path / "hover.csv")
+    code = run_cli("sweep", "--logs", str(log), "--out-dir", str(tmp_path / "out"), "--jobs", jobs)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not (tmp_path / "out").exists()

@@ -28,7 +28,7 @@ from loedetect.detector import (
     step_runtime_budget,
     write_config,
 )
-from loedetect.filters import FilterDesign, RawSample
+from loedetect.filters import FilterDesign, FilterState, RawSample, design_lowpass
 from loedetect.effectiveness import VehicleParams
 
 from oracles import OracleConditioner, OracleDetector
@@ -73,9 +73,30 @@ def test_non_integer_rate_ratio_rejected():
         DetectorConfig(estimator_interval=0.003, sensor_interval=0.002)
 
 
-def test_filter_interval_must_match_sensor_interval():
-    with pytest.raises(ValueError, match="sample_interval"):
-        DetectorConfig(lowpass=FilterDesign(sample_interval=0.004))
+def test_one_millisecond_config_filters_at_one_millisecond():
+    # The sensor interval alone sets the filter's sample period.
+    config = DetectorConfig(sensor_interval=0.001)
+    conditioner = Conditioner(config)
+    reference = FilterState(design_lowpass(FilterDesign(), 0.001), n_channels=1)
+    at_2ms = FilterState(design_lowpass(FilterDesign(), 0.002), n_channels=1)
+    ticks = differs = 0
+    for i in range(400):
+        speed = 700.357 if i < 100 else 760.0  # a step once the filter has settled
+        want = reference.step(np.array([speed]))[0]
+        differs += want != at_2ms.step(np.array([speed]))[0]
+        tick = conditioner.push(hover_sample(i, dt=0.001, speed=speed))
+        if tick is not None:
+            ticks += 1
+            assert tick[1] == [want * want] * 4
+    assert ticks == 400 // config.steps_per_estimate() == 20
+    assert differs > 0
+
+
+def test_filter_above_nyquist_fails_when_the_config_is_built():
+    with pytest.raises(ValueError, match="Nyquist"):
+        DetectorConfig(lowpass=FilterDesign(natural_frequency=2000.0))
+    with pytest.raises(ValueError, match="Nyquist"):
+        config_with(default_config(), "filter_natural_frequency", 1600.0)
 
 
 def test_config_validation_messages_name_the_invariant():

@@ -22,7 +22,7 @@ WN = 50.0
 
 
 def single_channel_state():
-    return FilterState(design_lowpass(FilterDesign()), n_channels=1)
+    return FilterState(design_lowpass(FilterDesign(), DT), n_channels=1)
 
 
 def run_stream(values):
@@ -43,17 +43,18 @@ def run_stream(values):
     ],
 )
 def test_design_rejects_bad_parameters(kwargs):
+    design = {k: v for k, v in kwargs.items() if k != "sample_interval"}
     with pytest.raises(ValueError):
-        FilterDesign(**kwargs)
+        design_lowpass(FilterDesign(**design), kwargs.get("sample_interval", DT))
 
 
 def test_dc_gain_is_exactly_one():
-    c = design_lowpass(FilterDesign())
+    c = design_lowpass(FilterDesign(), DT)
     assert math.fsum((c.b0, c.b1, c.b2)) / math.fsum((1.0, c.a1, c.a2)) == 1.0
 
 
 def test_poles_strictly_inside_unit_circle():
-    c = design_lowpass(FilterDesign())
+    c = design_lowpass(FilterDesign(), DT)
     roots = np.roots([1.0, c.a1, c.a2])
     assert np.abs(roots).max() < 1.0
 
@@ -66,7 +67,7 @@ def test_constant_input_is_fixed_point():
 
 def test_magnitude_at_natural_frequency_matches_prototype():
     # |H(j*wn)| of the continuous prototype is 1/(2*zeta)
-    c = design_lowpass(FilterDesign())
+    c = design_lowpass(FilterDesign(), DT)
     mag = abs(frequency_response(c, WN, DT))
     expected = 1.0 / (2.0 * ZETA)
     assert abs(mag - expected) / expected < 0.02
@@ -103,7 +104,7 @@ def test_reset_rearms_the_warm_start():
 
 
 def test_identical_channels_are_bit_identical():
-    state = FilterState(design_lowpass(FilterDesign()), n_channels=2)
+    state = FilterState(design_lowpass(FilterDesign(), DT), n_channels=2)
     rng = np.random.default_rng(1)
     for _ in range(300):
         v = rng.normal()
@@ -115,8 +116,8 @@ def test_channel_permutation_does_not_change_values():
     rng = np.random.default_rng(2)
     xs = rng.normal(size=300)
     ys = rng.normal(size=300)
-    s1 = FilterState(design_lowpass(FilterDesign()), n_channels=2)
-    s2 = FilterState(design_lowpass(FilterDesign()), n_channels=2)
+    s1 = FilterState(design_lowpass(FilterDesign(), DT), n_channels=2)
+    s2 = FilterState(design_lowpass(FilterDesign(), DT), n_channels=2)
     for x, y in zip(xs, ys):
         a = s1.step(np.array([x, y]))
         b = s2.step(np.array([y, x]))
@@ -135,7 +136,7 @@ def test_linearity_to_machine_precision():
 
 
 def test_filter_step_maps_channels_correctly():
-    state = FilterState(design_lowpass(FilterDesign()))
+    state = FilterState(design_lowpass(FilterDesign(), DT))
     values = [1.0, 2.0, 3.0, -9.81, 500.0, 600.0, 700.0, 800.0]  # CHANNELS order
     out = filter_step(state, values)
     # warm start: constant input passes through on the first sample
@@ -202,7 +203,7 @@ def test_telescoping_reconstruction_over_long_stream():
 @pytest.mark.parametrize("seed", [5, 6])
 def test_scalar_recursion_equals_array_oracle(n_channels, seed):
     rng = np.random.default_rng(seed)
-    coeffs = design_lowpass(FilterDesign(natural_frequency=rng.uniform(20.0, 300.0), damping_ratio=rng.uniform(0.2, 0.95)))
+    coeffs = design_lowpass(FilterDesign(natural_frequency=rng.uniform(20.0, 300.0), damping_ratio=rng.uniform(0.2, 0.95)), DT)
     mine = FilterState(coeffs, n_channels=n_channels)
     oracle = OracleFilterState(coeffs, n_channels=n_channels)
     scales = 10.0 ** rng.uniform(-3.0, 3.0, n_channels)
@@ -216,7 +217,7 @@ def test_scalar_recursion_equals_array_oracle(n_channels, seed):
 
 def test_filter_step_equals_array_oracle():
     rng = np.random.default_rng(8)
-    coeffs = design_lowpass(FilterDesign())
+    coeffs = design_lowpass(FilterDesign(), DT)
     mine = FilterState(coeffs)
     oracle = OracleFilterState(coeffs)
     for i in range(2000):
@@ -229,7 +230,7 @@ def test_filter_step_equals_array_oracle():
 
 
 def test_filter_step_rejects_wrong_channel_count():
-    state = FilterState(design_lowpass(FilterDesign()))
+    state = FilterState(design_lowpass(FilterDesign(), DT))
     with pytest.raises(ValueError, match="expected 8 channels"):
         filter_step(state, [0.0, 0.0, 0.0, -9.81, 500.0, 500.0, 500.0])
     with pytest.raises(ValueError, match="expected 8 channels"):

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from loedetect.detector import default_config
 from loedetect.flightlog import COLUMNS, FlightLog, LogFormatError, load_log, save_log
+from loedetect.replay import SweepSpec, run_detector, run_sweep
 
 
 def synthetic_log(n=50, rate=500.0, fault=None):
@@ -290,7 +292,7 @@ def test_negative_rotor_speed_reports_line(tmp_path):
         + "\n0.002,0,0,0,-9.81,700.357,700.357,700.357,700.357\n"
         "0.004,0,0,0,-9.81,700.357,700.357,-700.357,700.357\n",
     )
-    with pytest.raises(LogFormatError, match="^line 4: negative rotor speed$"):
+    with pytest.raises(LogFormatError, match=r"^line 4: negative rotor speed at sample 1 \(t=0\.004\)$"):
         load_log(path)
 
 
@@ -332,3 +334,38 @@ def test_wrong_header_rate_reported_before_the_step_check():
     t[20:] += 0.2
     with pytest.raises(LogFormatError, match="^header sample_rate_hz=100.0 does not match"):
         FlightLog(100.0, t, log.gyro, log.accel_z, log.rotor_speeds).validate()
+
+
+@pytest.mark.parametrize("field", ["gyro", "accel_z", "rotor_speeds"])
+def test_mismatched_array_shapes_rejected_at_construction(field):
+    log = synthetic_log()
+    arrays = {"t": log.t, "gyro": log.gyro, "accel_z": log.accel_z, "rotor_speeds": log.rotor_speeds}
+    arrays[field] = arrays[field][:-1]  # one row short
+    with pytest.raises(LogFormatError, match="^log arrays have inconsistent shapes$") as caught:
+        FlightLog(sample_rate_hz=500.0, **arrays)
+    assert caught.value.sample is None
+
+
+def test_format_error_carries_the_sample_index():
+    log = synthetic_log()
+    log.rotor_speeds[7, 2] = -1.0
+    with pytest.raises(LogFormatError) as caught:
+        log.validate()
+    assert caught.value.sample == 7
+    with pytest.raises(LogFormatError, match="^header sample_rate_hz") as caught:
+        FlightLog(100.0, log.t, log.gyro, log.accel_z, np.abs(log.rotor_speeds))
+    assert caught.value.sample is None
+
+
+def test_load_log_validates_once_and_nothing_downstream_validates_again(tmp_path, monkeypatch):
+    path = tmp_path / "flight.csv"
+    save_log(synthetic_log(n=200), path)
+    calls = []
+    validate = FlightLog.validate
+    monkeypatch.setattr(FlightLog, "validate", lambda self: calls.append(len(self)) or validate(self))
+    log = load_log(path)
+    assert calls == [200]
+    run_detector(log, default_config())
+    run_sweep([log], SweepSpec(base=default_config(), variations=()))
+    save_log(log, tmp_path / "copy.csv")
+    assert calls == [200]

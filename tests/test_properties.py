@@ -19,13 +19,13 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 def filter_designs(draw):
     dt = draw(st.floats(1e-4, 1e-2))
     wn = draw(st.floats(1.0, 0.9 * math.pi / dt))
-    return FilterDesign(natural_frequency=wn, damping_ratio=draw(st.floats(0.05, 0.95)), sample_interval=dt)
+    return FilterDesign(natural_frequency=wn, damping_ratio=draw(st.floats(0.05, 0.95))), dt
 
 
 @PROPERTY
 @given(filter_designs(), st.floats(-1e3, 1e3))
-def test_filter_has_unity_dc_gain(design, level):
-    c = design_lowpass(design)
+def test_filter_has_unity_dc_gain(design_and_interval, level):
+    c = design_lowpass(*design_and_interval)
     assert math.fsum((c.b0, c.b1, c.b2)) == math.fsum((1.0, c.a1, c.a2))
     state = FilterState(c, n_channels=1)
     out = [state.step(np.array([level]))[0] for _ in range(300)]

@@ -171,9 +171,38 @@ def test_parallel_sweep_matches_serial(ejection_log):
         base=default_config(),
         variations=(("probability_threshold", (0.8, 0.99)),),
     )
-    serial = run_sweep([ejection_log], spec, jobs=1)
-    parallel = run_sweep([ejection_log], spec, jobs=2)
+    logs = [ejection_log, fly_scenario("hover", duration=1.0, noise=SensorNoiseModel(seed=12))]
+    serial = run_sweep(logs, spec, jobs=1)
+    parallel = run_sweep(logs, spec, jobs=2)
     assert serial == parallel
+
+
+class _InlineExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers``, maps in-process."""
+
+    def __init__(self, created, max_workers):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_starts_at_most_one_worker_per_log(monkeypatch):
+    created = []
+    monkeypatch.setattr(replay, "ProcessPoolExecutor", lambda max_workers: _InlineExecutor(created, max_workers))
+    spec = SweepSpec(base=default_config(), variations=())
+    logs = [fly_scenario("ground_idle", duration=0.2, noise=SensorNoiseModel(seed=s)) for s in (1, 2)]
+    rows = run_sweep(logs, spec, jobs=64)
+    assert created == [2]
+    assert rows == run_sweep(logs, spec, jobs=1)
+    assert run_sweep(logs[:1], spec, jobs=64) == rows[:1]
+    assert created == [2]  # one log runs serially
 
 
 def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):

@@ -347,7 +347,7 @@ def test_model_residual_small_in_benign_hover():
     # with noise off, measured accelerations match the effectiveness model
     log = fly_scenario("hover", duration=4.0, noise=QUIET)
     gains = DEFAULT_GAINS
-    bank = FilterState(design_lowpass(FilterDesign()), n_channels=8)
+    bank = FilterState(design_lowpass(FilterDesign(), 0.002), n_channels=8)
     prev = None
     worst = 0.0
     for i in range(len(log)):

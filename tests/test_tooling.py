@@ -39,3 +39,5 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path):
     assert metrics["filters.filter_step.calls"][0] == len(log)
     assert metrics["detector.process_sample.calls"][0] == len(log)
     assert metrics["filters.differentiate.calls"][0] == len(log) // 10
+    # The log is checked once, when load_log builds it.
+    assert metrics["flightlog.FlightLog.validate.calls"][0] == 1
