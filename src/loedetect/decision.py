@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class DecisionConfig:
@@ -58,27 +56,19 @@ def failure_probability(k_hat: float, variance: float, k_threshold: float) -> fl
     return 0.5 * (1.0 + math.erf((k_threshold - k_hat) / math.sqrt(2.0 * variance)))
 
 
-def failure_probabilities(
-    k_hat: np.ndarray, variances: np.ndarray, k_threshold: float
-) -> np.ndarray:
-    """Vector form over the four actuators."""
-    k = np.asarray(k_hat, dtype=float).tolist()
-    v = np.asarray(variances, dtype=float).tolist()
-    return np.array([failure_probability(k[i], v[i], k_threshold) for i in range(4)])
+def failure_probabilities(k_hat, variances, k_threshold: float) -> list[float]:
+    """Vector form over the four actuators: sequences of floats in, a list of floats out."""
+    return [failure_probability(k, v, k_threshold) for k, v in zip(k_hat, variances, strict=True)]
 
 
-def decide(
-    probs: np.ndarray, status: DetectionStatus, config: DecisionConfig, now: float
-) -> DetectionStatus:
+def decide(probs, status: DetectionStatus, config: DecisionConfig, now: float) -> DetectionStatus:
     """Latch actuators whose failure probability strictly exceeds the threshold.
 
     Already-latched actuators stay latched; if nothing changes the input
     status object is returned unchanged.
     """
     threshold = config.probability_threshold
-    new_latch = [
-        not status.failed[i] and float(probs[i]) > threshold for i in range(4)
-    ]
+    new_latch = [not status.failed[i] and probs[i] > threshold for i in range(4)]
     if not any(new_latch):
         return status
     failed = tuple(status.failed[i] or new_latch[i] for i in range(4))

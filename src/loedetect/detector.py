@@ -209,7 +209,8 @@ class DetectorOutput:
     """Detector state published for one input sample.
 
     Estimator-derived fields repeat between estimator ticks; the arrays are
-    read-only snapshots shared across outputs of the same tick.
+    read-only snapshots, built once per tick from the estimator's floats and
+    shared across outputs of the same tick.
     """
 
     timestamp: float
@@ -220,19 +221,15 @@ class DetectorOutput:
     armed: bool
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only in place, not copied; only for fresh arrays nothing writes again."""
-    a.setflags(write=False)
-    return a
+def _snapshot(k_hat, variances, p_fail) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(k_hat, variances, p_fail)`` arrays of one tick's floats.
 
-
-def _snapshot(state: EstimatorState) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(x, diag(P))`` of a fresh estimator state.
-
-    ``x`` is published itself. The diagonal is copied: a view would keep all
-    of ``P`` alive for as long as a caller keeps the output.
+    The only place the estimator and decision stages meet numpy: the three
+    are the rows of one fresh read-only 3x4 array.
     """
-    return _frozen(state.x), _frozen(state.P.diagonal().copy())
+    rows = np.array((k_hat, variances, p_fail))
+    rows.setflags(write=False)
+    return rows[0], rows[1], rows[2]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ class Conditioner:
         self._gate_count = 0
         self._gate_pos = 0
 
-    def push(self, raw: RawSample) -> tuple[np.ndarray, list[float]] | None:
+    def push(self, raw: RawSample) -> tuple[tuple[float, float, float], list[float]] | None:
         """Advance one sample; on an armed estimator tick return ``(z, w_sq)``.
 
         ``z`` is (p_dot, q_dot, a_z) and ``w_sq`` the squared filtered rotor
@@ -322,35 +319,37 @@ class Conditioner:
         if self._sample_index % self._steps_per_estimate:
             return None
         filtered = FilteredSample(timestamp=t, rates=out[0:3], accel_z=out[3], rotor_speeds=out[4:8])
-        accel = differentiate(self._prev_tick, filtered)
+        p_dot, q_dot = differentiate(self._prev_tick, filtered)
         self._prev_tick = filtered
         if not self.armed:
             return None
-        return (
-            np.array([accel[0], accel[1], filtered.accel_z]),
-            [w * w for w in filtered.rotor_speeds],
-        )
+        return (p_dot, q_dot, filtered.accel_z), [w * w for w in filtered.rotor_speeds]
 
 
-def signed_gains(gains: EffectivenessGains) -> np.ndarray:
-    """``SIGN_MATRIX * gains`` per row: the observation matrix before ``w_sq``."""
-    return SIGN_MATRIX * gains.as_array()[:, None]
+def signed_gains(gains: EffectivenessGains) -> tuple[tuple[float, ...], ...]:
+    """``SIGN_MATRIX * gains`` per row, as floats: the observation matrix before ``w_sq``."""
+    return tuple(
+        tuple(sign * g for sign in row)
+        for row, g in zip(SIGN_MATRIX.tolist(), (gains.g_p, gains.g_q, gains.g_az))
+    )
 
 
 def estimation_step(
-    state: EstimatorState, gains: np.ndarray, noise: NoiseConfig, z: np.ndarray, w_sq: list[float]
+    state: EstimatorState, gains, noise: NoiseConfig, z, w_sq: list[float]
 ) -> EstimatorState:
     """Estimation stage: one estimator update from an armed tick.
 
-    ``gains`` is ``signed_gains(config.gains)``, so ``H = (sign*g)*w_sq``
-    holds the same products as ``observation_matrix``.
+    ``gains`` is ``signed_gains(config.gains)``, so the rows of
+    ``H = (sign*g)*w_sq`` hold the same products as ``observation_matrix``.
     """
-    return kalman.step(state, gains * w_sq, z, noise)
+    w0, w1, w2, w3 = w_sq
+    H = [(g0 * w0, g1 * w1, g2 * w2, g3 * w3) for g0, g1, g2, g3 in gains]
+    return kalman.step(state, H, z, noise)
 
 
 def decision_step(
-    k_hat: np.ndarray, variances: np.ndarray, status: DetectionStatus, config: DecisionConfig, now: float
-) -> tuple[np.ndarray, DetectionStatus]:
+    k_hat, variances, status: DetectionStatus, config: DecisionConfig, now: float
+) -> tuple[list[float], DetectionStatus]:
     """Decision stage: failure probabilities and the latched status after them."""
     p_fail = failure_probabilities(k_hat, variances, config.k_threshold)
     return p_fail, decide(p_fail, status, config, now=now)
@@ -363,12 +362,11 @@ class Detector:
         self.config = config
         self._conditioner = Conditioner(config)
         self._gains = signed_gains(config.gains)
-        self._estimator = kalman.init()
+        self._estimator = state = kalman.init()
         self._status = DetectionStatus()
-        self._snap_k, self._snap_var = _snapshot(self._estimator)
-        self._snap_pfail = _frozen(
-            failure_probabilities(self._snap_k, self._snap_var, config.decision.k_threshold)
-        )
+        variances = state.variances()
+        p_fail = failure_probabilities(state.k, variances, config.decision.k_threshold)
+        self._snap_k, self._snap_var, self._snap_pfail = _snapshot(state.k, variances, p_fail)
 
     @property
     def armed(self) -> bool:
@@ -380,18 +378,18 @@ class Detector:
 
     @property
     def estimator_state(self) -> EstimatorState:
-        return self._estimator.copy()
+        return self._estimator
 
     def process_sample(self, raw: RawSample) -> DetectorOutput:
         tick = self._conditioner.push(raw)
         if tick is not None:
             config = self.config
-            self._estimator = estimation_step(self._estimator, self._gains, config.noise, *tick)
-            self._snap_k, self._snap_var = _snapshot(self._estimator)
+            state = self._estimator = estimation_step(self._estimator, self._gains, config.noise, *tick)
+            variances = state.variances()
             p_fail, self._status = decision_step(
-                self._snap_k, self._snap_var, self._status, config.decision, raw.timestamp
+                state.k, variances, self._status, config.decision, raw.timestamp
             )
-            self._snap_pfail = _frozen(p_fail)
+            self._snap_k, self._snap_var, self._snap_pfail = _snapshot(state.k, variances, p_fail)
 
         return DetectorOutput(
             timestamp=raw.timestamp,

@@ -173,18 +173,18 @@ def filter_step(state: FilterState, values: list[float]) -> list[float]:
     return y
 
 
-def differentiate(previous: FilteredSample | None, current: FilteredSample) -> np.ndarray:
+def differentiate(previous: FilteredSample | None, current: FilteredSample) -> tuple[float, float]:
     """Backward-difference angular acceleration of the filtered roll/pitch rates.
 
     The first sample of a stream has no predecessor and yields zero by
     definition.
     """
     if previous is None:
-        return np.zeros(2)
+        return 0.0, 0.0
     dt = current.timestamp - previous.timestamp
     if dt <= 0.0:
         raise ValueError(
             f"non-increasing timestamps: {previous.timestamp} -> {current.timestamp}"
         )
     now, before = current.rates, previous.rates
-    return np.array([(now[0] - before[0]) / dt, (now[1] - before[1]) / dt])
+    return (now[0] - before[0]) / dt, (now[1] - before[1]) / dt

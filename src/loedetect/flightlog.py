@@ -35,6 +35,10 @@ COLUMNS = ("t", "p", "q", "r", "az", "w1", "w2", "w3", "w4")
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 
+# Rows ``FlightLog.samples`` converts to Python floats at a time, so the
+# lists it holds stay the same size however long the log is.
+SAMPLE_BLOCK_ROWS = 4096
+
 
 class LogFormatError(ValueError):
     """Raised when a log violates the schema; ``sample`` is the bad sample's index, else ``None``."""
@@ -69,10 +73,14 @@ class FlightLog:
 
     def samples(self) -> Iterator[RawSample]:
         """One ``RawSample`` per row; the rate and speed fields are row views."""
-        for t, rates, accel_z, speeds in zip(
-            self.t.tolist(), self.gyro, self.accel_z.tolist(), self.rotor_speeds
-        ):
-            yield RawSample(t, rates, accel_z, speeds)
+        rates, speeds = iter(self.gyro), iter(self.rotor_speeds)
+        for start in range(0, len(self.t), SAMPLE_BLOCK_ROWS):
+            block = slice(start, start + SAMPLE_BLOCK_ROWS)
+            # The block's list comes first, so zip stops without taking a row past it.
+            for t, rate, accel_z, speed in zip(
+                self.t[block].tolist(), rates, self.accel_z[block].tolist(), speeds
+            ):
+                yield RawSample(t, rate, accel_z, speed)
 
     def ground_truth(self) -> tuple[int, float] | None:
         if self.fault_actuator is None or self.fault_time_s is None:
@@ -159,8 +167,8 @@ def _parse_header(lines: list[tuple[int, str]]) -> dict[str, str]:
 def _reject_non_finite(flat: array, n_rows: int, linenos: array) -> None:
     """Raise naming the first of the ``n_rows`` parsed rows in ``flat`` with a NaN or Inf field."""
     rows = np.frombuffer(flat, count=n_rows * len(COLUMNS)).reshape(n_rows, len(COLUMNS))
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(rows).all():  # the per-row pass only runs to name the line
+        finite = np.isfinite(rows).all(axis=1)
         raise LogFormatError(f"line {linenos[int(np.argmin(finite))]}: NaN or Inf field")
 
 

@@ -3,16 +3,18 @@
 The state transition is a random walk (P_pred = P + q*I, x unchanged), and
 the observation model is the rotor-speed-parameterized linear effectiveness
 model. R = r*I is diagonal, so the three-row update runs as three scalar
-updates in turn (sequential measurement processing). With ``y = z - H x``
-taken once, each row ``h_j`` runs
+updates in turn (sequential measurement processing). With the innovation
+``y_j = z_j - (h0*x0 + h1*x1 + h2*x2 + h3*x3)`` taken once per row, summed
+left to right, each row ``h_j`` runs
 
     a = P h_j,  s = h_j.a + r,  g = (y_j - h_j.dx) / s,  dx += a g,  P -= a (a/s)^T
 
 and then x' = x + dx, clamped into [0, 1.5]. The ``h_j.dx`` term removes what
 the earlier rows already applied, and keeps x bit-unchanged when y is zero.
-Only the upper triangle of P is computed and then mirrored, so P is exactly
-symmetric. No inverse is taken; ``s >= r > 0`` unless the arithmetic
-overflows, and a non-finite ``s`` raises ``ArithmeticError``.
+Everything runs on Python floats, and only the upper triangle of P is
+computed and kept, so P is exactly symmetric. No inverse is taken;
+``s >= r > 0`` unless the arithmetic overflows, and a non-finite ``s``
+raises ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -40,15 +42,60 @@ class NoiseConfig:
             raise ValueError("measurement_noise_r must be strictly positive")
 
 
-@dataclass
 class EstimatorState:
-    """Effectiveness estimate (4-vector) and its covariance (4x4)."""
+    """Effectiveness estimate (4-vector) and its covariance (4x4); immutable.
 
-    x: np.ndarray
-    P: np.ndarray
+    Held as Python floats: ``k``, the four estimates, and ``p_upper``, the ten
+    upper-triangle entries of P row by row (p00, p01, p02, p03, p11, p12,
+    p13, p22, p23, p33). ``x`` and ``P`` build fresh arrays on each access;
+    ``P`` mirrors the upper triangle, so it is exactly symmetric. Built from
+    arrays, the lower triangle of ``P`` is not read.
+    """
 
-    def copy(self) -> "EstimatorState":
-        return EstimatorState(self.x.copy(), self.P.copy())
+    __slots__ = ("k", "p_upper")
+
+    def __init__(self, x, P) -> None:
+        k = np.asarray(x, dtype=float)
+        rows = np.asarray(P, dtype=float)
+        if k.shape != (4,) or rows.shape != (4, 4):
+            raise ValueError("EstimatorState needs a 4-vector x and a 4x4 P")
+        rows = rows.tolist()
+        _set_k(self, tuple(k.tolist()))
+        _set_p_upper(self, tuple(rows[i][j] for i in range(4) for j in range(i, 4)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EstimatorState is immutable")
+
+    def __reduce__(self):  # copy and pickle would otherwise set the slots through __setattr__
+        return _state, (self.k, self.p_upper)
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.array(self.k)
+
+    @property
+    def P(self) -> np.ndarray:
+        p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = self.p_upper
+        return np.array(
+            [[p00, p01, p02, p03], [p01, p11, p12, p13], [p02, p12, p22, p23], [p03, p13, p23, p33]]
+        )
+
+    def variances(self) -> tuple[float, float, float, float]:
+        """The diagonal of P."""
+        p = self.p_upper
+        return p[0], p[4], p[7], p[9]
+
+
+_set_k = EstimatorState.k.__set__
+_set_p_upper = EstimatorState.p_upper.__set__
+
+
+def _state(k: tuple, p_upper: tuple) -> EstimatorState:
+    """An ``EstimatorState`` from its floats, with no array conversion."""
+    state = object.__new__(EstimatorState)
+    _set_k(state, k)
+    _set_p_upper(state, p_upper)
+    return state
 
 
 def init(initial_k: np.ndarray | None = None, initial_variance: float = 1.0) -> EstimatorState:
@@ -63,32 +110,37 @@ def init(initial_k: np.ndarray | None = None, initial_variance: float = 1.0) -> 
             raise ValueError(f"initial_k entries must lie in [{K_MIN}, {K_MAX}]")
     if initial_variance < 0.0:
         raise ValueError("initial_variance must be non-negative")
-    return EstimatorState(x=x, P=initial_variance * np.eye(4))
+    return EstimatorState(x, initial_variance * np.eye(4))
 
 
 def step(
     state: EstimatorState,
-    H: np.ndarray,
-    z: np.ndarray,
+    H,
+    z,
     noise: NoiseConfig,
     clamp_state: bool = True,
 ) -> EstimatorState:
     """One predict/update cycle; returns a new state, input state untouched.
 
-    ``clamp_state=False`` skips the [0, 1.5] bound (used when comparing
-    trajectories against an unconstrained reference). The lower triangle of
-    ``state.P`` is not read.
+    ``H`` is three rows of four floats and ``z`` three floats; nested lists,
+    tuples and arrays all work, and give the same bits. ``clamp_state=False``
+    skips the [0, 1.5] bound (used when comparing trajectories against an
+    unconstrained reference).
     """
-    H = np.asarray(H, dtype=float)
-    y = (np.asarray(z, dtype=float) - H @ state.x).tolist()
-    if any(v != v for v in y):  # a NaN anywhere in H or z reaches y
-        raise ValueError("NaN in estimator input")
+    x0, x1, x2, x3 = state.k
+    y = [
+        z_j - (h0 * x0 + h1 * x1 + h2 * x2 + h3 * x3)
+        for (h0, h1, h2, h3), z_j in zip(H, z, strict=True)
+    ]
+    for v in y:
+        if v != v:  # a NaN anywhere in H or z reaches y
+            raise ValueError("NaN in estimator input")
     q = noise.process_noise_q
     r = noise.measurement_noise_r
-    (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = state.P.tolist()
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = state.p_upper
     p00, p11, p22, p33 = p00 + q, p11 + q, p22 + q, p33 + q
     d0 = d1 = d2 = d3 = 0.0
-    for (h0, h1, h2, h3), y_j in zip(H.tolist(), y):
+    for (h0, h1, h2, h3), y_j in zip(H, y):
         a0 = p00 * h0 + p01 * h1 + p02 * h2 + p03 * h3
         a1 = p01 * h0 + p11 * h1 + p12 * h2 + p13 * h3
         a2 = p02 * h0 + p12 * h1 + p22 * h2 + p23 * h3
@@ -103,9 +155,7 @@ def step(
         p11, p12, p13 = p11 - a1 * b1, p12 - a1 * b2, p13 - a1 * b3
         p22, p23 = p22 - a2 * b2, p23 - a2 * b3
         p33 -= a3 * b3
-    x0, x1, x2, x3 = state.x.tolist()
-    x = [x0 + d0, x1 + d1, x2 + d2, x3 + d3]
+    k = (x0 + d0, x1 + d1, x2 + d2, x3 + d3)
     if clamp_state:
-        x = [K_MIN if v < K_MIN else K_MAX if v > K_MAX else v for v in x]
-    P = [[p00, p01, p02, p03], [p01, p11, p12, p13], [p02, p12, p22, p23], [p03, p13, p23, p33]]
-    return EstimatorState(x=np.array(x), P=np.array(P))
+        k = tuple([K_MIN if v < K_MIN else K_MAX if v > K_MAX else v for v in k])
+    return _state(k, (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))

@@ -205,7 +205,7 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
         _check_sample_rate(log, config)
     span = float(log.t[0]), float(log.t[-1])
     ticks: dict[tuple, list] = {}  # conditioning key -> [(t, z, w_sq)] per armed tick
-    estimates: dict[tuple, list] = {}  # estimator key -> [(t, k_hat, variances)] per armed tick
+    estimates: dict[tuple, list] = {}  # estimator key -> [(t, k_hat, variances)] float tuples per armed tick
     decided: dict[DetectorConfig, EvaluationResult] = {}
     for config in configs:
         if config in decided:
@@ -225,7 +225,7 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
             trajectory = []
             for t, z, w_sq in ticks[ckey]:
                 state = estimation_step(state, gains, config.noise, z, w_sq)
-                trajectory.append((t, state.x, state.P.diagonal()))
+                trajectory.append((t, state.k, state.variances()))
             estimates[ekey] = trajectory
         status = DetectionStatus()
         for t, k_hat, variances in estimates[ekey]:

@@ -112,7 +112,7 @@ def _dot4(u, v):
 def oracle_kalman_step(state, H, z, noise):
     """``kalman.step``: the rows of ``H`` as scalar updates, in order."""
     P = state.P + noise.process_noise_q * np.eye(4)
-    y = z - H @ state.x
+    y = [z_j - _dot4(h, state.x) for h, z_j in zip(H, z)]
     dx = np.zeros(4)
     for h, y_j in zip(H, y):
         a = P[:, 0] * h[0] + P[:, 1] * h[1] + P[:, 2] * h[2] + P[:, 3] * h[3]
@@ -141,8 +141,8 @@ class OracleDetector:
         self._publish()
 
     def _publish(self):
-        self._k = self._estimator.x.copy()
-        self._var = self._estimator.P.diagonal().copy()
+        self._k = self._estimator.x
+        self._var = self._estimator.P.diagonal()
         self._pfail = oracle_failure_probabilities(self._k, self._var, self.config.decision.k_threshold)
 
     def process_sample(self, raw):

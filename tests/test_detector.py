@@ -403,7 +403,7 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
         latched_at = None
         for n, (z, w_sq) in enumerate(ticks):
             state = estimation_step(state, gains, config.noise, z, w_sq)
-            _, status = decision_step(state.x, state.P.diagonal(), status, config.decision, 0.0)
+            _, status = decision_step(state.k, state.variances(), status, config.decision, 0.0)
             if latched_at is None and status.any_failed():
                 latched_at = n
         return state, status, latched_at
@@ -519,7 +519,7 @@ def test_published_snapshots_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.5
     state = det.estimator_state
-    state.x[0] = 0.5  # a copy: writable, and the detector's own state is untouched
+    state.x[0] = 0.5  # a fresh array: writable, and the detector's own state is untouched
     assert out.k_hat[0] != 0.5
 
 

@@ -149,22 +149,23 @@ def test_filter_step_maps_channels_correctly():
 def _filtered(t, p, q=0.0):
     return FilteredSample(
         timestamp=t,
-        rates=np.array([p, q, 0.0]),
+        rates=[p, q, 0.0],
         accel_z=-9.81,
-        rotor_speeds=np.zeros(4),
+        rotor_speeds=[0.0, 0.0, 0.0, 0.0],
     )
 
 
 def test_differentiate_first_sample_is_zero():
-    assert np.all(differentiate(None, _filtered(0.02, 0.5)) == 0.0)
+    assert differentiate(None, _filtered(0.02, 0.5)) == (0.0, 0.0)
 
 
 def test_differentiate_identical_rates_is_zero():
-    assert np.all(differentiate(_filtered(0.0, 0.1), _filtered(0.02, 0.1)) == 0.0)
+    assert differentiate(_filtered(0.0, 0.1), _filtered(0.02, 0.1)) == (0.0, 0.0)
 
 
 def test_differentiate_backward_difference_arithmetic():
     accel = differentiate(_filtered(0.0, 0.10), _filtered(0.02, 0.12))
+    assert accel == ((0.12 - 0.10) / (0.02 - 0.0), 0.0)
     assert abs(accel[0] - 1.0) < 1e-12
 
 

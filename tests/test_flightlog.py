@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loedetect.detector import default_config
-from loedetect.flightlog import COLUMNS, FlightLog, LogFormatError, load_log, save_log
+from loedetect.flightlog import COLUMNS, SAMPLE_BLOCK_ROWS, FlightLog, LogFormatError, load_log, save_log
 from loedetect.replay import SweepSpec, run_detector, run_sweep
 
 
@@ -61,7 +61,7 @@ def test_samples_iterator_matches_arrays():
 
 
 def test_samples_yield_every_row_with_python_float_scalars():
-    log = synthetic_log(n=300)
+    log = synthetic_log(n=2 * SAMPLE_BLOCK_ROWS + 300)  # two full blocks and a part
     samples = list(log.samples())
     assert len(samples) == len(log)
     for i, raw in enumerate(samples):
@@ -69,6 +69,19 @@ def test_samples_yield_every_row_with_python_float_scalars():
         assert type(raw.proper_accel_z) is float and raw.proper_accel_z == log.accel_z[i]
         assert isinstance(raw.angular_rate, np.ndarray) and np.array_equal(raw.angular_rate, log.gyro[i])
         assert isinstance(raw.rotor_speeds, np.ndarray) and np.array_equal(raw.rotor_speeds, log.rotor_speeds[i])
+
+
+def test_iterating_samples_holds_a_bounded_block_of_floats():
+    # Python floats for the whole t and az columns of 40,000 rows take 2.56 MB.
+    log = synthetic_log(n=40_000)
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in log.samples())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == len(log)
+    assert peak < 1_000_000
 
 
 def _write(path, text):

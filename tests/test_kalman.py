@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from loedetect import kalman
 from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
 from loedetect.kalman import EstimatorState, NoiseConfig
 
-from oracles import oracle_kalman_step
+from oracles import _dot4, oracle_kalman_step
 
 TABLE_NOISE = NoiseConfig()  # q = 0.1, r = 1
 
@@ -45,7 +47,7 @@ def test_zero_innovation_leaves_state_unchanged():
     rng = np.random.default_rng(10)
     st = kalman.init(np.array([1.0, 0.8, 0.6, 1.2]), 0.5)
     H = random_observation(rng)
-    z = H @ st.x
+    z = np.array([_dot4(h, st.x) for h in H])  # the kernel's own sum: y is exactly zero
     out = kalman.step(st, H, z, TABLE_NOISE)
     assert np.array_equal(out.x, st.x)
 
@@ -53,7 +55,8 @@ def test_zero_innovation_leaves_state_unchanged():
 def test_zero_initial_variance_and_zero_innovation():
     st = kalman.init(np.ones(4), 0.0)
     H = random_observation(np.random.default_rng(11))
-    out = kalman.step(st, H, H @ st.x, TABLE_NOISE)
+    z = np.array([_dot4(h, st.x) for h in H])  # the kernel's own sum: y is exactly zero
+    out = kalman.step(st, H, z, TABLE_NOISE)
     assert np.array_equal(out.x, st.x)
 
 
@@ -157,6 +160,14 @@ def test_nan_input_is_a_hard_error():
         kalman.step(st, H, np.zeros(3), TABLE_NOISE)
 
 
+def test_shape_mismatch_is_a_hard_error():
+    st = kalman.init()
+    with pytest.raises(ValueError):
+        kalman.step(st, np.zeros((3, 4)), np.zeros(2), TABLE_NOISE)
+    with pytest.raises(ValueError):
+        kalman.step(st, np.zeros((3, 3)), np.zeros(3), TABLE_NOISE)
+
+
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(process_noise_q=0.0)
@@ -174,6 +185,40 @@ def test_psd_and_symmetry_preserved_on_random_sequences():
         assert np.abs(st.P - st.P.T).max() <= 1e-12
         assert np.linalg.eigvalsh(st.P).min() >= -1e-10
         assert np.all(st.x >= 0.0) and np.all(st.x <= 1.5)
+
+
+def test_state_round_trips_arrays_bit_for_bit_and_is_immutable():
+    rng = np.random.default_rng(16)
+    x = rng.uniform(0.0, 1.5, 4)
+    A = rng.normal(size=(4, 4))
+    P = A @ A.T
+    P = np.triu(P) + np.triu(P, 1).T  # exactly symmetric
+    st = EstimatorState(x, P)
+    assert np.array_equal(st.x, x) and np.array_equal(st.P, P)
+    assert np.array_equal(st.P, st.P.T)
+    assert st.variances() == tuple(P.diagonal().tolist())
+    assert all(type(v) is float for v in st.k + st.p_upper)
+    # every access builds a fresh array: writing to one leaves the state as it was
+    st.x[0] = -1.0
+    st.P[0, 1] = -1.0
+    assert np.array_equal(st.x, x) and np.array_equal(st.P, P)
+    with pytest.raises(AttributeError):
+        st.k = (0.0, 0.0, 0.0, 0.0)
+    again = pickle.loads(pickle.dumps(st))
+    assert again.k == st.k and again.p_upper == st.p_upper
+    # only the upper triangle is read
+    assert np.array_equal(EstimatorState(x, np.triu(P)).P, P)
+
+
+def test_step_on_nested_lists_equals_step_on_arrays_bit_for_bit():
+    rng = np.random.default_rng(17)
+    on_arrays = on_lists = kalman.init()
+    for _ in range(200):
+        H = random_observation(rng)
+        z = H @ rng.uniform(0.0, 1.5, 4) + rng.normal(0.0, 1.0, 3)
+        on_arrays = kalman.step(on_arrays, H, z, TABLE_NOISE)
+        on_lists = kalman.step(on_lists, H.tolist(), z.tolist(), TABLE_NOISE)
+        assert on_lists.k == on_arrays.k and on_lists.p_upper == on_arrays.p_upper
 
 
 def test_step_equals_array_oracle_bit_for_bit():

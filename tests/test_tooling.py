@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from loedetect import cli
+from loedetect.detector import Conditioner, default_config
 from loedetect.flightlog import save_log
 from loedetect.simulator import SensorNoiseModel, fly_scenario
 
@@ -39,5 +40,13 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path):
     assert metrics["filters.filter_step.calls"][0] == len(log)
     assert metrics["detector.process_sample.calls"][0] == len(log)
     assert metrics["filters.differentiate.calls"][0] == len(log) // 10
+    # A refactor that inlined the estimator or the hypothesis test would read zero here.
+    conditioner = Conditioner(default_config())
+    armed_ticks = sum(conditioner.push(raw) is not None for raw in log.samples())
+    assert armed_ticks > 0
+    assert metrics["kalman.step.calls"][0] == armed_ticks
+    assert metrics["decision.decide.calls"][0] == armed_ticks
+    # One more for the initial probabilities Detector.__init__ publishes.
+    assert metrics["decision.failure_probabilities.calls"][0] == armed_ticks + 1
     # The log is checked once, when load_log builds it.
     assert metrics["flightlog.FlightLog.validate.calls"][0] == 1
