@@ -85,8 +85,8 @@ def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
 
 def cmd_simulate(args) -> int:
     fault = _parse_fault(args.fault) if args.fault else None
-    noise = SensorNoiseModel(seed=args.seed).scaled(args.noise_scale)
     try:
+        noise = SensorNoiseModel(seed=args.seed).scaled(args.noise_scale)
         log = fly_scenario(
             scenario=args.scenario,
             duration=args.duration,

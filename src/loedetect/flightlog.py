@@ -88,6 +88,11 @@ class FlightLog:
         return self.fault_actuator, self.fault_time_s
 
     def validate(self) -> None:
+        # Every rate comparison below is false on NaN, so the header is checked first.
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise LogFormatError(f"header sample_rate_hz={self.sample_rate_hz} is not finite and positive")
+        if self.fault_time_s is not None and not math.isfinite(self.fault_time_s):
+            raise LogFormatError(f"header fault_time_s={self.fault_time_s} is not finite")
         n = len(self.t)
         if n == 0:
             raise LogFormatError("log contains no samples")
@@ -244,7 +249,10 @@ def load_log(path) -> FlightLog:
             raise LogFormatError(f"fault_actuator out of range: {fault_actuator}")
         if "fault_time_s" not in header:
             raise LogFormatError("fault_actuator given without fault_time_s")
-        fault_time = float(header["fault_time_s"])
+        try:
+            fault_time = float(header["fault_time_s"])
+        except ValueError as exc:
+            raise LogFormatError(f"bad fault_time_s: {header['fault_time_s']!r}") from exc
 
     n = len(linenos)
     _reject_non_finite(flat, n, linenos)  # before a bad row: an earlier bad line is named first

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .effectiveness import GRAVITY, SIGN_MATRIX, YAW_SIGNS, VehicleParams
-from .filters import RawSample
 from .flightlog import FlightLog
 
 # Roll and pitch signs are rows 0 and 1 of the detector's SIGN_MATRIX. The
@@ -33,21 +32,23 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SimState:
-    angular_rate: np.ndarray  # (3,) body rad/s
-    quaternion: np.ndarray  # (4,) w,x,y,z body-to-world
-    velocity: np.ndarray  # (3,) world NED m/s
-    position: np.ndarray  # (3,) world NED m, z down
-    rotor_speeds: np.ndarray  # (4,) rad/s
-    true_k: np.ndarray  # (4,) actual effectiveness factors
+    """Vehicle state; every field is a list of Python floats."""
+
+    angular_rate: list[float]  # 3, body rad/s
+    quaternion: list[float]  # 4, w,x,y,z body-to-world
+    velocity: list[float]  # 3, world NED m/s
+    position: list[float]  # 3, world NED m, z down
+    rotor_speeds: list[float]  # 4, rad/s
+    true_k: list[float]  # 4, actual effectiveness factors
 
     def copy(self) -> "SimState":
         return SimState(
-            self.angular_rate.copy(),
-            self.quaternion.copy(),
-            self.velocity.copy(),
-            self.position.copy(),
-            self.rotor_speeds.copy(),
-            self.true_k.copy(),
+            list(self.angular_rate),
+            list(self.quaternion),
+            list(self.velocity),
+            list(self.position),
+            list(self.rotor_speeds),
+            list(self.true_k),
         )
 
 
@@ -60,8 +61,8 @@ class FaultEvent:
     new_k: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("fault time must be non-negative")
+        if not 0.0 <= self.time < math.inf:
+            raise ValueError(f"fault time must be finite and non-negative, got {self.time}")
         if not 1 <= self.actuator_index <= 4:
             raise ValueError(f"actuator_index must be 1..4, got {self.actuator_index}")
         if not 0.0 <= self.new_k <= 1.0:
@@ -97,8 +98,8 @@ class SensorNoiseModel:
             "gyro_vibration",
             "accel_vibration",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         self.reset()
 
     def reset(self) -> None:
@@ -109,8 +110,8 @@ class SensorNoiseModel:
 
     def scaled(self, factor: float) -> "SensorNoiseModel":
         """Copy with every corruption magnitude multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
+        if not 0.0 <= factor < math.inf:
+            raise ValueError(f"noise scale factor must be finite and non-negative, got {factor}")
         return SensorNoiseModel(
             gyro_noise_std=self.gyro_noise_std * factor,
             gyro_bias=self.gyro_bias * factor,
@@ -126,7 +127,7 @@ class SensorNoiseModel:
 # Quaternion helpers (w, x, y, z convention, body-to-world).
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+def quat_to_matrix(q) -> np.ndarray:
     w, x, y, z = q
     return np.array(
         [
@@ -150,12 +151,12 @@ def _roll_pitch(q: list[float]) -> tuple[float, float]:
 def hover_state(params: VehicleParams) -> SimState:
     """Trimmed hover 1.5 m above the ground (NED: z = -1.5)."""
     return SimState(
-        angular_rate=np.zeros(3),
-        quaternion=np.array([1.0, 0.0, 0.0, 0.0]),
-        velocity=np.zeros(3),
-        position=np.array([0.0, 0.0, -1.5]),
-        rotor_speeds=np.full(4, params.hover_speed()),
-        true_k=np.ones(4),
+        angular_rate=[0.0, 0.0, 0.0],
+        quaternion=[1.0, 0.0, 0.0, 0.0],
+        velocity=[0.0, 0.0, 0.0],
+        position=[0.0, 0.0, -1.5],
+        rotor_speeds=[params.hover_speed()] * 4,
+        true_k=[1.0] * 4,
     )
 
 
@@ -165,7 +166,7 @@ def _signed_sum(signs: list, values: list) -> float:
 
 
 def _moments_and_thrust(
-    speeds: list, true_k: list, params: VehicleParams
+    speeds, true_k, params: VehicleParams
 ) -> tuple[float, float, float, float]:
     """Scalar core: body moments (m_x, m_y, m_z) and the total thrust."""
     ct = params.thrust_coeff
@@ -184,19 +185,17 @@ def actuator_moments_and_thrust(
     state: SimState, params: VehicleParams
 ) -> tuple[np.ndarray, float]:
     """Body moments from the actuators and the total thrust magnitude."""
-    m_x, m_y, m_z, thrust = _moments_and_thrust(
-        state.rotor_speeds.tolist(), state.true_k.tolist(), params
-    )
+    m_x, m_y, m_z, thrust = _moments_and_thrust(state.rotor_speeds, state.true_k, params)
     return np.array([m_x, m_y, m_z]), thrust
 
 
 def dynamics_step(
     state: SimState,
-    rotor_setpoints: np.ndarray,
+    rotor_setpoints,
     params: VehicleParams,
     dt: float,
-    external_force: np.ndarray | None = None,
-    external_moment: np.ndarray | None = None,
+    external_force=None,
+    external_moment=None,
 ) -> SimState:
     """Advance the vehicle one fixed step (RK4 on the rigid body).
 
@@ -205,30 +204,31 @@ def dynamics_step(
     ``-Omega x I Omega`` is always included; external force is expressed in
     the world frame, external moment in the body frame.
 
-    The arithmetic runs on Python floats in the operation order of the
-    vector form, so results are bit-identical to it; only the quaternion
-    normalisation stays on a numpy array, whose BLAS dot a scalar sum of
-    squares does not reproduce.
+    The state fields, setpoints, force and moment are read as float
+    sequences; lists, tuples and arrays give the same bits. The arithmetic
+    runs on Python floats in the operation order of the vector form, so
+    results are bit-identical to it; only the quaternion norm's dot stays
+    numpy, whose BLAS dot a scalar sum of squares does not reproduce.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     lo, hi = params.rotor_speed_limits
     decay = math.exp(-dt / params.motor_time_constant)
     speeds = []
-    for sp, w in zip(np.asarray(rotor_setpoints, dtype=float).tolist(), state.rotor_speeds.tolist()):
+    for sp, w in zip(rotor_setpoints, state.rotor_speeds, strict=True):
         x = sp + (w - sp) * decay
         speeds.append(hi if x > hi else lo if x < lo else x)
 
-    m_x, m_y, m_z, thrust = _moments_and_thrust(speeds, state.true_k.tolist(), params)
+    m_x, m_y, m_z, thrust = _moments_and_thrust(speeds, state.true_k, params)
     if external_moment is not None:
-        e_x, e_y, e_z = np.asarray(external_moment, dtype=float).tolist()
+        e_x, e_y, e_z = external_moment
         m_x, m_y, m_z = m_x + e_x, m_y + e_y, m_z + e_z
     ix, iy, iz = params.inertia_diag
     f_z = -thrust / params.mass  # body-frame specific force, along body z only
     if external_force is None:
         a_x = a_y = a_z = 0.0
     else:
-        a_x, a_y, a_z = (np.asarray(external_force, dtype=float) / params.mass).tolist()
+        a_x, a_y, a_z = [f / params.mass for f in external_force]
 
     def deriv(p, q, r, qw, qx, qy, qz):
         # omega_dot = (M - omega x I omega) / I, q_dot = q * (0, omega) / 2,
@@ -248,7 +248,7 @@ def dynamics_step(
         )
 
     # y = (omega, q, v); the derivative does not depend on v or position.
-    y = state.angular_rate.tolist() + state.quaternion.tolist() + state.velocity.tolist()
+    y = [*state.angular_rate, *state.quaternion, *state.velocity]
     half = 0.5 * dt
     k1 = deriv(*y[:7])
     y2 = [a + half * d for a, d in zip(y, k1)]
@@ -260,76 +260,83 @@ def dynamics_step(
 
     sixth = dt / 6.0
     new = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
-    new_q = np.array(new[3:7])
-    new_q /= math.sqrt(new_q.dot(new_q))  # np.linalg.norm's own formula
+    new_q = new[3:7]
+    q_arr = np.array(new_q)
+    norm = math.sqrt(q_arr.dot(q_arr))  # np.linalg.norm's own formula
     # velocity enters position linearly; same RK4 weights on the v stages
     new_pos = [
         x + sixth * (v1 + 2 * v2 + 2 * v3 + v4)
-        for x, v1, v2, v3, v4 in zip(state.position.tolist(), y[7:], y2[7:], y3[7:], y4[7:])
+        for x, v1, v2, v3, v4 in zip(state.position, y[7:], y2[7:], y3[7:], y4[7:])
     ]
 
     return SimState(
-        angular_rate=np.array(new[:3]),
-        quaternion=new_q,
-        velocity=np.array(new[7:]),
-        position=np.array(new_pos),
-        rotor_speeds=np.array(speeds),
-        true_k=state.true_k.copy(),
+        angular_rate=new[:3],
+        quaternion=[c / norm for c in new_q],
+        velocity=new[7:],
+        position=new_pos,
+        rotor_speeds=speeds,
+        true_k=list(state.true_k),
     )
 
 
 def inject_fault(state: SimState, event: FaultEvent) -> SimState:
     """Apply a sudden effectiveness change; the motor keeps spinning."""
     out = state.copy()
-    out.true_k[event.actuator_index - 1] = event.new_k
+    out.true_k[event.actuator_index - 1] = float(event.new_k)
     return out
 
 
-def _measure(
-    omega: np.ndarray,
-    az_true: float,
-    rotor_speeds: np.ndarray,
-    noise: SensorNoiseModel,
-    t: float,
-) -> RawSample:
-    w1, w2, w3, w4 = rotor_speeds.tolist()
-    wbar = (w1 + w2 + w3 + w4) / 4  # rotor_speeds.mean(), bit for bit
-    gyro = (
-        omega
-        + noise._gyro_bias_vec
-        + noise._rng.normal(0.0, noise.gyro_noise_std, 3)
-        + noise.gyro_vibration * np.sin(wbar * t + noise._phases[:3])
-    )
-    az = (
-        az_true
-        + noise._accel_bias_val
-        + float(noise._rng.normal(0.0, noise.accel_noise_std))
-        + noise.accel_vibration * math.sin(wbar * t + noise._phases[3])
-    )
-    return RawSample(
-        timestamp=t,
-        angular_rate=gyro,
-        proper_accel_z=az,
-        rotor_speeds=rotor_speeds.copy(),
-    )
-
-
-def synthesize_sensors(
-    state: SimState,
-    params: VehicleParams,
-    noise: SensorNoiseModel,
-    t: float,
-    external_force: np.ndarray | None = None,
-) -> RawSample:
-    """Corrupted gyro/accelerometer readings plus exact rotor speeds."""
-    thrust = _moments_and_thrust(state.rotor_speeds.tolist(), state.true_k.tolist(), params)[3]
+def _true_accel_z(state: SimState, params: VehicleParams, external_force=None) -> float:
+    """Body-z specific force the accelerometer would read with no corruption."""
+    thrust = _moments_and_thrust(state.rotor_speeds, state.true_k, params)[3]
     az_true = -thrust / params.mass
     if external_force is not None:
         # Stays a numpy product: BLAS rounds this 3-term sum differently
         # from a scalar one, and the logs must stay bit-stable.
-        f_body = quat_to_matrix(state.quaternion).T @ np.asarray(external_force)
+        f_body = quat_to_matrix(state.quaternion).T @ np.asarray(external_force, dtype=float)
         az_true += float(f_body[2]) / params.mass
-    return _measure(state.angular_rate, az_true, state.rotor_speeds, noise, t)
+    return az_true
+
+
+def synthesize_sensors(
+    angular_rate,
+    az_true,
+    rotor_speeds,
+    t,
+    noise: SensorNoiseModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupted gyro ``(n, 3)`` and accelerometer ``(n,)`` readings of n samples.
+
+    ``angular_rate`` ``(n, 3)`` holds the true body rates, ``az_true``
+    ``(n,)`` the true body-z specific force, ``rotor_speeds`` ``(n, 4)`` the
+    rotor speeds that set the vibration frequency, and ``t`` ``(n,)`` the
+    sample times. Rotor speed telemetry is never corrupted, so it is not
+    returned. The white noise is drawn in one call, row by row: three gyro
+    draws, then one accelerometer draw, which is the order n one-row calls
+    take them in, so a block gives the same bits as its rows one at a time.
+    """
+    omega = np.asarray(angular_rate, dtype=float)
+    az_true = np.asarray(az_true, dtype=float)
+    speeds = np.asarray(rotor_speeds, dtype=float)
+    t = np.asarray(t, dtype=float)
+    n = len(t)
+    if t.shape != (n,) or omega.shape != (n, 3) or az_true.shape != (n,) or speeds.shape != (n, 4):
+        raise ValueError("synthesize_sensors needs rates (n, 3), az_true (n,), rotor speeds (n, 4), t (n,)")
+    g, a = noise.gyro_noise_std, noise.accel_noise_std
+    white = noise._rng.normal(0.0, (g, g, g, a), (n, 4))
+    wbar = (speeds[:, 0] + speeds[:, 1] + speeds[:, 2] + speeds[:, 3]) / 4
+    phase = wbar * t
+    gyro = (
+        omega
+        + noise._gyro_bias_vec
+        + white[:, :3]
+        + noise.gyro_vibration * np.sin(phase[:, None] + noise._phases[:3])
+    )
+    # The accelerometer's sine is ``math.sin``, one row at a time.
+    accel_phase = float(noise._phases[3])
+    accel_sin = np.array([math.sin(x + accel_phase) for x in phase.tolist()])
+    az = az_true + noise._accel_bias_val + white[:, 3] + noise.accel_vibration * accel_sin
+    return gyro, az
 
 
 # --------------------------------------------------------------------------
@@ -366,8 +373,8 @@ class _Controller:
         self, state: SimState, roll_sp: float, pitch_sp: float, z_sp: float
     ) -> list[float]:
         params = self.params
-        roll, pitch = _roll_pitch(state.quaternion.tolist())
-        p, q, r = state.angular_rate.tolist()
+        roll, pitch = _roll_pitch(state.quaternion)
+        p, q, r = state.angular_rate
         ix, iy, iz = params.inertia_diag
 
         p_sp = self.ATT_P * (roll_sp - roll)
@@ -376,13 +383,14 @@ class _Controller:
         m_y = iy * self.RATE_P * (q_sp - q)
         m_z = iz * self.YAW_RATE_P * (0.0 - r)
 
-        z, vz = float(state.position[2]), float(state.velocity[2])
+        z, vz = state.position[2], state.velocity[2]
         thrust = params.mass * (
             GRAVITY + self.ALT_P * (z - z_sp) + self.ALT_D * vz
         )
         thrust = max(thrust, 0.1 * params.mass * GRAVITY)
 
         lo, hi = self._w_sq_limits
+        # Stays a numpy product, rounded as BLAS rounds it.
         w_sq = (self._alloc_inv @ np.array([thrust, m_x, m_y, m_z])).tolist()
         return [math.sqrt(hi if x > hi else lo if x < lo else x) for x in w_sq]
 
@@ -394,31 +402,27 @@ def _attitude_schedule(scenario: str, t: float) -> tuple[float, float]:
     return [(0.12, 0.0), (0.0, 0.12), (-0.12, 0.0), (0.0, -0.12), (0.0, 0.0)][block]
 
 
-def _wind(scenario: str, t: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _wind(scenario: str, t: float) -> tuple[list[float] | None, list[float] | None]:
+    """World-frame external force and body-frame external moment at ``t``."""
     if scenario != "wind":
         return None, None
-    force = np.array(
-        [
-            0.3 + 0.15 * math.sin(2.0 * math.pi * 0.5 * t),
-            0.2 * math.sin(2.0 * math.pi * 0.3 * t + 1.0),
-            0.0,
-        ]
-    )
-    moment = np.array(
-        [
-            0.002 * math.sin(2.0 * math.pi * 0.8 * t),
-            0.0015 * math.sin(2.0 * math.pi * 0.6 * t + 0.5),
-            0.0,
-        ]
-    )
+    force = [
+        0.3 + 0.15 * math.sin(2.0 * math.pi * 0.5 * t),
+        0.2 * math.sin(2.0 * math.pi * 0.3 * t + 1.0),
+        0.0,
+    ]
+    moment = [
+        0.002 * math.sin(2.0 * math.pi * 0.8 * t),
+        0.0015 * math.sin(2.0 * math.pi * 0.6 * t + 0.5),
+        0.0,
+    ]
     return force, moment
 
 
 def _check_plausible(state: SimState, step_index: int, t: float) -> None:
-    rate, vel = state.angular_rate.tolist(), state.velocity.tolist()
-    values = rate + vel + state.position.tolist() + state.quaternion.tolist()
+    rate, vel = state.angular_rate, state.velocity
     if (
-        not all(map(math.isfinite, values))
+        not all(map(math.isfinite, [*rate, *vel, *state.position, *state.quaternion]))
         or max(map(abs, rate)) > 1000.0
         or max(map(abs, vel)) > 1000.0
     ):
@@ -439,12 +443,16 @@ def fly_scenario(
     Scenarios: ``hover`` holds altitude and level attitude, ``step`` flies a
     repeating sequence of attitude steps, ``wind`` adds a constant-plus-gust
     external force and moment, ``ground_idle`` keeps the vehicle on the ground
-    with rotors idling below the takeoff gate.
+    with rotors idling below the takeoff gate (a fault there is not
+    annotated: nothing flies).
+
+    The flight loop reads only the true state, so the sensors of the whole
+    flight are corrupted in one ``synthesize_sensors`` call at the end.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r} (expected one of {SCENARIOS})")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     if fault is not None and fault.time >= duration:
         raise ValueError("fault time must fall inside the flight duration")
     params = VehicleParams()
@@ -453,58 +461,44 @@ def fly_scenario(
 
     dt = 0.002  # s
     n = round(duration / dt)
-    rows_gyro = np.empty((n, 3))
-    rows_az = np.empty(n)
-    rows_w = np.empty((n, 4))
-    times = np.empty(n)
+    if n < 1:
+        raise ValueError(f"duration {duration} s is shorter than one {dt} s sample")
+    times = np.arange(1, n + 1) * dt
 
     if scenario == "ground_idle":
-        idle = np.full(4, IDLE_ROTOR_SPEED)
-        omega = np.zeros(3)
+        fault = None
+        rates = np.zeros((n, 3))
+        az_true = np.full(n, -GRAVITY)
+        speeds = np.full((n, 4), IDLE_ROTOR_SPEED)
+    else:
+        controller = _Controller(params)
+        state = hover_state(params)
+        z_sp = state.position[2]
+        fault_applied = fault is None
+        rates, az_true, speeds = [], [], []
         for i in range(n):
-            t = (i + 1) * dt
-            raw = _measure(omega, -GRAVITY, idle, noise, t)
-            times[i] = t
-            rows_gyro[i] = raw.angular_rate
-            rows_az[i] = raw.proper_accel_z
-            rows_w[i] = raw.rotor_speeds
-        return FlightLog(
-            sample_rate_hz=1.0 / dt,
-            t=times,
-            gyro=rows_gyro,
-            accel_z=rows_az,
-            rotor_speeds=rows_w,
-            vehicle="default",
-        )
+            t_start = i * dt
+            t_next = (i + 1) * dt
+            if not fault_applied and t_next > fault.time:
+                state = inject_fault(state, fault)
+                fault_applied = True
+            roll_sp, pitch_sp = _attitude_schedule(scenario, t_start)
+            force, moment = _wind(scenario, t_start)
+            setpoints = controller.setpoints(state, roll_sp, pitch_sp, z_sp)
+            state = dynamics_step(state, setpoints, params, dt, force, moment)
+            _check_plausible(state, i, t_next)
+            rates.append(state.angular_rate)
+            az_true.append(_true_accel_z(state, params, force))
+            speeds.append(state.rotor_speeds)
+        speeds = np.array(speeds)
 
-    controller = _Controller(params)
-    state = hover_state(params)
-    z_sp = float(state.position[2])
-    fault_applied = fault is None
-
-    for i in range(n):
-        t_start = i * dt
-        t_next = (i + 1) * dt
-        if not fault_applied and t_next > fault.time:
-            state = inject_fault(state, fault)
-            fault_applied = True
-        roll_sp, pitch_sp = _attitude_schedule(scenario, t_start)
-        force, moment = _wind(scenario, t_start)
-        setpoints = controller.setpoints(state, roll_sp, pitch_sp, z_sp)
-        state = dynamics_step(state, setpoints, params, dt, force, moment)
-        _check_plausible(state, i, t_next)
-        raw = synthesize_sensors(state, params, noise, t_next, external_force=force)
-        times[i] = t_next
-        rows_gyro[i] = raw.angular_rate
-        rows_az[i] = raw.proper_accel_z
-        rows_w[i] = raw.rotor_speeds
-
+    gyro, accel_z = synthesize_sensors(rates, az_true, speeds, times, noise)
     return FlightLog(
         sample_rate_hz=1.0 / dt,
         t=times,
-        gyro=rows_gyro,
-        accel_z=rows_az,
-        rotor_speeds=rows_w,
+        gyro=gyro,
+        accel_z=accel_z,
+        rotor_speeds=speeds,
         fault_actuator=fault.actuator_index if fault else None,
         fault_time_s=fault.time if fault else None,
         vehicle="default",

@@ -163,6 +163,45 @@ def _write_hover_log(path, rotor_speed="700.0", gyro_p_at_row=None, gap_before_r
     return path
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("--fault", "3:nan"), "fault time must be finite and non-negative"),
+        (("--duration", "inf"), "duration must be finite and positive"),
+        (("--noise-scale", "-1"), "noise scale factor must be finite and non-negative"),
+        (("--noise-scale", "nan"), "noise scale factor must be finite and non-negative"),
+    ],
+)
+def test_simulate_non_finite_or_negative_input_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", *argv, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "-500.0", "0.0", "inf"])
+def test_detect_rate_that_is_not_finite_and_positive_is_bad_log(tmp_path, capsys, rate):
+    log = _write_hover_log(tmp_path / "rate.csv", rows=1 if rate == "-500.0" else 40)
+    log.write_text(log.read_text().replace("sample_rate_hz=500.0", f"sample_rate_hz={rate}", 1))
+    assert run_cli("detect", "--log", str(log)) == 2
+    err = capsys.readouterr().err
+    assert f"bad log {log}: header sample_rate_hz={rate[:3]}" in err and "is not finite and positive" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan"])
+@pytest.mark.parametrize("command", ["detect", "sweep"])
+def test_bad_fault_time_header_is_bad_log(tmp_path, capsys, value, command):
+    log = _write_hover_log(tmp_path / "fault.csv")
+    log.write_text(f"# fault_actuator=3\n# fault_time_s={value}\n" + log.read_text())
+    if command == "detect":
+        code = run_cli("detect", "--log", str(log))
+    else:
+        code = run_cli("sweep", "--logs", str(log), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad log {log}: " in err and "fault_time_s" in err
+
+
 def test_detect_inf_gyro_is_bad_log_naming_the_line(tmp_path, capsys):
     log = _write_hover_log(tmp_path / "inf.csv", gyro_p_at_row=(5, "inf"))
     assert run_cli("detect", "--log", str(log)) == 2

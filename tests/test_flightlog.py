@@ -232,6 +232,51 @@ def test_fault_header_requires_time(tmp_path):
         load_log(path)
 
 
+@pytest.mark.parametrize("n", [1, 50])
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -500.0])
+def test_validate_rejects_a_rate_that_is_not_finite_and_positive(rate, n):
+    log = synthetic_log(n=n)
+    with pytest.raises(LogFormatError, match="^header sample_rate_hz=.* is not finite and positive$") as caught:
+        FlightLog(rate, log.t, log.gyro, log.accel_z, log.rotor_speeds)
+    assert caught.value.sample is None
+
+
+def test_validate_rejects_a_non_finite_fault_time():
+    log = synthetic_log(fault=(3, 0.05))
+    for time in (math.nan, math.inf):
+        log.fault_time_s = time
+        with pytest.raises(LogFormatError, match="^header fault_time_s=.* is not finite$") as caught:
+            log.validate()
+        assert caught.value.sample is None
+
+
+@pytest.mark.parametrize(("rate", "rows"), [("nan", 3), ("inf", 3), ("0", 3), ("-500.0", 1), ("nan", 1)])
+def test_load_log_rejects_a_rate_that_is_not_finite_and_positive(tmp_path, rate, rows):
+    path = _write(
+        tmp_path / "rate.csv",
+        f"# sample_rate_hz={rate}\n"
+        + ",".join(COLUMNS)
+        + "\n"
+        + "".join(f"{(i + 1) * 0.002!r},0,0,0,-9.81,500,500,500,500\n" for i in range(rows)),
+    )
+    with pytest.raises(LogFormatError, match=f"^header sample_rate_hz={rate[:3]}.* is not finite and positive$"):
+        load_log(path)
+
+
+@pytest.mark.parametrize(
+    ("value", "message"), [("abc", "^bad fault_time_s: 'abc'$"), ("nan", "^header fault_time_s=nan is not finite$")]
+)
+def test_load_log_rejects_a_bad_fault_time(tmp_path, value, message):
+    path = _write(
+        tmp_path / "fault_time.csv",
+        f"# sample_rate_hz=500.0\n# fault_actuator=3\n# fault_time_s={value}\n"
+        + ",".join(COLUMNS)
+        + "\n0.002,0,0,0,-9.81,500,500,500,500\n",
+    )
+    with pytest.raises(LogFormatError, match=message):
+        load_log(path)
+
+
 def test_fault_actuator_range_checked(tmp_path):
     path = _write(
         tmp_path / "fault5.csv",

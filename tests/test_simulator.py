@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,18 @@ from loedetect.effectiveness import DEFAULT_GAINS, SIGN_MATRIX, observation_matr
 from loedetect.filters import FilterState, design_lowpass, FilterDesign
 from loedetect.simulator import (
     GRAVITY,
+    IDLE_ROTOR_SPEED,
     YAW_SIGNS,
     DivergenceError,
     FaultEvent,
     SensorNoiseModel,
     SimState,
     VehicleParams,
+    _attitude_schedule,
     _check_plausible,
+    _Controller,
+    _true_accel_z,
+    _wind,
     actuator_moments_and_thrust,
     dynamics_step,
     fly_scenario,
@@ -28,8 +34,21 @@ QUIET = SensorNoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
-# Vector-form oracle: the numpy RK4 and sensor model the simulator's scalar
-# per-step code reproduces bit for bit (same operations, same order).
+# Vector-form oracle: the numpy RK4, controller and per-sample sensor model
+# the simulator's float code and its one-block sensor model reproduce bit
+# for bit (same operations, same order). Oracle states hold ndarrays.
+
+
+def as_arrays(state):
+    return SimState(**{name: np.array(value, dtype=float) for name, value in vars(state).items()})
+
+
+def as_floats(state):
+    return SimState(**{name: np.asarray(value, dtype=float).tolist() for name, value in vars(state).items()})
+
+
+def floats_or_none(vector):
+    return None if vector is None else np.asarray(vector, dtype=float).tolist()
 
 
 def oracle_moments_and_thrust(state, params):
@@ -61,9 +80,7 @@ def oracle_dynamics_step(state, rotor_setpoints, params, dt, external_force=None
         lo,
         hi,
     )
-    work = state.copy()
-    work.rotor_speeds = new_speeds
-    moments, thrust_total = oracle_moments_and_thrust(work, params)
+    moments, thrust_total = oracle_moments_and_thrust(replace(state, rotor_speeds=new_speeds), params)
     if external_moment is not None:
         moments = moments + external_moment
     inertia = np.asarray(params.inertia_diag)
@@ -99,9 +116,14 @@ def oracle_synthesize_sensors(state, params, noise, t, external_force=None):
     if external_force is not None:
         f_body = quat_to_matrix(state.quaternion).T @ np.asarray(external_force)
         az_true += float(f_body[2]) / params.mass
-    wbar = float(state.rotor_speeds.mean())
+    return oracle_measure(state.angular_rate, az_true, state.rotor_speeds, noise, t)
+
+
+def oracle_measure(omega, az_true, rotor_speeds, noise, t):
+    """One sample's corruption: three gyro draws, then one accelerometer draw."""
+    wbar = float(rotor_speeds.mean())
     gyro = (
-        state.angular_rate
+        omega
         + noise._gyro_bias_vec
         + noise._rng.normal(0.0, noise.gyro_noise_std, 3)
         + noise.gyro_vibration * np.sin(wbar * t + noise._phases[:3])
@@ -113,6 +135,60 @@ def oracle_synthesize_sensors(state, params, noise, t, external_force=None):
         + noise.accel_vibration * math.sin(wbar * t + noise._phases[3])
     )
     return gyro, az
+
+
+def oracle_setpoints(state, roll_sp, pitch_sp, z_sp, params):
+    """``_Controller.setpoints`` on arrays: same gains, same operations."""
+    ct, cm = params.thrust_coeff, params.moment_coeff
+    alloc = np.array(
+        [
+            [ct, ct, ct, ct],
+            ct * params.arm_y * SIGN_MATRIX[0],
+            ct * params.arm_x * SIGN_MATRIX[1],
+            cm * YAW_SIGNS,
+        ]
+    )
+    w, x, y, z = state.quaternion
+    roll = math.atan2(2 * (w * x + y * z), 1 - 2 * (x * x + y * y))
+    pitch = math.asin(np.clip(2 * (w * y - z * x), -1.0, 1.0))
+    rate_sp = np.array([_Controller.ATT_P * (roll_sp - roll), _Controller.ATT_P * (pitch_sp - pitch), 0.0])
+    gains = np.array([_Controller.RATE_P, _Controller.RATE_P, _Controller.YAW_RATE_P])
+    moments = np.asarray(params.inertia_diag) * gains * (rate_sp - state.angular_rate)
+    thrust = params.mass * (
+        GRAVITY + _Controller.ALT_P * (state.position[2] - z_sp) + _Controller.ALT_D * state.velocity[2]
+    )
+    thrust = max(thrust, 0.1 * params.mass * GRAVITY)
+    w_sq = np.linalg.inv(alloc) @ np.concatenate([[thrust], moments])
+    lo, hi = params.rotor_speed_limits
+    return np.sqrt(np.clip(w_sq, lo**2, hi**2))
+
+
+def oracle_flight(scenario, duration, fault, noise):
+    """``fly_scenario`` from the oracles, one step and one sensor sample at a time."""
+    noise.reset()
+    dt = 0.002
+    n = round(duration / dt)
+    t, gyro, az, speeds = np.empty(n), np.empty((n, 3)), np.empty(n), np.empty((n, 4))
+    state = as_arrays(hover_state(PARAMS))
+    z_sp = state.position[2]
+    pending = fault
+    for i in range(n):
+        t[i] = (i + 1) * dt
+        if scenario == "ground_idle":
+            speeds[i] = IDLE_ROTOR_SPEED
+            gyro[i], az[i] = oracle_measure(np.zeros(3), -GRAVITY, speeds[i], noise, t[i])
+            continue
+        if pending is not None and t[i] > pending.time:
+            true_k = state.true_k.copy()
+            true_k[pending.actuator_index - 1] = pending.new_k
+            state = replace(state, true_k=true_k)
+            pending = None
+        force, moment = (None if v is None else np.array(v) for v in _wind(scenario, i * dt))
+        setpoints = oracle_setpoints(state, *_attitude_schedule(scenario, i * dt), z_sp, PARAMS)
+        state = oracle_dynamics_step(state, setpoints, PARAMS, dt, force, moment)
+        gyro[i], az[i] = oracle_synthesize_sensors(state, PARAMS, noise, t[i], force)
+        speeds[i] = state.rotor_speeds
+    return t, gyro, az, speeds
 
 
 def random_state(rng):
@@ -145,10 +221,29 @@ def test_dynamics_step_matches_vector_oracle_bit_for_bit():
         setpoints = rng.uniform(0.0, 1600.0, 4)
         dt = float(rng.choice([0.002, 0.0005, 0.01]))
         force, moment = random_wind(rng)
-        got = dynamics_step(state, setpoints, PARAMS, dt, force, moment)
+        got = dynamics_step(
+            as_floats(state), setpoints.tolist(), PARAMS, dt, floats_or_none(force), floats_or_none(moment)
+        )
         want = oracle_dynamics_step(state, setpoints, PARAMS, dt, force, moment)
         for name in ("angular_rate", "quaternion", "velocity", "position", "rotor_speeds", "true_k"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert all(type(v) is float for v in getattr(got, name)), name
+
+
+def test_dynamics_step_reads_lists_tuples_and_arrays_alike():
+    rng = np.random.default_rng(2025)
+    for _ in range(200):
+        state = random_state(rng)
+        setpoints = rng.uniform(0.0, 1600.0, 4)
+        force, moment = rng.normal(0.0, 0.5, 3), rng.normal(0.0, 0.003, 3)
+        want = dynamics_step(as_floats(state), setpoints.tolist(), PARAMS, 0.002, force.tolist(), moment.tolist())
+        as_tuples = SimState(**{name: tuple(value.tolist()) for name, value in vars(state).items()})
+        for got in (
+            dynamics_step(state, setpoints, PARAMS, 0.002, force, moment),
+            dynamics_step(as_tuples, tuple(setpoints.tolist()), PARAMS, 0.002, tuple(force), tuple(moment)),
+        ):
+            for name, value in vars(want).items():
+                assert np.array_equal(getattr(got, name), value), name
 
 
 def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
@@ -158,14 +253,53 @@ def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
         state = random_state(rng)
         force, _ = random_wind(rng)
         t = (i + 1) * 0.002
-        raw = synthesize_sensors(state, PARAMS, noise, t, external_force=force)
-        gyro, az = oracle_synthesize_sensors(state, PARAMS, oracle_noise, t, external_force=force)
-        assert np.array_equal(raw.angular_rate, gyro)
-        assert raw.proper_accel_z == az
-        assert np.array_equal(raw.rotor_speeds, state.rotor_speeds)
-    moments, thrust = actuator_moments_and_thrust(state, PARAMS)
+        floats = as_floats(state)
+        az_true = _true_accel_z(floats, PARAMS, floats_or_none(force))
+        gyro, az = synthesize_sensors([floats.angular_rate], [az_true], [floats.rotor_speeds], [t], noise)
+        want_gyro, want_az = oracle_synthesize_sensors(state, PARAMS, oracle_noise, t, external_force=force)
+        assert gyro.shape == (1, 3) and az.shape == (1,)
+        assert np.array_equal(gyro[0], want_gyro)
+        assert az[0] == want_az
+    moments, thrust = actuator_moments_and_thrust(floats, PARAMS)
     want_moments, want_thrust = oracle_moments_and_thrust(state, PARAMS)
     assert np.array_equal(moments, want_moments) and thrust == want_thrust
+
+
+def test_one_sensor_block_equals_its_rows_one_at_a_time():
+    # One block draws the generator in the per-sample order: three gyro
+    # draws, then one accelerometer draw, row after row.
+    rng = np.random.default_rng(8)
+    n = 500
+    omega = rng.normal(0.0, 1.0, (n, 3))
+    az_true = rng.normal(-GRAVITY, 1.0, n)
+    speeds = rng.uniform(150.0, 1300.0, (n, 4))
+    t = np.arange(1, n + 1) * 0.002
+    block_noise, row_noise = SensorNoiseModel(seed=12), SensorNoiseModel(seed=12)
+    gyro, az = synthesize_sensors(omega, az_true, speeds, t, block_noise)
+    for i in range(n):
+        row = slice(i, i + 1)
+        row_gyro, row_az = synthesize_sensors(omega[row], az_true[row], speeds[row], t[row], row_noise)
+        assert np.array_equal(row_gyro, gyro[row])
+        assert np.array_equal(row_az, az[row])
+
+
+@pytest.mark.parametrize(
+    ("scenario", "fault"),
+    [
+        ("hover", FaultEvent(time=0.55, actuator_index=3)),
+        ("step", FaultEvent(time=0.9, actuator_index=1)),
+        ("wind", FaultEvent(time=0.7, actuator_index=2, new_k=0.4)),
+        ("ground_idle", None),
+    ],
+)
+def test_whole_flight_matches_the_per_step_vector_oracles_bit_for_bit(scenario, fault):
+    log = fly_scenario(scenario, duration=1.2, fault=fault, noise=SensorNoiseModel(seed=21))
+    t, gyro, az, speeds = oracle_flight(scenario, 1.2, fault, SensorNoiseModel(seed=21))
+    assert np.array_equal(log.t, t)
+    assert np.array_equal(log.gyro, gyro)
+    assert np.array_equal(log.accel_z, az)
+    assert np.array_equal(log.rotor_speeds, speeds)
+    assert log.ground_truth() == (None if fault is None else (fault.actuator_index, fault.time))
 
 
 def test_vehicle_params_validation():
@@ -197,7 +331,7 @@ def test_hover_equilibrium_is_a_fixed_point():
         state = dynamics_step(state, setpoints, PARAMS, 0.002)
     assert np.abs(state.angular_rate).max() <= 1e-9
     assert np.abs(state.velocity).max() <= 1e-9
-    assert np.abs(state.position - hover_state(PARAMS).position).max() <= 1e-9
+    assert np.abs(np.asarray(state.position) - hover_state(PARAMS).position).max() <= 1e-9
 
 
 def test_sudden_loss_of_rotor_three_signs():
@@ -216,8 +350,8 @@ def test_sudden_loss_of_rotor_three_signs():
 
 def test_angular_momentum_conserved_without_applied_moments():
     state = hover_state(PARAMS)
-    state.true_k = np.zeros(4)  # no thrust, no yaw reaction: pure coupling term
-    state.angular_rate = np.array([1.0, -2.0, 3.0])
+    state.true_k = [0.0] * 4  # no thrust, no yaw reaction: pure coupling term
+    state.angular_rate = [1.0, -2.0, 3.0]
     inertia = np.asarray(PARAMS.inertia_diag)
     h0 = np.linalg.norm(inertia * state.angular_rate)
     setpoints = state.rotor_speeds.copy()
@@ -229,7 +363,7 @@ def test_angular_momentum_conserved_without_applied_moments():
 
 def test_quaternion_stays_normalized():
     state = hover_state(PARAMS)
-    state.angular_rate = np.array([2.0, 1.0, -1.5])
+    state.angular_rate = [2.0, 1.0, -1.5]
     setpoints = state.rotor_speeds.copy()
     for _ in range(500):
         state = dynamics_step(state, setpoints, PARAMS, 0.002)
@@ -247,9 +381,9 @@ def test_motor_lag_tracks_setpoints():
 def test_rotor_speeds_clipped_to_limits():
     state = hover_state(PARAMS)
     state = dynamics_step(state, np.full(4, 10_000.0), PARAMS, 1.0)
-    assert np.all(state.rotor_speeds <= PARAMS.rotor_speed_limits[1])
+    assert np.all(np.asarray(state.rotor_speeds) <= PARAMS.rotor_speed_limits[1])
     state = dynamics_step(state, np.zeros(4), PARAMS, 10.0)
-    assert np.all(state.rotor_speeds >= PARAMS.rotor_speed_limits[0])
+    assert np.all(np.asarray(state.rotor_speeds) >= PARAMS.rotor_speed_limits[0])
 
 
 def test_inject_fault_zeroes_thrust_but_keeps_rotor_spinning():
@@ -257,7 +391,7 @@ def test_inject_fault_zeroes_thrust_but_keeps_rotor_spinning():
     failed = inject_fault(state, FaultEvent(time=1.0, actuator_index=2, new_k=0.0))
     assert failed.true_k[1] == 0.0
     assert failed.rotor_speeds[1] == state.rotor_speeds[1] > 0.0
-    thrusts = PARAMS.thrust_coeff * failed.true_k * np.square(failed.rotor_speeds)
+    thrusts = PARAMS.thrust_coeff * np.asarray(failed.true_k) * np.square(failed.rotor_speeds)
     assert thrusts[1] == 0.0
 
 
@@ -277,27 +411,39 @@ def test_double_ejection_zeroes_both():
 def test_fault_event_validation():
     with pytest.raises(ValueError):
         FaultEvent(time=-1.0, actuator_index=1)
+    for time in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            FaultEvent(time=time, actuator_index=1)
     with pytest.raises(ValueError):
         FaultEvent(time=1.0, actuator_index=5)
     with pytest.raises(ValueError):
         FaultEvent(time=1.0, actuator_index=1, new_k=1.5)
 
 
+@pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
+def test_noise_scale_must_be_finite_and_non_negative(factor):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SensorNoiseModel(seed=1).scaled(factor)
+    with pytest.raises(ValueError, match="gyro_noise_std must be finite and non-negative"):
+        SensorNoiseModel(gyro_noise_std=factor)
+
+
 def test_zero_noise_sensors_are_exact():
     state = hover_state(PARAMS)
-    raw = synthesize_sensors(state, PARAMS, QUIET, t=0.5)
-    assert np.array_equal(raw.angular_rate, state.angular_rate)
+    az_true = _true_accel_z(state, PARAMS)
+    gyro, az = synthesize_sensors([state.angular_rate], [az_true], [state.rotor_speeds], [0.5], QUIET)
+    assert np.array_equal(gyro, [state.angular_rate])
     _, thrust = actuator_moments_and_thrust(state, PARAMS)
-    assert raw.proper_accel_z == pytest.approx(-thrust / PARAMS.mass, rel=1e-12)
-    assert np.array_equal(raw.rotor_speeds, state.rotor_speeds)
-    assert raw.proper_accel_z == pytest.approx(-GRAVITY, rel=1e-9)
+    assert az[0] == pytest.approx(-thrust / PARAMS.mass, rel=1e-12)
+    assert az[0] == pytest.approx(-GRAVITY, rel=1e-9)
 
 
 def test_rpm_telemetry_never_corrupted():
-    noisy = SensorNoiseModel(seed=3)
-    state = hover_state(PARAMS)
-    raw = synthesize_sensors(state, PARAMS, noisy, t=0.25)
-    assert np.array_equal(raw.rotor_speeds, state.rotor_speeds)
+    # The sensor model returns gyro and accelerometer only, so the logged
+    # rotor speeds are the true ones however noisy the sensors; the
+    # whole-flight oracle test checks the same for flying scenarios.
+    idle = fly_scenario("ground_idle", duration=0.5, noise=SensorNoiseModel(seed=3))
+    assert np.all(idle.rotor_speeds == IDLE_ROTOR_SPEED)
 
 
 def test_fixed_seed_streams_are_bit_identical():
@@ -315,9 +461,14 @@ def test_vibration_tracks_rotor_frequency():
     state = hover_state(PARAMS)
     dt = 0.002
     n = 2000
-    samples = np.array(
-        [synthesize_sensors(state, PARAMS, vib_only, t=(i + 1) * dt).angular_rate[0] for i in range(n)]
+    gyro, _ = synthesize_sensors(
+        [state.angular_rate] * n,
+        [_true_accel_z(state, PARAMS)] * n,
+        [state.rotor_speeds] * n,
+        np.arange(1, n + 1) * dt,
+        vib_only,
     )
+    samples = gyro[:, 0]
     spectrum = np.abs(np.fft.rfft(samples - samples.mean()))
     freqs = np.fft.rfftfreq(n, dt)
     peak = freqs[int(np.argmax(spectrum))]
@@ -370,13 +521,18 @@ def test_scenario_validation():
         fly_scenario("loop-the-loop", duration=1.0)
     with pytest.raises(ValueError):
         fly_scenario("hover", duration=0.0)
+    for duration in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fly_scenario("hover", duration=duration)
+    with pytest.raises(ValueError, match="shorter than one 0.002 s sample"):
+        fly_scenario("ground_idle", duration=0.001)
     with pytest.raises(ValueError):
         fly_scenario("hover", duration=1.0, fault=FaultEvent(time=2.0, actuator_index=1))
 
 
 def test_divergence_check_raises():
     state = hover_state(PARAMS)
-    state.angular_rate = np.array([np.inf, 0.0, 0.0])
+    state.angular_rate = [math.inf, 0.0, 0.0]
     with pytest.raises(DivergenceError, match="step 7"):
         _check_plausible(state, 7, 0.016)
 
@@ -392,15 +548,15 @@ def test_divergence_check_raises():
 )
 def test_divergence_check_catches_nan_and_runaway_states(field, value):
     state = hover_state(PARAMS)
-    setattr(state, field, np.array(value))
+    setattr(state, field, list(value))
     with pytest.raises(DivergenceError, match="step 7"):
         _check_plausible(state, 7, 0.016)
 
 
 def test_divergence_check_accepts_the_envelope_edge():
     state = hover_state(PARAMS)
-    state.angular_rate = np.array([0.0, -1000.0, 0.0])
-    state.velocity = np.array([1000.0, 0.0, 0.0])
+    state.angular_rate = [0.0, -1000.0, 0.0]
+    state.velocity = [1000.0, 0.0, 0.0]
     _check_plausible(state, 7, 0.016)
 
 

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from loedetect import cli
+from loedetect import cli, simulator
 from loedetect.detector import Conditioner, default_config
 from loedetect.flightlog import save_log
 from loedetect.simulator import SensorNoiseModel, fly_scenario
@@ -50,3 +50,18 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path):
     assert metrics["decision.failure_probabilities.calls"][0] == armed_ticks + 1
     # The log is checked once, when load_log builds it.
     assert metrics["flightlog.FlightLog.validate.calls"][0] == 1
+
+
+def test_simulator_steps_per_sample_and_corrupts_sensors_once_per_flight():
+    # The simulator's layer split: one dynamics step per sample, and one
+    # sensor-model call for the whole flight.
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        log = simulator.fly_scenario("wind", duration=0.3, noise=SensorNoiseModel(seed=4))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["simulator.fly_scenario.calls"][0] == 1
+    assert metrics["simulator.dynamics_step.calls"][0] == len(log) == 150
+    assert metrics["simulator.synthesize_sensors.calls"][0] == 1
