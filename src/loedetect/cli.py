@@ -10,8 +10,10 @@ import glob
 import json
 import os
 import sys
+from collections import deque
 
 from .detector import (
+    Detector,
     DetectorConfig,
     default_config,
     format_config,
@@ -21,8 +23,10 @@ from . import flightlog
 from .replay import (
     SampleRateMismatchError,
     SweepSpec,
+    _check_sample_rate,
     default_sweep_spec,
-    evaluate,
+    evaluate,  # unused: perfbench/spans.py wraps cli.evaluate and cli.run_detector by name
+    evaluate_status,
     render_report,
     read_results_csv,
     run_detector,
@@ -104,28 +108,42 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_outputs_csv(outputs, path) -> None:
+TICKS_HEADER = ",".join(
+    ["t"]
+    + [f"k{i}" for i in range(1, 5)]
+    + [f"var{i}" for i in range(1, 5)]
+    + [f"pfail{i}" for i in range(1, 5)]
+    + ["armed"]
+    + [f"failed{i}" for i in range(1, 5)]
+)
+
+# Rows the ticks writer joins into one ``write``.
+TICKS_BLOCK_ROWS = 256
+
+
+def _write_outputs_csv(outputs, path) -> int:
+    """Write one ticks-CSV row per output as it arrives; return the row count."""
+    n_rows = 0
     with open(path, "w", encoding="utf-8") as fh:
-        names = (
-            ["t"]
-            + [f"k{i}" for i in range(1, 5)]
-            + [f"var{i}" for i in range(1, 5)]
-            + [f"pfail{i}" for i in range(1, 5)]
-            + ["armed"]
-            + [f"failed{i}" for i in range(1, 5)]
-        )
-        fh.write(",".join(names) + "\n")
-        # Estimator fields and status change only on estimator ticks, where
-        # the detector publishes new snapshot objects: format each one once.
-        k_hat = variances = p_fail = status = None
+        fh.write(TICKS_HEADER + "\n")
+        # Every field after the timestamp changes only with the snapshot
+        # arrays, which the detector replaces together with the status on
+        # estimator ticks, or with ``armed``: format that text once per change.
+        k_hat = armed = None
+        block: list[str] = []
         for out in outputs:
-            if out.k_hat is not k_hat or out.variances is not variances or out.p_fail is not p_fail:
-                k_hat, variances, p_fail = out.k_hat, out.variances, out.p_fail
-                estimates = ",".join(map(repr, k_hat.tolist() + variances.tolist() + p_fail.tolist()))
-            if out.status is not status:
-                status = out.status
-                flags = ",".join([str(int(f)) for f in status.failed])
-            fh.write(f"{out.timestamp!r},{estimates},{int(out.armed)},{flags}\n")
+            if out.k_hat is not k_hat or out.armed is not armed:
+                k_hat, armed = out.k_hat, out.armed
+                estimates = k_hat.tolist() + out.variances.tolist() + out.p_fail.tolist()
+                flags = [str(int(f)) for f in out.status.failed]
+                rest = f",{','.join(map(repr, estimates))},{int(armed)},{','.join(flags)}\n"
+            block.append(repr(out.timestamp) + rest)
+            if len(block) == TICKS_BLOCK_ROWS:
+                fh.write("".join(block))
+                n_rows += len(block)
+                block.clear()
+        fh.write("".join(block))
+    return n_rows + len(block)
 
 
 def cmd_detect(args) -> int:
@@ -136,13 +154,17 @@ def cmd_detect(args) -> int:
         log = flightlog.load_log(args.log)
     except flightlog.LogFormatError as exc:
         raise CommandError(f"bad log {args.log}: {exc}", USAGE_ERROR) from exc
-    outputs = run_detector(log, config)
+    _check_sample_rate(log, config)
+    detector = Detector(config)
+    outputs = map(detector.process_sample, log.samples())
     if args.out:
-        _write_outputs_csv(outputs, args.out)
-        print(f"wrote {args.out}: {len(outputs)} detector outputs")
+        n_rows = _write_outputs_csv(outputs, args.out)
+        print(f"wrote {args.out}: {n_rows} detector outputs")
+    else:
+        deque(outputs, maxlen=0)
 
-    result = evaluate(outputs, log.ground_truth())
-    for i, t in enumerate(outputs[-1].status.first_detection_time):
+    result = evaluate_status(detector.status, float(log.t[0]), float(log.t[-1]), log.ground_truth())
+    for i, t in enumerate(detector.status.first_detection_time):
         if t is not None:
             print(f"actuator {i + 1} latched at t={t:g} s")
     if log.ground_truth() is not None:
@@ -194,7 +216,10 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     if not os.path.exists(args.results):
         raise CommandError(f"results file not found: {args.results}", USAGE_ERROR)
-    rows = read_results_csv(args.results)
+    try:
+        rows = read_results_csv(args.results)
+    except ValueError as exc:
+        raise CommandError(f"bad results file {args.results}: {exc}", USAGE_ERROR) from exc
     base = _load_config(args.config)
     spec = _load_sweep_spec(args.spec, base)
     known = {p.set_id for p in spec.parameter_sets()}

@@ -56,10 +56,11 @@ class DetectorConfig:
     hover_thrust_reference: float = DEFAULT_HOVER_THRUST_REFERENCE  # sum w_i^2, (rad/s)^2
 
     def __post_init__(self) -> None:
-        if not self.sensor_interval > 0.0:
-            raise ValueError("sensor_interval must be positive")
-        if not self.estimator_interval > 0.0:
-            raise ValueError("estimator_interval must be positive")
+        # Chained comparisons are False on NaN, so these also reject NaN.
+        if not 0.0 < self.sensor_interval < _INF:
+            raise ValueError(f"sensor_interval must be finite and positive, got {self.sensor_interval}")
+        if not 0.0 < self.estimator_interval < _INF:
+            raise ValueError(f"estimator_interval must be finite and positive, got {self.estimator_interval}")
         ratio = self.estimator_interval / self.sensor_interval
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
             raise ValueError(
@@ -68,8 +69,10 @@ class DetectorConfig:
             )
         if not 0.0 < self.takeoff_thrust_fraction < 1.0:
             raise ValueError("takeoff_thrust_fraction must be in (0, 1)")
-        if not self.hover_thrust_reference > 0.0:
-            raise ValueError("hover_thrust_reference must be positive")
+        if not 0.0 < self.hover_thrust_reference < _INF:
+            raise ValueError(
+                f"hover_thrust_reference must be finite and positive, got {self.hover_thrust_reference}"
+            )
         design_lowpass(self.lowpass, self.sensor_interval)  # rejects a filter above Nyquist
 
     def steps_per_estimate(self) -> int:

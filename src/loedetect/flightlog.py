@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -158,76 +159,47 @@ def save_log(log: FlightLog, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_header(lines: list[tuple[int, str]]) -> dict[str, str]:
-    header: dict[str, str] = {}
-    for lineno, line in lines:
-        body = line[1:].strip()
-        if "=" not in body:
-            raise LogFormatError(f"line {lineno}: malformed header line {line!r}")
-        key, _, value = body.partition("=")
-        header[key.strip()] = value.strip()
-    return header
+def _read_head(fh) -> tuple[list[tuple[int, str]], tuple[int, str] | None]:
+    """Read the ``#`` header lines and the column line, skipping blank lines.
 
-
-def _reject_non_finite(flat: array, n_rows: int, linenos: array) -> None:
-    """Raise naming the first of the ``n_rows`` parsed rows in ``flat`` with a NaN or Inf field."""
-    rows = np.frombuffer(flat, count=n_rows * len(COLUMNS)).reshape(n_rows, len(COLUMNS))
-    if not np.isfinite(rows).all():  # the per-row pass only runs to name the line
-        finite = np.isfinite(rows).all(axis=1)
-        raise LogFormatError(f"line {linenos[int(np.argmin(finite))]}: NaN or Inf field")
-
-
-def load_log(path) -> FlightLog:
-    """Parse a log file into a ``FlightLog``; schema violations name the first bad line.
-
-    One pass over the file: data rows are parsed as they are read, so only
-    the parsed values and each row's line number are kept. The first bad
-    data row is held back and reported after the column and header checks,
-    which take precedence over it. The rules on the parsed values are
-    ``FlightLog.validate``'s; an error it raises about one sample is
-    re-raised naming that sample's line.
+    Returns them with their line numbers; the column line is ``None`` when
+    the file ends first. ``fh`` is left at the first line after it.
     """
     header_lines: list[tuple[int, str]] = []
-    column_line: tuple[int, str] | None = None
-    n_columns = len(COLUMNS)
-    flat = array("d")  # row-major, 8 bytes a field, no float objects kept
-    linenos = array("l")  # file line number of each parsed data row
-    bad_row: str | None = None  # message for the first data row that does not parse
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if column_line is not None:
-                    raise LogFormatError(f"line {lineno}: header line after data began")
-                header_lines.append((lineno, line.rstrip("\n")))
-            elif column_line is None:
-                column_line = (lineno, line.rstrip("\n"))
-            elif bad_row is None:
-                # Rows after a bad one are not parsed, so ``flat`` and
-                # ``linenos`` end at the last good row before it.
-                parts = line.split(",")
-                if len(parts) != n_columns:
-                    bad_row = f"line {lineno}: expected {n_columns} columns, got {len(parts)}"
-                    continue
-                try:
-                    flat.extend(map(float, parts))
-                except ValueError:
-                    text = line.rstrip("\n")
-                    bad_row = f"line {lineno}: unparseable number in {text!r}"
-                    continue
-                linenos.append(lineno)
+    for lineno, line in enumerate(iter(fh.readline, ""), start=1):
+        if not line.strip():
+            continue
+        line = line.rstrip("\n")
+        if not line.startswith("#"):
+            return header_lines, (lineno, line)
+        header_lines.append((lineno, line))
+    return header_lines, None
 
+
+def _log_fields(
+    path, header_lines: list[tuple[int, str]], column_line: tuple[int, str] | None, has_rows: bool
+) -> tuple[dict, bool]:
+    """Check everything but the data rows, in the order the errors are reported.
+
+    Returns the ``FlightLog`` keyword arguments the header gives, and
+    whether the rotor speed columns are in RPM.
+    """
     if column_line is None:
         raise LogFormatError(f"{path}: empty log file (no column header)")
     if tuple(c.strip() for c in column_line[1].split(",")) != COLUMNS:
         raise LogFormatError(
             f"line {column_line[0]}: expected columns {','.join(COLUMNS)}, got {column_line[1]!r}"
         )
-    if bad_row is None and not linenos:
+    if not has_rows:
         raise LogFormatError(f"{path}: log contains no data rows")
 
-    header = _parse_header(header_lines)
+    header: dict[str, str] = {}
+    for lineno, line in header_lines:
+        body = line[1:].strip()
+        if "=" not in body:
+            raise LogFormatError(f"line {lineno}: malformed header line {line!r}")
+        key, _, value = body.partition("=")
+        header[key.strip()] = value.strip()
     if "sample_rate_hz" not in header:
         raise LogFormatError("missing required header sample_rate_hz")
     try:
@@ -253,26 +225,137 @@ def load_log(path) -> FlightLog:
             fault_time = float(header["fault_time_s"])
         except ValueError as exc:
             raise LogFormatError(f"bad fault_time_s: {header['fault_time_s']!r}") from exc
+    fields = {
+        "sample_rate_hz": sample_rate,
+        "fault_actuator": fault_actuator,
+        "fault_time_s": fault_time,
+        "vehicle": header.get("vehicle", "default"),
+    }
+    return fields, rpm_units == "rpm"
 
+
+def _build_log(values: np.ndarray, fields: dict, rpm: bool) -> FlightLog:
+    """The ``FlightLog`` of parsed ``(n, 9)`` rows in ``COLUMNS`` order."""
+    speeds = values[:, 5:9]
+    if rpm:
+        speeds = speeds * RPM_TO_RAD_S
+    return FlightLog(
+        t=values[:, 0].copy(),
+        gyro=values[:, 1:4].copy(),
+        accel_z=values[:, 4].copy(),
+        rotor_speeds=np.ascontiguousarray(speeds),
+        **fields,
+    )
+
+
+def _reject_non_finite(flat: array, n_rows: int, linenos: array) -> None:
+    """Raise naming the first of the ``n_rows`` parsed rows in ``flat`` with a NaN or Inf field."""
+    rows = np.frombuffer(flat, count=n_rows * len(COLUMNS)).reshape(n_rows, len(COLUMNS))
+    if not np.isfinite(rows).all():  # the per-row pass only runs to name the line
+        finite = np.isfinite(rows).all(axis=1)
+        raise LogFormatError(f"line {linenos[int(np.argmin(finite))]}: NaN or Inf field")
+
+
+def load_log(path) -> FlightLog:
+    """Parse a log file into a ``FlightLog``; schema violations name the first bad line.
+
+    The data block is parsed in bulk. A file the bulk parse cannot turn into
+    a valid log is read again line by line, and that parse decides: it
+    accepts what ``float`` accepts and names the first bad line. So errors,
+    and fields only ``float`` reads (``1_0``, full-width digits), cost a
+    second read; which parse runs depends on the input alone, and both give
+    the same log.
+    """
+    try:
+        return _load_bulk(path)
+    except ValueError:
+        return _load_by_line(path)
+
+
+# ``np.loadtxt`` strips these from a field as white space; ``float`` does not.
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+# Characters ``_data_lines`` reads at a time.
+_READ_CHARS = 1 << 16
+
+
+def _data_lines(fh) -> Iterator[str]:
+    """The rest of ``fh`` as lines for ``np.loadtxt``, read in blocks.
+
+    Raises ``ValueError`` where ``np.loadtxt`` would accept what ``float``
+    rejects (see ``_LOADTXT_ONLY_SPACE``), and on a data block with nothing
+    but white space, which ``np.loadtxt`` only warns about.
+    """
+    rest = ""
+    blank = True
+    for block in iter(partial(fh.read, _READ_CHARS), ""):
+        if any(c in block for c in _LOADTXT_ONLY_SPACE):
+            raise ValueError("a separator character in the data block")
+        blank = blank and block.isspace()
+        lines = (rest + block).split("\n")
+        rest = lines.pop()
+        yield from lines
+    if blank:
+        raise ValueError("no data rows")
+    yield rest
+
+
+def _load_bulk(path) -> FlightLog:
+    """``load_log`` with one ``np.loadtxt`` over the data block; ``ValueError`` on any fault."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header_lines, column_line = _read_head(fh)
+        # ``comments=None``: a ``#`` in the data block is an error, not a truncated row.
+        values = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
+    if values.shape[1] != len(COLUMNS) or not np.isfinite(values).all():
+        raise ValueError("malformed data block")
+    return _build_log(values, *_log_fields(path, header_lines, column_line, has_rows=True))
+
+
+def _load_by_line(path) -> FlightLog:
+    """``load_log`` one line at a time, naming the first bad line.
+
+    One pass over the file: data rows are parsed as they are read, so only
+    the parsed values and each row's line number are kept. The first bad
+    data row is held back and reported after the column and header checks,
+    which take precedence over it. The rules on the parsed values are
+    ``FlightLog.validate``'s; an error it raises about one sample is
+    re-raised naming that sample's line.
+    """
+    n_columns = len(COLUMNS)
+    flat = array("d")  # row-major, 8 bytes a field, no float objects kept
+    linenos = array("l")  # file line number of each parsed data row
+    bad_row: str | None = None  # message for the first data row that does not parse
+    with open(path, "r", encoding="utf-8") as fh:
+        header_lines, column_line = _read_head(fh)
+        first = column_line[0] + 1 if column_line is not None else 1
+        for lineno, line in enumerate(fh, start=first):
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                raise LogFormatError(f"line {lineno}: header line after data began")
+            if bad_row is None:
+                # Rows after a bad one are not parsed, so ``flat`` and
+                # ``linenos`` end at the last good row before it.
+                parts = line.split(",")
+                if len(parts) != n_columns:
+                    bad_row = f"line {lineno}: expected {n_columns} columns, got {len(parts)}"
+                    continue
+                try:
+                    flat.extend(map(float, parts))
+                except ValueError:
+                    text = line.rstrip("\n")
+                    bad_row = f"line {lineno}: unparseable number in {text!r}"
+                    continue
+                linenos.append(lineno)
+
+    has_rows = bad_row is not None or len(linenos) > 0
+    fields, rpm = _log_fields(path, header_lines, column_line, has_rows)
     n = len(linenos)
     _reject_non_finite(flat, n, linenos)  # before a bad row: an earlier bad line is named first
     if bad_row is not None:
         raise LogFormatError(bad_row)
-    values = np.frombuffer(flat).reshape(n, n_columns)
-    speeds = values[:, 5:9]
-    if rpm_units == "rpm":
-        speeds = speeds * RPM_TO_RAD_S
     try:
-        return FlightLog(
-            sample_rate_hz=sample_rate,
-            t=values[:, 0].copy(),
-            gyro=values[:, 1:4].copy(),
-            accel_z=values[:, 4].copy(),
-            rotor_speeds=np.ascontiguousarray(speeds),
-            fault_actuator=fault_actuator,
-            fault_time_s=fault_time,
-            vehicle=header.get("vehicle", "default"),
-        )
+        return _build_log(np.frombuffer(flat).reshape(n, n_columns), fields, rpm)
     except LogFormatError as exc:
         if exc.sample is None:
             raise

@@ -397,24 +397,33 @@ def write_results_csv(rows: list[SweepResultRow], path) -> None:
 
 
 def read_results_csv(path) -> list[SweepResultRow]:
+    """Read ``write_results_csv``'s file.
+
+    A wrong header or a malformed row raises ``ValueError`` naming the line.
+    """
+    rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != RESULTS_HEADER:
-            raise ValueError(f"unexpected results header {header!r}")
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            rows.append(
-                SweepResultRow(
-                    param_set_id=record[0],
-                    log_id=record[1],
-                    delay_s=None if record[2] == "" else float(record[2]),
-                    false_alarms=int(record[3]),
-                    missed=bool(int(record[4])),
+        try:
+            header = tuple(next(reader, ()))
+            if header != RESULTS_HEADER:
+                raise ValueError(f"unexpected results header {header!r}")
+            for record in reader:
+                if not record:
+                    continue
+                if len(record) != len(RESULTS_HEADER):
+                    raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(record)}")
+                rows.append(
+                    SweepResultRow(
+                        param_set_id=record[0],
+                        log_id=record[1],
+                        delay_s=None if record[2] == "" else float(record[2]),
+                        false_alarms=int(record[3]),
+                        missed=bool(int(record[4])),
+                    )
                 )
-            )
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return rows
 
 

@@ -443,14 +443,16 @@ def fly_scenario(
     Scenarios: ``hover`` holds altitude and level attitude, ``step`` flies a
     repeating sequence of attitude steps, ``wind`` adds a constant-plus-gust
     external force and moment, ``ground_idle`` keeps the vehicle on the ground
-    with rotors idling below the takeoff gate (a fault there is not
-    annotated: nothing flies).
+    with rotors idling below the takeoff gate. Nothing flies on the ground, so
+    ``ground_idle`` takes no fault.
 
     The flight loop reads only the true state, so the sensors of the whole
     flight are corrupted in one ``synthesize_sensors`` call at the end.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r} (expected one of {SCENARIOS})")
+    if scenario == "ground_idle" and fault is not None:
+        raise ValueError("scenario ground_idle takes no fault: nothing flies")
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and positive, got {duration}")
     if fault is not None and fault.time >= duration:
@@ -466,7 +468,6 @@ def fly_scenario(
     times = np.arange(1, n + 1) * dt
 
     if scenario == "ground_idle":
-        fault = None
         rates = np.zeros((n, 3))
         az_true = np.full(n, -GRAVITY)
         speeds = np.full((n, 4), IDLE_ROTOR_SPEED)

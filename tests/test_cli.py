@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -81,6 +82,16 @@ def test_simulate_rejects_fault_beyond_duration(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+def test_simulate_ground_idle_with_a_fault_is_usage_error_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "idle.csv"
+    code = run_cli("simulate", "--scenario", "ground_idle", "--duration", "1", "--fault", "3:0.5", "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "ground_idle takes no fault" in captured.err
+    assert "ground truth" not in captured.out
+    assert not out.exists()
+
+
 def test_detect_reports_delay_in_range(tmp_path, capsys):
     log = simulate_log(tmp_path, "flight.csv")
     capsys.readouterr()
@@ -127,6 +138,31 @@ def test_detect_ticks_csv_equals_row_by_row_formatting(tmp_path, capsys):
     outputs = run_detector(flightlog.load_log(path), default_config())
     assert any(out.status.any_failed() for out in outputs)
     assert out_csv.read_bytes() == _oracle_ticks_csv(outputs)
+
+
+def test_detect_streams_its_outputs_instead_of_holding_them(tmp_path, capsys, monkeypatch):
+    # Past the loaded log, detect holds a bounded amount: no list of one
+    # DetectorOutput per sample (about 150 B each, 1.5 MB for these 10,000 rows).
+    log = _write_hover_log(tmp_path / "long.csv", rows=10_000)
+    load_log = flightlog.load_log
+    after_load = []
+
+    def load_then_reset_peak(path):
+        loaded = load_log(path)
+        tracemalloc.reset_peak()
+        after_load.append(tracemalloc.get_traced_memory()[0])
+        return loaded
+
+    monkeypatch.setattr(flightlog, "load_log", load_then_reset_peak)
+    tracemalloc.start()
+    try:
+        code = run_cli("detect", "--log", str(log), "--out", str(tmp_path / "ticks.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len((tmp_path / "ticks.csv").read_text().splitlines()) == 1 + 10_000
+    assert peak - after_load[0] < 1_000_000
 
 
 def test_detect_no_fault_log_reports_false_alarms(tmp_path, capsys):
@@ -259,6 +295,22 @@ def test_detect_dropped_samples_is_bad_log_naming_the_sample(tmp_path, capsys):
     assert f"bad log {log}: line 23: timestamp step 0.202 s at sample 20 (t=0.242) is outside" in err
 
 
+@pytest.mark.parametrize("key", ["hover_thrust_reference", "estimator_interval", "sensor_interval"])
+def test_detect_infinite_interval_or_thrust_reference_is_config_error(tmp_path, capsys, key):
+    # inf once gave a silent never-armed run (hover_thrust_reference) or an
+    # OverflowError at exit 1 (estimator_interval).
+    log = simulate_log(tmp_path, "flight.csv")
+    capsys.readouterr()
+    text = format_config(default_config())
+    assert f"\n{key} = " in text
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = inf", text, flags=re.M))
+    assert run_cli("detect", "--log", str(log), "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert f"bad config file {cfg}: {key} must be finite and positive, got inf" in captured.err
+    assert captured.out == ""
+
+
 def test_detect_sensor_interval_mismatching_the_log_rate_is_config_error(tmp_path, capsys):
     log = _write_hover_log(tmp_path / "hover.csv")  # 500 Hz
     cfg = tmp_path / "fast.cfg"
@@ -313,6 +365,31 @@ def test_sweep_and_report_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "k_threshold" in text
     assert (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        ("param_set_id,log_id,delay\n", "unexpected results header"),
+        ("param_set_id,log_id,delay_s,false_alarms,missed\nset_00_base,a\n", "line 2: expected 5 fields, got 2"),
+        (
+            "param_set_id,log_id,delay_s,false_alarms,missed\nset_00_base,a,0.1,0,0\nset_00_base,b,soon,0,0\n",
+            "line 3: could not convert string to float: 'soon'",
+        ),
+        (
+            "param_set_id,log_id,delay_s,false_alarms,missed\nset_00_base," + "a" * 200_000 + ",,0,1\n",
+            "line 2: field larger than field limit",
+        ),
+    ],
+    ids=["header", "short-row", "number", "oversized-field"],
+)
+def test_report_malformed_results_file_is_usage_error(tmp_path, capsys, rows, message):
+    # A malformed input file exits 2, as a bad log does for detect and sweep.
+    results = tmp_path / "results.csv"
+    results.write_text(rows)
+    assert run_cli("report", "--results", str(results)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bad results file {results}: ") and message in err[0]
 
 
 def test_sweep_unknown_parameter_fails_before_running(tmp_path, capsys):

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from loedetect.detector import default_config
-from loedetect.flightlog import COLUMNS, SAMPLE_BLOCK_ROWS, FlightLog, LogFormatError, load_log, save_log
+from loedetect.flightlog import (
+    COLUMNS,
+    SAMPLE_BLOCK_ROWS,
+    FlightLog,
+    LogFormatError,
+    _load_bulk,
+    _load_by_line,
+    load_log,
+    save_log,
+)
 from loedetect.replay import SweepSpec, run_detector, run_sweep
 
 
@@ -427,3 +436,92 @@ def test_load_log_validates_once_and_nothing_downstream_validates_again(tmp_path
     run_sweep([log], SweepSpec(base=default_config(), variations=()))
     save_log(log, tmp_path / "copy.csv")
     assert calls == [200]
+
+
+def _log_with_p(path, p_field="0", extra="", blank=None):
+    """A four-row 500 Hz hover log; the third row's ``p`` field is ``p_field`` (line 5).
+
+    ``blank``, if given, is a line put between the rows.
+    """
+    rows = [f"{0.002 * (i + 1)!r},{p_field if i == 2 else '0'},0,0,-9.81,500,500,500,500\n" for i in range(4)]
+    sep = "" if blank is None else blank + "\n"
+    path.write_text("# sample_rate_hz=500.0\n" + ",".join(COLUMNS) + "\n" + sep.join(rows) + extra, encoding="utf-8")
+    return path
+
+
+def _assert_same_log(a, b):
+    for name in ("t", "gyro", "accel_z", "rotor_speeds"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.sample_rate_hz, a.ground_truth(), a.vehicle) == (b.sample_rate_hz, b.ground_truth(), b.vehicle)
+
+
+# Field text -> the value ``float`` gives it. ``np.loadtxt`` does not read the
+# last two, so those logs take the per-line parse.
+ACCEPTED_FIELDS = {" 1.5 ": 1.5, "+1.5": 1.5, "1.": 1.0, ".5": 0.5, "1e-400": 0.0, "1_0": 10.0, "１２": 12.0}
+FLOAT_ONLY_FIELDS = ("1_0", "１２")
+
+
+@pytest.mark.parametrize("field", list(ACCEPTED_FIELDS))
+def test_bulk_and_per_line_parses_agree_bit_for_bit_on_every_accepted_field(tmp_path, field):
+    path = _log_with_p(tmp_path / "f.csv", field)
+    by_line = _load_by_line(path)
+    assert by_line.gyro[2, 0] == ACCEPTED_FIELDS[field]
+    if field in FLOAT_ONLY_FIELDS:
+        with pytest.raises(ValueError):
+            _load_bulk(path)
+    else:
+        _assert_same_log(_load_bulk(path), by_line)
+    _assert_same_log(load_log(path), by_line)
+
+
+def test_bulk_parse_reads_a_saved_log_and_rpm_like_the_per_line_parse(tmp_path):
+    path = tmp_path / "saved.csv"
+    save_log(synthetic_log(n=300, fault=(2, 0.3)), path)
+    _assert_same_log(_load_bulk(path), _load_by_line(path))
+    rpm = _log_with_p(tmp_path / "rpm.csv", blank="")
+    rpm.write_text(rpm.read_text().replace("# sample_rate_hz=500.0", "# sample_rate_hz=500.0\n# rpm_units=rpm"))
+    _assert_same_log(_load_bulk(rpm), _load_by_line(rpm))
+    assert load_log(rpm).rotor_speeds[3, 1] == 500.0 * 2.0 * math.pi / 60.0
+
+
+def test_white_space_lines_between_rows_take_the_per_line_parse(tmp_path):
+    # ``np.loadtxt`` skips empty lines but reads "  " as a one-column row.
+    path = _log_with_p(tmp_path / "spaced.csv", blank=" \t ")
+    with pytest.raises(ValueError):
+        _load_bulk(path)
+    _assert_same_log(load_log(path), _load_by_line(path))
+    assert len(load_log(path)) == 4
+
+
+@pytest.mark.parametrize(
+    ("field", "extra", "message"),
+    [
+        ("", "", "line 5: unparseable number in '0.006,,0,0,-9.81,500,500,500,500'"),
+        ("abc", "", "line 5: unparseable number in '0.006,abc,0,0,-9.81,500,500,500,500'"),
+        ("0x10", "", "line 5: unparseable number in '0.006,0x10,0,0,-9.81,500,500,500,500'"),
+        ("1e400", "", "line 5: NaN or Inf field"),
+        ("nan", "", "line 5: NaN or Inf field"),
+        # ``np.loadtxt`` strips an ASCII separator from a field; ``float`` does not.
+        ("1.5\x1c", "", "line 5: unparseable number in '0.006,1.5\\x1c,0,0,-9.81,500,500,500,500'"),
+        ("0,0", "", "line 5: expected 9 columns, got 10"),
+        ("0\n0.006,0,0", "", "line 5: expected 9 columns, got 2"),
+        ("0", "# note=late\n", "line 7: header line after data began"),
+    ],
+    ids=["empty", "abc", "hex", "overflow", "nan", "separator", "extra-column", "missing-column", "late-header"],
+)
+def test_bulk_parse_rejects_what_the_per_line_parse_rejects_with_its_message(tmp_path, field, extra, message):
+    path = _log_with_p(tmp_path / "bad.csv", field, extra)
+    with pytest.raises(ValueError):
+        _load_bulk(path)
+    with pytest.raises(LogFormatError) as by_line:
+        _load_by_line(path)
+    with pytest.raises(LogFormatError) as loaded:
+        load_log(path)
+    assert str(loaded.value) == str(by_line.value) == message
+
+
+def test_bulk_parse_leaves_per_sample_errors_to_the_per_line_parse(tmp_path):
+    path = _log_with_p(tmp_path / "neg.csv")
+    path.write_text(path.read_text().replace("0.008,0,0,0,-9.81,500,500", "0.008,0,0,0,-9.81,500,-500"))
+    with pytest.raises(LogFormatError, match=r"^line 6: negative rotor speed at sample 3 \(t=0\.008\)$"):
+        load_log(path)

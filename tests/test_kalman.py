@@ -141,13 +141,16 @@ def test_step_clamps_estimate_into_bounds():
 
 
 def test_non_finite_innovation_variance_is_a_hard_error():
-    # q = 1e308 overflows P h on the first row; nothing is returned half-updated
+    # q = 1e308 overflows P h on the first row; nothing is returned half-updated.
+    # ``H`` holds numpy scalars, so numpy warns as it overflows.
     H = observation_matrix(DEFAULT_GAINS, np.full(4, 700.0))
-    with pytest.raises(ArithmeticError, match=r"^innovation variance s=(inf|nan) is not finite and positive$"):
-        kalman.step(kalman.init(), H, np.zeros(3), NoiseConfig(process_noise_q=1e308))
+    with pytest.warns(RuntimeWarning, match="overflow encountered in scalar multiply"):
+        with pytest.raises(ArithmeticError, match=r"^innovation variance s=(inf|nan) is not finite and positive$"):
+            kalman.step(kalman.init(), H, np.zeros(3), NoiseConfig(process_noise_q=1e308))
     H[1, 2] = np.inf
-    with pytest.raises(ArithmeticError, match="innovation variance s="):
-        kalman.step(kalman.init(), H, np.zeros(3), TABLE_NOISE)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in scalar add"):
+        with pytest.raises(ArithmeticError, match="innovation variance s="):
+            kalman.step(kalman.init(), H, np.zeros(3), TABLE_NOISE)
 
 
 def test_nan_input_is_a_hard_error():

@@ -530,6 +530,13 @@ def test_scenario_validation():
         fly_scenario("hover", duration=1.0, fault=FaultEvent(time=2.0, actuator_index=1))
 
 
+def test_ground_idle_rejects_a_fault():
+    # A fault it never injects would be a ground truth the log does not carry.
+    with pytest.raises(ValueError, match="ground_idle takes no fault"):
+        fly_scenario("ground_idle", duration=1.0, fault=FaultEvent(time=0.5, actuator_index=3))
+    assert fly_scenario("ground_idle", duration=1.0).ground_truth() is None
+
+
 def test_divergence_check_raises():
     state = hover_state(PARAMS)
     state.angular_rate = [math.inf, 0.0, 0.0]
