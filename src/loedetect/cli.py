@@ -21,6 +21,7 @@ from .detector import (
 )
 from . import flightlog
 from .replay import (
+    ParameterSet,
     SampleRateMismatchError,
     SweepSpec,
     _check_sample_rate,
@@ -70,21 +71,30 @@ def _load_config(path: str | None) -> DetectorConfig:
         raise CommandError(f"bad config file {path}: {exc}", USAGE_ERROR) from exc
 
 
-def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
-    if path is None:
-        return default_sweep_spec(base)
-    if not os.path.exists(path):
+def _load_sweep_spec(path: str | None, base: DetectorConfig) -> tuple[SweepSpec, list[ParameterSet]]:
+    """The spec at ``path`` (the default sweep if ``None``) and its parameter sets.
+
+    Building the sets checks every parameter name and value, so every fault in a spec exits 2 here.
+    """
+    if path is not None and not os.path.exists(path):
         raise CommandError(f"sweep spec file not found: {path}", USAGE_ERROR)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        variations = tuple(
-            (name, tuple(float(v) for v in values))
-            for name, values in payload["parameters"].items()
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CommandError(f"bad sweep spec {path}: {exc}", USAGE_ERROR) from exc
-    return SweepSpec(base=base, variations=variations)
+        if path is None:
+            spec = default_sweep_spec(base)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+            parameters = payload.get("parameters") if isinstance(payload, dict) else None
+            if not isinstance(parameters, dict) or not all(isinstance(v, list) for v in parameters.values()):
+                raise ValueError('expected {"parameters": {"<config key>": [<value>, ...], ...}}')
+            variations = tuple(
+                (name, tuple(float(v) for v in values)) for name, values in parameters.items()
+            )
+            spec = SweepSpec(base=base, variations=variations)
+        return spec, spec.parameter_sets()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        reason = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise CommandError(f"bad sweep spec {path or '(default)'}: {reason}", USAGE_ERROR) from exc
 
 
 def cmd_simulate(args) -> int:
@@ -126,15 +136,15 @@ def _write_outputs_csv(outputs, path) -> int:
     n_rows = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TICKS_HEADER + "\n")
-        # Every field after the timestamp changes only with the snapshot
-        # arrays, which the detector replaces together with the status on
-        # estimator ticks, or with ``armed``: format that text once per change.
+        # Every field after the timestamp changes only with the estimate
+        # tuples, which the detector replaces together with the status on
+        # armed estimator ticks, or with ``armed``: format that text once per change.
         k_hat = armed = None
         block: list[str] = []
         for out in outputs:
             if out.k_hat is not k_hat or out.armed is not armed:
                 k_hat, armed = out.k_hat, out.armed
-                estimates = k_hat.tolist() + out.variances.tolist() + out.p_fail.tolist()
+                estimates = k_hat + out.variances + out.p_fail
                 flags = [str(int(f)) for f in out.status.failed]
                 rest = f",{','.join(map(repr, estimates))},{int(armed)},{','.join(flags)}\n"
             block.append(repr(out.timestamp) + rest)
@@ -185,11 +195,7 @@ def cmd_sweep(args) -> int:
     if not paths:
         raise CommandError(f"no logs match {args.logs!r}", USAGE_ERROR)
     base = _load_config(args.config)
-    spec = _load_sweep_spec(args.spec, base)
-    try:
-        psets = spec.parameter_sets()  # validates parameter names up front
-    except KeyError as exc:
-        raise CommandError(f"bad sweep spec: {exc.args[0]}", USAGE_ERROR) from exc
+    spec, psets = _load_sweep_spec(args.spec, base)
 
     logs = []
     log_ids = []
@@ -221,8 +227,8 @@ def cmd_report(args) -> int:
     except ValueError as exc:
         raise CommandError(f"bad results file {args.results}: {exc}", USAGE_ERROR) from exc
     base = _load_config(args.config)
-    spec = _load_sweep_spec(args.spec, base)
-    known = {p.set_id for p in spec.parameter_sets()}
+    spec, psets = _load_sweep_spec(args.spec, base)
+    known = {p.set_id for p in psets}
     missing = {r.param_set_id for r in rows} - known
     if missing:
         raise CommandError(

@@ -14,11 +14,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import get_type_hints
 
 import numpy as np
 
 from .decision import DecisionConfig, DetectionStatus, decide, failure_probabilities
-from .effectiveness import DEFAULT_GAINS, SIGN_MATRIX, EffectivenessGains, VehicleParams
+from .effectiveness import (
+    DEFAULT_GAINS,
+    SIGN_MATRIX,
+    EffectivenessGains,
+    VehicleParams,
+    observation_rows,
+    signed_gains,
+)
 from .filters import (
     MAX_ROTOR_SPEED_RAD_S,
     STEP_TOLERANCE,
@@ -38,6 +47,10 @@ DEFAULT_HOVER_THRUST_REFERENCE = VehicleParams().hover_thrust_reference()
 
 # Length of the arming moving-average window, seconds.
 ARMING_WINDOW_S = 1.0
+
+# Shortest accepted sensor interval, s (100 kHz). The takeoff gate holds one
+# float per sample of its window, so this bounds it at 100,000 floats.
+MIN_SENSOR_INTERVAL_S = 1e-5
 
 _INF = math.inf
 
@@ -59,6 +72,10 @@ class DetectorConfig:
         # Chained comparisons are False on NaN, so these also reject NaN.
         if not 0.0 < self.sensor_interval < _INF:
             raise ValueError(f"sensor_interval must be finite and positive, got {self.sensor_interval}")
+        if self.sensor_interval < MIN_SENSOR_INTERVAL_S:
+            raise ValueError(
+                f"sensor_interval must be at least {MIN_SENSOR_INTERVAL_S:g} s, got {self.sensor_interval}"
+            )
         if not 0.0 < self.estimator_interval < _INF:
             raise ValueError(f"estimator_interval must be finite and positive, got {self.estimator_interval}")
         ratio = self.estimator_interval / self.sensor_interval
@@ -80,17 +97,11 @@ class DetectorConfig:
 
     def conditioning_key(self) -> tuple:
         """The fields the conditioning stage reads; equal keys give equal ticks."""
-        return (
-            self.lowpass,
-            self.sensor_interval,
-            self.estimator_interval,
-            self.takeoff_thrust_fraction,
-            self.hover_thrust_reference,
-        )
+        return _read_conditioning_fields(self)
 
     def estimator_key(self) -> tuple:
         """The fields the conditioning and estimation stages read."""
-        return (self.conditioning_key(), self.gains, self.noise)
+        return _read_estimator_fields(self)
 
 
 def default_config() -> DetectorConfig:
@@ -100,39 +111,46 @@ def default_config() -> DetectorConfig:
 # ---------------------------------------------------------------------------
 # Flat key-value schema, shared by the config file format and parameter sweeps.
 
-CONFIG_KEYS = (
-    "g_p",
-    "g_q",
-    "g_az",
-    "filter_natural_frequency",
-    "filter_damping_ratio",
-    "process_noise_q",
-    "measurement_noise_r",
-    "k_threshold",
-    "probability_threshold",
-    "estimator_interval",
-    "sensor_interval",
-    "takeoff_thrust_fraction",
-    "hover_thrust_reference",
+# The pipeline stages, in the order a sample passes them.
+STAGES = ("conditioning", "estimation", "decision")
+
+# One row per flat key, in file order: (key, owner, attribute, first stage
+# that reads it). The owner is the ``DetectorConfig`` field holding the value
+# ("" for ``DetectorConfig`` itself); a ``None`` attribute is the key itself.
+CONFIG_SCHEMA = (
+    ("g_p", "gains", None, "estimation"),
+    ("g_q", "gains", None, "estimation"),
+    ("g_az", "gains", None, "estimation"),
+    ("filter_natural_frequency", "lowpass", "natural_frequency", "conditioning"),
+    ("filter_damping_ratio", "lowpass", "damping_ratio", "conditioning"),
+    ("process_noise_q", "noise", None, "estimation"),
+    ("measurement_noise_r", "noise", None, "estimation"),
+    ("k_threshold", "decision", None, "decision"),
+    ("probability_threshold", "decision", None, "decision"),
+    ("estimator_interval", "", None, "conditioning"),
+    ("sensor_interval", "", None, "conditioning"),
+    ("takeoff_thrust_fraction", "", None, "conditioning"),
+    ("hover_thrust_reference", "", None, "conditioning"),
 )
+
+CONFIG_KEYS = tuple(key for key, *_ in CONFIG_SCHEMA)
+
+
+def _fields_reader(stages) -> attrgetter:
+    """Reader of the values of the flat keys first read in one of ``stages``, in schema order."""
+    rows = [row for row in CONFIG_SCHEMA if row[3] in stages]
+    return attrgetter(*(".".join(filter(None, (owner, attr or key))) for key, owner, attr, _ in rows))
+
+
+_read_fields = _fields_reader(STAGES)
+_read_conditioning_fields = _fields_reader(("conditioning",))
+_read_estimator_fields = _fields_reader(("conditioning", "estimation"))
+# The class of each owner field, from the ``DetectorConfig`` annotations.
+_OWNER_TYPES = get_type_hints(DetectorConfig)
 
 
 def config_to_dict(config: DetectorConfig) -> dict[str, float]:
-    return {
-        "g_p": config.gains.g_p,
-        "g_q": config.gains.g_q,
-        "g_az": config.gains.g_az,
-        "filter_natural_frequency": config.lowpass.natural_frequency,
-        "filter_damping_ratio": config.lowpass.damping_ratio,
-        "process_noise_q": config.noise.process_noise_q,
-        "measurement_noise_r": config.noise.measurement_noise_r,
-        "k_threshold": config.decision.k_threshold,
-        "probability_threshold": config.decision.probability_threshold,
-        "estimator_interval": config.estimator_interval,
-        "sensor_interval": config.sensor_interval,
-        "takeoff_thrust_fraction": config.takeoff_thrust_fraction,
-        "hover_thrust_reference": config.hover_thrust_reference,
-    }
+    return dict(zip(CONFIG_KEYS, _read_fields(config)))
 
 
 def config_from_dict(values: dict[str, float]) -> DetectorConfig:
@@ -142,19 +160,13 @@ def config_from_dict(values: dict[str, float]) -> DetectorConfig:
     missing = set(CONFIG_KEYS) - set(values)
     if missing:
         raise ValueError(f"missing configuration keys: {sorted(missing)}")
-    return DetectorConfig(
-        gains=EffectivenessGains(values["g_p"], values["g_q"], values["g_az"]),
-        lowpass=FilterDesign(
-            natural_frequency=values["filter_natural_frequency"],
-            damping_ratio=values["filter_damping_ratio"],
-        ),
-        noise=NoiseConfig(values["process_noise_q"], values["measurement_noise_r"]),
-        decision=DecisionConfig(values["k_threshold"], values["probability_threshold"]),
-        estimator_interval=values["estimator_interval"],
-        sensor_interval=values["sensor_interval"],
-        takeoff_thrust_fraction=values["takeoff_thrust_fraction"],
-        hover_thrust_reference=values["hover_thrust_reference"],
-    )
+    fields: dict[str, dict[str, float]] = {}
+    for key, owner, attr, _ in CONFIG_SCHEMA:
+        fields.setdefault(owner, {})[attr or key] = values[key]
+    top = fields.pop("")
+    # Owners are built in schema order, so the first bad key in it is the one reported.
+    nested = {owner: _OWNER_TYPES[owner](**attrs) for owner, attrs in fields.items()}
+    return DetectorConfig(**nested, **top)
 
 
 def config_with(config: DetectorConfig, key: str, value: float) -> DetectorConfig:
@@ -211,28 +223,16 @@ def read_config(path) -> DetectorConfig:
 class DetectorOutput:
     """Detector state published for one input sample.
 
-    Estimator-derived fields repeat between estimator ticks; the arrays are
-    read-only snapshots, built once per tick from the estimator's floats and
-    shared across outputs of the same tick.
+    Estimator-derived fields repeat between estimator ticks: each is one
+    tuple of four floats per tick, shared across the outputs of that tick.
     """
 
     timestamp: float
-    k_hat: np.ndarray  # (4,)
-    variances: np.ndarray  # (4,)
-    p_fail: np.ndarray  # (4,)
+    k_hat: tuple[float, float, float, float]
+    variances: tuple[float, float, float, float]
+    p_fail: tuple[float, float, float, float]
     status: DetectionStatus
     armed: bool
-
-
-def _snapshot(k_hat, variances, p_fail) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(k_hat, variances, p_fail)`` arrays of one tick's floats.
-
-    The only place the estimator and decision stages meet numpy: the three
-    are the rows of one fresh read-only 3x4 array.
-    """
-    rows = np.array((k_hat, variances, p_fail))
-    rows.setflags(write=False)
-    return rows[0], rows[1], rows[2]
 
 
 # ---------------------------------------------------------------------------
@@ -329,25 +329,14 @@ class Conditioner:
         return (p_dot, q_dot, filtered.accel_z), [w * w for w in filtered.rotor_speeds]
 
 
-def signed_gains(gains: EffectivenessGains) -> tuple[tuple[float, ...], ...]:
-    """``SIGN_MATRIX * gains`` per row, as floats: the observation matrix before ``w_sq``."""
-    return tuple(
-        tuple(sign * g for sign in row)
-        for row, g in zip(SIGN_MATRIX.tolist(), (gains.g_p, gains.g_q, gains.g_az))
-    )
-
-
 def estimation_step(
     state: EstimatorState, gains, noise: NoiseConfig, z, w_sq: list[float]
 ) -> EstimatorState:
     """Estimation stage: one estimator update from an armed tick.
 
-    ``gains`` is ``signed_gains(config.gains)``, so the rows of
-    ``H = (sign*g)*w_sq`` hold the same products as ``observation_matrix``.
+    ``gains`` is ``signed_gains(config.gains)``.
     """
-    w0, w1, w2, w3 = w_sq
-    H = [(g0 * w0, g1 * w1, g2 * w2, g3 * w3) for g0, g1, g2, g3 in gains]
-    return kalman.step(state, H, z, noise)
+    return kalman.step(state, observation_rows(gains, w_sq), z, noise)
 
 
 def decision_step(
@@ -367,9 +356,8 @@ class Detector:
         self._gains = signed_gains(config.gains)
         self._estimator = state = kalman.init()
         self._status = DetectionStatus()
-        variances = state.variances()
-        p_fail = failure_probabilities(state.k, variances, config.decision.k_threshold)
-        self._snap_k, self._snap_var, self._snap_pfail = _snapshot(state.k, variances, p_fail)
+        self._variances = state.variances()
+        self._p_fail = tuple(failure_probabilities(state.k, self._variances, config.decision.k_threshold))
 
     @property
     def armed(self) -> bool:
@@ -388,17 +376,17 @@ class Detector:
         if tick is not None:
             config = self.config
             state = self._estimator = estimation_step(self._estimator, self._gains, config.noise, *tick)
-            variances = state.variances()
+            variances = self._variances = state.variances()
             p_fail, self._status = decision_step(
                 state.k, variances, self._status, config.decision, raw.timestamp
             )
-            self._snap_k, self._snap_var, self._snap_pfail = _snapshot(state.k, variances, p_fail)
+            self._p_fail = tuple(p_fail)
 
         return DetectorOutput(
             timestamp=raw.timestamp,
-            k_hat=self._snap_k,
-            variances=self._snap_var,
-            p_fail=self._snap_pfail,
+            k_hat=self._estimator.k,
+            variances=self._variances,
+            p_fail=self._p_fail,
             status=self._status,
             armed=self._conditioner.armed,
         )

@@ -84,11 +84,8 @@ class EffectivenessGains:
 
     def __post_init__(self) -> None:
         for name in ("g_p", "g_q", "g_az"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.g_p, self.g_q, self.g_az])
+            if not 0.0 < getattr(self, name) < math.inf:  # False on NaN too
+                raise ValueError(f"{name} must be finite and strictly positive, got {getattr(self, name)}")
 
 
 def gains_from_geometry(params: VehicleParams) -> EffectivenessGains:
@@ -104,12 +101,29 @@ def gains_from_geometry(params: VehicleParams) -> EffectivenessGains:
 DEFAULT_GAINS = gains_from_geometry(VehicleParams())
 
 
+def signed_gains(gains: EffectivenessGains) -> tuple[tuple[float, ...], ...]:
+    """``SIGN_MATRIX * gains`` per row, as floats: the observation matrix before ``w^2``."""
+    return tuple(
+        tuple(sign * g for sign in row)
+        for row, g in zip(SIGN_MATRIX.tolist(), (gains.g_p, gains.g_q, gains.g_az))
+    )
+
+
+def observation_rows(signed, w_sq) -> list[tuple[float, float, float, float]]:
+    """H as three rows of floats, ``H[row][i] = signed[row][i] * w_sq[i]``.
+
+    ``signed`` is ``signed_gains(gains)`` and ``w_sq`` the squared rotor speeds.
+    """
+    w0, w1, w2, w3 = w_sq
+    return [(g0 * w0, g1 * w1, g2 * w2, g3 * w3) for g0, g1, g2, g3 in signed]
+
+
 def observation_matrix(gains: EffectivenessGains, rotor_speeds: np.ndarray) -> np.ndarray:
-    """3x4 matrix H with H[row, i] = sign[row, i] * gain[row] * w_i^2."""
+    """3x4 matrix H with H[row, i] = (sign[row, i] * gain[row]) * w_i^2."""
     w = np.asarray(rotor_speeds, dtype=float)
     if np.any(w < 0):
         raise ValueError("rotor speeds must be non-negative")
-    return SIGN_MATRIX * gains.as_array()[:, None] * np.square(w)[None, :]
+    return np.array(observation_rows(signed_gains(gains), (w * w).tolist()))
 
 
 def predict_accelerations(

@@ -36,6 +36,10 @@ COLUMNS = ("t", "p", "q", "r", "az", "w1", "w2", "w3", "w4")
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 
+# Largest relative mismatch between ``1 / sample_rate_hz`` and the log's
+# median timestamp step, or a detector's ``sensor_interval``.
+RATE_TOLERANCE = 0.01
+
 # Rows ``FlightLog.samples`` converts to Python floats at a time, so the
 # lists it holds stay the same size however long the log is.
 SAMPLE_BLOCK_ROWS = 4096
@@ -127,10 +131,10 @@ class FlightLog:
             )
         if n > 1:
             median_dt = float(np.median(dt))
-            if abs(median_dt * self.sample_rate_hz - 1.0) > 0.01:
+            if abs(median_dt * self.sample_rate_hz - 1.0) > RATE_TOLERANCE:
                 raise LogFormatError(
                     f"header sample_rate_hz={self.sample_rate_hz} does not match the "
-                    f"median timestamp delta {median_dt:.6g} s within 1%"
+                    f"median timestamp delta {median_dt:.6g} s within {RATE_TOLERANCE:.0%}"
                 )
             off = np.abs(dt * self.sample_rate_hz - 1.0) >= STEP_TOLERANCE
             if off.any():

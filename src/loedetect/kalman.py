@@ -36,10 +36,9 @@ class NoiseConfig:
     measurement_noise_r: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.process_noise_q > 0.0:
-            raise ValueError("process_noise_q must be strictly positive")
-        if not self.measurement_noise_r > 0.0:
-            raise ValueError("measurement_noise_r must be strictly positive")
+        for name in ("process_noise_q", "measurement_noise_r"):
+            if not 0.0 < getattr(self, name) < math.inf:  # False on NaN too
+                raise ValueError(f"{name} must be finite and strictly positive, got {getattr(self, name)}")
 
 
 class EstimatorState:

@@ -26,9 +26,9 @@ from .detector import (
     decision_step,
     default_config,
     estimation_step,
-    signed_gains,
 )
-from .flightlog import FlightLog
+from .effectiveness import signed_gains
+from .flightlog import RATE_TOLERANCE, FlightLog
 
 
 class SampleRateMismatchError(ValueError):
@@ -36,14 +36,13 @@ class SampleRateMismatchError(ValueError):
 
 
 def _check_sample_rate(log: FlightLog, config: DetectorConfig) -> None:
-    """Reject ``config`` for ``log`` unless ``sensor_interval`` is ``1 / sample_rate_hz`` within 1%.
-
-    The tolerance is the one ``FlightLog.validate`` gives the header rate.
-    """
-    if abs(config.sensor_interval * log.sample_rate_hz - 1.0) > 0.01:
+    """Reject ``config`` for ``log`` unless ``sensor_interval`` is ``1 / sample_rate_hz``
+    within ``RATE_TOLERANCE``, the tolerance ``FlightLog.validate`` gives the header rate."""
+    if abs(config.sensor_interval * log.sample_rate_hz - 1.0) > RATE_TOLERANCE:
         raise SampleRateMismatchError(
             f"config sensor_interval={config.sensor_interval!r} s does not match the log's "
-            f"sample_rate_hz={log.sample_rate_hz!r} (period {1.0 / log.sample_rate_hz:.6g} s) within 1%"
+            f"sample_rate_hz={log.sample_rate_hz!r} (period {1.0 / log.sample_rate_hz:.6g} s) "
+            f"within {RATE_TOLERANCE:.0%}"
         )
 
 
@@ -165,24 +164,11 @@ def default_sweep_spec(base: DetectorConfig | None = None) -> SweepSpec:
     and both decision thresholds over three values each (nominal included)."""
     base = base or default_config()
     flat = config_to_dict(base)
-    return SweepSpec(
-        base=base,
-        variations=(
-            ("g_p", (0.8 * flat["g_p"], 1.2 * flat["g_p"])),
-            ("g_q", (0.8 * flat["g_q"], 1.2 * flat["g_q"])),
-            ("g_az", (0.8 * flat["g_az"], 1.2 * flat["g_az"])),
-            (
-                "process_noise_q",
-                (0.5 * flat["process_noise_q"], flat["process_noise_q"], 2.0 * flat["process_noise_q"]),
-            ),
-            (
-                "measurement_noise_r",
-                (0.5 * flat["measurement_noise_r"], flat["measurement_noise_r"], 2.0 * flat["measurement_noise_r"]),
-            ),
-            ("k_threshold", (0.15, 0.25, 0.35)),
-            ("probability_threshold", (0.8, 0.9, 0.99)),
-        ),
-    )
+    relative = (("g_p", (0.8, 1.2)), ("g_q", (0.8, 1.2)), ("g_az", (0.8, 1.2)))
+    relative += (("process_noise_q", (0.5, 1.0, 2.0)), ("measurement_noise_r", (0.5, 1.0, 2.0)))
+    absolute = (("k_threshold", (0.15, 0.25, 0.35)), ("probability_threshold", (0.8, 0.9, 0.99)))
+    scaled = tuple((key, tuple(f * flat[key] for f in factors)) for key, factors in relative)
+    return SweepSpec(base=base, variations=scaled + absolute)
 
 
 @dataclass(frozen=True)

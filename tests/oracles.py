@@ -135,7 +135,8 @@ class OracleDetector:
     def __init__(self, config):
         self.config = config
         self.conditioner = OracleConditioner(config)
-        self._gains_col = config.gains.as_array()[:, None]
+        gains = config.gains
+        self._gains_col = np.array([gains.g_p, gains.g_q, gains.g_az])[:, None]
         self._estimator = kalman.init()
         self._status = DetectionStatus()
         self._publish()

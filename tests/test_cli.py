@@ -8,7 +8,7 @@ import pytest
 
 from loedetect import flightlog
 from loedetect.cli import main
-from loedetect.detector import config_with, default_config, format_config, parse_config
+from loedetect.detector import CONFIG_KEYS, config_with, default_config, format_config, parse_config
 from loedetect.replay import run_detector
 
 
@@ -36,10 +36,34 @@ def simulate_log(tmp_path, name, *extra):
     return path
 
 
+DEFAULT_CONFIG_TEXT = """\
+# loedetect detector configuration
+g_p = 0.0001
+g_q = 0.0001
+g_az = 5e-06
+filter_natural_frequency = 50.0
+filter_damping_ratio = 0.55
+process_noise_q = 0.1
+measurement_noise_r = 1.0
+k_threshold = 0.25
+probability_threshold = 0.9
+estimator_interval = 0.02
+sensor_interval = 0.002
+takeoff_thrust_fraction = 0.5
+hover_thrust_reference = 1962000.0
+"""
+
+
 def test_print_default_config_round_trips(capsys):
     assert run_cli("--print-default-config") == 0
     text = capsys.readouterr().out
     assert parse_config(text) == default_config()
+
+
+def test_print_default_config_text_is_pinned(capsys):
+    # Key order and value formatting are part of the file format.
+    assert run_cli("--print-default-config") == 0
+    assert capsys.readouterr().out == DEFAULT_CONFIG_TEXT
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -311,6 +335,22 @@ def test_detect_infinite_interval_or_thrust_reference_is_config_error(tmp_path, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_detect_config_value_outside_its_field_is_config_error_naming_it(tmp_path, capsys, key, value):
+    # Every flat key takes only finite values in its own range; the error
+    # names the field (without the file's "filter_" prefix for the low-pass).
+    log = _write_hover_log(tmp_path / "hover.csv")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_CONFIG_TEXT, flags=re.M))
+    assert run_cli("detect", "--log", str(log), "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bad config file {cfg}: ")
+    assert key.removeprefix("filter_") in err[0]
+    assert captured.out == ""
+
+
 def test_detect_sensor_interval_mismatching_the_log_rate_is_config_error(tmp_path, capsys):
     log = _write_hover_log(tmp_path / "hover.csv")  # 500 Hz
     cfg = tmp_path / "fast.cfg"
@@ -407,6 +447,36 @@ def test_sweep_unknown_parameter_fails_before_running(tmp_path, capsys):
     )
     assert code == 2
     assert "warp_factor" in capsys.readouterr().err
+
+
+BAD_SPECS = {
+    "not-a-mapping": ('{"parameters": [1, 2]}', 'expected {"parameters": '),
+    "value-list-is-a-string": ('{"parameters": {"g_p": "12"}}', 'expected {"parameters": '),
+    "no-parameters": ('{"sets": {}}', 'expected {"parameters": '),
+    "out-of-range": ('{"parameters": {"k_threshold": [2.0]}}', "k_threshold must be in (0, 1)"),
+    "nan": ('{"parameters": {"g_p": [NaN]}}', "g_p must be finite and strictly positive, got nan"),
+    "unknown-name": ('{"parameters": {"warp_factor": [9.0]}}', "unknown configuration key: 'warp_factor'"),
+}
+
+
+@pytest.mark.parametrize("spec_text, message", BAD_SPECS.values(), ids=BAD_SPECS.keys())
+@pytest.mark.parametrize("command", ["sweep", "report"])
+def test_bad_sweep_spec_is_usage_error(tmp_path, capsys, command, spec_text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    out_dir = tmp_path / "out"
+    if command == "sweep":
+        log = _write_hover_log(tmp_path / "hover.csv")
+        argv = ["sweep", "--logs", str(log), "--out-dir", str(out_dir)]
+    else:
+        results = tmp_path / "results.csv"
+        results.write_text("param_set_id,log_id,delay_s,false_alarms,missed\n")
+        argv = ["report", "--results", str(results), "--out", str(out_dir)]
+    assert run_cli(*argv, "--spec", str(spec)) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bad sweep spec {spec}: ") and message in err[0]
+    assert captured.out == "" and not out_dir.exists()
 
 
 def test_sweep_empty_glob_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from loedetect.decision import DecisionConfig, DetectionStatus
 from loedetect.detector import (
     CONFIG_KEYS,
     DEFAULT_HOVER_THRUST_REFERENCE,
+    MIN_SENSOR_INTERVAL_S,
     Conditioner,
     Detector,
     DetectorConfig,
@@ -106,6 +108,14 @@ def test_config_validation_messages_name_the_invariant():
         DetectorConfig(hover_thrust_reference=-1.0)
 
 
+def test_config_rejects_a_sensor_interval_below_the_floor():
+    # The takeoff gate holds round(1 / sensor_interval) floats, so the floor
+    # bounds its size; only the config is built here, never a detector.
+    with pytest.raises(ValueError, match=r"sensor_interval must be at least 1e-05 s, got 1e-06"):
+        DetectorConfig(sensor_interval=1e-6)
+    assert DetectorConfig(sensor_interval=MIN_SENSOR_INTERVAL_S).steps_per_estimate() == 2000
+
+
 def test_config_file_round_trip(tmp_path):
     config = DetectorConfig(
         decision=DecisionConfig(k_threshold=0.3, probability_threshold=0.95),
@@ -135,6 +145,31 @@ def test_parse_config_rejects_unknown_and_duplicate_keys():
 def test_config_with_rejects_unknown_parameter():
     with pytest.raises(KeyError, match="bogus"):
         config_with(default_config(), "bogus", 1.0)
+
+
+def _config_fields(config):
+    """``(dotted name, value)`` of every leaf field of a ``DetectorConfig``."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from ((f"{field.name}.{name}", v) for name, v in _config_fields(value))
+        else:
+            yield field.name, value
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_each_flat_key_sets_the_one_field_it_names(key):
+    # Checks the schema table against the dataclass fields: a swapped row
+    # (g_p and g_q share a default) would still round-trip through dicts.
+    base = default_config()
+    value = 0.95 if key == "probability_threshold" else 0.5 * config_to_dict(base)[key]
+    varied = config_with(base, key, value)
+    changed = [
+        (name, new) for (name, old), (_, new) in zip(_config_fields(base), _config_fields(varied)) if old != new
+    ]
+    assert len(changed) == 1
+    name, new = changed[0]
+    assert name.rpartition(".")[2] == key.removeprefix("filter_") and new == value
 
 
 def test_config_with_replaces_nested_value():
@@ -515,9 +550,9 @@ def test_published_snapshots_are_read_only():
     det = Detector(default_config())
     for i in range(40):
         out = det.process_sample(hover_sample(i))
-    for arr in (out.k_hat, out.variances, out.p_fail):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0.5
+    for published in (out.k_hat, out.variances, out.p_fail):
+        with pytest.raises(TypeError):
+            published[0] = 0.5
     state = det.estimator_state
     state.x[0] = 0.5  # a fresh array: writable, and the detector's own state is untouched
     assert out.k_hat[0] != 0.5
