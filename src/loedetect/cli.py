@@ -21,7 +21,6 @@ from .detector import (
 )
 from . import flightlog
 from .replay import (
-    ParameterSet,
     SampleRateMismatchError,
     SweepSpec,
     _check_sample_rate,
@@ -71,8 +70,8 @@ def _load_config(path: str | None) -> DetectorConfig:
         raise CommandError(f"bad config file {path}: {exc}", USAGE_ERROR) from exc
 
 
-def _load_sweep_spec(path: str | None, base: DetectorConfig) -> tuple[SweepSpec, list[ParameterSet]]:
-    """The spec at ``path`` (the default sweep if ``None``) and its parameter sets.
+def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
+    """The spec at ``path`` (the default sweep if ``None``), its parameter sets built.
 
     Building the sets checks every parameter name and value, so every fault in a spec exits 2 here.
     """
@@ -91,7 +90,8 @@ def _load_sweep_spec(path: str | None, base: DetectorConfig) -> tuple[SweepSpec,
                 (name, tuple(float(v) for v in values)) for name, values in parameters.items()
             )
             spec = SweepSpec(base=base, variations=variations)
-        return spec, spec.parameter_sets()
+        spec.parameter_sets()
+        return spec
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         reason = exc.args[0] if isinstance(exc, KeyError) else exc
         raise CommandError(f"bad sweep spec {path or '(default)'}: {reason}", USAGE_ERROR) from exc
@@ -195,7 +195,7 @@ def cmd_sweep(args) -> int:
     if not paths:
         raise CommandError(f"no logs match {args.logs!r}", USAGE_ERROR)
     base = _load_config(args.config)
-    spec, psets = _load_sweep_spec(args.spec, base)
+    spec = _load_sweep_spec(args.spec, base)
 
     logs = []
     log_ids = []
@@ -213,7 +213,7 @@ def cmd_sweep(args) -> int:
     write_results_csv(rows, results_path)
     write_summary_csv(summarize_sweep(rows, spec), summary_path)
     print(
-        f"swept {len(psets)} parameter sets x {len(logs)} logs = {len(rows)} runs"
+        f"swept {len(spec.parameter_sets())} parameter sets x {len(logs)} logs = {len(rows)} runs"
     )
     print(f"wrote {results_path} and {summary_path}")
     return 0
@@ -227,8 +227,8 @@ def cmd_report(args) -> int:
     except ValueError as exc:
         raise CommandError(f"bad results file {args.results}: {exc}", USAGE_ERROR) from exc
     base = _load_config(args.config)
-    spec, psets = _load_sweep_spec(args.spec, base)
-    known = {p.set_id for p in psets}
+    spec = _load_sweep_spec(args.spec, base)
+    known = {p.set_id for p in spec.parameter_sets()}
     missing = {r.param_set_id for r in rows} - known
     if missing:
         raise CommandError(

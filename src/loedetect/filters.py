@@ -35,17 +35,19 @@ class FilterDesign:
 
     The prototype is the unit-DC-gain second-order section
     ``wn^2 / (s^2 + 2*zeta*wn*s + wn^2)``; ``design_lowpass`` samples it at
-    the stream's sample interval.
+    the stream's sample interval. Errors name the fields by their config
+    file keys, ``filter_natural_frequency`` and ``filter_damping_ratio``.
     """
 
     natural_frequency: float = 50.0  # rad/s
     damping_ratio: float = 0.55
 
     def __post_init__(self) -> None:
-        if not self.natural_frequency > 0.0:
-            raise ValueError("natural_frequency must be positive")
+        # Chained comparisons are False on NaN, so these also reject NaN.
+        if not 0.0 < self.natural_frequency < math.inf:
+            raise ValueError(f"filter_natural_frequency must be finite and positive, got {self.natural_frequency}")
         if not 0.0 < self.damping_ratio < 1.0:
-            raise ValueError("damping_ratio must be in (0, 1)")
+            raise ValueError(f"filter_damping_ratio must be finite and in (0, 1), got {self.damping_ratio}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ def design_lowpass(design: FilterDesign, sample_interval: float) -> FilterCoeffi
     wn = design.natural_frequency
     if wn >= math.pi / dt:
         raise ValueError(
-            f"natural_frequency must stay below the Nyquist rate pi/sample_interval = {math.pi / dt:.3f} rad/s"
+            f"filter_natural_frequency must stay below the Nyquist rate pi/sample_interval = {math.pi / dt:.3f} rad/s"
         )
     zeta = design.damping_ratio
 

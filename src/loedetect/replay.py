@@ -13,6 +13,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kalman
 from .decision import DetectionStatus
@@ -141,8 +142,15 @@ class SweepSpec:
     base: DetectorConfig
     variations: tuple[tuple[str, tuple[float, ...]], ...]
 
-    def parameter_sets(self) -> list[ParameterSet]:
-        """All runs, base first; unknown parameter names fail here, before any run."""
+    def parameter_sets(self) -> tuple[ParameterSet, ...]:
+        """All runs, base first; unknown parameter names fail here, before any run.
+
+        Built on the first call and shared by every later call on this spec.
+        """
+        return self._parameter_sets
+
+    @cached_property
+    def _parameter_sets(self) -> tuple[ParameterSet, ...]:
         sets = [ParameterSet("set_00_base", "base", None, self.base)]
         index = 1
         for name, values in self.variations:
@@ -156,7 +164,7 @@ class SweepSpec:
                     )
                 )
                 index += 1
-        return sets
+        return tuple(sets)
 
 
 def default_sweep_spec(base: DetectorConfig | None = None) -> SweepSpec:

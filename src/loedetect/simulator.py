@@ -230,50 +230,102 @@ def dynamics_step(
     else:
         a_x, a_y, a_z = [f / params.mass for f in external_force]
 
-    def deriv(p, q, r, qw, qx, qy, qz):
-        # omega_dot = (M - omega x I omega) / I, q_dot = q * (0, omega) / 2,
-        # v_dot = R(q) f_body + g + a_ext with R's third column written out.
-        bx, by, bz = ix * p, iy * q, iz * r
-        return (
-            (m_x - (q * bz - r * by)) / ix,
-            (m_y - (r * bx - p * bz)) / iy,
-            (m_z - (p * by - q * bx)) / iz,
-            0.5 * (-qx * p - qy * q - qz * r),
-            0.5 * (qw * p + qy * r - qz * q),
-            0.5 * (qw * q + qz * p - qx * r),
-            0.5 * (qw * r + qx * q - qy * p),
-            2 * (qx * qz + qw * qy) * f_z + a_x,
-            2 * (qy * qz - qw * qx) * f_z + a_y,
-            (1 - 2 * (qx * qx + qy * qy)) * f_z + GRAVITY + a_z,
-        )
+    # omega_dot = (M - omega x I omega) / I, q_dot = q * (0, omega) / 2,
+    # v_dot = R(q) f_body + g + a_ext with R's third column written out.
+    # The derivative reads neither v nor position; velocity enters position
+    # linearly, so position takes the same RK4 weights on the v stages.
+    # Stage s holds the state p<s> ... vz<s> and its derivative dp<s> ... dvz<s>.
+    p1, q1, r1 = state.angular_rate
+    qw1, qx1, qy1, qz1 = state.quaternion
+    vx1, vy1, vz1 = state.velocity
+    bx, by, bz = ix * p1, iy * q1, iz * r1
+    dp1 = (m_x - (q1 * bz - r1 * by)) / ix
+    dq1 = (m_y - (r1 * bx - p1 * bz)) / iy
+    dr1 = (m_z - (p1 * by - q1 * bx)) / iz
+    dqw1 = 0.5 * (-qx1 * p1 - qy1 * q1 - qz1 * r1)
+    dqx1 = 0.5 * (qw1 * p1 + qy1 * r1 - qz1 * q1)
+    dqy1 = 0.5 * (qw1 * q1 + qz1 * p1 - qx1 * r1)
+    dqz1 = 0.5 * (qw1 * r1 + qx1 * q1 - qy1 * p1)
+    dvx1 = 2 * (qx1 * qz1 + qw1 * qy1) * f_z + a_x
+    dvy1 = 2 * (qy1 * qz1 - qw1 * qx1) * f_z + a_y
+    dvz1 = (1 - 2 * (qx1 * qx1 + qy1 * qy1)) * f_z + GRAVITY + a_z
 
-    # y = (omega, q, v); the derivative does not depend on v or position.
-    y = [*state.angular_rate, *state.quaternion, *state.velocity]
     half = 0.5 * dt
-    k1 = deriv(*y[:7])
-    y2 = [a + half * d for a, d in zip(y, k1)]
-    k2 = deriv(*y2[:7])
-    y3 = [a + half * d for a, d in zip(y, k2)]
-    k3 = deriv(*y3[:7])
-    y4 = [a + dt * d for a, d in zip(y, k3)]
-    k4 = deriv(*y4[:7])
+    p2, q2, r2 = p1 + half * dp1, q1 + half * dq1, r1 + half * dr1
+    qw2, qx2 = qw1 + half * dqw1, qx1 + half * dqx1
+    qy2, qz2 = qy1 + half * dqy1, qz1 + half * dqz1
+    vx2, vy2, vz2 = vx1 + half * dvx1, vy1 + half * dvy1, vz1 + half * dvz1
+    bx, by, bz = ix * p2, iy * q2, iz * r2
+    dp2 = (m_x - (q2 * bz - r2 * by)) / ix
+    dq2 = (m_y - (r2 * bx - p2 * bz)) / iy
+    dr2 = (m_z - (p2 * by - q2 * bx)) / iz
+    dqw2 = 0.5 * (-qx2 * p2 - qy2 * q2 - qz2 * r2)
+    dqx2 = 0.5 * (qw2 * p2 + qy2 * r2 - qz2 * q2)
+    dqy2 = 0.5 * (qw2 * q2 + qz2 * p2 - qx2 * r2)
+    dqz2 = 0.5 * (qw2 * r2 + qx2 * q2 - qy2 * p2)
+    dvx2 = 2 * (qx2 * qz2 + qw2 * qy2) * f_z + a_x
+    dvy2 = 2 * (qy2 * qz2 - qw2 * qx2) * f_z + a_y
+    dvz2 = (1 - 2 * (qx2 * qx2 + qy2 * qy2)) * f_z + GRAVITY + a_z
+
+    p3, q3, r3 = p1 + half * dp2, q1 + half * dq2, r1 + half * dr2
+    qw3, qx3 = qw1 + half * dqw2, qx1 + half * dqx2
+    qy3, qz3 = qy1 + half * dqy2, qz1 + half * dqz2
+    vx3, vy3, vz3 = vx1 + half * dvx2, vy1 + half * dvy2, vz1 + half * dvz2
+    bx, by, bz = ix * p3, iy * q3, iz * r3
+    dp3 = (m_x - (q3 * bz - r3 * by)) / ix
+    dq3 = (m_y - (r3 * bx - p3 * bz)) / iy
+    dr3 = (m_z - (p3 * by - q3 * bx)) / iz
+    dqw3 = 0.5 * (-qx3 * p3 - qy3 * q3 - qz3 * r3)
+    dqx3 = 0.5 * (qw3 * p3 + qy3 * r3 - qz3 * q3)
+    dqy3 = 0.5 * (qw3 * q3 + qz3 * p3 - qx3 * r3)
+    dqz3 = 0.5 * (qw3 * r3 + qx3 * q3 - qy3 * p3)
+    dvx3 = 2 * (qx3 * qz3 + qw3 * qy3) * f_z + a_x
+    dvy3 = 2 * (qy3 * qz3 - qw3 * qx3) * f_z + a_y
+    dvz3 = (1 - 2 * (qx3 * qx3 + qy3 * qy3)) * f_z + GRAVITY + a_z
+
+    p4, q4, r4 = p1 + dt * dp3, q1 + dt * dq3, r1 + dt * dr3
+    qw4, qx4 = qw1 + dt * dqw3, qx1 + dt * dqx3
+    qy4, qz4 = qy1 + dt * dqy3, qz1 + dt * dqz3
+    vx4, vy4, vz4 = vx1 + dt * dvx3, vy1 + dt * dvy3, vz1 + dt * dvz3
+    bx, by, bz = ix * p4, iy * q4, iz * r4
+    dp4 = (m_x - (q4 * bz - r4 * by)) / ix
+    dq4 = (m_y - (r4 * bx - p4 * bz)) / iy
+    dr4 = (m_z - (p4 * by - q4 * bx)) / iz
+    dqw4 = 0.5 * (-qx4 * p4 - qy4 * q4 - qz4 * r4)
+    dqx4 = 0.5 * (qw4 * p4 + qy4 * r4 - qz4 * q4)
+    dqy4 = 0.5 * (qw4 * q4 + qz4 * p4 - qx4 * r4)
+    dqz4 = 0.5 * (qw4 * r4 + qx4 * q4 - qy4 * p4)
+    dvx4 = 2 * (qx4 * qz4 + qw4 * qy4) * f_z + a_x
+    dvy4 = 2 * (qy4 * qz4 - qw4 * qx4) * f_z + a_y
+    dvz4 = (1 - 2 * (qx4 * qx4 + qy4 * qy4)) * f_z + GRAVITY + a_z
 
     sixth = dt / 6.0
-    new = [a + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
-    new_q = new[3:7]
+    new_q = [
+        qw1 + sixth * (dqw1 + 2 * dqw2 + 2 * dqw3 + dqw4),
+        qx1 + sixth * (dqx1 + 2 * dqx2 + 2 * dqx3 + dqx4),
+        qy1 + sixth * (dqy1 + 2 * dqy2 + 2 * dqy3 + dqy4),
+        qz1 + sixth * (dqz1 + 2 * dqz2 + 2 * dqz3 + dqz4),
+    ]
     q_arr = np.array(new_q)
     norm = math.sqrt(q_arr.dot(q_arr))  # np.linalg.norm's own formula
-    # velocity enters position linearly; same RK4 weights on the v stages
-    new_pos = [
-        x + sixth * (v1 + 2 * v2 + 2 * v3 + v4)
-        for x, v1, v2, v3, v4 in zip(state.position, y[7:], y2[7:], y3[7:], y4[7:])
-    ]
-
+    x, y, z = state.position
     return SimState(
-        angular_rate=new[:3],
+        angular_rate=[
+            p1 + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4),
+            q1 + sixth * (dq1 + 2 * dq2 + 2 * dq3 + dq4),
+            r1 + sixth * (dr1 + 2 * dr2 + 2 * dr3 + dr4),
+        ],
         quaternion=[c / norm for c in new_q],
-        velocity=new[7:],
-        position=new_pos,
+        velocity=[
+            vx1 + sixth * (dvx1 + 2 * dvx2 + 2 * dvx3 + dvx4),
+            vy1 + sixth * (dvy1 + 2 * dvy2 + 2 * dvy3 + dvy4),
+            vz1 + sixth * (dvz1 + 2 * dvz2 + 2 * dvz3 + dvz4),
+        ],
+        position=[
+            x + sixth * (vx1 + 2 * vx2 + 2 * vx3 + vx4),
+            y + sixth * (vy1 + 2 * vy2 + 2 * vy3 + vy4),
+            z + sixth * (vz1 + 2 * vz2 + 2 * vz3 + vz4),
+        ],
         rotor_speeds=speeds,
         true_k=list(state.true_k),
     )
@@ -286,16 +338,30 @@ def inject_fault(state: SimState, event: FaultEvent) -> SimState:
     return out
 
 
-def _true_accel_z(state: SimState, params: VehicleParams, external_force=None) -> float:
-    """Body-z specific force the accelerometer would read with no corruption."""
-    thrust = _moments_and_thrust(state.rotor_speeds, state.true_k, params)[3]
+def _true_accel_z(rotor_speeds, true_k, params: VehicleParams, wind_accel_z=None) -> np.ndarray:
+    """Body-z specific force the accelerometer would read with no corruption.
+
+    One row per sample: ``rotor_speeds`` and ``true_k`` are ``(n, 4)``, and
+    ``wind_accel_z`` ``(n,)`` is the body-z share of the external force per
+    unit mass (see ``_wind_accel_z``). The thrust is ``(ct * k) * (w * w)`` with
+    the four rotors added left to right, the operations of the per-step
+    scalar thrust in ``_moments_and_thrust``.
+    """
+    speeds = np.asarray(rotor_speeds, dtype=float)
+    thrusts = (params.thrust_coeff * np.asarray(true_k, dtype=float)) * (speeds * speeds)
+    thrust = thrusts[:, 0] + thrusts[:, 1] + thrusts[:, 2] + thrusts[:, 3]
     az_true = -thrust / params.mass
-    if external_force is not None:
-        # Stays a numpy product: BLAS rounds this 3-term sum differently
-        # from a scalar one, and the logs must stay bit-stable.
-        f_body = quat_to_matrix(state.quaternion).T @ np.asarray(external_force, dtype=float)
-        az_true += float(f_body[2]) / params.mass
+    if wind_accel_z is not None:
+        az_true += wind_accel_z
     return az_true
+
+
+def _wind_accel_z(quaternion, external_force, params: VehicleParams) -> float:
+    """Body-z component of a world-frame external force, per unit mass."""
+    # Stays a numpy product: BLAS rounds this 3-term sum differently
+    # from a scalar one, and the logs must stay bit-stable.
+    f_body = quat_to_matrix(quaternion).T @ np.asarray(external_force, dtype=float)
+    return float(f_body[2]) / params.mass
 
 
 def synthesize_sensors(
@@ -420,11 +486,18 @@ def _wind(scenario: str, t: float) -> tuple[list[float] | None, list[float] | No
 
 
 def _check_plausible(state: SimState, step_index: int, t: float) -> None:
-    rate, vel = state.angular_rate, state.velocity
-    if (
-        not all(map(math.isfinite, [*rate, *vel, *state.position, *state.quaternion]))
-        or max(map(abs, rate)) > 1000.0
-        or max(map(abs, vel)) > 1000.0
+    # A chained comparison is False on NaN and on +-inf, so one chain per
+    # rate and velocity component is both the finiteness and the envelope check.
+    (p, q, r), (u, v, w) = state.angular_rate, state.velocity
+    if not (
+        -1000.0 <= p <= 1000.0
+        and -1000.0 <= q <= 1000.0
+        and -1000.0 <= r <= 1000.0
+        and -1000.0 <= u <= 1000.0
+        and -1000.0 <= v <= 1000.0
+        and -1000.0 <= w <= 1000.0
+        and all(map(math.isfinite, state.position))
+        and all(map(math.isfinite, state.quaternion))
     ):
         raise DivergenceError(f"simulation diverged at step {step_index} (t={t:.3f} s)")
 
@@ -476,7 +549,8 @@ def fly_scenario(
         state = hover_state(params)
         z_sp = state.position[2]
         fault_applied = fault is None
-        rates, az_true, speeds = [], [], []
+        rates, speeds = [], []
+        wind_accel_z = [] if scenario == "wind" else None
         for i in range(n):
             t_start = i * dt
             t_next = (i + 1) * dt
@@ -489,9 +563,15 @@ def fly_scenario(
             state = dynamics_step(state, setpoints, params, dt, force, moment)
             _check_plausible(state, i, t_next)
             rates.append(state.angular_rate)
-            az_true.append(_true_accel_z(state, params, force))
             speeds.append(state.rotor_speeds)
+            if force is not None:
+                wind_accel_z.append(_wind_accel_z(state.quaternion, force, params))
         speeds = np.array(speeds)
+        # Row i flies faulted exactly when the loop's t_next = times[i] is past the fault.
+        true_k = np.ones((n, 4))
+        if fault is not None:
+            true_k[times > fault.time, fault.actuator_index - 1] = fault.new_k
+        az_true = _true_accel_z(speeds, true_k, params, wind_accel_z)
 
     gyro, accel_z = synthesize_sensors(rates, az_true, speeds, times, noise)
     return FlightLog(

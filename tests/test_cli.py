@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from loedetect import flightlog
+from loedetect import flightlog, replay
 from loedetect.cli import main
 from loedetect.detector import CONFIG_KEYS, config_with, default_config, format_config, parse_config
 from loedetect.replay import run_detector
@@ -339,7 +339,7 @@ def test_detect_infinite_interval_or_thrust_reference_is_config_error(tmp_path, 
 @pytest.mark.parametrize("key", CONFIG_KEYS)
 def test_detect_config_value_outside_its_field_is_config_error_naming_it(tmp_path, capsys, key, value):
     # Every flat key takes only finite values in its own range; the error
-    # names the field (without the file's "filter_" prefix for the low-pass).
+    # names the key as the file writes it.
     log = _write_hover_log(tmp_path / "hover.csv")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", DEFAULT_CONFIG_TEXT, flags=re.M))
@@ -347,7 +347,7 @@ def test_detect_config_value_outside_its_field_is_config_error_naming_it(tmp_pat
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: bad config file {cfg}: ")
-    assert key.removeprefix("filter_") in err[0]
+    assert key in err[0]
     assert captured.out == ""
 
 
@@ -405,6 +405,27 @@ def test_sweep_and_report_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "k_threshold" in text
     assert (tmp_path / "report.txt").exists()
+
+
+def test_sweep_and_report_each_build_the_parameter_sets_once(tmp_path, capsys, monkeypatch):
+    # One build makes one config per swept value. Loading the spec, the runs
+    # and the summary all read the sets; sweep and report build them once each.
+    simulate_log(tmp_path, "a.csv")
+    n_varied = len(replay.default_sweep_spec().parameter_sets()) - 1
+    built = []
+    config_with = replay.config_with
+
+    def counting_config_with(config, key, value):
+        built.append((key, value))
+        return config_with(config, key, value)
+
+    monkeypatch.setattr(replay, "config_with", counting_config_with)
+    out_dir = tmp_path / "sweep"
+    assert run_cli("sweep", "--logs", str(tmp_path / "*.csv"), "--out-dir", str(out_dir)) == 0
+    assert len(built) == n_varied == 18
+    built.clear()
+    assert run_cli("report", "--results", str(out_dir / "results.csv")) == 0
+    assert len(built) == n_varied
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,14 @@ def test_filter_above_nyquist_fails_when_the_config_is_built():
         config_with(default_config(), "filter_natural_frequency", 1600.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["filter_natural_frequency", "filter_damping_ratio"])
+def test_low_pass_keys_reject_non_finite_values_by_key(key, value):
+    # inf passes a bare positivity check and would be reported as above Nyquist.
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        config_with(default_config(), key, value)
+
+
 def test_config_validation_messages_name_the_invariant():
     with pytest.raises(ValueError, match="takeoff_thrust_fraction"):
         DetectorConfig(takeoff_thrust_fraction=0.0)

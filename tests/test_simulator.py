@@ -20,6 +20,7 @@ from loedetect.simulator import (
     _Controller,
     _true_accel_z,
     _wind,
+    _wind_accel_z,
     actuator_moments_and_thrust,
     dynamics_step,
     fly_scenario,
@@ -254,8 +255,9 @@ def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
         force, _ = random_wind(rng)
         t = (i + 1) * 0.002
         floats = as_floats(state)
-        az_true = _true_accel_z(floats, PARAMS, floats_or_none(force))
-        gyro, az = synthesize_sensors([floats.angular_rate], [az_true], [floats.rotor_speeds], [t], noise)
+        wind = None if force is None else [_wind_accel_z(floats.quaternion, floats_or_none(force), PARAMS)]
+        az_true = _true_accel_z([floats.rotor_speeds], [floats.true_k], PARAMS, wind)
+        gyro, az = synthesize_sensors([floats.angular_rate], az_true, [floats.rotor_speeds], [t], noise)
         want_gyro, want_az = oracle_synthesize_sensors(state, PARAMS, oracle_noise, t, external_force=force)
         assert gyro.shape == (1, 3) and az.shape == (1,)
         assert np.array_equal(gyro[0], want_gyro)
@@ -430,8 +432,8 @@ def test_noise_scale_must_be_finite_and_non_negative(factor):
 
 def test_zero_noise_sensors_are_exact():
     state = hover_state(PARAMS)
-    az_true = _true_accel_z(state, PARAMS)
-    gyro, az = synthesize_sensors([state.angular_rate], [az_true], [state.rotor_speeds], [0.5], QUIET)
+    az_true = _true_accel_z([state.rotor_speeds], [state.true_k], PARAMS)
+    gyro, az = synthesize_sensors([state.angular_rate], az_true, [state.rotor_speeds], [0.5], QUIET)
     assert np.array_equal(gyro, [state.angular_rate])
     _, thrust = actuator_moments_and_thrust(state, PARAMS)
     assert az[0] == pytest.approx(-thrust / PARAMS.mass, rel=1e-12)
@@ -463,7 +465,7 @@ def test_vibration_tracks_rotor_frequency():
     n = 2000
     gyro, _ = synthesize_sensors(
         [state.angular_rate] * n,
-        [_true_accel_z(state, PARAMS)] * n,
+        _true_accel_z([state.rotor_speeds] * n, [state.true_k] * n, PARAMS),
         [state.rotor_speeds] * n,
         np.arange(1, n + 1) * dt,
         vib_only,
@@ -544,18 +546,21 @@ def test_divergence_check_raises():
         _check_plausible(state, 7, 0.016)
 
 
-@pytest.mark.parametrize(
-    ("field", "value"),
-    [
-        ("angular_rate", [0.0, 0.0, -1000.5]),
-        ("position", [0.0, np.nan, -1.5]),
-        ("quaternion", [np.nan, 0.0, 0.0, 0.0]),
-        ("velocity", [0.0, -1000.5, 0.0]),
-    ],
-)
-def test_divergence_check_catches_nan_and_runaway_states(field, value):
+def _diverged_components():
+    """Each checked component at NaN and +-inf; rates and velocity also just past the envelope."""
+    for field in ("angular_rate", "quaternion", "velocity", "position"):
+        values = [math.nan, math.inf, -math.inf]
+        if field in ("angular_rate", "velocity"):
+            values += [1000.5, -1000.5]
+        for index in range(len(getattr(hover_state(PARAMS), field))):
+            for value in values:
+                yield pytest.param(field, index, value, id=f"{field}[{index}]={value}")
+
+
+@pytest.mark.parametrize(("field", "index", "value"), list(_diverged_components()))
+def test_divergence_check_catches_nan_and_runaway_states(field, index, value):
     state = hover_state(PARAMS)
-    setattr(state, field, list(value))
+    getattr(state, field)[index] = value
     with pytest.raises(DivergenceError, match="step 7"):
         _check_plausible(state, 7, 0.016)
 
