@@ -56,9 +56,21 @@ def failure_probability(k_hat: float, variance: float, k_threshold: float) -> fl
     return 0.5 * (1.0 + math.erf((k_threshold - k_hat) / math.sqrt(2.0 * variance)))
 
 
-def failure_probabilities(k_hat, variances, k_threshold: float) -> list[float]:
-    """Vector form over the four actuators: sequences of floats in, a list of floats out."""
-    return [failure_probability(k, v, k_threshold) for k, v in zip(k_hat, variances, strict=True)]
+def failure_probabilities(
+    k_hat, variances, k_threshold: float
+) -> tuple[float, float, float, float]:
+    """Vector form over the four actuators: four estimates and four variances in, four floats out.
+
+    Unpacking rejects any length but four.
+    """
+    k0, k1, k2, k3 = k_hat
+    v0, v1, v2, v3 = variances
+    return (
+        failure_probability(k0, v0, k_threshold),
+        failure_probability(k1, v1, k_threshold),
+        failure_probability(k2, v2, k_threshold),
+        failure_probability(k3, v3, k_threshold),
+    )
 
 
 def decide(probs, status: DetectionStatus, config: DecisionConfig, now: float) -> DetectionStatus:
@@ -68,9 +80,16 @@ def decide(probs, status: DetectionStatus, config: DecisionConfig, now: float) -
     status object is returned unchanged.
     """
     threshold = config.probability_threshold
-    new_latch = [not status.failed[i] and probs[i] > threshold for i in range(4)]
-    if not any(new_latch):
+    p0, p1, p2, p3 = probs
+    f0, f1, f2, f3 = status.failed
+    if not (
+        (p0 > threshold and not f0)
+        or (p1 > threshold and not f1)
+        or (p2 > threshold and not f2)
+        or (p3 > threshold and not f3)
+    ):
         return status
+    new_latch = [not status.failed[i] and probs[i] > threshold for i in range(4)]
     failed = tuple(status.failed[i] or new_latch[i] for i in range(4))
     times = tuple(
         now if new_latch[i] else status.first_detection_time[i] for i in range(4)

@@ -341,7 +341,7 @@ def estimation_step(
 
 def decision_step(
     k_hat, variances, status: DetectionStatus, config: DecisionConfig, now: float
-) -> tuple[list[float], DetectionStatus]:
+) -> tuple[tuple[float, float, float, float], DetectionStatus]:
     """Decision stage: failure probabilities and the latched status after them."""
     p_fail = failure_probabilities(k_hat, variances, config.k_threshold)
     return p_fail, decide(p_fail, status, config, now=now)
@@ -354,10 +354,12 @@ class Detector:
         self.config = config
         self._conditioner = Conditioner(config)
         self._gains = signed_gains(config.gains)
+        self._noise = config.noise
+        self._decision = config.decision
         self._estimator = state = kalman.init()
         self._status = DetectionStatus()
         self._variances = state.variances()
-        self._p_fail = tuple(failure_probabilities(state.k, self._variances, config.decision.k_threshold))
+        self._p_fail = failure_probabilities(state.k, self._variances, self._decision.k_threshold)
 
     @property
     def armed(self) -> bool:
@@ -374,13 +376,11 @@ class Detector:
     def process_sample(self, raw: RawSample) -> DetectorOutput:
         tick = self._conditioner.push(raw)
         if tick is not None:
-            config = self.config
-            state = self._estimator = estimation_step(self._estimator, self._gains, config.noise, *tick)
+            state = self._estimator = estimation_step(self._estimator, self._gains, self._noise, *tick)
             variances = self._variances = state.variances()
-            p_fail, self._status = decision_step(
-                state.k, variances, self._status, config.decision, raw.timestamp
+            self._p_fail, self._status = decision_step(
+                state.k, variances, self._status, self._decision, raw.timestamp
             )
-            self._p_fail = tuple(p_fail)
 
         return DetectorOutput(
             timestamp=raw.timestamp,

@@ -3,7 +3,8 @@
 The state transition is a random walk (P_pred = P + q*I, x unchanged), and
 the observation model is the rotor-speed-parameterized linear effectiveness
 model. R = r*I is diagonal, so the three-row update runs as three scalar
-updates in turn (sequential measurement processing). With the innovation
+updates in turn (sequential measurement processing, Bierman 1977), written
+out row by row as straight-line float code with no loop. With the innovation
 ``y_j = z_j - (h0*x0 + h1*x1 + h2*x2 + h3*x3)`` taken once per row, summed
 left to right, each row ``h_j`` runs
 
@@ -126,35 +127,72 @@ def step(
     skips the [0, 1.5] bound (used when comparing trajectories against an
     unconstrained reference).
     """
+    # Unpacking rejects any shape but three rows of four and three z.
+    (h00, h01, h02, h03), (h10, h11, h12, h13), (h20, h21, h22, h23) = H
+    z0, z1, z2 = z
     x0, x1, x2, x3 = state.k
-    y = [
-        z_j - (h0 * x0 + h1 * x1 + h2 * x2 + h3 * x3)
-        for (h0, h1, h2, h3), z_j in zip(H, z, strict=True)
-    ]
-    for v in y:
-        if v != v:  # a NaN anywhere in H or z reaches y
-            raise ValueError("NaN in estimator input")
+    y0 = z0 - (h00 * x0 + h01 * x1 + h02 * x2 + h03 * x3)
+    y1 = z1 - (h10 * x0 + h11 * x1 + h12 * x2 + h13 * x3)
+    y2 = z2 - (h20 * x0 + h21 * x1 + h22 * x2 + h23 * x3)
+    if y0 != y0 or y1 != y1 or y2 != y2:  # a NaN anywhere in H or z reaches y
+        raise ValueError("NaN in estimator input")
     q = noise.process_noise_q
     r = noise.measurement_noise_r
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = state.p_upper
     p00, p11, p22, p33 = p00 + q, p11 + q, p22 + q, p33 + q
+    # Row 0 keeps the ``h.dx`` term at dx = 0: with every h negative it is
+    # -0.0, and it sets the sign of a zero gain.
     d0 = d1 = d2 = d3 = 0.0
-    for (h0, h1, h2, h3), y_j in zip(H, y):
-        a0 = p00 * h0 + p01 * h1 + p02 * h2 + p03 * h3
-        a1 = p01 * h0 + p11 * h1 + p12 * h2 + p13 * h3
-        a2 = p02 * h0 + p12 * h1 + p22 * h2 + p23 * h3
-        a3 = p03 * h0 + p13 * h1 + p23 * h2 + p33 * h3
-        s = h0 * a0 + h1 * a1 + h2 * a2 + h3 * a3 + r
-        if not 0.0 < s < math.inf:
-            raise ArithmeticError(f"innovation variance s={s} is not finite and positive")
-        g = (y_j - (h0 * d0 + h1 * d1 + h2 * d2 + h3 * d3)) / s
-        d0, d1, d2, d3 = d0 + a0 * g, d1 + a1 * g, d2 + a2 * g, d3 + a3 * g
-        b0, b1, b2, b3 = a0 / s, a1 / s, a2 / s, a3 / s
-        p00, p01, p02, p03 = p00 - a0 * b0, p01 - a0 * b1, p02 - a0 * b2, p03 - a0 * b3
-        p11, p12, p13 = p11 - a1 * b1, p12 - a1 * b2, p13 - a1 * b3
-        p22, p23 = p22 - a2 * b2, p23 - a2 * b3
-        p33 -= a3 * b3
-    k = (x0 + d0, x1 + d1, x2 + d2, x3 + d3)
+
+    a0 = p00 * h00 + p01 * h01 + p02 * h02 + p03 * h03
+    a1 = p01 * h00 + p11 * h01 + p12 * h02 + p13 * h03
+    a2 = p02 * h00 + p12 * h01 + p22 * h02 + p23 * h03
+    a3 = p03 * h00 + p13 * h01 + p23 * h02 + p33 * h03
+    s = h00 * a0 + h01 * a1 + h02 * a2 + h03 * a3 + r
+    if not 0.0 < s < math.inf:
+        raise ArithmeticError(f"innovation variance s={s} is not finite and positive")
+    g = (y0 - (h00 * d0 + h01 * d1 + h02 * d2 + h03 * d3)) / s
+    d0, d1, d2, d3 = d0 + a0 * g, d1 + a1 * g, d2 + a2 * g, d3 + a3 * g
+    b0, b1, b2, b3 = a0 / s, a1 / s, a2 / s, a3 / s
+    p00, p01, p02, p03 = p00 - a0 * b0, p01 - a0 * b1, p02 - a0 * b2, p03 - a0 * b3
+    p11, p12, p13 = p11 - a1 * b1, p12 - a1 * b2, p13 - a1 * b3
+    p22, p23 = p22 - a2 * b2, p23 - a2 * b3
+    p33 -= a3 * b3
+
+    a0 = p00 * h10 + p01 * h11 + p02 * h12 + p03 * h13
+    a1 = p01 * h10 + p11 * h11 + p12 * h12 + p13 * h13
+    a2 = p02 * h10 + p12 * h11 + p22 * h12 + p23 * h13
+    a3 = p03 * h10 + p13 * h11 + p23 * h12 + p33 * h13
+    s = h10 * a0 + h11 * a1 + h12 * a2 + h13 * a3 + r
+    if not 0.0 < s < math.inf:
+        raise ArithmeticError(f"innovation variance s={s} is not finite and positive")
+    g = (y1 - (h10 * d0 + h11 * d1 + h12 * d2 + h13 * d3)) / s
+    d0, d1, d2, d3 = d0 + a0 * g, d1 + a1 * g, d2 + a2 * g, d3 + a3 * g
+    b0, b1, b2, b3 = a0 / s, a1 / s, a2 / s, a3 / s
+    p00, p01, p02, p03 = p00 - a0 * b0, p01 - a0 * b1, p02 - a0 * b2, p03 - a0 * b3
+    p11, p12, p13 = p11 - a1 * b1, p12 - a1 * b2, p13 - a1 * b3
+    p22, p23 = p22 - a2 * b2, p23 - a2 * b3
+    p33 -= a3 * b3
+
+    a0 = p00 * h20 + p01 * h21 + p02 * h22 + p03 * h23
+    a1 = p01 * h20 + p11 * h21 + p12 * h22 + p13 * h23
+    a2 = p02 * h20 + p12 * h21 + p22 * h22 + p23 * h23
+    a3 = p03 * h20 + p13 * h21 + p23 * h22 + p33 * h23
+    s = h20 * a0 + h21 * a1 + h22 * a2 + h23 * a3 + r
+    if not 0.0 < s < math.inf:
+        raise ArithmeticError(f"innovation variance s={s} is not finite and positive")
+    g = (y2 - (h20 * d0 + h21 * d1 + h22 * d2 + h23 * d3)) / s
+    d0, d1, d2, d3 = d0 + a0 * g, d1 + a1 * g, d2 + a2 * g, d3 + a3 * g
+    b0, b1, b2, b3 = a0 / s, a1 / s, a2 / s, a3 / s
+    p00, p01, p02, p03 = p00 - a0 * b0, p01 - a0 * b1, p02 - a0 * b2, p03 - a0 * b3
+    p11, p12, p13 = p11 - a1 * b1, p12 - a1 * b2, p13 - a1 * b3
+    p22, p23 = p22 - a2 * b2, p23 - a2 * b3
+    p33 -= a3 * b3
+
+    k0, k1, k2, k3 = x0 + d0, x1 + d1, x2 + d2, x3 + d3
     if clamp_state:
-        k = tuple([K_MIN if v < K_MIN else K_MAX if v > K_MAX else v for v in k])
-    return _state(k, (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))
+        k0 = K_MIN if k0 < K_MIN else K_MAX if k0 > K_MAX else k0
+        k1 = K_MIN if k1 < K_MIN else K_MAX if k1 > K_MAX else k1
+        k2 = K_MIN if k2 < K_MIN else K_MAX if k2 > K_MAX else k2
+        k3 = K_MIN if k3 < K_MIN else K_MAX if k3 > K_MAX else k3
+    return _state((k0, k1, k2, k3), (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))

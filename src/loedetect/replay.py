@@ -216,14 +216,16 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
         if ekey not in estimates:
             state = kalman.init()
             gains = signed_gains(config.gains)
+            noise = config.noise
             trajectory = []
             for t, z, w_sq in ticks[ckey]:
-                state = estimation_step(state, gains, config.noise, z, w_sq)
+                state = estimation_step(state, gains, noise, z, w_sq)
                 trajectory.append((t, state.k, state.variances()))
             estimates[ekey] = trajectory
         status = DetectionStatus()
+        decision = config.decision
         for t, k_hat, variances in estimates[ekey]:
-            _, status = decision_step(k_hat, variances, status, config.decision, t)
+            _, status = decision_step(k_hat, variances, status, decision, t)
         decided[config] = evaluate_status(status, *span, log.ground_truth())
     return [decided[config] for config in configs]
 

@@ -96,6 +96,12 @@ def test_vector_form_matches_scalar():
         assert probs[i] == failure_probability(k[i], v[i], THRESHOLD)
 
 
+@pytest.mark.parametrize("n_k, n_v", [(3, 3), (5, 5), (4, 3), (3, 4), (4, 5)])
+def test_vector_form_rejects_anything_but_four_actuators(n_k, n_v):
+    with pytest.raises(ValueError):
+        failure_probabilities([0.5] * n_k, [0.1] * n_v, THRESHOLD)
+
+
 def test_decide_latches_above_threshold_and_records_time():
     config = DecisionConfig()
     status = decide(np.array([0.0, 0.0, 0.95, 0.0]), DetectionStatus(), config, now=1.66)
@@ -124,6 +130,21 @@ def test_decide_is_idempotent_for_unchanged_probs():
     once = decide(probs, DetectionStatus(), config, now=3.0)
     twice = decide(probs, once, config, now=4.0)
     assert twice is once  # no change, not even the timestamp
+
+
+def test_decide_returns_input_when_only_latched_actuators_stay_above():
+    config = DecisionConfig()
+    latched = decide(np.array([0.0, 0.95, 0.0, 0.0]), DetectionStatus(), config, now=1.0)
+    again = decide((0.0, 0.99, 0.5, 0.0), latched, config, now=2.0)
+    assert again is latched
+
+
+def test_decide_keeps_old_time_when_a_new_latch_joins():
+    config = DecisionConfig()
+    first = decide(np.array([0.0, 0.95, 0.0, 0.0]), DetectionStatus(), config, now=1.0)
+    both = decide((0.0, 0.97, 0.0, 0.93), first, config, now=2.5)
+    assert both.failed == (False, True, False, True)
+    assert both.first_detection_time == (None, 1.0, None, 2.5)
 
 
 def test_latched_set_never_shrinks():

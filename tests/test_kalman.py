@@ -171,6 +171,23 @@ def test_shape_mismatch_is_a_hard_error():
         kalman.step(st, np.zeros((3, 3)), np.zeros(3), TABLE_NOISE)
 
 
+@pytest.mark.parametrize(
+    "H, z",
+    [
+        (np.zeros((4, 4)), np.zeros(3)),
+        (np.zeros((3, 4)), np.zeros(4)),
+        (np.zeros((3, 5)), np.zeros(3)),
+        ([[0.0] * 4] * 4, [0.0] * 3),
+        ([[0.0] * 4] * 3, [0.0] * 4),
+        ([[0.0] * 4, [0.0] * 5, [0.0] * 4], [0.0] * 3),
+    ],
+    ids=["4-row-H", "4-z", "5-col-H", "4-row-list", "4-z-list", "one-5-entry-row"],
+)
+def test_extra_rows_entries_or_measurements_are_a_hard_error(H, z):
+    with pytest.raises(ValueError):
+        kalman.step(kalman.init(), H, z, TABLE_NOISE)
+
+
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         NoiseConfig(process_noise_q=0.0)
@@ -221,7 +238,9 @@ def test_step_on_nested_lists_equals_step_on_arrays_bit_for_bit():
         z = H @ rng.uniform(0.0, 1.5, 4) + rng.normal(0.0, 1.0, 3)
         on_arrays = kalman.step(on_arrays, H, z, TABLE_NOISE)
         on_lists = kalman.step(on_lists, H.tolist(), z.tolist(), TABLE_NOISE)
-        assert on_lists.k == on_arrays.k and on_lists.p_upper == on_arrays.p_upper
+        # float.hex tells -0.0 from 0.0, which == does not
+        assert list(map(float.hex, on_lists.k)) == list(map(float.hex, on_arrays.k))
+        assert list(map(float.hex, on_lists.p_upper)) == list(map(float.hex, on_arrays.p_upper))
 
 
 def test_step_equals_array_oracle_bit_for_bit():
@@ -232,5 +251,6 @@ def test_step_equals_array_oracle_bit_for_bit():
         z = H @ rng.uniform(0.0, 1.5, 4) + rng.normal(0.0, 1.0, 3)
         mine = kalman.step(mine, H, z, TABLE_NOISE)
         oracle = oracle_kalman_step(oracle, H, z, TABLE_NOISE)
-        assert np.array_equal(mine.x, oracle.x)
-        assert np.array_equal(mine.P, oracle.P)
+        # bytes tell -0.0 from 0.0, which array_equal does not
+        assert mine.x.tobytes() == oracle.x.tobytes()
+        assert mine.P.tobytes() == oracle.P.tobytes()

@@ -5,8 +5,9 @@ from pathlib import Path
 
 from loedetect import cli, simulator
 from loedetect.detector import Conditioner, default_config
-from loedetect.flightlog import save_log
-from loedetect.simulator import SensorNoiseModel, fly_scenario
+from loedetect.flightlog import load_log, save_log
+from loedetect.replay import default_sweep_spec
+from loedetect.simulator import FaultEvent, SensorNoiseModel, fly_scenario
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -50,6 +51,40 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path):
     assert metrics["decision.failure_probabilities.calls"][0] == armed_ticks + 1
     # The log is checked once, when load_log builds it.
     assert metrics["flightlog.FlightLog.validate.calls"][0] == 1
+
+
+def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path):
+    # The sweep's layer split: the estimator runs once per distinct estimator
+    # key and the hypothesis test once per distinct config, on every armed tick.
+    for i, (scenario, actuator) in enumerate((("hover", 3), ("wind", 1))):
+        fault = FaultEvent(time=1.2, actuator_index=actuator)
+        log = fly_scenario(scenario, duration=1.5, fault=fault, noise=SensorNoiseModel(seed=30 + i))
+        save_log(log, tmp_path / f"log_{i}.csv")
+    logs = [load_log(path) for path in sorted(tmp_path.glob("log_*.csv"))]
+    configs = [pset.config for pset in default_sweep_spec().parameter_sets()]
+
+    def armed_ticks(log, config):
+        conditioner = Conditioner(config)
+        return sum(conditioner.push(raw) is not None for raw in log.samples())
+
+    estimator_runs = {config.estimator_key(): config for config in configs}.values()
+    decision_runs = set(configs)
+    assert 1 < len(estimator_runs) < len(decision_runs) < len(configs)
+    expected_steps = sum(armed_ticks(log, c) for log in logs for c in estimator_runs)
+    expected_decisions = sum(armed_ticks(log, c) for log in logs for c in decision_runs)
+    assert expected_steps > 0
+
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        argv = ["sweep", "--logs", str(tmp_path / "log_*.csv"), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["kalman.step.calls"][0] == expected_steps
+    assert metrics["decision.decide.calls"][0] == expected_decisions
+    assert metrics["decision.failure_probabilities.calls"][0] == expected_decisions
 
 
 def test_simulator_steps_per_sample_and_corrupts_sensors_once_per_flight():
