@@ -249,9 +249,8 @@ class Conditioner:
 
     def __init__(self, config: DetectorConfig):
         self._filter = FilterState(design_lowpass(config.lowpass, config.sensor_interval))
-        self._steps_per_estimate = config.steps_per_estimate()
+        self._steps_per_estimate = self._countdown = config.steps_per_estimate()
         self._sensor_interval = config.sensor_interval
-        self._sample_index = 0
         self._last_timestamp: float | None = None
         self._prev_tick: FilteredSample | None = None
         # Takeoff gate: moving average of sum(w_i^2) over a 1 s window.
@@ -268,16 +267,17 @@ class Conditioner:
 
         ``z`` is (p_dot, q_dot, a_z) and ``w_sq`` the squared filtered rotor
         speeds. Timestamp steps outside (1 -/+ ``STEP_TOLERANCE``) x
-        ``sensor_interval`` are rejected, as ``FlightLog.validate`` does.
+        ``sensor_interval`` are rejected, as ``FlightLog.validate`` does. A
+        rejected sample changes no state. Estimator ticks come from a
+        countdown of ``steps_per_estimate`` accepted samples.
         """
         t = raw.timestamp
         last = self._last_timestamp
         if last is not None and t <= last:
             raise ValueError(f"non-monotone timestamp: {t} after {last}")
-        # The sample's one list of channel values, in ``CHANNELS`` order: the
-        # checks read it and the filter bank keeps it as recursion memory.
-        values = [*raw.angular_rate.tolist(), float(raw.proper_accel_z), *raw.rotor_speeds.tolist()]
-        p, q, r, az, w1, w2, w3, w4 = values
+        p, q, r = raw.angular_rate.tolist()
+        az = float(raw.proper_accel_z)
+        w1, w2, w3, w4 = raw.rotor_speeds.tolist()
         top = MAX_ROTOR_SPEED_RAD_S
         # Chained comparisons are False on NaN, so this also rejects NaN.
         if not (
@@ -291,7 +291,7 @@ class Conditioner:
             and 0.0 <= w3 <= top
             and 0.0 <= w4 <= top
         ):
-            if not all(-_INF < v < _INF for v in (t, *values)):
+            if not all(-_INF < v < _INF for v in (t, p, q, r, az, w1, w2, w3, w4)):
                 problem = "NaN or Inf"
             elif max(abs(w1), abs(w2), abs(w3), abs(w4)) > top:
                 problem = f"rotor speed above {top:g} rad/s"
@@ -306,27 +306,34 @@ class Conditioner:
             )
         self._last_timestamp = t
 
-        out = filter_step(self._filter, values)
-        if not self.armed:
+        # The sample's one list of channel values, in ``CHANNELS`` order; the
+        # filter bank keeps it as recursion memory.
+        out = filter_step(self._filter, [p, q, r, az, w1, w2, w3, w4])
+        armed = self.armed
+        if not armed:
             # numpy dot, not a scalar sum: BLAS rounds it differently.
             thrust_proxy = float(raw.rotor_speeds @ raw.rotor_speeds)
-            self._gate_sum += thrust_proxy - self._gate_buf[self._gate_pos]
-            self._gate_buf[self._gate_pos] = thrust_proxy
-            self._gate_pos = (self._gate_pos + 1) % self._gate_len
+            pos = self._gate_pos
+            self._gate_sum += thrust_proxy - self._gate_buf[pos]
+            self._gate_buf[pos] = thrust_proxy
+            self._gate_pos = (pos + 1) % self._gate_len
             if self._gate_count < self._gate_len:
                 self._gate_count += 1
             if self._gate_sum / self._gate_count > self._gate_level:
-                self.armed = True  # one-way: landing detection is out of scope
+                self.armed = armed = True  # one-way: landing detection is out of scope
 
-        self._sample_index += 1
-        if self._sample_index % self._steps_per_estimate:
+        countdown = self._countdown - 1
+        if countdown:
+            self._countdown = countdown
             return None
-        filtered = FilteredSample(timestamp=t, rates=out[0:3], accel_z=out[3], rotor_speeds=out[4:8])
+        self._countdown = self._steps_per_estimate
+        filtered = FilteredSample(t, out[0:3], out[3], out[4:8])
         p_dot, q_dot = differentiate(self._prev_tick, filtered)
         self._prev_tick = filtered
-        if not self.armed:
+        if not armed:
             return None
-        return (p_dot, q_dot, filtered.accel_z), [w * w for w in filtered.rotor_speeds]
+        _, _, _, a_z, f1, f2, f3, f4 = out
+        return (p_dot, q_dot, a_z), [f1 * f1, f2 * f2, f3 * f3, f4 * f4]
 
 
 def estimation_step(
@@ -374,7 +381,8 @@ class Detector:
         return self._estimator
 
     def process_sample(self, raw: RawSample) -> DetectorOutput:
-        tick = self._conditioner.push(raw)
+        conditioner = self._conditioner
+        tick = conditioner.push(raw)
         if tick is not None:
             state = self._estimator = estimation_step(self._estimator, self._gains, self._noise, *tick)
             variances = self._variances = state.variances()
@@ -383,12 +391,7 @@ class Detector:
             )
 
         return DetectorOutput(
-            timestamp=raw.timestamp,
-            k_hat=self._estimator.k,
-            variances=self._variances,
-            p_fail=self._p_fail,
-            status=self._status,
-            armed=self._conditioner.armed,
+            raw.timestamp, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed
         )
 
     def process_stream(self, samples) -> list[DetectorOutput]:

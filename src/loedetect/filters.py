@@ -3,7 +3,11 @@
 Every input channel (body rates, vertical accelerometer, rotor speeds) runs
 through the same discrete second-order low-pass so the channels stay
 synchronized, and angular accelerations are produced by backward-differencing
-the filtered roll and pitch rates.
+the filtered roll and pitch rates. The recursion is written out as
+straight-line float code for the ``N_CHANNELS`` channels of the detector's
+bank; a narrower bank pads its input with zeros. The detector's
+``Conditioner`` differences on estimator ticks, which a per-sample countdown
+marks.
 """
 
 from __future__ import annotations
@@ -110,14 +114,21 @@ class FilterState:
 
     The memory is warm-started from the first sample, so a constant stream is
     a fixed point and there is no startup transient. The recursion
-    (``filter_step``) runs on Python floats, channel by channel, in the order
+    (``filter_step``) runs on Python floats, written out for the
+    ``N_CHANNELS`` channels of the detector's bank, each in the order
     ``b0*x + b1*x1 + b2*x2 - a1*y1 - a2*y2``; every operation is elementwise,
-    so it rounds exactly like the same recursion on float64 arrays.
+    so it rounds exactly like the same recursion on float64 arrays. A state
+    with fewer channels pads each input with zeros to ``N_CHANNELS`` and
+    returns the first ``n_channels`` outputs; channels never mix, so the
+    padding does not change their bits.
     """
 
     def __init__(self, coeffs: FilterCoefficients, n_channels: int = N_CHANNELS):
+        if not 1 <= n_channels <= N_CHANNELS:
+            raise ValueError(f"n_channels must be in 1..{N_CHANNELS}, got {n_channels}")
         self.coeffs = coeffs
         self.n_channels = n_channels
+        self._pad = [0.0] * (N_CHANNELS - n_channels)
         self._c = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2)
         self._mem: tuple[list[float], list[float], list[float], list[float]] | None = None
 
@@ -127,9 +138,10 @@ class FilterState:
     def step(self, inputs: np.ndarray) -> np.ndarray:
         """Advance all channels one sample and return the filtered values."""
         x = np.asarray(inputs, dtype=float)
-        if x.shape != (self.n_channels,):
-            raise ValueError(f"expected {self.n_channels} channels, got shape {x.shape}")
-        return np.array(filter_step(self, x.tolist()))
+        n = self.n_channels
+        if x.shape != (n,):
+            raise ValueError(f"expected {n} channels, got shape {x.shape}")
+        return np.array(filter_step(self, x.tolist() + self._pad)[:n])
 
 
 @dataclass(slots=True)
@@ -153,23 +165,36 @@ class FilteredSample:
 
 
 def filter_step(state: FilterState, values: list[float]) -> list[float]:
-    """Advance every channel of ``state`` by one sample; returns a new list.
+    """Advance every channel of the bank by one sample; returns a new list.
 
-    ``values`` holds one Python float per channel (``CHANNELS`` order for the
-    detector's bank). The filter keeps it as recursion memory, so the caller
+    ``values`` holds one Python float for each of the ``N_CHANNELS``
+    channels, in ``CHANNELS`` order (``FilterState.step`` pads a narrower
+    state's input). The filter keeps it as recursion memory, so the caller
     must not write to it afterwards.
     """
-    if len(values) != state.n_channels:
-        raise ValueError(f"expected {state.n_channels} channels, got {len(values)}")
+    try:
+        u0, u1, u2, u3, u4, u5, u6, u7 = values
+    except ValueError:
+        raise ValueError(f"expected {N_CHANNELS} channels, got {len(values)}") from None
     mem = state._mem
     if mem is None:
         x1 = x2 = y1 = y2 = values  # warm start; lists are never written in place
     else:
         x1, x2, y1, y2 = mem
+    x1_0, x1_1, x1_2, x1_3, x1_4, x1_5, x1_6, x1_7 = x1
+    x2_0, x2_1, x2_2, x2_3, x2_4, x2_5, x2_6, x2_7 = x2
+    y1_0, y1_1, y1_2, y1_3, y1_4, y1_5, y1_6, y1_7 = y1
+    y2_0, y2_1, y2_2, y2_3, y2_4, y2_5, y2_6, y2_7 = y2
     b0, b1, b2, a1, a2 = state._c
     y = [
-        b0 * u + b1 * u1 + b2 * u2 - a1 * v1 - a2 * v2
-        for u, u1, u2, v1, v2 in zip(values, x1, x2, y1, y2)
+        b0 * u0 + b1 * x1_0 + b2 * x2_0 - a1 * y1_0 - a2 * y2_0,
+        b0 * u1 + b1 * x1_1 + b2 * x2_1 - a1 * y1_1 - a2 * y2_1,
+        b0 * u2 + b1 * x1_2 + b2 * x2_2 - a1 * y1_2 - a2 * y2_2,
+        b0 * u3 + b1 * x1_3 + b2 * x2_3 - a1 * y1_3 - a2 * y2_3,
+        b0 * u4 + b1 * x1_4 + b2 * x2_4 - a1 * y1_4 - a2 * y2_4,
+        b0 * u5 + b1 * x1_5 + b2 * x2_5 - a1 * y1_5 - a2 * y2_5,
+        b0 * u6 + b1 * x1_6 + b2 * x2_6 - a1 * y1_6 - a2 * y2_6,
+        b0 * u7 + b1 * x1_7 + b2 * x2_7 - a1 * y1_7 - a2 * y2_7,
     ]
     state._mem = (values, x1, y, y1)
     return y

@@ -430,6 +430,87 @@ def test_stream_accepts_steps_within_tolerance():
         det.process_sample(raw)
 
 
+# A sample with two faults reports the first in check order: timestamp order,
+# then the value chain (NaN or Inf, ceiling, negative), then the step size.
+
+
+def test_non_monotone_outranks_a_nan_gyro():
+    det = Detector(default_config())
+    det.process_sample(hover_sample(1))
+    bad = hover_sample(0)
+    bad.angular_rate = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="non-monotone"):
+        det.process_sample(bad)
+
+
+def test_nan_outranks_an_off_tolerance_step():
+    det = Detector(default_config())
+    for i in range(20):
+        det.process_sample(hover_sample(i))
+    bad = hover_sample(20)
+    bad.timestamp += 0.2
+    bad.proper_accel_z = np.nan
+    with pytest.raises(ValueError, match=r"^NaN or Inf in sample at t="):
+        det.process_sample(bad)
+
+
+def test_rotor_ceiling_outranks_an_off_tolerance_step():
+    det = Detector(default_config())
+    for i in range(20):
+        det.process_sample(hover_sample(i))
+    bad = hover_sample(20)
+    bad.timestamp -= 0.0012
+    bad.rotor_speeds = np.array([700.0, 2e5, 700.0, 700.0])
+    with pytest.raises(ValueError, match=r"^rotor speed above 100000 rad/s in sample at t="):
+        det.process_sample(bad)
+
+
+def _faulty_copy(raw, fault):
+    """``raw`` with one fault that ``push`` rejects; ``raw`` itself is untouched."""
+    bad = RawSample(raw.timestamp, raw.angular_rate.copy(), raw.proper_accel_z, raw.rotor_speeds.copy())
+    if fault == "non-monotone":
+        bad.timestamp -= 0.003
+    elif fault == "off-step":
+        bad.timestamp -= 0.0012
+    elif fault == "nan":
+        bad.angular_rate[2] = np.nan
+    elif fault == "ceiling":
+        bad.rotor_speeds[0] = 2e5
+    else:
+        bad.rotor_speeds[3] = -1.0
+    return bad
+
+
+@pytest.mark.parametrize("steps", [10, 3])
+def test_rejected_sample_advances_nothing(steps):
+    # Bad samples before a tick while disarmed (they would move the gate and
+    # the countdown), on the sample that arms the gate and inside the armed
+    # stretch: the outputs match the clean stream's, bit for bit.
+    config = config_with(default_config(), "estimator_interval", steps * 0.002)
+    assert config.steps_per_estimate() == steps
+    clean = list(_random_stream(config, 3000, 23))
+    reference = Detector(config).process_stream(clean)
+    arming = next(i for i, out in enumerate(reference) if out.armed)
+    assert 0 < arming < 2000
+    inserts = {
+        steps - 1: "off-step",
+        arming - 1: "nan",
+        arming: "ceiling",
+        arming + 1: "negative",
+        2000: "non-monotone",
+        2999: "off-step",
+    }
+    det = Detector(config)
+    got = []
+    for i, raw in enumerate(clean):
+        if i in inserts:
+            with pytest.raises(ValueError):
+                det.process_sample(_faulty_copy(raw, inserts[i]))
+        got.append(repr(det.process_sample(raw)))
+    # repr spells every float exactly, so equal reprs are equal bits.
+    assert got == [repr(out) for out in reference]
+
+
 def test_hour_of_hover_keeps_the_estimator_healthy():
     # 180,000 estimator ticks (one hour at 50 Hz) of the budget stream's
     # hover tick, then its loss of actuator 3, against a 500-tick hover.
@@ -535,13 +616,23 @@ OTHER_CONFIG = config_from_dict(
 )
 
 
-@pytest.mark.parametrize("config", [default_config(), OTHER_CONFIG], ids=["default", "other"])
+# Every estimator tick (steps 1) and an odd period (steps 3), beside steps 10 and 5.
+ORACLE_CONFIGS = [
+    default_config(),
+    OTHER_CONFIG,
+    config_with(default_config(), "estimator_interval", 0.002),
+    config_with(OTHER_CONFIG, "estimator_interval", 0.006),
+]
+ORACLE_CONFIG_IDS = ["default", "other", "steps1", "steps3"]
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=ORACLE_CONFIG_IDS)
 def test_conditioner_equals_array_oracle(config, ejection_log):
     _assert_conditioner_matches_oracle(config, _random_stream(config, 5000, 21))
     _assert_conditioner_matches_oracle(config, list(ejection_log.samples()))
 
 
-@pytest.mark.parametrize("config", [default_config(), OTHER_CONFIG], ids=["default", "other"])
+@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=ORACLE_CONFIG_IDS)
 def test_detector_equals_array_oracle_on_budget_stream(config):
     out = _assert_detector_matches_oracle(config, _budget_stream(config, 6000, 2500))
     assert out.status.failed == (False, False, True, False)

@@ -236,3 +236,9 @@ def test_filter_step_rejects_wrong_channel_count():
         filter_step(state, [0.0, 0.0, 0.0, -9.81, 500.0, 500.0, 500.0])
     with pytest.raises(ValueError, match="expected 8 channels"):
         state.step(np.zeros(7))
+
+
+@pytest.mark.parametrize("n_channels", [0, 9])
+def test_filter_state_rejects_channel_counts_outside_the_bank(n_channels):
+    with pytest.raises(ValueError, match=r"n_channels must be in 1\.\.8"):
+        FilterState(design_lowpass(FilterDesign(), DT), n_channels=n_channels)

@@ -4,7 +4,7 @@ import importlib.util
 from pathlib import Path
 
 from loedetect import cli, simulator
-from loedetect.detector import Conditioner, default_config
+from loedetect.detector import Conditioner, Detector, config_with, default_config
 from loedetect.flightlog import load_log, save_log
 from loedetect.replay import default_sweep_spec
 from loedetect.simulator import FaultEvent, SensorNoiseModel, fly_scenario
@@ -51,6 +51,27 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path):
     assert metrics["decision.failure_probabilities.calls"][0] == armed_ticks + 1
     # The log is checked once, when load_log builds it.
     assert metrics["flightlog.FlightLog.validate.calls"][0] == 1
+
+
+def test_stream_counts_follow_a_non_default_estimator_interval():
+    # Five samples per estimator tick: the filter bank runs on every sample
+    # and the differencing on every fifth; a partial period at the end makes
+    # no tick.
+    config = config_with(default_config(), "estimator_interval", 5 * default_config().sensor_interval)
+    log = fly_scenario("hover", duration=0.506, noise=SensorNoiseModel(seed=5))
+    assert len(log) % 5 != 0
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        detector = Detector(config)
+        for raw in log.samples():
+            detector.process_sample(raw)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["detector.process_sample.calls"][0] == len(log)
+    assert metrics["filters.filter_step.calls"][0] == len(log)
+    assert metrics["filters.differentiate.calls"][0] == len(log) // 5
 
 
 def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path):
