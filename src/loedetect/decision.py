@@ -95,3 +95,27 @@ def decide(probs, status: DetectionStatus, config: DecisionConfig, now: float) -
         now if new_latch[i] else status.first_detection_time[i] for i in range(4)
     )
     return DetectionStatus(failed=failed, first_detection_time=times)
+
+
+def first_exceedance(records, config: DecisionConfig) -> DetectionStatus:
+    """The status ``decide`` ends a run with, from the run's sub-threshold probabilities only.
+
+    ``records`` holds one sequence per actuator of ``(t, p)`` pairs, in tick
+    order: ``p = failure_probability(k_hat, variance, config.k_threshold)``
+    on each tick whose ``k_hat < config.k_threshold``. Each actuator latches
+    at its first ``p > config.probability_threshold``.
+
+    This equals folding ``decide(failure_probabilities(...))`` over every
+    tick of the run, from a fresh ``DetectionStatus``:
+
+    - ``decide`` latches each actuator on its own, for good, at the first
+      tick where its ``p > probability_threshold``.
+    - ``DecisionConfig`` requires ``probability_threshold > 0.5``.
+    - on a tick whose ``k_hat >= k_threshold``, ``failure_probability`` is
+      at most 0.5: it is 0.5 (1 + erf(x)) with x <= 0, or 0 or 0.5 at zero
+      variance. A NaN ``k_hat`` gives NaN or 0.5.
+    - so the ticks ``records`` leaves out can never latch.
+    """
+    threshold = config.probability_threshold
+    times = tuple(next((t for t, p in pairs if p > threshold), None) for pairs in records)
+    return DetectionStatus(failed=tuple(t is not None for t in times), first_detection_time=times)

@@ -2,9 +2,13 @@
 
 Replaying a log feeds the exact same per-sample pipeline the streaming
 detector runs, so offline results are bit-identical to online processing of
-the same samples. A sweep runs the same three pipeline stages, each once per
-distinct upstream configuration. Evaluation produces the three metrics that
-matter for a fault detector: detection delay, false alarms, missed detections.
+the same samples. A sweep runs conditioning once per distinct conditioning
+key, and estimation once per distinct estimator key in one pass that also
+takes the failure probabilities of each distinct ``k_threshold``, on the
+estimates below it only; each config then latches by first exceedance
+(``decision.first_exceedance``), with the same results as a full replay.
+Evaluation produces the three metrics that matter for a fault detector:
+detection delay, false alarms, missed detections.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import kalman
-from .decision import DetectionStatus
+from .decision import DetectionStatus, failure_probability, first_exceedance
 from .detector import (
     Conditioner,
     Detector,
@@ -24,7 +28,6 @@ from .detector import (
     DetectorOutput,
     config_to_dict,
     config_with,
-    decision_step,
     default_config,
     estimation_step,
 )
@@ -119,8 +122,13 @@ def evaluate_status(
 
 
 def evaluate_log(log: FlightLog, config: DetectorConfig) -> EvaluationResult:
-    """Replay plus evaluation against the log's own annotation."""
-    return evaluate(run_detector(log, config), log.ground_truth())
+    """Replay plus evaluation against the log's own annotation, holding no outputs."""
+    _check_sample_rate(log, config)
+    detector = Detector(config)
+    process_sample = detector.process_sample
+    for raw in log.samples():
+        process_sample(raw)
+    return evaluate_status(detector.status, float(log.t[0]), float(log.t[-1]), log.ground_truth())
 
 
 # ---------------------------------------------------------------------------
@@ -188,45 +196,86 @@ class SweepResultRow:
     missed: bool
 
 
+def _sub_threshold_probabilities(ticks: list, config: DetectorConfig, k_thresholds) -> dict:
+    """Run the estimator over ``ticks`` once, taking the probabilities ``first_exceedance`` reads.
+
+    Returns, per ``k_threshold``, one list per actuator of ``(t, p)`` pairs:
+    ``p = failure_probability(k_hat, variance, k_threshold)`` on each tick
+    whose ``k_hat < k_threshold``. A negative variance raises the decision
+    stage's ``ValueError``, but only once the pass is over, so an estimator
+    error anywhere in the pass comes first.
+    """
+    state = kalman.init()
+    gains = signed_gains(config.gains)
+    noise = config.noise
+    records = {k_threshold: ([], [], [], []) for k_threshold in k_thresholds}
+    pending = tuple(records.items())
+    probability = failure_probability
+    negative = None
+    for t, z, w_sq in ticks:
+        state = estimation_step(state, gains, noise, z, w_sq)
+        v0, v1, v2, v3 = variances = state.variances()
+        if v0 < 0.0 or v1 < 0.0 or v2 < 0.0 or v3 < 0.0:
+            if negative is None:
+                negative = next(v for v in variances if v < 0.0)
+            continue
+        k0, k1, k2, k3 = state.k
+        for k_threshold, (r0, r1, r2, r3) in pending:
+            if k0 < k_threshold:
+                r0.append((t, probability(k0, v0, k_threshold)))
+            if k1 < k_threshold:
+                r1.append((t, probability(k1, v1, k_threshold)))
+            if k2 < k_threshold:
+                r2.append((t, probability(k2, v2, k_threshold)))
+            if k3 < k_threshold:
+                r3.append((t, probability(k3, v3, k_threshold)))
+    if negative is not None:
+        probability(0.0, negative, k_thresholds[0])  # raises the decision stage's ValueError
+    return records
+
+
 def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[EvaluationResult]:
     """Evaluate one log under every config, one result per config in order.
 
-    Conditioning runs once per distinct conditioning key, estimation once per
-    distinct estimator key over those ticks, and the decision stage once per
-    distinct config, so each result equals ``evaluate_log(log, config)``.
+    Conditioning runs once per distinct conditioning key. Estimation runs
+    once per distinct estimator key, in one pass over the armed ticks that
+    also takes the failure probabilities of each distinct ``k_threshold``
+    under that key, on sub-threshold estimates only. Configs that differ
+    only in ``probability_threshold`` share those probabilities. Each config
+    then latches by first exceedance, so each result equals
+    ``evaluate_log(log, config)``.
+
+    Errors come key by key, in first-appearance order: a key's estimator
+    errors first, then the ``ValueError`` of a negative variance anywhere in
+    its pass. A replay of the first failing config raises the same, unless
+    its negative variance comes before its estimator error.
     """
     for config in configs:
         _check_sample_rate(log, config)
     span = float(log.t[0]), float(log.t[-1])
+    truth = log.ground_truth()
+    # estimator key -> k_threshold -> distinct configs, all in first-appearance order
+    groups: dict[tuple, dict[float, list[DetectorConfig]]] = {}
+    for config in dict.fromkeys(configs):
+        by_threshold = groups.setdefault(config.estimator_key(), {})
+        by_threshold.setdefault(config.decision.k_threshold, []).append(config)
     ticks: dict[tuple, list] = {}  # conditioning key -> [(t, z, w_sq)] per armed tick
-    estimates: dict[tuple, list] = {}  # estimator key -> [(t, k_hat, variances)] float tuples per armed tick
     decided: dict[DetectorConfig, EvaluationResult] = {}
-    for config in configs:
-        if config in decided:
-            continue
-        ckey = config.conditioning_key()
+    for by_threshold in groups.values():
+        first = next(iter(by_threshold.values()))[0]
+        ckey = first.conditioning_key()
         if ckey not in ticks:
-            conditioner = Conditioner(config)
+            conditioner = Conditioner(first)
             ticks[ckey] = [
                 (raw.timestamp, *tick)
                 for raw in log.samples()
                 if (tick := conditioner.push(raw)) is not None
             ]
-        ekey = config.estimator_key()
-        if ekey not in estimates:
-            state = kalman.init()
-            gains = signed_gains(config.gains)
-            noise = config.noise
-            trajectory = []
-            for t, z, w_sq in ticks[ckey]:
-                state = estimation_step(state, gains, noise, z, w_sq)
-                trajectory.append((t, state.k, state.variances()))
-            estimates[ekey] = trajectory
-        status = DetectionStatus()
-        decision = config.decision
-        for t, k_hat, variances in estimates[ekey]:
-            _, status = decision_step(k_hat, variances, status, decision, t)
-        decided[config] = evaluate_status(status, *span, log.ground_truth())
+        records = _sub_threshold_probabilities(ticks[ckey], first, tuple(by_threshold))
+        for k_threshold, same_threshold in by_threshold.items():
+            for config in same_threshold:
+                status = first_exceedance(records[k_threshold], config.decision)
+                decided[config] = evaluate_status(status, *span, truth)
     return [decided[config] for config in configs]
 
 

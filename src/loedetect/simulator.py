@@ -18,11 +18,6 @@ import numpy as np
 from .effectiveness import GRAVITY, SIGN_MATRIX, YAW_SIGNS, VehicleParams
 from .flightlog import FlightLog
 
-# Roll and pitch signs are rows 0 and 1 of the detector's SIGN_MATRIX. The
-# per-step code runs on Python floats, so it reads the signs as lists.
-_ROLL, _PITCH = SIGN_MATRIX[:2].tolist()
-_YAW = YAW_SIGNS.tolist()
-
 SCENARIOS = ("hover", "step", "wind", "ground_idle")
 
 
@@ -160,24 +155,25 @@ def hover_state(params: VehicleParams) -> SimState:
     )
 
 
-def _signed_sum(signs: list, values: list) -> float:
-    # Left-to-right sum: equals numpy's ``signs @ values`` bit for bit.
-    return signs[0] * values[0] + signs[1] * values[1] + signs[2] * values[2] + signs[3] * values[3]
-
-
 def _moments_and_thrust(
     speeds, true_k, params: VehicleParams
 ) -> tuple[float, float, float, float]:
-    """Scalar core: body moments (m_x, m_y, m_z) and the total thrust."""
+    """Scalar core: body moments (m_x, m_y, m_z) and the total thrust.
+
+    The signed sums are ``SIGN_MATRIX[0]``, ``SIGN_MATRIX[1]`` and
+    ``YAW_SIGNS`` written out, summed left to right: with signs of +/-1 each
+    term is exact, so this equals numpy's ``signs @ values`` bit for bit.
+    """
     ct = params.thrust_coeff
-    w_sq = [w * w for w in speeds]
-    thrusts = [ct * k * s for k, s in zip(true_k, w_sq)]
-    reaction = [k * s for k, s in zip(true_k, w_sq)]
+    w0, w1, w2, w3 = speeds
+    k0, k1, k2, k3 = true_k
+    s0, s1, s2, s3 = w0 * w0, w1 * w1, w2 * w2, w3 * w3
+    t0, t1, t2, t3 = ct * k0 * s0, ct * k1 * s1, ct * k2 * s2, ct * k3 * s3
     return (
-        params.arm_y * _signed_sum(_ROLL, thrusts),
-        params.arm_x * _signed_sum(_PITCH, thrusts),
-        params.moment_coeff * _signed_sum(_YAW, reaction),
-        thrusts[0] + thrusts[1] + thrusts[2] + thrusts[3],
+        params.arm_y * (t0 - t1 - t2 + t3),
+        params.arm_x * (t0 + t1 - t2 - t3),
+        params.moment_coeff * (k0 * s0 - k1 * s1 + k2 * s2 - k3 * s3),
+        t0 + t1 + t2 + t3,
     )
 
 

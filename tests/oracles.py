@@ -16,7 +16,7 @@ import numpy as np
 
 from loedetect import kalman
 from loedetect.decision import DetectionStatus, decide, failure_probability
-from loedetect.detector import ARMING_WINDOW_S
+from loedetect.detector import ARMING_WINDOW_S, Conditioner
 from loedetect.effectiveness import SIGN_MATRIX
 from loedetect.filters import MAX_ROTOR_SPEED_RAD_S, N_CHANNELS, design_lowpass
 from loedetect.kalman import EstimatorState
@@ -155,3 +155,30 @@ class OracleDetector:
             self._publish()
             self._status = decide(self._pfail, self._status, self.config.decision, raw.timestamp)
         return raw.timestamp, self._k, self._var, self._pfail, self._status, self.conditioner.armed
+
+
+def sweep_probability_evaluations(logs, configs):
+    """The ``failure_probability`` evaluations a sweep of ``configs`` over ``logs`` makes.
+
+    One per (log, distinct estimator key, distinct ``k_threshold``), armed
+    tick and actuator whose estimate sits below that ``k_threshold``; the
+    estimates come from ``Conditioner`` ticks through ``kalman.step`` with
+    the array-form ``H``.
+    """
+    runs = {(c.estimator_key(), c.decision.k_threshold): c for c in configs}.values()
+    total = 0
+    for log in logs:
+        for config in runs:
+            conditioner = Conditioner(config)
+            gains = config.gains
+            gains_col = np.array([gains.g_p, gains.g_q, gains.g_az])[:, None]
+            k_threshold = config.decision.k_threshold
+            state = kalman.init()
+            for raw in log.samples():
+                tick = conditioner.push(raw)
+                if tick is not None:
+                    z, w_sq = tick
+                    H = SIGN_MATRIX * gains_col * np.array(w_sq)[None, :]
+                    state = kalman.step(state, H, z, config.noise)
+                    total += sum(k < k_threshold for k in state.k)
+    return total

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from loedetect.decision import (
@@ -10,6 +12,7 @@ from loedetect.decision import (
     decide,
     failure_probabilities,
     failure_probability,
+    first_exceedance,
 )
 
 THRESHOLD = 0.25
@@ -169,3 +172,86 @@ def test_decision_config_validation():
         DecisionConfig(probability_threshold=0.5)
     with pytest.raises(ValueError):
         DecisionConfig(probability_threshold=1.0)
+
+
+JUST_ABOVE_HALF = math.nextafter(0.5, 1.0)
+
+
+@st.composite
+def decision_runs(draw):
+    """A ``DecisionConfig`` and a trajectory of ``(t, k_hat, variances)`` ticks.
+
+    Estimates and variances come partly from small pools, so several
+    actuators often share a value, sit exactly at ``k_threshold`` or have
+    zero variance. The probability threshold is sometimes one of the run's
+    own probabilities, so some ``p`` sit exactly at it.
+    """
+    k_threshold = draw(st.sampled_from([0.15, 0.25, 0.35]) | st.floats(0.01, 0.99))
+    below, above = math.nextafter(k_threshold, 0.0), math.nextafter(k_threshold, 1.0)
+    k_values = st.sampled_from([k_threshold, below, above, 0.0, 1.0, math.nan]) | st.floats(0.0, 1.5)
+    variances = st.sampled_from([0.0, 1e-6, 1e-3]) | st.floats(0.0, 10.0)
+    n_ticks = draw(st.integers(1, 12))
+    ticks = [
+        (0.02 * (i + 1), draw(st.tuples(*[k_values] * 4)), draw(st.tuples(*[variances] * 4)))
+        for i in range(n_ticks)
+    ]
+    own = [
+        p
+        for _, k_hat, var in ticks
+        for p in failure_probabilities(k_hat, var, k_threshold)
+        if 0.5 < p < 1.0
+    ]
+    thresholds = st.sampled_from([JUST_ABOVE_HALF, 0.9]) | st.floats(
+        0.5, 1.0, exclude_min=True, exclude_max=True
+    )
+    if own:
+        thresholds |= st.sampled_from(own)
+    return DecisionConfig(k_threshold, draw(thresholds)), ticks
+
+
+def _sub_threshold_records(config, ticks):
+    records = ([], [], [], [])
+    for t, k_hat, variances in ticks:
+        for i in range(4):
+            if k_hat[i] < config.k_threshold:
+                records[i].append((t, failure_probability(k_hat[i], variances[i], config.k_threshold)))
+    return records
+
+
+ONE_TICK_ALL_LATCH = (DecisionConfig(), [(0.02, (0.0, 0.0, 0.1, 1.0), (0.0, 0.0, 1e-3, 0.0))])
+AT_THRESHOLD = (
+    DecisionConfig(0.25, JUST_ABOVE_HALF),
+    [(0.02, (0.25, 0.25, 0.25, 0.25), (0.0, 1e-3, 1.0, 0.0)), (0.04, (0.25, 0.2, 1.0, 0.25), (0.0, 0.0, 0.0, 1.0))],
+)
+P_AT_THRESHOLD = (
+    DecisionConfig(0.25, failure_probability(0.1, 0.01, 0.25)),
+    [(0.02, (0.1, 1.0, 1.0, 1.0), (0.01, 0.0, 0.0, 0.0)), (0.04, (0.09, 1.0, 1.0, 1.0), (0.01, 0.0, 0.0, 0.0))],
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(decision_runs())
+@example(ONE_TICK_ALL_LATCH)
+@example(AT_THRESHOLD)
+@example(P_AT_THRESHOLD)
+def test_first_exceedance_equals_folding_decide_over_every_tick(run):
+    config, ticks = run
+    status = DetectionStatus()
+    for t, k_hat, variances in ticks:
+        status = decide(failure_probabilities(k_hat, variances, config.k_threshold), status, config, now=t)
+    assert first_exceedance(_sub_threshold_records(config, ticks), config) == status
+
+
+def test_first_exceedance_edge_examples_latch_as_described():
+    # The explicit examples above do hit the cases they are named after.
+    config, ticks = ONE_TICK_ALL_LATCH
+    status = first_exceedance(_sub_threshold_records(config, ticks), config)
+    assert status.failed == (True, True, True, False)
+    assert status.first_detection_time == (0.02, 0.02, 0.02, None)
+    config, ticks = AT_THRESHOLD
+    status = first_exceedance(_sub_threshold_records(config, ticks), config)
+    assert status.failed == (False, True, False, False)
+    assert status.first_detection_time == (None, 0.04, None, None)
+    config, ticks = P_AT_THRESHOLD
+    status = first_exceedance(_sub_threshold_records(config, ticks), config)
+    assert status.first_detection_time == (0.04, None, None, None)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from loedetect.decision import DetectionStatus
-from loedetect import replay
-from loedetect.detector import Conditioner, Detector, DetectorOutput, config_with, decision_step, default_config
+from loedetect.decision import DetectionStatus, failure_probability
+from loedetect import decision, kalman, replay
+from loedetect import detector as detector_module
+from loedetect.detector import Conditioner, Detector, DetectorOutput, config_with, default_config
 from loedetect.replay import (
     SweepSpec,
     box_stats,
@@ -21,6 +22,7 @@ from loedetect.replay import (
     write_summary_csv,
 )
 from loedetect.simulator import SensorNoiseModel, fly_scenario
+from oracles import sweep_probability_evaluations
 
 
 def _output(t, status, armed=True):
@@ -205,6 +207,16 @@ def test_sweep_starts_at_most_one_worker_per_log(monkeypatch):
     assert created == [2]  # one log runs serially
 
 
+def _recording(fn, calls, name):
+    """``fn``, appending ``name`` to ``calls`` on every call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
     base = default_config()
     spec = SweepSpec(
@@ -221,6 +233,7 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
     configs = [p.config for p in spec.parameter_sets()]
     assert len({c.conditioning_key() for c in configs}) == 3
     assert len({c.estimator_key() for c in configs}) == 5
+    assert len({(c.estimator_key(), c.decision.k_threshold) for c in configs}) == 6
     assert len(set(configs)) == len(configs) - 1
     hover = fly_scenario("hover", duration=2.0, noise=SensorNoiseModel(seed=81))
     idle = fly_scenario("ground_idle", duration=1.5, noise=SensorNoiseModel(seed=82))
@@ -228,16 +241,19 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
     logs = [ejection_log, hover, idle]
 
     calls = []
+    evaluations = []
     with monkeypatch.context() as patch:
-        patch.setattr(replay, "decision_step", lambda *args: calls.append(args) or decision_step(*args))
+        for module in (decision, detector_module, replay):
+            for name in ("decision_step", "decide", "failure_probabilities"):
+                if hasattr(module, name):
+                    patch.setattr(module, name, _recording(getattr(module, name), calls, name))
+        patch.setattr(replay, "failure_probability", _recording(failure_probability, evaluations, "p"))
         rows = run_sweep(logs, spec, log_ids=["eject", "hover", "idle"])
 
-    def armed_ticks(config, log):
-        conditioner = Conditioner(config)
-        return sum(conditioner.push(raw) is not None for raw in log.samples())
-
-    # Equal configs are decided once per log.
-    assert len(calls) == sum(armed_ticks(c, log) for c in set(configs) for log in logs) > 0
+    # No per-tick decision: one failure probability per (log, estimator key,
+    # k_threshold) and sub-threshold (tick, actuator) pair.
+    assert calls == []
+    assert len(evaluations) == sweep_probability_evaluations(logs, configs) > 0
     assert [(r.param_set_id, r.log_id) for r in rows] == [
         (p.set_id, log_id) for p in spec.parameter_sets() for log_id in ("eject", "hover", "idle")
     ]
@@ -249,6 +265,91 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
             direct.missed_detection,
         ), (row, direct)
     assert run_sweep(logs, spec, log_ids=["eject", "hover", "idle"], jobs=2) == rows
+
+
+class _FaultyStep:
+    """``kalman.step`` with a negative variance or an ``ArithmeticError`` on chosen ticks.
+
+    ``faults`` maps a ``process_noise_q`` to ``(negative_at, raise_at)``:
+    the 1-based call, counted per noise config, whose result carries a
+    negative variance for actuator 4, and the call that raises. The next
+    call gets the variance back, so only the chosen tick is corrupted.
+    """
+
+    step = staticmethod(kalman.step)  # the real kernel, taken before any test patches it
+
+    def __init__(self, faults):
+        self.faults = faults
+        self.calls = {}
+
+    def __call__(self, state, H, z, noise):
+        negative_at, raise_at = self.faults.get(noise.process_noise_q, (None, None))
+        n = self.calls[noise] = self.calls.get(noise, 0) + 1
+        if n == raise_at:
+            raise ArithmeticError(f"injected estimator failure on call {n}")
+        P = state.P
+        P[3, 3] = abs(P[3, 3])
+        new = self.step(kalman.EstimatorState(state.x, P), H, z, noise)
+        if n != negative_at:
+            return new
+        P = new.P
+        P[3, 3] = -P[3, 3]
+        return kalman.EstimatorState(new.x, P)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        {0.1: (3, None)},
+        {0.1: (None, 5)},
+        {0.1: (3, None), 0.05: (None, 2)},
+        {0.05: (None, 2)},
+    ],
+    ids=[
+        "negative-variance",
+        "estimator-error",
+        "first-key-before-second",
+        "second-key-only",
+    ],
+)
+def test_sweep_raises_what_the_first_failing_replay_raises(ejection_log, monkeypatch, faults):
+    # Estimator keys: base, k_threshold and probability_threshold share
+    # process_noise_q = 0.1 and run first; 0.05 runs second.
+    spec = SweepSpec(
+        base=default_config(),
+        variations=(
+            ("process_noise_q", (0.05,)),
+            ("k_threshold", (0.15,)),
+            ("probability_threshold", (0.99,)),
+        ),
+    )
+    expected = None
+    for pset in spec.parameter_sets():
+        monkeypatch.setattr(kalman, "step", _FaultyStep(faults))
+        try:
+            evaluate_log(ejection_log, pset.config)
+        except (ValueError, ArithmeticError) as exc:
+            expected = exc
+            break
+    assert expected is not None
+    monkeypatch.setattr(kalman, "step", _FaultyStep(faults))
+    with pytest.raises((ValueError, ArithmeticError)) as caught:
+        run_sweep([ejection_log], spec)
+    assert type(caught.value) is type(expected)
+    assert str(caught.value) == str(expected)
+
+
+def test_sweep_raises_a_keys_estimator_error_before_its_negative_variance(ejection_log, monkeypatch):
+    # The sweep checks a key's variances once its estimator pass is over, so
+    # an estimator error later in the pass comes first. A streaming replay
+    # stops at the negative variance.
+    spec = SweepSpec(base=default_config(), variations=(("k_threshold", (0.15,)),))
+    monkeypatch.setattr(kalman, "step", _FaultyStep({0.1: (3, 5)}))
+    with pytest.raises(ArithmeticError, match="injected estimator failure on call 5"):
+        run_sweep([ejection_log], spec)
+    monkeypatch.setattr(kalman, "step", _FaultyStep({0.1: (3, 5)}))
+    with pytest.raises(ValueError, match="variance must be non-negative"):
+        evaluate_log(ejection_log, default_config())
 
 
 def test_raising_probability_threshold_never_speeds_detection(ejection_log):

@@ -3,11 +3,13 @@
 import importlib.util
 from pathlib import Path
 
-from loedetect import cli, simulator
+from loedetect import cli, replay, simulator
+from loedetect import detector as detector_module
 from loedetect.detector import Conditioner, Detector, config_with, default_config
 from loedetect.flightlog import load_log, save_log
 from loedetect.replay import default_sweep_spec
 from loedetect.simulator import FaultEvent, SensorNoiseModel, fly_scenario
+from oracles import sweep_probability_evaluations
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -74,9 +76,12 @@ def test_stream_counts_follow_a_non_default_estimator_interval():
     assert metrics["filters.differentiate.calls"][0] == len(log) // 5
 
 
-def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path):
+def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, monkeypatch):
     # The sweep's layer split: the estimator runs once per distinct estimator
-    # key and the hypothesis test once per distinct config, on every armed tick.
+    # key on every armed tick. There is no per-tick decision: the failure
+    # probability runs once per distinct (estimator key, k_threshold) on each
+    # sub-threshold (tick, actuator) pair, and each config latches by first
+    # exceedance.
     for i, (scenario, actuator) in enumerate((("hover", 3), ("wind", 1))):
         fault = FaultEvent(time=1.2, actuator_index=actuator)
         log = fly_scenario(scenario, duration=1.5, fault=fault, noise=SensorNoiseModel(seed=30 + i))
@@ -89,12 +94,24 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path):
         return sum(conditioner.push(raw) is not None for raw in log.samples())
 
     estimator_runs = {config.estimator_key(): config for config in configs}.values()
+    threshold_runs = {(config.estimator_key(), config.decision.k_threshold) for config in configs}
     decision_runs = set(configs)
-    assert 1 < len(estimator_runs) < len(decision_runs) < len(configs)
+    assert 1 < len(estimator_runs) < len(threshold_runs) < len(decision_runs) < len(configs)
     expected_steps = sum(armed_ticks(log, c) for log in logs for c in estimator_runs)
-    expected_decisions = sum(armed_ticks(log, c) for log in logs for c in decision_runs)
+    expected_evaluations = sweep_probability_evaluations(logs, configs)
     assert expected_steps > 0
+    assert expected_evaluations > 0
 
+    decision_steps = []
+    evaluations = []
+    real_decision_step = detector_module.decision_step
+    monkeypatch.setattr(
+        detector_module, "decision_step", lambda *args: decision_steps.append(args) or real_decision_step(*args)
+    )
+    real_probability = replay.failure_probability
+    monkeypatch.setattr(
+        replay, "failure_probability", lambda *args: evaluations.append(args) or real_probability(*args)
+    )
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -104,8 +121,10 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path):
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["kalman.step.calls"][0] == expected_steps
-    assert metrics["decision.decide.calls"][0] == expected_decisions
-    assert metrics["decision.failure_probabilities.calls"][0] == expected_decisions
+    assert metrics["decision.decide.calls"][0] == 0
+    assert metrics["decision.failure_probabilities.calls"][0] == 0
+    assert decision_steps == []
+    assert len(evaluations) == expected_evaluations
 
 
 def test_simulator_steps_per_sample_and_corrupts_sensors_once_per_flight():
