@@ -27,7 +27,6 @@ from .effectiveness import (
     VehicleParams,
     gains_from_geometry,
     observation_matrix,
-    predict_accelerations,
 )
 from .filters import (
     FilterCoefficients,

@@ -236,9 +236,12 @@ class DetectorOutput:
 
 
 # ---------------------------------------------------------------------------
-# The three pipeline stages. ``Detector`` runs them in order on every sample;
-# the sweep runs each once per distinct upstream key (see
-# ``DetectorConfig.conditioning_key`` and ``estimator_key``).
+# The three pipeline stages: ``Conditioner``, ``estimation_step`` and the
+# decision (``failure_probabilities``, then ``decide``). ``Detector`` runs
+# them in order on every sample, the last two on armed ticks only. The sweep
+# runs the first two once per distinct upstream key (see
+# ``DetectorConfig.conditioning_key`` and ``estimator_key``) and latches each
+# config by ``decision.first_exceedance``.
 
 
 class Conditioner:
@@ -346,14 +349,6 @@ def estimation_step(
     return kalman.step(state, observation_rows(gains, w_sq), z, noise)
 
 
-def decision_step(
-    k_hat, variances, status: DetectionStatus, config: DecisionConfig, now: float
-) -> tuple[tuple[float, float, float, float], DetectionStatus]:
-    """Decision stage: failure probabilities and the latched status after them."""
-    p_fail = failure_probabilities(k_hat, variances, config.k_threshold)
-    return p_fail, decide(p_fail, status, config, now=now)
-
-
 class Detector:
     """One detection stream: feed samples in timestamp order, read outputs."""
 
@@ -386,16 +381,13 @@ class Detector:
         if tick is not None:
             state = self._estimator = estimation_step(self._estimator, self._gains, self._noise, *tick)
             variances = self._variances = state.variances()
-            self._p_fail, self._status = decision_step(
-                state.k, variances, self._status, self._decision, raw.timestamp
-            )
+            decision = self._decision
+            p_fail = self._p_fail = failure_probabilities(state.k, variances, decision.k_threshold)
+            self._status = decide(p_fail, self._status, decision, now=raw.timestamp)
 
         return DetectorOutput(
             raw.timestamp, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed
         )
-
-    def process_stream(self, samples) -> list[DetectorOutput]:
-        return [self.process_sample(s) for s in samples]
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,3 @@ def observation_matrix(gains: EffectivenessGains, rotor_speeds: np.ndarray) -> n
         raise ValueError("rotor speeds must be non-negative")
     return np.array(observation_rows(signed_gains(gains), (w * w).tolist()))
 
-
-def predict_accelerations(
-    gains: EffectivenessGains, rotor_speeds: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    """Predicted (p_dot, q_dot, a_z) for effectiveness factors ``k``."""
-    return observation_matrix(gains, rotor_speeds) @ np.asarray(k, dtype=float)

@@ -3,11 +3,11 @@
 Every input channel (body rates, vertical accelerometer, rotor speeds) runs
 through the same discrete second-order low-pass so the channels stay
 synchronized, and angular accelerations are produced by backward-differencing
-the filtered roll and pitch rates. The recursion is written out as
-straight-line float code for the ``N_CHANNELS`` channels of the detector's
-bank; a narrower bank pads its input with zeros. The detector's
-``Conditioner`` differences on estimator ticks, which a per-sample countdown
-marks.
+the filtered roll and pitch rates. There is one bank, of the
+``N_CHANNELS`` channels in ``CHANNELS``, and one way to advance it:
+``filter_step``, which writes the recursion out as straight-line float code.
+The detector's ``Conditioner`` differences on estimator ticks, which a
+per-sample countdown marks.
 """
 
 from __future__ import annotations
@@ -110,38 +110,19 @@ def frequency_response(coeffs: FilterCoefficients, omega: float, sample_interval
 
 
 class FilterState:
-    """Recursion memory for one stream; every channel shares the same biquad.
+    """Recursion memory of the ``N_CHANNELS``-channel bank; every channel shares the same biquad.
 
     The memory is warm-started from the first sample, so a constant stream is
-    a fixed point and there is no startup transient. The recursion
-    (``filter_step``) runs on Python floats, written out for the
-    ``N_CHANNELS`` channels of the detector's bank, each in the order
+    a fixed point and there is no startup transient. ``filter_step`` advances
+    the bank on Python floats, written out for each channel in the order
     ``b0*x + b1*x1 + b2*x2 - a1*y1 - a2*y2``; every operation is elementwise,
-    so it rounds exactly like the same recursion on float64 arrays. A state
-    with fewer channels pads each input with zeros to ``N_CHANNELS`` and
-    returns the first ``n_channels`` outputs; channels never mix, so the
-    padding does not change their bits.
+    so it rounds exactly like the same recursion on float64 arrays.
     """
 
-    def __init__(self, coeffs: FilterCoefficients, n_channels: int = N_CHANNELS):
-        if not 1 <= n_channels <= N_CHANNELS:
-            raise ValueError(f"n_channels must be in 1..{N_CHANNELS}, got {n_channels}")
+    def __init__(self, coeffs: FilterCoefficients):
         self.coeffs = coeffs
-        self.n_channels = n_channels
-        self._pad = [0.0] * (N_CHANNELS - n_channels)
         self._c = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2)
         self._mem: tuple[list[float], list[float], list[float], list[float]] | None = None
-
-    def reset(self) -> None:
-        self._mem = None
-
-    def step(self, inputs: np.ndarray) -> np.ndarray:
-        """Advance all channels one sample and return the filtered values."""
-        x = np.asarray(inputs, dtype=float)
-        n = self.n_channels
-        if x.shape != (n,):
-            raise ValueError(f"expected {n} channels, got shape {x.shape}")
-        return np.array(filter_step(self, x.tolist() + self._pad)[:n])
 
 
 @dataclass(slots=True)
@@ -168,9 +149,8 @@ def filter_step(state: FilterState, values: list[float]) -> list[float]:
     """Advance every channel of the bank by one sample; returns a new list.
 
     ``values`` holds one Python float for each of the ``N_CHANNELS``
-    channels, in ``CHANNELS`` order (``FilterState.step`` pads a narrower
-    state's input). The filter keeps it as recursion memory, so the caller
-    must not write to it afterwards.
+    channels, in ``CHANNELS`` order. The filter keeps it as recursion
+    memory, so the caller must not write to it afterwards.
     """
     try:
         u0, u1, u2, u3, u4, u5, u6, u7 = values

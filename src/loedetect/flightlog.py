@@ -12,8 +12,9 @@ row, then one data row per sample:
     0.002,-0.0003,...
 
 ``fault_actuator``/``fault_time_s`` are present only for annotated failure
-logs. ``rpm_units`` is ``rad_s`` or ``rpm``; rotor speed columns written in
-RPM are converted to rad/s on load. Rotor speeds above
+logs, and ``fault_time_s`` must lie within the log's time span.
+``rpm_units`` is ``rad_s`` or ``rpm``; rotor speed columns written in RPM
+are converted to rad/s on load. Rotor speeds above
 ``MAX_ROTOR_SPEED_RAD_S`` are rejected as data errors, and so is any
 timestamp step outside (1 -/+ ``STEP_TOLERANCE``) x ``1 / sample_rate_hz``: a
 dropped or inserted sample. Floats are written with ``repr`` so a write/read
@@ -145,6 +146,11 @@ class FlightLog:
                     f"{1.0 / self.sample_rate_hz:.6g} s",
                     bad,
                 )
+        t0, t_end = float(self.t[0]), float(self.t[-1])
+        if self.fault_time_s is not None and not t0 <= self.fault_time_s <= t_end:
+            raise LogFormatError(
+                f"header fault_time_s={self.fault_time_s} is outside the log span [{t0}, {t_end}]"
+            )
 
 
 def save_log(log: FlightLog, path) -> None:

@@ -98,19 +98,9 @@ def _state(k: tuple, p_upper: tuple) -> EstimatorState:
     return state
 
 
-def init(initial_k: np.ndarray | None = None, initial_variance: float = 1.0) -> EstimatorState:
-    """Fresh estimator state; defaults to nominal effectiveness with unit variance."""
-    if initial_k is None:
-        x = np.ones(4)
-    else:
-        x = np.array(initial_k, dtype=float)
-        if x.shape != (4,):
-            raise ValueError("initial_k must be a 4-vector")
-        if np.any(x < K_MIN) or np.any(x > K_MAX):
-            raise ValueError(f"initial_k entries must lie in [{K_MIN}, {K_MAX}]")
-    if initial_variance < 0.0:
-        raise ValueError("initial_variance must be non-negative")
-    return EstimatorState(x, initial_variance * np.eye(4))
+def init() -> EstimatorState:
+    """Fresh estimator state: nominal effectiveness with unit variance."""
+    return _state((1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0))
 
 
 def step(

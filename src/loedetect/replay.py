@@ -202,8 +202,7 @@ def _sub_threshold_probabilities(ticks: list, config: DetectorConfig, k_threshol
     Returns, per ``k_threshold``, one list per actuator of ``(t, p)`` pairs:
     ``p = failure_probability(k_hat, variance, k_threshold)`` on each tick
     whose ``k_hat < k_threshold``. A negative variance raises the decision
-    stage's ``ValueError``, but only once the pass is over, so an estimator
-    error anywhere in the pass comes first.
+    stage's ``ValueError`` at its tick, as a replay does.
     """
     state = kalman.init()
     gains = signed_gains(config.gains)
@@ -211,14 +210,12 @@ def _sub_threshold_probabilities(ticks: list, config: DetectorConfig, k_threshol
     records = {k_threshold: ([], [], [], []) for k_threshold in k_thresholds}
     pending = tuple(records.items())
     probability = failure_probability
-    negative = None
     for t, z, w_sq in ticks:
         state = estimation_step(state, gains, noise, z, w_sq)
         v0, v1, v2, v3 = variances = state.variances()
         if v0 < 0.0 or v1 < 0.0 or v2 < 0.0 or v3 < 0.0:
-            if negative is None:
-                negative = next(v for v in variances if v < 0.0)
-            continue
+            # The decision stage's ValueError, at the tick a replay raises it.
+            probability(0.0, next(v for v in variances if v < 0.0), k_thresholds[0])
         k0, k1, k2, k3 = state.k
         for k_threshold, (r0, r1, r2, r3) in pending:
             if k0 < k_threshold:
@@ -229,8 +226,6 @@ def _sub_threshold_probabilities(ticks: list, config: DetectorConfig, k_threshol
                 r2.append((t, probability(k2, v2, k_threshold)))
             if k3 < k_threshold:
                 r3.append((t, probability(k3, v3, k_threshold)))
-    if negative is not None:
-        probability(0.0, negative, k_thresholds[0])  # raises the decision stage's ValueError
     return records
 
 
@@ -245,10 +240,8 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
     then latches by first exceedance, so each result equals
     ``evaluate_log(log, config)``.
 
-    Errors come key by key, in first-appearance order: a key's estimator
-    errors first, then the ``ValueError`` of a negative variance anywhere in
-    its pass. A replay of the first failing config raises the same, unless
-    its negative variance comes before its estimator error.
+    Errors come key by key, in first-appearance order, each at the tick
+    where it arises. A replay of the first failing config raises the same.
     """
     for config in configs:
         _check_sample_rate(log, config)

@@ -177,14 +177,6 @@ def _moments_and_thrust(
     )
 
 
-def actuator_moments_and_thrust(
-    state: SimState, params: VehicleParams
-) -> tuple[np.ndarray, float]:
-    """Body moments from the actuators and the total thrust magnitude."""
-    m_x, m_y, m_z, thrust = _moments_and_thrust(state.rotor_speeds, state.true_k, params)
-    return np.array([m_x, m_y, m_z]), thrust
-
-
 def dynamics_step(
     state: SimState,
     rotor_setpoints,
@@ -524,13 +516,15 @@ def fly_scenario(
         raise ValueError("scenario ground_idle takes no fault: nothing flies")
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and positive, got {duration}")
-    if fault is not None and fault.time >= duration:
-        raise ValueError("fault time must fall inside the flight duration")
+    dt = 0.002  # s
+    if fault is not None and not dt <= fault.time < duration:
+        raise ValueError(
+            f"fault time must fall inside the flight duration, in [{dt}, {duration}) s; got {fault.time}"
+        )
     params = VehicleParams()
     noise = noise if noise is not None else SensorNoiseModel()
     noise.reset()
 
-    dt = 0.002  # s
     n = round(duration / dt)
     if n < 1:
         raise ValueError(f"duration {duration} s is shorter than one {dt} s sample")

@@ -18,8 +18,18 @@ from loedetect import kalman
 from loedetect.decision import DetectionStatus, decide, failure_probability
 from loedetect.detector import ARMING_WINDOW_S, Conditioner
 from loedetect.effectiveness import SIGN_MATRIX
-from loedetect.filters import MAX_ROTOR_SPEED_RAD_S, N_CHANNELS, design_lowpass
+from loedetect.filters import MAX_ROTOR_SPEED_RAD_S, N_CHANNELS, design_lowpass, filter_step
 from loedetect.kalman import EstimatorState
+
+
+def narrow_bank_step(state, inputs):
+    """``filter_step`` on the first ``len(inputs)`` channels of the bank, as an array.
+
+    The other channels are fed zeros. Channels never mix, so the padding does
+    not change the bits of the channels returned.
+    """
+    values = [float(v) for v in inputs]
+    return np.array(filter_step(state, values + [0.0] * (N_CHANNELS - len(values)))[: len(values)])
 
 
 class OracleFilterState:

@@ -98,12 +98,14 @@ def test_simulate_rejects_unknown_scenario(tmp_path):
     assert exc.value.code == 2
 
 
-def test_simulate_rejects_fault_beyond_duration(tmp_path, capsys):
-    code = run_cli(
-        "simulate", "--duration", "1.0", "--fault", "3:2.0", "--out", str(tmp_path / "x.csv")
-    )
-    assert code == 2
-    assert "duration" in capsys.readouterr().err
+@pytest.mark.parametrize("when", ["2.0", "1.0", "0", "0.001"])
+def test_simulate_rejects_fault_outside_the_flight(tmp_path, capsys, when):
+    # The first sample is at t = 0.002 s: an annotation before it would fail
+    # only later, in detect or sweep, after a full replay.
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--duration", "1.0", "--fault", f"3:{when}", "--out", str(out)) == 2
+    assert "fault time must fall inside the flight duration, in [0.002, 1.0) s" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_ground_idle_with_a_fault_is_usage_error_and_writes_nothing(tmp_path, capsys):
@@ -248,7 +250,8 @@ def test_detect_rate_that_is_not_finite_and_positive_is_bad_log(tmp_path, capsys
     assert f"bad log {log}: header sample_rate_hz={rate[:3]}" in err and "is not finite and positive" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "nan"])
+# The 40-row log runs from t = 0.002 to 0.08 s.
+@pytest.mark.parametrize("value", ["abc", "nan", "0.0", "0.001", "0.09"])
 @pytest.mark.parametrize("command", ["detect", "sweep"])
 def test_bad_fault_time_header_is_bad_log(tmp_path, capsys, value, command):
     log = _write_hover_log(tmp_path / "fault.csv")

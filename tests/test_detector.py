@@ -8,7 +8,7 @@ import pytest
 
 import loedetect
 from loedetect import kalman
-from loedetect.decision import DecisionConfig, DetectionStatus
+from loedetect.decision import DecisionConfig, DetectionStatus, decide, failure_probabilities
 from loedetect.detector import (
     CONFIG_KEYS,
     DEFAULT_HOVER_THRUST_REFERENCE,
@@ -20,7 +20,6 @@ from loedetect.detector import (
     config_from_dict,
     config_to_dict,
     config_with,
-    decision_step,
     default_config,
     estimation_step,
     format_config,
@@ -33,7 +32,7 @@ from loedetect.detector import (
 from loedetect.filters import FilterDesign, FilterState, RawSample, design_lowpass
 from loedetect.effectiveness import VehicleParams
 
-from oracles import OracleConditioner, OracleDetector
+from oracles import OracleConditioner, OracleDetector, narrow_bank_step
 
 
 def hover_sample(i, dt=0.002, speed=700.357, az=-9.81):
@@ -79,13 +78,13 @@ def test_one_millisecond_config_filters_at_one_millisecond():
     # The sensor interval alone sets the filter's sample period.
     config = DetectorConfig(sensor_interval=0.001)
     conditioner = Conditioner(config)
-    reference = FilterState(design_lowpass(FilterDesign(), 0.001), n_channels=1)
-    at_2ms = FilterState(design_lowpass(FilterDesign(), 0.002), n_channels=1)
+    reference = FilterState(design_lowpass(FilterDesign(), 0.001))
+    at_2ms = FilterState(design_lowpass(FilterDesign(), 0.002))
     ticks = differs = 0
     for i in range(400):
         speed = 700.357 if i < 100 else 760.0  # a step once the filter has settled
-        want = reference.step(np.array([speed]))[0]
-        differs += want != at_2ms.step(np.array([speed]))[0]
+        want = narrow_bank_step(reference, [speed])[0]
+        differs += want != narrow_bank_step(at_2ms, [speed])[0]
         tick = conditioner.push(hover_sample(i, dt=0.001, speed=speed))
         if tick is not None:
             ticks += 1
@@ -253,8 +252,9 @@ def test_rotor_speed_above_ceiling_rejected_with_timestamp(speed):
 def test_identical_streams_give_bit_identical_outputs():
     config = default_config()
     stream = list(_budget_stream(config, 3000, 1500))
-    out_a = Detector(config).process_stream(stream)
-    out_b = Detector(config).process_stream(stream)
+    det_a, det_b = Detector(config), Detector(config)
+    out_a = [det_a.process_sample(s) for s in stream]
+    out_b = [det_b.process_sample(s) for s in stream]
     for a, b in zip(out_a, out_b):
         assert a.timestamp == b.timestamp
         assert np.array_equal(a.k_hat, b.k_hat)
@@ -489,7 +489,8 @@ def test_rejected_sample_advances_nothing(steps):
     config = config_with(default_config(), "estimator_interval", steps * 0.002)
     assert config.steps_per_estimate() == steps
     clean = list(_random_stream(config, 3000, 23))
-    reference = Detector(config).process_stream(clean)
+    clean_det = Detector(config)
+    reference = [clean_det.process_sample(raw) for raw in clean]
     arming = next(i for i, out in enumerate(reference) if out.armed)
     assert 0 < arming < 2000
     inserts = {
@@ -527,7 +528,8 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
         latched_at = None
         for n, (z, w_sq) in enumerate(ticks):
             state = estimation_step(state, gains, config.noise, z, w_sq)
-            _, status = decision_step(state.k, state.variances(), status, config.decision, 0.0)
+            p_fail = failure_probabilities(state.k, state.variances(), config.decision.k_threshold)
+            status = decide(p_fail, status, config.decision, 0.0)
             if latched_at is None and status.any_failed():
                 latched_at = n
         return state, status, latched_at

@@ -8,7 +8,6 @@ from loedetect.effectiveness import (
     VehicleParams,
     gains_from_geometry,
     observation_matrix,
-    predict_accelerations,
 )
 
 TABLE_GAINS = DEFAULT_GAINS  # g_p = g_q = 100e-6, g_az = 5e-6
@@ -102,27 +101,19 @@ def test_observation_matrix_quadratic_homogeneity():
 
 def test_predict_equal_speeds_nominal_k():
     w = np.full(4, 700.0)
-    pred = predict_accelerations(TABLE_GAINS, w, np.ones(4))
+    pred = observation_matrix(TABLE_GAINS, w) @ np.ones(4)
     assert pred[0] == 0.0 and pred[1] == 0.0
     assert pred[2] == pytest.approx(-4 * TABLE_GAINS.g_az * 700.0**2, rel=1e-12)
 
 
 def test_predict_with_dropped_actuator():
-    pred = predict_accelerations(TABLE_GAINS, np.full(4, 500.0), np.array([1.0, 1.0, 0.0, 1.0]))
+    pred = observation_matrix(TABLE_GAINS, np.full(4, 500.0)) @ np.array([1.0, 1.0, 0.0, 1.0])
     assert np.allclose(pred, [25.0, 25.0, -3.75], rtol=1e-12)
 
 
 def test_predict_zero_k_is_zero():
-    pred = predict_accelerations(TABLE_GAINS, np.full(4, 900.0), np.zeros(4))
+    pred = observation_matrix(TABLE_GAINS, np.full(4, 900.0)) @ np.zeros(4)
     assert np.array_equal(pred, np.zeros(3))
-
-
-def test_matrix_and_prediction_agree():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        w = rng.uniform(0, 1300, 4)
-        H = observation_matrix(TABLE_GAINS, w)
-        assert np.array_equal(H @ np.ones(4), predict_accelerations(TABLE_GAINS, w, np.ones(4)))
 
 
 def test_vertical_prediction_nonpositive_for_nonnegative_k():
@@ -130,7 +121,7 @@ def test_vertical_prediction_nonpositive_for_nonnegative_k():
     for _ in range(50):
         w = rng.uniform(0, 1300, 4)
         k = rng.uniform(0, 1.5, 4)
-        assert predict_accelerations(TABLE_GAINS, w, k)[2] <= 0.0
+        assert (observation_matrix(TABLE_GAINS, w) @ k)[2] <= 0.0
 
 
 def test_prediction_linear_in_k():
@@ -139,6 +130,7 @@ def test_prediction_linear_in_k():
     k1 = rng.uniform(0, 1.5, 4)
     k2 = rng.uniform(0, 1.5, 4)
     a, b = 0.3, 1.7
-    lhs = predict_accelerations(TABLE_GAINS, w, a * k1 + b * k2)
-    rhs = a * predict_accelerations(TABLE_GAINS, w, k1) + b * predict_accelerations(TABLE_GAINS, w, k2)
+    H = observation_matrix(TABLE_GAINS, w)
+    lhs = H @ (a * k1 + b * k2)
+    rhs = a * (H @ k1) + b * (H @ k2)
     assert np.allclose(lhs, rhs, rtol=1e-12)

@@ -259,6 +259,21 @@ def test_validate_rejects_a_non_finite_fault_time():
         assert caught.value.sample is None
 
 
+@pytest.mark.parametrize("time", [0.0, 0.001, 0.1000001, 99.0])
+def test_validate_rejects_a_fault_time_outside_the_log_span(time):
+    # The log runs from t = 0.002 to 0.1 s.
+    with pytest.raises(LogFormatError, match=r"^header fault_time_s=.* is outside the log span \[0\.002, 0\.1\]$") as caught:
+        synthetic_log(fault=(3, time))
+    assert caught.value.sample is None
+
+
+def test_validate_accepts_a_fault_time_at_either_end_of_the_log():
+    log = synthetic_log(fault=(3, 0.05))
+    for time in (float(log.t[0]), float(log.t[-1])):
+        log.fault_time_s = time
+        log.validate()
+
+
 @pytest.mark.parametrize(("rate", "rows"), [("nan", 3), ("inf", 3), ("0", 3), ("-500.0", 1), ("nan", 1)])
 def test_load_log_rejects_a_rate_that_is_not_finite_and_positive(tmp_path, rate, rows):
     path = _write(

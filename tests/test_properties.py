@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from loedetect import kalman
 from loedetect.effectiveness import EffectivenessGains, observation_matrix
 from loedetect.filters import FilterDesign, FilterState, design_lowpass
-from loedetect.kalman import NoiseConfig
+from loedetect.kalman import EstimatorState, NoiseConfig
+
+from oracles import narrow_bank_step
 
 # Derandomized, so the suite stays deterministic, and with no example database.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -27,8 +29,8 @@ def filter_designs(draw):
 def test_filter_has_unity_dc_gain(design_and_interval, level):
     c = design_lowpass(*design_and_interval)
     assert math.fsum((c.b0, c.b1, c.b2)) == math.fsum((1.0, c.a1, c.a2))
-    state = FilterState(c, n_channels=1)
-    out = [state.step(np.array([level]))[0] for _ in range(300)]
+    state = FilterState(c)
+    out = [narrow_bank_step(state, [level])[0] for _ in range(300)]
     assert np.abs(np.array(out) - level).max() <= 1e-9 * max(1.0, abs(level))
 
 
@@ -48,7 +50,7 @@ measurements = st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3)
 def test_step_keeps_covariance_symmetric_and_psd(gains, ticks, q, r, initial_variance):
     gains = EffectivenessGains(*gains)
     noise = NoiseConfig(q, r)
-    state = kalman.init(initial_variance=initial_variance)
+    state = EstimatorState(np.ones(4), initial_variance * np.eye(4))
     for w, z in ticks:
         state = kalman.step(state, observation_matrix(gains, np.array(w)), np.array(z), noise)
         P = state.P

@@ -244,7 +244,7 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
     evaluations = []
     with monkeypatch.context() as patch:
         for module in (decision, detector_module, replay):
-            for name in ("decision_step", "decide", "failure_probabilities"):
+            for name in ("decide", "failure_probabilities"):
                 if hasattr(module, name):
                     patch.setattr(module, name, _recording(getattr(module, name), calls, name))
         patch.setattr(replay, "failure_probability", _recording(failure_probability, evaluations, "p"))
@@ -302,12 +302,14 @@ class _FaultyStep:
     [
         {0.1: (3, None)},
         {0.1: (None, 5)},
+        {0.1: (3, 5)},
         {0.1: (3, None), 0.05: (None, 2)},
         {0.05: (None, 2)},
     ],
     ids=[
         "negative-variance",
         "estimator-error",
+        "negative-variance-before-estimator-error",
         "first-key-before-second",
         "second-key-only",
     ],
@@ -337,19 +339,6 @@ def test_sweep_raises_what_the_first_failing_replay_raises(ejection_log, monkeyp
         run_sweep([ejection_log], spec)
     assert type(caught.value) is type(expected)
     assert str(caught.value) == str(expected)
-
-
-def test_sweep_raises_a_keys_estimator_error_before_its_negative_variance(ejection_log, monkeypatch):
-    # The sweep checks a key's variances once its estimator pass is over, so
-    # an estimator error later in the pass comes first. A streaming replay
-    # stops at the negative variance.
-    spec = SweepSpec(base=default_config(), variations=(("k_threshold", (0.15,)),))
-    monkeypatch.setattr(kalman, "step", _FaultyStep({0.1: (3, 5)}))
-    with pytest.raises(ArithmeticError, match="injected estimator failure on call 5"):
-        run_sweep([ejection_log], spec)
-    monkeypatch.setattr(kalman, "step", _FaultyStep({0.1: (3, 5)}))
-    with pytest.raises(ValueError, match="variance must be non-negative"):
-        evaluate_log(ejection_log, default_config())
 
 
 def test_raising_probability_threshold_never_speeds_detection(ejection_log):

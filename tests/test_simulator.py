@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loedetect.effectiveness import DEFAULT_GAINS, SIGN_MATRIX, observation_matrix
-from loedetect.filters import FilterState, design_lowpass, FilterDesign
+from loedetect.filters import FilterState, design_lowpass, FilterDesign, filter_step
 from loedetect.simulator import (
     GRAVITY,
     IDLE_ROTOR_SPEED,
@@ -18,10 +18,10 @@ from loedetect.simulator import (
     _attitude_schedule,
     _check_plausible,
     _Controller,
+    _moments_and_thrust,
     _true_accel_z,
     _wind,
     _wind_accel_z,
-    actuator_moments_and_thrust,
     dynamics_step,
     fly_scenario,
     hover_state,
@@ -262,7 +262,7 @@ def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
         assert gyro.shape == (1, 3) and az.shape == (1,)
         assert np.array_equal(gyro[0], want_gyro)
         assert az[0] == want_az
-    moments, thrust = actuator_moments_and_thrust(floats, PARAMS)
+    *moments, thrust = _moments_and_thrust(floats.rotor_speeds, floats.true_k, PARAMS)
     want_moments, want_thrust = oracle_moments_and_thrust(state, PARAMS)
     assert np.array_equal(moments, want_moments) and thrust == want_thrust
 
@@ -318,11 +318,11 @@ def test_hover_speed_balances_weight():
 
 def test_hover_trim_prediction_matches_gravity():
     # detector model and simulator truth agree at trim: predicted a_z is -g
-    from loedetect.effectiveness import gains_from_geometry, predict_accelerations
+    from loedetect.effectiveness import gains_from_geometry
 
     gains = gains_from_geometry(PARAMS)
     speeds = np.full(4, PARAMS.hover_speed())
-    pred = predict_accelerations(gains, speeds, np.ones(4))
+    pred = observation_matrix(gains, speeds) @ np.ones(4)
     assert abs(pred[2] + GRAVITY) / GRAVITY < 0.01
 
 
@@ -339,9 +339,9 @@ def test_hover_equilibrium_is_a_fixed_point():
 def test_sudden_loss_of_rotor_three_signs():
     # losing rotor 3 must roll and pitch positive and reduce the z load
     state = hover_state(PARAMS)
-    _, thrust_before = actuator_moments_and_thrust(state, PARAMS)
+    *_, thrust_before = _moments_and_thrust(state.rotor_speeds, state.true_k, PARAMS)
     failed = inject_fault(state, FaultEvent(time=0.0, actuator_index=3))
-    moments, thrust_after = actuator_moments_and_thrust(failed, PARAMS)
+    *moments, thrust_after = _moments_and_thrust(failed.rotor_speeds, failed.true_k, PARAMS)
     assert moments[0] > 0.0 and moments[1] > 0.0
     assert thrust_after < thrust_before
     stepped = dynamics_step(failed, state.rotor_speeds.copy(), PARAMS, 0.002)
@@ -435,7 +435,7 @@ def test_zero_noise_sensors_are_exact():
     az_true = _true_accel_z([state.rotor_speeds], [state.true_k], PARAMS)
     gyro, az = synthesize_sensors([state.angular_rate], az_true, [state.rotor_speeds], [0.5], QUIET)
     assert np.array_equal(gyro, [state.angular_rate])
-    _, thrust = actuator_moments_and_thrust(state, PARAMS)
+    *_, thrust = _moments_and_thrust(state.rotor_speeds, state.true_k, PARAMS)
     assert az[0] == pytest.approx(-thrust / PARAMS.mass, rel=1e-12)
     assert az[0] == pytest.approx(-GRAVITY, rel=1e-9)
 
@@ -500,12 +500,12 @@ def test_model_residual_small_in_benign_hover():
     # with noise off, measured accelerations match the effectiveness model
     log = fly_scenario("hover", duration=4.0, noise=QUIET)
     gains = DEFAULT_GAINS
-    bank = FilterState(design_lowpass(FilterDesign(), 0.002), n_channels=8)
+    bank = FilterState(design_lowpass(FilterDesign(), 0.002))
     prev = None
     worst = 0.0
     for i in range(len(log)):
         vec = np.concatenate([log.gyro[i], [log.accel_z[i]], log.rotor_speeds[i]])
-        out = bank.step(vec)
+        out = np.array(filter_step(bank, vec.tolist()))
         if (i + 1) % 10 == 0:
             if prev is not None:
                 accel = (out[:2] - prev[:2]) / 0.02

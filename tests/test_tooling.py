@@ -4,7 +4,6 @@ import importlib.util
 from pathlib import Path
 
 from loedetect import cli, replay, simulator
-from loedetect import detector as detector_module
 from loedetect.detector import Conditioner, Detector, config_with, default_config
 from loedetect.flightlog import load_log, save_log
 from loedetect.replay import default_sweep_spec
@@ -102,12 +101,7 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     assert expected_steps > 0
     assert expected_evaluations > 0
 
-    decision_steps = []
     evaluations = []
-    real_decision_step = detector_module.decision_step
-    monkeypatch.setattr(
-        detector_module, "decision_step", lambda *args: decision_steps.append(args) or real_decision_step(*args)
-    )
     real_probability = replay.failure_probability
     monkeypatch.setattr(
         replay, "failure_probability", lambda *args: evaluations.append(args) or real_probability(*args)
@@ -123,7 +117,6 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     assert metrics["kalman.step.calls"][0] == expected_steps
     assert metrics["decision.decide.calls"][0] == 0
     assert metrics["decision.failure_probabilities.calls"][0] == 0
-    assert decision_steps == []
     assert len(evaluations) == expected_evaluations
 
 
