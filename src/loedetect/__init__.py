@@ -32,7 +32,6 @@ from .filters import (
     FilterCoefficients,
     FilterDesign,
     FilterState,
-    FilteredSample,
     RawSample,
     design_lowpass,
     differentiate,

@@ -145,7 +145,7 @@ def _write_outputs_csv(outputs, path) -> int:
             if out.k_hat is not k_hat or out.armed is not armed:
                 k_hat, armed = out.k_hat, out.armed
                 estimates = k_hat + out.variances + out.p_fail
-                flags = [str(int(f)) for f in out.status.failed]
+                flags = ["0" if t is None else "1" for t in out.status.first_detection_time]
                 rest = f",{','.join(map(repr, estimates))},{int(armed)},{','.join(flags)}\n"
             block.append(repr(out.timestamp) + rest)
             if len(block) == TICKS_BLOCK_ROWS:

@@ -26,10 +26,14 @@ class DecisionConfig:
 
 @dataclass(frozen=True)
 class DetectionStatus:
-    """Latched per-actuator failure flags with their first detection times."""
+    """Per-actuator first detection times; an actuator with a time is latched."""
 
-    failed: tuple[bool, bool, bool, bool] = (False, False, False, False)
-    first_detection_time: tuple[float | None, ...] = (None, None, None, None)
+    first_detection_time: tuple[float | None, float | None, float | None, float | None] = (None, None, None, None)
+
+    @property
+    def failed(self) -> tuple[bool, bool, bool, bool]:
+        """Per-actuator latch flags: an actuator is latched exactly when it has a time."""
+        return tuple(t is not None for t in self.first_detection_time)
 
     def any_failed(self) -> bool:
         return any(self.failed)
@@ -81,20 +85,15 @@ def decide(probs, status: DetectionStatus, config: DecisionConfig, now: float) -
     """
     threshold = config.probability_threshold
     p0, p1, p2, p3 = probs
-    f0, f1, f2, f3 = status.failed
+    t0, t1, t2, t3 = times = status.first_detection_time
     if not (
-        (p0 > threshold and not f0)
-        or (p1 > threshold and not f1)
-        or (p2 > threshold and not f2)
-        or (p3 > threshold and not f3)
+        (p0 > threshold and t0 is None)
+        or (p1 > threshold and t1 is None)
+        or (p2 > threshold and t2 is None)
+        or (p3 > threshold and t3 is None)
     ):
         return status
-    new_latch = [not status.failed[i] and probs[i] > threshold for i in range(4)]
-    failed = tuple(status.failed[i] or new_latch[i] for i in range(4))
-    times = tuple(
-        now if new_latch[i] else status.first_detection_time[i] for i in range(4)
-    )
-    return DetectionStatus(failed=failed, first_detection_time=times)
+    return DetectionStatus(tuple(now if t is None and p > threshold else t for t, p in zip(times, probs)))
 
 
 def first_exceedance(records, config: DecisionConfig) -> DetectionStatus:
@@ -117,5 +116,4 @@ def first_exceedance(records, config: DecisionConfig) -> DetectionStatus:
     - so the ticks ``records`` leaves out can never latch.
     """
     threshold = config.probability_threshold
-    times = tuple(next((t for t, p in pairs if p > threshold), None) for pairs in records)
-    return DetectionStatus(failed=tuple(t is not None for t in times), first_detection_time=times)
+    return DetectionStatus(tuple(next((t for t, p in pairs if p > threshold), None) for pairs in records))

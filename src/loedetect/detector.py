@@ -33,7 +33,6 @@ from .filters import (
     STEP_TOLERANCE,
     FilterDesign,
     FilterState,
-    FilteredSample,
     RawSample,
     design_lowpass,
     differentiate,
@@ -255,7 +254,7 @@ class Conditioner:
         self._steps_per_estimate = self._countdown = config.steps_per_estimate()
         self._sensor_interval = config.sensor_interval
         self._last_timestamp: float | None = None
-        self._prev_tick: FilteredSample | None = None
+        self._prev_tick: tuple[float, float, float] | None = None  # (t, p, q), filtered
         # Takeoff gate: moving average of sum(w_i^2) over a 1 s window.
         self.armed = False
         self._gate_level = config.takeoff_thrust_fraction * config.hover_thrust_reference
@@ -278,29 +277,26 @@ class Conditioner:
         last = self._last_timestamp
         if last is not None and t <= last:
             raise ValueError(f"non-monotone timestamp: {t} after {last}")
-        p, q, r = raw.angular_rate.tolist()
-        az = float(raw.proper_accel_z)
-        w1, w2, w3, w4 = raw.rotor_speeds.tolist()
         top = MAX_ROTOR_SPEED_RAD_S
-        # Chained comparisons are False on NaN, so this also rejects NaN.
-        if not (
-            -_INF < t < _INF
-            and -_INF < az < _INF
-            and -_INF < p < _INF
-            and -_INF < q < _INF
-            and -_INF < r < _INF
-            and 0.0 <= w1 <= top
-            and 0.0 <= w2 <= top
-            and 0.0 <= w3 <= top
-            and 0.0 <= w4 <= top
-        ):
-            if not all(-_INF < v < _INF for v in (t, p, q, r, az, w1, w2, w3, w4)):
-                problem = "NaN or Inf"
-            elif max(abs(w1), abs(w2), abs(w3), abs(w4)) > top:
-                problem = f"rotor speed above {top:g} rad/s"
-            else:
-                problem = "negative rotor speed"
-            raise ValueError(f"{problem} in sample at t={t}")
+        try:
+            p, q, r = raw.angular_rate.tolist()
+            az = float(raw.proper_accel_z)
+            w1, w2, w3, w4 = raw.rotor_speeds.tolist()
+            # Chained comparisons are False on NaN, so this also rejects NaN.
+            if not (
+                -_INF < t < _INF
+                and -_INF < az < _INF
+                and -_INF < p < _INF
+                and -_INF < q < _INF
+                and -_INF < r < _INF
+                and 0.0 <= w1 <= top
+                and 0.0 <= w2 <= top
+                and 0.0 <= w3 <= top
+                and 0.0 <= w4 <= top
+            ):
+                raise ValueError
+        except (AttributeError, TypeError, ValueError):  # a bad value, or a field of the wrong type or shape
+            raise _rejection(raw) from None
         if last is not None and abs((t - last) / self._sensor_interval - 1.0) >= STEP_TOLERANCE:
             raise ValueError(
                 f"timestamp step {t - last:.6g} s at t={t} is outside "
@@ -330,13 +326,32 @@ class Conditioner:
             self._countdown = countdown
             return None
         self._countdown = self._steps_per_estimate
-        filtered = FilteredSample(t, out[0:3], out[3], out[4:8])
-        p_dot, q_dot = differentiate(self._prev_tick, filtered)
-        self._prev_tick = filtered
+        fp, fq, _, a_z, f1, f2, f3, f4 = out
+        current = (t, fp, fq)
+        p_dot, q_dot = differentiate(self._prev_tick, current)
+        self._prev_tick = current
         if not armed:
             return None
-        _, _, _, a_z, f1, f2, f3, f4 = out
         return (p_dot, q_dot, a_z), [f1 * f1, f2 * f2, f3 * f3, f4 * f4]
+
+
+def _rejection(raw: RawSample) -> ValueError:
+    """The error for a sample ``Conditioner.push`` does not accept: a malformed field, else a bad value."""
+    t = raw.timestamp
+    for name, size in (("angular_rate", 3), ("rotor_speeds", 4)):
+        value = getattr(raw, name)
+        if not (isinstance(value, np.ndarray) and value.shape == (size,) and value.dtype.kind in "biuf"):
+            expected = f"expected a numpy array of {size} real numbers"
+            return ValueError(f"malformed {name} in sample at t={t}: {expected}, got {value!r}")
+    speeds = raw.rotor_speeds.tolist()
+    values = (t, *raw.angular_rate.tolist(), float(raw.proper_accel_z), *speeds)
+    if not all(-_INF < v < _INF for v in values):
+        problem = "NaN or Inf"
+    elif max(map(abs, speeds)) > MAX_ROTOR_SPEED_RAD_S:
+        problem = f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s"
+    else:
+        problem = "negative rotor speed"
+    return ValueError(f"{problem} in sample at t={t}")
 
 
 def estimation_step(

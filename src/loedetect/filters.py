@@ -120,29 +120,23 @@ class FilterState:
     """
 
     def __init__(self, coeffs: FilterCoefficients):
-        self.coeffs = coeffs
         self._c = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2)
         self._mem: tuple[list[float], list[float], list[float], list[float]] | None = None
 
 
 @dataclass(slots=True)
 class RawSample:
-    """One tick of the sensor streams feeding the detector."""
+    """One tick of the sensor streams feeding the detector.
+
+    ``angular_rate`` and ``rotor_speeds`` are numpy arrays of 3 and 4 real
+    numbers; the detector rejects any other form with a ``ValueError``
+    naming the field and the timestamp.
+    """
 
     timestamp: float  # s
     angular_rate: np.ndarray  # (3,) p, q, r in rad/s
     proper_accel_z: float  # m/s^2
     rotor_speeds: np.ndarray  # (4,) rad/s
-
-
-@dataclass(slots=True)
-class FilteredSample:
-    """Low-passed copy of one sample."""
-
-    timestamp: float
-    rates: list[float]  # filtered p, q, r
-    accel_z: float
-    rotor_speeds: list[float]  # filtered, one per rotor
 
 
 def filter_step(state: FilterState, values: list[float]) -> list[float]:
@@ -180,18 +174,18 @@ def filter_step(state: FilterState, values: list[float]) -> list[float]:
     return y
 
 
-def differentiate(previous: FilteredSample | None, current: FilteredSample) -> tuple[float, float]:
+def differentiate(previous: tuple | None, current: tuple) -> tuple[float, float]:
     """Backward-difference angular acceleration of the filtered roll/pitch rates.
 
-    The first sample of a stream has no predecessor and yields zero by
-    definition.
+    ``previous`` and ``current`` are ``(t, p, q)``: a tick's timestamp and
+    its filtered roll and pitch rates. The first tick of a stream has no
+    predecessor and yields zero by definition.
     """
     if previous is None:
         return 0.0, 0.0
-    dt = current.timestamp - previous.timestamp
+    t0, p0, q0 = previous
+    t, p, q = current
+    dt = t - t0
     if dt <= 0.0:
-        raise ValueError(
-            f"non-increasing timestamps: {previous.timestamp} -> {current.timestamp}"
-        )
-    now, before = current.rates, previous.rates
-    return (now[0] - before[0]) / dt, (now[1] - before[1]) / dt
+        raise ValueError(f"non-increasing timestamps: {t0} -> {t}")
+    return (p - p0) / dt, (q - q0) / dt

@@ -12,7 +12,8 @@ row, then one data row per sample:
     0.002,-0.0003,...
 
 ``fault_actuator``/``fault_time_s`` are present only for annotated failure
-logs, and ``fault_time_s`` must lie within the log's time span.
+logs, and always together: ``fault_actuator`` is 1..4 and ``fault_time_s``
+lies within the log's time span.
 ``rpm_units`` is ``rad_s`` or ``rpm``; rotor speed columns written in RPM
 are converted to rad/s on load. Rotor speeds above
 ``MAX_ROTOR_SPEED_RAD_S`` are rejected as data errors, and so is any
@@ -97,8 +98,15 @@ class FlightLog:
         # Every rate comparison below is false on NaN, so the header is checked first.
         if not 0.0 < self.sample_rate_hz < math.inf:
             raise LogFormatError(f"header sample_rate_hz={self.sample_rate_hz} is not finite and positive")
-        if self.fault_time_s is not None and not math.isfinite(self.fault_time_s):
-            raise LogFormatError(f"header fault_time_s={self.fault_time_s} is not finite")
+        actuator, fault_time = self.fault_actuator, self.fault_time_s
+        if actuator is not None and not 1 <= actuator <= 4:
+            raise LogFormatError(f"fault_actuator out of range: {actuator}")
+        if actuator is not None and fault_time is None:
+            raise LogFormatError("fault_actuator given without fault_time_s")
+        if fault_time is not None and actuator is None:
+            raise LogFormatError("fault_time_s given without fault_actuator")
+        if fault_time is not None and not math.isfinite(fault_time):
+            raise LogFormatError(f"header fault_time_s={fault_time} is not finite")
         n = len(self.t)
         if n == 0:
             raise LogFormatError("log contains no samples")
@@ -220,6 +228,7 @@ def _log_fields(
     if rpm_units not in ("rad_s", "rpm"):
         raise LogFormatError(f"unknown rpm_units {rpm_units!r} (expected rad_s or rpm)")
 
+    # ``FlightLog.validate`` checks the annotation's range and that it comes in pairs.
     fault_actuator = None
     fault_time = None
     if "fault_actuator" in header:
@@ -227,10 +236,7 @@ def _log_fields(
             fault_actuator = int(header["fault_actuator"])
         except ValueError as exc:
             raise LogFormatError(f"bad fault_actuator: {header['fault_actuator']!r}") from exc
-        if not 1 <= fault_actuator <= 4:
-            raise LogFormatError(f"fault_actuator out of range: {fault_actuator}")
-        if "fault_time_s" not in header:
-            raise LogFormatError("fault_actuator given without fault_time_s")
+    if "fault_time_s" in header:
         try:
             fault_time = float(header["fault_time_s"])
         except ValueError as exc:

@@ -86,18 +86,14 @@ def evaluate_status(
     final: DetectionStatus, t0: float, t_end: float, ground_truth: tuple[int, float] | None
 ) -> EvaluationResult:
     """Evaluate a run from its final status and the time span ``[t0, t_end]`` it covered."""
-    detected_actuator = None
-    first_time = math.inf
-    for i in range(4):
-        t = final.first_detection_time[i]
-        if t is not None and t < first_time:
-            first_time = t
-            detected_actuator = i + 1
+    # The earliest latch; on a tie, the lowest actuator index.
+    latches = [(t, i + 1) for i, t in enumerate(final.first_detection_time) if t is not None]
+    detected_actuator = min(latches)[1] if latches else None
 
     if ground_truth is None:
         return EvaluationResult(
             detection_delay=None,
-            false_alarm_count=sum(final.failed),
+            false_alarm_count=len(latches),
             missed_detection=False,
             detected_actuator=detected_actuator,
         )
@@ -110,12 +106,9 @@ def evaluate_status(
             f"ground truth fault time {t_fail} outside the log span [{t0}, {t_end}]"
         )
     correct_time = final.first_detection_time[actuator - 1]
-    false_alarms = sum(
-        1 for i in range(4) if final.failed[i] and i != actuator - 1
-    )
     return EvaluationResult(
         detection_delay=None if correct_time is None else correct_time - t_fail,
-        false_alarm_count=false_alarms,
+        false_alarm_count=len(latches) - (correct_time is not None),
         missed_detection=correct_time is None,
         detected_actuator=detected_actuator,
     )

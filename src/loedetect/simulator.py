@@ -11,7 +11,8 @@ and reporting truthfully while its thrust vanishes instantly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,12 +65,17 @@ class FaultEvent:
             raise ValueError("new_k must lie in [0, 1]")
 
 
-@dataclass
+# The corruption magnitudes of ``SensorNoiseModel``, which ``scaled`` multiplies.
+_MAGNITUDES = ("gyro_noise_std", "gyro_bias", "accel_noise_std", "accel_bias", "gyro_vibration", "accel_vibration")
+
+
+@dataclass(frozen=True)
 class SensorNoiseModel:
     """Gyro/accelerometer corruption; rotor speed telemetry is never corrupted.
 
-    Biases and vibration phases are drawn once per reset from the seeded
-    generator, so a (scenario, seed, params) triple fully determines a log.
+    ``synthesize_sensors`` draws the biases, the vibration phases and the
+    white noise from a generator seeded with ``seed`` on each call, so a
+    (scenario, seed, params) triple fully determines a log.
     """
 
     gyro_noise_std: float = 0.005  # rad/s
@@ -79,43 +85,19 @@ class SensorNoiseModel:
     gyro_vibration: float = 0.02  # rad/s at rotor frequency
     accel_vibration: float = 0.3  # m/s^2 at rotor frequency
     seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False, compare=False, default=None)
-    _gyro_bias_vec: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _accel_bias_val: float = field(init=False, repr=False, compare=False, default=0.0)
-    _phases: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        for name in (
-            "gyro_noise_std",
-            "gyro_bias",
-            "accel_noise_std",
-            "accel_bias",
-            "gyro_vibration",
-            "accel_vibration",
-        ):
+        for name in _MAGNITUDES:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
-        self.reset()
-
-    def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
-        self._gyro_bias_vec = self._rng.normal(0.0, self.gyro_bias, 3)
-        self._accel_bias_val = float(self._rng.normal(0.0, self.accel_bias))
-        self._phases = self._rng.uniform(0.0, 2.0 * math.pi, 4)
+        if operator.index(self.seed) < 0:  # a TypeError unless an integer
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def scaled(self, factor: float) -> "SensorNoiseModel":
         """Copy with every corruption magnitude multiplied by ``factor``."""
         if not 0.0 <= factor < math.inf:
             raise ValueError(f"noise scale factor must be finite and non-negative, got {factor}")
-        return SensorNoiseModel(
-            gyro_noise_std=self.gyro_noise_std * factor,
-            gyro_bias=self.gyro_bias * factor,
-            accel_noise_std=self.accel_noise_std * factor,
-            accel_bias=self.accel_bias * factor,
-            gyro_vibration=self.gyro_vibration * factor,
-            accel_vibration=self.accel_vibration * factor,
-            seed=self.seed,
-        )
+        return replace(self, **{name: getattr(self, name) * factor for name in _MAGNITUDES})
 
 
 # --------------------------------------------------------------------------
@@ -365,9 +347,10 @@ def synthesize_sensors(
     ``(n,)`` the true body-z specific force, ``rotor_speeds`` ``(n, 4)`` the
     rotor speeds that set the vibration frequency, and ``t`` ``(n,)`` the
     sample times. Rotor speed telemetry is never corrupted, so it is not
-    returned. The white noise is drawn in one call, row by row: three gyro
-    draws, then one accelerometer draw, which is the order n one-row calls
-    take them in, so a block gives the same bits as its rows one at a time.
+    returned. A generator seeded with ``noise.seed`` draws the three gyro
+    biases, the accelerometer bias and the four vibration phases, then the
+    white noise in one call, row by row: three gyro draws, then one
+    accelerometer draw.
     """
     omega = np.asarray(angular_rate, dtype=float)
     az_true = np.asarray(az_true, dtype=float)
@@ -376,20 +359,19 @@ def synthesize_sensors(
     n = len(t)
     if t.shape != (n,) or omega.shape != (n, 3) or az_true.shape != (n,) or speeds.shape != (n, 4):
         raise ValueError("synthesize_sensors needs rates (n, 3), az_true (n,), rotor speeds (n, 4), t (n,)")
+    rng = np.random.default_rng(noise.seed)
+    gyro_bias = rng.normal(0.0, noise.gyro_bias, 3)
+    accel_bias = float(rng.normal(0.0, noise.accel_bias))
+    phases = rng.uniform(0.0, 2.0 * math.pi, 4)
     g, a = noise.gyro_noise_std, noise.accel_noise_std
-    white = noise._rng.normal(0.0, (g, g, g, a), (n, 4))
+    white = rng.normal(0.0, (g, g, g, a), (n, 4))
     wbar = (speeds[:, 0] + speeds[:, 1] + speeds[:, 2] + speeds[:, 3]) / 4
     phase = wbar * t
-    gyro = (
-        omega
-        + noise._gyro_bias_vec
-        + white[:, :3]
-        + noise.gyro_vibration * np.sin(phase[:, None] + noise._phases[:3])
-    )
+    gyro = omega + gyro_bias + white[:, :3] + noise.gyro_vibration * np.sin(phase[:, None] + phases[:3])
     # The accelerometer's sine is ``math.sin``, one row at a time.
-    accel_phase = float(noise._phases[3])
+    accel_phase = float(phases[3])
     accel_sin = np.array([math.sin(x + accel_phase) for x in phase.tolist()])
-    az = az_true + noise._accel_bias_val + white[:, 3] + noise.accel_vibration * accel_sin
+    az = az_true + accel_bias + white[:, 3] + noise.accel_vibration * accel_sin
     return gyro, az
 
 
@@ -517,17 +499,16 @@ def fly_scenario(
     if not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be finite and positive, got {duration}")
     dt = 0.002  # s
-    if fault is not None and not dt <= fault.time < duration:
-        raise ValueError(
-            f"fault time must fall inside the flight duration, in [{dt}, {duration}) s; got {fault.time}"
-        )
-    params = VehicleParams()
-    noise = noise if noise is not None else SensorNoiseModel()
-    noise.reset()
-
     n = round(duration / dt)
     if n < 1:
         raise ValueError(f"duration {duration} s is shorter than one {dt} s sample")
+    # The last row flies faulted exactly when the fault comes before its time, n * dt.
+    if fault is not None and not dt <= fault.time < n * dt:
+        raise ValueError(
+            f"fault time must fall inside the flight duration, in [{dt}, {n * dt}) s; got {fault.time}"
+        )
+    params = VehicleParams()
+    noise = noise if noise is not None else SensorNoiseModel()
     times = np.arange(1, n + 1) * dt
 
     if scenario == "ground_idle":

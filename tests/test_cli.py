@@ -108,6 +108,20 @@ def test_simulate_rejects_fault_outside_the_flight(tmp_path, capsys, when):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("when", ["1.0005", "1.0"])
+def test_simulate_rejects_fault_after_the_last_sample_before_flying(tmp_path, capsys, monkeypatch, when):
+    # 1.0009 s flies 500 samples, the last at t = 1.0 s: a fault at or after
+    # it leaves no faulted row.
+    def no_flying(*args, **kwargs):
+        raise AssertionError("flew before rejecting the fault time")
+
+    monkeypatch.setattr("loedetect.simulator.dynamics_step", no_flying)
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--duration", "1.0009", "--fault", f"3:{when}", "--out", str(out)) == 2
+    assert "fault time must fall inside the flight duration, in [0.002, 1.0) s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_ground_idle_with_a_fault_is_usage_error_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "idle.csv"
     code = run_cli("simulate", "--scenario", "ground_idle", "--duration", "1", "--fault", "3:0.5", "--out", str(out))
@@ -263,6 +277,18 @@ def test_bad_fault_time_header_is_bad_log(tmp_path, capsys, value, command):
     assert code == 2
     err = capsys.readouterr().err
     assert f"bad log {log}: " in err and "fault_time_s" in err
+
+
+def test_detect_fault_time_without_fault_actuator_is_bad_log(tmp_path, capsys):
+    # Read as a no-fault log, the correct latch would count as a false alarm.
+    log = tmp_path / "half.csv"
+    assert run_cli("simulate", "--duration", "1.0", "--fault", "3:0.5", "--out", str(log)) == 0
+    capsys.readouterr()
+    log.write_text(log.read_text().replace("# fault_actuator=3\n", "", 1))
+    assert run_cli("detect", "--log", str(log)) == 2
+    captured = capsys.readouterr()
+    assert f"bad log {log}: fault_time_s given without fault_actuator" in captured.err
+    assert "false_alarms" not in captured.out
 
 
 def test_detect_inf_gyro_is_bad_log_naming_the_line(tmp_path, capsys):

@@ -237,6 +237,29 @@ def test_inf_sample_rejected_with_timestamp(field):
         det.process_sample(bad)
 
 
+@pytest.mark.parametrize(
+    ("field", "value", "size"),
+    [
+        ("angular_rate", [0.0, 0.0, 0.0], 3),
+        ("angular_rate", np.zeros((3, 1)), 3),
+        ("angular_rate", np.zeros(4), 3),
+        ("rotor_speeds", [700.0] * 4, 4),
+        ("rotor_speeds", np.full(3, 700.0), 4),
+        ("rotor_speeds", np.full((4, 1), 700.0), 4),
+        ("rotor_speeds", np.array(["700"] * 4), 4),
+    ],
+)
+def test_malformed_sample_field_rejected_naming_the_field_and_timestamp(field, value, size):
+    det = Detector(default_config())
+    det.process_sample(hover_sample(0))
+    bad = hover_sample(1)
+    setattr(bad, field, value)
+    message = rf"^malformed {field} in sample at t=0\.004: expected a numpy array of {size} real numbers, got "
+    with pytest.raises(ValueError, match=message):
+        det.process_sample(bad)
+    det.process_sample(hover_sample(1))  # the rejected sample changed no state
+
+
 @pytest.mark.parametrize("speed", [1.5e5, 1e160, -1e160])
 def test_rotor_speed_above_ceiling_rejected_with_timestamp(speed):
     det = Detector(default_config())

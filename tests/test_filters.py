@@ -7,7 +7,6 @@ from loedetect.filters import (
     CHANNELS,
     FilterDesign,
     FilterState,
-    FilteredSample,
     design_lowpass,
     differentiate,
     filter_step,
@@ -137,34 +136,25 @@ def test_filter_step_maps_channels_correctly():
     assert len(out) == len(CHANNELS)
 
 
-def _filtered(t, p, q=0.0):
-    return FilteredSample(
-        timestamp=t,
-        rates=[p, q, 0.0],
-        accel_z=-9.81,
-        rotor_speeds=[0.0, 0.0, 0.0, 0.0],
-    )
-
-
 def test_differentiate_first_sample_is_zero():
-    assert differentiate(None, _filtered(0.02, 0.5)) == (0.0, 0.0)
+    assert differentiate(None, (0.02, 0.5, 0.0)) == (0.0, 0.0)
 
 
 def test_differentiate_identical_rates_is_zero():
-    assert differentiate(_filtered(0.0, 0.1), _filtered(0.02, 0.1)) == (0.0, 0.0)
+    assert differentiate((0.0, 0.1, 0.0), (0.02, 0.1, 0.0)) == (0.0, 0.0)
 
 
 def test_differentiate_backward_difference_arithmetic():
-    accel = differentiate(_filtered(0.0, 0.10), _filtered(0.02, 0.12))
+    accel = differentiate((0.0, 0.10, 0.0), (0.02, 0.12, 0.0))
     assert accel == ((0.12 - 0.10) / (0.02 - 0.0), 0.0)
     assert abs(accel[0] - 1.0) < 1e-12
 
 
 def test_differentiate_rejects_non_increasing_timestamps():
     with pytest.raises(ValueError):
-        differentiate(_filtered(0.02, 0.1), _filtered(0.02, 0.2))
+        differentiate((0.02, 0.1, 0.0), (0.02, 0.2, 0.0))
     with pytest.raises(ValueError):
-        differentiate(_filtered(0.04, 0.1), _filtered(0.02, 0.2))
+        differentiate((0.04, 0.1, 0.0), (0.02, 0.2, 0.0))
 
 
 def test_ramp_slope_recovered_after_settling():

@@ -241,6 +241,22 @@ def test_fault_header_requires_time(tmp_path):
         load_log(path)
 
 
+@pytest.mark.parametrize(
+    ("actuator", "time", "message"),
+    [
+        (7, 0.05, "^fault_actuator out of range: 7$"),
+        (0, 0.05, "^fault_actuator out of range: 0$"),
+        (3, None, "^fault_actuator given without fault_time_s$"),
+        (None, 0.05, "^fault_time_s given without fault_actuator$"),
+    ],
+)
+def test_validate_rejects_an_annotation_out_of_range_or_given_by_half(actuator, time, message):
+    log = synthetic_log()
+    with pytest.raises(LogFormatError, match=message) as caught:
+        FlightLog(500.0, log.t, log.gyro, log.accel_z, log.rotor_speeds, fault_actuator=actuator, fault_time_s=time)
+    assert caught.value.sample is None
+
+
 @pytest.mark.parametrize("n", [1, 50])
 @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -500.0])
 def test_validate_rejects_a_rate_that_is_not_finite_and_positive(rate, n):

@@ -33,12 +33,10 @@ def _output(t, status, armed=True):
 
 
 def _status(latched=(), times=()):
-    failed = [False] * 4
     fdt = [None] * 4
     for idx, t in zip(latched, times):
-        failed[idx - 1] = True
         fdt[idx - 1] = t
-    return DetectionStatus(failed=tuple(failed), first_detection_time=tuple(fdt))
+    return DetectionStatus(tuple(fdt))
 
 
 def outputs_with_latch(latched=(), times=(), t_end=3.0):

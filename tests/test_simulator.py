@@ -111,29 +111,39 @@ def oracle_dynamics_step(state, rotor_setpoints, params, dt, external_force=None
     )
 
 
-def oracle_synthesize_sensors(state, params, noise, t, external_force=None):
+def oracle_synthesize_sensors(state, params, draws, t, external_force=None):
     _, thrust_total = oracle_moments_and_thrust(state, params)
     az_true = -thrust_total / params.mass
     if external_force is not None:
         f_body = quat_to_matrix(state.quaternion).T @ np.asarray(external_force)
         az_true += float(f_body[2]) / params.mass
-    return oracle_measure(state.angular_rate, az_true, state.rotor_speeds, noise, t)
+    return oracle_measure(state.angular_rate, az_true, state.rotor_speeds, draws, t)
 
 
-def oracle_measure(omega, az_true, rotor_speeds, noise, t):
+def oracle_noise_draws(noise):
+    """One flight's generator, after its constant draws: gyro biases, accelerometer bias, phases."""
+    rng = np.random.default_rng(noise.seed)
+    gyro_bias = rng.normal(0.0, noise.gyro_bias, 3)
+    accel_bias = float(rng.normal(0.0, noise.accel_bias))
+    phases = rng.uniform(0.0, 2.0 * math.pi, 4)
+    return noise, rng, gyro_bias, accel_bias, phases
+
+
+def oracle_measure(omega, az_true, rotor_speeds, draws, t):
     """One sample's corruption: three gyro draws, then one accelerometer draw."""
+    noise, rng, gyro_bias, accel_bias, phases = draws
     wbar = float(rotor_speeds.mean())
     gyro = (
         omega
-        + noise._gyro_bias_vec
-        + noise._rng.normal(0.0, noise.gyro_noise_std, 3)
-        + noise.gyro_vibration * np.sin(wbar * t + noise._phases[:3])
+        + gyro_bias
+        + rng.normal(0.0, noise.gyro_noise_std, 3)
+        + noise.gyro_vibration * np.sin(wbar * t + phases[:3])
     )
     az = (
         az_true
-        + noise._accel_bias_val
-        + float(noise._rng.normal(0.0, noise.accel_noise_std))
-        + noise.accel_vibration * math.sin(wbar * t + noise._phases[3])
+        + accel_bias
+        + float(rng.normal(0.0, noise.accel_noise_std))
+        + noise.accel_vibration * math.sin(wbar * t + phases[3])
     )
     return gyro, az
 
@@ -166,7 +176,7 @@ def oracle_setpoints(state, roll_sp, pitch_sp, z_sp, params):
 
 def oracle_flight(scenario, duration, fault, noise):
     """``fly_scenario`` from the oracles, one step and one sensor sample at a time."""
-    noise.reset()
+    draws = oracle_noise_draws(noise)
     dt = 0.002
     n = round(duration / dt)
     t, gyro, az, speeds = np.empty(n), np.empty((n, 3)), np.empty(n), np.empty((n, 4))
@@ -177,7 +187,7 @@ def oracle_flight(scenario, duration, fault, noise):
         t[i] = (i + 1) * dt
         if scenario == "ground_idle":
             speeds[i] = IDLE_ROTOR_SPEED
-            gyro[i], az[i] = oracle_measure(np.zeros(3), -GRAVITY, speeds[i], noise, t[i])
+            gyro[i], az[i] = oracle_measure(np.zeros(3), -GRAVITY, speeds[i], draws, t[i])
             continue
         if pending is not None and t[i] > pending.time:
             true_k = state.true_k.copy()
@@ -187,7 +197,7 @@ def oracle_flight(scenario, duration, fault, noise):
         force, moment = (None if v is None else np.array(v) for v in _wind(scenario, i * dt))
         setpoints = oracle_setpoints(state, *_attitude_schedule(scenario, i * dt), z_sp, PARAMS)
         state = oracle_dynamics_step(state, setpoints, PARAMS, dt, force, moment)
-        gyro[i], az[i] = oracle_synthesize_sensors(state, PARAMS, noise, t[i], force)
+        gyro[i], az[i] = oracle_synthesize_sensors(state, PARAMS, draws, t[i], force)
         speeds[i] = state.rotor_speeds
     return t, gyro, az, speeds
 
@@ -248,22 +258,36 @@ def test_dynamics_step_reads_lists_tuples_and_arrays_alike():
 
 
 def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
+    # One block call against the oracle's rows, drawn from one generator.
     rng = np.random.default_rng(7)
-    noise, oracle_noise = SensorNoiseModel(seed=11), SensorNoiseModel(seed=11)
-    for i in range(2000):
-        state = random_state(rng)
-        force, _ = random_wind(rng)
-        t = (i + 1) * 0.002
-        floats = as_floats(state)
-        wind = None if force is None else [_wind_accel_z(floats.quaternion, floats_or_none(force), PARAMS)]
-        az_true = _true_accel_z([floats.rotor_speeds], [floats.true_k], PARAMS, wind)
-        gyro, az = synthesize_sensors([floats.angular_rate], az_true, [floats.rotor_speeds], [t], noise)
-        want_gyro, want_az = oracle_synthesize_sensors(state, PARAMS, oracle_noise, t, external_force=force)
-        assert gyro.shape == (1, 3) and az.shape == (1,)
-        assert np.array_equal(gyro[0], want_gyro)
-        assert az[0] == want_az
-    *moments, thrust = _moments_and_thrust(floats.rotor_speeds, floats.true_k, PARAMS)
-    want_moments, want_thrust = oracle_moments_and_thrust(state, PARAMS)
+    n = 2000
+    states = [random_state(rng) for _ in range(n)]
+    forces = [random_wind(rng)[0] for _ in range(n)]
+    t = np.arange(1, n + 1) * 0.002
+    rows = [as_floats(state) for state in states]
+    az_true = np.concatenate(
+        [
+            _true_accel_z(
+                [floats.rotor_speeds],
+                [floats.true_k],
+                PARAMS,
+                None if force is None else [_wind_accel_z(floats.quaternion, floats_or_none(force), PARAMS)],
+            )
+            for floats, force in zip(rows, forces)
+        ]
+    )
+    noise = SensorNoiseModel(seed=11)
+    gyro, az = synthesize_sensors(
+        [floats.angular_rate for floats in rows], az_true, [floats.rotor_speeds for floats in rows], t, noise
+    )
+    assert gyro.shape == (n, 3) and az.shape == (n,)
+    draws = oracle_noise_draws(noise)
+    for i, (state, force) in enumerate(zip(states, forces)):
+        want_gyro, want_az = oracle_synthesize_sensors(state, PARAMS, draws, t[i], external_force=force)
+        assert np.array_equal(gyro[i], want_gyro)
+        assert az[i] == want_az
+    *moments, thrust = _moments_and_thrust(rows[-1].rotor_speeds, rows[-1].true_k, PARAMS)
+    want_moments, want_thrust = oracle_moments_and_thrust(states[-1], PARAMS)
     assert np.array_equal(moments, want_moments) and thrust == want_thrust
 
 
@@ -276,13 +300,39 @@ def test_one_sensor_block_equals_its_rows_one_at_a_time():
     az_true = rng.normal(-GRAVITY, 1.0, n)
     speeds = rng.uniform(150.0, 1300.0, (n, 4))
     t = np.arange(1, n + 1) * 0.002
-    block_noise, row_noise = SensorNoiseModel(seed=12), SensorNoiseModel(seed=12)
-    gyro, az = synthesize_sensors(omega, az_true, speeds, t, block_noise)
+    noise = SensorNoiseModel(seed=12)
+    gyro, az = synthesize_sensors(omega, az_true, speeds, t, noise)
+    draws = oracle_noise_draws(noise)
     for i in range(n):
-        row = slice(i, i + 1)
-        row_gyro, row_az = synthesize_sensors(omega[row], az_true[row], speeds[row], t[row], row_noise)
-        assert np.array_equal(row_gyro, gyro[row])
-        assert np.array_equal(row_az, az[row])
+        row_gyro, row_az = oracle_measure(omega[i], az_true[i], speeds[i], draws, t[i])
+        assert np.array_equal(row_gyro, gyro[i])
+        assert row_az == az[i]
+
+
+def test_synthesize_sensors_draws_the_same_noise_on_every_call():
+    rng = np.random.default_rng(9)
+    n = 50
+    args = (rng.normal(0.0, 1.0, (n, 3)), rng.normal(-GRAVITY, 1.0, n), rng.uniform(150.0, 1300.0, (n, 4)))
+    t = np.arange(1, n + 1) * 0.002
+    noise = SensorNoiseModel(seed=13)
+    first, second = synthesize_sensors(*args, t, noise), synthesize_sensors(*args, t, noise)
+    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+
+
+def test_sensor_noise_model_is_frozen_and_flying_leaves_it_unchanged():
+    noise = SensorNoiseModel(seed=14).scaled(2.0)
+    before = replace(noise)
+    assert hash(noise) == hash(before)
+    with pytest.raises(AttributeError):
+        noise.seed = 15
+    fly_scenario("hover", duration=0.1, fault=FaultEvent(time=0.05, actuator_index=2), noise=noise)
+    assert noise == before
+
+
+@pytest.mark.parametrize(("seed", "error"), [(-1, ValueError), (1.5, TypeError), (None, TypeError)])
+def test_sensor_noise_model_rejects_a_bad_seed_when_built(seed, error):
+    with pytest.raises(error):
+        SensorNoiseModel(seed=seed)
 
 
 @pytest.mark.parametrize(
