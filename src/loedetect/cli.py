@@ -166,7 +166,7 @@ def cmd_detect(args) -> int:
         raise CommandError(f"bad log {args.log}: {exc}", USAGE_ERROR) from exc
     _check_sample_rate(log, config)
     detector = Detector(config)
-    outputs = map(detector.process_sample, log.samples())
+    outputs = map(detector.process_row, log.rows())
     if args.out:
         n_rows = _write_outputs_csv(outputs, args.out)
         print(f"wrote {args.out}: {n_rows} detector outputs")

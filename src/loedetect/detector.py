@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from numbers import Real
 from operator import attrgetter
 from typing import get_type_hints
 
@@ -52,6 +53,7 @@ ARMING_WINDOW_S = 1.0
 MIN_SENSOR_INTERVAL_S = 1e-5
 
 _INF = math.inf
+_NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -264,39 +266,39 @@ class Conditioner:
         self._gate_count = 0
         self._gate_pos = 0
 
-    def push(self, raw: RawSample) -> tuple[tuple[float, float, float], list[float]] | None:
-        """Advance one sample; on an armed estimator tick return ``(z, w_sq)``.
+    def push(
+        self, t: float, p: float, q: float, r: float, az: float, w1: float, w2: float, w3: float, w4: float
+    ) -> tuple[tuple[float, float, float], list[float]] | None:
+        """Advance one sample of nine floats; on an armed estimator tick return ``(z, w_sq)``.
 
-        ``z`` is (p_dot, q_dot, a_z) and ``w_sq`` the squared filtered rotor
-        speeds. Timestamp steps outside (1 -/+ ``STEP_TOLERANCE``) x
-        ``sensor_interval`` are rejected, as ``FlightLog.validate`` does. A
-        rejected sample changes no state. Estimator ticks come from a
-        countdown of ``steps_per_estimate`` accepted samples.
+        The floats are the timestamp, body rates, vertical accelerometer and
+        rotor speeds, in ``flightlog.COLUMNS`` order. ``z`` is (p_dot,
+        q_dot, a_z) and ``w_sq`` the squared filtered rotor speeds. Checks run
+        in a fixed order: timestamp order, then NaN or Inf, the rotor-speed
+        ceiling and negative speeds, then timestamp steps outside (1 -/+
+        ``STEP_TOLERANCE``) x ``sensor_interval``, as ``FlightLog.validate``
+        rejects them. A rejected sample raises ``ValueError`` and changes no
+        state. Estimator ticks come from a countdown of
+        ``steps_per_estimate`` accepted samples.
         """
-        t = raw.timestamp
         last = self._last_timestamp
         if last is not None and t <= last:
-            raise ValueError(f"non-monotone timestamp: {t} after {last}")
-        top = MAX_ROTOR_SPEED_RAD_S
-        try:
-            p, q, r = raw.angular_rate.tolist()
-            az = float(raw.proper_accel_z)
-            w1, w2, w3, w4 = raw.rotor_speeds.tolist()
-            # Chained comparisons are False on NaN, so this also rejects NaN.
-            if not (
-                -_INF < t < _INF
-                and -_INF < az < _INF
-                and -_INF < p < _INF
-                and -_INF < q < _INF
-                and -_INF < r < _INF
-                and 0.0 <= w1 <= top
-                and 0.0 <= w2 <= top
-                and 0.0 <= w3 <= top
-                and 0.0 <= w4 <= top
-            ):
-                raise ValueError
-        except (AttributeError, TypeError, ValueError):  # a bad value, or a field of the wrong type or shape
-            raise _rejection(raw) from None
+            raise _out_of_order(t, last)
+        # Local bounds: ``-_INF`` would negate, and allocate a float, per comparison.
+        ninf, inf, top = _NEG_INF, _INF, MAX_ROTOR_SPEED_RAD_S
+        # Chained comparisons are False on NaN, so this also rejects NaN.
+        if not (
+            ninf < t < inf
+            and ninf < az < inf
+            and ninf < p < inf
+            and ninf < q < inf
+            and ninf < r < inf
+            and 0.0 <= w1 <= top
+            and 0.0 <= w2 <= top
+            and 0.0 <= w3 <= top
+            and 0.0 <= w4 <= top
+        ):
+            raise _bad_value(t, (p, q, r, az), (w1, w2, w3, w4))
         if last is not None and abs((t - last) / self._sensor_interval - 1.0) >= STEP_TOLERANCE:
             raise ValueError(
                 f"timestamp step {t - last:.6g} s at t={t} is outside "
@@ -310,8 +312,7 @@ class Conditioner:
         out = filter_step(self._filter, [p, q, r, az, w1, w2, w3, w4])
         armed = self.armed
         if not armed:
-            # numpy dot, not a scalar sum: BLAS rounds it differently.
-            thrust_proxy = float(raw.rotor_speeds @ raw.rotor_speeds)
+            thrust_proxy = w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4
             pos = self._gate_pos
             self._gate_sum += thrust_proxy - self._gate_buf[pos]
             self._gate_buf[pos] = thrust_proxy
@@ -335,23 +336,53 @@ class Conditioner:
         return (p_dot, q_dot, a_z), [f1 * f1, f2 * f2, f3 * f3, f4 * f4]
 
 
-def _rejection(raw: RawSample) -> ValueError:
-    """The error for a sample ``Conditioner.push`` does not accept: a malformed field, else a bad value."""
-    t = raw.timestamp
-    for name, size in (("angular_rate", 3), ("rotor_speeds", 4)):
-        value = getattr(raw, name)
-        if not (isinstance(value, np.ndarray) and value.shape == (size,) and value.dtype.kind in "biuf"):
-            expected = f"expected a numpy array of {size} real numbers"
-            return ValueError(f"malformed {name} in sample at t={t}: {expected}, got {value!r}")
-    speeds = raw.rotor_speeds.tolist()
-    values = (t, *raw.angular_rate.tolist(), float(raw.proper_accel_z), *speeds)
-    if not all(-_INF < v < _INF for v in values):
+def _out_of_order(t: float, last: float) -> ValueError:
+    """The error for a timestamp at or before the last accepted one."""
+    return ValueError(f"non-monotone timestamp: {t} after {last}")
+
+
+def _bad_value(t: float, values: tuple, speeds: tuple) -> ValueError:
+    """The error for a sample of floats that fails ``Conditioner.push``'s value checks."""
+    if not all(-_INF < v < _INF for v in (t, *values, *speeds)):
         problem = "NaN or Inf"
     elif max(map(abs, speeds)) > MAX_ROTOR_SPEED_RAD_S:
         problem = f"rotor speed above {MAX_ROTOR_SPEED_RAD_S:g} rad/s"
     else:
         problem = "negative rotor speed"
     return ValueError(f"{problem} in sample at t={t}")
+
+
+def _real_float(value) -> float:
+    """``float(value)`` for a real number; ``TypeError`` for anything else, strings included."""
+    if not isinstance(value, Real):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
+def _malformed_field(raw: RawSample, last: float | None) -> ValueError | None:
+    """The error for a ``RawSample`` whose fields could not be read or checked.
+
+    Faults are taken in ``Conditioner.push``'s order: a malformed timestamp,
+    timestamp order, then a malformed rate, speed or accelerometer field.
+    ``None`` when every field is well-formed, so the value error ``push``
+    raised stands.
+    """
+    t = raw.timestamp
+    if not isinstance(t, Real):
+        where = "the first sample" if last is None else f"the sample after t={last}"
+        return ValueError(f"malformed timestamp in {where}: expected a real number, got {t!r}")
+    if last is not None and t <= last:
+        return _out_of_order(t, last)
+    for name, size in (("angular_rate", 3), ("rotor_speeds", 4)):
+        value = getattr(raw, name)
+        if not (isinstance(value, np.ndarray) and value.shape == (size,) and value.dtype.kind in "biuf"):
+            expected = f"expected a numpy array of {size} real numbers"
+            return ValueError(f"malformed {name} in sample at t={t}: {expected}, got {value!r}")
+    if not isinstance(raw.proper_accel_z, Real):
+        return ValueError(
+            f"malformed proper_accel_z in sample at t={t}: expected a real number, got {raw.proper_accel_z!r}"
+        )
+    return None
 
 
 def estimation_step(
@@ -391,18 +422,52 @@ class Detector:
         return self._estimator
 
     def process_sample(self, raw: RawSample) -> DetectorOutput:
-        conditioner = self._conditioner
-        tick = conditioner.push(raw)
-        if tick is not None:
-            state = self._estimator = estimation_step(self._estimator, self._gains, self._noise, *tick)
-            variances = self._variances = state.variances()
-            decision = self._decision
-            p_fail = self._p_fail = failure_probabilities(state.k, variances, decision.k_threshold)
-            self._status = decide(p_fail, self._status, decision, now=raw.timestamp)
+        """Stream one ``RawSample``; its fields are read into floats for ``Conditioner.push``.
 
-        return DetectorOutput(
-            raw.timestamp, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed
-        )
+        A malformed field raises ``ValueError`` naming the field, and a bad
+        value the error ``push`` raises; a rejected sample changes no state.
+        """
+        conditioner = self._conditioner
+        t = raw.timestamp
+        try:
+            p, q, r = raw.angular_rate.tolist()
+            w1, w2, w3, w4 = raw.rotor_speeds.tolist()
+            az = raw.proper_accel_z
+            if az.__class__ is not float:  # float() would also parse a string
+                az = _real_float(az)
+            tick = conditioner.push(t, p, q, r, az, w1, w2, w3, w4)
+        except (AttributeError, TypeError, ValueError):
+            # A field of the wrong type or shape fails a read or a comparison;
+            # only then is the sample searched for the cause.
+            error = _malformed_field(raw, conditioner._last_timestamp)
+            if error is None:
+                raise
+            raise error from None
+        if tick is not None:
+            self._tick(t, tick)
+        return DetectorOutput(t, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed)
+
+    def process_row(self, row: list[float]) -> DetectorOutput:
+        """Replay one log row: nine Python floats in ``flightlog.COLUMNS`` order.
+
+        ``FlightLog.rows()`` yields such rows. The values go to
+        ``Conditioner.push`` as they are, and the outputs are bit-identical
+        to ``process_sample`` on the same sample.
+        """
+        conditioner = self._conditioner
+        t, p, q, r, az, w1, w2, w3, w4 = row
+        tick = conditioner.push(t, p, q, r, az, w1, w2, w3, w4)
+        if tick is not None:
+            self._tick(t, tick)
+        return DetectorOutput(t, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed)
+
+    def _tick(self, t: float, tick: tuple) -> None:
+        """Estimation and decision on the armed estimator tick ``push`` returned at time ``t``."""
+        state = self._estimator = estimation_step(self._estimator, self._gains, self._noise, *tick)
+        variances = self._variances = state.variances()
+        decision = self._decision
+        p_fail = self._p_fail = failure_probabilities(state.k, variances, decision.k_threshold)
+        self._status = decide(p_fail, self._status, decision, now=t)
 
 
 # ---------------------------------------------------------------------------

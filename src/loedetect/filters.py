@@ -126,11 +126,13 @@ class FilterState:
 
 @dataclass(slots=True)
 class RawSample:
-    """One tick of the sensor streams feeding the detector.
+    """One tick of the sensor streams, as ``Detector.process_sample`` takes it.
 
-    ``angular_rate`` and ``rotor_speeds`` are numpy arrays of 3 and 4 real
-    numbers; the detector rejects any other form with a ``ValueError``
-    naming the field and the timestamp.
+    ``timestamp`` and ``proper_accel_z`` are real numbers: Python or numpy
+    ints, floats or bools (``proper_accel_z`` is read with ``float``; a
+    string is not parsed). ``angular_rate`` and ``rotor_speeds`` are numpy
+    arrays of 3 and 4 real numbers. The detector rejects any other form
+    with a ``ValueError`` naming the field.
     """
 
     timestamp: float  # s

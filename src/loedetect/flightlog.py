@@ -28,6 +28,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -42,9 +43,10 @@ RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 # median timestamp step, or a detector's ``sensor_interval``.
 RATE_TOLERANCE = 0.01
 
-# Rows ``FlightLog.samples`` converts to Python floats at a time, so the
-# lists it holds stay the same size however long the log is.
-SAMPLE_BLOCK_ROWS = 4096
+# Rows ``FlightLog.rows`` and ``FlightLog.samples`` convert to Python floats
+# at a time, so the lists they hold stay the same size however long the log
+# is: about 0.35 MB of row lists.
+SAMPLE_BLOCK_ROWS = 1024
 
 
 class LogFormatError(ValueError):
@@ -78,8 +80,21 @@ class FlightLog:
     def __len__(self) -> int:
         return len(self.t)
 
+    def rows(self) -> Iterator[list[float]]:
+        """One ``[t, p, q, r, az, w1, w2, w3, w4]`` list of Python floats per row, in ``COLUMNS`` order.
+
+        ``Detector.process_row`` replays them; each block of
+        ``SAMPLE_BLOCK_ROWS`` rows is converted by one ``tolist()``, and
+        ``chain`` walks the blocks with no Python frame per row.
+        """
+        columns = (self.t, self.gyro, self.accel_z, self.rotor_speeds)
+        return chain.from_iterable(
+            np.column_stack([column[start : start + SAMPLE_BLOCK_ROWS] for column in columns]).tolist()
+            for start in range(0, len(self.t), SAMPLE_BLOCK_ROWS)
+        )
+
     def samples(self) -> Iterator[RawSample]:
-        """One ``RawSample`` per row; the rate and speed fields are row views."""
+        """One ``RawSample`` per row, for ``Detector.process_sample``; the rate and speed fields are row views."""
         rates, speeds = iter(self.gyro), iter(self.rotor_speeds)
         for start in range(0, len(self.t), SAMPLE_BLOCK_ROWS):
             block = slice(start, start + SAMPLE_BLOCK_ROWS)
@@ -171,8 +186,7 @@ def save_log(log: FlightLog, path) -> None:
         lines.append(f"# fault_actuator={log.fault_actuator}")
         lines.append(f"# fault_time_s={log.fault_time_s!r}")
     lines.append(",".join(COLUMNS))
-    rows = np.column_stack((log.t, log.gyro, log.accel_z, log.rotor_speeds)).tolist()
-    lines.extend(",".join(map(repr, row)) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in log.rows())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,8 +54,7 @@ def _check_sample_rate(log: FlightLog, config: DetectorConfig) -> None:
 def run_detector(log: FlightLog, config: DetectorConfig) -> list[DetectorOutput]:
     """Replay a log through a fresh detector, one output per sample."""
     _check_sample_rate(log, config)
-    detector = Detector(config)
-    return [detector.process_sample(s) for s in log.samples()]
+    return list(map(Detector(config).process_row, log.rows()))
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,7 @@ def evaluate_log(log: FlightLog, config: DetectorConfig) -> EvaluationResult:
     """Replay plus evaluation against the log's own annotation, holding no outputs."""
     _check_sample_rate(log, config)
     detector = Detector(config)
-    process_sample = detector.process_sample
-    for raw in log.samples():
-        process_sample(raw)
+    deque(map(detector.process_row, log.rows()), maxlen=0)
     return evaluate_status(detector.status, float(log.t[0]), float(log.t[-1]), log.ground_truth())
 
 
@@ -251,12 +249,8 @@ def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[Evaluation
         first = next(iter(by_threshold.values()))[0]
         ckey = first.conditioning_key()
         if ckey not in ticks:
-            conditioner = Conditioner(first)
-            ticks[ckey] = [
-                (raw.timestamp, *tick)
-                for raw in log.samples()
-                if (tick := conditioner.push(raw)) is not None
-            ]
+            push = Conditioner(first).push
+            ticks[ckey] = [(row[0], *tick) for row in log.rows() if (tick := push(*row)) is not None]
         records = _sub_threshold_probabilities(ticks[ckey], first, tuple(by_threshold))
         for k_threshold, same_threshold in by_threshold.items():
             for config in same_threshold:

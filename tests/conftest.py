@@ -1,8 +1,10 @@
+import math
 import time
 
+import numpy as np
 import pytest
 
-from loedetect import FaultEvent, SensorNoiseModel, fly_scenario
+from loedetect import FaultEvent, FlightLog, SensorNoiseModel, default_config, fly_scenario
 
 # Fault scenarios end shortly after the ejection: without the (out-of-scope)
 # post-detection controller reconfiguration, the vehicle departs controlled
@@ -58,3 +60,35 @@ def ejection_corpus():
 def ejection_log():
     """One short hover ejection log (actuator 3 at t=1.56 s)."""
     return make_fault_log()
+
+
+def make_takeoff_log(seed, duration=6.0):
+    """Synthetic takeoff: rotors idle at 30% of hover speed for 1 s, ramp to 105% by 4 s, then hold.
+
+    Each rotor speed carries +/-3% uniform noise. The takeoff gate's 1 s
+    average of sum(w_i^2) climbs through half the hover level about 3 s in,
+    so the detector arms mid-log, unlike every simulated scenario (which
+    arms on its first sample, or never on the ground).
+    """
+    config = default_config()
+    rng = np.random.default_rng(seed)
+    dt = config.sensor_interval
+    n = round(duration / dt)
+    t = np.arange(1, n + 1) * dt
+    w_hover = math.sqrt(config.hover_thrust_reference / 4.0)
+    speeds = w_hover * np.interp(t, (1.0, 4.0), (0.3, 1.05))[:, None] * rng.uniform(0.97, 1.03, (n, 4))
+    accel_z = -config.gains.g_az * np.square(speeds).sum(axis=1) + rng.normal(0.0, 0.08, n)
+    gyro = rng.normal(0.0, 0.01, (n, 3))
+    return FlightLog(sample_rate_hz=1.0 / dt, t=t, gyro=gyro, accel_z=accel_z, rotor_speeds=speeds)
+
+
+@pytest.fixture(scope="session")
+def takeoff_logs():
+    """Five idle-to-hover ramps (seeds 1-5) whose thrust crosses the takeoff gate mid-log."""
+    return [make_takeoff_log(seed) for seed in range(1, 6)]
+
+
+@pytest.fixture(scope="session")
+def ground_idle_logs():
+    """Three 5 s ground-idle logs (seeds 1-3); none arms the takeoff gate."""
+    return [fly_scenario("ground_idle", duration=5.0, noise=SensorNoiseModel(seed=seed)) for seed in (1, 2, 3)]

@@ -22,6 +22,11 @@ from loedetect.filters import MAX_ROTOR_SPEED_RAD_S, N_CHANNELS, design_lowpass,
 from loedetect.kalman import EstimatorState
 
 
+def sample_values(raw):
+    """A ``RawSample`` as ``Conditioner.push``'s nine floats."""
+    return [raw.timestamp, *raw.angular_rate.tolist(), float(raw.proper_accel_z), *raw.rotor_speeds.tolist()]
+
+
 def narrow_bank_step(state, inputs):
     """``filter_step`` on the first ``len(inputs)`` channels of the bank, as an array.
 
@@ -64,6 +69,42 @@ class OracleFilterState:
         return y
 
 
+class OracleGate:
+    """The takeoff gate with each sample's thrust proxy taken as a numpy dot.
+
+    ``Conditioner`` sums the four squares on floats instead; the two can
+    round a proxy differently, so the arming sample is compared per log.
+    """
+
+    def __init__(self, config):
+        self.armed = False
+        self._gate_level = config.takeoff_thrust_fraction * config.hover_thrust_reference
+        self._gate_len = max(1, round(ARMING_WINDOW_S / config.sensor_interval))
+        self._gate_buf = np.zeros(self._gate_len)
+        self._gate_sum = 0.0
+        self._gate_count = 0
+        self._gate_pos = 0
+
+    def push(self, rotor_speeds):
+        """Advance one sample's speed array while disarmed; returns ``armed``."""
+        if not self.armed:
+            thrust_proxy = float(rotor_speeds @ rotor_speeds)
+            self._gate_sum += thrust_proxy - self._gate_buf[self._gate_pos]
+            self._gate_buf[self._gate_pos] = thrust_proxy
+            self._gate_pos = (self._gate_pos + 1) % self._gate_len
+            if self._gate_count < self._gate_len:
+                self._gate_count += 1
+            if self._gate_sum / self._gate_count > self._gate_level:
+                self.armed = True
+        return self.armed
+
+
+def oracle_arming_index(log, config):
+    """Index of the sample of ``log`` that arms ``OracleGate``, or ``None``."""
+    gate = OracleGate(config)
+    return next((i for i, speeds in enumerate(log.rotor_speeds) if gate.push(speeds)), None)
+
+
 class OracleConditioner:
     """``Conditioner`` on arrays: filter bank, takeoff gate, differencing.
 
@@ -75,13 +116,8 @@ class OracleConditioner:
         self._steps_per_estimate = config.steps_per_estimate()
         self._sample_index = 0
         self._prev = None  # (timestamp, filtered vector) at the last tick
+        self._gate = OracleGate(config)
         self.armed = False
-        self._gate_level = config.takeoff_thrust_fraction * config.hover_thrust_reference
-        self._gate_len = max(1, round(ARMING_WINDOW_S / config.sensor_interval))
-        self._gate_buf = np.zeros(self._gate_len)
-        self._gate_sum = 0.0
-        self._gate_count = 0
-        self._gate_pos = 0
 
     def push(self, raw):
         assert np.all(np.abs(raw.rotor_speeds) <= MAX_ROTOR_SPEED_RAD_S)
@@ -90,15 +126,7 @@ class OracleConditioner:
         vec[3] = raw.proper_accel_z
         vec[4:8] = raw.rotor_speeds
         out = self._filter.step(vec)
-        if not self.armed:
-            thrust_proxy = float(raw.rotor_speeds @ raw.rotor_speeds)
-            self._gate_sum += thrust_proxy - self._gate_buf[self._gate_pos]
-            self._gate_buf[self._gate_pos] = thrust_proxy
-            self._gate_pos = (self._gate_pos + 1) % self._gate_len
-            if self._gate_count < self._gate_len:
-                self._gate_count += 1
-            if self._gate_sum / self._gate_count > self._gate_level:
-                self.armed = True
+        self.armed = self._gate.push(raw.rotor_speeds)
 
         self._sample_index += 1
         if self._sample_index % self._steps_per_estimate:
@@ -184,8 +212,8 @@ def sweep_probability_evaluations(logs, configs):
             gains_col = np.array([gains.g_p, gains.g_q, gains.g_az])[:, None]
             k_threshold = config.decision.k_threshold
             state = kalman.init()
-            for raw in log.samples():
-                tick = conditioner.push(raw)
+            for row in log.rows():
+                tick = conditioner.push(*row)
                 if tick is not None:
                     z, w_sq = tick
                     H = SIGN_MATRIX * gains_col * np.array(w_sq)[None, :]

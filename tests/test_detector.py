@@ -1,13 +1,15 @@
 import ast
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import loedetect
-from loedetect import kalman
+from loedetect import decision, effectiveness, filters, kalman
+from loedetect import detector as detector_module
 from loedetect.decision import DecisionConfig, DetectionStatus, decide, failure_probabilities
 from loedetect.detector import (
     CONFIG_KEYS,
@@ -32,7 +34,7 @@ from loedetect.detector import (
 from loedetect.filters import FilterDesign, FilterState, RawSample, design_lowpass
 from loedetect.effectiveness import VehicleParams
 
-from oracles import OracleConditioner, OracleDetector, narrow_bank_step
+from oracles import OracleConditioner, OracleDetector, narrow_bank_step, oracle_arming_index, sample_values
 
 
 def hover_sample(i, dt=0.002, speed=700.357, az=-9.81):
@@ -85,7 +87,7 @@ def test_one_millisecond_config_filters_at_one_millisecond():
         speed = 700.357 if i < 100 else 760.0  # a step once the filter has settled
         want = narrow_bank_step(reference, [speed])[0]
         differs += want != narrow_bank_step(at_2ms, [speed])[0]
-        tick = conditioner.push(hover_sample(i, dt=0.001, speed=speed))
+        tick = conditioner.push(*sample_values(hover_sample(i, dt=0.001, speed=speed)))
         if tick is not None:
             ticks += 1
             assert tick[1] == [want * want] * 4
@@ -238,26 +240,52 @@ def test_inf_sample_rejected_with_timestamp(field):
 
 
 @pytest.mark.parametrize(
-    ("field", "value", "size"),
+    ("field", "value", "expected"),
     [
-        ("angular_rate", [0.0, 0.0, 0.0], 3),
-        ("angular_rate", np.zeros((3, 1)), 3),
-        ("angular_rate", np.zeros(4), 3),
-        ("rotor_speeds", [700.0] * 4, 4),
-        ("rotor_speeds", np.full(3, 700.0), 4),
-        ("rotor_speeds", np.full((4, 1), 700.0), 4),
-        ("rotor_speeds", np.array(["700"] * 4), 4),
+        ("angular_rate", [0.0, 0.0, 0.0], "a numpy array of 3 real numbers"),
+        ("angular_rate", np.zeros((3, 1)), "a numpy array of 3 real numbers"),
+        ("angular_rate", np.zeros(4), "a numpy array of 3 real numbers"),
+        ("rotor_speeds", [700.0] * 4, "a numpy array of 4 real numbers"),
+        ("rotor_speeds", np.full(3, 700.0), "a numpy array of 4 real numbers"),
+        ("rotor_speeds", np.full((4, 1), 700.0), "a numpy array of 4 real numbers"),
+        ("rotor_speeds", np.array(["700"] * 4), "a numpy array of 4 real numbers"),
+        # float() would parse the strings; the scalar fields take real numbers only.
+        ("timestamp", "0.004", "a real number"),
+        ("timestamp", None, "a real number"),
+        ("timestamp", np.array([0.004, 0.006]), "a real number"),
+        ("proper_accel_z", "-9.81", "a real number"),
+        ("proper_accel_z", "x", "a real number"),
+        ("proper_accel_z", None, "a real number"),
+        ("proper_accel_z", np.array([-9.81, -9.81]), "a real number"),
     ],
 )
-def test_malformed_sample_field_rejected_naming_the_field_and_timestamp(field, value, size):
+@pytest.mark.parametrize("index", [0, 1], ids=["first", "later"])
+def test_malformed_sample_field_rejected_naming_the_field_and_timestamp(field, value, expected, index):
     det = Detector(default_config())
-    det.process_sample(hover_sample(0))
-    bad = hover_sample(1)
+    for i in range(index):
+        det.process_sample(hover_sample(i))
+    bad = hover_sample(index)
     setattr(bad, field, value)
-    message = rf"^malformed {field} in sample at t=0\.004: expected a numpy array of {size} real numbers, got "
+    if field == "timestamp":
+        where = "the first sample" if index == 0 else r"the sample after t=0\.002"
+    else:
+        where = rf"sample at t={bad.timestamp}"
+    message = rf"^malformed {field} in {where}: expected {expected}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         det.process_sample(bad)
-    det.process_sample(hover_sample(1))  # the rejected sample changed no state
+    det.process_sample(hover_sample(index))  # the rejected sample changed no state
+
+
+def test_scalar_fields_take_any_real_number_as_a_float():
+    # numpy scalars, ints and bools read as Python floats, as float() reads them.
+    det, reference = Detector(default_config()), Detector(default_config())
+    for i, az in enumerate((np.float64(-9.81), np.float32(-9.5), -9, True)):
+        raw = hover_sample(i, az=az)
+        out = det.process_sample(raw)
+        assert repr(out) == repr(reference.process_sample(hover_sample(i, az=float(az))))
+    raw = hover_sample(4)
+    raw.timestamp = 5 * np.float64(0.002)
+    assert det.process_sample(raw).timestamp == raw.timestamp
 
 
 @pytest.mark.parametrize("speed", [1.5e5, 1e160, -1e160])
@@ -457,12 +485,15 @@ def test_stream_accepts_steps_within_tolerance():
 # then the value chain (NaN or Inf, ceiling, negative), then the step size.
 
 
-def test_non_monotone_outranks_a_nan_gyro():
+@pytest.mark.parametrize(
+    "gyro", [np.array([0.0, np.nan, 0.0]), [0.0, 0.0, 0.0], np.zeros((3, 1))], ids=["nan", "list", "3x1"]
+)
+def test_non_monotone_outranks_a_bad_gyro(gyro):
     det = Detector(default_config())
     det.process_sample(hover_sample(1))
     bad = hover_sample(0)
-    bad.angular_rate = np.array([0.0, np.nan, 0.0])
-    with pytest.raises(ValueError, match="non-monotone"):
+    bad.angular_rate = gyro
+    with pytest.raises(ValueError, match=r"^non-monotone timestamp: 0\.002 after 0\.004$"):
         det.process_sample(bad)
 
 
@@ -541,7 +572,11 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
     config = default_config()
     fault_time = 2500 * config.sensor_interval
     conditioner = Conditioner(config)
-    ticks = [(raw.timestamp, tick) for raw in _budget_stream(config, 6000, 2500) if (tick := conditioner.push(raw)) is not None]
+    ticks = [
+        (raw.timestamp, tick)
+        for raw in _budget_stream(config, 6000, 2500)
+        if (tick := conditioner.push(*sample_values(raw))) is not None
+    ]
     hover_z, hover_w_sq = [tick for t, tick in ticks if t <= fault_time][-1]
     loss = [tick for t, tick in ticks if t > fault_time]
     gains = signed_gains(config.gains)
@@ -606,7 +641,7 @@ def _assert_conditioner_matches_oracle(config, samples):
     mine, oracle = Conditioner(config), OracleConditioner(config)
     ticks = 0
     for raw in samples:
-        got, want = mine.push(raw), oracle.push(raw)
+        got, want = mine.push(*sample_values(raw)), oracle.push(raw)
         assert mine.armed == oracle.armed
         assert (got is None) == (want is None)
         if got is not None:
@@ -668,6 +703,97 @@ def test_detector_equals_array_oracle_on_noisy_fault_log(ejection_log):
     out = _assert_detector_matches_oracle(config, ejection_log.samples())
     assert out.status.failed[ejection_log.fault_actuator - 1]
     _assert_detector_matches_oracle(config, _random_stream(config, 5000, 22))
+
+
+# ---------------------------------------------------------------------------
+# Two entries, one kernel: ``process_sample`` streams a ``RawSample`` and
+# ``process_row`` replays a log row of nine floats; both feed
+# ``Conditioner.push``. The takeoff gate sums the four squared speeds on
+# floats, where ``oracles.OracleGate`` takes a numpy dot that can round
+# differently, so the arming sample is checked log by log.
+
+
+def _arming_index(log, config):
+    conditioner = Conditioner(config)
+    for i, row in enumerate(log.rows()):
+        conditioner.push(*row)
+        if conditioner.armed:
+            return i
+    return None
+
+
+def test_float_gate_arms_at_the_dot_oracle_sample(ejection_corpus, ground_idle_logs, takeoff_logs):
+    config = default_config()
+    for logs, arming in (
+        (ejection_corpus[0], {0}),  # hover from the first sample
+        (ground_idle_logs, {None}),
+        (takeoff_logs, {1554, 1556}),  # the ramp crosses the gate level mid-log
+    ):
+        got = [_arming_index(log, config) for log in logs]
+        assert got == [oracle_arming_index(log, config) for log in logs]
+        assert set(got) == arming
+
+
+def test_row_replay_equals_streaming_samples(ejection_corpus, takeoff_logs):
+    config = default_config()
+    for log in [*ejection_corpus[0], *takeoff_logs]:
+        by_sample, by_row = Detector(config), Detector(config)
+        streamed = [repr(by_sample.process_sample(raw)) for raw in log.samples()]
+        # repr spells every float exactly and names every field, armed included.
+        assert [repr(by_row.process_row(row)) for row in log.rows()] == streamed
+
+
+@pytest.mark.parametrize("index", [50, 600], ids=["disarmed", "armed"])
+@pytest.mark.parametrize(
+    ("fault", "message"),
+    [
+        ("non-monotone", r"non-monotone timestamp: "),
+        ("nan", r"NaN or Inf in sample at t="),
+        ("ceiling", r"rotor speed above 100000 rad/s in sample at t="),
+        ("negative", r"negative rotor speed in sample at t="),
+        ("off-step", r"timestamp step 0\.0008 s at t="),
+    ],
+)
+def test_both_entries_reject_a_bad_sample_with_one_message(fault, message, index):
+    config = default_config()
+    clean = list(_random_stream(config, 700, 24))  # arms at sample 140
+    by_sample, by_row = Detector(config), Detector(config)
+    for raw in clean[:index]:
+        by_sample.process_sample(raw)
+        by_row.process_row(sample_values(raw))
+    assert by_sample.armed == by_row.armed == (index == 600)
+    bad = _faulty_copy(clean[index], fault)
+    with pytest.raises(ValueError, match=f"^{message}") as from_sample:
+        by_sample.process_sample(bad)
+    with pytest.raises(ValueError) as from_row:
+        by_row.process_row(sample_values(bad))
+    assert str(from_row.value) == str(from_sample.value)
+    # Neither entry kept anything of the rejected sample.
+    assert repr(by_row.process_row(sample_values(clean[index]))) == repr(by_sample.process_sample(clean[index]))
+
+
+class _NoNumpy:
+    """Stands in for the ``np`` module global; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called on the per-sample path")
+
+
+def test_per_sample_path_makes_no_numpy_call(monkeypatch):
+    # Twelve idle samples (a disarmed tick at the tenth), then hover: the gate
+    # arms at the 23rd sample and the 30th is an armed estimator tick.
+    config = default_config()
+    samples = [idle_sample(i) for i in range(12)] + [hover_sample(i) for i in range(12, 32)]
+    rows = [sample_values(raw) for raw in samples]
+    by_row, by_sample = Detector(config), Detector(config)
+    for module in (detector_module, filters, kalman, decision, effectiveness):
+        monkeypatch.setattr(module, "np", _NoNumpy(), raising=False)
+    outputs = [by_row.process_row(row) for row in rows]
+    streamed = [by_sample.process_sample(raw) for raw in samples]
+    monkeypatch.undo()
+    assert [out.armed for out in outputs].index(True) == 22
+    assert outputs[29].k_hat is not outputs[28].k_hat  # the armed tick ran the estimator
+    assert [repr(out) for out in streamed] == [repr(out) for out in outputs]
 
 
 def test_published_snapshots_are_read_only():

@@ -80,17 +80,27 @@ def test_samples_yield_every_row_with_python_float_scalars():
         assert isinstance(raw.rotor_speeds, np.ndarray) and np.array_equal(raw.rotor_speeds, log.rotor_speeds[i])
 
 
+def test_rows_yield_every_row_as_nine_python_floats():
+    log = synthetic_log(n=2 * SAMPLE_BLOCK_ROWS + 300)  # two full blocks and a part
+    rows = list(log.rows())
+    assert all(type(row) is list and len(row) == len(COLUMNS) for row in rows)
+    assert all(type(value) is float for row in rows for value in row)
+    assert np.array_equal(np.array(rows), np.column_stack((log.t, log.gyro, log.accel_z, log.rotor_speeds)))
+
+
 def test_iterating_samples_holds_a_bounded_block_of_floats():
-    # Python floats for the whole t and az columns of 40,000 rows take 2.56 MB.
+    # Python floats for the whole t and az columns of 40,000 rows take 2.56
+    # MB, and one list of nine floats per row 14.1 MB.
     log = synthetic_log(n=40_000)
-    tracemalloc.start()
-    try:
-        n = sum(1 for _ in log.samples())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert n == len(log)
-    assert peak < 1_000_000
+    for iterate in (log.samples, log.rows):
+        tracemalloc.start()
+        try:
+            n = sum(1 for _ in iterate())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == len(log)
+        assert peak < 1_000_000
 
 
 def _write(path, text):

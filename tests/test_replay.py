@@ -235,7 +235,8 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
     assert len(set(configs)) == len(configs) - 1
     hover = fly_scenario("hover", duration=2.0, noise=SensorNoiseModel(seed=81))
     idle = fly_scenario("ground_idle", duration=1.5, noise=SensorNoiseModel(seed=82))
-    assert all(Conditioner(base).push(raw) is None for raw in idle.samples())
+    push = Conditioner(base).push
+    assert all(push(*row) is None for row in idle.rows())
     logs = [ejection_log, hover, idle]
 
     calls = []

@@ -26,12 +26,16 @@ def test_every_span_target_resolves():
     assert missing == []
 
 
-def test_detect_calls_each_layer_through_the_detector_names(tmp_path):
+def test_detect_calls_each_layer_through_the_detector_names(tmp_path, monkeypatch):
     # The per-layer split counts calls through the names the detector looks
     # up; a refactor that stops calling through them would read zero here.
     log = fly_scenario("hover", duration=1.0, noise=SensorNoiseModel(seed=3))
     path = tmp_path / "hover.csv"
     save_log(log, path)
+    # detect replays through the float entry, which the tracer does not wrap.
+    replayed = []
+    process_row = Detector.process_row
+    monkeypatch.setattr(Detector, "process_row", lambda self, row: replayed.append(row) or process_row(self, row))
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -40,11 +44,12 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path):
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["filters.filter_step.calls"][0] == len(log)
-    assert metrics["detector.process_sample.calls"][0] == len(log)
+    assert len(replayed) == len(log)
+    assert metrics["detector.process_sample.calls"][0] == 0
     assert metrics["filters.differentiate.calls"][0] == len(log) // 10
     # A refactor that inlined the estimator or the hypothesis test would read zero here.
     conditioner = Conditioner(default_config())
-    armed_ticks = sum(conditioner.push(raw) is not None for raw in log.samples())
+    armed_ticks = sum(conditioner.push(*row) is not None for row in log.rows())
     assert armed_ticks > 0
     assert metrics["kalman.step.calls"][0] == armed_ticks
     assert metrics["decision.decide.calls"][0] == armed_ticks
@@ -90,7 +95,7 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
 
     def armed_ticks(log, config):
         conditioner = Conditioner(config)
-        return sum(conditioner.push(raw) is not None for raw in log.samples())
+        return sum(conditioner.push(*row) is not None for row in log.rows())
 
     estimator_runs = {config.estimator_key(): config for config in configs}.values()
     threshold_runs = {(config.estimator_key(), config.decision.k_threshold) for config in configs}
