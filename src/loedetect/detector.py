@@ -237,12 +237,12 @@ class DetectorOutput:
 
 
 # ---------------------------------------------------------------------------
-# The three pipeline stages: ``Conditioner``, ``estimation_step`` and the
-# decision (``failure_probabilities``, then ``decide``). ``Detector`` runs
-# them in order on every sample, the last two on armed ticks only. The sweep
-# runs the first two once per distinct upstream key (see
-# ``DetectorConfig.conditioning_key`` and ``estimator_key``) and latches each
-# config by ``decision.first_exceedance``.
+# The three pipeline stages: ``Conditioner``, estimation (``kalman.step`` on
+# ``observation_rows``) and the decision (``failure_probabilities``, then
+# ``decide``). ``Detector`` runs them in order on every sample, the last two
+# on armed ticks only. The sweep runs the first two once per distinct
+# upstream key (see ``DetectorConfig.conditioning_key`` and
+# ``estimator_key``) and latches each config by ``decision.first_exceedance``.
 
 
 class Conditioner:
@@ -385,16 +385,6 @@ def _malformed_field(raw: RawSample, last: float | None) -> ValueError | None:
     return None
 
 
-def estimation_step(
-    state: EstimatorState, gains, noise: NoiseConfig, z, w_sq: list[float]
-) -> EstimatorState:
-    """Estimation stage: one estimator update from an armed tick.
-
-    ``gains`` is ``signed_gains(config.gains)``.
-    """
-    return kalman.step(state, observation_rows(gains, w_sq), z, noise)
-
-
 class Detector:
     """One detection stream: feed samples in timestamp order, read outputs."""
 
@@ -463,7 +453,8 @@ class Detector:
 
     def _tick(self, t: float, tick: tuple) -> None:
         """Estimation and decision on the armed estimator tick ``push`` returned at time ``t``."""
-        state = self._estimator = estimation_step(self._estimator, self._gains, self._noise, *tick)
+        z, w_sq = tick
+        state = self._estimator = kalman.step(self._estimator, observation_rows(self._gains, w_sq), z, self._noise)
         variances = self._variances = state.variances()
         decision = self._decision
         p_fail = self._p_fail = failure_probabilities(state.k, variances, decision.k_threshold)

@@ -18,8 +18,9 @@ lies within the log's time span.
 are converted to rad/s on load. Rotor speeds above
 ``MAX_ROTOR_SPEED_RAD_S`` are rejected as data errors, and so is any
 timestamp step outside (1 -/+ ``STEP_TOLERANCE``) x ``1 / sample_rate_hz``: a
-dropped or inserted sample. Floats are written with ``repr`` so a write/read
-cycle is lossless.
+dropped or inserted sample. Floats are written with ``repr`` and ``vehicle``
+holds no line break or surrounding whitespace, so a write/read cycle is
+lossless.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -113,7 +115,15 @@ class FlightLog:
         # Every rate comparison below is false on NaN, so the header is checked first.
         if not 0.0 < self.sample_rate_hz < math.inf:
             raise LogFormatError(f"header sample_rate_hz={self.sample_rate_hz} is not finite and positive")
+        vehicle = self.vehicle
+        # The header line must read back as the same string.
+        if not isinstance(vehicle, str) or vehicle != vehicle.strip() or "\n" in vehicle or "\r" in vehicle:
+            raise LogFormatError(
+                f"vehicle must be a string with no line break or surrounding whitespace, got {vehicle!r}"
+            )
         actuator, fault_time = self.fault_actuator, self.fault_time_s
+        if actuator is not None and not isinstance(actuator, Integral):
+            raise LogFormatError(f"fault_actuator must be an integer, got {actuator!r}")
         if actuator is not None and not 1 <= actuator <= 4:
             raise LogFormatError(f"fault_actuator out of range: {actuator}")
         if actuator is not None and fault_time is None:
@@ -178,13 +188,13 @@ class FlightLog:
 
 def save_log(log: FlightLog, path) -> None:
     lines = [
-        f"# sample_rate_hz={log.sample_rate_hz!r}",
+        f"# sample_rate_hz={float(log.sample_rate_hz)!r}",
         "# rpm_units=rad_s",
         f"# vehicle={log.vehicle}",
     ]
     if log.ground_truth() is not None:
         lines.append(f"# fault_actuator={log.fault_actuator}")
-        lines.append(f"# fault_time_s={log.fault_time_s!r}")
+        lines.append(f"# fault_time_s={float(log.fault_time_s)!r}")
     lines.append(",".join(COLUMNS))
     lines.extend(",".join(map(repr, row)) for row in log.rows())
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,8 +12,11 @@ left to right, each row ``h_j`` runs
 
 and then x' = x + dx, clamped into [0, 1.5]. The ``h_j.dx`` term removes what
 the earlier rows already applied, and keeps x bit-unchanged when y is zero.
-Everything runs on Python floats, and only the upper triangle of P is
-computed and kept, so P is exactly symmetric. No inverse is taken;
+Everything runs on Python floats. The state, ``EstimatorState``, is a
+NamedTuple of two float tuples: the four estimates and the ten
+upper-triangle entries of P. Only that triangle is computed and kept, so P
+is exactly symmetric; ``step`` builds each new state from its floats, and
+arrays are made only when ``x`` or ``P`` is read. No inverse is taken;
 ``s >= r > 0`` unless the arithmetic overflows, and a non-finite ``s``
 raises ``ArithmeticError``.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,32 +46,17 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be finite and strictly positive, got {getattr(self, name)}")
 
 
-class EstimatorState:
+class EstimatorState(NamedTuple):
     """Effectiveness estimate (4-vector) and its covariance (4x4); immutable.
 
     Held as Python floats: ``k``, the four estimates, and ``p_upper``, the ten
     upper-triangle entries of P row by row (p00, p01, p02, p03, p11, p12,
     p13, p22, p23, p33). ``x`` and ``P`` build fresh arrays on each access;
-    ``P`` mirrors the upper triangle, so it is exactly symmetric. Built from
-    arrays, the lower triangle of ``P`` is not read.
+    ``P`` mirrors the upper triangle, so it is exactly symmetric.
     """
 
-    __slots__ = ("k", "p_upper")
-
-    def __init__(self, x, P) -> None:
-        k = np.asarray(x, dtype=float)
-        rows = np.asarray(P, dtype=float)
-        if k.shape != (4,) or rows.shape != (4, 4):
-            raise ValueError("EstimatorState needs a 4-vector x and a 4x4 P")
-        rows = rows.tolist()
-        _set_k(self, tuple(k.tolist()))
-        _set_p_upper(self, tuple(rows[i][j] for i in range(4) for j in range(i, 4)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EstimatorState is immutable")
-
-    def __reduce__(self):  # copy and pickle would otherwise set the slots through __setattr__
-        return _state, (self.k, self.p_upper)
+    k: tuple[float, float, float, float]
+    p_upper: tuple[float, float, float, float, float, float, float, float, float, float]
 
     @property
     def x(self) -> np.ndarray:
@@ -86,21 +75,12 @@ class EstimatorState:
         return p[0], p[4], p[7], p[9]
 
 
-_set_k = EstimatorState.k.__set__
-_set_p_upper = EstimatorState.p_upper.__set__
-
-
-def _state(k: tuple, p_upper: tuple) -> EstimatorState:
-    """An ``EstimatorState`` from its floats, with no array conversion."""
-    state = object.__new__(EstimatorState)
-    _set_k(state, k)
-    _set_p_upper(state, p_upper)
-    return state
+_INITIAL_STATE = EstimatorState((1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0))
 
 
 def init() -> EstimatorState:
     """Fresh estimator state: nominal effectiveness with unit variance."""
-    return _state((1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0))
+    return _INITIAL_STATE
 
 
 def step(
@@ -117,7 +97,8 @@ def step(
     skips the [0, 1.5] bound (used when comparing trajectories against an
     unconstrained reference).
     """
-    # Unpacking rejects any shape but three rows of four and three z.
+    # Unpacking rejects any shape but three rows of four and three z, and a
+    # state without four estimates and ten covariance entries.
     (h00, h01, h02, h03), (h10, h11, h12, h13), (h20, h21, h22, h23) = H
     z0, z1, z2 = z
     x0, x1, x2, x3 = state.k
@@ -185,4 +166,4 @@ def step(
         k1 = K_MIN if k1 < K_MIN else K_MAX if k1 > K_MAX else k1
         k2 = K_MIN if k2 < K_MIN else K_MAX if k2 > K_MAX else k2
         k3 = K_MIN if k3 < K_MIN else K_MAX if k3 > K_MAX else k3
-    return _state((k0, k1, k2, k3), (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))
+    return EstimatorState((k0, k1, k2, k3), (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))

@@ -19,6 +19,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 from . import kalman
 from .decision import DetectionStatus, failure_probability, first_exceedance
@@ -30,9 +31,8 @@ from .detector import (
     config_to_dict,
     config_with,
     default_config,
-    estimation_step,
 )
-from .effectiveness import signed_gains
+from .effectiveness import observation_rows, signed_gains
 from .flightlog import RATE_TOLERANCE, FlightLog
 
 
@@ -99,6 +99,8 @@ def evaluate_status(
         )
 
     actuator, t_fail = ground_truth
+    if not isinstance(actuator, Integral):
+        raise ValueError(f"ground truth actuator must be an integer, got {actuator!r}")
     if not 1 <= actuator <= 4:
         raise ValueError(f"ground truth actuator out of range: {actuator}")
     if not t0 <= t_fail <= t_end:
@@ -202,7 +204,7 @@ def _sub_threshold_probabilities(ticks: list, config: DetectorConfig, k_threshol
     pending = tuple(records.items())
     probability = failure_probability
     for t, z, w_sq in ticks:
-        state = estimation_step(state, gains, noise, z, w_sq)
+        state = kalman.step(state, observation_rows(gains, w_sq), z, noise)
         v0, v1, v2, v3 = variances = state.variances()
         if v0 < 0.0 or v1 < 0.0 or v2 < 0.0 or v3 < 0.0:
             # The decision stage's ValueError, at the tick a replay raises it.

@@ -142,6 +142,15 @@ class OracleConditioner:
         return np.array([accel[0], accel[1], float(out[3])]), np.square(out[4:8])
 
 
+def state_from_arrays(x, P):
+    """An ``EstimatorState`` from a 4-vector ``x`` and an exactly symmetric 4x4 ``P``."""
+    x = np.asarray(x, dtype=float)
+    P = np.asarray(P, dtype=float)
+    assert x.shape == (4,) and P.shape == (4, 4)
+    assert np.array_equal(P, P.T), "P must be exactly symmetric"
+    return EstimatorState(tuple(x.tolist()), tuple(P[np.triu_indices(4)].tolist()))
+
+
 def _dot4(u, v):
     """``u . v`` summed left to right, never by a BLAS reduction."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
@@ -158,7 +167,7 @@ def oracle_kalman_step(state, H, z, noise):
         dx = dx + a * ((y_j - _dot4(h, dx)) / s)
         P = P - np.outer(a, a / s)
         P = np.triu(P) + np.triu(P, 1).T  # the upper triangle, mirrored
-    return EstimatorState(x=np.clip(state.x + dx, kalman.K_MIN, kalman.K_MAX), P=P)
+    return state_from_arrays(np.clip(state.x + dx, kalman.K_MIN, kalman.K_MAX), P)
 
 
 def oracle_failure_probabilities(k_hat, variances, k_threshold):

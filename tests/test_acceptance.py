@@ -18,6 +18,8 @@ from loedetect.filters import FilterDesign, FilterState, design_lowpass, filter_
 from loedetect.replay import default_sweep_spec, evaluate, run_detector, run_sweep, summarize_sweep
 from loedetect.simulator import SensorNoiseModel, fly_scenario
 
+from oracles import state_from_arrays
+
 DELAY_WINDOW = (0.02, 0.20)
 
 
@@ -192,7 +194,7 @@ def test_criterion_06_sensitivity_reproduction(ejection_corpus):
 
 def test_criterion_07_no_excitation_variance_growth():
     noise = kalman.NoiseConfig()
-    st = kalman.EstimatorState(np.ones(4), 0.25 * np.eye(4))
+    st = state_from_arrays(np.ones(4), 0.25 * np.eye(4))
     H = np.zeros((3, 4))
     z = np.zeros(3)
     exact = True

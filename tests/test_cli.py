@@ -1,7 +1,9 @@
 import json
 import re
+import shlex
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,31 @@ sensor_interval = 0.002
 takeoff_thrust_fraction = 0.5
 hover_thrust_reference = 1962000.0
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language):
+    """The bodies of the README's fenced code blocks in ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_quickstart_and_python_api_print_what_the_readme_says(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = next(block for block in readme_blocks("sh") if "loedetect simulate" in block).splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith(("loedetect simulate", "loedetect detect"))]
+    verdict = [line[1:].strip() for line in lines if line.startswith("#   ")]
+    assert [argv[0] for argv in commands] == ["simulate", "detect"]
+    assert verdict == ["actuator 3 latched at t=1.62 s", "delay_s=0.1200 false_alarms=0 missed=false"]
+    for argv in commands:
+        assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == verdict
+
+    (api,) = readme_blocks("python")
+    exec(api, {})
+    delay, false_alarms = capsys.readouterr().out.split()
+    assert f"delay_s={float(delay):.4f} false_alarms={false_alarms} missed=false" == verdict[1]
 
 
 def test_print_default_config_round_trips(capsys):

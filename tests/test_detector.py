@@ -23,7 +23,6 @@ from loedetect.detector import (
     config_to_dict,
     config_with,
     default_config,
-    estimation_step,
     format_config,
     parse_config,
     read_config,
@@ -32,7 +31,7 @@ from loedetect.detector import (
     write_config,
 )
 from loedetect.filters import FilterDesign, FilterState, RawSample, design_lowpass
-from loedetect.effectiveness import VehicleParams
+from loedetect.effectiveness import VehicleParams, observation_rows
 
 from oracles import OracleConditioner, OracleDetector, narrow_bank_step, oracle_arming_index, sample_values
 
@@ -585,7 +584,7 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
         """Feed ticks; return the new state, status and the index of the tick that latched."""
         latched_at = None
         for n, (z, w_sq) in enumerate(ticks):
-            state = estimation_step(state, gains, config.noise, z, w_sq)
+            state = kalman.step(state, observation_rows(gains, w_sq), z, config.noise)
             p_fail = failure_probabilities(state.k, state.variances(), config.decision.k_threshold)
             status = decide(p_fail, status, config.decision, 0.0)
             if latched_at is None and status.any_failed():

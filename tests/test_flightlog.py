@@ -46,6 +46,35 @@ def test_round_trip_is_lossless(tmp_path):
     assert loaded.sample_rate_hz == log.sample_rate_hz
 
 
+def test_round_trip_keeps_numpy_scalar_headers(tmp_path):
+    base = synthetic_log()
+    log = FlightLog(
+        np.float64(500.0), base.t, base.gyro, base.accel_z, base.rotor_speeds,
+        fault_actuator=np.int64(3), fault_time_s=np.float64(0.05),
+    )
+    save_log(log, tmp_path / "flight.csv")
+    loaded = load_log(tmp_path / "flight.csv")
+    _assert_same_log(loaded, log)
+    assert type(loaded.sample_rate_hz) is float and type(loaded.fault_time_s) is float
+
+
+@pytest.mark.parametrize("vehicle", ["quad v2", "quad=v2", "", "quad\u2028v2", "quad\tv2"])
+def test_round_trip_keeps_the_vehicle(tmp_path, vehicle):
+    log = synthetic_log()
+    log.vehicle = vehicle
+    log.validate()
+    save_log(log, tmp_path / "flight.csv")
+    assert load_log(tmp_path / "flight.csv").vehicle == vehicle
+
+
+@pytest.mark.parametrize("vehicle", ["quad\nv2", "quad\rv2", " quad", "quad ", "quad\t", 7, None])
+def test_validate_rejects_a_vehicle_that_would_not_read_back(vehicle):
+    log = synthetic_log()
+    with pytest.raises(LogFormatError, match="^vehicle must be a string") as caught:
+        FlightLog(500.0, log.t, log.gyro, log.accel_z, log.rotor_speeds, vehicle=vehicle)
+    assert caught.value.sample is None
+
+
 def test_load_log_peak_memory_under_twice_the_file_size(tmp_path):
     # One pass: no whole-file text, line list or per-row tuples held at once.
     path = tmp_path / "long.csv"
@@ -256,6 +285,8 @@ def test_fault_header_requires_time(tmp_path):
     [
         (7, 0.05, "^fault_actuator out of range: 7$"),
         (0, 0.05, "^fault_actuator out of range: 0$"),
+        (3.0, 0.05, r"^fault_actuator must be an integer, got 3\.0$"),
+        (2.5, 0.05, r"^fault_actuator must be an integer, got 2\.5$"),
         (3, None, "^fault_actuator given without fault_time_s$"),
         (None, 0.05, "^fault_time_s given without fault_actuator$"),
     ],

@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -7,7 +8,7 @@ from loedetect import kalman
 from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
 from loedetect.kalman import EstimatorState, NoiseConfig
 
-from oracles import _dot4, oracle_kalman_step
+from oracles import _dot4, oracle_kalman_step, state_from_arrays
 
 TABLE_NOISE = NoiseConfig()  # q = 0.1, r = 1
 
@@ -34,7 +35,7 @@ def test_init_defaults():
 
 def test_zero_innovation_leaves_state_unchanged():
     rng = np.random.default_rng(10)
-    st = EstimatorState(np.array([1.0, 0.8, 0.6, 1.2]), 0.5 * np.eye(4))
+    st = state_from_arrays(np.array([1.0, 0.8, 0.6, 1.2]), 0.5 * np.eye(4))
     H = random_observation(rng)
     z = np.array([_dot4(h, st.x) for h in H])  # the kernel's own sum: y is exactly zero
     out = kalman.step(st, H, z, TABLE_NOISE)
@@ -42,7 +43,7 @@ def test_zero_innovation_leaves_state_unchanged():
 
 
 def test_zero_initial_variance_and_zero_innovation():
-    st = EstimatorState(np.ones(4), np.zeros((4, 4)))
+    st = state_from_arrays(np.ones(4), np.zeros((4, 4)))
     H = random_observation(np.random.default_rng(11))
     z = np.array([_dot4(h, st.x) for h in H])  # the kernel's own sum: y is exactly zero
     out = kalman.step(st, H, z, TABLE_NOISE)
@@ -50,7 +51,7 @@ def test_zero_initial_variance_and_zero_innovation():
 
 
 def test_no_excitation_grows_variance_by_exactly_q():
-    st = EstimatorState(np.array([1.0, 1.0, 0.5, 1.0]), 0.3 * np.eye(4))
+    st = state_from_arrays(np.array([1.0, 1.0, 0.5, 1.0]), 0.3 * np.eye(4))
     H = np.zeros((3, 4))
     z = np.zeros(3)
     prev = st
@@ -65,7 +66,7 @@ def test_no_excitation_grows_variance_by_exactly_q():
 
 def test_single_step_matches_hand_built_oracle():
     # trimmed start, one rotor dead, noiseless measurement of that condition
-    st = EstimatorState(np.ones(4), np.eye(4))
+    st = state_from_arrays(np.ones(4), np.eye(4))
     H = observation_matrix(DEFAULT_GAINS, np.full(4, 500.0))
     z = np.array([25.0, 25.0, -3.75])
     mine = kalman.step(st, H, z, TABLE_NOISE, clamp_state=False)
@@ -106,7 +107,7 @@ def test_equal_speeds_leave_null_component_unchanged():
     # with identical rotor speeds the direction (1,-1,1,-1) is unobservable
     rng = np.random.default_rng(14)
     null = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
-    st = EstimatorState(np.array([1.0, 0.9, 1.1, 1.0]), 0.4 * np.eye(4))
+    st = state_from_arrays(np.array([1.0, 0.9, 1.1, 1.0]), 0.4 * np.eye(4))
     base = float(null @ st.x)
     var = float(null @ st.P @ null)
     for _ in range(30):
@@ -122,10 +123,10 @@ def test_equal_speeds_leave_null_component_unchanged():
 def test_step_clamps_estimate_into_bounds():
     # H = 0 leaves x as it was, so only the clamp acts
     H, z = np.zeros((3, 4)), np.zeros(3)
-    st = EstimatorState(np.array([-0.2, 0.5, 1.0, 2.0]), np.eye(4))
+    st = state_from_arrays(np.array([-0.2, 0.5, 1.0, 2.0]), np.eye(4))
     assert np.array_equal(kalman.step(st, H, z, TABLE_NOISE).x, [0.0, 0.5, 1.0, 1.5])
     assert np.array_equal(kalman.step(st, H, z, TABLE_NOISE, clamp_state=False).x, st.x)
-    inside = EstimatorState(np.array([0.0, 0.3, 1.2, 1.5]), np.eye(4))
+    inside = state_from_arrays(np.array([0.0, 0.3, 1.2, 1.5]), np.eye(4))
     assert np.array_equal(kalman.step(inside, H, z, TABLE_NOISE).x, inside.x)
 
 
@@ -202,7 +203,7 @@ def test_state_round_trips_arrays_bit_for_bit_and_is_immutable():
     A = rng.normal(size=(4, 4))
     P = A @ A.T
     P = np.triu(P) + np.triu(P, 1).T  # exactly symmetric
-    st = EstimatorState(x, P)
+    st = state_from_arrays(x, P)
     assert np.array_equal(st.x, x) and np.array_equal(st.P, P)
     assert np.array_equal(st.P, st.P.T)
     assert st.variances() == tuple(P.diagonal().tolist())
@@ -213,10 +214,27 @@ def test_state_round_trips_arrays_bit_for_bit_and_is_immutable():
     assert np.array_equal(st.x, x) and np.array_equal(st.P, P)
     with pytest.raises(AttributeError):
         st.k = (0.0, 0.0, 0.0, 0.0)
-    again = pickle.loads(pickle.dumps(st))
-    assert again.k == st.k and again.p_upper == st.p_upper
-    # only the upper triangle is read
-    assert np.array_equal(EstimatorState(x, np.triu(P)).P, P)
+    with pytest.raises(AttributeError):
+        st.p_upper = st.p_upper
+    for again in (pickle.loads(pickle.dumps(st)), copy.copy(st)):
+        assert type(again) is EstimatorState
+        assert again.k == st.k and again.p_upper == st.p_upper
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        EstimatorState((1.0, 1.0, 1.0), kalman.init().p_upper),
+        EstimatorState((1.0, 1.0, 1.0, 1.0, 1.0), kalman.init().p_upper),
+        EstimatorState(kalman.init().k, kalman.init().p_upper[:9]),
+        EstimatorState(kalman.init().k, kalman.init().p_upper + (0.0,)),
+    ],
+    ids=["k-3", "k-5", "p_upper-9", "p_upper-11"],
+)
+def test_step_rejects_a_state_of_the_wrong_length(state):
+    H = random_observation(np.random.default_rng(18))
+    with pytest.raises(ValueError):
+        kalman.step(state, H, np.zeros(3), TABLE_NOISE)
 
 
 def test_step_on_nested_lists_equals_step_on_arrays_bit_for_bit():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from loedetect import kalman
 from loedetect.effectiveness import EffectivenessGains, observation_matrix
 from loedetect.filters import FilterDesign, FilterState, design_lowpass
-from loedetect.kalman import EstimatorState, NoiseConfig
+from loedetect.kalman import NoiseConfig
 
-from oracles import narrow_bank_step
+from oracles import narrow_bank_step, state_from_arrays
 
 # Derandomized, so the suite stays deterministic, and with no example database.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -50,7 +50,7 @@ measurements = st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3)
 def test_step_keeps_covariance_symmetric_and_psd(gains, ticks, q, r, initial_variance):
     gains = EffectivenessGains(*gains)
     noise = NoiseConfig(q, r)
-    state = EstimatorState(np.ones(4), initial_variance * np.eye(4))
+    state = state_from_arrays(np.ones(4), initial_variance * np.eye(4))
     for w, z in ticks:
         state = kalman.step(state, observation_matrix(gains, np.array(w)), np.array(z), noise)
         P = state.P

@@ -13,6 +13,7 @@ from loedetect.replay import (
     default_sweep_spec,
     evaluate,
     evaluate_log,
+    evaluate_status,
     read_results_csv,
     render_report,
     run_detector,
@@ -22,7 +23,7 @@ from loedetect.replay import (
     write_summary_csv,
 )
 from loedetect.simulator import SensorNoiseModel, fly_scenario
-from oracles import sweep_probability_evaluations
+from oracles import state_from_arrays, sweep_probability_evaluations
 
 
 def _output(t, status, armed=True):
@@ -80,6 +81,12 @@ def test_evaluate_rejects_fault_time_outside_span():
     outs = outputs_with_latch(latched=(3,), times=(1.66,))
     with pytest.raises(ValueError, match="outside the log span"):
         evaluate(outs, ground_truth=(3, 99.0))
+
+
+@pytest.mark.parametrize("actuator", [3.0, 2.5])
+def test_evaluate_status_rejects_a_non_integer_fault_actuator(actuator):
+    with pytest.raises(ValueError, match=f"^ground truth actuator must be an integer, got {actuator}$"):
+        evaluate_status(_status(), 0.0, 1.0, (actuator, 0.5))
 
 
 def test_evaluate_rejects_empty_outputs():
@@ -288,12 +295,12 @@ class _FaultyStep:
             raise ArithmeticError(f"injected estimator failure on call {n}")
         P = state.P
         P[3, 3] = abs(P[3, 3])
-        new = self.step(kalman.EstimatorState(state.x, P), H, z, noise)
+        new = self.step(state_from_arrays(state.x, P), H, z, noise)
         if n != negative_at:
             return new
         P = new.P
         P[3, 3] = -P[3, 3]
-        return kalman.EstimatorState(new.x, P)
+        return state_from_arrays(new.x, P)
 
 
 @pytest.mark.parametrize(

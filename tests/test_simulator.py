@@ -472,6 +472,12 @@ def test_fault_event_validation():
         FaultEvent(time=1.0, actuator_index=1, new_k=1.5)
 
 
+@pytest.mark.parametrize("index", [2.5, 3.0])
+def test_fault_event_rejects_a_non_integer_actuator_index(index):
+    with pytest.raises(TypeError):
+        FaultEvent(time=0.5, actuator_index=index)
+
+
 @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
 def test_noise_scale_must_be_finite_and_non_negative(factor):
     with pytest.raises(ValueError, match="finite and non-negative"):
