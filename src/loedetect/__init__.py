@@ -12,13 +12,11 @@ from .detector import (
     Detector,
     DetectorConfig,
     DetectorOutput,
-    RuntimeReport,
     config_from_dict,
     config_to_dict,
     config_with,
     default_config,
     read_config,
-    step_runtime_budget,
     write_config,
 )
 from .effectiveness import (

@@ -18,7 +18,8 @@ upper-triangle entries of P. Only that triangle is computed and kept, so P
 is exactly symmetric; ``step`` builds each new state from its floats, and
 arrays are made only when ``x`` or ``P`` is read. No inverse is taken;
 ``s >= r > 0`` unless the arithmetic overflows, and a non-finite ``s``
-raises ``ArithmeticError``.
+raises ``ArithmeticError``. ``step_lanes`` runs the same update on many
+independent estimators at once, one per numpy lane, for parameter sweeps.
 """
 
 from __future__ import annotations
@@ -167,3 +168,57 @@ def step(
         k2 = K_MIN if k2 < K_MIN else K_MAX if k2 > K_MAX else k2
         k3 = K_MIN if k3 < K_MIN else K_MAX if k3 > K_MAX else k3
     return EstimatorState((k0, k1, k2, k3), (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))
+
+
+# ---------------------------------------------------------------------------
+# Lanes: many independent estimators stepped together on float64 arrays, one
+# estimator per lane (the last axis). ``step_lanes`` performs ``step``'s
+# operations in ``step``'s order, and numpy rounds ``+ - * /`` exactly as
+# Python floats do, so each lane is bit-identical to ``step``. It is a second
+# source, not ``step`` run on arrays: ``step``'s NaN check, ``s`` check and
+# clamp are Python branches, which arrays cannot take, and giving them a form
+# both accept would put calls on the per-sample float path the streaming
+# detector runs. ``tests/test_kalman.py`` checks the two against each other.
+
+# Entry ``4 i + j`` of the row-major 4x4 P, read from the upper triangle:
+# gathering by it overwrites each lower entry with its upper twin.
+_MIRROR = np.array([4 * min(i, j) + max(i, j) for i in range(4) for j in range(4)])
+
+
+def init_lanes(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``init()`` on ``width`` lanes: the estimates (4, width) and P, row-major, (16, width)."""
+    P = np.zeros((16, width))
+    P[::5] = 1.0
+    return np.ones((4, width)), P
+
+
+def step_lanes(k: np.ndarray, P: np.ndarray, H: np.ndarray, z: np.ndarray, q, r):
+    """``step`` on every lane at once; returns the new ``(k, P)`` and the unchecked ``(y, s)``.
+
+    ``k`` is (4, L), ``P`` (16, L) as from ``init_lanes``, ``H`` (3, 4, L),
+    ``z`` (3, L), and ``q``, ``r`` scalars or (L,). ``y`` (3, L) holds the
+    innovations and ``s`` (3, L) the innovation variances that ``step``
+    checks; nothing is raised, so a lane that ``step`` would reject carries
+    on with whatever the arithmetic gives. Run it under ``np.errstate`` to
+    keep that arithmetic from warning. The inputs are left untouched.
+    """
+    P = P.copy()
+    P[::5] += q
+    d = np.zeros_like(k)
+    y = np.empty_like(z)
+    s = np.empty_like(z)
+    for j in range(3):
+        h = H[j]
+        hk = h * k
+        yj = y[j] = z[j] - (hk[0] + hk[1] + hk[2] + hk[3])
+        m = P.reshape(4, 4, -1) * h[:, None]  # m[c, i] = p_ci h_c, which is p_ic h_c: P is symmetric
+        a = m[0] + m[1] + m[2] + m[3]
+        ha = h * a
+        sj = s[j] = ha[0] + ha[1] + ha[2] + ha[3] + r
+        hd = h * d
+        g = (yj - (hd[0] + hd[1] + hd[2] + hd[3])) / sj
+        d = d + a * g
+        b = a / sj
+        P = (P - (a[:, None] * b).reshape(16, -1)).take(_MIRROR, axis=0)
+    k = k + d
+    return np.where(k < K_MIN, K_MIN, np.where(k > K_MAX, K_MAX, k)), P, y, s

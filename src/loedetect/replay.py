@@ -2,13 +2,21 @@
 
 Replaying a log feeds the exact same per-sample pipeline the streaming
 detector runs, so offline results are bit-identical to online processing of
-the same samples. A sweep runs conditioning once per distinct conditioning
-key, and estimation once per distinct estimator key in one pass that also
-takes the failure probabilities of each distinct ``k_threshold``, on the
-estimates below it only; each config then latches by first exceedance
-(``decision.first_exceedance``), with the same results as a full replay.
-Evaluation produces the three metrics that matter for a fault detector:
-detection delay, false alarms, missed detections.
+the same samples. A sweep conditions each log once per distinct conditioning
+key, then runs the estimator of every (log, distinct estimator key) pair in
+one lane pass: one numpy lane per pair, all stepped together by
+``kalman.step_lanes``, which is bit-identical to ``kalman.step`` on each
+lane. Lanes run longest first, and the pass narrows as shorter runs end, so
+no lane steps past its own last tick. The failure probabilities of each
+distinct ``k_threshold`` are then taken on the estimates below it only, and
+each config latches by first exceedance (``decision.first_exceedance``),
+with the same results as a full replay. A lane that meets a NaN innovation,
+an innovation variance outside (0, inf) or a negative variance is replayed
+through ``evaluate_log``, so a sweep raises what the first failing replay
+raises. With ``jobs > 1`` each worker process runs one lane pass over a
+contiguous chunk of the logs. Evaluation produces the three metrics that
+matter for a fault detector: detection delay, false alarms, missed
+detections.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 
+import numpy as np
+
 from . import kalman
 from .decision import DetectionStatus, failure_probability, first_exceedance
 from .detector import (
@@ -32,7 +42,7 @@ from .detector import (
     config_with,
     default_config,
 )
-from .effectiveness import observation_rows, signed_gains
+from .effectiveness import signed_gains
 from .flightlog import RATE_TOLERANCE, FlightLog
 
 
@@ -189,76 +199,145 @@ class SweepResultRow:
     missed: bool
 
 
-def _sub_threshold_probabilities(ticks: list, config: DetectorConfig, k_thresholds) -> dict:
-    """Run the estimator over ``ticks`` once, taking the probabilities ``first_exceedance`` reads.
+def _armed_ticks(log: FlightLog, config: DetectorConfig) -> list[tuple]:
+    """Condition ``log`` under ``config``: per armed estimator tick, its t, ``z`` and ``w_sq`` as 8 floats."""
+    push = Conditioner(config).push
+    return [(row[0], *tick[0], *tick[1]) for row in log.rows() if (tick := push(*row)) is not None]
 
-    Returns, per ``k_threshold``, one list per actuator of ``(t, p)`` pairs:
-    ``p = failure_probability(k_hat, variance, k_threshold)`` on each tick
-    whose ``k_hat < k_threshold``. A negative variance raises the decision
-    stage's ``ValueError`` at its tick, as a replay does.
+
+def _lane_pass(ticks: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs: list) -> tuple:
+    """Run lane ``l``: ``configs[l]``'s estimator over the first ``n_ticks[l]`` ticks of tick set ``sets[l]``.
+
+    ``ticks`` (n, 8, tick sets) holds the ``_armed_ticks`` rows of each
+    tick set. Lanes come longest first, so the lanes still running at a tick
+    are a prefix, and the pass narrows to them as the others end. Returns
+    ``(K, V, offsets, tripped)``: ``K`` and ``V`` (4, N) hold the estimates
+    and variances after tick ``t`` of lane ``l`` in column ``offsets[t] +
+    l``, and ``tripped`` lists the lanes that meet a NaN innovation, an
+    ``s`` outside (0, inf) or a negative variance: where ``kalman.step`` or
+    the decision raises.
     """
-    state = kalman.init()
-    gains = signed_gains(config.gains)
-    noise = config.noise
-    records = {k_threshold: ([], [], [], []) for k_threshold in k_thresholds}
-    pending = tuple(records.items())
-    probability = failure_probability
-    for t, z, w_sq in ticks:
-        state = kalman.step(state, observation_rows(gains, w_sq), z, noise)
-        v0, v1, v2, v3 = variances = state.variances()
-        if v0 < 0.0 or v1 < 0.0 or v2 < 0.0 or v3 < 0.0:
-            # The decision stage's ValueError, at the tick a replay raises it.
-            probability(0.0, next(v for v in variances if v < 0.0), k_thresholds[0])
-        k0, k1, k2, k3 = state.k
-        for k_threshold, (r0, r1, r2, r3) in pending:
-            if k0 < k_threshold:
-                r0.append((t, probability(k0, v0, k_threshold)))
-            if k1 < k_threshold:
-                r1.append((t, probability(k1, v1, k_threshold)))
-            if k2 < k_threshold:
-                r2.append((t, probability(k2, v2, k_threshold)))
-            if k3 < k_threshold:
-                r3.append((t, probability(k3, v3, k_threshold)))
-    return records
+    running = (n_ticks > np.arange(len(ticks))[:, None]).sum(axis=1)  # lanes still running, per tick
+    offsets = np.concatenate(([0], np.cumsum(running)))
+    gains = np.stack([signed_gains(config.gains) for config in configs], axis=-1)
+    q = np.array([config.noise.process_noise_q for config in configs])
+    r = np.array([config.noise.measurement_noise_r for config in configs])
+    K = np.empty((4, offsets[-1]))
+    V = np.empty((4, offsets[-1]))
+    Y = np.empty((3, offsets[-1]))
+    S = np.empty((3, offsets[-1]))
+    # A lane that trips carries on with infs and NaNs, which must not warn.
+    with np.errstate(all="ignore"):
+        k, P = kalman.init_lanes(len(configs))
+        for t, width in enumerate(running.tolist()):
+            rows = ticks[t][:, sets[:width]]
+            at = slice(offsets[t], offsets[t + 1])
+            k, P, Y[:, at], S[:, at] = kalman.step_lanes(
+                k[:, :width], P[:, :width], gains[..., :width] * rows[4:], rows[1:4], q[:width], r[:width]
+            )
+            K[:, at] = k
+            V[:, at] = P[::5]
+        bad = np.isnan(Y).any(axis=0) | ~((S > 0.0) & (S < math.inf)).all(axis=0) | (V < 0.0).any(axis=0)
+    lane_of_column = np.arange(offsets[-1]) - np.repeat(offsets[:-1], running)
+    return K, V, offsets, np.unique(lane_of_column[bad])
 
 
-def _sweep_log(log: FlightLog, configs: list[DetectorConfig]) -> list[EvaluationResult]:
-    """Evaluate one log under every config, one result per config in order.
+def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[list[EvaluationResult]]:
+    """Evaluate each log under every config: per log, one result per config in order.
 
-    Conditioning runs once per distinct conditioning key. Estimation runs
-    once per distinct estimator key, in one pass over the armed ticks that
-    also takes the failure probabilities of each distinct ``k_threshold``
-    under that key, on sub-threshold estimates only. Configs that differ
-    only in ``probability_threshold`` share those probabilities. Each config
-    then latches by first exceedance, so each result equals
-    ``evaluate_log(log, config)``.
+    Conditioning runs once per distinct (log, conditioning key). Estimation
+    runs once per distinct (log, estimator key), each such run one lane of a
+    single ``_lane_pass``. The failure probabilities of each distinct
+    ``k_threshold`` under a key are then taken on its sub-threshold
+    estimates only, and configs that differ only in
+    ``probability_threshold`` share them. Each config latches by first
+    exceedance, so each result equals ``evaluate_log(log, config)``.
 
-    Errors come key by key, in first-appearance order, each at the tick
-    where it arises. A replay of the first failing config raises the same.
+    Errors come as a serial replay of every (log, config) meets them: log
+    by log, and within a log key by key in first-appearance order. A failed
+    sample-rate or conditioning check ends the conditioning and is raised
+    unless a lane before it trips. The first tripped lane is replayed with
+    ``evaluate_log``, which raises what the float kernel raises.
     """
-    for config in configs:
-        _check_sample_rate(log, config)
-    span = float(log.t[0]), float(log.t[-1])
-    truth = log.ground_truth()
     # estimator key -> k_threshold -> distinct configs, all in first-appearance order
     groups: dict[tuple, dict[float, list[DetectorConfig]]] = {}
     for config in dict.fromkeys(configs):
         by_threshold = groups.setdefault(config.estimator_key(), {})
         by_threshold.setdefault(config.decision.k_threshold, []).append(config)
-    ticks: dict[tuple, list] = {}  # conditioning key -> [(t, z, w_sq)] per armed tick
-    decided: dict[DetectorConfig, EvaluationResult] = {}
-    for by_threshold in groups.values():
-        first = next(iter(by_threshold.values()))[0]
-        ckey = first.conditioning_key()
-        if ckey not in ticks:
-            push = Conditioner(first).push
-            ticks[ckey] = [(row[0], *tick) for row in log.rows() if (tick := push(*row)) is not None]
-        records = _sub_threshold_probabilities(ticks[ckey], first, tuple(by_threshold))
-        for k_threshold, same_threshold in by_threshold.items():
+    keys = list(groups.values())
+    firsts = [next(iter(by_threshold.values()))[0] for by_threshold in keys]
+    tick_sets: list[list[tuple]] = []  # per distinct (log, conditioning key)
+    lanes: list[tuple[int, int, int]] = []  # (log, tick set, key) per (log, estimator key), in error order
+    error = None
+    for i, log in enumerate(logs):
+        try:
+            for config in configs:
+                _check_sample_rate(log, config)
+            by_ckey: dict[tuple, int] = {}
+            for key, first in enumerate(firsts):
+                ckey = first.conditioning_key()
+                if ckey not in by_ckey:
+                    tick_sets.append(_armed_ticks(log, first))
+                    by_ckey[ckey] = len(tick_sets) - 1
+                lanes.append((i, by_ckey[ckey], key))
+        except ValueError as exc:
+            error = exc
+            break
+    if not lanes:
+        raise error
+
+    n_ticks = np.array([len(tick_sets[s]) for _, s, _ in lanes])
+    ticks = np.zeros((n_ticks.max(), 8, len(tick_sets)))
+    for s, rows in enumerate(tick_sets):
+        if rows:
+            ticks[: len(rows), :, s] = rows
+    sets = np.array([s for _, s, _ in lanes])
+    run = np.argsort(-n_ticks, kind="stable")  # lanes, longest first
+    K, V, offsets, tripped = _lane_pass(ticks, sets[run], n_ticks[run], [firsts[lanes[l][2]] for l in run])
+    if tripped.size:
+        first_tripped = run[tripped].min()
+        i, _, key = lanes[first_tripped]
+        evaluate_log(logs[i], firsts[key])
+        raise RuntimeError(f"lane {first_tripped} tripped, but its replay through kalman.step did not raise")
+    if error is not None:
+        raise error
+
+    # Per (lane, k_threshold) entry and per actuator, the (t, p) pair of each
+    # sub-threshold tick in tick order: what ``first_exceedance`` reads. One
+    # row per (entry, tick) of its lane's run, entry by entry.
+    entries = [(lane, k_threshold) for lane, (*_, key) in enumerate(lanes) for k_threshold in keys[key]]
+    lane_of = np.array([lane for lane, _ in entries])
+    k_thresholds = np.array([k_threshold for _, k_threshold in entries])
+    lengths = n_ticks[lane_of]
+    entry_of = np.repeat(np.arange(len(entries)), lengths)
+    tick_of = np.arange(len(entry_of)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    column_in_tick = np.empty_like(run)
+    column_in_tick[run] = np.arange(len(run))
+    columns = offsets[tick_of] + column_in_tick[lane_of][entry_of]
+    a_index, row = np.nonzero(K[:, columns] < k_thresholds[entry_of])  # by actuator, then row
+    by_entry = np.argsort(entry_of[row], kind="stable")  # by entry, actuator, then tick
+    a_index, row = a_index[by_entry], row[by_entry]
+    e_index = entry_of[row]
+    picked = a_index, columns[row]
+    k_hats, variances = K[picked].tolist(), V[picked].tolist()
+    probabilities = map(failure_probability, k_hats, variances, k_thresholds[e_index].tolist())
+    times = ticks[tick_of[row], 0, sets[lane_of[e_index]]]
+    pairs = list(zip(times.tolist(), probabilities))
+    counts = np.bincount(4 * e_index + a_index, minlength=4 * len(entries))
+    bounds = [0, *np.cumsum(counts).tolist()]  # (entry, actuator) runs of ``pairs``
+    runs = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    decided: list[dict[DetectorConfig, EvaluationResult]] = [{} for _ in logs]
+    e = 0
+    for i, _, key in lanes:
+        span = float(logs[i].t[0]), float(logs[i].t[-1])
+        truth = logs[i].ground_truth()
+        for same_threshold in keys[key].values():
+            records = runs[4 * e : 4 * e + 4]
+            e += 1
             for config in same_threshold:
-                status = first_exceedance(records[k_threshold], config.decision)
-                decided[config] = evaluate_status(status, *span, truth)
-    return [decided[config] for config in configs]
+                decided[i][config] = evaluate_status(first_exceedance(records, config.decision), *span, truth)
+    return [[results[config] for config in configs] for results in decided]
 
 
 def run_sweep(
@@ -269,9 +348,11 @@ def run_sweep(
 ) -> list[SweepResultRow]:
     """Evaluate every (parameter set, log) pair exactly once.
 
-    Work is shared within a log (see ``_sweep_log``); ``jobs > 1`` fans logs
-    out over ``min(jobs, len(logs))`` processes. Rows are ordered by
-    parameter set, then log, regardless of ``jobs``.
+    Work is shared across logs and configs (see ``_sweep_chunk``);
+    ``jobs > 1`` splits the logs into ``min(jobs, len(logs))`` contiguous
+    chunks, one lane pass per chunk, each in its own process. Rows are
+    ordered by parameter set, then log, and a sweep raises the same error,
+    regardless of ``jobs``.
     """
     if not logs:
         raise ValueError("sweep needs at least one log")
@@ -284,10 +365,13 @@ def run_sweep(
 
     workers = min(jobs, len(logs))
     if workers <= 1:
-        per_log = [_sweep_log(log, configs) for log in logs]
+        per_log = _sweep_chunk(logs, configs)
     else:
+        bounds = [len(logs) * w // workers for w in range(workers + 1)]
+        chunks = [logs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_log = list(pool.map(_sweep_log, logs, [configs] * len(logs)))
+            per_chunk = pool.map(_sweep_chunk, chunks, [configs] * workers)
+            per_log = [results for chunk in per_chunk for results in chunk]
     return [
         SweepResultRow(
             param_set_id=pset.set_id,

@@ -11,13 +11,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from loedetect import kalman
-from loedetect.detector import Detector, default_config, step_runtime_budget
+from loedetect.detector import Detector, default_config
 from loedetect.decision import failure_probability
 from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
 from loedetect.filters import FilterDesign, FilterState, design_lowpass, filter_step, frequency_response
 from loedetect.replay import default_sweep_spec, evaluate, run_detector, run_sweep, summarize_sweep
 from loedetect.simulator import SensorNoiseModel, fly_scenario
 
+from budget import step_runtime_budget
 from oracles import state_from_arrays
 
 DELAY_WINDOW = (0.02, 0.20)

@@ -18,7 +18,6 @@ from loedetect.detector import (
     Conditioner,
     Detector,
     DetectorConfig,
-    _budget_stream,
     config_from_dict,
     config_to_dict,
     config_with,
@@ -27,12 +26,12 @@ from loedetect.detector import (
     parse_config,
     read_config,
     signed_gains,
-    step_runtime_budget,
     write_config,
 )
 from loedetect.filters import FilterDesign, FilterState, RawSample, design_lowpass
 from loedetect.effectiveness import VehicleParams, observation_rows
 
+from budget import budget_stream, step_runtime_budget
 from oracles import OracleConditioner, OracleDetector, narrow_bank_step, oracle_arming_index, sample_values
 
 
@@ -301,7 +300,7 @@ def test_rotor_speed_above_ceiling_rejected_with_timestamp(speed):
 
 def test_identical_streams_give_bit_identical_outputs():
     config = default_config()
-    stream = list(_budget_stream(config, 3000, 1500))
+    stream = list(budget_stream(config, 3000, 1500))
     det_a, det_b = Detector(config), Detector(config)
     out_a = [det_a.process_sample(s) for s in stream]
     out_b = [det_b.process_sample(s) for s in stream]
@@ -346,7 +345,7 @@ def test_gate_blocks_latching_while_disarmed():
 def test_budget_stream_latches_only_actuator_three():
     config = default_config()
     det = Detector(config)
-    for raw in _budget_stream(config, 6000, 2500):
+    for raw in budget_stream(config, 6000, 2500):
         out = det.process_sample(raw)
     assert out.status.failed == (False, False, True, False)
     latch_time = out.status.first_detection_time[2]
@@ -573,7 +572,7 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
     conditioner = Conditioner(config)
     ticks = [
         (raw.timestamp, tick)
-        for raw in _budget_stream(config, 6000, 2500)
+        for raw in budget_stream(config, 6000, 2500)
         if (tick := conditioner.push(*sample_values(raw))) is not None
     ]
     hover_z, hover_w_sq = [tick for t, tick in ticks if t <= fault_time][-1]
@@ -693,7 +692,7 @@ def test_conditioner_equals_array_oracle(config, ejection_log):
 
 @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=ORACLE_CONFIG_IDS)
 def test_detector_equals_array_oracle_on_budget_stream(config):
-    out = _assert_detector_matches_oracle(config, _budget_stream(config, 6000, 2500))
+    out = _assert_detector_matches_oracle(config, budget_stream(config, 6000, 2500))
     assert out.status.failed == (False, False, True, False)
 
 

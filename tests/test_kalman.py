@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loedetect import kalman
-from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
+from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix, signed_gains
 from loedetect.kalman import EstimatorState, NoiseConfig
 
 from oracles import _dot4, oracle_kalman_step, state_from_arrays
@@ -261,3 +261,73 @@ def test_step_equals_array_oracle_bit_for_bit():
         # bytes tell -0.0 from 0.0, which array_equal does not
         assert mine.x.tobytes() == oracle.x.tobytes()
         assert mine.P.tobytes() == oracle.P.tobytes()
+
+
+UPPER = np.flatnonzero(np.triu(np.ones((4, 4))))  # the ``p_upper`` entries of a row-major 4x4
+
+
+@pytest.mark.parametrize("width", [1, 11, 66, 286])
+def test_step_lanes_equals_step_bit_for_bit(width):
+    # Wide z makes estimates clamp at both bounds; about one tick in ten of a
+    # lane is a zero-H, zero-z padding tick. Noise differs between lanes.
+    rng = np.random.default_rng(width)
+    q = rng.choice([0.05, 0.1, 0.2], width)
+    r = rng.choice([0.5, 1.0, 2.0], width)
+    gains = np.array(signed_gains(DEFAULT_GAINS))[:, :, None]
+    noises = [NoiseConfig(*pair) for pair in zip(q.tolist(), r.tolist())]
+    states = [kalman.init()] * width
+    k, P = kalman.init_lanes(width)
+    clamped = set()
+    padded = 0
+    for _ in range(40):
+        w_sq = rng.uniform(300.0, 1200.0, (4, width)) ** 2
+        z = rng.normal(0.0, 20.0, (3, width))
+        pad = rng.random(width) < 0.1
+        w_sq[:, pad] = 0.0
+        z[:, pad] = 0.0
+        padded += pad.sum()
+        H = gains * w_sq
+        k, P, y, s = kalman.step_lanes(k, P, H, z, q, r)
+        assert not np.isnan(y).any() and ((0.0 < s) & (s < np.inf)).all()
+        states = [
+            kalman.step(state, H[:, :, lane].tolist(), z[:, lane].tolist(), noise)
+            for lane, (state, noise) in enumerate(zip(states, noises))
+        ]
+        # bytes tell -0.0 from 0.0, which array_equal does not
+        assert k.tobytes() == np.array([state.k for state in states]).T.tobytes()
+        assert P[UPPER].tobytes() == np.array([state.p_upper for state in states]).T.tobytes()
+        square = P.reshape(4, 4, width)
+        assert square.tobytes() == square.transpose(1, 0, 2).tobytes()
+        clamped.update(k[(k == 0.0) | (k == 1.5)].tolist())
+    assert clamped == {0.0, 1.5}
+    assert padded > 0
+
+
+def test_step_lanes_flags_what_step_rejects():
+    # Per lane: healthy, NaN z, NaN H, overflowing H, overflowing q. ``step``
+    # raises exactly on the lanes whose ``y`` holds a NaN (``ValueError``) or
+    # whose ``s`` leaves (0, inf) (``ArithmeticError`` naming the first such s).
+    H = np.repeat(observation_matrix(DEFAULT_GAINS, np.full(4, 700.0))[:, :, None], 5, axis=2)
+    z = np.zeros((3, 5))
+    q = np.full(5, 0.1)
+    z[1, 1] = np.nan
+    H[0, 2, 2] = np.nan
+    H[:, :, 3] *= 1e200
+    q[4] = 1e308
+    k, P = kalman.init_lanes(5)
+    with np.errstate(all="ignore"):
+        _, _, y, s = kalman.step_lanes(k, P, H, z, q, 1.0)
+        bad_s = ~((0.0 < s) & (s < np.inf))
+    for lane in range(5):
+        step = (kalman.init(), H[:, :, lane].tolist(), z[:, lane].tolist(), NoiseConfig(float(q[lane]), 1.0))
+        if np.isnan(y[:, lane]).any():
+            with pytest.raises(ValueError, match="NaN in estimator input"):
+                kalman.step(*step)
+        elif bad_s[:, lane].any():
+            first = s[bad_s[:, lane].argmax(), lane]
+            with pytest.raises(ArithmeticError, match=rf"^innovation variance s={first} is not"):
+                kalman.step(*step)
+        else:
+            assert lane == 0
+            kalman.step(*step)
+    assert np.isnan(y[:, 1:3]).any(axis=0).all() and bad_s[:, 3:].any(axis=0).all()

@@ -7,7 +7,9 @@ from loedetect.decision import DetectionStatus, failure_probability
 from loedetect import decision, kalman, replay
 from loedetect import detector as detector_module
 from loedetect.detector import Conditioner, Detector, DetectorOutput, config_with, default_config
+from loedetect.flightlog import FlightLog
 from loedetect.replay import (
+    SampleRateMismatchError,
     SweepSpec,
     box_stats,
     default_sweep_spec,
@@ -178,9 +180,13 @@ def test_parallel_sweep_matches_serial(ejection_log):
         base=default_config(),
         variations=(("probability_threshold", (0.8, 0.99)),),
     )
-    logs = [ejection_log, fly_scenario("hover", duration=1.0, noise=SensorNoiseModel(seed=12))]
+    logs = [
+        ejection_log,
+        fly_scenario("hover", duration=1.0, noise=SensorNoiseModel(seed=12)),
+        fly_scenario("ground_idle", duration=0.5, noise=SensorNoiseModel(seed=13)),
+    ]
     serial = run_sweep(logs, spec, jobs=1)
-    parallel = run_sweep(logs, spec, jobs=2)
+    parallel = run_sweep(logs, spec, jobs=2)  # chunks of one and two logs
     assert serial == parallel
 
 
@@ -303,6 +309,35 @@ class _FaultyStep:
         return state_from_arrays(new.x, P)
 
 
+class _FaultyLanes:
+    """``kalman.step_lanes`` with ``_FaultyStep``'s faults, on the lanes whose ``q`` they name.
+
+    Ticks are counted per call, which on one log is ``_FaultyStep``'s count
+    per noise config. On ``negative_at`` a lane's result carries a negative
+    variance for actuator 4, and on ``raise_at`` a NaN ``s``, so the lane
+    trips there and the sweep replays it through ``kalman.step``.
+    """
+
+    step_lanes = staticmethod(kalman.step_lanes)  # the real kernel, taken before any test patches it
+
+    def __init__(self, faults):
+        self.faults = faults
+        self.calls = 0
+
+    def __call__(self, k, P, H, z, q, r):
+        self.calls += 1
+        P = P.copy()
+        P[15] = abs(P[15])
+        k, P, y, s = self.step_lanes(k, P, H, z, q, r)
+        for noise_q, (negative_at, raise_at) in self.faults.items():
+            lanes = q == noise_q
+            if self.calls == negative_at:
+                P[15, lanes] = -P[15, lanes]
+            if self.calls == raise_at:
+                s[0, lanes] = np.nan
+        return k, P, y, s
+
+
 @pytest.mark.parametrize(
     "faults",
     [
@@ -340,11 +375,98 @@ def test_sweep_raises_what_the_first_failing_replay_raises(ejection_log, monkeyp
             expected = exc
             break
     assert expected is not None
+    # The sweep's lane pass trips where the faults are; its replay of the
+    # tripped key then raises through the float kernel's faults.
     monkeypatch.setattr(kalman, "step", _FaultyStep(faults))
+    lanes = _FaultyLanes(faults)
+    monkeypatch.setattr(kalman, "step_lanes", lanes)
     with pytest.raises((ValueError, ArithmeticError)) as caught:
         run_sweep([ejection_log], spec)
+    assert lanes.calls > 0
     assert type(caught.value) is type(expected)
     assert str(caught.value) == str(expected)
+
+
+def test_sweep_steps_each_lane_over_its_own_ticks_only(ejection_log, monkeypatch):
+    # Lanes run longest first, and the pass narrows as shorter runs end: the
+    # short log's lanes leave after its last tick, and no lane ever steps a
+    # tick without a real observation.
+    short = fly_scenario("hover", duration=0.5, noise=SensorNoiseModel(seed=14))
+    logs = [short, ejection_log]
+    spec = SweepSpec(base=default_config(), variations=(("process_noise_q", (0.05,)), ("k_threshold", (0.15,))))
+    n_keys = len({pset.config.estimator_key() for pset in spec.parameter_sets()})
+    ticks = []
+    for log in logs:
+        push = Conditioner(default_config()).push
+        ticks.append(sum(push(*row) is not None for row in log.rows()))
+    assert 0 < ticks[0] < ticks[1]
+    widths = []
+    real_step_lanes = kalman.step_lanes
+
+    def step_lanes(k, P, H, z, q, r):
+        assert np.abs(H).sum(axis=(0, 1)).all()
+        widths.append(k.shape[1])
+        return real_step_lanes(k, P, H, z, q, r)
+
+    monkeypatch.setattr(kalman, "step_lanes", step_lanes)
+    rows = run_sweep(logs, spec)
+    assert widths == [2 * n_keys] * ticks[0] + [n_keys] * (ticks[1] - ticks[0])
+    for row, (pset, log) in zip(rows, [(p, log) for p in spec.parameter_sets() for log in logs]):
+        direct = evaluate_log(log, pset.config)
+        assert (row.delay_s, row.false_alarms, row.missed) == (
+            direct.detection_delay,
+            direct.false_alarm_count,
+            direct.missed_detection,
+        )
+
+
+def test_sweep_replays_the_first_tripped_lane_in_log_order(ejection_log, monkeypatch):
+    # Both logs trip under g_az = 1e308; the longer one runs first in the
+    # lane pass, but the shorter one comes first in the sweep.
+    short = fly_scenario("hover", duration=0.5, noise=SensorNoiseModel(seed=14))
+    spec = SweepSpec(base=default_config(), variations=(("g_az", (1e308,)),))
+    replayed = []
+    monkeypatch.setattr(replay, "evaluate_log", lambda log, config: replayed.append(log) or evaluate_log(log, config))
+    with pytest.raises(ArithmeticError, match="^innovation variance s=nan"):
+        run_sweep([short, ejection_log], spec)
+    assert len(replayed) == 1 and replayed[0] is short
+
+
+@pytest.mark.parametrize(
+    ("name", "value", "s"), [("g_az", 1e308, "nan"), ("process_noise_q", 1e308, "inf"), ("g_p", 1e200, "inf")]
+)
+def test_sweep_raises_the_replays_overflow_error(ejection_log, name, value, s):
+    # Real overflows, under the suite's error::RuntimeWarning filter: the
+    # lane pass must not warn, and the sweep raises the replay's own error.
+    spec = SweepSpec(base=default_config(), variations=((name, (value,)),))
+    with pytest.raises(ArithmeticError) as expected:
+        evaluate_log(ejection_log, spec.parameter_sets()[1].config)
+    with pytest.raises(ArithmeticError) as caught:
+        run_sweep([ejection_log], spec)
+    assert type(caught.value) is type(expected.value) is ArithmeticError
+    assert str(caught.value) == str(expected.value)
+    assert str(caught.value) == f"innovation variance s={s} is not finite and positive"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_raises_the_first_error_in_log_order(ejection_log, jobs):
+    # The same flight at 250 Hz fails the base config's sample-rate check;
+    # the 500 Hz log overflows under g_az = 1e308. Whichever log comes first
+    # decides the error, as it would in a serial replay.
+    half_rate = FlightLog(
+        sample_rate_hz=250.0,
+        t=ejection_log.t[1::2],
+        gyro=ejection_log.gyro[1::2],
+        accel_z=ejection_log.accel_z[1::2],
+        rotor_speeds=ejection_log.rotor_speeds[1::2],
+        fault_actuator=ejection_log.fault_actuator,
+        fault_time_s=ejection_log.fault_time_s,
+    )
+    spec = SweepSpec(base=default_config(), variations=(("g_az", (1e308,)),))
+    with pytest.raises(ArithmeticError, match="^innovation variance s=nan"):
+        run_sweep([ejection_log, half_rate], spec, jobs=jobs)
+    with pytest.raises(SampleRateMismatchError):
+        run_sweep([half_rate, ejection_log], spec, jobs=jobs)
 
 
 def test_raising_probability_threshold_never_speeds_detection(ejection_log):

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from loedetect import cli, replay, simulator
+from loedetect import cli, kalman, replay, simulator
 from loedetect.detector import Conditioner, Detector, config_with, default_config
 from loedetect.flightlog import load_log, save_log
 from loedetect.replay import default_sweep_spec
@@ -81,11 +81,12 @@ def test_stream_counts_follow_a_non_default_estimator_interval():
 
 
 def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, monkeypatch):
-    # The sweep's layer split: the estimator runs once per distinct estimator
-    # key on every armed tick. There is no per-tick decision: the failure
-    # probability runs once per distinct (estimator key, k_threshold) on each
-    # sub-threshold (tick, actuator) pair, and each config latches by first
-    # exceedance.
+    # The sweep's layer split: the estimator runs on lanes, one lane per
+    # (log, distinct estimator key), stepped together once per armed tick
+    # while their runs last, so the float kernel ``kalman.step`` never runs.
+    # There is no per-tick decision: the failure probability runs once per
+    # distinct (estimator key, k_threshold) on each sub-threshold (tick,
+    # actuator) pair, and each config latches by first exceedance.
     for i, (scenario, actuator) in enumerate((("hover", 3), ("wind", 1))):
         fault = FaultEvent(time=1.2, actuator_index=actuator)
         log = fly_scenario(scenario, duration=1.5, fault=fault, noise=SensorNoiseModel(seed=30 + i))
@@ -101,15 +102,20 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     threshold_runs = {(config.estimator_key(), config.decision.k_threshold) for config in configs}
     decision_runs = set(configs)
     assert 1 < len(estimator_runs) < len(threshold_runs) < len(decision_runs) < len(configs)
-    expected_steps = sum(armed_ticks(log, c) for log in logs for c in estimator_runs)
+    lane_ticks = [armed_ticks(log, c) for log in logs for c in estimator_runs]
     expected_evaluations = sweep_probability_evaluations(logs, configs)
-    assert expected_steps > 0
+    assert min(lane_ticks) > 0
     assert expected_evaluations > 0
 
     evaluations = []
     real_probability = replay.failure_probability
     monkeypatch.setattr(
         replay, "failure_probability", lambda *args: evaluations.append(args) or real_probability(*args)
+    )
+    widths = []
+    real_step_lanes = kalman.step_lanes
+    monkeypatch.setattr(
+        kalman, "step_lanes", lambda k, *args: widths.append(k.shape[1]) or real_step_lanes(k, *args)
     )
     tracer = _load_spans().Tracer()
     tracer.install()
@@ -119,7 +125,8 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    assert metrics["kalman.step.calls"][0] == expected_steps
+    assert metrics["kalman.step.calls"][0] == 0
+    assert widths == [sum(n > t for n in lane_ticks) for t in range(max(lane_ticks))]
     assert metrics["decision.decide.calls"][0] == 0
     assert metrics["decision.failure_probabilities.calls"][0] == 0
     assert len(evaluations) == expected_evaluations
