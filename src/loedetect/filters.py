@@ -4,10 +4,16 @@ Every input channel (body rates, vertical accelerometer, rotor speeds) runs
 through the same discrete second-order low-pass so the channels stay
 synchronized, and angular accelerations are produced by backward-differencing
 the filtered roll and pitch rates. There is one bank, of the
-``N_CHANNELS`` channels in ``CHANNELS``, and one way to advance it:
-``filter_step``, which writes the recursion out as straight-line float code.
-The detector's ``Conditioner`` differences on estimator ticks, which a
-per-sample countdown marks.
+``N_CHANNELS`` channels in ``CHANNELS``, and two ways to advance it.
+``filter_step`` writes the recursion out as straight-line float code, one
+sample at a time; the detector's ``Conditioner`` runs it and differences on
+estimator ticks, which a per-sample countdown marks. ``filter_lanes`` runs
+the same recursion on numpy lanes, one block of samples of many streams at
+a time, for parameter sweeps. It is a second source, not ``filter_step`` run
+on arrays: its feedforward part takes every sample of a block at once, which
+a per-sample call cannot. It performs ``filter_step``'s operations in
+``filter_step``'s order, so every lane is bit-identical to it
+(``tests/test_filters.py`` checks the two against each other).
 """
 
 from __future__ import annotations
@@ -191,3 +197,33 @@ def differentiate(previous: tuple | None, current: tuple) -> tuple[float, float]
     if dt <= 0.0:
         raise ValueError(f"non-increasing timestamps: {t0} -> {t}")
     return (p - p0) / dt, (q - q0) / dt
+
+
+def filter_lanes(coeffs: FilterCoefficients, x: np.ndarray, y: np.ndarray) -> None:
+    """``filter_step`` over a block of samples, every lane at once; writes the outputs into ``y[2:]``.
+
+    ``x`` and ``y`` are (N + 2, ...) float64 arrays with one lane per entry of
+    the trailing axes. Rows 2 onward of ``x`` hold N samples of each lane.
+    Rows 0 and 1 of ``x`` and ``y`` hold the bank's memory, oldest first: the
+    two samples before the block and their outputs. At a stream's start all
+    four rows are its first sample, ``filter_step``'s warm start; the next
+    block takes this one's last two rows. Row ``2 + k`` of ``y`` is then
+    what ``filter_step`` returns on sample ``k``. The feedforward part
+    ``(b0*u + b1*x1) + b2*x2`` is taken for every row at once, and only the
+    feedback ``(ff - a1*y1) - a2*y2`` steps through time, in place over it,
+    so each output rounds exactly as ``filter_step``'s does. The call holds
+    one more array the size of ``x``. Run it under ``np.errstate`` where a
+    lane may overflow, as a float replay would, without a warning.
+    """
+    b0, b1, b2, a1, a2 = coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2
+    ff = np.multiply(x[2:], b0, out=y[2:])
+    term = np.multiply(x[1:-1], b1)
+    ff += term
+    ff += np.multiply(x[:-2], b2, out=term)
+    del term
+    rows = list(y)  # one view per time step, made once
+    product = np.empty_like(rows[0])
+    multiply, subtract = np.multiply, np.subtract
+    for y2, y1, y0 in zip(rows, rows[1:], rows[2:]):
+        subtract(y0, multiply(y1, a1, product), y0)  # positional ``out``: the cheapest ufunc call
+        subtract(y0, multiply(y2, a2, product), y0)

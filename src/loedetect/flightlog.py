@@ -47,7 +47,8 @@ RATE_TOLERANCE = 0.01
 
 # Rows ``FlightLog.rows`` and ``FlightLog.samples`` convert to Python floats
 # at a time, so the lists they hold stay the same size however long the log
-# is: about 0.35 MB of row lists.
+# is: about 0.35 MB of row lists. A sweep's conditioning lanes filter this
+# many rows of every log at a time, for the same reason.
 SAMPLE_BLOCK_ROWS = 1024
 
 

@@ -16,7 +16,7 @@ Everything runs on Python floats. The state, ``EstimatorState``, is a
 NamedTuple of two float tuples: the four estimates and the ten
 upper-triangle entries of P. Only that triangle is computed and kept, so P
 is exactly symmetric; ``step`` builds each new state from its floats, and
-arrays are made only when ``x`` or ``P`` is read. No inverse is taken;
+makes no array. No inverse is taken;
 ``s >= r > 0`` unless the arithmetic overflows, and a non-finite ``s``
 raises ``ArithmeticError``. ``step_lanes`` runs the same update on many
 independent estimators at once, one per numpy lane, for parameter sweeps.
@@ -52,23 +52,11 @@ class EstimatorState(NamedTuple):
 
     Held as Python floats: ``k``, the four estimates, and ``p_upper``, the ten
     upper-triangle entries of P row by row (p00, p01, p02, p03, p11, p12,
-    p13, p22, p23, p33). ``x`` and ``P`` build fresh arrays on each access;
-    ``P`` mirrors the upper triangle, so it is exactly symmetric.
+    p13, p22, p23, p33). P is symmetric, so the triangle is all of it.
     """
 
     k: tuple[float, float, float, float]
     p_upper: tuple[float, float, float, float, float, float, float, float, float, float]
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.array(self.k)
-
-    @property
-    def P(self) -> np.ndarray:
-        p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = self.p_upper
-        return np.array(
-            [[p00, p01, p02, p03], [p01, p11, p12, p13], [p02, p12, p22, p23], [p03, p13, p23, p33]]
-        )
 
     def variances(self) -> tuple[float, float, float, float]:
         """The diagonal of P."""

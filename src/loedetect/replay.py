@@ -2,9 +2,15 @@
 
 Replaying a log feeds the exact same per-sample pipeline the streaming
 detector runs, so offline results are bit-identical to online processing of
-the same samples. A sweep conditions each log once per distinct conditioning
-key, then runs the estimator of every (log, distinct estimator key) pair in
-one lane pass: one numpy lane per pair, all stepped together by
+the same samples. A sweep conditions every log at once, one pass per
+distinct conditioning key with one numpy lane per log: ``push``'s checks and
+the takeoff gate per log, the filter bank by ``filters.filter_lanes`` on
+blocks of every log's samples, and the differencing at the ticks, all
+bit-identical to ``Conditioner.push``. It holds about three (block, 7, logs)
+arrays and the (ticks, 8, logs) rows of every tick. A log the lanes flag is
+replayed through ``Conditioner``, which raises its own error. The sweep then
+runs the estimator of every (log, distinct estimator key) pair in one lane
+pass: one numpy lane per pair, all stepped together by
 ``kalman.step_lanes``, which is bit-identical to ``kalman.step`` on each
 lane. Lanes run longest first, and the pass narrows as shorter runs end, so
 no lane steps past its own last tick. The failure probabilities of each
@@ -28,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,7 +50,14 @@ from .detector import (
     default_config,
 )
 from .effectiveness import signed_gains
-from .flightlog import RATE_TOLERANCE, FlightLog
+from .filters import (
+    MAX_ROTOR_SPEED_RAD_S,
+    STEP_TOLERANCE,
+    FilterCoefficients,
+    design_lowpass,
+    filter_lanes,
+)
+from .flightlog import RATE_TOLERANCE, SAMPLE_BLOCK_ROWS, FlightLog
 
 
 class SampleRateMismatchError(ValueError):
@@ -199,17 +213,117 @@ class SweepResultRow:
     missed: bool
 
 
-def _armed_ticks(log: FlightLog, config: DetectorConfig) -> list[tuple]:
-    """Condition ``log`` under ``config``: per armed estimator tick, its t, ``z`` and ``w_sq`` as 8 floats."""
+# A flagged log, or a lane past its log's end, may overflow or divide by zero;
+# a clean log overflows only where the float kernel does, which does not warn
+# either.
+@np.errstate(all="ignore")
+def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tuple:
+    """``Conditioner.push`` over every log under each config, with one numpy lane per log.
+
+    ``configs`` hold distinct conditioning keys; tick set ``c * len(logs) +
+    i`` is log ``i`` under ``configs[c]``. Returns ``(ticks, n_ticks,
+    flagged)``. Rows ``:n_ticks[s]`` of ``ticks`` (n, 8, tick sets) hold
+    set ``s``'s armed estimator ticks, each its t, ``z`` and ``w_sq``:
+    bit for bit what ``push`` returns on them. ``flagged[s]`` marks a set
+    whose log fails one of ``push``'s checks, with the same float
+    comparisons; its rows mean nothing, and ``push`` raises on the log.
+    The checks and the takeoff gate run per log: the gate's window sum is
+    a running sum (``np.cumsum`` adds in order) of each sample's thrust
+    proxy less the one a window before. The filter bank runs on the lanes
+    (``_filtered_ticks``), and the differencing at its ticks.
+    """
+    width = len(logs)
+    lengths = np.array([len(log) for log in logs])
+    passes, steps_taken, thrusts = [], [], []
+    for log in logs:
+        t = np.asarray(log.t, dtype=float)
+        speeds = np.asarray(log.rotor_speeds, dtype=float)
+        steps_taken.append(np.diff(t))
+        passes.append(
+            (steps_taken[-1] > 0.0).all()
+            and np.isfinite(t).all()
+            and np.isfinite(log.gyro).all()
+            and np.isfinite(log.accel_z).all()
+            and ((0.0 <= speeds) & (speeds <= MAX_ROTOR_SPEED_RAD_S)).all()
+        )
+        w1, w2, w3, w4 = speeds.T
+        thrusts.append(w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4)
+
+    n = int(lengths.max())
+    ticks = np.zeros((max(n // config.steps_per_estimate() for config in configs), 8, len(configs) * width))
+    n_ticks = np.zeros(len(configs) * width, dtype=int)
+    flagged = np.zeros(len(configs) * width, dtype=bool)
+    for c, config in enumerate(configs):
+        steps = config.steps_per_estimate()
+        y = _filtered_ticks(logs, design_lowpass(config.lowpass, config.sensor_interval), steps)
+        tick_t = np.zeros((len(y), width))
+        for i, log in enumerate(logs):
+            tick_t[: lengths[i] // steps, i] = log.t[steps - 1 :: steps]
+        rows = np.empty((len(y), 8, width))  # t, z and w_sq of every tick, armed or not
+        rows[:, 0] = tick_t
+        rows[:1, 1:3] = 0.0  # the first tick has no predecessor
+        rows[1:, 1:3] = (y[1:, :2] - y[:-1, :2]) / (tick_t[1:] - tick_t[:-1])[:, None]
+        rows[:, 3] = y[:, 2]
+        rows[:, 4:] = y[:, 3:] * y[:, 3:]
+        gate = Conditioner(config)  # the gate's own window and level
+        for i, thrust in enumerate(thrusts):
+            rise = thrust.copy()  # thrust_k - thrust_{k-L}: what push adds to the window sum
+            rise[gate._gate_len :] -= thrust[: -gate._gate_len]
+            mean = np.cumsum(rise) / np.minimum(np.arange(1, len(rise) + 1), gate._gate_len)
+            above = mean > gate._gate_level
+            armed_at = above.argmax() if above.any() else lengths[i]
+            first, last = armed_at // steps, lengths[i] // steps  # the first armed tick; the tick count
+            s = c * width + i
+            n_ticks[s] = max(0, last - first)
+            ticks[: n_ticks[s], :, s] = rows[first:last, :, i]
+            off = np.abs(steps_taken[i] / config.sensor_interval - 1.0) >= STEP_TOLERANCE
+            flagged[s] = not passes[i] or off.any()
+    return ticks, n_ticks, flagged
+
+
+def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: int) -> np.ndarray:
+    """The filtered p, q, az and w1..w4 of every log at every ``steps``-th sample: (ticks, 7, logs).
+
+    ``filter_lanes`` runs on blocks of ``SAMPLE_BLOCK_ROWS`` samples of
+    every log at once, each block taking the bank's memory from the one
+    before, so it holds about three (block, 7, logs) arrays however long the
+    logs are. A lane past its log's end carries stale values, never read.
+    """
+    n = max(len(log) for log in logs)
+    y_ticks = np.empty((n // steps, 7, len(logs)))
+    x = np.zeros((min(n, SAMPLE_BLOCK_ROWS) + 2, 7, len(logs)))  # rows 0 and 1: the bank's memory
+    y = np.empty_like(x)
+    for start in range(0, n, SAMPLE_BLOCK_ROWS):
+        size = min(n - start, SAMPLE_BLOCK_ROWS)
+        for i, log in enumerate(logs):
+            block, rows = slice(start, start + size), slice(2, 2 + min(size, len(log) - start))
+            if rows.stop > 2:
+                x[rows, :2, i] = log.gyro[block, :2]  # r is never read downstream
+                x[rows, 2, i] = log.accel_z[block]
+                x[rows, 3:, i] = log.rotor_speeds[block]
+        if start == 0:
+            x[0] = x[1] = x[2]  # the warm start
+            y[:2] = x[:2]
+        filter_lanes(coeffs, x[: size + 2], y[: size + 2])
+        at = np.arange(start + (steps - 1 - start) % steps, start + size, steps)  # tick samples in the block
+        y_ticks[at // steps] = y[2 + at - start]
+        x[:2], y[:2] = x[size : size + 2], y[size : size + 2]
+    return y_ticks
+
+
+def _replay_conditioning(log: FlightLog, config: DetectorConfig) -> NoReturn:
+    """Raise the error ``Conditioner.push`` raises on ``log``, a log the conditioning lanes flagged."""
     push = Conditioner(config).push
-    return [(row[0], *tick[0], *tick[1]) for row in log.rows() if (tick := push(*row)) is not None]
+    for row in log.rows():
+        push(*row)
+    raise RuntimeError("the conditioning lanes flagged a log that Conditioner.push accepts")
 
 
 def _lane_pass(ticks: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs: list) -> tuple:
     """Run lane ``l``: ``configs[l]``'s estimator over the first ``n_ticks[l]`` ticks of tick set ``sets[l]``.
 
-    ``ticks`` (n, 8, tick sets) holds the ``_armed_ticks`` rows of each
-    tick set. Lanes come longest first, so the lanes still running at a tick
+    ``ticks`` (n, 8, tick sets) holds the ``_condition_lanes`` rows of
+    each tick set. Lanes come longest first, so the lanes still running at a tick
     are a prefix, and the pass narrows to them as the others end. Returns
     ``(K, V, offsets, tripped)``: ``K`` and ``V`` (4, N) hold the estimates
     and variances after tick ``t`` of lane ``l`` in column ``offsets[t] +
@@ -245,18 +359,20 @@ def _lane_pass(ticks: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs
 def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[list[EvaluationResult]]:
     """Evaluate each log under every config: per log, one result per config in order.
 
-    Conditioning runs once per distinct (log, conditioning key). Estimation
-    runs once per distinct (log, estimator key), each such run one lane of a
-    single ``_lane_pass``. The failure probabilities of each distinct
+    Conditioning runs once per distinct conditioning key, over every log at
+    once (``_condition_lanes``). Estimation runs once per distinct (log,
+    estimator key), each such run one lane of a single ``_lane_pass``. The failure probabilities of each distinct
     ``k_threshold`` under a key are then taken on its sub-threshold
     estimates only, and configs that differ only in
     ``probability_threshold`` share them. Each config latches by first
     exceedance, so each result equals ``evaluate_log(log, config)``.
 
     Errors come as a serial replay of every (log, config) meets them: log
-    by log, and within a log key by key in first-appearance order. A failed
-    sample-rate or conditioning check ends the conditioning and is raised
-    unless a lane before it trips. The first tripped lane is replayed with
+    by log, and within a log key by key in first-appearance order. The walk
+    over the logs ends at the first failed sample-rate check, or at the
+    first (log, conditioning key) the lanes flag, which is replayed through
+    ``Conditioner`` to raise its own error; that error is raised unless a
+    lane before it trips. The first tripped lane is replayed with
     ``evaluate_log``, which raises what the float kernel raises.
     """
     # estimator key -> k_threshold -> distinct configs, all in first-appearance order
@@ -266,32 +382,32 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
         by_threshold.setdefault(config.decision.k_threshold, []).append(config)
     keys = list(groups.values())
     firsts = [next(iter(by_threshold.values()))[0] for by_threshold in keys]
-    tick_sets: list[list[tuple]] = []  # per distinct (log, conditioning key)
+    conditioning: dict[tuple, DetectorConfig] = {}  # conditioning key -> its first config
+    for first in firsts:
+        conditioning.setdefault(first.conditioning_key(), first)
+    ckeys = list(conditioning)
+    key_sets = [ckeys.index(first.conditioning_key()) * len(logs) for first in firsts]
+    tick_sets, n_armed, flagged = _condition_lanes(logs, list(conditioning.values()))
     lanes: list[tuple[int, int, int]] = []  # (log, tick set, key) per (log, estimator key), in error order
     error = None
     for i, log in enumerate(logs):
         try:
             for config in configs:
                 _check_sample_rate(log, config)
-            by_ckey: dict[tuple, int] = {}
             for key, first in enumerate(firsts):
-                ckey = first.conditioning_key()
-                if ckey not in by_ckey:
-                    tick_sets.append(_armed_ticks(log, first))
-                    by_ckey[ckey] = len(tick_sets) - 1
-                lanes.append((i, by_ckey[ckey], key))
+                s = key_sets[key] + i
+                if flagged[s]:
+                    _replay_conditioning(log, first)
+                lanes.append((i, s, key))
         except ValueError as exc:
             error = exc
             break
     if not lanes:
         raise error
 
-    n_ticks = np.array([len(tick_sets[s]) for _, s, _ in lanes])
-    ticks = np.zeros((n_ticks.max(), 8, len(tick_sets)))
-    for s, rows in enumerate(tick_sets):
-        if rows:
-            ticks[: len(rows), :, s] = rows
     sets = np.array([s for _, s, _ in lanes])
+    n_ticks = n_armed[sets]
+    ticks = tick_sets[: n_ticks.max()]
     run = np.argsort(-n_ticks, kind="stable")  # lanes, longest first
     K, V, offsets, tripped = _lane_pass(ticks, sets[run], n_ticks[run], [firsts[lanes[l][2]] for l in run])
     if tripped.size:

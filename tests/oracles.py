@@ -151,6 +151,13 @@ def state_from_arrays(x, P):
     return EstimatorState(tuple(x.tolist()), tuple(P[np.triu_indices(4)].tolist()))
 
 
+def state_arrays(state):
+    """``(x, P)``: an ``EstimatorState``'s estimates and its exactly symmetric 4x4 ``P``, as fresh arrays."""
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = state.p_upper
+    P = np.array([[p00, p01, p02, p03], [p01, p11, p12, p13], [p02, p12, p22, p23], [p03, p13, p23, p33]])
+    return np.array(state.k), P
+
+
 def _dot4(u, v):
     """``u . v`` summed left to right, never by a BLAS reduction."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
@@ -158,8 +165,9 @@ def _dot4(u, v):
 
 def oracle_kalman_step(state, H, z, noise):
     """``kalman.step``: the rows of ``H`` as scalar updates, in order."""
-    P = state.P + noise.process_noise_q * np.eye(4)
-    y = [z_j - _dot4(h, state.x) for h, z_j in zip(H, z)]
+    x, P = state_arrays(state)
+    P = P + noise.process_noise_q * np.eye(4)
+    y = [z_j - _dot4(h, x) for h, z_j in zip(H, z)]
     dx = np.zeros(4)
     for h, y_j in zip(H, y):
         a = P[:, 0] * h[0] + P[:, 1] * h[1] + P[:, 2] * h[2] + P[:, 3] * h[3]
@@ -167,7 +175,7 @@ def oracle_kalman_step(state, H, z, noise):
         dx = dx + a * ((y_j - _dot4(h, dx)) / s)
         P = P - np.outer(a, a / s)
         P = np.triu(P) + np.triu(P, 1).T  # the upper triangle, mirrored
-    return state_from_arrays(np.clip(state.x + dx, kalman.K_MIN, kalman.K_MAX), P)
+    return state_from_arrays(np.clip(x + dx, kalman.K_MIN, kalman.K_MAX), P)
 
 
 def oracle_failure_probabilities(k_hat, variances, k_threshold):
@@ -189,8 +197,8 @@ class OracleDetector:
         self._publish()
 
     def _publish(self):
-        self._k = self._estimator.x
-        self._var = self._estimator.P.diagonal()
+        self._k, P = state_arrays(self._estimator)
+        self._var = P.diagonal()
         self._pfail = oracle_failure_probabilities(self._k, self._var, self.config.decision.k_threshold)
 
     def process_sample(self, raw):

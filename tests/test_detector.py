@@ -32,7 +32,14 @@ from loedetect.filters import FilterDesign, FilterState, RawSample, design_lowpa
 from loedetect.effectiveness import VehicleParams, observation_rows
 
 from budget import budget_stream, step_runtime_budget
-from oracles import OracleConditioner, OracleDetector, narrow_bank_step, oracle_arming_index, sample_values
+from oracles import (
+    OracleConditioner,
+    OracleDetector,
+    narrow_bank_step,
+    oracle_arming_index,
+    sample_values,
+    state_arrays,
+)
 
 
 def hover_sample(i, dt=0.002, speed=700.357, az=-9.81):
@@ -56,7 +63,7 @@ def idle_sample(i, dt=0.002, speed=200.0):
 def test_create_starts_disarmed_at_nominal_estimate():
     det = Detector(default_config())
     assert det.armed is False
-    assert np.array_equal(det.estimator_state.x, np.ones(4))
+    assert np.array_equal(state_arrays(det.estimator_state)[0], np.ones(4))
     out = det.process_sample(hover_sample(0))
     assert np.array_equal(out.k_hat, np.ones(4))
 
@@ -592,7 +599,7 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
 
     hour = 180_000
     state, status, _ = run(kalman.init(), DetectionStatus(), [(hover_z, hover_w_sq)] * hour)
-    P = state.P
+    P = state_arrays(state)[1]
     assert np.isfinite(P).all() and np.array_equal(P, P.T)
     assert np.linalg.eigvalsh(P).min() > 0.0
     # along the unobservable (1, -1, 1, -1) direction each diagonal entry grows by q/4 per tick
@@ -603,7 +610,8 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
     after_500 = run(state, status, loss)
     for state, status, _ in (after_hour, after_500):
         assert status.failed == (False, False, True, False)
-        assert np.isfinite(state.P).all() and np.linalg.eigvalsh(state.P).min() > 0.0
+        P = state_arrays(state)[1]
+        assert np.isfinite(P).all() and np.linalg.eigvalsh(P).min() > 0.0
     assert after_hour[2] == after_500[2] is not None
 
 
@@ -801,9 +809,11 @@ def test_published_snapshots_are_read_only():
     for published in (out.k_hat, out.variances, out.p_fail):
         with pytest.raises(TypeError):
             published[0] = 0.5
-    state = det.estimator_state
-    state.x[0] = 0.5  # a fresh array: writable, and the detector's own state is untouched
+    x, P = state_arrays(det.estimator_state)
+    x[0] = 0.5  # fresh arrays: writable, and the detector's own state is untouched
+    P[0, 0] = 0.5
     assert out.k_hat[0] != 0.5
+    assert det.estimator_state.k[0] != 0.5 and det.estimator_state.p_upper[0] != 0.5
 
 
 ONBOARD_MODULES = ("filters", "effectiveness", "kalman", "decision", "detector")

@@ -9,6 +9,7 @@ from loedetect.filters import (
     FilterState,
     design_lowpass,
     differentiate,
+    filter_lanes,
     filter_step,
     frequency_response,
 )
@@ -211,6 +212,53 @@ def test_filter_step_equals_array_oracle():
         out = filter_step(mine, [*rates.tolist(), accel_z, *speeds.tolist()])
         want = oracle.step(np.concatenate([rates, [accel_z], speeds]))
         assert np.array_equal(np.array(out), want)
+
+
+def _lanes_warm_started(samples):
+    """``filter_lanes``'s (N + 2, ...) input and output for ``samples``, memory rows set to the warm start."""
+    x = np.concatenate([samples[:1], samples[:1], samples])
+    y = np.empty_like(x)
+    y[:2] = x[:2]
+    return x, y
+
+
+@pytest.mark.parametrize("n_logs", [1, 6, 26])
+def test_filter_lanes_equals_filter_step_bit_for_bit(n_logs):
+    # The sweep's second source of the recursion: every lane of a stream at
+    # once, compared by bytes (which tell -0.0 from 0.0) with ``filter_step``
+    # run sample by sample on that lane.
+    rng = np.random.default_rng(40 + n_logs)
+    coeffs = design_lowpass(FilterDesign(natural_frequency=rng.uniform(20.0, 300.0), damping_ratio=0.4), DT)
+    n = 400
+    samples = rng.normal(size=(n, len(CHANNELS), n_logs)) * 10.0 ** rng.uniform(-3.0, 3.0, (len(CHANNELS), n_logs))
+    samples[:, :, 0] = np.where(rng.uniform(size=(n, len(CHANNELS))) < 0.2, -0.0, samples[:, :, 0])
+    x, y = _lanes_warm_started(samples)
+    filter_lanes(coeffs, x, y)
+    assert x[2:].tobytes() == samples.tobytes()  # the input is left as it was
+    for lane in range(n_logs):
+        state = FilterState(coeffs)
+        want = np.array([filter_step(state, samples[k, :, lane].tolist()) for k in range(n)])
+        assert np.ascontiguousarray(y[2:, :, lane]).tobytes() == want.tobytes()
+
+    # Blocks that take the bank's memory from the block before give the same bytes.
+    whole = y[2:].copy()
+    x, y = _lanes_warm_started(samples[:150])
+    filter_lanes(coeffs, x, y)
+    head = y[2:].copy()
+    x2 = np.concatenate([x[-2:], samples[150:]])
+    y2 = np.empty_like(x2)
+    y2[:2] = y[-2:]
+    filter_lanes(coeffs, x2, y2)
+    assert np.concatenate([head, y2[2:]]).tobytes() == whole.tobytes()
+
+
+def test_filter_lanes_of_one_sample_is_the_warm_start_output():
+    coeffs = design_lowpass(FilterDesign(), DT)
+    samples = np.arange(2.0 * len(CHANNELS)).reshape(1, len(CHANNELS), 2) - 5.0
+    x, y = _lanes_warm_started(samples)
+    filter_lanes(coeffs, x, y)
+    want = [filter_step(FilterState(coeffs), samples[0, :, lane].tolist()) for lane in range(2)]
+    assert y[2:].tobytes() == np.array(want).T[None].tobytes()
 
 
 def test_filter_step_rejects_wrong_channel_count():

@@ -8,7 +8,7 @@ from loedetect import kalman
 from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix, signed_gains
 from loedetect.kalman import EstimatorState, NoiseConfig
 
-from oracles import _dot4, oracle_kalman_step, state_from_arrays
+from oracles import _dot4, oracle_kalman_step, state_arrays, state_from_arrays
 
 TABLE_NOISE = NoiseConfig()  # q = 0.1, r = 1
 
@@ -28,26 +28,28 @@ def random_observation(rng, gains=DEFAULT_GAINS):
 
 
 def test_init_defaults():
-    st = kalman.init()
-    assert np.array_equal(st.x, np.ones(4))
-    assert np.array_equal(st.P, np.eye(4))
+    x, P = state_arrays(kalman.init())
+    assert np.array_equal(x, np.ones(4))
+    assert np.array_equal(P, np.eye(4))
 
 
 def test_zero_innovation_leaves_state_unchanged():
     rng = np.random.default_rng(10)
-    st = state_from_arrays(np.array([1.0, 0.8, 0.6, 1.2]), 0.5 * np.eye(4))
+    x = np.array([1.0, 0.8, 0.6, 1.2])
+    st = state_from_arrays(x, 0.5 * np.eye(4))
     H = random_observation(rng)
-    z = np.array([_dot4(h, st.x) for h in H])  # the kernel's own sum: y is exactly zero
+    z = np.array([_dot4(h, x) for h in H])  # the kernel's own sum: y is exactly zero
     out = kalman.step(st, H, z, TABLE_NOISE)
-    assert np.array_equal(out.x, st.x)
+    assert np.array_equal(state_arrays(out)[0], x)
 
 
 def test_zero_initial_variance_and_zero_innovation():
-    st = state_from_arrays(np.ones(4), np.zeros((4, 4)))
+    x = np.ones(4)
+    st = state_from_arrays(x, np.zeros((4, 4)))
     H = random_observation(np.random.default_rng(11))
-    z = np.array([_dot4(h, st.x) for h in H])  # the kernel's own sum: y is exactly zero
+    z = np.array([_dot4(h, x) for h in H])  # the kernel's own sum: y is exactly zero
     out = kalman.step(st, H, z, TABLE_NOISE)
-    assert np.array_equal(out.x, st.x)
+    assert np.array_equal(state_arrays(out)[0], x)
 
 
 def test_no_excitation_grows_variance_by_exactly_q():
@@ -57,10 +59,9 @@ def test_no_excitation_grows_variance_by_exactly_q():
     prev = st
     for _ in range(25):
         out = kalman.step(prev, H, z, TABLE_NOISE)
-        assert np.array_equal(out.x, prev.x)
-        assert np.array_equal(
-            out.P.diagonal(), prev.P.diagonal() + TABLE_NOISE.process_noise_q
-        )
+        (x, P), (prev_x, prev_P) = state_arrays(out), state_arrays(prev)
+        assert np.array_equal(x, prev_x)
+        assert np.array_equal(P.diagonal(), prev_P.diagonal() + TABLE_NOISE.process_noise_q)
         prev = out
 
 
@@ -69,28 +70,29 @@ def test_single_step_matches_hand_built_oracle():
     st = state_from_arrays(np.ones(4), np.eye(4))
     H = observation_matrix(DEFAULT_GAINS, np.full(4, 500.0))
     z = np.array([25.0, 25.0, -3.75])
-    mine = kalman.step(st, H, z, TABLE_NOISE, clamp_state=False)
-    x_ref, p_ref = reference_step(st.x, st.P, H, z, 0.1, 1.0)
-    assert np.abs(mine.x - x_ref).max() < 1e-10
-    assert np.abs(mine.P - 0.5 * (p_ref + p_ref.T)).max() < 1e-10
+    x, P = state_arrays(kalman.step(st, H, z, TABLE_NOISE, clamp_state=False))
+    x_ref, p_ref = reference_step(*state_arrays(st), H, z, 0.1, 1.0)
+    assert np.abs(x - x_ref).max() < 1e-10
+    assert np.abs(P - 0.5 * (p_ref + p_ref.T)).max() < 1e-10
     clamped = kalman.step(st, H, z, TABLE_NOISE)
-    assert np.array_equal(clamped.x, np.clip(mine.x, 0.0, 1.5))
+    assert np.array_equal(state_arrays(clamped)[0], np.clip(x, 0.0, 1.5))
 
 
 def test_hundred_step_trajectory_matches_dense_oracle():
     rng = np.random.default_rng(12)
     k_true = np.array([1.0, 1.0, 0.2, 0.9])
     mine = kalman.init()
-    x_ref, p_ref = mine.x.copy(), mine.P.copy()
+    x_ref, p_ref = state_arrays(mine)
     for _ in range(100):
         H = random_observation(rng)
         z = H @ k_true + rng.normal(0.0, 0.5, 3)
         mine = kalman.step(mine, H, z, TABLE_NOISE, clamp_state=False)
         x_ref, p_ref = reference_step(x_ref, p_ref, H, z, 0.1, 1.0)
-        assert np.linalg.norm(mine.x - x_ref) <= 1e-9 * max(1.0, np.linalg.norm(x_ref))
-        assert np.linalg.norm(mine.P - p_ref) <= 1e-9 * np.linalg.norm(p_ref)
-        assert np.abs(mine.P - mine.P.T).max() <= 1e-12
-        assert np.linalg.eigvalsh(mine.P).min() >= -1e-10
+        x, P = state_arrays(mine)
+        assert np.linalg.norm(x - x_ref) <= 1e-9 * max(1.0, np.linalg.norm(x_ref))
+        assert np.linalg.norm(P - p_ref) <= 1e-9 * np.linalg.norm(p_ref)
+        assert np.abs(P - P.T).max() <= 1e-12
+        assert np.linalg.eigvalsh(P).min() >= -1e-10
 
 
 def test_convergence_under_persistent_excitation():
@@ -100,7 +102,7 @@ def test_convergence_under_persistent_excitation():
     for _ in range(200):
         H = random_observation(rng)
         st = kalman.step(st, H, H @ k_true, TABLE_NOISE)
-    assert np.abs(st.x - k_true).max() <= 1e-3
+    assert np.abs(state_arrays(st)[0] - k_true).max() <= 1e-3
 
 
 def test_equal_speeds_leave_null_component_unchanged():
@@ -108,14 +110,16 @@ def test_equal_speeds_leave_null_component_unchanged():
     rng = np.random.default_rng(14)
     null = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
     st = state_from_arrays(np.array([1.0, 0.9, 1.1, 1.0]), 0.4 * np.eye(4))
-    base = float(null @ st.x)
-    var = float(null @ st.P @ null)
+    x, P = state_arrays(st)
+    base = float(null @ x)
+    var = float(null @ P @ null)
     for _ in range(30):
         w = np.full(4, rng.uniform(400.0, 900.0))
         H = observation_matrix(DEFAULT_GAINS, w)
         st = kalman.step(st, H, H @ np.ones(4) + rng.normal(0, 0.1, 3), TABLE_NOISE, clamp_state=False)
-        assert abs(float(null @ st.x) - base) <= 1e-12
-        new_var = float(null @ st.P @ null)
+        x, P = state_arrays(st)
+        assert abs(float(null @ x) - base) <= 1e-12
+        new_var = float(null @ P @ null)
         assert new_var == pytest.approx(var + TABLE_NOISE.process_noise_q, rel=1e-9)
         var = new_var
 
@@ -123,11 +127,13 @@ def test_equal_speeds_leave_null_component_unchanged():
 def test_step_clamps_estimate_into_bounds():
     # H = 0 leaves x as it was, so only the clamp acts
     H, z = np.zeros((3, 4)), np.zeros(3)
-    st = state_from_arrays(np.array([-0.2, 0.5, 1.0, 2.0]), np.eye(4))
-    assert np.array_equal(kalman.step(st, H, z, TABLE_NOISE).x, [0.0, 0.5, 1.0, 1.5])
-    assert np.array_equal(kalman.step(st, H, z, TABLE_NOISE, clamp_state=False).x, st.x)
-    inside = state_from_arrays(np.array([0.0, 0.3, 1.2, 1.5]), np.eye(4))
-    assert np.array_equal(kalman.step(inside, H, z, TABLE_NOISE).x, inside.x)
+    x = np.array([-0.2, 0.5, 1.0, 2.0])
+    st = state_from_arrays(x, np.eye(4))
+    assert np.array_equal(state_arrays(kalman.step(st, H, z, TABLE_NOISE))[0], [0.0, 0.5, 1.0, 1.5])
+    assert np.array_equal(state_arrays(kalman.step(st, H, z, TABLE_NOISE, clamp_state=False))[0], x)
+    x_inside = np.array([0.0, 0.3, 1.2, 1.5])
+    inside = state_from_arrays(x_inside, np.eye(4))
+    assert np.array_equal(state_arrays(kalman.step(inside, H, z, TABLE_NOISE))[0], x_inside)
 
 
 def test_non_finite_innovation_variance_is_a_hard_error():
@@ -192,9 +198,10 @@ def test_psd_and_symmetry_preserved_on_random_sequences():
         H = random_observation(rng)
         z = rng.normal(0.0, 20.0, 3)
         st = kalman.step(st, H, z, TABLE_NOISE)
-        assert np.abs(st.P - st.P.T).max() <= 1e-12
-        assert np.linalg.eigvalsh(st.P).min() >= -1e-10
-        assert np.all(st.x >= 0.0) and np.all(st.x <= 1.5)
+        x, P = state_arrays(st)
+        assert np.abs(P - P.T).max() <= 1e-12
+        assert np.linalg.eigvalsh(P).min() >= -1e-10
+        assert np.all(x >= 0.0) and np.all(x <= 1.5)
 
 
 def test_state_round_trips_arrays_bit_for_bit_and_is_immutable():
@@ -204,14 +211,15 @@ def test_state_round_trips_arrays_bit_for_bit_and_is_immutable():
     P = A @ A.T
     P = np.triu(P) + np.triu(P, 1).T  # exactly symmetric
     st = state_from_arrays(x, P)
-    assert np.array_equal(st.x, x) and np.array_equal(st.P, P)
-    assert np.array_equal(st.P, st.P.T)
+    x_back, P_back = state_arrays(st)
+    assert np.array_equal(x_back, x) and np.array_equal(P_back, P)
+    assert np.array_equal(P_back, P_back.T)
     assert st.variances() == tuple(P.diagonal().tolist())
     assert all(type(v) is float for v in st.k + st.p_upper)
-    # every access builds a fresh array: writing to one leaves the state as it was
-    st.x[0] = -1.0
-    st.P[0, 1] = -1.0
-    assert np.array_equal(st.x, x) and np.array_equal(st.P, P)
+    # every read builds fresh arrays: writing to them leaves the state as it was
+    x_back[0] = -1.0
+    P_back[0, 1] = -1.0
+    assert np.array_equal(state_arrays(st)[0], x) and np.array_equal(state_arrays(st)[1], P)
     with pytest.raises(AttributeError):
         st.k = (0.0, 0.0, 0.0, 0.0)
     with pytest.raises(AttributeError):
@@ -259,8 +267,9 @@ def test_step_equals_array_oracle_bit_for_bit():
         mine = kalman.step(mine, H, z, TABLE_NOISE)
         oracle = oracle_kalman_step(oracle, H, z, TABLE_NOISE)
         # bytes tell -0.0 from 0.0, which array_equal does not
-        assert mine.x.tobytes() == oracle.x.tobytes()
-        assert mine.P.tobytes() == oracle.P.tobytes()
+        (x, P), (x_oracle, P_oracle) = state_arrays(mine), state_arrays(oracle)
+        assert x.tobytes() == x_oracle.tobytes()
+        assert P.tobytes() == P_oracle.tobytes()
 
 
 UPPER = np.flatnonzero(np.triu(np.ones((4, 4))))  # the ``p_upper`` entries of a row-major 4x4

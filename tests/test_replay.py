@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,15 @@ import pytest
 from loedetect.decision import DetectionStatus, failure_probability
 from loedetect import decision, kalman, replay
 from loedetect import detector as detector_module
-from loedetect.detector import Conditioner, Detector, DetectorOutput, config_with, default_config
+from loedetect.detector import (
+    Conditioner,
+    Detector,
+    DetectorOutput,
+    config_from_dict,
+    config_to_dict,
+    config_with,
+    default_config,
+)
 from loedetect.flightlog import FlightLog
 from loedetect.replay import (
     SampleRateMismatchError,
@@ -25,7 +34,7 @@ from loedetect.replay import (
     write_summary_csv,
 )
 from loedetect.simulator import SensorNoiseModel, fly_scenario
-from oracles import state_from_arrays, sweep_probability_evaluations
+from oracles import state_arrays, state_from_arrays, sweep_probability_evaluations
 
 
 def _output(t, status, armed=True):
@@ -299,14 +308,14 @@ class _FaultyStep:
         n = self.calls[noise] = self.calls.get(noise, 0) + 1
         if n == raise_at:
             raise ArithmeticError(f"injected estimator failure on call {n}")
-        P = state.P
+        x, P = state_arrays(state)
         P[3, 3] = abs(P[3, 3])
-        new = self.step(state_from_arrays(state.x, P), H, z, noise)
+        new = self.step(state_from_arrays(x, P), H, z, noise)
         if n != negative_at:
             return new
-        P = new.P
+        x, P = state_arrays(new)
         P[3, 3] = -P[3, 3]
-        return state_from_arrays(new.x, P)
+        return state_from_arrays(x, P)
 
 
 class _FaultyLanes:
@@ -467,6 +476,169 @@ def test_sweep_raises_the_first_error_in_log_order(ejection_log, jobs):
         run_sweep([ejection_log, half_rate], spec, jobs=jobs)
     with pytest.raises(SampleRateMismatchError):
         run_sweep([half_rate, ejection_log], spec, jobs=jobs)
+
+
+def _head(log, n):
+    """The first ``n`` rows of ``log``, unannotated."""
+    return FlightLog(log.sample_rate_hz, log.t[:n], log.gyro[:n], log.accel_z[:n], log.rotor_speeds[:n])
+
+
+def _pushed_ticks(log, config):
+    """``Conditioner.push``'s armed ticks on ``log``, each its t, ``z`` and ``w_sq``, as (ticks, 8) floats."""
+    push = Conditioner(config).push
+    rows = [(row[0], *tick[0], *tick[1]) for row in log.rows() if (tick := push(*row)) is not None]
+    return np.array(rows, dtype=float).reshape(-1, 8)
+
+
+def _arming_sample(log, config):
+    """The index of the sample that arms ``Conditioner``'s takeoff gate on ``log``, or ``None``."""
+    conditioner = Conditioner(config)
+    for k, row in enumerate(log.rows()):
+        conditioner.push(*row)
+        if conditioner.armed:
+            return k
+    return None
+
+
+def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, takeoff_logs, ground_idle_logs):
+    # One lane pass per distinct conditioning key, over logs of unequal
+    # length: a takeoff ramp that arms mid-log and mid-period, an ejection
+    # log that arms on its first sample, a ground-idle log that never arms,
+    # a log shorter than one estimator period and a 1-row log. Every tick
+    # row is compared by bytes, which tell -0.0 from 0.0.
+    base = default_config()
+    spec = SweepSpec(
+        base=base,
+        variations=(
+            ("filter_natural_frequency", (40.0,)),
+            ("takeoff_thrust_fraction", (0.6,)),
+            ("estimator_interval", (5 * base.sensor_interval,)),
+            ("g_p", (1.2e-4,)),  # an estimator key that shares the base's conditioning
+        ),
+    )
+    configs = list({pset.config.conditioning_key(): pset.config for pset in spec.parameter_sets()}.values())
+    assert len(configs) == 4 and configs[3].steps_per_estimate() == 5
+    ramp, idle = takeoff_logs[0], _head(ground_idle_logs[0], 1700)
+    logs = [ramp, ejection_log, idle, _head(ejection_log, 4), _head(ejection_log, 1), _head(ramp, 2222)]
+    assert len({len(log) for log in logs}) == len(logs)
+    for config in configs:
+        assert 0 < _arming_sample(ramp, config) < len(ramp) - 1
+        assert _arming_sample(idle, config) is None
+        assert _arming_sample(ejection_log, config) == 0
+        assert len(logs[3]) < config.steps_per_estimate()
+    # The ramp arms mid-period under the base config, and on a tick sample
+    # itself under the 5-sample period.
+    assert _arming_sample(ramp, configs[0]) % 10 == 4
+    assert _arming_sample(ramp, configs[3]) % 5 == 4
+
+    ticks, n_ticks, flagged = replay._condition_lanes(logs, configs)
+    assert not flagged.any()
+    for c, config in enumerate(configs):
+        for i, log in enumerate(logs):
+            s = c * len(logs) + i
+            want = _pushed_ticks(log, config)
+            assert n_ticks[s] == len(want)
+            assert np.ascontiguousarray(ticks[: n_ticks[s], :, s]).tobytes() == want.tobytes(), (c, i)
+    per_log = n_ticks.reshape(len(configs), len(logs))
+    periods = np.array([len(ramp) // config.steps_per_estimate() for config in configs])
+    assert (0 < per_log[:, 0]).all() and (per_log[:, 0] < periods).all()  # the ramp arms mid-log
+    assert (per_log[:, [1, 5]] > 0).all() and (per_log[:, 2:5] == 0).all()
+
+    # And the sweep over them equals a replay of each (log, set).
+    rows = run_sweep(logs, spec)
+    for row, (pset, log) in zip(rows, [(p, log) for p in spec.parameter_sets() for log in logs]):
+        direct = evaluate_log(log, pset.config)
+        assert (row.delay_s, row.false_alarms, row.missed) == (
+            direct.detection_delay,
+            direct.false_alarm_count,
+            direct.missed_detection,
+        )
+
+
+def _first_replay_error(logs, spec):
+    """What a serial ``evaluate_log`` of every (log, set) raises first, logs in order."""
+    for log in logs:
+        for pset in spec.parameter_sets():
+            try:
+                evaluate_log(log, pset.config)
+            except (ValueError, ArithmeticError) as exc:
+                return exc
+    raise AssertionError("no replay failed")
+
+
+def _assert_sweep_raises_the_first_replay_error(logs, spec, jobs):
+    expected = _first_replay_error(logs, spec)
+    with pytest.raises((ValueError, ArithmeticError)) as caught:
+        run_sweep(logs, spec, jobs=jobs)
+    assert type(caught.value) is type(expected)
+    assert str(caught.value) == str(expected)
+    return expected
+
+
+def _flight(seed, duration=0.8):
+    return fly_scenario("hover", duration=duration, noise=SensorNoiseModel(seed=seed))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    ("field", "index", "value", "message"),
+    [("gyro", (203, 2), math.nan, "^NaN or Inf"), ("rotor_speeds", (311, 2), 2e5, "^rotor speed above")],
+    ids=["nan-in-r", "rotor-speed-above-ceiling"],
+)
+def test_sweep_raises_the_conditioning_error_of_a_log_changed_in_place(jobs, field, index, value, message):
+    # Log 2 of 3 is changed after construction, so FlightLog.validate never
+    # saw it; the lanes flag it and its replay through Conditioner raises.
+    # Neither value reaches an estimator lane as a NaN: only the check finds it.
+    logs = [_flight(61), _flight(62), _flight(63)]
+    getattr(logs[1], field)[index] = value
+    spec = SweepSpec(base=default_config(), variations=(("k_threshold", (0.15,)), ("g_q", (1.2e-4,))))
+    expected = _assert_sweep_raises_the_first_replay_error(logs, spec, jobs)
+    assert re.match(message, str(expected)) and f"t={float(logs[1].t[index[0]])!r}" in str(expected)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_raises_the_step_error_of_a_sensor_interval_just_inside_the_rate_tolerance(jobs):
+    # A 1.49-period step passes FlightLog.validate at the header rate, but not
+    # the conditioner's step check under a sensor_interval 0.9% short of it,
+    # which the sample-rate check (1%) still accepts.
+    good = _flight(64)
+    t = good.t.copy()
+    t[150:] += 0.49 * (t[1] - t[0])
+    stepped = FlightLog(good.sample_rate_hz, t, good.gyro, good.accel_z, good.rotor_speeds)
+    short = default_config().sensor_interval * 0.991
+    values = config_to_dict(default_config()) | {"sensor_interval": short, "estimator_interval": 10 * short}
+    spec = SweepSpec(base=config_from_dict(values), variations=(("k_threshold", (0.15,)),))
+    evaluate_log(stepped, default_config())  # the header rate's own check passes
+    expected = _assert_sweep_raises_the_first_replay_error([good, stepped], spec, jobs)
+    assert str(expected).startswith(f"timestamp step {t[150] - t[149]:.6g} s at t={float(t[150])!r} is outside")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_earlier_tripped_lane_wins_over_a_later_bad_log(ejection_log, jobs):
+    # The first log's g_az lane overflows; the second log holds a NaN. The
+    # lane comes first in log order, so the sweep raises its replay's error;
+    # with the logs swapped, the NaN comes first.
+    bad = _flight(65)
+    bad.accel_z[99] = math.nan
+    spec = SweepSpec(base=default_config(), variations=(("g_az", (1e308,)),))
+    expected = _assert_sweep_raises_the_first_replay_error([ejection_log, bad], spec, jobs)
+    assert isinstance(expected, ArithmeticError)
+    expected = _assert_sweep_raises_the_first_replay_error([bad, ejection_log], spec, jobs)
+    assert str(expected).startswith("NaN or Inf")
+
+
+def test_sweep_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_log, monkeypatch):
+    # A log the lanes flag is replayed through Conditioner; if that raises
+    # nothing, the two forms disagree, and the sweep says so.
+    condition_lanes = replay._condition_lanes
+
+    def flag_everything(logs, configs):
+        ticks, n_ticks, flagged = condition_lanes(logs, configs)
+        return ticks, n_ticks, np.ones_like(flagged)
+
+    monkeypatch.setattr(replay, "_condition_lanes", flag_everything)
+    with pytest.raises(RuntimeError, match="flagged a log that Conditioner.push accepts"):
+        run_sweep([ejection_log], SweepSpec(base=default_config(), variations=()))
 
 
 def test_raising_probability_threshold_never_speeds_detection(ejection_log):

@@ -81,9 +81,10 @@ def test_stream_counts_follow_a_non_default_estimator_interval():
 
 
 def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, monkeypatch):
-    # The sweep's layer split: the estimator runs on lanes, one lane per
+    # The sweep's layer split: conditioning runs on lanes, one pass per
+    # distinct conditioning key, and the estimator on lanes, one lane per
     # (log, distinct estimator key), stepped together once per armed tick
-    # while their runs last, so the float kernel ``kalman.step`` never runs.
+    # while their runs last, so no float kernel runs.
     # There is no per-tick decision: the failure probability runs once per
     # distinct (estimator key, k_threshold) on each sub-threshold (tick,
     # actuator) pair, and each config latches by first exceedance.
@@ -125,6 +126,8 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
+    assert metrics["filters.filter_step.calls"][0] == 0
+    assert metrics["filters.differentiate.calls"][0] == 0
     assert metrics["kalman.step.calls"][0] == 0
     assert widths == [sum(n > t for n in lane_ticks) for t in range(max(lane_ticks))]
     assert metrics["decision.decide.calls"][0] == 0
