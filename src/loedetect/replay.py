@@ -7,22 +7,22 @@ distinct conditioning key with one numpy lane per log: ``push``'s checks and
 the takeoff gate per log, the filter bank by ``filters.filter_lanes`` on
 blocks of every log's samples, and the differencing at the ticks, all
 bit-identical to ``Conditioner.push``. It holds about three (block, 7, logs)
-arrays and the (ticks, 8, logs) rows of every tick. A log the lanes flag is
-replayed through ``Conditioner``, which raises its own error. The sweep then
-runs the estimator of every (log, distinct estimator key) pair in one lane
-pass: one numpy lane per pair, all stepped together by
-``kalman.step_lanes``, which is bit-identical to ``kalman.step`` on each
-lane. Lanes run longest first, and the pass narrows as shorter runs end, so
-no lane steps past its own last tick. The failure probabilities of each
-distinct ``k_threshold`` are then taken on the estimates below it only, and
-each config latches by first exceedance (``decision.first_exceedance``),
-with the same results as a full replay. A lane that meets a NaN innovation,
-an innovation variance outside (0, inf) or a negative variance is replayed
-through ``evaluate_log``, so a sweep raises what the first failing replay
-raises. With ``jobs > 1`` each worker process runs one lane pass over a
-contiguous chunk of the logs. Evaluation produces the three metrics that
-matter for a fault detector: detection delay, false alarms, missed
-detections.
+arrays and the (ticks, 8, logs) rows of every tick. The sweep then runs the
+estimator of every (log, distinct estimator key) pair in one lane pass: one
+numpy lane per pair, all stepped together by ``kalman.step_lanes``, which is
+bit-identical to ``kalman.step`` on each lane. Lanes run longest first, and
+the pass narrows as shorter runs end, so no lane steps past its own last
+tick. The failure probabilities of each distinct ``k_threshold`` are then
+taken per lane on the estimates below it only, and each config latches by
+first exceedance (``decision.first_exceedance``), with the same results as a
+full replay. Errors come from one place: the first log that fails a
+sample-rate check, that the conditioning lanes flag or whose estimator lane
+meets a NaN innovation, an innovation variance outside (0, inf) or a
+negative variance is replayed serially through ``evaluate_log``, which
+raises what a serial replay raises. With ``jobs > 1`` each worker process
+runs one lane pass over a contiguous chunk of the logs. Evaluation produces
+the three metrics that matter for a fault detector: detection delay, false
+alarms, missed detections.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from numbers import Integral
-from typing import NoReturn
 
 import numpy as np
 
@@ -64,10 +64,15 @@ class SampleRateMismatchError(ValueError):
     """A config's ``sensor_interval`` does not match the rate of the log it meets."""
 
 
+def _mismatched_rate(log: FlightLog, config: DetectorConfig) -> bool:
+    """Whether ``config``'s ``sensor_interval`` misses ``1 / sample_rate_hz`` by more than
+    ``RATE_TOLERANCE``, the tolerance ``FlightLog.validate`` gives the header rate."""
+    return abs(config.sensor_interval * log.sample_rate_hz - 1.0) > RATE_TOLERANCE
+
+
 def _check_sample_rate(log: FlightLog, config: DetectorConfig) -> None:
-    """Reject ``config`` for ``log`` unless ``sensor_interval`` is ``1 / sample_rate_hz``
-    within ``RATE_TOLERANCE``, the tolerance ``FlightLog.validate`` gives the header rate."""
-    if abs(config.sensor_interval * log.sample_rate_hz - 1.0) > RATE_TOLERANCE:
+    """Reject ``config`` for ``log`` unless ``sensor_interval`` matches the log's rate (``_mismatched_rate``)."""
+    if _mismatched_rate(log, config):
         raise SampleRateMismatchError(
             f"config sensor_interval={config.sensor_interval!r} s does not match the log's "
             f"sample_rate_hz={log.sample_rate_hz!r} (period {1.0 / log.sample_rate_hz:.6g} s) "
@@ -311,14 +316,6 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
     return y_ticks
 
 
-def _replay_conditioning(log: FlightLog, config: DetectorConfig) -> NoReturn:
-    """Raise the error ``Conditioner.push`` raises on ``log``, a log the conditioning lanes flagged."""
-    push = Conditioner(config).push
-    for row in log.rows():
-        push(*row)
-    raise RuntimeError("the conditioning lanes flagged a log that Conditioner.push accepts")
-
-
 def _lane_pass(ticks: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs: list) -> tuple:
     """Run lane ``l``: ``configs[l]``'s estimator over the first ``n_ticks[l]`` ticks of tick set ``sets[l]``.
 
@@ -360,100 +357,77 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     """Evaluate each log under every config: per log, one result per config in order.
 
     Conditioning runs once per distinct conditioning key, over every log at
-    once (``_condition_lanes``). Estimation runs once per distinct (log,
-    estimator key), each such run one lane of a single ``_lane_pass``. The failure probabilities of each distinct
-    ``k_threshold`` under a key are then taken on its sub-threshold
-    estimates only, and configs that differ only in
-    ``probability_threshold`` share them. Each config latches by first
-    exceedance, so each result equals ``evaluate_log(log, config)``.
+    once (``_condition_lanes``). Estimation runs once per (log, distinct
+    estimator key), each such run one lane of a single ``_lane_pass``. The
+    failure probabilities of each distinct ``k_threshold`` under a key are
+    then taken on its sub-threshold estimates only, and configs that differ
+    only in ``probability_threshold`` share them. Each config latches by
+    first exceedance, so each result equals ``evaluate_log(log, config)``.
 
-    Errors come as a serial replay of every (log, config) meets them: log
-    by log, and within a log key by key in first-appearance order. The walk
-    over the logs ends at the first failed sample-rate check, or at the
-    first (log, conditioning key) the lanes flag, which is replayed through
-    ``Conditioner`` to raise its own error; that error is raised unless a
-    lane before it trips. The first tripped lane is replayed with
-    ``evaluate_log``, which raises what the float kernel raises.
+    A log is bad if a config's sample rate mismatches it, if a conditioning
+    set it uses is flagged, or if one of its lanes tripped. The first bad
+    log, in log order, is replayed serially: the sample-rate check of every
+    config, then ``evaluate_log`` under the first config of each of its bad
+    lanes, in key order. So an earlier log's trip beats a later log's failed
+    check, and within one (log, estimator key) the float replay decides
+    which error comes first. A clean sweep replays nothing.
     """
-    # estimator key -> k_threshold -> distinct configs, all in first-appearance order
-    groups: dict[tuple, dict[float, list[DetectorConfig]]] = {}
-    for config in dict.fromkeys(configs):
-        by_threshold = groups.setdefault(config.estimator_key(), {})
-        by_threshold.setdefault(config.decision.k_threshold, []).append(config)
-    keys = list(groups.values())
-    firsts = [next(iter(by_threshold.values()))[0] for by_threshold in keys]
+    # estimator key -> k_threshold -> probability_threshold -> positions in ``configs``
+    groups: dict[tuple, dict[float, dict[float, list[int]]]] = {}
+    firsts: list[DetectorConfig] = []  # the first config of each estimator key
+    for position, config in enumerate(configs):
+        estimator_key, decision = config.estimator_key(), config.decision
+        if estimator_key not in groups:
+            firsts.append(config)
+        by_probability = groups.setdefault(estimator_key, {}).setdefault(decision.k_threshold, {})
+        by_probability.setdefault(decision.probability_threshold, []).append(position)
+    by_key = list(groups.values())
     conditioning: dict[tuple, DetectorConfig] = {}  # conditioning key -> its first config
     for first in firsts:
         conditioning.setdefault(first.conditioning_key(), first)
     ckeys = list(conditioning)
-    key_sets = [ckeys.index(first.conditioning_key()) * len(logs) for first in firsts]
     tick_sets, n_armed, flagged = _condition_lanes(logs, list(conditioning.values()))
-    lanes: list[tuple[int, int, int]] = []  # (log, tick set, key) per (log, estimator key), in error order
-    error = None
-    for i, log in enumerate(logs):
-        try:
-            for config in configs:
-                _check_sample_rate(log, config)
-            for key, first in enumerate(firsts):
-                s = key_sets[key] + i
-                if flagged[s]:
-                    _replay_conditioning(log, first)
-                lanes.append((i, s, key))
-        except ValueError as exc:
-            error = exc
-            break
-    if not lanes:
-        raise error
 
-    sets = np.array([s for _, s, _ in lanes])
+    # Lane ``i * len(firsts) + key`` runs log ``i`` under estimator key ``key``.
+    key_sets = [ckeys.index(first.conditioning_key()) * len(logs) for first in firsts]
+    sets = np.array([key_set + i for i in range(len(logs)) for key_set in key_sets])
     n_ticks = n_armed[sets]
     ticks = tick_sets[: n_ticks.max()]
     run = np.argsort(-n_ticks, kind="stable")  # lanes, longest first
-    K, V, offsets, tripped = _lane_pass(ticks, sets[run], n_ticks[run], [firsts[lanes[l][2]] for l in run])
-    if tripped.size:
-        first_tripped = run[tripped].min()
-        i, _, key = lanes[first_tripped]
-        evaluate_log(logs[i], firsts[key])
-        raise RuntimeError(f"lane {first_tripped} tripped, but its replay through kalman.step did not raise")
-    if error is not None:
-        raise error
+    K, V, offsets, tripped = _lane_pass(ticks, sets[run], n_ticks[run], [firsts[l % len(firsts)] for l in run])
 
-    # Per (lane, k_threshold) entry and per actuator, the (t, p) pair of each
-    # sub-threshold tick in tick order: what ``first_exceedance`` reads. One
-    # row per (entry, tick) of its lane's run, entry by entry.
-    entries = [(lane, k_threshold) for lane, (*_, key) in enumerate(lanes) for k_threshold in keys[key]]
-    lane_of = np.array([lane for lane, _ in entries])
-    k_thresholds = np.array([k_threshold for _, k_threshold in entries])
-    lengths = n_ticks[lane_of]
-    entry_of = np.repeat(np.arange(len(entries)), lengths)
-    tick_of = np.arange(len(entry_of)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    column_in_tick = np.empty_like(run)
-    column_in_tick[run] = np.arange(len(run))
-    columns = offsets[tick_of] + column_in_tick[lane_of][entry_of]
-    a_index, row = np.nonzero(K[:, columns] < k_thresholds[entry_of])  # by actuator, then row
-    by_entry = np.argsort(entry_of[row], kind="stable")  # by entry, actuator, then tick
-    a_index, row = a_index[by_entry], row[by_entry]
-    e_index = entry_of[row]
-    picked = a_index, columns[row]
-    k_hats, variances = K[picked].tolist(), V[picked].tolist()
-    probabilities = map(failure_probability, k_hats, variances, k_thresholds[e_index].tolist())
-    times = ticks[tick_of[row], 0, sets[lane_of[e_index]]]
-    pairs = list(zip(times.tolist(), probabilities))
-    counts = np.bincount(4 * e_index + a_index, minlength=4 * len(entries))
-    bounds = [0, *np.cumsum(counts).tolist()]  # (entry, actuator) runs of ``pairs``
-    runs = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    bad = flagged[sets]
+    bad[run[tripped]] = True
+    bad = bad.reshape(len(logs), len(firsts))
+    for i, log in enumerate(logs):
+        if bad[i].any() or any(_mismatched_rate(log, config) for config in configs):
+            for config in configs:
+                _check_sample_rate(log, config)
+            for key in np.flatnonzero(bad[i]).tolist():
+                evaluate_log(log, firsts[key])
+            raise RuntimeError(f"the lanes flagged log {i}, but its serial replay raised nothing")
 
-    decided: list[dict[DetectorConfig, EvaluationResult]] = [{} for _ in logs]
-    e = 0
-    for i, _, key in lanes:
+    results: list[list[EvaluationResult]] = [[None] * len(configs) for _ in logs]
+    column = np.argsort(run)  # each lane's column within a tick
+    for lane, (s, n) in enumerate(zip(sets.tolist(), n_ticks.tolist())):
+        i, key = divmod(lane, len(firsts))
+        columns = offsets[:n] + column[lane]
+        k_hats, variances, times = K.take(columns, axis=1), V.take(columns, axis=1), ticks[:n, 0, s]
         span = float(logs[i].t[0]), float(logs[i].t[-1])
         truth = logs[i].ground_truth()
-        for same_threshold in keys[key].values():
-            records = runs[4 * e : 4 * e + 4]
-            e += 1
-            for config in same_threshold:
-                decided[i][config] = evaluate_status(first_exceedance(records, config.decision), *span, truth)
-    return [[results[config] for config in configs] for results in decided]
+        for k_threshold, by_probability in by_key[key].items():
+            picked = actuator, tick = (k_hats < k_threshold).nonzero()  # by actuator, then tick
+            probabilities = map(
+                failure_probability, k_hats[picked].tolist(), variances[picked].tolist(), repeat(k_threshold)
+            )
+            pairs = list(zip(times[tick].tolist(), probabilities))
+            bounds = [0, *actuator.searchsorted((1, 2, 3)).tolist(), len(pairs)]
+            records = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            for positions in by_probability.values():
+                result = evaluate_status(first_exceedance(records, configs[positions[0]].decision), *span, truth)
+                for position in positions:
+                    results[i][position] = result
+    return results
 
 
 def run_sweep(
@@ -626,7 +600,10 @@ def write_results_csv(rows: list[SweepResultRow], path) -> None:
 def read_results_csv(path) -> list[SweepResultRow]:
     """Read ``write_results_csv``'s file.
 
-    A wrong header or a malformed row raises ``ValueError`` naming the line.
+    A wrong header, a malformed row, a non-finite ``delay_s``, a negative
+    ``false_alarms`` or a ``missed`` other than 0 or 1 raises ``ValueError``
+    naming the line. A negative delay is kept: a latch on the failed
+    actuator before the annotated fault time gives one.
     """
     rows = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -640,15 +617,15 @@ def read_results_csv(path) -> list[SweepResultRow]:
                     continue
                 if len(record) != len(RESULTS_HEADER):
                     raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(record)}")
-                rows.append(
-                    SweepResultRow(
-                        param_set_id=record[0],
-                        log_id=record[1],
-                        delay_s=None if record[2] == "" else float(record[2]),
-                        false_alarms=int(record[3]),
-                        missed=bool(int(record[4])),
-                    )
-                )
+                delay = None if record[2] == "" else float(record[2])
+                false_alarms, missed = int(record[3]), int(record[4])
+                if delay is not None and not math.isfinite(delay):
+                    raise ValueError(f"delay_s must be finite, got {record[2]!r}")
+                if false_alarms < 0:
+                    raise ValueError(f"false_alarms must be non-negative, got {record[3]!r}")
+                if missed not in (0, 1):
+                    raise ValueError(f"missed must be 0 or 1, got {record[4]!r}")
+                rows.append(SweepResultRow(record[0], record[1], delay, false_alarms, bool(missed)))
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     return rows

@@ -10,7 +10,15 @@ import pytest
 
 from loedetect import flightlog, replay
 from loedetect.cli import main
-from loedetect.detector import CONFIG_KEYS, config_with, default_config, format_config, parse_config
+from loedetect.detector import (
+    CONFIG_KEYS,
+    config_from_dict,
+    config_to_dict,
+    config_with,
+    default_config,
+    format_config,
+    parse_config,
+)
 from loedetect.replay import run_detector
 
 
@@ -507,6 +515,63 @@ def test_report_malformed_results_file_is_usage_error(tmp_path, capsys, rows, me
     assert run_cli("report", "--results", str(results)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: bad results file {results}: ") and message in err[0]
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ("set_00_base,a,nan,0,0", "line 2: delay_s must be finite, got 'nan'"),
+        ("set_00_base,a,1e400,0,0", "line 2: delay_s must be finite, got '1e400'"),
+        ("set_00_base,a,-inf,0,0", "line 2: delay_s must be finite, got '-inf'"),
+        ("set_00_base,a,0.1,-3,0", "line 2: false_alarms must be non-negative, got '-3'"),
+        ("set_00_base,a,,0,7", "line 2: missed must be 0 or 1, got '7'"),
+        ("set_00_base,a,,0,-1", "line 2: missed must be 0 or 1, got '-1'"),
+    ],
+    ids=["nan-delay", "overflowing-delay", "minus-inf-delay", "negative-false-alarms", "missed-7", "missed-minus-1"],
+)
+def test_report_rejects_values_it_cannot_interpret(tmp_path, capsys, row, message):
+    # A NaN or overflowing delay once crashed the box plot (exit 1), and
+    # false_alarms=-3, missed=7 rendered as "fa -3" (exit 0).
+    results = tmp_path / "results.csv"
+    results.write_text(f"param_set_id,log_id,delay_s,false_alarms,missed\n{row}\n")
+    assert run_cli("report", "--results", str(results)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: bad results file {results}: {message}"]
+
+
+def test_report_keeps_a_negative_delay(tmp_path, capsys):
+    # A latch on the failed actuator before the annotated fault time.
+    results = tmp_path / "results.csv"
+    results.write_text("param_set_id,log_id,delay_s,false_alarms,missed\nset_00_base,a,-0.012,0,0\n")
+    assert run_cli("report", "--results", str(results)) == 0
+    assert "-0.0120" in capsys.readouterr().out
+
+
+def test_detect_and_sweep_print_the_same_error(tmp_path, capsys, ejection_log):
+    # A 1.49-period step near the log's end, which a sensor_interval 0.9%
+    # short turns into a step error, and g_az = 1e308, which overflows the
+    # estimator on its first armed tick. The replay meets the overflow
+    # first; the sweep must report it too, not the later step.
+    t = ejection_log.t.copy()
+    t[-5:] += 0.49 * 0.002
+    log = flightlog.FlightLog(
+        ejection_log.sample_rate_hz, t, ejection_log.gyro, ejection_log.accel_z, ejection_log.rotor_speeds
+    )
+    log_path = tmp_path / "stepped.csv"
+    flightlog.save_log(log, log_path)
+    short = 0.002 * 0.991
+    values = {"g_az": 1e308, "sensor_interval": short, "estimator_interval": 10 * short}
+    config_path = tmp_path / "tripping.cfg"
+    config_path.write_text(format_config(config_from_dict(config_to_dict(default_config()) | values)))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"parameters": {}}))
+    assert run_cli("detect", "--log", str(log_path), "--config", str(config_path)) == 1
+    detect_err = capsys.readouterr().err.splitlines()
+    out_dir = tmp_path / "out"
+    argv = ["--logs", str(log_path), "--config", str(config_path), "--spec", str(spec_path), "--out-dir", str(out_dir)]
+    assert run_cli("sweep", *argv) == 1
+    sweep_err = capsys.readouterr().err.splitlines()
+    assert detect_err == sweep_err == ["error: innovation variance s=nan is not finite and positive"]
 
 
 def test_sweep_unknown_parameter_fails_before_running(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from loedetect import detector as detector_module
 from loedetect.detector import (
     Conditioner,
     Detector,
+    DetectorConfig,
     DetectorOutput,
     config_from_dict,
     config_to_dict,
     config_with,
     default_config,
 )
+from loedetect.effectiveness import DEFAULT_GAINS
 from loedetect.flightlog import FlightLog
 from loedetect.replay import (
     SampleRateMismatchError,
@@ -627,9 +630,29 @@ def test_an_earlier_tripped_lane_wins_over_a_later_bad_log(ejection_log, jobs):
     assert str(expected).startswith("NaN or Inf")
 
 
+def test_sweep_replays_the_log_of_the_lane_that_tripped(ejection_log, ground_idle_logs):
+    # The idle log never arms, so its lanes run no tick and come last in
+    # the lane pass; the ejection log's g_az lane trips. The sweep must
+    # replay the ejection log, not the log whose lane sits at the tripped
+    # lane's place in the pass.
+    spec = SweepSpec(base=default_config(), variations=(("g_az", (1e308,)),))
+    expected = _assert_sweep_raises_the_first_replay_error([ground_idle_logs[0], ejection_log], spec, jobs=1)
+    assert str(expected).startswith("innovation variance s=nan")
+
+
+def test_sweep_raises_the_rate_error_of_a_log_no_lane_flags(ejection_log):
+    # A sensor_interval 2% long fails the 1% sample-rate check, but its steps
+    # pass the conditioner's (0.5, 1.5) check, so no lane flags the log.
+    long = default_config().sensor_interval * 1.02
+    values = config_to_dict(default_config()) | {"sensor_interval": long, "estimator_interval": 10 * long}
+    spec = SweepSpec(base=config_from_dict(values), variations=())
+    expected = _assert_sweep_raises_the_first_replay_error([ejection_log], spec, jobs=1)
+    assert isinstance(expected, SampleRateMismatchError)
+
+
 def test_sweep_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_log, monkeypatch):
-    # A log the lanes flag is replayed through Conditioner; if that raises
-    # nothing, the two forms disagree, and the sweep says so.
+    # A log the lanes flag is replayed serially; if that raises nothing, the
+    # two forms disagree, and the sweep says so.
     condition_lanes = replay._condition_lanes
 
     def flag_everything(logs, configs):
@@ -637,8 +660,61 @@ def test_sweep_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_log, mo
         return ticks, n_ticks, np.ones_like(flagged)
 
     monkeypatch.setattr(replay, "_condition_lanes", flag_everything)
-    with pytest.raises(RuntimeError, match="flagged a log that Conditioner.push accepts"):
+    with pytest.raises(RuntimeError, match="^the lanes flagged log 0, but its serial replay raised nothing$"):
         run_sweep([ejection_log], SweepSpec(base=default_config(), variations=()))
+
+
+def test_sweep_refuses_a_trip_the_float_kernel_does_not_confirm(ejection_log, monkeypatch):
+    # The same for a lane the lane pass reports tripped: its replay through
+    # evaluate_log raises nothing, and the sweep says so.
+    lane_pass = replay._lane_pass
+
+    def trip_everything(ticks, sets, n_ticks, configs):
+        K, V, offsets, _ = lane_pass(ticks, sets, n_ticks, configs)
+        return K, V, offsets, np.arange(len(sets))
+
+    monkeypatch.setattr(replay, "_lane_pass", trip_everything)
+    spec = SweepSpec(base=default_config(), variations=(("g_q", (1.2e-4,)),))
+    with pytest.raises(RuntimeError, match="^the lanes flagged log 0, but its serial replay raised nothing$"):
+        run_sweep([ejection_log], spec)
+
+
+def _late_step(log):
+    """``log`` with its last five timestamps 0.49 periods late: a 1.49-period step ``validate`` accepts."""
+    t = log.t.copy()
+    t[-5:] += 0.49 * 0.002
+    return FlightLog(
+        log.sample_rate_hz, t, log.gyro, log.accel_z, log.rotor_speeds, log.fault_actuator, log.fault_time_s
+    )
+
+
+def _late_nan_in_r(log):
+    """``log`` with a NaN yaw rate five samples from its end, set after ``validate`` ran."""
+    changed = FlightLog(
+        log.sample_rate_hz, log.t, log.gyro.copy(), log.accel_z, log.rotor_speeds, log.fault_actuator, log.fault_time_s
+    )
+    changed.gyro[-5, 2] = math.nan
+    return changed
+
+
+@pytest.mark.parametrize("corrupt", [_late_step, _late_nan_in_r], ids=["late-step", "late-nan-in-r"])
+def test_sweep_raises_the_estimator_error_that_comes_before_a_late_conditioning_error(ejection_log, corrupt):
+    # The lanes flag the log for a fault near its end, but g_az = 1e308
+    # overflows the estimator on its first armed tick. A serial replay
+    # raises the overflow, so the sweep must too. A sensor_interval 0.9%
+    # short passes the sample-rate check and turns the 1.49-period step
+    # into one the conditioner rejects.
+    short = 0.002 * 0.991
+    config = DetectorConfig(
+        gains=replace(DEFAULT_GAINS, g_az=1e308), sensor_interval=short, estimator_interval=short * 10
+    )
+    log = corrupt(ejection_log)
+    with pytest.raises(ArithmeticError) as expected:
+        evaluate_log(log, config)
+    with pytest.raises((ValueError, ArithmeticError)) as caught:
+        run_sweep([log], SweepSpec(base=config, variations=()))
+    assert type(caught.value) is type(expected.value)
+    assert str(caught.value) == str(expected.value)
 
 
 def test_raising_probability_threshold_never_speeds_detection(ejection_log):

@@ -118,6 +118,8 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     monkeypatch.setattr(
         kalman, "step_lanes", lambda k, *args: widths.append(k.shape[1]) or real_step_lanes(k, *args)
     )
+    replays = []  # a clean sweep never reaches its serial-replay fallback
+    monkeypatch.setattr(replay, "evaluate_log", lambda *args: replays.append(args))
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -133,6 +135,7 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     assert metrics["decision.decide.calls"][0] == 0
     assert metrics["decision.failure_probabilities.calls"][0] == 0
     assert len(evaluations) == expected_evaluations
+    assert replays == []
 
 
 def test_simulator_steps_per_sample_and_corrupts_sensors_once_per_flight():
