@@ -102,7 +102,8 @@ def first_exceedance(records, config: DecisionConfig) -> DetectionStatus:
     ``records`` holds one sequence per actuator of ``(t, p)`` pairs, in tick
     order: ``p = failure_probability(k_hat, variance, config.k_threshold)``
     on each tick whose ``k_hat < config.k_threshold``. Each actuator latches
-    at its first ``p > config.probability_threshold``.
+    at its first ``p > config.probability_threshold``, so a sequence may end
+    at any pair from that one on.
 
     This equals folding ``decide(failure_probabilities(...))`` over every
     tick of the run, from a fresh ``DetectionStatus``:

@@ -13,16 +13,17 @@ numpy lane per pair, all stepped together by ``kalman.step_lanes``, which is
 bit-identical to ``kalman.step`` on each lane. Lanes run longest first, and
 the pass narrows as shorter runs end, so no lane steps past its own last
 tick. The failure probabilities of each distinct ``k_threshold`` are then
-taken per lane on the estimates below it only, and each config latches by
-first exceedance (``decision.first_exceedance``), with the same results as a
-full replay. Errors come from one place: the first log that fails a
-sample-rate check, that the conditioning lanes flag or whose estimator lane
-meets a NaN innovation, an innovation variance outside (0, inf) or a
-negative variance is replayed serially through ``evaluate_log``, which
-raises what a serial replay raises. With ``jobs > 1`` each worker process
-runs one lane pass over a contiguous chunk of the logs. Evaluation produces
-the three metrics that matter for a fault detector: detection delay, false
-alarms, missed detections.
+taken per lane on the estimates below it only, each actuator's up to the
+first probability that latches every config sharing them, and each config
+latches by first exceedance (``decision.first_exceedance``), with the same
+results as a full replay. Errors come from one place: the first log that
+fails a sample-rate check, that the conditioning lanes flag or whose
+estimator lane meets a NaN innovation, an innovation variance outside (0,
+inf) or a negative variance is replayed serially through ``evaluate_log``,
+which raises what a serial replay raises. With ``jobs > 1`` each worker
+process runs one lane pass over a contiguous chunk of the logs. Evaluation
+produces the three metrics that matter for a fault detector: detection
+delay, false alarms, missed detections.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from numbers import Integral
 
 import numpy as np
@@ -353,6 +353,22 @@ def _lane_pass(ticks: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs
     return K, V, offsets, np.unique(lane_of_column[bad])
 
 
+def _exceedance_record(times: list, k_hats: list, variances: list, k_threshold: float, top: float) -> list:
+    """One actuator's ``(t, p)`` pairs on its sub-threshold ticks, in tick order.
+
+    The record stops at the first ``p > top``: every config whose
+    ``probability_threshold`` is at most ``top`` has latched by then, so
+    ``first_exceedance`` never reads past it.
+    """
+    record = []
+    for t, k_hat, variance in zip(times, k_hats, variances):
+        p = failure_probability(k_hat, variance, k_threshold)
+        record.append((t, p))
+        if p > top:
+            break
+    return record
+
+
 def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[list[EvaluationResult]]:
     """Evaluate each log under every config: per log, one result per config in order.
 
@@ -360,9 +376,11 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     once (``_condition_lanes``). Estimation runs once per (log, distinct
     estimator key), each such run one lane of a single ``_lane_pass``. The
     failure probabilities of each distinct ``k_threshold`` under a key are
-    then taken on its sub-threshold estimates only, and configs that differ
-    only in ``probability_threshold`` share them. Each config latches by
-    first exceedance, so each result equals ``evaluate_log(log, config)``.
+    then taken on its sub-threshold estimates only, per actuator up to the
+    first one above the largest ``probability_threshold`` that shares them
+    (configs that differ only in ``probability_threshold`` do). Each config
+    latches by first exceedance, so each result equals ``evaluate_log(log,
+    config)``.
 
     A log is bad if a config's sample rate mismatches it, if a conditioning
     set it uses is flagged, or if one of its lanes tripped. The first bad
@@ -417,12 +435,13 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
         truth = logs[i].ground_truth()
         for k_threshold, by_probability in by_key[key].items():
             picked = actuator, tick = (k_hats < k_threshold).nonzero()  # by actuator, then tick
-            probabilities = map(
-                failure_probability, k_hats[picked].tolist(), variances[picked].tolist(), repeat(k_threshold)
-            )
-            pairs = list(zip(times[tick].tolist(), probabilities))
-            bounds = [0, *actuator.searchsorted((1, 2, 3)).tolist(), len(pairs)]
-            records = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            t_below, k_below, v_below = times[tick].tolist(), k_hats[picked].tolist(), variances[picked].tolist()
+            bounds = [0, *actuator.searchsorted((1, 2, 3)).tolist(), len(tick)]
+            top = max(by_probability)  # the group's largest probability_threshold
+            records = [
+                _exceedance_record(t_below[lo:hi], k_below[lo:hi], v_below[lo:hi], k_threshold, top)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
             for positions in by_probability.values():
                 result = evaluate_status(first_exceedance(records, configs[positions[0]].decision), *span, truth)
                 for position in positions:

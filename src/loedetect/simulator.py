@@ -100,31 +100,6 @@ class SensorNoiseModel:
         return replace(self, **{name: getattr(self, name) * factor for name in _MAGNITUDES})
 
 
-# --------------------------------------------------------------------------
-# Quaternion helpers (w, x, y, z convention, body-to-world).
-
-
-def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def _roll_pitch(q: list[float]) -> tuple[float, float]:
-    w, x, y, z = q
-    roll = math.atan2(2 * (w * x + y * z), 1 - 2 * (x * x + y * y))
-    pitch = math.asin(max(-1.0, min(1.0, 2 * (w * y - z * x))))
-    return roll, pitch
-
-
-# --------------------------------------------------------------------------
-
-
 def hover_state(params: VehicleParams) -> SimState:
     """Trimmed hover 1.5 m above the ground (NED: z = -1.5)."""
     return SimState(
@@ -184,21 +159,29 @@ def dynamics_step(
         raise ValueError("dt must be positive")
     lo, hi = params.rotor_speed_limits
     decay = math.exp(-dt / params.motor_time_constant)
-    speeds = []
-    for sp, w in zip(rotor_setpoints, state.rotor_speeds, strict=True):
-        x = sp + (w - sp) * decay
-        speeds.append(hi if x > hi else lo if x < lo else x)
+    s0, s1, s2, s3 = rotor_setpoints  # a ValueError unless four
+    w0, w1, w2, w3 = state.rotor_speeds
+    x0, x1 = s0 + (w0 - s0) * decay, s1 + (w1 - s1) * decay
+    x2, x3 = s2 + (w2 - s2) * decay, s3 + (w3 - s3) * decay
+    speeds = [
+        hi if x0 > hi else lo if x0 < lo else x0,
+        hi if x1 > hi else lo if x1 < lo else x1,
+        hi if x2 > hi else lo if x2 < lo else x2,
+        hi if x3 > hi else lo if x3 < lo else x3,
+    ]
 
     m_x, m_y, m_z, thrust = _moments_and_thrust(speeds, state.true_k, params)
     if external_moment is not None:
         e_x, e_y, e_z = external_moment
         m_x, m_y, m_z = m_x + e_x, m_y + e_y, m_z + e_z
     ix, iy, iz = params.inertia_diag
-    f_z = -thrust / params.mass  # body-frame specific force, along body z only
+    mass = params.mass
+    f_z = -thrust / mass  # body-frame specific force, along body z only
     if external_force is None:
         a_x = a_y = a_z = 0.0
     else:
-        a_x, a_y, a_z = [f / params.mass for f in external_force]
+        e_x, e_y, e_z = external_force
+        a_x, a_y, a_z = e_x / mass, e_y / mass, e_z / mass
 
     # omega_dot = (M - omega x I omega) / I, q_dot = q * (0, omega) / 2,
     # v_dot = R(q) f_body + g + a_ext with R's third column written out.
@@ -216,9 +199,9 @@ def dynamics_step(
     dqx1 = 0.5 * (qw1 * p1 + qy1 * r1 - qz1 * q1)
     dqy1 = 0.5 * (qw1 * q1 + qz1 * p1 - qx1 * r1)
     dqz1 = 0.5 * (qw1 * r1 + qx1 * q1 - qy1 * p1)
-    dvx1 = 2 * (qx1 * qz1 + qw1 * qy1) * f_z + a_x
-    dvy1 = 2 * (qy1 * qz1 - qw1 * qx1) * f_z + a_y
-    dvz1 = (1 - 2 * (qx1 * qx1 + qy1 * qy1)) * f_z + GRAVITY + a_z
+    dvx1 = 2.0 * (qx1 * qz1 + qw1 * qy1) * f_z + a_x
+    dvy1 = 2.0 * (qy1 * qz1 - qw1 * qx1) * f_z + a_y
+    dvz1 = (1.0 - 2.0 * (qx1 * qx1 + qy1 * qy1)) * f_z + GRAVITY + a_z
 
     half = 0.5 * dt
     p2, q2, r2 = p1 + half * dp1, q1 + half * dq1, r1 + half * dr1
@@ -233,9 +216,9 @@ def dynamics_step(
     dqx2 = 0.5 * (qw2 * p2 + qy2 * r2 - qz2 * q2)
     dqy2 = 0.5 * (qw2 * q2 + qz2 * p2 - qx2 * r2)
     dqz2 = 0.5 * (qw2 * r2 + qx2 * q2 - qy2 * p2)
-    dvx2 = 2 * (qx2 * qz2 + qw2 * qy2) * f_z + a_x
-    dvy2 = 2 * (qy2 * qz2 - qw2 * qx2) * f_z + a_y
-    dvz2 = (1 - 2 * (qx2 * qx2 + qy2 * qy2)) * f_z + GRAVITY + a_z
+    dvx2 = 2.0 * (qx2 * qz2 + qw2 * qy2) * f_z + a_x
+    dvy2 = 2.0 * (qy2 * qz2 - qw2 * qx2) * f_z + a_y
+    dvz2 = (1.0 - 2.0 * (qx2 * qx2 + qy2 * qy2)) * f_z + GRAVITY + a_z
 
     p3, q3, r3 = p1 + half * dp2, q1 + half * dq2, r1 + half * dr2
     qw3, qx3 = qw1 + half * dqw2, qx1 + half * dqx2
@@ -249,9 +232,9 @@ def dynamics_step(
     dqx3 = 0.5 * (qw3 * p3 + qy3 * r3 - qz3 * q3)
     dqy3 = 0.5 * (qw3 * q3 + qz3 * p3 - qx3 * r3)
     dqz3 = 0.5 * (qw3 * r3 + qx3 * q3 - qy3 * p3)
-    dvx3 = 2 * (qx3 * qz3 + qw3 * qy3) * f_z + a_x
-    dvy3 = 2 * (qy3 * qz3 - qw3 * qx3) * f_z + a_y
-    dvz3 = (1 - 2 * (qx3 * qx3 + qy3 * qy3)) * f_z + GRAVITY + a_z
+    dvx3 = 2.0 * (qx3 * qz3 + qw3 * qy3) * f_z + a_x
+    dvy3 = 2.0 * (qy3 * qz3 - qw3 * qx3) * f_z + a_y
+    dvz3 = (1.0 - 2.0 * (qx3 * qx3 + qy3 * qy3)) * f_z + GRAVITY + a_z
 
     p4, q4, r4 = p1 + dt * dp3, q1 + dt * dq3, r1 + dt * dr3
     qw4, qx4 = qw1 + dt * dqw3, qx1 + dt * dqx3
@@ -265,36 +248,34 @@ def dynamics_step(
     dqx4 = 0.5 * (qw4 * p4 + qy4 * r4 - qz4 * q4)
     dqy4 = 0.5 * (qw4 * q4 + qz4 * p4 - qx4 * r4)
     dqz4 = 0.5 * (qw4 * r4 + qx4 * q4 - qy4 * p4)
-    dvx4 = 2 * (qx4 * qz4 + qw4 * qy4) * f_z + a_x
-    dvy4 = 2 * (qy4 * qz4 - qw4 * qx4) * f_z + a_y
-    dvz4 = (1 - 2 * (qx4 * qx4 + qy4 * qy4)) * f_z + GRAVITY + a_z
+    dvx4 = 2.0 * (qx4 * qz4 + qw4 * qy4) * f_z + a_x
+    dvy4 = 2.0 * (qy4 * qz4 - qw4 * qx4) * f_z + a_y
+    dvz4 = (1.0 - 2.0 * (qx4 * qx4 + qy4 * qy4)) * f_z + GRAVITY + a_z
 
     sixth = dt / 6.0
-    new_q = [
-        qw1 + sixth * (dqw1 + 2 * dqw2 + 2 * dqw3 + dqw4),
-        qx1 + sixth * (dqx1 + 2 * dqx2 + 2 * dqx3 + dqx4),
-        qy1 + sixth * (dqy1 + 2 * dqy2 + 2 * dqy3 + dqy4),
-        qz1 + sixth * (dqz1 + 2 * dqz2 + 2 * dqz3 + dqz4),
-    ]
-    q_arr = np.array(new_q)
+    qw = qw1 + sixth * (dqw1 + 2.0 * dqw2 + 2.0 * dqw3 + dqw4)
+    qx = qx1 + sixth * (dqx1 + 2.0 * dqx2 + 2.0 * dqx3 + dqx4)
+    qy = qy1 + sixth * (dqy1 + 2.0 * dqy2 + 2.0 * dqy3 + dqy4)
+    qz = qz1 + sixth * (dqz1 + 2.0 * dqz2 + 2.0 * dqz3 + dqz4)
+    q_arr = np.array((qw, qx, qy, qz))
     norm = math.sqrt(q_arr.dot(q_arr))  # np.linalg.norm's own formula
     x, y, z = state.position
     return SimState(
         angular_rate=[
-            p1 + sixth * (dp1 + 2 * dp2 + 2 * dp3 + dp4),
-            q1 + sixth * (dq1 + 2 * dq2 + 2 * dq3 + dq4),
-            r1 + sixth * (dr1 + 2 * dr2 + 2 * dr3 + dr4),
+            p1 + sixth * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4),
+            q1 + sixth * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4),
+            r1 + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4),
         ],
-        quaternion=[c / norm for c in new_q],
+        quaternion=[qw / norm, qx / norm, qy / norm, qz / norm],
         velocity=[
-            vx1 + sixth * (dvx1 + 2 * dvx2 + 2 * dvx3 + dvx4),
-            vy1 + sixth * (dvy1 + 2 * dvy2 + 2 * dvy3 + dvy4),
-            vz1 + sixth * (dvz1 + 2 * dvz2 + 2 * dvz3 + dvz4),
+            vx1 + sixth * (dvx1 + 2.0 * dvx2 + 2.0 * dvx3 + dvx4),
+            vy1 + sixth * (dvy1 + 2.0 * dvy2 + 2.0 * dvy3 + dvy4),
+            vz1 + sixth * (dvz1 + 2.0 * dvz2 + 2.0 * dvz3 + dvz4),
         ],
         position=[
-            x + sixth * (vx1 + 2 * vx2 + 2 * vx3 + vx4),
-            y + sixth * (vy1 + 2 * vy2 + 2 * vy3 + vy4),
-            z + sixth * (vz1 + 2 * vz2 + 2 * vz3 + vz4),
+            x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4),
+            y + sixth * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4),
+            z + sixth * (vz1 + 2.0 * vz2 + 2.0 * vz3 + vz4),
         ],
         rotor_speeds=speeds,
         true_k=list(state.true_k),
@@ -326,12 +307,27 @@ def _true_accel_z(rotor_speeds, true_k, params: VehicleParams, wind_accel_z=None
     return az_true
 
 
-def _wind_accel_z(quaternion, external_force, params: VehicleParams) -> float:
-    """Body-z component of a world-frame external force, per unit mass."""
-    # Stays a numpy product: BLAS rounds this 3-term sum differently
-    # from a scalar one, and the logs must stay bit-stable.
-    f_body = quat_to_matrix(quaternion).T @ np.asarray(external_force, dtype=float)
-    return float(f_body[2]) / params.mass
+def _wind_accel_z(quaternions, external_forces, params: VehicleParams) -> np.ndarray:
+    """Body-z component of each world-frame external force, per unit mass.
+
+    One row per sample: ``quaternions`` ``(n, 4)`` body-to-world (w, x, y, z)
+    and ``external_forces`` ``(n, 3)``. The body-frame force is the stacked
+    matmul ``R(q)ᵀ @ f``, which runs the same BLAS product per row as a
+    single ``(3, 3) @ (3,)`` does; a scalar 3-term sum rounds differently.
+    """
+    w, x, y, z = np.asarray(quaternions, dtype=float).T
+    rotations = np.empty((len(w), 3, 3))
+    rotations[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
+    rotations[:, 0, 1] = 2.0 * (x * y - w * z)
+    rotations[:, 0, 2] = 2.0 * (x * z + w * y)
+    rotations[:, 1, 0] = 2.0 * (x * y + w * z)
+    rotations[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
+    rotations[:, 1, 2] = 2.0 * (y * z - w * x)
+    rotations[:, 2, 0] = 2.0 * (x * z - w * y)
+    rotations[:, 2, 1] = 2.0 * (y * z + w * x)
+    rotations[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
+    f_body = rotations.transpose(0, 2, 1) @ np.asarray(external_forces, dtype=float)[:, :, None]
+    return f_body[:, 2, 0] / params.mass
 
 
 def synthesize_sensors(
@@ -390,6 +386,10 @@ class _Controller:
 
     def __init__(self, params: VehicleParams):
         self.params = params
+        ix, iy, iz = params.inertia_diag
+        # The left-hand products of the moment and thrust-floor terms, taken once.
+        self._rate_gains = (ix * self.RATE_P, iy * self.RATE_P, iz * self.YAW_RATE_P)
+        self._min_thrust = 0.1 * params.mass * GRAVITY
         ct, cm = params.thrust_coeff, params.moment_coeff
         alloc = np.array(
             [
@@ -409,26 +409,35 @@ class _Controller:
         self, state: SimState, roll_sp: float, pitch_sp: float, z_sp: float
     ) -> list[float]:
         params = self.params
-        roll, pitch = _roll_pitch(state.quaternion)
+        w, x, y, z = state.quaternion
+        roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+        sin_pitch = 2.0 * (w * y - z * x)
+        # max(-1.0, min(1.0, sin_pitch)) written out; NaN reads as 1.0.
+        pitch = math.asin((sin_pitch if sin_pitch > -1.0 else -1.0) if sin_pitch < 1.0 else 1.0)
         p, q, r = state.angular_rate
-        ix, iy, iz = params.inertia_diag
+        gain_x, gain_y, gain_z = self._rate_gains
 
         p_sp = self.ATT_P * (roll_sp - roll)
         q_sp = self.ATT_P * (pitch_sp - pitch)
-        m_x = ix * self.RATE_P * (p_sp - p)
-        m_y = iy * self.RATE_P * (q_sp - q)
-        m_z = iz * self.YAW_RATE_P * (0.0 - r)
+        m_x = gain_x * (p_sp - p)
+        m_y = gain_y * (q_sp - q)
+        m_z = gain_z * (0.0 - r)
 
-        z, vz = state.position[2], state.velocity[2]
         thrust = params.mass * (
-            GRAVITY + self.ALT_P * (z - z_sp) + self.ALT_D * vz
+            GRAVITY + self.ALT_P * (state.position[2] - z_sp) + self.ALT_D * state.velocity[2]
         )
-        thrust = max(thrust, 0.1 * params.mass * GRAVITY)
+        if self._min_thrust > thrust:
+            thrust = self._min_thrust
 
         lo, hi = self._w_sq_limits
         # Stays a numpy product, rounded as BLAS rounds it.
-        w_sq = (self._alloc_inv @ np.array([thrust, m_x, m_y, m_z])).tolist()
-        return [math.sqrt(hi if x > hi else lo if x < lo else x) for x in w_sq]
+        w0, w1, w2, w3 = (self._alloc_inv @ np.array([thrust, m_x, m_y, m_z])).tolist()
+        return [
+            math.sqrt(hi if w0 > hi else lo if w0 < lo else w0),
+            math.sqrt(hi if w1 > hi else lo if w1 < lo else w1),
+            math.sqrt(hi if w2 > hi else lo if w2 < lo else w2),
+            math.sqrt(hi if w3 > hi else lo if w3 < lo else w3),
+        ]
 
 
 def _attitude_schedule(scenario: str, t: float) -> tuple[float, float]:
@@ -490,7 +499,9 @@ def fly_scenario(
     ``ground_idle`` takes no fault.
 
     The flight loop reads only the true state, so the sensors of the whole
-    flight are corrupted in one ``synthesize_sensors`` call at the end.
+    flight are corrupted in one ``synthesize_sensors`` call at the end, and
+    the wind's body-z share of the true specific force is projected in one
+    ``_wind_accel_z`` block.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r} (expected one of {SCENARIOS})")
@@ -520,28 +531,35 @@ def fly_scenario(
         state = hover_state(params)
         z_sp = state.position[2]
         fault_applied = fault is None
-        rates, speeds = [], []
-        wind_accel_z = [] if scenario == "wind" else None
+        stepping, windy = scenario == "step", scenario == "wind"
+        roll_sp = pitch_sp = 0.0
+        force = moment = None
+        rates, speeds, quaternions, forces = [], [], [], []
         for i in range(n):
             t_start = i * dt
             t_next = (i + 1) * dt
             if not fault_applied and t_next > fault.time:
                 state = inject_fault(state, fault)
                 fault_applied = True
-            roll_sp, pitch_sp = _attitude_schedule(scenario, t_start)
-            force, moment = _wind(scenario, t_start)
+            if stepping:
+                roll_sp, pitch_sp = _attitude_schedule(scenario, t_start)
+            if windy:
+                force, moment = _wind(scenario, t_start)
             setpoints = controller.setpoints(state, roll_sp, pitch_sp, z_sp)
+            # Looked up on the module each step, where a tracer can wrap it.
             state = dynamics_step(state, setpoints, params, dt, force, moment)
             _check_plausible(state, i, t_next)
             rates.append(state.angular_rate)
             speeds.append(state.rotor_speeds)
-            if force is not None:
-                wind_accel_z.append(_wind_accel_z(state.quaternion, force, params))
+            if windy:
+                quaternions.append(state.quaternion)
+                forces.append(force)
         speeds = np.array(speeds)
         # Row i flies faulted exactly when the loop's t_next = times[i] is past the fault.
         true_k = np.ones((n, 4))
         if fault is not None:
             true_k[times > fault.time, fault.actuator_index - 1] = fault.new_k
+        wind_accel_z = _wind_accel_z(quaternions, forces, params) if windy else None
         az_true = _true_accel_z(speeds, true_k, params, wind_accel_z)
 
     gyro, accel_z = synthesize_sensors(rates, az_true, speeds, times, noise)

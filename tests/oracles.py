@@ -212,22 +212,30 @@ class OracleDetector:
         return raw.timestamp, self._k, self._var, self._pfail, self._status, self.conditioner.armed
 
 
-def sweep_probability_evaluations(logs, configs):
+def sweep_probability_evaluations(logs, configs, every_tick=False):
     """The ``failure_probability`` evaluations a sweep of ``configs`` over ``logs`` makes.
 
     One per (log, distinct estimator key, distinct ``k_threshold``), armed
-    tick and actuator whose estimate sits below that ``k_threshold``; the
+    tick and actuator whose estimate sits below that ``k_threshold``, up to
+    and including the actuator's first probability above the largest
+    ``probability_threshold`` of the configs sharing that pair (all of them
+    have latched it by then); with ``every_tick``, on every such tick. The
     estimates come from ``Conditioner`` ticks through ``kalman.step`` with
     the array-form ``H``.
     """
-    runs = {(c.estimator_key(), c.decision.k_threshold): c for c in configs}.values()
+    tops = {}
+    for c in configs:
+        pair = (c.estimator_key(), c.decision.k_threshold)
+        tops[pair] = max(tops.get(pair, 0.0), c.decision.probability_threshold)
+    runs = {(c.estimator_key(), c.decision.k_threshold): c for c in configs}
     total = 0
     for log in logs:
-        for config in runs:
+        for pair, config in runs.items():
             conditioner = Conditioner(config)
             gains = config.gains
             gains_col = np.array([gains.g_p, gains.g_q, gains.g_az])[:, None]
             k_threshold = config.decision.k_threshold
+            latched = [False] * 4
             state = kalman.init()
             for row in log.rows():
                 tick = conditioner.push(*row)
@@ -235,5 +243,8 @@ def sweep_probability_evaluations(logs, configs):
                     z, w_sq = tick
                     H = SIGN_MATRIX * gains_col * np.array(w_sq)[None, :]
                     state = kalman.step(state, H, z, config.noise)
-                    total += sum(k < k_threshold for k in state.k)
+                    for i, (k, variance) in enumerate(zip(state.k, state.variances())):
+                        if k < k_threshold and (every_tick or not latched[i]):
+                            total += 1
+                            latched[i] = failure_probability(k, variance, k_threshold) > tops[pair]
     return total

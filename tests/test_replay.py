@@ -275,9 +275,11 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
         rows = run_sweep(logs, spec, log_ids=["eject", "hover", "idle"])
 
     # No per-tick decision: one failure probability per (log, estimator key,
-    # k_threshold) and sub-threshold (tick, actuator) pair.
+    # k_threshold) and sub-threshold (tick, actuator) pair, up to the
+    # actuator's first probability that latches every config sharing it.
     assert calls == []
     assert len(evaluations) == sweep_probability_evaluations(logs, configs) > 0
+    assert len(evaluations) < sweep_probability_evaluations(logs, configs, every_tick=True)
     assert [(r.param_set_id, r.log_id) for r in rows] == [
         (p.set_id, log_id) for p in spec.parameter_sets() for log_id in ("eject", "hover", "idle")
     ]

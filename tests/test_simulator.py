@@ -26,7 +26,6 @@ from loedetect.simulator import (
     fly_scenario,
     hover_state,
     inject_fault,
-    quat_to_matrix,
     synthesize_sensors,
 )
 
@@ -50,6 +49,24 @@ def as_floats(state):
 
 def floats_or_none(vector):
     return None if vector is None else np.asarray(vector, dtype=float).tolist()
+
+
+def quat_to_matrix(q):
+    """Body-to-world rotation matrix of a (w, x, y, z) quaternion."""
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def oracle_wind_accel_z(quaternion, external_force, params):
+    """Body-z component of one world-frame external force, per unit mass: one ``R(q)ᵀ @ f`` per sample."""
+    f_body = quat_to_matrix(quaternion).T @ np.asarray(external_force, dtype=float)
+    return float(f_body[2]) / params.mass
 
 
 def oracle_moments_and_thrust(state, params):
@@ -115,8 +132,7 @@ def oracle_synthesize_sensors(state, params, draws, t, external_force=None):
     _, thrust_total = oracle_moments_and_thrust(state, params)
     az_true = -thrust_total / params.mass
     if external_force is not None:
-        f_body = quat_to_matrix(state.quaternion).T @ np.asarray(external_force)
-        az_true += float(f_body[2]) / params.mass
+        az_true += oracle_wind_accel_z(state.quaternion, external_force, params)
     return oracle_measure(state.angular_rate, az_true, state.rotor_speeds, draws, t)
 
 
@@ -265,17 +281,19 @@ def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
     forces = [random_wind(rng)[0] for _ in range(n)]
     t = np.arange(1, n + 1) * 0.002
     rows = [as_floats(state) for state in states]
-    az_true = np.concatenate(
-        [
-            _true_accel_z(
-                [floats.rotor_speeds],
-                [floats.true_k],
-                PARAMS,
-                None if force is None else [_wind_accel_z(floats.quaternion, floats_or_none(force), PARAMS)],
-            )
-            for floats, force in zip(rows, forces)
-        ]
+    # The block form: the thrust of every row, plus the wind term of the rows with a force.
+    speeds = np.array([floats.rotor_speeds for floats in rows])
+    true_k = np.array([floats.true_k for floats in rows])
+    windy = np.array([force is not None for force in forces])
+    assert 0 < windy.sum() < n
+    az_true = np.empty(n)
+    az_true[~windy] = _true_accel_z(speeds[~windy], true_k[~windy], PARAMS)
+    wind = _wind_accel_z(
+        [floats.quaternion for floats, force in zip(rows, forces) if force is not None],
+        [force for force in forces if force is not None],
+        PARAMS,
     )
+    az_true[windy] = _true_accel_z(speeds[windy], true_k[windy], PARAMS, wind)
     noise = SensorNoiseModel(seed=11)
     gyro, az = synthesize_sensors(
         [floats.angular_rate for floats in rows], az_true, [floats.rotor_speeds for floats in rows], t, noise
@@ -289,6 +307,23 @@ def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
     *moments, thrust = _moments_and_thrust(rows[-1].rotor_speeds, rows[-1].true_k, PARAMS)
     want_moments, want_thrust = oracle_moments_and_thrust(states[-1], PARAMS)
     assert np.array_equal(moments, want_moments) and thrust == want_thrust
+
+
+def test_wind_block_equals_one_projection_per_row_bit_for_bit():
+    # The stacked R(q)ᵀ @ f runs the per-row BLAS product; a scalar
+    # 3-term sum would round about a third of these rows differently.
+    rng = np.random.default_rng(10)
+    n = 6000
+    q = rng.normal(0.0, 1.0, (n, 4))
+    quaternions = q / np.linalg.norm(q, axis=1)[:, None]
+    forces = rng.normal(0.0, 0.5, (n, 3)) * rng.choice([1e-3, 1.0, 1e3], (n, 1))
+    forces[::3, 2] = 0.0  # the wind scenario's forces are horizontal
+    quaternion_lists, force_lists = quaternions.tolist(), forces.tolist()
+    got = _wind_accel_z(quaternion_lists, force_lists, PARAMS)
+    want = [oracle_wind_accel_z(q, f, PARAMS) for q, f in zip(quaternion_lists, force_lists)]
+    assert got.shape == (n,)
+    assert np.array_equal(got, want)
+    assert np.array_equal(_wind_accel_z(quaternions, forces, PARAMS), got)
 
 
 def test_one_sensor_block_equals_its_rows_one_at_a_time():
@@ -374,6 +409,15 @@ def test_hover_trim_prediction_matches_gravity():
     speeds = np.full(4, PARAMS.hover_speed())
     pred = observation_matrix(gains, speeds) @ np.ones(4)
     assert abs(pred[2] + GRAVITY) / GRAVITY < 0.01
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_dynamics_step_needs_four_setpoints(count):
+    state = hover_state(PARAMS)
+    with pytest.raises(ValueError):
+        dynamics_step(state, [PARAMS.hover_speed()] * count, PARAMS, 0.002)
+    with pytest.raises(ValueError):
+        dynamics_step(state, np.full(count, PARAMS.hover_speed()), PARAMS, 0.002)
 
 
 def test_hover_equilibrium_is_a_fixed_point():

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from loedetect import cli, kalman, replay, simulator
 from loedetect.detector import Conditioner, Detector, config_with, default_config
 from loedetect.flightlog import load_log, save_log
@@ -138,13 +140,14 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     assert replays == []
 
 
-def test_simulator_steps_per_sample_and_corrupts_sensors_once_per_flight():
+@pytest.mark.parametrize("scenario", ["hover", "step", "wind"])
+def test_simulator_steps_per_sample_and_corrupts_sensors_once_per_flight(scenario):
     # The simulator's layer split: one dynamics step per sample, and one
     # sensor-model call for the whole flight.
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
-        log = simulator.fly_scenario("wind", duration=0.3, noise=SensorNoiseModel(seed=4))
+        log = simulator.fly_scenario(scenario, duration=0.3, noise=SensorNoiseModel(seed=4))
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
