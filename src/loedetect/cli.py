@@ -10,10 +10,8 @@ import glob
 import json
 import os
 import sys
-from collections import deque
 
 from .detector import (
-    Detector,
     DetectorConfig,
     default_config,
     format_config,
@@ -23,12 +21,12 @@ from . import flightlog
 from .replay import (
     SampleRateMismatchError,
     SweepSpec,
-    _check_sample_rate,
     default_sweep_spec,
     evaluate,  # unused: perfbench/spans.py wraps cli.evaluate and cli.run_detector by name
     evaluate_status,
     render_report,
     read_results_csv,
+    replay_log,
     run_detector,
     run_sweep,
     summarize_sweep,
@@ -118,44 +116,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-TICKS_HEADER = ",".join(
-    ["t"]
-    + [f"k{i}" for i in range(1, 5)]
-    + [f"var{i}" for i in range(1, 5)]
-    + [f"pfail{i}" for i in range(1, 5)]
-    + ["armed"]
-    + [f"failed{i}" for i in range(1, 5)]
-)
-
-# Rows the ticks writer joins into one ``write``.
-TICKS_BLOCK_ROWS = 256
-
-
-def _write_outputs_csv(outputs, path) -> int:
-    """Write one ticks-CSV row per output as it arrives; return the row count."""
-    n_rows = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TICKS_HEADER + "\n")
-        # Every field after the timestamp changes only with the estimate
-        # tuples, which the detector replaces together with the status on
-        # armed estimator ticks, or with ``armed``: format that text once per change.
-        k_hat = armed = None
-        block: list[str] = []
-        for out in outputs:
-            if out.k_hat is not k_hat or out.armed is not armed:
-                k_hat, armed = out.k_hat, out.armed
-                estimates = k_hat + out.variances + out.p_fail
-                flags = ["0" if t is None else "1" for t in out.status.first_detection_time]
-                rest = f",{','.join(map(repr, estimates))},{int(armed)},{','.join(flags)}\n"
-            block.append(repr(out.timestamp) + rest)
-            if len(block) == TICKS_BLOCK_ROWS:
-                fh.write("".join(block))
-                n_rows += len(block)
-                block.clear()
-        fh.write("".join(block))
-    return n_rows + len(block)
-
-
 def cmd_detect(args) -> int:
     if not os.path.exists(args.log):
         raise CommandError(f"log file not found: {args.log}", USAGE_ERROR)
@@ -164,17 +124,12 @@ def cmd_detect(args) -> int:
         log = flightlog.load_log(args.log)
     except flightlog.LogFormatError as exc:
         raise CommandError(f"bad log {args.log}: {exc}", USAGE_ERROR) from exc
-    _check_sample_rate(log, config)
-    detector = Detector(config)
-    outputs = map(detector.process_row, log.rows())
+    status = replay_log(log, config, args.out)
     if args.out:
-        n_rows = _write_outputs_csv(outputs, args.out)
-        print(f"wrote {args.out}: {n_rows} detector outputs")
-    else:
-        deque(outputs, maxlen=0)
+        print(f"wrote {args.out}: {len(log)} detector outputs")
 
-    result = evaluate_status(detector.status, float(log.t[0]), float(log.t[-1]), log.ground_truth())
-    for i, t in enumerate(detector.status.first_detection_time):
+    result = evaluate_status(status, float(log.t[0]), float(log.t[-1]), log.ground_truth())
+    for i, t in enumerate(status.first_detection_time):
         if t is not None:
             print(f"actuator {i + 1} latched at t={t:g} s")
     if log.ground_truth() is not None:

@@ -238,9 +238,11 @@ class DetectorOutput:
 # The three pipeline stages: ``Conditioner``, estimation (``kalman.step`` on
 # ``observation_rows``) and the decision (``failure_probabilities``, then
 # ``decide``). ``Detector`` runs them in order on every sample, the last two
-# on armed ticks only. The sweep runs the first two once per distinct
-# upstream key (see ``DetectorConfig.conditioning_key`` and
-# ``estimator_key``) and latches each config by ``decision.first_exceedance``.
+# on armed ticks only (``Estimation._tick``). ``replay.replay_log`` conditions
+# a whole log in blocks and runs an ``Estimation`` on its armed ticks. The
+# sweep runs the first two once per distinct upstream key (see
+# ``DetectorConfig.conditioning_key`` and ``estimator_key``) and latches
+# each config by ``decision.first_exceedance``.
 
 
 class Conditioner:
@@ -383,12 +385,16 @@ def _malformed_field(raw: RawSample, last: float | None) -> ValueError | None:
     return None
 
 
-class Detector:
-    """One detection stream: feed samples in timestamp order, read outputs."""
+class Estimation:
+    """Estimation and decision stages: the state ``_tick`` advances on each armed estimator tick.
+
+    ``Detector`` is one, with a ``Conditioner`` in front of it. A block
+    replay (``replay.replay_log``) runs one alone on the armed ticks of a
+    conditioned log, so no ``Detector`` holds a conditioner its estimator
+    has run past.
+    """
 
     def __init__(self, config: DetectorConfig):
-        self.config = config
-        self._conditioner = Conditioner(config)
         self._gains = signed_gains(config.gains)
         self._noise = config.noise
         self._decision = config.decision
@@ -398,16 +404,34 @@ class Detector:
         self._p_fail = failure_probabilities(state.k, self._variances, self._decision.k_threshold)
 
     @property
-    def armed(self) -> bool:
-        return self._conditioner.armed
-
-    @property
     def status(self) -> DetectionStatus:
         return self._status
 
     @property
     def estimator_state(self) -> EstimatorState:
         return self._estimator
+
+    def _tick(self, t: float, tick: tuple) -> None:
+        """Estimation and decision on the armed estimator tick ``push`` returned at time ``t``."""
+        z, w_sq = tick
+        state = self._estimator = kalman.step(self._estimator, observation_rows(self._gains, w_sq), z, self._noise)
+        variances = self._variances = state.variances()
+        decision = self._decision
+        p_fail = self._p_fail = failure_probabilities(state.k, variances, decision.k_threshold)
+        self._status = decide(p_fail, self._status, decision, now=t)
+
+
+class Detector(Estimation):
+    """One detection stream: feed samples in timestamp order, read outputs."""
+
+    def __init__(self, config: DetectorConfig):
+        self.config = config
+        self._conditioner = Conditioner(config)
+        super().__init__(config)
+
+    @property
+    def armed(self) -> bool:
+        return self._conditioner.armed
 
     def process_sample(self, raw: RawSample) -> DetectorOutput:
         """Stream one ``RawSample``; its fields are read into floats for ``Conditioner.push``.
@@ -448,12 +472,3 @@ class Detector:
         if tick is not None:
             self._tick(t, tick)
         return DetectorOutput(t, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed)
-
-    def _tick(self, t: float, tick: tuple) -> None:
-        """Estimation and decision on the armed estimator tick ``push`` returned at time ``t``."""
-        z, w_sq = tick
-        state = self._estimator = kalman.step(self._estimator, observation_rows(self._gains, w_sq), z, self._noise)
-        variances = self._variances = state.variances()
-        decision = self._decision
-        p_fail = self._p_fail = failure_probabilities(state.k, variances, decision.k_threshold)
-        self._status = decide(p_fail, self._status, decision, now=t)

@@ -4,16 +4,21 @@ Every input channel (body rates, vertical accelerometer, rotor speeds) runs
 through the same discrete second-order low-pass so the channels stay
 synchronized, and angular accelerations are produced by backward-differencing
 the filtered roll and pitch rates. There is one bank, of the
-``N_CHANNELS`` channels in ``CHANNELS``, and two ways to advance it.
+``N_CHANNELS`` channels in ``CHANNELS``, and three ways to advance it.
 ``filter_step`` writes the recursion out as straight-line float code, one
 sample at a time; the detector's ``Conditioner`` runs it and differences on
 estimator ticks, which a per-sample countdown marks. ``filter_lanes`` runs
 the same recursion on numpy lanes, one block of samples of many streams at
 a time, for parameter sweeps. It is a second source, not ``filter_step`` run
 on arrays: its feedforward part takes every sample of a block at once, which
-a per-sample call cannot. It performs ``filter_step``'s operations in
-``filter_step``'s order, so every lane is bit-identical to it
-(``tests/test_filters.py`` checks the two against each other).
+a per-sample call cannot. ``filter_columns`` is its one-stream form, for
+replaying a single log: the same numpy feedforward per block, then the
+feedback as a plain float loop down each channel's column. It exists
+because ``filter_lanes`` pays about four ufunc calls per time step whatever
+the width, which for one stream costs more than the arithmetic. Both
+perform ``filter_step``'s operations in ``filter_step``'s order, so every
+lane and column is bit-identical to it (``tests/test_filters.py`` checks
+them against each other).
 """
 
 from __future__ import annotations
@@ -215,15 +220,47 @@ def filter_lanes(coeffs: FilterCoefficients, x: np.ndarray, y: np.ndarray) -> No
     one more array the size of ``x``. Run it under ``np.errstate`` where a
     lane may overflow, as a float replay would, without a warning.
     """
-    b0, b1, b2, a1, a2 = coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2
-    ff = np.multiply(x[2:], b0, out=y[2:])
-    term = np.multiply(x[1:-1], b1)
-    ff += term
-    ff += np.multiply(x[:-2], b2, out=term)
-    del term
+    a1, a2 = coeffs.a1, coeffs.a2
+    _feedforward(coeffs, x, y[2:])
     rows = list(y)  # one view per time step, made once
     product = np.empty_like(rows[0])
     multiply, subtract = np.multiply, np.subtract
     for y2, y1, y0 in zip(rows, rows[1:], rows[2:]):
         subtract(y0, multiply(y1, a1, product), y0)  # positional ``out``: the cheapest ufunc call
         subtract(y0, multiply(y2, a2, product), y0)
+
+
+def filter_columns(coeffs: FilterCoefficients, x: np.ndarray, memory: np.ndarray):
+    """``filter_lanes`` for one stream, the feedback on Python floats: yields each channel's outputs as a list.
+
+    ``x`` is (N + 2, channels), as ``filter_lanes`` takes it for a single
+    lane, and ``memory`` (2, channels) holds the two outputs before the
+    block, ``filter_lanes``'s rows 0 and 1 of ``y`` (read before the first
+    yield). Yields, channel by channel, a list of N + 2 floats: the column
+    ``filter_lanes`` writes into ``y``, bit for bit. The feedforward is one
+    numpy pass over the block; the feedback ``(ff - a1*y1) - a2*y2`` steps
+    through time as a plain float loop over one channel at a time.
+    ``filter_lanes`` pays about four ufunc calls per time step whatever the
+    width, which on a single stream costs more than the arithmetic: this
+    loop pays about 0.1 us per sample and channel.
+    """
+    a1, a2 = coeffs.a1, coeffs.a2
+    ff = _feedforward(coeffs, x, np.empty_like(x[2:]))
+    for channel, (y2, y1) in enumerate(memory.T.tolist()):
+        column = [y2, y1]
+        append = column.append
+        for f in ff[:, channel].tolist():
+            y0 = f - a1 * y1 - a2 * y2
+            append(y0)
+            y2 = y1
+            y1 = y0
+        yield column
+
+
+def _feedforward(coeffs: FilterCoefficients, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(b0*u + b1*x1) + b2*x2`` for every sample row ``u`` of ``x`` (rows 2 onward) at once, into ``out``."""
+    ff = np.multiply(x[2:], coeffs.b0, out=out)
+    term = np.multiply(x[1:-1], coeffs.b1)
+    ff += term
+    ff += np.multiply(x[:-2], coeffs.b2, out=term)
+    return ff

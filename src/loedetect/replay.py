@@ -2,7 +2,15 @@
 
 Replaying a log feeds the exact same per-sample pipeline the streaming
 detector runs, so offline results are bit-identical to online processing of
-the same samples. A sweep conditions every log at once, one pass per
+the same samples. ``run_detector`` and ``evaluate_log`` replay row by row
+through ``Detector.process_row``, the serial reference. ``replay_log``, which
+``loedetect detect`` runs, replays one log in blocks instead: the sweep's
+conditioning on the one log, then the detector's own estimation and
+decision code on its armed ticks only, with the same outputs. For one log
+the conditioning runs the filter bank in its column form
+(``filters.filter_columns``): the lane kernel pays about four ufunc calls
+per time step whatever the width, which for one log costs more than the
+arithmetic. A sweep conditions every log at once, one pass per
 distinct conditioning key with one numpy lane per log: ``push``'s checks and
 the takeoff gate per log, the filter bank by ``filters.filter_lanes`` on
 blocks of every log's samples, and the differencing at the ticks, all
@@ -34,6 +42,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -45,6 +54,7 @@ from .detector import (
     Detector,
     DetectorConfig,
     DetectorOutput,
+    Estimation,
     config_to_dict,
     config_with,
     default_config,
@@ -55,6 +65,7 @@ from .filters import (
     STEP_TOLERANCE,
     FilterCoefficients,
     design_lowpass,
+    filter_columns,
     filter_lanes,
 )
 from .flightlog import RATE_TOLERANCE, SAMPLE_BLOCK_ROWS, FlightLog
@@ -153,6 +164,86 @@ def evaluate_log(log: FlightLog, config: DetectorConfig) -> EvaluationResult:
     return evaluate_status(detector.status, float(log.t[0]), float(log.t[-1]), log.ground_truth())
 
 
+def replay_log(log: FlightLog, config: DetectorConfig, ticks_path=None) -> DetectionStatus:
+    """``run_detector``'s replay of ``log`` in blocks, holding no outputs; returns the final status.
+
+    ``loedetect detect`` runs it. Conditioning is ``_condition_lanes`` on
+    the one log, and the detector's own estimation and decision code
+    (``Estimation._tick``) runs on its armed ticks only. With
+    ``ticks_path``, the ticks CSV goes there: the rows of ``run_detector``'s
+    outputs (``TICKS_HEADER``), written run by run (``_write_ticks``). A log
+    the conditioning flags is replayed through ``evaluate_log``, so it
+    raises what ``run_detector`` raises, before any file is opened. An
+    estimator error leaves the rows up to the run before its tick written.
+    """
+    _check_sample_rate(log, config)
+    ticks, n_ticks, flagged, armed_at = _condition_lanes([log], [config])
+    if flagged[0]:
+        evaluate_log(log, config)
+        raise RuntimeError("the conditioning flagged the log, but its serial replay raised nothing")
+    estimation = Estimation(config)
+    steps, armed_at = config.steps_per_estimate(), int(armed_at[0])
+    first_tick = (armed_at // steps + 1) * steps - 1  # the sample of the first armed tick
+    ticked = _run_ticks(estimation, ticks[: n_ticks[0], :, 0], range(first_tick, len(log), steps))
+    if ticks_path is None:
+        deque(ticked, maxlen=0)
+    else:
+        with open(ticks_path, "w", encoding="utf-8") as fh:
+            fh.write(TICKS_HEADER + "\n")
+            _write_ticks(fh, log.t, estimation, chain((armed_at,), ticked))
+    return estimation.status
+
+
+def _run_ticks(estimation: Estimation, rows: np.ndarray, samples: range):
+    """Run ``estimation`` on each tick row of ``rows`` (t, ``z``, ``w_sq``); yield the tick's sample after it.
+
+    The rows are converted to Python floats ``SAMPLE_BLOCK_ROWS // 8`` rows
+    (``SAMPLE_BLOCK_ROWS`` floats) at a time.
+    """
+    samples, block = iter(samples), SAMPLE_BLOCK_ROWS // 8
+    for start in range(0, len(rows), block):
+        # zip takes the row first, so it stops without taking a sample past the block.
+        for (t, p_dot, q_dot, a_z, *w_sq), sample in zip(rows[start : start + block].tolist(), samples):
+            estimation._tick(t, ((p_dot, q_dot, a_z), w_sq))
+            yield sample
+
+
+def _write_ticks(fh, timestamps: np.ndarray, estimation: Estimation, changes) -> None:
+    """Write one ticks-CSV row per timestamp; ``changes`` yields, in order, each sample where the state changes.
+
+    Every field after the timestamp changes only with ``estimation``'s state
+    or with ``armed``, so a run of rows between two changes shares one
+    ``tail`` of text and is written as ``tail.join(map(repr, times)) + tail``.
+    The first change is the arming sample (the log's length if none arms),
+    and every later one an armed tick's sample, which ``changes`` yields
+    after ticking ``estimation``. Timestamps are converted one block of
+    ``SAMPLE_BLOCK_ROWS`` at a time.
+    """
+    n = len(timestamps)
+    tail = _ticks_tail(estimation, armed=False)
+    change = next(changes, n)
+    for start in range(0, n, SAMPLE_BLOCK_ROWS):
+        times = timestamps[start : start + SAMPLE_BLOCK_ROWS].tolist()
+        stop = start + len(times)
+        lo = 0  # the block's first row not yet written
+        while change < stop:
+            hi = change - start
+            if hi > lo:
+                fh.write(tail.join(map(repr, times[lo:hi])) + tail)
+                lo = hi
+            tail = _ticks_tail(estimation, armed=True)
+            change = next(changes, n)
+        if lo < len(times):
+            fh.write(tail.join(map(repr, times[lo:])) + tail)
+
+
+def _ticks_tail(estimation: Estimation, armed: bool) -> str:
+    """The text after the timestamp in a ticks-CSV row of ``estimation``'s state."""
+    estimates = estimation._estimator.k + estimation._variances + estimation._p_fail
+    flags = ",".join("0" if t is None else "1" for t in estimation._status.first_detection_time)
+    return f",{','.join(map(repr, estimates))},{int(armed)},{flags}\n"
+
+
 # ---------------------------------------------------------------------------
 # Parameter sweeps.
 
@@ -227,37 +318,25 @@ def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tu
 
     ``configs`` hold distinct conditioning keys; tick set ``c * len(logs) +
     i`` is log ``i`` under ``configs[c]``. Returns ``(ticks, n_ticks,
-    flagged)``. Rows ``:n_ticks[s]`` of ``ticks`` (n, 8, tick sets) hold
-    set ``s``'s armed estimator ticks, each its t, ``z`` and ``w_sq``:
-    bit for bit what ``push`` returns on them. ``flagged[s]`` marks a set
-    whose log fails one of ``push``'s checks, with the same float
-    comparisons; its rows mean nothing, and ``push`` raises on the log.
-    The checks and the takeoff gate run per log: the gate's window sum is
-    a running sum (``np.cumsum`` adds in order) of each sample's thrust
-    proxy less the one a window before. The filter bank runs on the lanes
-    (``_filtered_ticks``), and the differencing at its ticks.
+    flagged, armed_at)``. Rows ``:n_ticks[s]`` of ``ticks`` (n, 8, tick
+    sets) hold set ``s``'s armed estimator ticks, each its t, ``z`` and
+    ``w_sq``: bit for bit what ``push`` returns on them. ``armed_at[s]`` is
+    the sample that arms set ``s``'s takeoff gate, or the log's length if
+    none does. ``flagged[s]`` marks a set whose log fails one of ``push``'s
+    checks, with the same float comparisons; its rows mean nothing, and
+    ``push`` raises on the log. The checks (``_log_checks``) and the
+    takeoff gate (``_gate_arms_at``) run per log, a block of samples at a
+    time. The filter bank runs on the lanes (``_filtered_ticks``), and the
+    differencing at its ticks.
     """
     width = len(logs)
     lengths = np.array([len(log) for log in logs])
-    passes, steps_taken, thrusts = [], [], []
-    for log in logs:
-        t = np.asarray(log.t, dtype=float)
-        speeds = np.asarray(log.rotor_speeds, dtype=float)
-        steps_taken.append(np.diff(t))
-        passes.append(
-            (steps_taken[-1] > 0.0).all()
-            and np.isfinite(t).all()
-            and np.isfinite(log.gyro).all()
-            and np.isfinite(log.accel_z).all()
-            and ((0.0 <= speeds) & (speeds <= MAX_ROTOR_SPEED_RAD_S)).all()
-        )
-        w1, w2, w3, w4 = speeds.T
-        thrusts.append(w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4)
-
+    checks = [_log_checks(log) for log in logs]  # (passes, extreme steps) per log
     n = int(lengths.max())
     ticks = np.zeros((max(n // config.steps_per_estimate() for config in configs), 8, len(configs) * width))
     n_ticks = np.zeros(len(configs) * width, dtype=int)
     flagged = np.zeros(len(configs) * width, dtype=bool)
+    armed_at = np.zeros(len(configs) * width, dtype=int)
     for c, config in enumerate(configs):
         steps = config.steps_per_estimate()
         y = _filtered_ticks(logs, design_lowpass(config.lowpass, config.sensor_interval), steps)
@@ -271,19 +350,71 @@ def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tu
         rows[:, 3] = y[:, 2]
         rows[:, 4:] = y[:, 3:] * y[:, 3:]
         gate = Conditioner(config)  # the gate's own window and level
-        for i, thrust in enumerate(thrusts):
-            rise = thrust.copy()  # thrust_k - thrust_{k-L}: what push adds to the window sum
-            rise[gate._gate_len :] -= thrust[: -gate._gate_len]
-            mean = np.cumsum(rise) / np.minimum(np.arange(1, len(rise) + 1), gate._gate_len)
-            above = mean > gate._gate_level
-            armed_at = above.argmax() if above.any() else lengths[i]
-            first, last = armed_at // steps, lengths[i] // steps  # the first armed tick; the tick count
+        for i, (log, (passes, extreme_steps)) in enumerate(zip(logs, checks)):
             s = c * width + i
+            armed_at[s] = _gate_arms_at(log, gate)
+            first, last = armed_at[s] // steps, lengths[i] // steps  # the first armed tick; the tick count
             n_ticks[s] = max(0, last - first)
             ticks[: n_ticks[s], :, s] = rows[first:last, :, i]
-            off = np.abs(steps_taken[i] / config.sensor_interval - 1.0) >= STEP_TOLERANCE
-            flagged[s] = not passes[i] or off.any()
-    return ticks, n_ticks, flagged
+            off = (np.abs(extreme_steps / config.sensor_interval - 1.0) >= STEP_TOLERANCE).any()
+            flagged[s] = not passes or off
+    return ticks, n_ticks, flagged, armed_at
+
+
+def _log_checks(log: FlightLog) -> tuple[bool, np.ndarray]:
+    """Whether ``log`` passes ``push``'s order and value checks, and its shortest and longest timestamp steps.
+
+    Taken one block of ``SAMPLE_BLOCK_ROWS`` rows at a time. The step check
+    is monotone in the step, so the two extreme steps decide it for every
+    ``sensor_interval``; a 1-row log has none.
+    """
+    passes, shortest, longest = True, math.inf, -math.inf
+    for start in range(0, len(log), SAMPLE_BLOCK_ROWS):
+        block = slice(start, start + SAMPLE_BLOCK_ROWS)
+        t = np.asarray(log.t[max(start - 1, 0) : block.stop], dtype=float)  # from the sample before the block
+        speeds = np.asarray(log.rotor_speeds[block], dtype=float)
+        steps = np.diff(t)
+        passes = passes and bool(
+            (steps > 0.0).all()
+            and np.isfinite(t).all()
+            and np.isfinite(log.gyro[block]).all()
+            and np.isfinite(log.accel_z[block]).all()
+            and ((0.0 <= speeds) & (speeds <= MAX_ROTOR_SPEED_RAD_S)).all()
+        )
+        if len(steps):
+            shortest, longest = min(shortest, steps.min()), max(longest, steps.max())
+    return passes, np.array([shortest, longest] if len(log) > 1 else [])
+
+
+def _gate_arms_at(log: FlightLog, gate: Conditioner) -> int:
+    """The sample at which ``gate``'s takeoff gate arms on ``log``; ``len(log)`` if none.
+
+    Taken one block of ``SAMPLE_BLOCK_ROWS`` rows at a time, up to the
+    arming block. The window sum is a running sum (``np.cumsum`` adds in
+    order, from the sum the block before left) of each sample's thrust proxy
+    less the one a window before, as ``push`` keeps it.
+    """
+    window, n = gate._gate_len, len(log)
+    window_sum = 0.0
+    for start in range(0, n, SAMPLE_BLOCK_ROWS):
+        stop = min(start + SAMPLE_BLOCK_ROWS, n)
+        rise = _thrust_proxies(log.rotor_speeds[start:stop])  # thrust_k - thrust_{k-L}: what push adds
+        lagged = max(start, window)  # the block's first sample with one a window before it
+        if stop > lagged:
+            rise[lagged - start :] -= _thrust_proxies(log.rotor_speeds[lagged - window : stop - window])
+        rise[0] += window_sum
+        np.cumsum(rise, out=rise)
+        window_sum = rise[-1]
+        above = rise / np.minimum(np.arange(start + 1, stop + 1), window) > gate._gate_level
+        if above.any():
+            return start + int(above.argmax())
+    return n
+
+
+def _thrust_proxies(speeds: np.ndarray) -> np.ndarray:
+    """``w1*w1 + w2*w2 + w3*w3 + w4*w4`` of each row of rotor speeds, in ``push``'s order."""
+    w1, w2, w3, w4 = np.asarray(speeds, dtype=float).T
+    return w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4
 
 
 def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: int) -> np.ndarray:
@@ -293,6 +424,8 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
     every log at once, each block taking the bank's memory from the one
     before, so it holds about three (block, 7, logs) arrays however long the
     logs are. A lane past its log's end carries stale values, never read.
+    A single log runs in the column form, ``filter_columns``, which gives
+    the same bits without ``filter_lanes``'s ufunc calls per time step.
     """
     n = max(len(log) for log in logs)
     y_ticks = np.empty((n // steps, 7, len(logs)))
@@ -309,10 +442,17 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
         if start == 0:
             x[0] = x[1] = x[2]  # the warm start
             y[:2] = x[:2]
-        filter_lanes(coeffs, x[: size + 2], y[: size + 2])
-        at = np.arange(start + (steps - 1 - start) % steps, start + size, steps)  # tick samples in the block
-        y_ticks[at // steps] = y[2 + at - start]
-        x[:2], y[:2] = x[size : size + 2], y[size : size + 2]
+        offset = (steps - 1 - start) % steps  # the block's first tick sample, from its start
+        at = np.arange(start + offset, start + size, steps)  # tick samples in the block
+        if len(logs) == 1:
+            for channel, column in enumerate(filter_columns(coeffs, x[: size + 2, :, 0], y[:2, :, 0])):
+                y_ticks[at // steps, channel, 0] = column[2 + offset :: steps]
+                y[:2, channel, 0] = column[-2:]
+        else:
+            filter_lanes(coeffs, x[: size + 2], y[: size + 2])
+            y_ticks[at // steps] = y[2 + at - start]
+            y[:2] = y[size : size + 2]
+        x[:2] = x[size : size + 2]
     return y_ticks
 
 
@@ -404,7 +544,7 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     for first in firsts:
         conditioning.setdefault(first.conditioning_key(), first)
     ckeys = list(conditioning)
-    tick_sets, n_armed, flagged = _condition_lanes(logs, list(conditioning.values()))
+    tick_sets, n_armed, flagged, _ = _condition_lanes(logs, list(conditioning.values()))
 
     # Lane ``i * len(firsts) + key`` runs log ``i`` under estimator key ``key``.
     key_sets = [ckeys.index(first.conditioning_key()) * len(logs) for first in firsts]
@@ -580,6 +720,14 @@ def summarize_sweep(rows: list[SweepResultRow], spec: SweepSpec) -> list[SweepSu
 # ---------------------------------------------------------------------------
 # CSV import/export. Schemas are stable; see README.
 
+TICKS_HEADER = ",".join(
+    ["t"]
+    + [f"k{i}" for i in range(1, 5)]
+    + [f"var{i}" for i in range(1, 5)]
+    + [f"pfail{i}" for i in range(1, 5)]
+    + ["armed"]
+    + [f"failed{i}" for i in range(1, 5)]
+)
 RESULTS_HEADER = ("param_set_id", "log_id", "delay_s", "false_alarms", "missed")
 SUMMARY_HEADER = (
     "param_set_id",

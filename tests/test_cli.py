@@ -206,13 +206,55 @@ def _oracle_ticks_csv(outputs):
     return ("\n".join(lines) + "\n").encode()
 
 
-def test_detect_ticks_csv_equals_row_by_row_formatting(tmp_path, capsys):
-    path = simulate_log(tmp_path, "flight.csv")
-    out_csv = tmp_path / "outputs.csv"
-    assert run_cli("detect", "--log", str(path), "--out", str(out_csv)) == 0
-    outputs = run_detector(flightlog.load_log(path), default_config())
-    assert any(out.status.any_failed() for out in outputs)
-    assert out_csv.read_bytes() == _oracle_ticks_csv(outputs)
+def _head(log, n):
+    """The first ``n`` rows of ``log``, unannotated."""
+    return flightlog.FlightLog(log.sample_rate_hz, log.t[:n], log.gyro[:n], log.accel_z[:n], log.rotor_speeds[:n])
+
+
+FIVE_SAMPLE_PERIOD = config_with(default_config(), "estimator_interval", 5 * default_config().sensor_interval)
+
+
+# Each case: the log, the config (``None`` for the defaults) and what the case is there for.
+TICKS_CASES = {
+    "ejection": (lambda request: flightlog.load_log(simulate_log(request.getfixturevalue("tmp_path"), "sim.csv")), None),
+    "takeoff_ramp": (lambda request: request.getfixturevalue("takeoff_logs")[0], None),
+    "ground_idle": (lambda request: request.getfixturevalue("ground_idle_logs")[0], None),
+    "shorter_than_a_period": (lambda request: _head(request.getfixturevalue("ejection_log"), 4), None),
+    "one_row": (lambda request: _head(request.getfixturevalue("ejection_log"), 1), None),
+    "five_sample_period": (lambda request: _head(request.getfixturevalue("takeoff_logs")[0], 2222), FIVE_SAMPLE_PERIOD),
+}
+
+
+@pytest.mark.parametrize("case", TICKS_CASES)
+def test_detect_ticks_csv_equals_row_by_row_formatting(tmp_path, capsys, request, case):
+    # detect replays in blocks and writes the CSV run by run; every byte
+    # must equal run_detector's outputs formatted row by row: a latching
+    # ejection, a ramp that arms mid-period, a log that never arms, logs
+    # shorter than one estimator period, and a 5-sample period whose ramp
+    # arms on a tick sample and whose log ends in a partial period.
+    make_log, config = TICKS_CASES[case]
+    log = make_log(request)
+    path = tmp_path / "flight.csv"
+    flightlog.save_log(log, path)
+    argv = ["detect", "--log", str(path), "--out", str(tmp_path / "outputs.csv")]
+    if config is not None:
+        (tmp_path / "detector.cfg").write_text(format_config(config))
+        argv += ["--config", str(tmp_path / "detector.cfg")]
+    assert run_cli(*argv) == 0
+    outputs = run_detector(flightlog.load_log(path), config or default_config())
+    armed = [out.armed for out in outputs]
+    steps = (config or default_config()).steps_per_estimate()
+    if case == "ejection":
+        assert outputs[-1].status.any_failed()
+    elif case == "takeoff_ramp":
+        assert not armed[0] and armed[-1] and armed.index(True) % steps != steps - 1
+    elif case == "ground_idle":
+        assert not any(armed)
+    elif case == "five_sample_period":
+        assert armed.index(True) % steps == steps - 1 and len(log) % steps != 0
+    else:
+        assert len(log) < steps
+    assert (tmp_path / "outputs.csv").read_bytes() == _oracle_ticks_csv(outputs)
 
 
 def test_detect_streams_its_outputs_instead_of_holding_them(tmp_path, capsys, monkeypatch):
@@ -572,6 +614,44 @@ def test_detect_and_sweep_print_the_same_error(tmp_path, capsys, ejection_log):
     assert run_cli("sweep", *argv) == 1
     sweep_err = capsys.readouterr().err.splitlines()
     assert detect_err == sweep_err == ["error: innovation variance s=nan is not finite and positive"]
+
+
+@pytest.mark.parametrize(
+    ("shift", "scale", "error"),
+    [
+        (0.49, 0.991, "timestamp step 0.00298 s at t=1.95298 is outside (0.5, 1.5) x sensor_interval 0.001982 s"),
+        (
+            -0.496,
+            1.009,
+            "timestamp step 0.001008 s at t=1.9510079999999999 is outside (0.5, 1.5) x sensor_interval 0.002018 s",
+        ),
+    ],
+    ids=["long-step", "short-step"],
+)
+def test_detect_step_error_after_a_clean_load_is_the_serial_replays(tmp_path, capsys, ejection_log, shift, scale, error):
+    # A 1.49-period step near the log's end (or a 0.504-period one) loads
+    # clean, but a sensor_interval 0.9% short (or long) turns it into a step
+    # push rejects, with no estimator overflow. The block replay's
+    # conditioning flags it and replays the log serially, so detect prints
+    # the row-by-row replay's error line and exit code, and writes no ticks
+    # file.
+    t = ejection_log.t.copy()
+    t[-5:] += shift * 0.002
+    log = flightlog.FlightLog(
+        ejection_log.sample_rate_hz, t, ejection_log.gyro, ejection_log.accel_z, ejection_log.rotor_speeds
+    )
+    log_path = tmp_path / "stepped.csv"
+    flightlog.save_log(log, log_path)
+    interval = 0.002 * scale
+    values = {"sensor_interval": interval, "estimator_interval": 10 * interval}
+    config_path = tmp_path / "off_rate.cfg"
+    config_path.write_text(format_config(config_from_dict(config_to_dict(default_config()) | values)))
+    out_csv = tmp_path / "ticks.csv"
+    assert run_cli("detect", "--log", str(log_path), "--config", str(config_path), "--out", str(out_csv)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
+    assert captured.out == ""
+    assert not out_csv.exists()
 
 
 def test_sweep_unknown_parameter_fails_before_running(tmp_path, capsys):

@@ -9,6 +9,7 @@ from loedetect.filters import (
     FilterState,
     design_lowpass,
     differentiate,
+    filter_columns,
     filter_lanes,
     filter_step,
     frequency_response,
@@ -250,6 +251,25 @@ def test_filter_lanes_equals_filter_step_bit_for_bit(n_logs):
     y2[:2] = y[-2:]
     filter_lanes(coeffs, x2, y2)
     assert np.concatenate([head, y2[2:]]).tobytes() == whole.tobytes()
+
+
+def test_filter_columns_equal_filter_lanes_bit_for_bit():
+    # The one-stream column form: each channel's list of outputs equals the
+    # lane kernel's column by bytes, -0.0 inputs included, and a block that
+    # takes its memory from the block before gives the same bytes.
+    rng = np.random.default_rng(47)
+    coeffs = design_lowpass(FilterDesign(natural_frequency=rng.uniform(20.0, 300.0), damping_ratio=0.4), DT)
+    samples = rng.normal(size=(300, len(CHANNELS), 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (len(CHANNELS), 1))
+    samples = np.where(rng.uniform(size=samples.shape) < 0.2, -0.0, samples)
+    x, y = _lanes_warm_started(samples)
+    filter_lanes(coeffs, x, y)
+    want = np.ascontiguousarray(y[:, :, 0].T).tobytes()
+    assert np.array(list(filter_columns(coeffs, x[:, :, 0], y[:2, :, 0]))).tobytes() == want
+
+    head = list(filter_columns(coeffs, x[:152, :, 0], y[:2, :, 0]))
+    memory = np.array([column[-2:] for column in head]).T
+    rest = list(filter_columns(coeffs, x[150:, :, 0], memory))
+    assert np.array([h + r[2:] for h, r in zip(head, rest)]).tobytes() == want
 
 
 def test_filter_lanes_of_one_sample_is_the_warm_start_output():

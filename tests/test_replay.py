@@ -509,8 +509,10 @@ def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, tak
     # One lane pass per distinct conditioning key, over logs of unequal
     # length: a takeoff ramp that arms mid-log and mid-period, an ejection
     # log that arms on its first sample, a ground-idle log that never arms,
-    # a log shorter than one estimator period and a 1-row log. Every tick
-    # row is compared by bytes, which tell -0.0 from 0.0.
+    # a log shorter than one estimator period and a 1-row log. Each log
+    # also runs alone, in the one-log column form. Every tick row is
+    # compared by bytes, which tell -0.0 from 0.0, and each set's arming
+    # sample with the one ``push`` arms on.
     base = default_config()
     spec = SweepSpec(
         base=base,
@@ -536,14 +538,22 @@ def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, tak
     assert _arming_sample(ramp, configs[0]) % 10 == 4
     assert _arming_sample(ramp, configs[3]) % 5 == 4
 
-    ticks, n_ticks, flagged = replay._condition_lanes(logs, configs)
+    lanes = replay._condition_lanes(logs, configs)
+    ticks, n_ticks, flagged, _ = lanes
     assert not flagged.any()
     for c, config in enumerate(configs):
         for i, log in enumerate(logs):
-            s = c * len(logs) + i
             want = _pushed_ticks(log, config)
-            assert n_ticks[s] == len(want)
-            assert np.ascontiguousarray(ticks[: n_ticks[s], :, s]).tobytes() == want.tobytes(), (c, i)
+            arming = _arming_sample(log, config)
+            # The lane loop over every log, and the one-log column form on this log alone.
+            for (set_ticks, set_counts, set_flags, armed_at), s in (
+                (lanes, c * len(logs) + i),
+                (replay._condition_lanes([log], [config]), 0),
+            ):
+                assert not set_flags[s]
+                assert set_counts[s] == len(want)
+                assert np.ascontiguousarray(set_ticks[: set_counts[s], :, s]).tobytes() == want.tobytes(), (c, i, s)
+                assert armed_at[s] == (len(log) if arming is None else arming), (c, i, s)
     per_log = n_ticks.reshape(len(configs), len(logs))
     periods = np.array([len(ramp) // config.steps_per_estimate() for config in configs])
     assert (0 < per_log[:, 0]).all() and (per_log[:, 0] < periods).all()  # the ramp arms mid-log
@@ -658,8 +668,8 @@ def test_sweep_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_log, mo
     condition_lanes = replay._condition_lanes
 
     def flag_everything(logs, configs):
-        ticks, n_ticks, flagged = condition_lanes(logs, configs)
-        return ticks, n_ticks, np.ones_like(flagged)
+        ticks, n_ticks, flagged, armed_at = condition_lanes(logs, configs)
+        return ticks, n_ticks, np.ones_like(flagged), armed_at
 
     monkeypatch.setattr(replay, "_condition_lanes", flag_everything)
     with pytest.raises(RuntimeError, match="^the lanes flagged log 0, but its serial replay raised nothing$"):
@@ -679,6 +689,51 @@ def test_sweep_refuses_a_trip_the_float_kernel_does_not_confirm(ejection_log, mo
     spec = SweepSpec(base=default_config(), variations=(("g_q", (1.2e-4,)),))
     with pytest.raises(RuntimeError, match="^the lanes flagged log 0, but its serial replay raised nothing$"):
         run_sweep([ejection_log], spec)
+
+
+def test_conditioning_lanes_arm_while_the_gate_window_fills(ejection_log):
+    # Idle rotors for 0.3 s, then hover: the gate arms before its 1 s window
+    # has filled, while its mean divides by the samples seen so far. The
+    # one-log column form and the lane loop arm on push's sample.
+    speeds = ejection_log.rotor_speeds.copy()
+    speeds[:150] *= 0.3
+    log = FlightLog(ejection_log.sample_rate_hz, ejection_log.t, ejection_log.gyro, ejection_log.accel_z, speeds)
+    config = default_config()
+    arming = _arming_sample(log, config)
+    assert 150 < arming < Conditioner(config)._gate_len
+    want = _pushed_ticks(log, config)
+    for logs in ([log], [log, ejection_log]):
+        ticks, n_ticks, flagged, armed_at = replay._condition_lanes(logs, [config])
+        assert not flagged.any() and armed_at[0] == arming
+        assert n_ticks[0] == len(want) and np.ascontiguousarray(ticks[: n_ticks[0], :, 0]).tobytes() == want.tobytes()
+
+
+def test_replay_log_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_log, monkeypatch, tmp_path):
+    # detect's block replay takes the same way out: a flagged log is
+    # replayed serially, and if that raises nothing, no ticks file is opened.
+    condition_lanes = replay._condition_lanes
+
+    def flag_everything(logs, configs):
+        ticks, n_ticks, flagged, armed_at = condition_lanes(logs, configs)
+        return ticks, n_ticks, np.ones_like(flagged), armed_at
+
+    monkeypatch.setattr(replay, "_condition_lanes", flag_everything)
+    with pytest.raises(RuntimeError, match="^the conditioning flagged the log, but its serial replay raised nothing$"):
+        replay.replay_log(ejection_log, default_config(), tmp_path / "ticks.csv")
+    assert not (tmp_path / "ticks.csv").exists()
+
+
+@pytest.mark.parametrize("config", [default_config(), config_with(default_config(), "process_noise_q", 0.5)])
+def test_replay_log_status_equals_the_row_by_row_replay(
+    ejection_log, takeoff_logs, ground_idle_logs, config, tmp_path
+):
+    # The block replay's final status, with and without a ticks file, is
+    # the row-by-row replay's: latch times compared as floats, not rounded.
+    for log in (ejection_log, takeoff_logs[1], ground_idle_logs[1], _head(ejection_log, 7)):
+        want = run_detector(log, config)[-1].status
+        assert replay.replay_log(log, config) == want
+        assert replay.replay_log(log, config, tmp_path / "ticks.csv") == want
+    assert ejection_log.fault_actuator is not None and replay.replay_log(ejection_log, config).any_failed()
 
 
 def _late_step(log):

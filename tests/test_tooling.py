@@ -34,7 +34,10 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path, monkeypatc
     log = fly_scenario("hover", duration=1.0, noise=SensorNoiseModel(seed=3))
     path = tmp_path / "hover.csv"
     save_log(log, path)
-    # detect replays through the float entry, which the tracer does not wrap.
+    # detect replays a clean log in blocks: the filter bank runs as columns
+    # and the differencing on arrays, so it calls neither filter_step,
+    # differentiate nor process_row; the estimator and the decision still
+    # run through the detector's names, once per armed tick.
     replayed = []
     process_row = Detector.process_row
     monkeypatch.setattr(Detector, "process_row", lambda self, row: replayed.append(row) or process_row(self, row))
@@ -45,10 +48,10 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path, monkeypatc
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    assert metrics["filters.filter_step.calls"][0] == len(log)
-    assert len(replayed) == len(log)
+    assert metrics["filters.filter_step.calls"][0] == 0
+    assert len(replayed) == 0
     assert metrics["detector.process_sample.calls"][0] == 0
-    assert metrics["filters.differentiate.calls"][0] == len(log) // 10
+    assert metrics["filters.differentiate.calls"][0] == 0
     # A refactor that inlined the estimator or the hypothesis test would read zero here.
     conditioner = Conditioner(default_config())
     armed_ticks = sum(conditioner.push(*row) is not None for row in log.rows())
