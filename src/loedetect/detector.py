@@ -458,17 +458,3 @@ class Detector(Estimation):
         if tick is not None:
             self._tick(t, tick)
         return DetectorOutput(t, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed)
-
-    def process_row(self, row: list[float]) -> DetectorOutput:
-        """Replay one log row: nine Python floats in ``flightlog.COLUMNS`` order.
-
-        ``FlightLog.rows()`` yields such rows. The values go to
-        ``Conditioner.push`` as they are, and the outputs are bit-identical
-        to ``process_sample`` on the same sample.
-        """
-        conditioner = self._conditioner
-        t, p, q, r, az, w1, w2, w3, w4 = row
-        tick = conditioner.push(t, p, q, r, az, w1, w2, w3, w4)
-        if tick is not None:
-            self._tick(t, tick)
-        return DetectorOutput(t, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed)

@@ -86,9 +86,9 @@ class FlightLog:
     def rows(self) -> Iterator[list[float]]:
         """One ``[t, p, q, r, az, w1, w2, w3, w4]`` list of Python floats per row, in ``COLUMNS`` order.
 
-        ``Detector.process_row`` replays them; each block of
-        ``SAMPLE_BLOCK_ROWS`` rows is converted by one ``tolist()``, and
-        ``chain`` walks the blocks with no Python frame per row.
+        ``save_log`` writes them; each block of ``SAMPLE_BLOCK_ROWS`` rows
+        is converted by one ``tolist()``, and ``chain`` walks the blocks
+        with no Python frame per row.
         """
         columns = (self.t, self.gyro, self.accel_z, self.rotor_speeds)
         return chain.from_iterable(

@@ -1,16 +1,16 @@
 """Offline replay, evaluation metrics and one-at-a-time parameter sweeps.
 
-Replaying a log feeds the exact same per-sample pipeline the streaming
-detector runs, so offline results are bit-identical to online processing of
-the same samples. ``run_detector`` and ``evaluate_log`` replay row by row
-through ``Detector.process_row``, the serial reference. ``replay_log``, which
-``loedetect detect`` runs, replays one log in blocks instead: the sweep's
-conditioning on the one log, then the detector's own estimation and
-decision code on its armed ticks only, with the same outputs. For one log
-the conditioning runs the filter bank in its column form
-(``filters.filter_columns``): the lane kernel pays about four ufunc calls
-per time step whatever the width, which for one log costs more than the
-arithmetic. A sweep conditions every log at once, one pass per
+Replaying a log feeds the exact same pipeline the streaming detector runs,
+so offline results are bit-identical to online processing of the same
+samples. A log is replayed one of two ways. ``run_detector`` streams it
+through ``Detector.process_sample``, the serial reference, one output per
+sample. ``replay_log``, which ``loedetect detect`` and ``evaluate_log`` run,
+replays it in blocks instead: the sweep's conditioning on the one log, then
+the detector's own estimation and decision code on its armed ticks only,
+with the same outputs. For one log the conditioning runs the filter bank in
+its column form (``filters.filter_columns``): the lane kernel pays about
+four ufunc calls per time step whatever the width, which for one log costs
+more than the arithmetic. A sweep conditions every log at once, one pass per
 distinct conditioning key with one numpy lane per log: ``push``'s checks and
 the takeoff gate per log, the filter bank by ``filters.filter_lanes`` on
 blocks of every log's samples, and the differencing at the ticks, all
@@ -24,14 +24,15 @@ tick. The failure probabilities of each distinct ``k_threshold`` are then
 taken per lane on the estimates below it only, each actuator's up to the
 first probability that latches every config sharing them, and each config
 latches by first exceedance (``decision.first_exceedance``), with the same
-results as a full replay. Errors come from one place: the first log that
+results as a full replay. Errors come from one place, the serial replay
+(``_replay_serially``), which streams a log through a fresh ``Detector`` and
+so raises what ``run_detector`` raises. It runs on a log whose block
+replay's conditioning flags it, and on a sweep's first bad log: one that
 fails a sample-rate check, that the conditioning lanes flag or whose
 estimator lane meets a NaN innovation, an innovation variance outside (0,
-inf) or a negative variance is replayed serially through ``evaluate_log``,
-which raises what a serial replay raises. With ``jobs > 1`` each worker
-process runs one lane pass over a contiguous chunk of the logs. Evaluation
-produces the three metrics that matter for a fault detector: detection
-delay, false alarms, missed detections.
+inf) or a negative variance. With ``jobs > 1`` each worker process runs one lane pass over a contiguous chunk
+of the logs. Evaluation produces the three metrics that matter for a fault
+detector: detection delay, false alarms, missed detections.
 """
 
 from __future__ import annotations
@@ -92,9 +93,14 @@ def _check_sample_rate(log: FlightLog, config: DetectorConfig) -> None:
 
 
 def run_detector(log: FlightLog, config: DetectorConfig) -> list[DetectorOutput]:
-    """Replay a log through a fresh detector, one output per sample."""
+    """Stream a log through a fresh detector's ``process_sample``, one output per sample."""
     _check_sample_rate(log, config)
-    return list(map(Detector(config).process_row, log.rows()))
+    return list(map(Detector(config).process_sample, log.samples()))
+
+
+def _replay_serially(log: FlightLog, config: DetectorConfig) -> None:
+    """``run_detector`` holding no outputs: the serial replay, run for the error it raises."""
+    deque(map(Detector(config).process_sample, log.samples()), maxlen=0)
 
 
 @dataclass(frozen=True)
@@ -157,29 +163,27 @@ def evaluate_status(
 
 
 def evaluate_log(log: FlightLog, config: DetectorConfig) -> EvaluationResult:
-    """Replay plus evaluation against the log's own annotation, holding no outputs."""
-    _check_sample_rate(log, config)
-    detector = Detector(config)
-    deque(map(detector.process_row, log.rows()), maxlen=0)
-    return evaluate_status(detector.status, float(log.t[0]), float(log.t[-1]), log.ground_truth())
+    """``replay_log`` plus evaluation against the log's own annotation, holding no outputs."""
+    return evaluate_status(replay_log(log, config), float(log.t[0]), float(log.t[-1]), log.ground_truth())
 
 
 def replay_log(log: FlightLog, config: DetectorConfig, ticks_path=None) -> DetectionStatus:
     """``run_detector``'s replay of ``log`` in blocks, holding no outputs; returns the final status.
 
-    ``loedetect detect`` runs it. Conditioning is ``_condition_lanes`` on
-    the one log, and the detector's own estimation and decision code
-    (``Estimation._tick``) runs on its armed ticks only. With
-    ``ticks_path``, the ticks CSV goes there: the rows of ``run_detector``'s
-    outputs (``TICKS_HEADER``), written run by run (``_write_ticks``). A log
-    the conditioning flags is replayed through ``evaluate_log``, so it
-    raises what ``run_detector`` raises, before any file is opened. An
-    estimator error leaves the rows up to the run before its tick written.
+    ``loedetect detect`` and ``evaluate_log`` run it. Conditioning is
+    ``_condition_lanes`` on the one log, and the detector's own estimation
+    and decision code (``Estimation._tick``) runs on its armed ticks only.
+    With ``ticks_path``, the ticks CSV goes there: the rows of
+    ``run_detector``'s outputs (``TICKS_HEADER``), written run by run
+    (``_write_ticks``). A log the conditioning flags is replayed serially
+    (``_replay_serially``), so it raises what ``run_detector`` raises,
+    before any file is opened. An estimator error leaves the rows up to the
+    run before its tick written.
     """
     _check_sample_rate(log, config)
     ticks, n_ticks, flagged, armed_at = _condition_lanes([log], [config])
     if flagged[0]:
-        evaluate_log(log, config)
+        _replay_serially(log, config)
         raise RuntimeError("the conditioning flagged the log, but its serial replay raised nothing")
     estimation = Estimation(config)
     steps, armed_at = config.steps_per_estimate(), int(armed_at[0])
@@ -525,8 +529,8 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     A log is bad if a config's sample rate mismatches it, if a conditioning
     set it uses is flagged, or if one of its lanes tripped. The first bad
     log, in log order, is replayed serially: the sample-rate check of every
-    config, then ``evaluate_log`` under the first config of each of its bad
-    lanes, in key order. So an earlier log's trip beats a later log's failed
+    config, then ``_replay_serially`` under the first config of each of its
+    bad lanes, in key order. So an earlier log's trip beats a later log's failed
     check, and within one (log, estimator key) the float replay decides
     which error comes first. A clean sweep replays nothing.
     """
@@ -562,7 +566,7 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
             for config in configs:
                 _check_sample_rate(log, config)
             for key in np.flatnonzero(bad[i]).tolist():
-                evaluate_log(log, firsts[key])
+                _replay_serially(log, firsts[key])
             raise RuntimeError(f"the lanes flagged log {i}, but its serial replay raised nothing")
 
     results: list[list[EvaluationResult]] = [[None] * len(configs) for _ in logs]

@@ -8,6 +8,11 @@ and the estimator as the sequential scalar update written with vector and
 outer-product operations. Every operation involved is elementwise, so the
 package must reproduce them bit for bit, and the tests assert
 ``array_equal``.
+
+The serial replay oracles (``streamed_outputs``, ``serial_evaluation``,
+``oracle_ticks_csv``) stream a log through ``Detector.process_sample`` and
+format its outputs row by row: the references the block replay and the
+sweep are held to.
 """
 
 from __future__ import annotations
@@ -16,15 +21,52 @@ import numpy as np
 
 from loedetect import kalman
 from loedetect.decision import DetectionStatus, decide, failure_probability
-from loedetect.detector import ARMING_WINDOW_S, Conditioner
+from loedetect.detector import ARMING_WINDOW_S, Conditioner, Detector
 from loedetect.effectiveness import SIGN_MATRIX
 from loedetect.filters import MAX_ROTOR_SPEED_RAD_S, N_CHANNELS, design_lowpass, filter_step
 from loedetect.kalman import EstimatorState
+from loedetect.replay import _check_sample_rate, evaluate
 
 
 def sample_values(raw):
     """A ``RawSample`` as ``Conditioner.push``'s nine floats."""
     return [raw.timestamp, *raw.angular_rate.tolist(), float(raw.proper_accel_z), *raw.rotor_speeds.tolist()]
+
+
+def streamed_outputs(log, config):
+    """A serial replay of ``log``: the sample-rate check, then ``Detector.process_sample`` on each sample."""
+    _check_sample_rate(log, config)
+    detector = Detector(config)
+    return [detector.process_sample(raw) for raw in log.samples()]
+
+
+def serial_evaluation(log, config):
+    """What ``evaluate_log`` returns or raises, taken from ``streamed_outputs``."""
+    return evaluate(streamed_outputs(log, config), log.ground_truth())
+
+
+def oracle_ticks_csv(outputs):
+    """The ticks CSV of ``outputs`` formatted row by row, every field every row."""
+    names = (
+        ["t"]
+        + [f"k{i}" for i in range(1, 5)]
+        + [f"var{i}" for i in range(1, 5)]
+        + [f"pfail{i}" for i in range(1, 5)]
+        + ["armed"]
+        + [f"failed{i}" for i in range(1, 5)]
+    )
+    lines = [",".join(names)]
+    for out in outputs:
+        row = (
+            [repr(out.timestamp)]
+            + [repr(float(v)) for v in out.k_hat]
+            + [repr(float(v)) for v in out.variances]
+            + [repr(float(v)) for v in out.p_fail]
+            + [str(int(out.armed))]
+            + [str(int(f)) for f in out.status.failed]
+        )
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def narrow_bank_step(state, inputs):

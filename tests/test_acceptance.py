@@ -15,11 +15,11 @@ from loedetect.detector import Detector, default_config
 from loedetect.decision import failure_probability
 from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
 from loedetect.filters import FilterDesign, FilterState, design_lowpass, filter_step, frequency_response
-from loedetect.replay import default_sweep_spec, evaluate, run_detector, run_sweep, summarize_sweep
+from loedetect.replay import default_sweep_spec, evaluate, replay_log, run_detector, run_sweep, summarize_sweep
 from loedetect.simulator import SensorNoiseModel, fly_scenario
 
 from budget import step_runtime_budget
-from oracles import state_arrays, state_from_arrays
+from oracles import oracle_ticks_csv, state_arrays, state_from_arrays
 
 DELAY_WINDOW = (0.02, 0.20)
 
@@ -243,23 +243,19 @@ def test_criterion_09_performance_budget():
     )
 
 
-def test_criterion_10_replay_equivalence(ejection_corpus):
+def test_criterion_10_replay_equivalence(ejection_corpus, tmp_path):
+    # Streaming against the offline block replay, two different code paths:
+    # the ticks CSV spells every output's timestamp, estimates, variances,
+    # probabilities, armed flag and latch flags exactly (repr), and the final
+    # status holds the latch times.
     logs, _ = ejection_corpus
     log = logs[0]
     config = default_config()
-    offline = run_detector(log, config)
     detector = Detector(config)
-    identical = True
-    for raw, ref in zip(log.samples(), offline):
-        out = detector.process_sample(raw)
-        identical = identical and (
-            out.timestamp == ref.timestamp
-            and np.array_equal(out.k_hat, ref.k_hat)
-            and np.array_equal(out.variances, ref.variances)
-            and np.array_equal(out.p_fail, ref.p_fail)
-            and out.status == ref.status
-            and out.armed == ref.armed
-        )
+    streamed = [detector.process_sample(raw) for raw in log.samples()]
+    ticks = tmp_path / "ticks.csv"
+    final = replay_log(log, config, ticks)
+    identical = ticks.read_bytes() == oracle_ticks_csv(streamed) and final == streamed[-1].status
     _verdict(
         "10 replay-equivalence",
         identical,

@@ -20,6 +20,7 @@ from loedetect.detector import (
     parse_config,
 )
 from loedetect.replay import run_detector
+from oracles import oracle_ticks_csv
 
 
 def run_cli(*argv):
@@ -182,30 +183,6 @@ def test_detect_reports_delay_in_range(tmp_path, capsys):
     assert header.startswith("t,k1,k2,k3,k4,var1")
 
 
-def _oracle_ticks_csv(outputs):
-    """The ticks CSV formatted row by row, every field every row."""
-    names = (
-        ["t"]
-        + [f"k{i}" for i in range(1, 5)]
-        + [f"var{i}" for i in range(1, 5)]
-        + [f"pfail{i}" for i in range(1, 5)]
-        + ["armed"]
-        + [f"failed{i}" for i in range(1, 5)]
-    )
-    lines = [",".join(names)]
-    for out in outputs:
-        row = (
-            [repr(out.timestamp)]
-            + [repr(float(v)) for v in out.k_hat]
-            + [repr(float(v)) for v in out.variances]
-            + [repr(float(v)) for v in out.p_fail]
-            + [str(int(out.armed))]
-            + [str(int(f)) for f in out.status.failed]
-        )
-        lines.append(",".join(row))
-    return ("\n".join(lines) + "\n").encode()
-
-
 def _head(log, n):
     """The first ``n`` rows of ``log``, unannotated."""
     return flightlog.FlightLog(log.sample_rate_hz, log.t[:n], log.gyro[:n], log.accel_z[:n], log.rotor_speeds[:n])
@@ -254,7 +231,7 @@ def test_detect_ticks_csv_equals_row_by_row_formatting(tmp_path, capsys, request
         assert armed.index(True) % steps == steps - 1 and len(log) % steps != 0
     else:
         assert len(log) < steps
-    assert (tmp_path / "outputs.csv").read_bytes() == _oracle_ticks_csv(outputs)
+    assert (tmp_path / "outputs.csv").read_bytes() == oracle_ticks_csv(outputs)
 
 
 def test_detect_streams_its_outputs_instead_of_holding_them(tmp_path, capsys, monkeypatch):
@@ -633,7 +610,7 @@ def test_detect_step_error_after_a_clean_load_is_the_serial_replays(tmp_path, ca
     # clean, but a sensor_interval 0.9% short (or long) turns it into a step
     # push rejects, with no estimator overflow. The block replay's
     # conditioning flags it and replays the log serially, so detect prints
-    # the row-by-row replay's error line and exit code, and writes no ticks
+    # the streamed replay's error line and exit code, and writes no ticks
     # file.
     t = ejection_log.t.copy()
     t[-5:] += shift * 0.002

@@ -712,9 +712,8 @@ def test_detector_equals_array_oracle_on_noisy_fault_log(ejection_log):
 
 
 # ---------------------------------------------------------------------------
-# Two entries, one kernel: ``process_sample`` streams a ``RawSample`` and
-# ``process_row`` replays a log row of nine floats; both feed
-# ``Conditioner.push``. The takeoff gate sums the four squared speeds on
+# ``process_sample`` reads a ``RawSample`` into the nine floats
+# ``Conditioner.push`` takes. The takeoff gate sums the four squared speeds on
 # floats, where ``oracles.OracleGate`` takes a numpy dot that can round
 # differently, so the arming sample is checked log by log.
 
@@ -740,15 +739,6 @@ def test_float_gate_arms_at_the_dot_oracle_sample(ejection_corpus, ground_idle_l
         assert set(got) == arming
 
 
-def test_row_replay_equals_streaming_samples(ejection_corpus, takeoff_logs):
-    config = default_config()
-    for log in [*ejection_corpus[0], *takeoff_logs]:
-        by_sample, by_row = Detector(config), Detector(config)
-        streamed = [repr(by_sample.process_sample(raw)) for raw in log.samples()]
-        # repr spells every float exactly and names every field, armed included.
-        assert [repr(by_row.process_row(row)) for row in log.rows()] == streamed
-
-
 @pytest.mark.parametrize("index", [50, 600], ids=["disarmed", "armed"])
 @pytest.mark.parametrize(
     ("fault", "message"),
@@ -760,22 +750,19 @@ def test_row_replay_equals_streaming_samples(ejection_corpus, takeoff_logs):
         ("off-step", r"timestamp step 0\.0008 s at t="),
     ],
 )
-def test_both_entries_reject_a_bad_sample_with_one_message(fault, message, index):
+def test_stream_rejects_a_bad_sample_with_push_message(fault, message, index):
     config = default_config()
     clean = list(_random_stream(config, 700, 24))  # arms at sample 140
-    by_sample, by_row = Detector(config), Detector(config)
+    by_sample, untouched = Detector(config), Detector(config)
     for raw in clean[:index]:
         by_sample.process_sample(raw)
-        by_row.process_row(sample_values(raw))
-    assert by_sample.armed == by_row.armed == (index == 600)
+        untouched.process_sample(raw)
+    assert by_sample.armed == (index == 600)
     bad = _faulty_copy(clean[index], fault)
-    with pytest.raises(ValueError, match=f"^{message}") as from_sample:
+    with pytest.raises(ValueError, match=f"^{message}"):
         by_sample.process_sample(bad)
-    with pytest.raises(ValueError) as from_row:
-        by_row.process_row(sample_values(bad))
-    assert str(from_row.value) == str(from_sample.value)
-    # Neither entry kept anything of the rejected sample.
-    assert repr(by_row.process_row(sample_values(clean[index]))) == repr(by_sample.process_sample(clean[index]))
+    # The stream kept nothing of the rejected sample.
+    assert repr(by_sample.process_sample(clean[index])) == repr(untouched.process_sample(clean[index]))
 
 
 class _NoNumpy:
@@ -790,16 +777,13 @@ def test_per_sample_path_makes_no_numpy_call(monkeypatch):
     # arms at the 23rd sample and the 30th is an armed estimator tick.
     config = default_config()
     samples = [idle_sample(i) for i in range(12)] + [hover_sample(i) for i in range(12, 32)]
-    rows = [sample_values(raw) for raw in samples]
-    by_row, by_sample = Detector(config), Detector(config)
+    by_sample = Detector(config)
     for module in (detector_module, filters, kalman, decision, effectiveness):
         monkeypatch.setattr(module, "np", _NoNumpy(), raising=False)
-    outputs = [by_row.process_row(row) for row in rows]
     streamed = [by_sample.process_sample(raw) for raw in samples]
     monkeypatch.undo()
-    assert [out.armed for out in outputs].index(True) == 22
-    assert outputs[29].k_hat is not outputs[28].k_hat  # the armed tick ran the estimator
-    assert [repr(out) for out in streamed] == [repr(out) for out in outputs]
+    assert [out.armed for out in streamed].index(True) == 22
+    assert streamed[29].k_hat is not streamed[28].k_hat  # the armed tick ran the estimator
 
 
 def test_published_snapshots_are_read_only():

@@ -37,7 +37,7 @@ from loedetect.replay import (
     write_summary_csv,
 )
 from loedetect.simulator import SensorNoiseModel, fly_scenario
-from oracles import state_arrays, state_from_arrays, sweep_probability_evaluations
+from oracles import serial_evaluation, state_arrays, state_from_arrays, sweep_probability_evaluations
 
 
 def _output(t, status, armed=True):
@@ -180,7 +180,7 @@ def test_sweep_totality_every_pair_once(ejection_log):
 def test_single_pair_sweep_equals_direct_evaluation(ejection_log):
     spec = SweepSpec(base=default_config(), variations=())
     rows = run_sweep([ejection_log], spec)
-    direct = evaluate_log(ejection_log, default_config())
+    direct = serial_evaluation(ejection_log, default_config())
     assert len(rows) == 1
     assert rows[0].delay_s == direct.detection_delay
     assert rows[0].false_alarms == direct.false_alarm_count
@@ -284,7 +284,7 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
         (p.set_id, log_id) for p in spec.parameter_sets() for log_id in ("eject", "hover", "idle")
     ]
     for row, (pset, log) in zip(rows, [(p, log) for p in spec.parameter_sets() for log in logs]):
-        direct = evaluate_log(log, pset.config)
+        direct = serial_evaluation(log, pset.config)
         assert (row.delay_s, row.false_alarms, row.missed) == (
             direct.detection_delay,
             direct.false_alarm_count,
@@ -384,7 +384,7 @@ def test_sweep_raises_what_the_first_failing_replay_raises(ejection_log, monkeyp
     for pset in spec.parameter_sets():
         monkeypatch.setattr(kalman, "step", _FaultyStep(faults))
         try:
-            evaluate_log(ejection_log, pset.config)
+            serial_evaluation(ejection_log, pset.config)
         except (ValueError, ArithmeticError) as exc:
             expected = exc
             break
@@ -426,7 +426,7 @@ def test_sweep_steps_each_lane_over_its_own_ticks_only(ejection_log, monkeypatch
     rows = run_sweep(logs, spec)
     assert widths == [2 * n_keys] * ticks[0] + [n_keys] * (ticks[1] - ticks[0])
     for row, (pset, log) in zip(rows, [(p, log) for p in spec.parameter_sets() for log in logs]):
-        direct = evaluate_log(log, pset.config)
+        direct = serial_evaluation(log, pset.config)
         assert (row.delay_s, row.false_alarms, row.missed) == (
             direct.detection_delay,
             direct.false_alarm_count,
@@ -440,7 +440,8 @@ def test_sweep_replays_the_first_tripped_lane_in_log_order(ejection_log, monkeyp
     short = fly_scenario("hover", duration=0.5, noise=SensorNoiseModel(seed=14))
     spec = SweepSpec(base=default_config(), variations=(("g_az", (1e308,)),))
     replayed = []
-    monkeypatch.setattr(replay, "evaluate_log", lambda log, config: replayed.append(log) or evaluate_log(log, config))
+    replay_serially = replay._replay_serially
+    monkeypatch.setattr(replay, "_replay_serially", lambda log, config: replayed.append(log) or replay_serially(log, config))
     with pytest.raises(ArithmeticError, match="^innovation variance s=nan"):
         run_sweep([short, ejection_log], spec)
     assert len(replayed) == 1 and replayed[0] is short
@@ -454,7 +455,7 @@ def test_sweep_raises_the_replays_overflow_error(ejection_log, name, value, s):
     # lane pass must not warn, and the sweep raises the replay's own error.
     spec = SweepSpec(base=default_config(), variations=((name, (value,)),))
     with pytest.raises(ArithmeticError) as expected:
-        evaluate_log(ejection_log, spec.parameter_sets()[1].config)
+        serial_evaluation(ejection_log, spec.parameter_sets()[1].config)
     with pytest.raises(ArithmeticError) as caught:
         run_sweep([ejection_log], spec)
     assert type(caught.value) is type(expected.value) is ArithmeticError
@@ -562,7 +563,7 @@ def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, tak
     # And the sweep over them equals a replay of each (log, set).
     rows = run_sweep(logs, spec)
     for row, (pset, log) in zip(rows, [(p, log) for p in spec.parameter_sets() for log in logs]):
-        direct = evaluate_log(log, pset.config)
+        direct = serial_evaluation(log, pset.config)
         assert (row.delay_s, row.false_alarms, row.missed) == (
             direct.detection_delay,
             direct.false_alarm_count,
@@ -571,11 +572,11 @@ def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, tak
 
 
 def _first_replay_error(logs, spec):
-    """What a serial ``evaluate_log`` of every (log, set) raises first, logs in order."""
+    """What a serial replay of every (log, set) raises first, logs in order."""
     for log in logs:
         for pset in spec.parameter_sets():
             try:
-                evaluate_log(log, pset.config)
+                serial_evaluation(log, pset.config)
             except (ValueError, ArithmeticError) as exc:
                 return exc
     raise AssertionError("no replay failed")
@@ -677,8 +678,8 @@ def test_sweep_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_log, mo
 
 
 def test_sweep_refuses_a_trip_the_float_kernel_does_not_confirm(ejection_log, monkeypatch):
-    # The same for a lane the lane pass reports tripped: its replay through
-    # evaluate_log raises nothing, and the sweep says so.
+    # The same for a lane the lane pass reports tripped: its serial replay
+    # raises nothing, and the sweep says so.
     lane_pass = replay._lane_pass
 
     def trip_everything(ticks, sets, n_ticks, configs):
@@ -728,7 +729,7 @@ def test_replay_log_status_equals_the_row_by_row_replay(
     ejection_log, takeoff_logs, ground_idle_logs, config, tmp_path
 ):
     # The block replay's final status, with and without a ticks file, is
-    # the row-by-row replay's: latch times compared as floats, not rounded.
+    # the streamed replay's: latch times compared as floats, not rounded.
     for log in (ejection_log, takeoff_logs[1], ground_idle_logs[1], _head(ejection_log, 7)):
         want = run_detector(log, config)[-1].status
         assert replay.replay_log(log, config) == want
@@ -767,7 +768,7 @@ def test_sweep_raises_the_estimator_error_that_comes_before_a_late_conditioning_
     )
     log = corrupt(ejection_log)
     with pytest.raises(ArithmeticError) as expected:
-        evaluate_log(log, config)
+        serial_evaluation(log, config)
     with pytest.raises((ValueError, ArithmeticError)) as caught:
         run_sweep([log], SweepSpec(base=config, variations=()))
     assert type(caught.value) is type(expected.value)

@@ -36,11 +36,11 @@ def test_detect_calls_each_layer_through_the_detector_names(tmp_path, monkeypatc
     save_log(log, path)
     # detect replays a clean log in blocks: the filter bank runs as columns
     # and the differencing on arrays, so it calls neither filter_step,
-    # differentiate nor process_row; the estimator and the decision still
-    # run through the detector's names, once per armed tick.
+    # differentiate nor its serial-replay fallback; the estimator and the
+    # decision still run through the detector's names, once per armed tick.
     replayed = []
-    process_row = Detector.process_row
-    monkeypatch.setattr(Detector, "process_row", lambda self, row: replayed.append(row) or process_row(self, row))
+    replay_serially = replay._replay_serially
+    monkeypatch.setattr(replay, "_replay_serially", lambda *args: replayed.append(args) or replay_serially(*args))
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -124,7 +124,7 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
         kalman, "step_lanes", lambda k, *args: widths.append(k.shape[1]) or real_step_lanes(k, *args)
     )
     replays = []  # a clean sweep never reaches its serial-replay fallback
-    monkeypatch.setattr(replay, "evaluate_log", lambda *args: replays.append(args))
+    monkeypatch.setattr(replay, "_replay_serially", lambda *args: replays.append(args))
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
