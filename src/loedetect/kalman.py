@@ -72,19 +72,12 @@ def init() -> EstimatorState:
     return _INITIAL_STATE
 
 
-def step(
-    state: EstimatorState,
-    H,
-    z,
-    noise: NoiseConfig,
-    clamp_state: bool = True,
-) -> EstimatorState:
+def step(state: EstimatorState, H, z, noise: NoiseConfig) -> EstimatorState:
     """One predict/update cycle; returns a new state, input state untouched.
 
     ``H`` is three rows of four floats and ``z`` three floats; nested lists,
-    tuples and arrays all work, and give the same bits. ``clamp_state=False``
-    skips the [0, 1.5] bound (used when comparing trajectories against an
-    unconstrained reference).
+    tuples and arrays all work, and give the same bits. The estimates are
+    clamped into [``K_MIN``, ``K_MAX``] after the update.
     """
     # Unpacking rejects any shape but three rows of four and three z, and a
     # state without four estimates and ten covariance entries.
@@ -150,11 +143,10 @@ def step(
     p33 -= a3 * b3
 
     k0, k1, k2, k3 = x0 + d0, x1 + d1, x2 + d2, x3 + d3
-    if clamp_state:
-        k0 = K_MIN if k0 < K_MIN else K_MAX if k0 > K_MAX else k0
-        k1 = K_MIN if k1 < K_MIN else K_MAX if k1 > K_MAX else k1
-        k2 = K_MIN if k2 < K_MIN else K_MAX if k2 > K_MAX else k2
-        k3 = K_MIN if k3 < K_MIN else K_MAX if k3 > K_MAX else k3
+    k0 = K_MIN if k0 < K_MIN else K_MAX if k0 > K_MAX else k0
+    k1 = K_MIN if k1 < K_MIN else K_MAX if k1 > K_MAX else k1
+    k2 = K_MIN if k2 < K_MIN else K_MAX if k2 > K_MAX else k2
+    k3 = K_MIN if k3 < K_MIN else K_MAX if k3 > K_MAX else k3
     return EstimatorState((k0, k1, k2, k3), (p00, p01, p02, p03, p11, p12, p13, p22, p23, p33))
 
 

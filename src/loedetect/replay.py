@@ -14,8 +14,9 @@ more than the arithmetic. A sweep conditions every log at once, one pass per
 distinct conditioning key with one numpy lane per log: ``push``'s checks and
 the takeoff gate per log, the filter bank by ``filters.filter_lanes`` on
 blocks of every log's samples, and the differencing at the ticks, all
-bit-identical to ``Conditioner.push``. It holds about three (block, 7, logs)
-arrays and the (ticks, 8, logs) rows of every tick. The sweep then runs the
+bit-identical to ``Conditioner.push``. It writes each tick once, into one
+(ticks, 8, sets) table, and holds about three (block, 7, logs) arrays
+besides. The sweep then runs the
 estimator of every (log, distinct estimator key) pair in one lane pass: one
 numpy lane per pair, all stepped together by ``kalman.step_lanes``, which is
 bit-identical to ``kalman.step`` on each lane. Lanes run longest first, and
@@ -30,9 +31,11 @@ so raises what ``run_detector`` raises. It runs on a log whose block
 replay's conditioning flags it, and on a sweep's first bad log: one that
 fails a sample-rate check, that the conditioning lanes flag or whose
 estimator lane meets a NaN innovation, an innovation variance outside (0,
-inf) or a negative variance. With ``jobs > 1`` each worker process runs one lane pass over a contiguous chunk
-of the logs. Evaluation produces the three metrics that matter for a fault
-detector: detection delay, false alarms, missed detections.
+inf) or a negative variance. A sweep evaluates a log that is not bad, so
+checks its annotation, before the next. With ``jobs > 1`` each worker
+process runs one lane pass over a contiguous chunk of the logs. Evaluation
+produces the three metrics that matter for a fault detector: detection
+delay, false alarms, missed detections.
 """
 
 from __future__ import annotations
@@ -181,14 +184,14 @@ def replay_log(log: FlightLog, config: DetectorConfig, ticks_path=None) -> Detec
     run before its tick written.
     """
     _check_sample_rate(log, config)
-    ticks, n_ticks, flagged, armed_at = _condition_lanes([log], [config])
+    ticks, first, n_ticks, flagged, armed_at = _condition_lanes([log], [config])
     if flagged[0]:
         _replay_serially(log, config)
         raise RuntimeError("the conditioning flagged the log, but its serial replay raised nothing")
     estimation = Estimation(config)
-    steps, armed_at = config.steps_per_estimate(), int(armed_at[0])
-    first_tick = (armed_at // steps + 1) * steps - 1  # the sample of the first armed tick
-    ticked = _run_ticks(estimation, ticks[: n_ticks[0], :, 0], range(first_tick, len(log), steps))
+    steps, first, armed_at = config.steps_per_estimate(), int(first[0]), int(armed_at[0])
+    first_tick = (first + 1) * steps - 1  # the sample of the first armed tick
+    ticked = _run_ticks(estimation, ticks[first : first + n_ticks[0], :, 0], range(first_tick, len(log), steps))
     if ticks_path is None:
         deque(ticked, maxlen=0)
     else:
@@ -321,48 +324,50 @@ def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tu
     """``Conditioner.push`` over every log under each config, with one numpy lane per log.
 
     ``configs`` hold distinct conditioning keys; tick set ``c * len(logs) +
-    i`` is log ``i`` under ``configs[c]``. Returns ``(ticks, n_ticks,
-    flagged, armed_at)``. Rows ``:n_ticks[s]`` of ``ticks`` (n, 8, tick
-    sets) hold set ``s``'s armed estimator ticks, each its t, ``z`` and
-    ``w_sq``: bit for bit what ``push`` returns on them. ``armed_at[s]`` is
-    the sample that arms set ``s``'s takeoff gate, or the log's length if
-    none does. ``flagged[s]`` marks a set whose log fails one of ``push``'s
-    checks, with the same float comparisons; its rows mean nothing, and
-    ``push`` raises on the log. The checks (``_log_checks``) and the
-    takeoff gate (``_gate_arms_at``) run per log, a block of samples at a
-    time. The filter bank runs on the lanes (``_filtered_ticks``), and the
-    differencing at its ticks.
+    i`` is log ``i`` under ``configs[c]``. Returns ``(ticks, first,
+    n_ticks, flagged, armed_at)``. ``ticks`` (n, 8, tick sets) holds each
+    tick of each set once, its t, ``z`` and ``w_sq``; rows ``first[s] :
+    first[s] + n_ticks[s]`` are set ``s``'s armed ticks, bit for bit what
+    ``push`` returns on them. ``armed_at[s]`` is the sample that arms set
+    ``s``'s takeoff gate, or the log's length if none does. ``flagged[s]``
+    marks a set whose log fails one of ``push``'s checks, with the same
+    float comparisons; its rows mean nothing, and ``push`` raises on the
+    log. The checks (``_log_checks``) and the takeoff gate
+    (``_gate_arms_at``) run per log, a block of samples at a time. The
+    filter bank (``_filtered_ticks``) writes into the table, where the
+    rates are differenced and the speeds squared in place.
     """
     width = len(logs)
     lengths = np.array([len(log) for log in logs])
     checks = [_log_checks(log) for log in logs]  # (passes, extreme steps) per log
     n = int(lengths.max())
     ticks = np.zeros((max(n // config.steps_per_estimate() for config in configs), 8, len(configs) * width))
+    first = np.zeros(len(configs) * width, dtype=int)
     n_ticks = np.zeros(len(configs) * width, dtype=int)
     flagged = np.zeros(len(configs) * width, dtype=bool)
     armed_at = np.zeros(len(configs) * width, dtype=int)
     for c, config in enumerate(configs):
         steps = config.steps_per_estimate()
-        y = _filtered_ticks(logs, design_lowpass(config.lowpass, config.sensor_interval), steps)
-        tick_t = np.zeros((len(y), width))
+        rows = ticks[: n // steps, :, c * width : (c + 1) * width]  # this key's sets, one per log
+        _filtered_ticks(logs, design_lowpass(config.lowpass, config.sensor_interval), steps, rows[:, 1:])
         for i, log in enumerate(logs):
-            tick_t[: lengths[i] // steps, i] = log.t[steps - 1 :: steps]
-        rows = np.empty((len(y), 8, width))  # t, z and w_sq of every tick, armed or not
-        rows[:, 0] = tick_t
+            rows[: lengths[i] // steps, 0, i] = log.t[steps - 1 :: steps]
+        # (p - p0) / (t - t0) in place, last block first, so each block reads its predecessor's rates.
+        for stop in range(len(rows), 1, -SAMPLE_BLOCK_ROWS):
+            start = max(stop - SAMPLE_BLOCK_ROWS, 1)
+            rates, t = rows[start - 1 : stop, 1:3], rows[start - 1 : stop, 0]
+            rows[start:stop, 1:3] = (rates[1:] - rates[:-1]) / (t[1:] - t[:-1])[:, None]
         rows[:1, 1:3] = 0.0  # the first tick has no predecessor
-        rows[1:, 1:3] = (y[1:, :2] - y[:-1, :2]) / (tick_t[1:] - tick_t[:-1])[:, None]
-        rows[:, 3] = y[:, 2]
-        rows[:, 4:] = y[:, 3:] * y[:, 3:]
+        np.multiply(rows[:, 4:], rows[:, 4:], out=rows[:, 4:])
         gate = Conditioner(config)  # the gate's own window and level
         for i, (log, (passes, extreme_steps)) in enumerate(zip(logs, checks)):
             s = c * width + i
             armed_at[s] = _gate_arms_at(log, gate)
-            first, last = armed_at[s] // steps, lengths[i] // steps  # the first armed tick; the tick count
-            n_ticks[s] = max(0, last - first)
-            ticks[: n_ticks[s], :, s] = rows[first:last, :, i]
+            first[s] = armed_at[s] // steps  # the first armed tick
+            n_ticks[s] = lengths[i] // steps - first[s]
             off = (np.abs(extreme_steps / config.sensor_interval - 1.0) >= STEP_TOLERANCE).any()
             flagged[s] = not passes or off
-    return ticks, n_ticks, flagged, armed_at
+    return ticks, first, n_ticks, flagged, armed_at
 
 
 def _log_checks(log: FlightLog) -> tuple[bool, np.ndarray]:
@@ -421,8 +426,8 @@ def _thrust_proxies(speeds: np.ndarray) -> np.ndarray:
     return w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4
 
 
-def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: int) -> np.ndarray:
-    """The filtered p, q, az and w1..w4 of every log at every ``steps``-th sample: (ticks, 7, logs).
+def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: int, out: np.ndarray) -> None:
+    """Write the filtered p, q, az and w1..w4 of every log at every ``steps``-th sample into ``out`` (ticks, 7, logs).
 
     ``filter_lanes`` runs on blocks of ``SAMPLE_BLOCK_ROWS`` samples of
     every log at once, each block taking the bank's memory from the one
@@ -432,7 +437,6 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
     the same bits without ``filter_lanes``'s ufunc calls per time step.
     """
     n = max(len(log) for log in logs)
-    y_ticks = np.empty((n // steps, 7, len(logs)))
     x = np.zeros((min(n, SAMPLE_BLOCK_ROWS) + 2, 7, len(logs)))  # rows 0 and 1: the bank's memory
     y = np.empty_like(x)
     for start in range(0, n, SAMPLE_BLOCK_ROWS):
@@ -450,29 +454,28 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
         at = np.arange(start + offset, start + size, steps)  # tick samples in the block
         if len(logs) == 1:
             for channel, column in enumerate(filter_columns(coeffs, x[: size + 2, :, 0], y[:2, :, 0])):
-                y_ticks[at // steps, channel, 0] = column[2 + offset :: steps]
+                out[at // steps, channel, 0] = column[2 + offset :: steps]
                 y[:2, channel, 0] = column[-2:]
         else:
             filter_lanes(coeffs, x[: size + 2], y[: size + 2])
-            y_ticks[at // steps] = y[2 + at - start]
+            out[at // steps] = y[2 + at - start]
             y[:2] = y[size : size + 2]
         x[:2] = x[size : size + 2]
-    return y_ticks
 
 
-def _lane_pass(ticks: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs: list) -> tuple:
-    """Run lane ``l``: ``configs[l]``'s estimator over the first ``n_ticks[l]`` ticks of tick set ``sets[l]``.
+def _lane_pass(ticks: np.ndarray, first: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs: list) -> tuple:
+    """Run lane ``l``: ``configs[l]``'s estimator on ``n_ticks[l]`` ticks of set ``sets[l]``, from row ``first[l]``.
 
-    ``ticks`` (n, 8, tick sets) holds the ``_condition_lanes`` rows of
-    each tick set. Lanes come longest first, so the lanes still running at a tick
-    are a prefix, and the pass narrows to them as the others end. Returns
-    ``(K, V, offsets, tripped)``: ``K`` and ``V`` (4, N) hold the estimates
-    and variances after tick ``t`` of lane ``l`` in column ``offsets[t] +
-    l``, and ``tripped`` lists the lanes that meet a NaN innovation, an
-    ``s`` outside (0, inf) or a negative variance: where ``kalman.step`` or
-    the decision raises.
+    ``ticks`` (n, 8, tick sets) is the ``_condition_lanes`` table. Lanes
+    come longest first, so the lanes still running at a tick are a prefix,
+    and the pass narrows to them as the others end. Returns ``(K, V,
+    offsets, tripped)``: ``K`` and ``V`` (4, N) hold the estimates and
+    variances after tick ``t`` of lane ``l`` in column ``offsets[t] + l``,
+    and ``tripped`` lists the lanes that meet a NaN innovation, an ``s``
+    outside (0, inf) or a negative variance: where ``kalman.step`` or the
+    decision raises.
     """
-    running = (n_ticks > np.arange(len(ticks))[:, None]).sum(axis=1)  # lanes still running, per tick
+    running = (n_ticks > np.arange(n_ticks.max())[:, None]).sum(axis=1)  # lanes still running, per tick
     offsets = np.concatenate(([0], np.cumsum(running)))
     gains = np.stack([signed_gains(config.gains) for config in configs], axis=-1)
     q = np.array([config.noise.process_noise_q for config in configs])
@@ -481,11 +484,12 @@ def _lane_pass(ticks: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs
     V = np.empty((4, offsets[-1]))
     Y = np.empty((3, offsets[-1]))
     S = np.empty((3, offsets[-1]))
+    by_column = ticks.transpose(1, 0, 2)  # (8, n, tick sets): one fancy index gives a tick's (8, lanes)
     # A lane that trips carries on with infs and NaNs, which must not warn.
     with np.errstate(all="ignore"):
         k, P = kalman.init_lanes(len(configs))
         for t, width in enumerate(running.tolist()):
-            rows = ticks[t][:, sets[:width]]
+            rows = by_column[:, first[:width] + t, sets[:width]]
             at = slice(offsets[t], offsets[t + 1])
             k, P, Y[:, at], S[:, at] = kalman.step_lanes(
                 k[:, :width], P[:, :width], gains[..., :width] * rows[4:], rows[1:4], q[:width], r[:width]
@@ -526,13 +530,16 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     latches by first exceedance, so each result equals ``evaluate_log(log,
     config)``.
 
-    A log is bad if a config's sample rate mismatches it, if a conditioning
-    set it uses is flagged, or if one of its lanes tripped. The first bad
-    log, in log order, is replayed serially: the sample-rate check of every
-    config, then ``_replay_serially`` under the first config of each of its
-    bad lanes, in key order. So an earlier log's trip beats a later log's failed
-    check, and within one (log, estimator key) the float replay decides
-    which error comes first. A clean sweep replays nothing.
+    Logs are evaluated in order, each in full before the next. A log is
+    bad if a config's sample rate mismatches it, if a conditioning set it
+    uses is flagged, or if one of its lanes tripped. A bad log is replayed
+    serially: the sample-rate check of every config, then
+    ``_replay_serially`` under the first config of each of its bad lanes,
+    in key order. A log that is not bad is evaluated, which checks its
+    annotation (``evaluate_status``). So an earlier log's trip or annotation
+    error beats a later log's failed check, and within one (log, estimator
+    key) the float replay decides which error comes first. A clean sweep
+    replays nothing.
     """
     # estimator key -> k_threshold -> probability_threshold -> positions in ``configs``
     groups: dict[tuple, dict[float, dict[float, list[int]]]] = {}
@@ -548,19 +555,21 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     for first in firsts:
         conditioning.setdefault(first.conditioning_key(), first)
     ckeys = list(conditioning)
-    tick_sets, n_armed, flagged, _ = _condition_lanes(logs, list(conditioning.values()))
+    ticks, first_armed, n_armed, flagged, _ = _condition_lanes(logs, list(conditioning.values()))
 
     # Lane ``i * len(firsts) + key`` runs log ``i`` under estimator key ``key``.
     key_sets = [ckeys.index(first.conditioning_key()) * len(logs) for first in firsts]
     sets = np.array([key_set + i for i in range(len(logs)) for key_set in key_sets])
-    n_ticks = n_armed[sets]
-    ticks = tick_sets[: n_ticks.max()]
+    starts, n_ticks = first_armed[sets], n_armed[sets]
     run = np.argsort(-n_ticks, kind="stable")  # lanes, longest first
-    K, V, offsets, tripped = _lane_pass(ticks, sets[run], n_ticks[run], [firsts[l % len(firsts)] for l in run])
+    configs_run = [firsts[l % len(firsts)] for l in run]
+    K, V, offsets, tripped = _lane_pass(ticks, starts[run], sets[run], n_ticks[run], configs_run)
 
     bad = flagged[sets]
     bad[run[tripped]] = True
     bad = bad.reshape(len(logs), len(firsts))
+    results: list[list[EvaluationResult]] = [[None] * len(configs) for _ in logs]
+    column = np.argsort(run)  # each lane's column within a tick
     for i, log in enumerate(logs):
         if bad[i].any() or any(_mismatched_rate(log, config) for config in configs):
             for config in configs:
@@ -568,28 +577,25 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
             for key in np.flatnonzero(bad[i]).tolist():
                 _replay_serially(log, firsts[key])
             raise RuntimeError(f"the lanes flagged log {i}, but its serial replay raised nothing")
-
-    results: list[list[EvaluationResult]] = [[None] * len(configs) for _ in logs]
-    column = np.argsort(run)  # each lane's column within a tick
-    for lane, (s, n) in enumerate(zip(sets.tolist(), n_ticks.tolist())):
-        i, key = divmod(lane, len(firsts))
-        columns = offsets[:n] + column[lane]
-        k_hats, variances, times = K.take(columns, axis=1), V.take(columns, axis=1), ticks[:n, 0, s]
-        span = float(logs[i].t[0]), float(logs[i].t[-1])
-        truth = logs[i].ground_truth()
-        for k_threshold, by_probability in by_key[key].items():
-            picked = actuator, tick = (k_hats < k_threshold).nonzero()  # by actuator, then tick
-            t_below, k_below, v_below = times[tick].tolist(), k_hats[picked].tolist(), variances[picked].tolist()
-            bounds = [0, *actuator.searchsorted((1, 2, 3)).tolist(), len(tick)]
-            top = max(by_probability)  # the group's largest probability_threshold
-            records = [
-                _exceedance_record(t_below[lo:hi], k_below[lo:hi], v_below[lo:hi], k_threshold, top)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            for positions in by_probability.values():
-                result = evaluate_status(first_exceedance(records, configs[positions[0]].decision), *span, truth)
-                for position in positions:
-                    results[i][position] = result
+        span, truth = (float(log.t[0]), float(log.t[-1])), log.ground_truth()
+        for key, by_threshold in enumerate(by_key):
+            lane = i * len(firsts) + key
+            s, start, n = sets[lane], starts[lane], n_ticks[lane]
+            columns = offsets[:n] + column[lane]
+            k_hats, variances, times = K.take(columns, axis=1), V.take(columns, axis=1), ticks[start : start + n, 0, s]
+            for k_threshold, by_probability in by_threshold.items():
+                picked = actuator, tick = (k_hats < k_threshold).nonzero()  # by actuator, then tick
+                t_below, k_below, v_below = times[tick].tolist(), k_hats[picked].tolist(), variances[picked].tolist()
+                bounds = [0, *actuator.searchsorted((1, 2, 3)).tolist(), len(tick)]
+                top = max(by_probability)  # the group's largest probability_threshold
+                records = [
+                    _exceedance_record(t_below[lo:hi], k_below[lo:hi], v_below[lo:hi], k_threshold, top)
+                    for lo, hi in zip(bounds, bounds[1:])
+                ]
+                for positions in by_probability.values():
+                    result = evaluate_status(first_exceedance(records, configs[positions[0]].decision), *span, truth)
+                    for position in positions:
+                        results[i][position] = result
     return results
 
 

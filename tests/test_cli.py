@@ -236,8 +236,9 @@ def test_detect_ticks_csv_equals_row_by_row_formatting(tmp_path, capsys, request
 
 def test_detect_streams_its_outputs_instead_of_holding_them(tmp_path, capsys, monkeypatch):
     # Past the loaded log, detect holds a bounded amount: no list of one
-    # DetectorOutput per sample (about 150 B each, 1.5 MB for these 10,000 rows).
-    log = _write_hover_log(tmp_path / "long.csv", rows=10_000)
+    # DetectorOutput per sample (about 150 B each, 1.5 MB for 10,000 rows).
+    # What grows with the log is one copy of each estimator tick, 8 floats:
+    # from 10,000 to 40,000 rows the peak grows by at most 12 floats a tick.
     load_log = flightlog.load_log
     after_load = []
 
@@ -248,15 +249,21 @@ def test_detect_streams_its_outputs_instead_of_holding_them(tmp_path, capsys, mo
         return loaded
 
     monkeypatch.setattr(flightlog, "load_log", load_then_reset_peak)
-    tracemalloc.start()
-    try:
-        code = run_cli("detect", "--log", str(log), "--out", str(tmp_path / "ticks.csv"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert len((tmp_path / "ticks.csv").read_text().splitlines()) == 1 + 10_000
-    assert peak - after_load[0] < 1_000_000
+    lengths, peaks = (10_000, 40_000), []
+    for rows in lengths:
+        log = _write_hover_log(tmp_path / f"long_{rows}.csv", rows=rows)
+        tracemalloc.start()
+        try:
+            code = run_cli("detect", "--log", str(log), "--out", str(tmp_path / "ticks.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len((tmp_path / "ticks.csv").read_text().splitlines()) == 1 + rows
+        peaks.append(peak - after_load[-1])
+        assert peaks[-1] < 1_000_000
+    added_ticks = (lengths[1] - lengths[0]) // default_config().steps_per_estimate()
+    assert peaks[1] - peaks[0] <= 12 * 8 * added_ticks
 
 
 def test_detect_no_fault_log_reports_false_alarms(tmp_path, capsys):

@@ -208,20 +208,22 @@ VARIATIONS = (
 def _sweep_reference(logs, configs):
     """``run_sweep``'s outcome by serial replays: rows in (set, log) order, or the error it documents.
 
-    The first log whose replay under some set raises decides the error: its
-    first sample-rate mismatch in set order, else the first set's error in
-    set order. Then the first log whose annotation fails the evaluation.
+    Logs are taken in order, and the first log whose replay under some set
+    raises, or whose annotation fails the evaluation, decides the error:
+    its first sample-rate mismatch in set order, else the first set's error
+    in set order, else its annotation's error.
     """
-    runs = [[_outcome(streamed_outputs, log, config) for config in configs] for log in logs]
-    for log, per_set in zip(logs, runs):
-        raised = [run for run in per_set if isinstance(run, Raised)]
+    results = []
+    for log in logs:
+        runs = [_outcome(streamed_outputs, log, config) for config in configs]
+        raised = [run for run in runs if isinstance(run, Raised)]
         if raised:
             checks = [_outcome(_check_sample_rate, log, config) for config in configs]
             return ([check for check in checks if check] or raised)[0]  # a passed check is None
-    results = [[_outcome(evaluate, run, log.ground_truth()) for run in per_set] for log, per_set in zip(logs, runs)]
-    for per_set in results:
+        per_set = [_outcome(evaluate, run, log.ground_truth()) for run in runs]
         if isinstance(per_set[0], Raised):
             return per_set[0]
+        results.append(per_set)
     by_set = zip(*results)
     return [(r.detection_delay, r.false_alarm_count, r.missed_detection) for per_log in by_set for r in per_log]
 
@@ -269,12 +271,13 @@ def test_sweep_rows_reach_the_streaming_outcomes(sources, log_cases, base, varia
     # Under the rows, the lane form of the conditioning gives each unflagged log the tick rows, bit
     # for bit, of the one-log form that ``replay_log`` runs (checked above against the stream).
     keyed = list({config.conditioning_key(): config for config in configs}.values())
-    ticks, n_ticks, flagged, armed_at = _condition_lanes(logs, keyed)
+    ticks, first, n_ticks, flagged, armed_at = _condition_lanes(logs, keyed)
     for c, config in enumerate(keyed):
         for i, log in enumerate(logs):
             s = c * len(logs) + i
-            one_ticks, one_n, one_flagged, one_armed_at = _condition_lanes([log], [config])
+            one_ticks, one_first, one_n, one_flagged, one_armed_at = _condition_lanes([log], [config])
             assert flagged[s] == one_flagged[0]
             if not flagged[s]:
                 assert (n_ticks[s], armed_at[s]) == (one_n[0], one_armed_at[0])
-                assert ticks[: n_ticks[s], :, s].tobytes() == one_ticks[: one_n[0], :, 0].tobytes()
+                armed, one_armed = slice(first[s], first[s] + n_ticks[s]), slice(one_first[0], one_first[0] + one_n[0])
+                assert ticks[armed, :, s].tobytes() == one_ticks[one_armed, :, 0].tobytes()

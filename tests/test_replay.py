@@ -19,7 +19,7 @@ from loedetect.detector import (
     default_config,
 )
 from loedetect.effectiveness import DEFAULT_GAINS
-from loedetect.flightlog import FlightLog
+from loedetect.flightlog import SAMPLE_BLOCK_ROWS, FlightLog
 from loedetect.replay import (
     SampleRateMismatchError,
     SweepSpec,
@@ -108,18 +108,14 @@ def test_evaluate_rejects_empty_outputs():
         evaluate([], ground_truth=None)
 
 
-def test_replay_equals_streaming(ejection_log):
-    config = default_config()
-    harness_outputs = run_detector(ejection_log, config)
-    detector = Detector(config)
-    manual = [detector.process_sample(s) for s in ejection_log.samples()]
-    assert len(harness_outputs) == len(manual) == len(ejection_log)
-    for a, b in zip(harness_outputs, manual):
-        assert a.timestamp == b.timestamp
-        assert np.array_equal(a.k_hat, b.k_hat)
-        assert np.array_equal(a.variances, b.variances)
-        assert np.array_equal(a.p_fail, b.p_fail)
-        assert a.status == b.status and a.armed == b.armed
+def test_run_detector_gives_one_output_per_sample_and_checks_the_rate(ejection_log):
+    outputs = run_detector(ejection_log, default_config())
+    assert len(outputs) == len(ejection_log)
+    assert [output.timestamp for output in outputs] == ejection_log.t.tolist()
+    long = default_config().sensor_interval * 1.02
+    values = config_to_dict(default_config()) | {"sensor_interval": long, "estimator_interval": 10 * long}
+    with pytest.raises(SampleRateMismatchError, match="^config sensor_interval=0.00204 s does not match"):
+        run_detector(ejection_log, config_from_dict(values))
 
 
 def test_ejection_log_detects_actuator_three(ejection_log):
@@ -540,20 +536,21 @@ def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, tak
     assert _arming_sample(ramp, configs[3]) % 5 == 4
 
     lanes = replay._condition_lanes(logs, configs)
-    ticks, n_ticks, flagged, _ = lanes
+    ticks, _, n_ticks, flagged, _ = lanes
     assert not flagged.any()
     for c, config in enumerate(configs):
         for i, log in enumerate(logs):
             want = _pushed_ticks(log, config)
             arming = _arming_sample(log, config)
             # The lane loop over every log, and the one-log column form on this log alone.
-            for (set_ticks, set_counts, set_flags, armed_at), s in (
+            for (set_ticks, set_firsts, set_counts, set_flags, armed_at), s in (
                 (lanes, c * len(logs) + i),
                 (replay._condition_lanes([log], [config]), 0),
             ):
+                armed = slice(set_firsts[s], set_firsts[s] + set_counts[s])
                 assert not set_flags[s]
                 assert set_counts[s] == len(want)
-                assert np.ascontiguousarray(set_ticks[: set_counts[s], :, s]).tobytes() == want.tobytes(), (c, i, s)
+                assert np.ascontiguousarray(set_ticks[armed, :, s]).tobytes() == want.tobytes(), (c, i, s)
                 assert armed_at[s] == (len(log) if arming is None else arming), (c, i, s)
     per_log = n_ticks.reshape(len(configs), len(logs))
     periods = np.array([len(ramp) // config.steps_per_estimate() for config in configs])
@@ -663,14 +660,40 @@ def test_sweep_raises_the_rate_error_of_a_log_no_lane_flags(ejection_log):
     assert isinstance(expected, SampleRateMismatchError)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_earlier_logs_annotation_error_wins_over_a_later_bad_log(ejection_log, jobs):
+    # The ejection log cut at its fault time, 1.56 s, then its last
+    # timestamp moved 0.49 periods earlier in place: the annotation now lies
+    # outside the span, though every step passes the conditioner's check.
+    # The sweep raises it before the next log's NaN, as evaluate_log in log
+    # order does.
+    n = 780
+    cut = FlightLog(
+        ejection_log.sample_rate_hz,
+        ejection_log.t[:n].copy(),
+        ejection_log.gyro[:n],
+        ejection_log.accel_z[:n],
+        ejection_log.rotor_speeds[:n],
+        *ejection_log.ground_truth(),
+    )
+    cut.t[-1] -= 0.49 * (cut.t[1] - cut.t[0])
+    bad = _flight(66)
+    bad.accel_z[99] = math.nan
+    spec = SweepSpec(base=default_config(), variations=(("k_threshold", (0.15,)),))
+    expected = _assert_sweep_raises_the_first_replay_error([cut, bad], spec, jobs)
+    assert str(expected).startswith("ground truth fault time 1.56 outside the log span")
+    expected = _assert_sweep_raises_the_first_replay_error([bad, cut], spec, jobs)
+    assert str(expected).startswith("NaN or Inf")
+
+
 def test_sweep_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_log, monkeypatch):
     # A log the lanes flag is replayed serially; if that raises nothing, the
     # two forms disagree, and the sweep says so.
     condition_lanes = replay._condition_lanes
 
     def flag_everything(logs, configs):
-        ticks, n_ticks, flagged, armed_at = condition_lanes(logs, configs)
-        return ticks, n_ticks, np.ones_like(flagged), armed_at
+        ticks, first, n_ticks, flagged, armed_at = condition_lanes(logs, configs)
+        return ticks, first, n_ticks, np.ones_like(flagged), armed_at
 
     monkeypatch.setattr(replay, "_condition_lanes", flag_everything)
     with pytest.raises(RuntimeError, match="^the lanes flagged log 0, but its serial replay raised nothing$"):
@@ -682,8 +705,8 @@ def test_sweep_refuses_a_trip_the_float_kernel_does_not_confirm(ejection_log, mo
     # raises nothing, and the sweep says so.
     lane_pass = replay._lane_pass
 
-    def trip_everything(ticks, sets, n_ticks, configs):
-        K, V, offsets, _ = lane_pass(ticks, sets, n_ticks, configs)
+    def trip_everything(ticks, first, sets, n_ticks, configs):
+        K, V, offsets, _ = lane_pass(ticks, first, sets, n_ticks, configs)
         return K, V, offsets, np.arange(len(sets))
 
     monkeypatch.setattr(replay, "_lane_pass", trip_everything)
@@ -704,9 +727,25 @@ def test_conditioning_lanes_arm_while_the_gate_window_fills(ejection_log):
     assert 150 < arming < Conditioner(config)._gate_len
     want = _pushed_ticks(log, config)
     for logs in ([log], [log, ejection_log]):
-        ticks, n_ticks, flagged, armed_at = replay._condition_lanes(logs, [config])
+        ticks, first, n_ticks, flagged, armed_at = replay._condition_lanes(logs, [config])
+        armed = ticks[first[0] : first[0] + n_ticks[0], :, 0]
         assert not flagged.any() and armed_at[0] == arming
-        assert n_ticks[0] == len(want) and np.ascontiguousarray(ticks[: n_ticks[0], :, 0]).tobytes() == want.tobytes()
+        assert n_ticks[0] == len(want) and np.ascontiguousarray(armed).tobytes() == want.tobytes()
+
+
+def test_conditioning_lanes_difference_across_tick_block_edges(takeoff_logs):
+    # A 1-sample estimator period gives more armed ticks than one block of
+    # the in-place differencing, which runs last block first: every tick
+    # row, alone and beside a second log, is push's.
+    base = default_config()
+    config = config_with(base, "estimator_interval", base.sensor_interval)
+    want = _pushed_ticks(takeoff_logs[0], config)
+    assert len(want) > SAMPLE_BLOCK_ROWS
+    for logs in (takeoff_logs[:1], takeoff_logs[:2]):
+        ticks, first, n_ticks, flagged, _ = replay._condition_lanes(logs, [config])
+        armed = ticks[first[0] : first[0] + n_ticks[0], :, 0]
+        assert not flagged.any() and n_ticks[0] == len(want)
+        assert np.ascontiguousarray(armed).tobytes() == want.tobytes()
 
 
 def test_replay_log_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_log, monkeypatch, tmp_path):
@@ -715,8 +754,8 @@ def test_replay_log_refuses_a_flag_the_float_kernel_does_not_confirm(ejection_lo
     condition_lanes = replay._condition_lanes
 
     def flag_everything(logs, configs):
-        ticks, n_ticks, flagged, armed_at = condition_lanes(logs, configs)
-        return ticks, n_ticks, np.ones_like(flagged), armed_at
+        ticks, first, n_ticks, flagged, armed_at = condition_lanes(logs, configs)
+        return ticks, first, n_ticks, np.ones_like(flagged), armed_at
 
     monkeypatch.setattr(replay, "_condition_lanes", flag_everything)
     with pytest.raises(RuntimeError, match="^the conditioning flagged the log, but its serial replay raised nothing$"):
