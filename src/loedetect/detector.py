@@ -308,8 +308,9 @@ class Conditioner:
         self._last_timestamp = t
 
         # The sample's one list of channel values, in ``CHANNELS`` order; the
-        # filter bank keeps it as recursion memory.
-        out = filter_step(self._filter, [p, q, r, az, w1, w2, w3, w4])
+        # filter bank keeps it as recursion memory. ``r`` is checked above
+        # but not filtered: no stage reads it.
+        out = filter_step(self._filter, [p, q, az, w1, w2, w3, w4])
         armed = self.armed
         if not armed:
             thrust_proxy = w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4
@@ -327,7 +328,7 @@ class Conditioner:
             self._countdown = countdown
             return None
         self._countdown = self._steps_per_estimate
-        fp, fq, _, a_z, f1, f2, f3, f4 = out
+        fp, fq, a_z, f1, f2, f3, f4 = out
         current = (t, fp, fq)
         p_dot, q_dot = differentiate(self._prev_tick, current)
         self._prev_tick = current

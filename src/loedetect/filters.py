@@ -1,9 +1,9 @@
 """Input signal conditioning.
 
-Every input channel (body rates, vertical accelerometer, rotor speeds) runs
-through the same discrete second-order low-pass so the channels stay
-synchronized, and angular accelerations are produced by backward-differencing
-the filtered roll and pitch rates. There is one bank, of the
+Every input channel the detector reads (roll and pitch rates, vertical
+accelerometer, rotor speeds) runs through the same discrete second-order
+low-pass so the channels stay synchronized, and angular accelerations are
+produced by backward-differencing the filtered roll and pitch rates. There is one bank, of the
 ``N_CHANNELS`` channels in ``CHANNELS``, and three ways to advance it.
 ``filter_step`` writes the recursion out as straight-line float code, one
 sample at a time; the detector's ``Conditioner`` runs it and differences on
@@ -28,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Channel layout of the conditioning filter bank.
-CHANNELS = ("p", "q", "r", "az", "w1", "w2", "w3", "w4")
+# Channel layout of the conditioning filter bank: the roll and pitch rates,
+# the vertical accelerometer and the four rotor speeds. The yaw rate ``r`` is
+# checked but not filtered, because no stage reads it.
+CHANNELS = ("p", "q", "az", "w1", "w2", "w3", "w4")
 N_CHANNELS = len(CHANNELS)
 
 # Physical ceiling on a reported rotor speed, rad/s (about 955,000 RPM). Real
@@ -160,7 +162,7 @@ def filter_step(state: FilterState, values: list[float]) -> list[float]:
     memory, so the caller must not write to it afterwards.
     """
     try:
-        u0, u1, u2, u3, u4, u5, u6, u7 = values
+        u0, u1, u2, u3, u4, u5, u6 = values
     except ValueError:
         raise ValueError(f"expected {N_CHANNELS} channels, got {len(values)}") from None
     mem = state._mem
@@ -168,10 +170,10 @@ def filter_step(state: FilterState, values: list[float]) -> list[float]:
         x1 = x2 = y1 = y2 = values  # warm start; lists are never written in place
     else:
         x1, x2, y1, y2 = mem
-    x1_0, x1_1, x1_2, x1_3, x1_4, x1_5, x1_6, x1_7 = x1
-    x2_0, x2_1, x2_2, x2_3, x2_4, x2_5, x2_6, x2_7 = x2
-    y1_0, y1_1, y1_2, y1_3, y1_4, y1_5, y1_6, y1_7 = y1
-    y2_0, y2_1, y2_2, y2_3, y2_4, y2_5, y2_6, y2_7 = y2
+    x1_0, x1_1, x1_2, x1_3, x1_4, x1_5, x1_6 = x1
+    x2_0, x2_1, x2_2, x2_3, x2_4, x2_5, x2_6 = x2
+    y1_0, y1_1, y1_2, y1_3, y1_4, y1_5, y1_6 = y1
+    y2_0, y2_1, y2_2, y2_3, y2_4, y2_5, y2_6 = y2
     b0, b1, b2, a1, a2 = state._c
     y = [
         b0 * u0 + b1 * x1_0 + b2 * x2_0 - a1 * y1_0 - a2 * y2_0,
@@ -181,7 +183,6 @@ def filter_step(state: FilterState, values: list[float]) -> list[float]:
         b0 * u4 + b1 * x1_4 + b2 * x2_4 - a1 * y1_4 - a2 * y2_4,
         b0 * u5 + b1 * x1_5 + b2 * x2_5 - a1 * y1_5 - a2 * y2_5,
         b0 * u6 + b1 * x1_6 + b2 * x2_6 - a1 * y1_6 - a2 * y2_6,
-        b0 * u7 + b1 * x1_7 + b2 * x2_7 - a1 * y1_7 - a2 * y2_7,
     ]
     state._mem = (values, x1, y, y1)
     return y

@@ -444,7 +444,7 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
         for i, log in enumerate(logs):
             block, rows = slice(start, start + size), slice(2, 2 + min(size, len(log) - start))
             if rows.stop > 2:
-                x[rows, :2, i] = log.gyro[block, :2]  # r is never read downstream
+                x[rows, :2, i] = log.gyro[block, :2]  # the bank's channels: r is not filtered
                 x[rows, 2, i] = log.accel_z[block]
                 x[rows, 3:, i] = log.rotor_speeds[block]
         if start == 0:
@@ -463,12 +463,16 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
         x[:2] = x[size : size + 2]
 
 
-def _lane_pass(ticks: np.ndarray, first: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs: list) -> tuple:
-    """Run lane ``l``: ``configs[l]``'s estimator on ``n_ticks[l]`` ticks of set ``sets[l]``, from row ``first[l]``.
+def _lane_pass(
+    ticks: np.ndarray, first: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs: list, keys: np.ndarray
+) -> tuple:
+    """Run lane ``l``: ``configs[keys[l]]``'s estimator on ``n_ticks[l]`` ticks of set ``sets[l]``, from row ``first[l]``.
 
-    ``ticks`` (n, 8, tick sets) is the ``_condition_lanes`` table. Lanes
-    come longest first, so the lanes still running at a tick are a prefix,
-    and the pass narrows to them as the others end. Returns ``(K, V,
+    ``ticks`` (n, 8, tick sets) is the ``_condition_lanes`` table, and
+    ``configs`` holds one config per estimator key, whose gains and noise
+    are read once however many lanes run under it. Lanes come longest
+    first, so the lanes still running at a tick are a prefix, and the pass
+    narrows to them as the others end. Returns ``(K, V,
     offsets, tripped)``: ``K`` and ``V`` (4, N) hold the estimates and
     variances after tick ``t`` of lane ``l`` in column ``offsets[t] + l``,
     and ``tripped`` lists the lanes that meet a NaN innovation, an ``s``
@@ -477,9 +481,9 @@ def _lane_pass(ticks: np.ndarray, first: np.ndarray, sets: np.ndarray, n_ticks: 
     """
     running = (n_ticks > np.arange(n_ticks.max())[:, None]).sum(axis=1)  # lanes still running, per tick
     offsets = np.concatenate(([0], np.cumsum(running)))
-    gains = np.stack([signed_gains(config.gains) for config in configs], axis=-1)
-    q = np.array([config.noise.process_noise_q for config in configs])
-    r = np.array([config.noise.measurement_noise_r for config in configs])
+    gains = np.stack([signed_gains(config.gains) for config in configs], axis=-1)[..., keys]
+    q = np.array([config.noise.process_noise_q for config in configs])[keys]
+    r = np.array([config.noise.measurement_noise_r for config in configs])[keys]
     K = np.empty((4, offsets[-1]))
     V = np.empty((4, offsets[-1]))
     Y = np.empty((3, offsets[-1]))
@@ -487,7 +491,7 @@ def _lane_pass(ticks: np.ndarray, first: np.ndarray, sets: np.ndarray, n_ticks: 
     by_column = ticks.transpose(1, 0, 2)  # (8, n, tick sets): one fancy index gives a tick's (8, lanes)
     # A lane that trips carries on with infs and NaNs, which must not warn.
     with np.errstate(all="ignore"):
-        k, P = kalman.init_lanes(len(configs))
+        k, P = kalman.init_lanes(len(keys))
         for t, width in enumerate(running.tolist()):
             rows = by_column[:, first[:width] + t, sets[:width]]
             at = slice(offsets[t], offsets[t + 1])
@@ -562,8 +566,7 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     sets = np.array([key_set + i for i in range(len(logs)) for key_set in key_sets])
     starts, n_ticks = first_armed[sets], n_armed[sets]
     run = np.argsort(-n_ticks, kind="stable")  # lanes, longest first
-    configs_run = [firsts[l % len(firsts)] for l in run]
-    K, V, offsets, tripped = _lane_pass(ticks, starts[run], sets[run], n_ticks[run], configs_run)
+    K, V, offsets, tripped = _lane_pass(ticks, starts[run], sets[run], n_ticks[run], firsts, run % len(firsts))
 
     bad = flagged[sets]
     bad[run[tripped]] = True

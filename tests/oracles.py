@@ -45,6 +45,13 @@ def serial_evaluation(log, config):
     return evaluate(streamed_outputs(log, config), log.ground_truth())
 
 
+def pushed_ticks(log, config):
+    """``Conditioner.push``'s armed ticks on ``log``, each its t, ``z`` and ``w_sq``, as (ticks, 8) floats."""
+    push = Conditioner(config).push
+    rows = [(row[0], *tick[0], *tick[1]) for row in log.rows() if (tick := push(*row)) is not None]
+    return np.array(rows, dtype=float).reshape(-1, 8)
+
+
 def oracle_ticks_csv(outputs):
     """The ticks CSV of ``outputs`` formatted row by row, every field every row."""
     names = (
@@ -164,9 +171,9 @@ class OracleConditioner:
     def push(self, raw):
         assert np.all(np.abs(raw.rotor_speeds) <= MAX_ROTOR_SPEED_RAD_S)
         vec = np.empty(N_CHANNELS)
-        vec[0:3] = raw.angular_rate
-        vec[3] = raw.proper_accel_z
-        vec[4:8] = raw.rotor_speeds
+        vec[0:2] = raw.angular_rate[:2]  # the bank filters p and q, not r
+        vec[2] = raw.proper_accel_z
+        vec[3:7] = raw.rotor_speeds
         out = self._filter.step(vec)
         self.armed = self._gate.push(raw.rotor_speeds)
 
@@ -181,7 +188,7 @@ class OracleConditioner:
         self._prev = (raw.timestamp, out)
         if not self.armed:
             return None
-        return np.array([accel[0], accel[1], float(out[3])]), np.square(out[4:8])
+        return np.array([accel[0], accel[1], float(out[2])]), np.square(out[3:7])
 
 
 def state_from_arrays(x, P):

@@ -14,7 +14,7 @@ from loedetect import kalman
 from loedetect.detector import Detector, default_config
 from loedetect.decision import failure_probability
 from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
-from loedetect.filters import FilterDesign, FilterState, design_lowpass, filter_step, frequency_response
+from loedetect.filters import N_CHANNELS, FilterDesign, FilterState, design_lowpass, filter_step, frequency_response
 from loedetect.replay import default_sweep_spec, evaluate, replay_log, run_detector, run_sweep, summarize_sweep
 from loedetect.simulator import SensorNoiseModel, fly_scenario
 
@@ -154,8 +154,8 @@ def test_criterion_05_filter_fidelity():
     mag_err = abs(mag - mag_target) / mag_target
 
     state = FilterState(c)
-    filter_step(state, [0.0] * 8)
-    step_out = np.array([filter_step(state, [1.0] * 8)[0] for _ in range(3000)])
+    filter_step(state, [0.0] * N_CHANNELS)
+    step_out = np.array([filter_step(state, [1.0] * N_CHANNELS)[0] for _ in range(3000)])
     overshoot = step_out.max() - 1.0
     overshoot_target = math.exp(
         -math.pi * design.damping_ratio / math.sqrt(1.0 - design.damping_ratio**2)

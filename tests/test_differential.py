@@ -6,9 +6,11 @@ sample, the serial reference), ``evaluate_log``, the block replay
 rows. An outcome is an ``EvaluationResult``, or the type and message of the
 error raised. Logs are heads of four sources, at and beside the 1024-row
 block edges or of any length, some with an idle prefix that arms the
-takeoff gate mid-log, and some changed in place after ``FlightLog.validate``
-ran: a NaN or Inf, a timestamp step at or beside half the step tolerance, a
-rotor speed at or above the ceiling, an accelerometer value at +/-1e308.
+takeoff gate mid-log, some with more than 1,024 estimator ticks, and some
+changed in place after ``FlightLog.validate`` ran: a NaN or Inf, a
+timestamp step at or beside half the step tolerance, a rotor speed at or
+above the ceiling, an accelerometer value at +/-1e308. The sweep's tick
+rows are also held to ``Conditioner.push``'s, bit for bit.
 Configs take an estimator period of 1, 3, 5, 7 or 10 samples, a
 ``sensor_interval`` inside or outside the sample-rate tolerance, and
 ``g_az``, ``process_noise_q`` or ``measurement_noise_r`` at 1e308 or 1e-300.
@@ -37,7 +39,7 @@ from loedetect.replay import (
     run_sweep,
 )
 
-from oracles import oracle_ticks_csv, streamed_outputs
+from oracles import oracle_ticks_csv, pushed_ticks, streamed_outputs
 
 # Derandomized, so the suite stays deterministic, and with no example database.
 HARNESS = settings(deadline=None, derandomize=True, database=None)
@@ -173,6 +175,10 @@ def configs(draw, extremes=True):
 @example(case=Case("ejection", 980, idle=300), config=_config(extreme=("g_az", 1e-300)))
 @example(case=Case("ejection", 980, edit=("step", 0.49), at=900), config=_config(rate=0.991))
 @example(case=Case("ejection", 980), config=_config(extreme=("process_noise_q", 1e308)))
+# More than 1,024 estimator ticks, so the tick table's block edges fall among armed ticks:
+# 2,180 from the first sample on, and about 1,500 from a takeoff that arms mid-log.
+@example(case=Case("long_ejection", 2180), config=_config(steps=1))
+@example(case=Case("takeoff", 3000), config=_config(steps=1))
 @example(
     case=Case("ejection", 980, edit=("az", -1e308), at=850),
     config=_config(rate=1.009, extreme=("measurement_noise_r", 1e-300)),
@@ -240,12 +246,19 @@ def _sweep_outcome(logs, spec):
     variations=st.lists(st.sampled_from(VARIATIONS), max_size=2, unique_by=lambda variation: variation[0]),
 )
 # Mixed lengths, so the lane pass narrows mid-run, under mixed conditioning and estimator keys;
-# then a later log's NaN; an earlier log's tripped lane; and one log bad under two estimator keys,
-# where the first key's late NaN comes before the second key's overflow.
+# then one long log beside short ones under a single estimator key, so the pass narrows to width
+# 1 and runs on across the 1,024- and 2,048-tick block edges; then a later log's NaN; an earlier
+# log's tripped lane; and one log bad under two estimator keys, where the first key's late NaN
+# comes before the second key's overflow.
 @example(
     log_cases=[Case("long_ejection", 2049), Case("takeoff", 2048), Case("ejection", 11, idle=4)],
     base=_config(),
     variations=[("estimator_interval", 5), ("k_threshold", 0.15)],
+)
+@example(
+    log_cases=[Case("long_ejection", 2180), Case("ejection", 980), Case("ejection", 300, idle=100)],
+    base=_config(steps=1),
+    variations=[("k_threshold", 0.15), ("probability_threshold", 0.99)],
 )
 @example(
     log_cases=[Case("ejection", 980), Case("takeoff", 1025, edit=("r", math.nan), at=1024)],
@@ -269,7 +282,8 @@ def test_sweep_rows_reach_the_streaming_outcomes(sources, log_cases, base, varia
     configs = [pset.config for pset in spec.parameter_sets()]
     assert _sweep_outcome(logs, spec) == _sweep_reference(logs, configs)
     # Under the rows, the lane form of the conditioning gives each unflagged log the tick rows, bit
-    # for bit, of the one-log form that ``replay_log`` runs (checked above against the stream).
+    # for bit, of the one-log form that ``replay_log`` runs and of ``Conditioner.push``. The rows
+    # alone miss a fault at one tick, such as one at a block edge of the tick table.
     keyed = list({config.conditioning_key(): config for config in configs}.values())
     ticks, first, n_ticks, flagged, armed_at = _condition_lanes(logs, keyed)
     for c, config in enumerate(keyed):
@@ -281,3 +295,4 @@ def test_sweep_rows_reach_the_streaming_outcomes(sources, log_cases, base, varia
                 assert (n_ticks[s], armed_at[s]) == (one_n[0], one_armed_at[0])
                 armed, one_armed = slice(first[s], first[s] + n_ticks[s]), slice(one_first[0], one_first[0] + one_n[0])
                 assert ticks[armed, :, s].tobytes() == one_ticks[one_armed, :, 0].tobytes()
+                assert ticks[armed, :, s].tobytes() == pushed_ticks(log, config).tobytes()

@@ -129,12 +129,12 @@ def test_linearity_to_machine_precision():
 
 def test_filter_step_maps_channels_correctly():
     state = FilterState(design_lowpass(FilterDesign(), DT))
-    values = [1.0, 2.0, 3.0, -9.81, 500.0, 600.0, 700.0, 800.0]  # CHANNELS order
+    values = [1.0, 2.0, -9.81, 500.0, 600.0, 700.0, 800.0]  # CHANNELS order
     out = filter_step(state, values)
     # warm start: constant input passes through on the first sample
-    assert np.allclose(out[0:3], [1.0, 2.0, 3.0], rtol=1e-12)
-    assert abs(out[3] - (-9.81)) < 1e-9
-    assert np.allclose(out[4:8], [500.0, 600.0, 700.0, 800.0], rtol=1e-12)
+    assert np.allclose(out[0:2], [1.0, 2.0], rtol=1e-12)
+    assert abs(out[2] - (-9.81)) < 1e-9
+    assert np.allclose(out[3:7], [500.0, 600.0, 700.0, 800.0], rtol=1e-12)
     assert len(out) == len(CHANNELS)
 
 
@@ -184,7 +184,7 @@ def test_telescoping_reconstruction_over_long_stream():
 # whole bank and on one channel padded with zeros.
 
 
-@pytest.mark.parametrize("n_channels", [1, 8])
+@pytest.mark.parametrize("n_channels", [1, 7])
 @pytest.mark.parametrize("seed", [5, 6])
 def test_scalar_recursion_equals_array_oracle(n_channels, seed):
     rng = np.random.default_rng(seed)
@@ -197,7 +197,7 @@ def test_scalar_recursion_equals_array_oracle(n_channels, seed):
             mine = FilterState(coeffs)
             oracle.reset()
         x = rng.normal(size=n_channels) * scales
-        out = filter_step(mine, x.tolist()) if n_channels == 8 else narrow_bank_step(mine, x)
+        out = filter_step(mine, x.tolist()) if n_channels == len(CHANNELS) else narrow_bank_step(mine, x)
         assert np.array_equal(out, oracle.step(x))
 
 
@@ -207,7 +207,7 @@ def test_filter_step_equals_array_oracle():
     mine = FilterState(coeffs)
     oracle = OracleFilterState(coeffs)
     for i in range(2000):
-        rates = rng.normal(0.0, 2.0, 3)
+        rates = rng.normal(0.0, 2.0, 2)  # p and q
         accel_z = float(rng.normal(-9.81, 1.0))
         speeds = rng.uniform(0.0, 1500.0, 4)
         out = filter_step(mine, [*rates.tolist(), accel_z, *speeds.tolist()])
@@ -283,5 +283,7 @@ def test_filter_lanes_of_one_sample_is_the_warm_start_output():
 
 def test_filter_step_rejects_wrong_channel_count():
     state = FilterState(design_lowpass(FilterDesign(), DT))
-    with pytest.raises(ValueError, match="^expected 8 channels, got 7$"):
-        filter_step(state, [0.0, 0.0, 0.0, -9.81, 500.0, 500.0, 500.0])
+    with pytest.raises(ValueError, match="^expected 7 channels, got 6$"):
+        filter_step(state, [0.0, 0.0, -9.81, 500.0, 500.0, 500.0])
+    with pytest.raises(ValueError, match="^expected 7 channels, got 8$"):  # r is not a channel
+        filter_step(state, [0.0, 0.0, 0.0, -9.81, 500.0, 500.0, 500.0, 500.0])

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -338,3 +339,44 @@ def test_step_lanes_flags_what_step_rejects():
             assert lane == 0
             kalman.step(*step)
     assert np.isnan(y[:, 1:3]).any(axis=0).all() and bad_s[:, 3:].any(axis=0).all()
+
+
+def _innovations(state, H, z):
+    """``step``'s innovations ``z_j - (h0*x0 + h1*x1 + h2*x2 + h3*x3)`` from ``state``, as floats."""
+    x0, x1, x2, x3 = state.k
+    return [zj - (h0 * x0 + h1 * x1 + h2 * x2 + h3 * x3) for (h0, h1, h2, h3), zj in zip(H, z)]
+
+
+# Lanes whose bits depend on how a 4-term sum is taken: (H, z) held for every tick.
+ZERO_SPEED = (  # every h is +/-0.0, and the az row's are all -0.0: its sums are -0.0 only if taken from -0.0
+    (np.array(signed_gains(DEFAULT_GAINS)) * 0.0).tolist(),
+    [-0.0, -0.0, -0.0],
+)
+CANCELLING = (  # row 0's products at k = 1 sum to 1.0 left to right and to 0.0 pairwise
+    [[1.0, 1e16, -1e16, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    [3.0, 0.5, -0.0],
+)
+
+
+@pytest.mark.parametrize("width", [1, 66])
+def test_step_lanes_sums_in_order_and_keeps_zero_signs(width):
+    # The two special lanes, alone at width 1, or at both ends of 64 random
+    # lanes. Each lane's k, P and y must equal ``step``'s by bytes, which tell
+    # -0.0 from 0.0; y against the float innovation from the prior state.
+    rng = np.random.default_rng(50)
+    for lanes in ([ZERO_SPEED], [CANCELLING]) if width == 1 else ([ZERO_SPEED, *([None] * 64), CANCELLING],):
+        cases = [lane or (random_observation(rng).tolist(), rng.normal(0.0, 5.0, 3).tolist()) for lane in lanes]
+        H = np.array([h for h, _ in cases]).transpose(1, 2, 0)
+        z = np.array([zj for _, zj in cases]).T
+        states = [kalman.init()] * len(cases)
+        k, P = kalman.init_lanes(len(cases))
+        for _ in range(3):
+            want_y = [_innovations(state, h, zj) for state, (h, zj) in zip(states, cases)]
+            k, P, y, s = kalman.step_lanes(k, P, H, z, TABLE_NOISE.process_noise_q, TABLE_NOISE.measurement_noise_r)
+            states = [kalman.step(state, h, zj, TABLE_NOISE) for state, (h, zj) in zip(states, cases)]
+            assert y.tobytes() == np.array(want_y).T.tobytes()
+            assert k.tobytes() == np.array([state.k for state in states]).T.tobytes()
+            assert P[UPPER].tobytes() == np.array([state.p_upper for state in states]).T.tobytes()
+    # The lanes hold what they are meant to: a signed zero innovation and an order-dependent one.
+    assert math.copysign(1.0, _innovations(kalman.init(), *ZERO_SPEED)[2]) == 1.0  # -0.0 - (-0.0)
+    assert _innovations(kalman.init(), *CANCELLING)[0] == 2.0

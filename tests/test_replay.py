@@ -18,7 +18,7 @@ from loedetect.detector import (
     config_with,
     default_config,
 )
-from loedetect.effectiveness import DEFAULT_GAINS
+from loedetect.effectiveness import DEFAULT_GAINS, signed_gains
 from loedetect.flightlog import SAMPLE_BLOCK_ROWS, FlightLog
 from loedetect.replay import (
     SampleRateMismatchError,
@@ -37,7 +37,7 @@ from loedetect.replay import (
     write_summary_csv,
 )
 from loedetect.simulator import SensorNoiseModel, fly_scenario
-from oracles import serial_evaluation, state_arrays, state_from_arrays, sweep_probability_evaluations
+from oracles import pushed_ticks, serial_evaluation, state_arrays, state_from_arrays, sweep_probability_evaluations
 
 
 def _output(t, status, armed=True):
@@ -153,6 +153,17 @@ def test_default_sweep_has_19_parameter_sets():
         "k_threshold",
         "probability_threshold",
     }
+
+
+def test_lane_pass_signs_each_estimator_keys_gains_once(ejection_log, monkeypatch):
+    # One signed_gains call per distinct estimator key, however many logs
+    # (and so lanes) run under it: 11 on the default spec, not 11 per log.
+    spec = default_sweep_spec()
+    keys = {pset.config.estimator_key() for pset in spec.parameter_sets()}
+    calls = []
+    monkeypatch.setattr(replay, "signed_gains", lambda gains: calls.append(gains) or signed_gains(gains))
+    assert len(run_sweep([ejection_log] * 3, spec)) == 19 * 3
+    assert len(keys) == len(calls) == 11
 
 
 def test_sweep_rejects_unknown_parameter_before_any_run():
@@ -485,13 +496,6 @@ def _head(log, n):
     return FlightLog(log.sample_rate_hz, log.t[:n], log.gyro[:n], log.accel_z[:n], log.rotor_speeds[:n])
 
 
-def _pushed_ticks(log, config):
-    """``Conditioner.push``'s armed ticks on ``log``, each its t, ``z`` and ``w_sq``, as (ticks, 8) floats."""
-    push = Conditioner(config).push
-    rows = [(row[0], *tick[0], *tick[1]) for row in log.rows() if (tick := push(*row)) is not None]
-    return np.array(rows, dtype=float).reshape(-1, 8)
-
-
 def _arming_sample(log, config):
     """The index of the sample that arms ``Conditioner``'s takeoff gate on ``log``, or ``None``."""
     conditioner = Conditioner(config)
@@ -540,7 +544,7 @@ def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, tak
     assert not flagged.any()
     for c, config in enumerate(configs):
         for i, log in enumerate(logs):
-            want = _pushed_ticks(log, config)
+            want = pushed_ticks(log, config)
             arming = _arming_sample(log, config)
             # The lane loop over every log, and the one-log column form on this log alone.
             for (set_ticks, set_firsts, set_counts, set_flags, armed_at), s in (
@@ -705,8 +709,8 @@ def test_sweep_refuses_a_trip_the_float_kernel_does_not_confirm(ejection_log, mo
     # raises nothing, and the sweep says so.
     lane_pass = replay._lane_pass
 
-    def trip_everything(ticks, first, sets, n_ticks, configs):
-        K, V, offsets, _ = lane_pass(ticks, first, sets, n_ticks, configs)
+    def trip_everything(ticks, first, sets, n_ticks, configs, keys):
+        K, V, offsets, _ = lane_pass(ticks, first, sets, n_ticks, configs, keys)
         return K, V, offsets, np.arange(len(sets))
 
     monkeypatch.setattr(replay, "_lane_pass", trip_everything)
@@ -725,7 +729,7 @@ def test_conditioning_lanes_arm_while_the_gate_window_fills(ejection_log):
     config = default_config()
     arming = _arming_sample(log, config)
     assert 150 < arming < Conditioner(config)._gate_len
-    want = _pushed_ticks(log, config)
+    want = pushed_ticks(log, config)
     for logs in ([log], [log, ejection_log]):
         ticks, first, n_ticks, flagged, armed_at = replay._condition_lanes(logs, [config])
         armed = ticks[first[0] : first[0] + n_ticks[0], :, 0]
@@ -739,7 +743,7 @@ def test_conditioning_lanes_difference_across_tick_block_edges(takeoff_logs):
     # row, alone and beside a second log, is push's.
     base = default_config()
     config = config_with(base, "estimator_interval", base.sensor_interval)
-    want = _pushed_ticks(takeoff_logs[0], config)
+    want = pushed_ticks(takeoff_logs[0], config)
     assert len(want) > SAMPLE_BLOCK_ROWS
     for logs in (takeoff_logs[:1], takeoff_logs[:2]):
         ticks, first, n_ticks, flagged, _ = replay._condition_lanes(logs, [config])

@@ -604,13 +604,13 @@ def test_model_residual_small_in_benign_hover():
     prev = None
     worst = 0.0
     for i in range(len(log)):
-        vec = np.concatenate([log.gyro[i], [log.accel_z[i]], log.rotor_speeds[i]])
+        vec = np.concatenate([log.gyro[i, :2], [log.accel_z[i]], log.rotor_speeds[i]])
         out = np.array(filter_step(bank, vec.tolist()))
         if (i + 1) % 10 == 0:
             if prev is not None:
                 accel = (out[:2] - prev[:2]) / 0.02
-                z = np.array([accel[0], accel[1], out[3]])
-                h = observation_matrix(gains, out[4:8])
+                z = np.array([accel[0], accel[1], out[2]])
+                h = observation_matrix(gains, out[3:7])
                 if i > 500:  # after filter settling
                     resid = np.linalg.norm(z - h @ np.ones(4))
                     worst = max(worst, resid / np.linalg.norm(z))
