@@ -144,24 +144,28 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise CommandError(f"--jobs must be >= 1, got {args.jobs}", USAGE_ERROR)
+    if args.jobs != 1:
+        raise CommandError(f"--jobs must be 1, got {args.jobs}: the sweep runs in one process", USAGE_ERROR)
     paths = sorted(glob.glob(args.logs))
     if not paths:
         raise CommandError(f"no logs match {args.logs!r}", USAGE_ERROR)
+    log_ids = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    path_of: dict[str, str] = {}
+    for log_id, path in zip(log_ids, paths):
+        other = path_of.setdefault(log_id, path)
+        if other != path:
+            raise CommandError(f"logs {other} and {path} share the log id {log_id!r}", USAGE_ERROR)
     base = _load_config(args.config)
     spec = _load_sweep_spec(args.spec, base)
 
     logs = []
-    log_ids = []
     for path in paths:
         try:
             logs.append(flightlog.load_log(path))
         except flightlog.LogFormatError as exc:
             raise CommandError(f"bad log {path}: {exc}", USAGE_ERROR) from exc
-        log_ids.append(os.path.splitext(os.path.basename(path))[0])
 
-    rows = run_sweep(logs, spec, log_ids=log_ids, jobs=args.jobs)
+    rows = run_sweep(logs, spec, log_ids=log_ids)
     os.makedirs(args.out_dir, exist_ok=True)
     results_path = os.path.join(args.out_dir, "results.csv")
     summary_path = os.path.join(args.out_dir, "summary.csv")
@@ -231,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--spec", help="JSON sweep spec (default: the 19-set sweep)")
     swp.add_argument("--config", help="base detector config file")
     swp.add_argument("--out-dir", required=True)
-    swp.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1; at most one per log")
+    swp.add_argument("--jobs", type=int, default=1, help="only 1: the sweep runs in one process")
     swp.set_defaults(func=cmd_sweep)
 
     rep = sub.add_parser("report", help="render box-plot tables from sweep results")

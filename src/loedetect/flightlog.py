@@ -123,7 +123,7 @@ class FlightLog:
                 f"vehicle must be a string with no line break or surrounding whitespace, got {vehicle!r}"
             )
         actuator, fault_time = self.fault_actuator, self.fault_time_s
-        if actuator is not None and not isinstance(actuator, Integral):
+        if actuator is not None and (not isinstance(actuator, Integral) or isinstance(actuator, bool)):
             raise LogFormatError(f"fault_actuator must be an integer, got {actuator!r}")
         if actuator is not None and not 1 <= actuator <= 4:
             raise LogFormatError(f"fault_actuator out of range: {actuator}")

@@ -32,10 +32,9 @@ replay's conditioning flags it, and on a sweep's first bad log: one that
 fails a sample-rate check, that the conditioning lanes flag or whose
 estimator lane meets a NaN innovation, an innovation variance outside (0,
 inf) or a negative variance. A sweep evaluates a log that is not bad, so
-checks its annotation, before the next. With ``jobs > 1`` each worker
-process runs one lane pass over a contiguous chunk of the logs. Evaluation
-produces the three metrics that matter for a fault detector: detection
-delay, false alarms, missed detections.
+checks its annotation, before the next. Evaluation produces the three
+metrics that matter for a fault detector: detection delay, false alarms,
+missed detections.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -148,7 +146,7 @@ def evaluate_status(
         )
 
     actuator, t_fail = ground_truth
-    if not isinstance(actuator, Integral):
+    if not isinstance(actuator, Integral) or isinstance(actuator, bool):
         raise ValueError(f"ground truth actuator must be an integer, got {actuator!r}")
     if not 1 <= actuator <= 4:
         raise ValueError(f"ground truth actuator out of range: {actuator}")
@@ -521,8 +519,8 @@ def _exceedance_record(times: list, k_hats: list, variances: list, k_threshold: 
     return record
 
 
-def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[list[EvaluationResult]]:
-    """Evaluate each log under every config: per log, one result per config in order.
+def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None = None) -> list[SweepResultRow]:
+    """Evaluate every (parameter set, log) pair exactly once; rows by parameter set, then log.
 
     Conditioning runs once per distinct conditioning key, over every log at
     once (``_condition_lanes``). Estimation runs once per (log, distinct
@@ -531,7 +529,7 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     then taken on its sub-threshold estimates only, per actuator up to the
     first one above the largest ``probability_threshold`` that shares them
     (configs that differ only in ``probability_threshold`` do). Each config
-    latches by first exceedance, so each result equals ``evaluate_log(log,
+    latches by first exceedance, so each row equals ``evaluate_log(log,
     config)``.
 
     Logs are evaluated in order, each in full before the next. A log is
@@ -545,6 +543,17 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     key) the float replay decides which error comes first. A clean sweep
     replays nothing.
     """
+    if not logs:
+        raise ValueError("sweep needs at least one log")
+    if log_ids is None:
+        log_ids = [f"log_{i:03d}" for i in range(len(logs))]
+    if len(log_ids) != len(logs):
+        raise ValueError("log_ids and logs must have the same length")
+    if len(set(log_ids)) != len(log_ids):
+        duplicate = next(log_id for i, log_id in enumerate(log_ids) if log_id in log_ids[:i])
+        raise ValueError(f"log_ids must be distinct, got {duplicate!r} twice")
+    psets = spec.parameter_sets()
+    configs = [pset.config for pset in psets]
     # estimator key -> k_threshold -> probability_threshold -> positions in ``configs``
     groups: dict[tuple, dict[float, dict[float, list[int]]]] = {}
     firsts: list[DetectorConfig] = []  # the first config of each estimator key
@@ -571,7 +580,7 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
     bad = flagged[sets]
     bad[run[tripped]] = True
     bad = bad.reshape(len(logs), len(firsts))
-    results: list[list[EvaluationResult]] = [[None] * len(configs) for _ in logs]
+    rows: list[SweepResultRow] = [None] * (len(psets) * len(logs))  # row ``position * len(logs) + i``
     column = np.argsort(run)  # each lane's column within a tick
     for i, log in enumerate(logs):
         if bad[i].any() or any(_mismatched_rate(log, config) for config in configs):
@@ -598,53 +607,14 @@ def _sweep_chunk(logs: list[FlightLog], configs: list[DetectorConfig]) -> list[l
                 for positions in by_probability.values():
                     result = evaluate_status(first_exceedance(records, configs[positions[0]].decision), *span, truth)
                     for position in positions:
-                        results[i][position] = result
-    return results
-
-
-def run_sweep(
-    logs: list[FlightLog],
-    spec: SweepSpec,
-    log_ids: list[str] | None = None,
-    jobs: int = 1,
-) -> list[SweepResultRow]:
-    """Evaluate every (parameter set, log) pair exactly once.
-
-    Work is shared across logs and configs (see ``_sweep_chunk``);
-    ``jobs > 1`` splits the logs into ``min(jobs, len(logs))`` contiguous
-    chunks, one lane pass per chunk, each in its own process. Rows are
-    ordered by parameter set, then log, and a sweep raises the same error,
-    regardless of ``jobs``.
-    """
-    if not logs:
-        raise ValueError("sweep needs at least one log")
-    if log_ids is None:
-        log_ids = [f"log_{i:03d}" for i in range(len(logs))]
-    if len(log_ids) != len(logs):
-        raise ValueError("log_ids and logs must have the same length")
-    psets = spec.parameter_sets()
-    configs = [pset.config for pset in psets]
-
-    workers = min(jobs, len(logs))
-    if workers <= 1:
-        per_log = _sweep_chunk(logs, configs)
-    else:
-        bounds = [len(logs) * w // workers for w in range(workers + 1)]
-        chunks = [logs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_chunk = pool.map(_sweep_chunk, chunks, [configs] * workers)
-            per_log = [results for chunk in per_chunk for results in chunk]
-    return [
-        SweepResultRow(
-            param_set_id=pset.set_id,
-            log_id=log_id,
-            delay_s=results[i].detection_delay,
-            false_alarms=results[i].false_alarm_count,
-            missed=results[i].missed_detection,
-        )
-        for i, pset in enumerate(psets)
-        for log_id, results in zip(log_ids, per_log)
-    ]
+                        rows[position * len(logs) + i] = SweepResultRow(
+                            param_set_id=psets[position].set_id,
+                            log_id=log_ids[i],
+                            delay_s=result.detection_delay,
+                            false_alarms=result.false_alarm_count,
+                            missed=result.missed_detection,
+                        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -781,11 +751,13 @@ def read_results_csv(path) -> list[SweepResultRow]:
     """Read ``write_results_csv``'s file.
 
     A wrong header, a malformed row, a non-finite ``delay_s``, a negative
-    ``false_alarms`` or a ``missed`` other than 0 or 1 raises ``ValueError``
-    naming the line. A negative delay is kept: a latch on the failed
-    actuator before the annotated fault time gives one.
+    ``false_alarms``, a ``missed`` other than 0 or 1 or a repeated
+    ``(param_set_id, log_id)`` pair raises ``ValueError`` naming the line.
+    A negative delay is kept: a latch on the failed actuator before the
+    annotated fault time gives one.
     """
     rows = []
+    seen = set()  # the (param_set_id, log_id) pairs read so far
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -805,6 +777,10 @@ def read_results_csv(path) -> list[SweepResultRow]:
                     raise ValueError(f"false_alarms must be non-negative, got {record[3]!r}")
                 if missed not in (0, 1):
                     raise ValueError(f"missed must be 0 or 1, got {record[4]!r}")
+                pair = (record[0], record[1])
+                if pair in seen:
+                    raise ValueError(f"repeated param_set_id and log_id {pair!r}")
+                seen.add(pair)
                 rows.append(SweepResultRow(record[0], record[1], delay, false_alarms, bool(missed)))
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None

@@ -59,6 +59,8 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if not 0.0 <= self.time < math.inf:
             raise ValueError(f"fault time must be finite and non-negative, got {self.time}")
+        if isinstance(self.actuator_index, bool):  # saved as "True", which no log reads back
+            raise TypeError(f"actuator_index must be an integer, got {self.actuator_index!r}")
         if not 1 <= operator.index(self.actuator_index) <= 4:  # a TypeError unless an integer
             raise ValueError(f"actuator_index must be 1..4, got {self.actuator_index}")
         if not 0.0 <= self.new_k <= 1.0:

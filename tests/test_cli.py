@@ -552,8 +552,20 @@ def test_report_malformed_results_file_is_usage_error(tmp_path, capsys, rows, me
         ("set_00_base,a,0.1,-3,0", "line 2: false_alarms must be non-negative, got '-3'"),
         ("set_00_base,a,,0,7", "line 2: missed must be 0 or 1, got '7'"),
         ("set_00_base,a,,0,-1", "line 2: missed must be 0 or 1, got '-1'"),
+        (
+            "set_00_base,a,0.1,0,0\nset_00_base,b,0.1,0,0\nset_01_k,a,,0,1\nset_00_base,a,0.2,0,0",
+            "line 5: repeated param_set_id and log_id ('set_00_base', 'a')",
+        ),
     ],
-    ids=["nan-delay", "overflowing-delay", "minus-inf-delay", "negative-false-alarms", "missed-7", "missed-minus-1"],
+    ids=[
+        "nan-delay",
+        "overflowing-delay",
+        "minus-inf-delay",
+        "negative-false-alarms",
+        "missed-7",
+        "missed-minus-1",
+        "repeated-pair",
+    ],
 )
 def test_report_rejects_values_it_cannot_interpret(tmp_path, capsys, row, message):
     # A NaN or overflowing delay once crashed the box plot (exit 1), and
@@ -692,10 +704,30 @@ def test_sweep_empty_glob_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+def _refuse_to_load(path):
+    raise AssertionError(f"load_log({path!r}) was called")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "2"])
+def test_sweep_jobs_other_than_one_is_usage_error(tmp_path, capsys, monkeypatch, jobs):
+    # The sweep runs in one process; --jobs stays only as 1, and any other value exits 2 before a log is read.
     log = _write_hover_log(tmp_path / "hover.csv")
+    monkeypatch.setattr(flightlog, "load_log", _refuse_to_load)
     code = run_cli("sweep", "--logs", str(log), "--out-dir", str(tmp_path / "out"), "--jobs", jobs)
     assert code == 2
-    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert capsys.readouterr().err == f"error: --jobs must be 1, got {jobs}: the sweep runs in one process\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_logs_that_share_a_log_id(tmp_path, capsys, monkeypatch):
+    # Two logs named log.csv in different directories would both write rows
+    # under log_id "log"; the sweep exits 2 before it reads either.
+    for name in "ab":
+        (tmp_path / "dup" / name).mkdir(parents=True)
+    first = _write_hover_log(tmp_path / "dup" / "a" / "log.csv")
+    second = _write_hover_log(tmp_path / "dup" / "b" / "log.csv")
+    monkeypatch.setattr(flightlog, "load_log", _refuse_to_load)
+    code = run_cli("sweep", "--logs", str(tmp_path / "dup" / "*" / "log.csv"), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: logs {first} and {second} share the log id 'log'\n"
     assert not (tmp_path / "out").exists()

@@ -287,6 +287,7 @@ def test_fault_header_requires_time(tmp_path):
         (0, 0.05, "^fault_actuator out of range: 0$"),
         (3.0, 0.05, r"^fault_actuator must be an integer, got 3\.0$"),
         (2.5, 0.05, r"^fault_actuator must be an integer, got 2\.5$"),
+        (True, 0.05, r"^fault_actuator must be an integer, got True$"),
         (3, None, "^fault_actuator given without fault_time_s$"),
         (None, 0.05, "^fault_time_s given without fault_actuator$"),
     ],

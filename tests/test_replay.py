@@ -97,7 +97,7 @@ def test_evaluate_rejects_fault_time_outside_span():
         evaluate(outs, ground_truth=(3, 99.0))
 
 
-@pytest.mark.parametrize("actuator", [3.0, 2.5])
+@pytest.mark.parametrize("actuator", [3.0, 2.5, True])
 def test_evaluate_status_rejects_a_non_integer_fault_actuator(actuator):
     with pytest.raises(ValueError, match=f"^ground truth actuator must be an integer, got {actuator}$"):
         evaluate_status(_status(), 0.0, 1.0, (actuator, 0.5))
@@ -184,6 +184,13 @@ def test_sweep_totality_every_pair_once(ejection_log):
     assert len(pairs) == len(rows)
 
 
+def test_sweep_rejects_repeated_log_ids(ejection_log):
+    # Rows of two logs under one log_id could not be told apart.
+    spec = SweepSpec(base=default_config(), variations=())
+    with pytest.raises(ValueError, match="^log_ids must be distinct, got 'a' twice$"):
+        run_sweep([ejection_log, ejection_log, ejection_log], spec, log_ids=["a", "b", "a"])
+
+
 def test_single_pair_sweep_equals_direct_evaluation(ejection_log):
     spec = SweepSpec(base=default_config(), variations=())
     rows = run_sweep([ejection_log], spec)
@@ -192,49 +199,6 @@ def test_single_pair_sweep_equals_direct_evaluation(ejection_log):
     assert rows[0].delay_s == direct.detection_delay
     assert rows[0].false_alarms == direct.false_alarm_count
     assert rows[0].missed == direct.missed_detection
-
-
-def test_parallel_sweep_matches_serial(ejection_log):
-    spec = SweepSpec(
-        base=default_config(),
-        variations=(("probability_threshold", (0.8, 0.99)),),
-    )
-    logs = [
-        ejection_log,
-        fly_scenario("hover", duration=1.0, noise=SensorNoiseModel(seed=12)),
-        fly_scenario("ground_idle", duration=0.5, noise=SensorNoiseModel(seed=13)),
-    ]
-    serial = run_sweep(logs, spec, jobs=1)
-    parallel = run_sweep(logs, spec, jobs=2)  # chunks of one and two logs
-    assert serial == parallel
-
-
-class _InlineExecutor:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers``, maps in-process."""
-
-    def __init__(self, created, max_workers):
-        created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_sweep_starts_at_most_one_worker_per_log(monkeypatch):
-    created = []
-    monkeypatch.setattr(replay, "ProcessPoolExecutor", lambda max_workers: _InlineExecutor(created, max_workers))
-    spec = SweepSpec(base=default_config(), variations=())
-    logs = [fly_scenario("ground_idle", duration=0.2, noise=SensorNoiseModel(seed=s)) for s in (1, 2)]
-    rows = run_sweep(logs, spec, jobs=64)
-    assert created == [2]
-    assert rows == run_sweep(logs, spec, jobs=1)
-    assert run_sweep(logs[:1], spec, jobs=64) == rows[:1]
-    assert created == [2]  # one log runs serially
 
 
 def _recording(fn, calls, name):
@@ -297,7 +261,6 @@ def test_staged_sweep_equals_per_set_evaluation(ejection_log, monkeypatch):
             direct.false_alarm_count,
             direct.missed_detection,
         ), (row, direct)
-    assert run_sweep(logs, spec, log_ids=["eject", "hover", "idle"], jobs=2) == rows
 
 
 class _FaultyStep:
@@ -470,8 +433,7 @@ def test_sweep_raises_the_replays_overflow_error(ejection_log, name, value, s):
     assert str(caught.value) == f"innovation variance s={s} is not finite and positive"
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_raises_the_first_error_in_log_order(ejection_log, jobs):
+def test_sweep_raises_the_first_error_in_log_order(ejection_log):
     # The same flight at 250 Hz fails the base config's sample-rate check;
     # the 500 Hz log overflows under g_az = 1e308. Whichever log comes first
     # decides the error, as it would in a serial replay.
@@ -486,9 +448,9 @@ def test_sweep_raises_the_first_error_in_log_order(ejection_log, jobs):
     )
     spec = SweepSpec(base=default_config(), variations=(("g_az", (1e308,)),))
     with pytest.raises(ArithmeticError, match="^innovation variance s=nan"):
-        run_sweep([ejection_log, half_rate], spec, jobs=jobs)
+        run_sweep([ejection_log, half_rate], spec)
     with pytest.raises(SampleRateMismatchError):
-        run_sweep([half_rate, ejection_log], spec, jobs=jobs)
+        run_sweep([half_rate, ejection_log], spec)
 
 
 def _head(log, n):
@@ -583,10 +545,10 @@ def _first_replay_error(logs, spec):
     raise AssertionError("no replay failed")
 
 
-def _assert_sweep_raises_the_first_replay_error(logs, spec, jobs):
+def _assert_sweep_raises_the_first_replay_error(logs, spec):
     expected = _first_replay_error(logs, spec)
     with pytest.raises((ValueError, ArithmeticError)) as caught:
-        run_sweep(logs, spec, jobs=jobs)
+        run_sweep(logs, spec)
     assert type(caught.value) is type(expected)
     assert str(caught.value) == str(expected)
     return expected
@@ -596,25 +558,23 @@ def _flight(seed, duration=0.8):
     return fly_scenario("hover", duration=duration, noise=SensorNoiseModel(seed=seed))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     ("field", "index", "value", "message"),
     [("gyro", (203, 2), math.nan, "^NaN or Inf"), ("rotor_speeds", (311, 2), 2e5, "^rotor speed above")],
     ids=["nan-in-r", "rotor-speed-above-ceiling"],
 )
-def test_sweep_raises_the_conditioning_error_of_a_log_changed_in_place(jobs, field, index, value, message):
+def test_sweep_raises_the_conditioning_error_of_a_log_changed_in_place(field, index, value, message):
     # Log 2 of 3 is changed after construction, so FlightLog.validate never
     # saw it; the lanes flag it and its replay through Conditioner raises.
     # Neither value reaches an estimator lane as a NaN: only the check finds it.
     logs = [_flight(61), _flight(62), _flight(63)]
     getattr(logs[1], field)[index] = value
     spec = SweepSpec(base=default_config(), variations=(("k_threshold", (0.15,)), ("g_q", (1.2e-4,))))
-    expected = _assert_sweep_raises_the_first_replay_error(logs, spec, jobs)
+    expected = _assert_sweep_raises_the_first_replay_error(logs, spec)
     assert re.match(message, str(expected)) and f"t={float(logs[1].t[index[0]])!r}" in str(expected)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_raises_the_step_error_of_a_sensor_interval_just_inside_the_rate_tolerance(jobs):
+def test_sweep_raises_the_step_error_of_a_sensor_interval_just_inside_the_rate_tolerance():
     # A 1.49-period step passes FlightLog.validate at the header rate, but not
     # the conditioner's step check under a sensor_interval 0.9% short of it,
     # which the sample-rate check (1%) still accepts.
@@ -626,21 +586,20 @@ def test_sweep_raises_the_step_error_of_a_sensor_interval_just_inside_the_rate_t
     values = config_to_dict(default_config()) | {"sensor_interval": short, "estimator_interval": 10 * short}
     spec = SweepSpec(base=config_from_dict(values), variations=(("k_threshold", (0.15,)),))
     evaluate_log(stepped, default_config())  # the header rate's own check passes
-    expected = _assert_sweep_raises_the_first_replay_error([good, stepped], spec, jobs)
+    expected = _assert_sweep_raises_the_first_replay_error([good, stepped], spec)
     assert str(expected).startswith(f"timestamp step {t[150] - t[149]:.6g} s at t={float(t[150])!r} is outside")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_an_earlier_tripped_lane_wins_over_a_later_bad_log(ejection_log, jobs):
+def test_an_earlier_tripped_lane_wins_over_a_later_bad_log(ejection_log):
     # The first log's g_az lane overflows; the second log holds a NaN. The
     # lane comes first in log order, so the sweep raises its replay's error;
     # with the logs swapped, the NaN comes first.
     bad = _flight(65)
     bad.accel_z[99] = math.nan
     spec = SweepSpec(base=default_config(), variations=(("g_az", (1e308,)),))
-    expected = _assert_sweep_raises_the_first_replay_error([ejection_log, bad], spec, jobs)
+    expected = _assert_sweep_raises_the_first_replay_error([ejection_log, bad], spec)
     assert isinstance(expected, ArithmeticError)
-    expected = _assert_sweep_raises_the_first_replay_error([bad, ejection_log], spec, jobs)
+    expected = _assert_sweep_raises_the_first_replay_error([bad, ejection_log], spec)
     assert str(expected).startswith("NaN or Inf")
 
 
@@ -650,7 +609,7 @@ def test_sweep_replays_the_log_of_the_lane_that_tripped(ejection_log, ground_idl
     # replay the ejection log, not the log whose lane sits at the tripped
     # lane's place in the pass.
     spec = SweepSpec(base=default_config(), variations=(("g_az", (1e308,)),))
-    expected = _assert_sweep_raises_the_first_replay_error([ground_idle_logs[0], ejection_log], spec, jobs=1)
+    expected = _assert_sweep_raises_the_first_replay_error([ground_idle_logs[0], ejection_log], spec)
     assert str(expected).startswith("innovation variance s=nan")
 
 
@@ -660,12 +619,11 @@ def test_sweep_raises_the_rate_error_of_a_log_no_lane_flags(ejection_log):
     long = default_config().sensor_interval * 1.02
     values = config_to_dict(default_config()) | {"sensor_interval": long, "estimator_interval": 10 * long}
     spec = SweepSpec(base=config_from_dict(values), variations=())
-    expected = _assert_sweep_raises_the_first_replay_error([ejection_log], spec, jobs=1)
+    expected = _assert_sweep_raises_the_first_replay_error([ejection_log], spec)
     assert isinstance(expected, SampleRateMismatchError)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_an_earlier_logs_annotation_error_wins_over_a_later_bad_log(ejection_log, jobs):
+def test_an_earlier_logs_annotation_error_wins_over_a_later_bad_log(ejection_log):
     # The ejection log cut at its fault time, 1.56 s, then its last
     # timestamp moved 0.49 periods earlier in place: the annotation now lies
     # outside the span, though every step passes the conditioner's check.
@@ -684,9 +642,9 @@ def test_an_earlier_logs_annotation_error_wins_over_a_later_bad_log(ejection_log
     bad = _flight(66)
     bad.accel_z[99] = math.nan
     spec = SweepSpec(base=default_config(), variations=(("k_threshold", (0.15,)),))
-    expected = _assert_sweep_raises_the_first_replay_error([cut, bad], spec, jobs)
+    expected = _assert_sweep_raises_the_first_replay_error([cut, bad], spec)
     assert str(expected).startswith("ground truth fault time 1.56 outside the log span")
-    expected = _assert_sweep_raises_the_first_replay_error([bad, cut], spec, jobs)
+    expected = _assert_sweep_raises_the_first_replay_error([bad, cut], spec)
     assert str(expected).startswith("NaN or Inf")
 
 

@@ -516,7 +516,7 @@ def test_fault_event_validation():
         FaultEvent(time=1.0, actuator_index=1, new_k=1.5)
 
 
-@pytest.mark.parametrize("index", [2.5, 3.0])
+@pytest.mark.parametrize("index", [2.5, 3.0, True, False])
 def test_fault_event_rejects_a_non_integer_actuator_index(index):
     with pytest.raises(TypeError):
         FaultEvent(time=0.5, actuator_index=index)
