@@ -68,6 +68,16 @@ def _load_config(path: str | None) -> DetectorConfig:
         raise CommandError(f"bad config file {path}: {exc}", USAGE_ERROR) from exc
 
 
+def _unique_names(pairs: list) -> dict:
+    """A JSON object's members as a dict; ``ValueError`` on a name given twice, where ``json`` keeps the last."""
+    names = {}
+    for name, value in pairs:
+        if name in names:
+            raise ValueError(f"repeated parameter {name!r}")
+        names[name] = value
+    return names
+
+
 def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
     """The spec at ``path`` (the default sweep if ``None``), its parameter sets built.
 
@@ -80,7 +90,7 @@ def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
             spec = default_sweep_spec(base)
         else:
             with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                payload = json.load(fh, object_pairs_hook=_unique_names)
             parameters = payload.get("parameters") if isinstance(payload, dict) else None
             if not isinstance(parameters, dict) or not all(isinstance(v, list) for v in parameters.values()):
                 raise ValueError('expected {"parameters": {"<config key>": [<value>, ...], ...}}')

@@ -268,12 +268,14 @@ class Conditioner:
 
     def push(
         self, t: float, p: float, q: float, r: float, az: float, w1: float, w2: float, w3: float, w4: float
-    ) -> tuple[tuple[float, float, float], list[float]] | None:
-        """Advance one sample of nine floats; on an armed estimator tick return ``(z, w_sq)``.
+    ) -> tuple[float, float, float, float, float, float, float, float] | None:
+        """Advance one sample of nine floats; on an armed estimator tick return its tick row.
 
         The floats are the timestamp, body rates, vertical accelerometer and
-        rotor speeds, in ``flightlog.COLUMNS`` order. ``z`` is (p_dot,
-        q_dot, a_z) and ``w_sq`` the squared filtered rotor speeds. Checks run
+        rotor speeds, in ``flightlog.COLUMNS`` order. The tick row is the
+        8-float ``(t, p_dot, q_dot, a_z, w1_sq, w2_sq, w3_sq, w4_sq)``: the
+        measurement ``z`` (p_dot, q_dot, a_z) and the squared filtered rotor
+        speeds, the row ``Estimation._tick`` takes. Checks run
         in a fixed order: timestamp order, then NaN or Inf, the rotor-speed
         ceiling and negative speeds, then timestamp steps outside (1 -/+
         ``STEP_TOLERANCE``) x ``sensor_interval``, as ``FlightLog.validate``
@@ -334,7 +336,7 @@ class Conditioner:
         self._prev_tick = current
         if not armed:
             return None
-        return (p_dot, q_dot, a_z), [f1 * f1, f2 * f2, f3 * f3, f4 * f4]
+        return t, p_dot, q_dot, a_z, f1 * f1, f2 * f2, f3 * f3, f4 * f4
 
 
 def _out_of_order(t: float, last: float) -> ValueError:
@@ -412,14 +414,15 @@ class Estimation:
     def estimator_state(self) -> EstimatorState:
         return self._estimator
 
-    def _tick(self, t: float, tick: tuple) -> None:
-        """Estimation and decision on the armed estimator tick ``push`` returned at time ``t``."""
-        z, w_sq = tick
-        state = self._estimator = kalman.step(self._estimator, observation_rows(self._gains, w_sq), z, self._noise)
+    def _tick(self, row) -> None:
+        """Estimation and decision on one armed tick row, ``(t, z, w_sq)`` as ``push`` returns it."""
+        state = self._estimator = kalman.step(
+            self._estimator, observation_rows(self._gains, row[4:]), row[1:4], self._noise
+        )
         variances = self._variances = state.variances()
         decision = self._decision
         p_fail = self._p_fail = failure_probabilities(state.k, variances, decision.k_threshold)
-        self._status = decide(p_fail, self._status, decision, now=t)
+        self._status = decide(p_fail, self._status, decision, now=row[0])
 
 
 class Detector(Estimation):
@@ -457,5 +460,5 @@ class Detector(Estimation):
                 raise
             raise error from None
         if tick is not None:
-            self._tick(t, tick)
+            self._tick(tick)
         return DetectorOutput(t, self._estimator.k, self._variances, self._p_fail, self._status, conditioner.armed)

@@ -11,6 +11,8 @@ row, then one data row per sample:
     t,p,q,r,az,w1,w2,w3,w4
     0.002,-0.0003,...
 
+The header gives only these five keys, each at most once; any other key
+is an error, so a misspelled annotation cannot read as a no-fault log.
 ``fault_actuator``/``fault_time_s`` are present only for annotated failure
 logs, and always together: ``fault_actuator`` is 1..4 and ``fault_time_s``
 lies within the log's time span.
@@ -38,6 +40,8 @@ import numpy as np
 from .filters import MAX_ROTOR_SPEED_RAD_S, STEP_TOLERANCE, RawSample
 
 COLUMNS = ("t", "p", "q", "r", "az", "w1", "w2", "w3", "w4")
+# The header keys a log may give, each at most once.
+HEADER_KEYS = ("sample_rate_hz", "rpm_units", "vehicle", "fault_actuator", "fault_time_s")
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 
@@ -242,7 +246,13 @@ def _log_fields(
         if "=" not in body:
             raise LogFormatError(f"line {lineno}: malformed header line {line!r}")
         key, _, value = body.partition("=")
-        header[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in HEADER_KEYS:
+            expected = ", ".join(HEADER_KEYS)
+            raise LogFormatError(f"line {lineno}: unknown header key {key!r} (expected one of {expected})")
+        if key in header:
+            raise LogFormatError(f"line {lineno}: duplicate header key {key!r}")
+        header[key] = value.strip()
     if "sample_rate_hz" not in header:
         raise LogFormatError("missing required header sample_rate_hz")
     try:

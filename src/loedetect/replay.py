@@ -200,7 +200,7 @@ def replay_log(log: FlightLog, config: DetectorConfig, ticks_path=None) -> Detec
 
 
 def _run_ticks(estimation: Estimation, rows: np.ndarray, samples: range):
-    """Run ``estimation`` on each tick row of ``rows`` (t, ``z``, ``w_sq``); yield the tick's sample after it.
+    """Run ``estimation`` on each tick row of ``rows``, as it is; yield the tick's sample after it.
 
     The rows are converted to Python floats ``SAMPLE_BLOCK_ROWS // 8`` rows
     (``SAMPLE_BLOCK_ROWS`` floats) at a time.
@@ -208,8 +208,8 @@ def _run_ticks(estimation: Estimation, rows: np.ndarray, samples: range):
     samples, block = iter(samples), SAMPLE_BLOCK_ROWS // 8
     for start in range(0, len(rows), block):
         # zip takes the row first, so it stops without taking a sample past the block.
-        for (t, p_dot, q_dot, a_z, *w_sq), sample in zip(rows[start : start + block].tolist(), samples):
-            estimation._tick(t, ((p_dot, q_dot, a_z), w_sq))
+        for row, sample in zip(rows[start : start + block].tolist(), samples):
+            estimation._tick(row)
             yield sample
 
 
@@ -324,10 +324,10 @@ def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tu
     ``configs`` hold distinct conditioning keys; tick set ``c * len(logs) +
     i`` is log ``i`` under ``configs[c]``. Returns ``(ticks, first,
     n_ticks, flagged, armed_at)``. ``ticks`` (n, 8, tick sets) holds each
-    tick of each set once, its t, ``z`` and ``w_sq``; rows ``first[s] :
-    first[s] + n_ticks[s]`` are set ``s``'s armed ticks, bit for bit what
-    ``push`` returns on them. ``armed_at[s]`` is the sample that arms set
-    ``s``'s takeoff gate, or the log's length if none does. ``flagged[s]``
+    tick row of each set once; rows ``first[s] : first[s] + n_ticks[s]``
+    are set ``s``'s armed ticks, bit for bit the tick rows ``push``
+    returns. ``armed_at[s]`` is the sample that arms set ``s``'s takeoff
+    gate, or the log's length if none does. ``flagged[s]``
     marks a set whose log fails one of ``push``'s checks, with the same
     float comparisons; its rows mean nothing, and ``push`` raises on the
     log. The checks (``_log_checks``) and the takeoff gate
@@ -468,16 +468,18 @@ def _lane_pass(
 
     ``ticks`` (n, 8, tick sets) is the ``_condition_lanes`` table, and
     ``configs`` holds one config per estimator key, whose gains and noise
-    are read once however many lanes run under it. Lanes come longest
-    first, so the lanes still running at a tick are a prefix, and the pass
-    narrows to them as the others end. Returns ``(K, V,
-    offsets, tripped)``: ``K`` and ``V`` (4, N) hold the estimates and
-    variances after tick ``t`` of lane ``l`` in column ``offsets[t] + l``,
-    and ``tripped`` lists the lanes that meet a NaN innovation, an ``s``
-    outside (0, inf) or a negative variance: where ``kalman.step`` or the
-    decision raises.
+    are read once however many lanes run under it. The pass steps the
+    lanes longest first, so the lanes still running at a tick are a prefix,
+    and it narrows to them as the others end. Returns ``(K, V, columns,
+    tripped)``: ``K`` and ``V`` (4, N) hold the estimates and variances
+    after each tick of each lane, lane ``l``'s in the columns
+    ``columns[l]``, in tick order. ``tripped[l]`` marks a lane that meets a
+    NaN innovation, an ``s`` outside (0, inf) or a negative variance: where
+    ``kalman.step`` or the decision raises.
     """
-    running = (n_ticks > np.arange(n_ticks.max())[:, None]).sum(axis=1)  # lanes still running, per tick
+    run = np.argsort(-n_ticks, kind="stable")  # the lanes, longest first
+    first, sets, keys = first[run], sets[run], keys[run]
+    running = (n_ticks[run] > np.arange(n_ticks.max())[:, None]).sum(axis=1)  # lanes still running, per tick
     offsets = np.concatenate(([0], np.cumsum(running)))
     gains = np.stack([signed_gains(config.gains) for config in configs], axis=-1)[..., keys]
     q = np.array([config.noise.process_noise_q for config in configs])[keys]
@@ -499,24 +501,28 @@ def _lane_pass(
             K[:, at] = k
             V[:, at] = P[::5]
         bad = np.isnan(Y).any(axis=0) | ~((S > 0.0) & (S < math.inf)).all(axis=0) | (V < 0.0).any(axis=0)
-    lane_of_column = np.arange(offsets[-1]) - np.repeat(offsets[:-1], running)
-    return K, V, offsets, np.unique(lane_of_column[bad])
+    place = np.argsort(run)  # each lane's column within a tick
+    columns = [offsets[:n] + at for n, at in zip(n_ticks.tolist(), place.tolist())]
+    column_place = np.arange(offsets[-1]) - np.repeat(offsets[:-1], running)  # the place of each column's lane
+    return K, V, columns, np.isin(place, column_place[bad])
 
 
-def _exceedance_record(times: list, k_hats: list, variances: list, k_threshold: float, top: float) -> list:
-    """One actuator's ``(t, p)`` pairs on its sub-threshold ticks, in tick order.
+def _exceedance_records(times: np.ndarray, k_hats: np.ndarray, variances: np.ndarray, k_threshold, top) -> tuple:
+    """Each actuator's ``(t, p)`` pairs on its sub-threshold ticks, in tick order: ``first_exceedance``'s records.
 
-    The record stops at the first ``p > top``: every config whose
-    ``probability_threshold`` is at most ``top`` has latched by then, so
-    ``first_exceedance`` never reads past it.
+    ``k_hats`` and ``variances`` (4, n) are one lane's estimates after each
+    of its ticks at ``times``. Each record stops at its first ``p > top``:
+    every config whose ``probability_threshold`` is at most ``top`` has
+    latched by then, so ``first_exceedance`` never reads past it.
     """
-    record = []
-    for t, k_hat, variance in zip(times, k_hats, variances):
-        p = failure_probability(k_hat, variance, k_threshold)
-        record.append((t, p))
-        if p > top:
-            break
-    return record
+    records = ([], [], [], [])
+    picked = actuator, tick = (k_hats < k_threshold).nonzero()  # by actuator, then tick
+    below = zip(actuator.tolist(), times[tick].tolist(), k_hats[picked].tolist(), variances[picked].tolist())
+    for i, t, k_hat, variance in below:
+        record = records[i]
+        if not (record and record[-1][1] > top):
+            record.append((t, failure_probability(k_hat, variance, k_threshold)))
+    return records
 
 
 def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None = None) -> list[SweepResultRow]:
@@ -524,13 +530,12 @@ def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None 
 
     Conditioning runs once per distinct conditioning key, over every log at
     once (``_condition_lanes``). Estimation runs once per (log, distinct
-    estimator key), each such run one lane of a single ``_lane_pass``. The
-    failure probabilities of each distinct ``k_threshold`` under a key are
-    then taken on its sub-threshold estimates only, per actuator up to the
-    first one above the largest ``probability_threshold`` that shares them
-    (configs that differ only in ``probability_threshold`` do). Each config
-    latches by first exceedance, so each row equals ``evaluate_log(log,
-    config)``.
+    estimator key), each such run one lane of a single ``_lane_pass``. Each
+    config then latches by first exceedance, from exceedance records taken
+    once per (log, estimator key, ``k_threshold``): failure probabilities
+    on the sub-threshold estimates only, per actuator up to the first one
+    above the largest ``probability_threshold`` that shares them. So each
+    row equals ``evaluate_log(log, config)``.
 
     Logs are evaluated in order, each in full before the next. A log is
     bad if a config's sample rate mismatches it, if a conditioning set it
@@ -554,34 +559,25 @@ def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None 
         raise ValueError(f"log_ids must be distinct, got {duplicate!r} twice")
     psets = spec.parameter_sets()
     configs = [pset.config for pset in psets]
-    # estimator key -> k_threshold -> probability_threshold -> positions in ``configs``
-    groups: dict[tuple, dict[float, dict[float, list[int]]]] = {}
-    firsts: list[DetectorConfig] = []  # the first config of each estimator key
-    for position, config in enumerate(configs):
-        estimator_key, decision = config.estimator_key(), config.decision
-        if estimator_key not in groups:
-            firsts.append(config)
-        by_probability = groups.setdefault(estimator_key, {}).setdefault(decision.k_threshold, {})
-        by_probability.setdefault(decision.probability_threshold, []).append(position)
-    by_key = list(groups.values())
-    conditioning: dict[tuple, DetectorConfig] = {}  # conditioning key -> its first config
-    for first in firsts:
-        conditioning.setdefault(first.conditioning_key(), first)
+    pairs = [(config.estimator_key(), config.decision.k_threshold) for config in configs]
+    first_of: dict[tuple, DetectorConfig] = {}  # estimator key -> its first config
+    tops: dict[tuple, float] = {}  # (estimator key, k_threshold) -> the largest probability_threshold
+    for pair, config in zip(pairs, configs):
+        first_of.setdefault(pair[0], config)
+        tops[pair] = max(tops.get(pair, 0.0), config.decision.probability_threshold)
+    lane_of = {key: lane for lane, key in enumerate(first_of)}  # log ``i``'s lane is ``i * len(firsts) + lane``
+    firsts = list(first_of.values())
+    conditioning = {first.conditioning_key(): first for first in firsts}  # equal keys condition alike
     ckeys = list(conditioning)
     ticks, first_armed, n_armed, flagged, _ = _condition_lanes(logs, list(conditioning.values()))
 
-    # Lane ``i * len(firsts) + key`` runs log ``i`` under estimator key ``key``.
     key_sets = [ckeys.index(first.conditioning_key()) * len(logs) for first in firsts]
     sets = np.array([key_set + i for i in range(len(logs)) for key_set in key_sets])
     starts, n_ticks = first_armed[sets], n_armed[sets]
-    run = np.argsort(-n_ticks, kind="stable")  # lanes, longest first
-    K, V, offsets, tripped = _lane_pass(ticks, starts[run], sets[run], n_ticks[run], firsts, run % len(firsts))
+    K, V, columns, tripped = _lane_pass(ticks, starts, sets, n_ticks, firsts, np.arange(len(sets)) % len(firsts))
 
-    bad = flagged[sets]
-    bad[run[tripped]] = True
-    bad = bad.reshape(len(logs), len(firsts))
+    bad = (flagged[sets] | tripped).reshape(len(logs), len(firsts))
     rows: list[SweepResultRow] = [None] * (len(psets) * len(logs))  # row ``position * len(logs) + i``
-    column = np.argsort(run)  # each lane's column within a tick
     for i, log in enumerate(logs):
         if bad[i].any() or any(_mismatched_rate(log, config) for config in configs):
             for config in configs:
@@ -590,30 +586,21 @@ def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None 
                 _replay_serially(log, firsts[key])
             raise RuntimeError(f"the lanes flagged log {i}, but its serial replay raised nothing")
         span, truth = (float(log.t[0]), float(log.t[-1])), log.ground_truth()
-        for key, by_threshold in enumerate(by_key):
-            lane = i * len(firsts) + key
-            s, start, n = sets[lane], starts[lane], n_ticks[lane]
-            columns = offsets[:n] + column[lane]
-            k_hats, variances, times = K.take(columns, axis=1), V.take(columns, axis=1), ticks[start : start + n, 0, s]
-            for k_threshold, by_probability in by_threshold.items():
-                picked = actuator, tick = (k_hats < k_threshold).nonzero()  # by actuator, then tick
-                t_below, k_below, v_below = times[tick].tolist(), k_hats[picked].tolist(), variances[picked].tolist()
-                bounds = [0, *actuator.searchsorted((1, 2, 3)).tolist(), len(tick)]
-                top = max(by_probability)  # the group's largest probability_threshold
-                records = [
-                    _exceedance_record(t_below[lo:hi], k_below[lo:hi], v_below[lo:hi], k_threshold, top)
-                    for lo, hi in zip(bounds, bounds[1:])
-                ]
-                for positions in by_probability.values():
-                    result = evaluate_status(first_exceedance(records, configs[positions[0]].decision), *span, truth)
-                    for position in positions:
-                        rows[position * len(logs) + i] = SweepResultRow(
-                            param_set_id=psets[position].set_id,
-                            log_id=log_ids[i],
-                            delay_s=result.detection_delay,
-                            false_alarms=result.false_alarm_count,
-                            missed=result.missed_detection,
-                        )
+        records: dict[tuple, tuple] = {}  # (estimator key, k_threshold) -> this log's exceedance records
+        for position, (pair, config) in enumerate(zip(pairs, configs)):
+            if pair not in records:
+                lane = i * len(firsts) + lane_of[pair[0]]
+                times = ticks[starts[lane] : starts[lane] + n_ticks[lane], 0, sets[lane]]
+                k_hats, variances = K.take(columns[lane], axis=1), V.take(columns[lane], axis=1)
+                records[pair] = _exceedance_records(times, k_hats, variances, pair[1], tops[pair])
+            result = evaluate_status(first_exceedance(records[pair], config.decision), *span, truth)
+            rows[position * len(logs) + i] = SweepResultRow(
+                param_set_id=psets[position].set_id,
+                log_id=log_ids[i],
+                delay_s=result.detection_delay,
+                false_alarms=result.false_alarm_count,
+                missed=result.missed_detection,
+            )
     return rows
 
 

@@ -46,9 +46,9 @@ def serial_evaluation(log, config):
 
 
 def pushed_ticks(log, config):
-    """``Conditioner.push``'s armed ticks on ``log``, each its t, ``z`` and ``w_sq``, as (ticks, 8) floats."""
+    """``Conditioner.push``'s armed tick rows on ``log`` (t, ``z``, ``w_sq``), as (ticks, 8) floats."""
     push = Conditioner(config).push
-    rows = [(row[0], *tick[0], *tick[1]) for row in log.rows() if (tick := push(*row)) is not None]
+    rows = [tick for row in log.rows() if (tick := push(*row)) is not None]
     return np.array(rows, dtype=float).reshape(-1, 8)
 
 
@@ -289,9 +289,8 @@ def sweep_probability_evaluations(logs, configs, every_tick=False):
             for row in log.rows():
                 tick = conditioner.push(*row)
                 if tick is not None:
-                    z, w_sq = tick
-                    H = SIGN_MATRIX * gains_col * np.array(w_sq)[None, :]
-                    state = kalman.step(state, H, z, config.noise)
+                    H = SIGN_MATRIX * gains_col * np.array(tick[4:])[None, :]
+                    state = kalman.step(state, H, tick[1:4], config.noise)
                     for i, (k, variance) in enumerate(zip(state.k, state.variances())):
                         if k < k_threshold and (every_tick or not latched[i]):
                             total += 1

@@ -90,6 +90,13 @@ def test_readme_quickstart_and_python_api_print_what_the_readme_says(tmp_path, m
     assert f"delay_s={float(delay):.4f} false_alarms={false_alarms} missed=false" == verdict[1]
 
 
+def test_readme_log_schema_gives_the_header_keys_the_loader_accepts():
+    section = README.read_text(encoding="utf-8").split("## Flight log CSV schema\n", 1)[1]
+    schema = re.search(r"^```\n(.*?)^```$", section, re.M | re.S).group(1)
+    keys = [line[1:].partition("=")[0].strip() for line in schema.splitlines() if line.startswith("#")]
+    assert sorted(keys) == sorted(flightlog.HEADER_KEYS)
+
+
 def test_print_default_config_round_trips(capsys):
     assert run_cli("--print-default-config") == 0
     text = capsys.readouterr().out
@@ -338,6 +345,29 @@ def test_bad_fault_time_header_is_bad_log(tmp_path, capsys, value, command):
     assert code == 2
     err = capsys.readouterr().err
     assert f"bad log {log}: " in err and "fault_time_s" in err
+
+
+@pytest.mark.parametrize(
+    ("header", "message"),
+    [
+        (
+            "# fault_actuator=2\n# fault_time_s=0.05\n# fault_actuator=4\n",
+            "line 3: duplicate header key 'fault_actuator'",
+        ),
+        ("# fault_actuatr=2\n# fault_time=0.05\n", "line 1: unknown header key 'fault_actuatr'"),
+    ],
+    ids=["repeated", "misspelled"],
+)
+@pytest.mark.parametrize("command", ["detect", "sweep"])
+def test_repeated_or_unknown_header_key_is_bad_log(tmp_path, capsys, header, message, command):
+    log = _write_hover_log(tmp_path / "header.csv")
+    log.write_text(header + log.read_text())
+    if command == "detect":
+        code = run_cli("detect", "--log", str(log))
+    else:
+        code = run_cli("sweep", "--logs", str(log), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert f"bad log {log}: {message}" in capsys.readouterr().err
 
 
 def test_detect_fault_time_without_fault_actuator_is_bad_log(tmp_path, capsys):
@@ -674,6 +704,11 @@ BAD_SPECS = {
     "out-of-range": ('{"parameters": {"k_threshold": [2.0]}}', "k_threshold must be in (0, 1)"),
     "nan": ('{"parameters": {"g_p": [NaN]}}', "g_p must be finite and strictly positive, got nan"),
     "unknown-name": ('{"parameters": {"warp_factor": [9.0]}}', "unknown configuration key: 'warp_factor'"),
+    # ``json`` keeps the last of two values: only 0.35 would be swept.
+    "repeated-name": (
+        '{"parameters": {"k_threshold": [0.15], "k_threshold": [0.35]}}',
+        "repeated parameter 'k_threshold'",
+    ),
 }
 
 

@@ -95,7 +95,7 @@ def test_one_millisecond_config_filters_at_one_millisecond():
         tick = conditioner.push(*sample_values(hover_sample(i, dt=0.001, speed=speed)))
         if tick is not None:
             ticks += 1
-            assert tick[1] == [want * want] * 4
+            assert tick[4:] == (want * want,) * 4
     assert ticks == 400 // config.steps_per_estimate() == 20
     assert differs > 0
 
@@ -578,19 +578,19 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
     fault_time = 2500 * config.sensor_interval
     conditioner = Conditioner(config)
     ticks = [
-        (raw.timestamp, tick)
+        tick
         for raw in budget_stream(config, 6000, 2500)
         if (tick := conditioner.push(*sample_values(raw))) is not None
     ]
-    hover_z, hover_w_sq = [tick for t, tick in ticks if t <= fault_time][-1]
-    loss = [tick for t, tick in ticks if t > fault_time]
+    hover = [tick for tick in ticks if tick[0] <= fault_time][-1]
+    loss = [tick for tick in ticks if tick[0] > fault_time]
     gains = signed_gains(config.gains)
 
     def run(state, status, ticks):
-        """Feed ticks; return the new state, status and the index of the tick that latched."""
+        """Feed tick rows; return the new state, status and the index of the tick that latched."""
         latched_at = None
-        for n, (z, w_sq) in enumerate(ticks):
-            state = kalman.step(state, observation_rows(gains, w_sq), z, config.noise)
+        for n, tick in enumerate(ticks):
+            state = kalman.step(state, observation_rows(gains, tick[4:]), tick[1:4], config.noise)
             p_fail = failure_probabilities(state.k, state.variances(), config.decision.k_threshold)
             status = decide(p_fail, status, config.decision, 0.0)
             if latched_at is None and status.any_failed():
@@ -598,7 +598,7 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
         return state, status, latched_at
 
     hour = 180_000
-    state, status, _ = run(kalman.init(), DetectionStatus(), [(hover_z, hover_w_sq)] * hour)
+    state, status, _ = run(kalman.init(), DetectionStatus(), [hover] * hour)
     P = state_arrays(state)[1]
     assert np.isfinite(P).all() and np.array_equal(P, P.T)
     assert np.linalg.eigvalsh(P).min() > 0.0
@@ -606,7 +606,7 @@ def test_hour_of_hover_keeps_the_estimator_healthy():
     assert P.diagonal().max() == pytest.approx(hour * config.noise.process_noise_q / 4, rel=1e-3)
     assert not status.any_failed()
     after_hour = run(state, status, loss)
-    state, status, _ = run(kalman.init(), DetectionStatus(), [(hover_z, hover_w_sq)] * 500)
+    state, status, _ = run(kalman.init(), DetectionStatus(), [hover] * 500)
     after_500 = run(state, status, loss)
     for state, status, _ in (after_hour, after_500):
         assert status.failed == (False, False, True, False)
@@ -652,8 +652,8 @@ def _assert_conditioner_matches_oracle(config, samples):
         assert (got is None) == (want is None)
         if got is not None:
             ticks += 1
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[1:4], want[0])
+            assert np.array_equal(got[4:], want[1])
     assert ticks > 0
 
 

@@ -280,6 +280,38 @@ def test_fault_header_requires_time(tmp_path):
         load_log(path)
 
 
+_KNOWN_KEYS = "(expected one of sample_rate_hz, rpm_units, vehicle, fault_actuator, fault_time_s)"
+
+
+@pytest.mark.parametrize(
+    ("header", "message"),
+    [
+        (
+            "# fault_actuator=2\n# fault_time_s=0.004\n# fault_actuator=4\n",
+            "line 4: duplicate header key 'fault_actuator'",
+        ),
+        ("# sample_rate_hz=250.0\n", "line 2: duplicate header key 'sample_rate_hz'"),
+        ("# fault_actuatr=2\n# fault_time_s=0.004\n", f"line 2: unknown header key 'fault_actuatr' {_KNOWN_KEYS}"),
+        ("# fault_actuator=2\n# fault_time=0.004\n", f"line 3: unknown header key 'fault_time' {_KNOWN_KEYS}"),
+    ],
+    ids=["repeated-actuator", "repeated-rate", "misspelled-actuator", "misspelled-time"],
+)
+def test_a_header_key_given_twice_or_unknown_names_its_line(tmp_path, header, message):
+    # The last of two values, or a no-fault log read from a misspelled
+    # annotation, would count a correct latch as a false alarm.
+    path = _write(
+        tmp_path / "header.csv",
+        "# sample_rate_hz=500.0\n"
+        + header
+        + ",".join(COLUMNS)
+        + "\n0.002,0,0,0,-9.81,500,500,500,500\n0.004,0,0,0,-9.81,500,500,500,500\n"
+        + "0.006,0,0,0,-9.81,500,500,500,500\n",
+    )
+    with pytest.raises(LogFormatError) as caught:
+        load_log(path)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize(
     ("actuator", "time", "message"),
     [
