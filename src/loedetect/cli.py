@@ -78,6 +78,35 @@ def _unique_names(pairs: list) -> dict:
     return names
 
 
+def _spec_variations(payload) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    """A spec file's ``(name, values)`` pairs; ``ValueError`` naming the first key or value it refuses.
+
+    The file holds only ``parameters``: one non-empty list of distinct JSON
+    numbers (not bools or strings) per config key, and at least one key.
+    """
+    parameters = payload.get("parameters") if isinstance(payload, dict) else None
+    if not isinstance(parameters, dict) or not all(isinstance(v, list) for v in parameters.values()):
+        raise ValueError('expected {"parameters": {"<config key>": [<number>, ...], ...}}')
+    for key in payload:
+        if key != "parameters":
+            raise ValueError(f"unknown top-level key {key!r}: a spec holds only 'parameters'")
+    if not parameters:
+        raise ValueError("'parameters' names no config key")
+    variations = []
+    for name, values in parameters.items():
+        if not values:
+            raise ValueError(f"parameter {name!r} has no values")
+        floats = []
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"parameter {name!r} value {json.dumps(value)} is not a number")
+            if float(value) in floats:
+                raise ValueError(f"parameter {name!r} repeats the value {json.dumps(value)}")
+            floats.append(float(value))
+        variations.append((name, tuple(floats)))
+    return tuple(variations)
+
+
 def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
     """The spec at ``path`` (the default sweep if ``None``), its parameter sets built.
 
@@ -91,13 +120,7 @@ def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh, object_pairs_hook=_unique_names)
-            parameters = payload.get("parameters") if isinstance(payload, dict) else None
-            if not isinstance(parameters, dict) or not all(isinstance(v, list) for v in parameters.values()):
-                raise ValueError('expected {"parameters": {"<config key>": [<value>, ...], ...}}')
-            variations = tuple(
-                (name, tuple(float(v) for v in values)) for name, values in parameters.items()
-            )
-            spec = SweepSpec(base=base, variations=variations)
+            spec = SweepSpec(base=base, variations=_spec_variations(payload))
         spec.parameter_sets()
         return spec
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -113,15 +113,6 @@ def design_lowpass(design: FilterDesign, sample_interval: float) -> FilterCoeffi
     return FilterCoefficients(b0=b0, b1=b1, b2=b2, a1=a1, a2=a2)
 
 
-def frequency_response(coeffs: FilterCoefficients, omega: float, sample_interval: float) -> complex:
-    """Discrete-time frequency response at ``omega`` rad/s."""
-    z1 = np.exp(-1j * omega * sample_interval)
-    z2 = z1 * z1
-    num = coeffs.b0 + coeffs.b1 * z1 + coeffs.b2 * z2
-    den = 1.0 + coeffs.a1 * z1 + coeffs.a2 * z2
-    return num / den
-
-
 class FilterState:
     """Recursion memory of the ``N_CHANNELS``-channel bank; every channel shares the same biquad.
 

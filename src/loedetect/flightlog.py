@@ -353,7 +353,7 @@ def _data_lines(fh) -> Iterator[str]:
 
 def _load_bulk(path) -> FlightLog:
     """``load_log`` with one ``np.loadtxt`` over the data block; ``ValueError`` on any fault."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header_lines, column_line = _read_head(fh)
         # ``comments=None``: a ``#`` in the data block is an error, not a truncated row.
         values = np.loadtxt(_data_lines(fh), delimiter=",", comments=None, ndmin=2)
@@ -376,7 +376,7 @@ def _load_by_line(path) -> FlightLog:
     flat = array("d")  # row-major, 8 bytes a field, no float objects kept
     linenos = array("l")  # file line number of each parsed data row
     bad_row: str | None = None  # message for the first data row that does not parse
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header_lines, column_line = _read_head(fh)
         first = column_line[0] + 1 if column_line is not None else 1
         for lineno, line in enumerate(fh, start=first):

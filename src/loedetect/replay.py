@@ -42,9 +42,9 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -173,13 +173,19 @@ def replay_log(log: FlightLog, config: DetectorConfig, ticks_path=None) -> Detec
 
     ``loedetect detect`` and ``evaluate_log`` run it. Conditioning is
     ``_condition_lanes`` on the one log, and the detector's own estimation
-    and decision code (``Estimation._tick``) runs on its armed ticks only.
+    and decision code (``Estimation._tick``) runs on its armed tick rows.
     With ``ticks_path``, the ticks CSV goes there: the rows of
-    ``run_detector``'s outputs (``TICKS_HEADER``), written run by run
-    (``_write_ticks``). A log the conditioning flags is replayed serially
-    (``_replay_serially``), so it raises what ``run_detector`` raises,
-    before any file is opened. An estimator error leaves the rows up to the
-    run before its tick written.
+    ``run_detector``'s outputs (``TICKS_HEADER``). Every field after the
+    timestamp changes only with the estimation's state or with ``armed``,
+    so each run of rows between two changes shares one tail of text
+    (``_ticks_tail``) and is one write: the rows before the first armed
+    tick (``_write_run``), then, right after each tick, the tick's
+    ``steps_per_estimate`` rows. The tick rows are converted to Python
+    floats, and their samples' timestamps to text, in blocks of about
+    ``SAMPLE_BLOCK_ROWS`` samples. A log the conditioning flags is replayed
+    serially (``_replay_serially``), so it raises what ``run_detector``
+    raises, before any file is opened. An estimator error leaves the rows
+    before its tick written.
     """
     _check_sample_rate(log, config)
     ticks, first, n_ticks, flagged, armed_at = _condition_lanes([log], [config])
@@ -189,57 +195,28 @@ def replay_log(log: FlightLog, config: DetectorConfig, ticks_path=None) -> Detec
     estimation = Estimation(config)
     steps, first, armed_at = config.steps_per_estimate(), int(first[0]), int(armed_at[0])
     first_tick = (first + 1) * steps - 1  # the sample of the first armed tick
-    ticked = _run_ticks(estimation, ticks[first : first + n_ticks[0], :, 0], range(first_tick, len(log), steps))
-    if ticks_path is None:
-        deque(ticked, maxlen=0)
-    else:
-        with open(ticks_path, "w", encoding="utf-8") as fh:
+    rows, block = ticks[first : first + n_ticks[0], :, 0], max(1, SAMPLE_BLOCK_ROWS // steps)
+    with nullcontext() if ticks_path is None else open(ticks_path, "w", encoding="utf-8") as fh:
+        if fh is not None:
             fh.write(TICKS_HEADER + "\n")
-            _write_ticks(fh, log.t, estimation, chain((armed_at,), ticked))
+            _write_run(fh, log.t[:armed_at], _ticks_tail(estimation, armed=False))
+            _write_run(fh, log.t[armed_at:first_tick], _ticks_tail(estimation, armed=True))
+        for start in range(0, len(rows), block):
+            if fh is not None:
+                sample = first_tick + start * steps
+                times = list(map(repr, log.t[sample : sample + block * steps].tolist()))
+            for i, row in enumerate(rows[start : start + block].tolist()):
+                estimation._tick(row)
+                if fh is not None:
+                    tail = _ticks_tail(estimation, armed=True)
+                    fh.write(tail.join(times[i * steps : (i + 1) * steps]) + tail)
     return estimation.status
 
 
-def _run_ticks(estimation: Estimation, rows: np.ndarray, samples: range):
-    """Run ``estimation`` on each tick row of ``rows``, as it is; yield the tick's sample after it.
-
-    The rows are converted to Python floats ``SAMPLE_BLOCK_ROWS // 8`` rows
-    (``SAMPLE_BLOCK_ROWS`` floats) at a time.
-    """
-    samples, block = iter(samples), SAMPLE_BLOCK_ROWS // 8
-    for start in range(0, len(rows), block):
-        # zip takes the row first, so it stops without taking a sample past the block.
-        for row, sample in zip(rows[start : start + block].tolist(), samples):
-            estimation._tick(row)
-            yield sample
-
-
-def _write_ticks(fh, timestamps: np.ndarray, estimation: Estimation, changes) -> None:
-    """Write one ticks-CSV row per timestamp; ``changes`` yields, in order, each sample where the state changes.
-
-    Every field after the timestamp changes only with ``estimation``'s state
-    or with ``armed``, so a run of rows between two changes shares one
-    ``tail`` of text and is written as ``tail.join(map(repr, times)) + tail``.
-    The first change is the arming sample (the log's length if none arms),
-    and every later one an armed tick's sample, which ``changes`` yields
-    after ticking ``estimation``. Timestamps are converted one block of
-    ``SAMPLE_BLOCK_ROWS`` at a time.
-    """
-    n = len(timestamps)
-    tail = _ticks_tail(estimation, armed=False)
-    change = next(changes, n)
-    for start in range(0, n, SAMPLE_BLOCK_ROWS):
-        times = timestamps[start : start + SAMPLE_BLOCK_ROWS].tolist()
-        stop = start + len(times)
-        lo = 0  # the block's first row not yet written
-        while change < stop:
-            hi = change - start
-            if hi > lo:
-                fh.write(tail.join(map(repr, times[lo:hi])) + tail)
-                lo = hi
-            tail = _ticks_tail(estimation, armed=True)
-            change = next(changes, n)
-        if lo < len(times):
-            fh.write(tail.join(map(repr, times[lo:])) + tail)
+def _write_run(fh, timestamps: np.ndarray, tail: str) -> None:
+    """Write one ticks-CSV row per timestamp, all ending in ``tail``, ``SAMPLE_BLOCK_ROWS`` rows a write."""
+    for start in range(0, len(timestamps), SAMPLE_BLOCK_ROWS):
+        fh.write(tail.join(map(repr, timestamps[start : start + SAMPLE_BLOCK_ROWS].tolist())) + tail)
 
 
 def _ticks_tail(estimation: Estimation, armed: bool) -> str:

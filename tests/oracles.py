@@ -12,7 +12,8 @@ package must reproduce them bit for bit, and the tests assert
 The serial replay oracles (``streamed_outputs``, ``serial_evaluation``,
 ``oracle_ticks_csv``) stream a log through ``Detector.process_sample`` and
 format its outputs row by row: the references the block replay and the
-sweep are held to.
+sweep are held to. ``frequency_response`` is the filter design's
+frequency response, which the filter tests and ACCEPTANCE 05 check.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ def narrow_bank_step(state, inputs):
     """
     values = [float(v) for v in inputs]
     return np.array(filter_step(state, values + [0.0] * (N_CHANNELS - len(values)))[: len(values)])
+
+
+def frequency_response(coeffs, omega, sample_interval):
+    """The biquad's discrete-time frequency response at ``omega`` rad/s."""
+    z1 = np.exp(-1j * omega * sample_interval)
+    z2 = z1 * z1
+    num = coeffs.b0 + coeffs.b1 * z1 + coeffs.b2 * z2
+    den = 1.0 + coeffs.a1 * z1 + coeffs.a2 * z2
+    return num / den
 
 
 class OracleFilterState:

@@ -14,12 +14,12 @@ from loedetect import kalman
 from loedetect.detector import Detector, default_config
 from loedetect.decision import failure_probability
 from loedetect.effectiveness import DEFAULT_GAINS, observation_matrix
-from loedetect.filters import N_CHANNELS, FilterDesign, FilterState, design_lowpass, filter_step, frequency_response
+from loedetect.filters import N_CHANNELS, FilterDesign, FilterState, design_lowpass, filter_step
 from loedetect.replay import default_sweep_spec, evaluate, replay_log, run_detector, run_sweep, summarize_sweep
 from loedetect.simulator import SensorNoiseModel, fly_scenario
 
 from budget import step_runtime_budget
-from oracles import oracle_ticks_csv, state_arrays, state_from_arrays
+from oracles import frequency_response, oracle_ticks_csv, state_arrays, state_from_arrays
 
 DELAY_WINDOW = (0.02, 0.20)
 

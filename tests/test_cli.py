@@ -190,6 +190,26 @@ def test_detect_reports_delay_in_range(tmp_path, capsys):
     assert header.startswith("t,k1,k2,k3,k4,var1")
 
 
+def test_detect_skips_a_utf8_byte_order_mark(tmp_path, capsys):
+    # Spreadsheets save a CSV with a byte-order mark, which once read as
+    # part of line 1 and failed on line 2. Both parsers skip it.
+    plain = simulate_log(tmp_path, "flight.csv")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    original = flightlog.load_log(plain)
+    for loaded in (flightlog.load_log(marked), flightlog._load_by_line(marked)):
+        for name in ("t", "gyro", "accel_z", "rotor_speeds"):
+            assert np.array_equal(getattr(loaded, name), getattr(original, name))
+        assert (loaded.sample_rate_hz, loaded.vehicle, loaded.ground_truth()) == (
+            original.sample_rate_hz,
+            original.vehicle,
+            original.ground_truth(),
+        )
+    for path in (plain, marked):
+        assert run_cli("detect", "--log", str(path), "--out", str(path.with_suffix(".ticks"))) == 0
+    assert marked.with_suffix(".ticks").read_bytes() == plain.with_suffix(".ticks").read_bytes()
+
+
 def _head(log, n):
     """The first ``n`` rows of ``log``, unannotated."""
     return flightlog.FlightLog(log.sample_rate_hz, log.t[:n], log.gyro[:n], log.accel_z[:n], log.rotor_speeds[:n])
@@ -632,7 +652,7 @@ def test_detect_and_sweep_print_the_same_error(tmp_path, capsys, ejection_log):
     config_path = tmp_path / "tripping.cfg"
     config_path.write_text(format_config(config_from_dict(config_to_dict(default_config()) | values)))
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"parameters": {}}))
+    spec_path.write_text(json.dumps({"parameters": {"k_threshold": [0.2]}}))
     assert run_cli("detect", "--log", str(log_path), "--config", str(config_path)) == 1
     detect_err = capsys.readouterr().err.splitlines()
     out_dir = tmp_path / "out"
@@ -708,6 +728,16 @@ BAD_SPECS = {
     "repeated-name": (
         '{"parameters": {"k_threshold": [0.15], "k_threshold": [0.35]}}',
         "repeated parameter 'k_threshold'",
+    ),
+    "bool-value": ('{"parameters": {"process_noise_q": [true]}}', "parameter 'process_noise_q' value true is not a number"),
+    "string-value": ('{"parameters": {"g_p": ["1e1"]}}', "parameter 'g_p' value \"1e1\" is not a number"),
+    "empty-list": ('{"parameters": {"k_threshold": []}}', "parameter 'k_threshold' has no values"),
+    "empty-parameters": ('{"parameters": {}}', "'parameters' names no config key"),
+    "repeated-value": ('{"parameters": {"k_threshold": [0.2, 0.2]}}', "parameter 'k_threshold' repeats the value 0.2"),
+    # Only "parameters" is read: a base would be dropped without a word.
+    "unknown-top-level-key": (
+        '{"parameters": {"k_threshold": [0.2]}, "base": {"g_p": 9}}',
+        "unknown top-level key 'base'",
     ),
 }
 

@@ -12,10 +12,9 @@ from loedetect.filters import (
     filter_columns,
     filter_lanes,
     filter_step,
-    frequency_response,
 )
 
-from oracles import OracleFilterState, narrow_bank_step
+from oracles import OracleFilterState, frequency_response, narrow_bank_step
 
 DT = 0.002
 ZETA = 0.55
