@@ -78,11 +78,11 @@ def _unique_names(pairs: list) -> dict:
     return names
 
 
-def _spec_variations(payload) -> tuple[tuple[str, tuple[float, ...]], ...]:
-    """A spec file's ``(name, values)`` pairs; ``ValueError`` naming the first key or value it refuses.
+def _spec_variations(payload) -> tuple[tuple[str, list], ...]:
+    """A spec file's ``(name, values)`` pairs; ``ValueError`` on the first part of its shape it refuses.
 
-    The file holds only ``parameters``: one non-empty list of distinct JSON
-    numbers (not bools or strings) per config key, and at least one key.
+    The file holds only ``parameters``: an object naming at least one config
+    key, each with a list. ``SweepSpec`` checks the names and values.
     """
     parameters = payload.get("parameters") if isinstance(payload, dict) else None
     if not isinstance(parameters, dict) or not all(isinstance(v, list) for v in parameters.values()):
@@ -92,19 +92,7 @@ def _spec_variations(payload) -> tuple[tuple[str, tuple[float, ...]], ...]:
             raise ValueError(f"unknown top-level key {key!r}: a spec holds only 'parameters'")
     if not parameters:
         raise ValueError("'parameters' names no config key")
-    variations = []
-    for name, values in parameters.items():
-        if not values:
-            raise ValueError(f"parameter {name!r} has no values")
-        floats = []
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"parameter {name!r} value {json.dumps(value)} is not a number")
-            if float(value) in floats:
-                raise ValueError(f"parameter {name!r} repeats the value {json.dumps(value)}")
-            floats.append(float(value))
-        variations.append((name, tuple(floats)))
-    return tuple(variations)
+    return tuple(parameters.items())
 
 
 def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:

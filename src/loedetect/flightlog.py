@@ -31,7 +31,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from numbers import Integral
 from typing import Iterator
 
@@ -192,6 +192,7 @@ class FlightLog:
 
 
 def save_log(log: FlightLog, path) -> None:
+    """Write ``log`` as CSV: the header, then one write per block of ``SAMPLE_BLOCK_ROWS`` rows."""
     lines = [
         f"# sample_rate_hz={float(log.sample_rate_hz)!r}",
         "# rpm_units=rad_s",
@@ -201,9 +202,11 @@ def save_log(log: FlightLog, path) -> None:
         lines.append(f"# fault_actuator={log.fault_actuator}")
         lines.append(f"# fault_time_s={float(log.fault_time_s)!r}")
     lines.append(",".join(COLUMNS))
-    lines.extend(",".join(map(repr, row)) for row in log.rows())
+    rows = log.rows()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+        for _ in range(0, len(log), SAMPLE_BLOCK_ROWS):
+            fh.write("\n".join([",".join(map(repr, row)) for row in islice(rows, SAMPLE_BLOCK_ROWS)]) + "\n")
 
 
 def _read_head(fh) -> tuple[list[tuple[int, str]], tuple[int, str] | None]:

@@ -40,12 +40,13 @@ missed detections.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -240,10 +241,32 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Base configuration plus parameters varied one at a time."""
+    """Base configuration plus parameters varied one at a time.
+
+    Each parameter is named once, with a non-empty list of distinct real
+    numbers (bools refused), kept as a tuple of floats; ``ValueError`` names
+    the first name or value that breaks a rule. ``variations=()`` sweeps the
+    base alone.
+    """
 
     base: DetectorConfig
     variations: tuple[tuple[str, tuple[float, ...]], ...]
+
+    def __post_init__(self) -> None:
+        variations = {}
+        for name, values in self.variations:
+            if name in variations:
+                raise ValueError(f"repeated parameter {name!r}")
+            floats = variations[name] = []
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, Real):
+                    raise ValueError(f"parameter {name!r} value {json.dumps(value, default=repr)} is not a number")
+                if float(value) in floats:
+                    raise ValueError(f"parameter {name!r} repeats the value {json.dumps(value, default=repr)}")
+                floats.append(float(value))
+            if not floats:
+                raise ValueError(f"parameter {name!r} has no values")
+        object.__setattr__(self, "variations", tuple((name, tuple(v)) for name, v in variations.items()))
 
     def parameter_sets(self) -> tuple[ParameterSet, ...]:
         """All runs, base first; unknown parameter names fail here, before any run.

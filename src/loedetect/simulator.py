@@ -154,8 +154,8 @@ def dynamics_step(
     The state fields, setpoints, force and moment are read as float
     sequences; lists, tuples and arrays give the same bits. The arithmetic
     runs on Python floats in the operation order of the vector form, so
-    results are bit-identical to it; only the quaternion norm's dot stays
-    numpy, whose BLAS dot a scalar sum of squares does not reproduce.
+    results are bit-identical to it. The quaternion norm is the written-out
+    sum of squares, left to right, so no step makes a numpy call.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -259,8 +259,7 @@ def dynamics_step(
     qx = qx1 + sixth * (dqx1 + 2.0 * dqx2 + 2.0 * dqx3 + dqx4)
     qy = qy1 + sixth * (dqy1 + 2.0 * dqy2 + 2.0 * dqy3 + dqy4)
     qz = qz1 + sixth * (dqz1 + 2.0 * dqz2 + 2.0 * dqz3 + dqz4)
-    q_arr = np.array((qw, qx, qy, qz))
-    norm = math.sqrt(q_arr.dot(q_arr))  # np.linalg.norm's own formula
+    norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     x, y, z = state.position
     return SimState(
         angular_rate=[
@@ -313,23 +312,13 @@ def _wind_accel_z(quaternions, external_forces, params: VehicleParams) -> np.nda
     """Body-z component of each world-frame external force, per unit mass.
 
     One row per sample: ``quaternions`` ``(n, 4)`` body-to-world (w, x, y, z)
-    and ``external_forces`` ``(n, 3)``. The body-frame force is the stacked
-    matmul ``R(q)ᵀ @ f``, which runs the same BLAS product per row as a
-    single ``(3, 3) @ (3,)`` does; a scalar 3-term sum rounds differently.
+    and ``external_forces`` ``(n, 3)``. The body-z force is ``R(q)ᵀ @ f``'s
+    last entry: R's third column dotted with f, summed left to right.
     """
     w, x, y, z = np.asarray(quaternions, dtype=float).T
-    rotations = np.empty((len(w), 3, 3))
-    rotations[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    rotations[:, 0, 1] = 2.0 * (x * y - w * z)
-    rotations[:, 0, 2] = 2.0 * (x * z + w * y)
-    rotations[:, 1, 0] = 2.0 * (x * y + w * z)
-    rotations[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    rotations[:, 1, 2] = 2.0 * (y * z - w * x)
-    rotations[:, 2, 0] = 2.0 * (x * z - w * y)
-    rotations[:, 2, 1] = 2.0 * (y * z + w * x)
-    rotations[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    f_body = rotations.transpose(0, 2, 1) @ np.asarray(external_forces, dtype=float)[:, :, None]
-    return f_body[:, 2, 0] / params.mass
+    f_x, f_y, f_z = np.asarray(external_forces, dtype=float).T
+    f_body_z = 2.0 * (x * z + w * y) * f_x + 2.0 * (y * z - w * x) * f_y + (1.0 - 2.0 * (x * x + y * y)) * f_z
+    return f_body_z / params.mass
 
 
 def synthesize_sensors(
@@ -392,16 +381,12 @@ class _Controller:
         # The left-hand products of the moment and thrust-floor terms, taken once.
         self._rate_gains = (ix * self.RATE_P, iy * self.RATE_P, iz * self.YAW_RATE_P)
         self._min_thrust = 0.1 * params.mass * GRAVITY
-        ct, cm = params.thrust_coeff, params.moment_coeff
-        alloc = np.array(
-            [
-                [ct, ct, ct, ct],
-                ct * params.arm_y * SIGN_MATRIX[0],
-                ct * params.arm_x * SIGN_MATRIX[1],
-                cm * YAW_SIGNS,
-            ]
-        )
-        self._alloc_inv = np.linalg.inv(alloc)
+        # The mixer is diag(d) @ S, S's rows the thrust and moment signs; S Sᵀ = 4I,
+        # so the inverse's entry (i, j) is S[j][i] / (4 d_j). Row i gives w_i^2.
+        ct = params.thrust_coeff
+        signs = ((1.0, 1.0, 1.0, 1.0), *SIGN_MATRIX[:2].tolist(), YAW_SIGNS.tolist())
+        d = (ct, ct * params.arm_y, ct * params.arm_x, params.moment_coeff)
+        self._alloc_inv = tuple(tuple(row[i] / (4.0 * d_j) for row, d_j in zip(signs, d)) for i in range(4))
         self._w_sq_limits = (
             params.rotor_speed_limits[0] ** 2,
             params.rotor_speed_limits[1] ** 2,
@@ -432,8 +417,12 @@ class _Controller:
             thrust = self._min_thrust
 
         lo, hi = self._w_sq_limits
-        # Stays a numpy product, rounded as BLAS rounds it.
-        w0, w1, w2, w3 = (self._alloc_inv @ np.array([thrust, m_x, m_y, m_z])).tolist()
+        # The allocation's four rows, each summed left to right.
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = self._alloc_inv
+        w0 = a0 * thrust + a1 * m_x + a2 * m_y + a3 * m_z
+        w1 = b0 * thrust + b1 * m_x + b2 * m_y + b3 * m_z
+        w2 = c0 * thrust + c1 * m_x + c2 * m_y + c3 * m_z
+        w3 = e0 * thrust + e1 * m_x + e2 * m_y + e3 * m_z
         return [
             math.sqrt(hi if w0 > hi else lo if w0 < lo else w0),
             math.sqrt(hi if w1 > hi else lo if w1 < lo else w1),

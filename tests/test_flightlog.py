@@ -89,6 +89,20 @@ def test_load_log_peak_memory_under_twice_the_file_size(tmp_path):
     assert peak < 2 * path.stat().st_size
 
 
+def test_save_log_peak_memory_under_the_file_size(tmp_path):
+    # One block of rows at a time: no whole-file text, which alone is the file's size.
+    log = synthetic_log(n=10_000, fault=(2, 0.05))
+    path = tmp_path / "long.csv"
+    tracemalloc.start()
+    try:
+        save_log(log, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+    assert load_log(path).ground_truth() == (2, 0.05) and len(load_log(path)) == 10_000
+
+
 def test_samples_iterator_matches_arrays():
     log = synthetic_log(n=5)
     for i, raw in enumerate(log.samples()):

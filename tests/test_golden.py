@@ -27,11 +27,11 @@ from loedetect.replay import (
 )
 
 GOLDEN = {
-    "stream": "ebffeb33d81994bc",  # process_sample's outputs, streamed over the short ejection log
-    "ticks_csv": "0cee9faa4ec16604",  # replay_log's ticks CSV of the short ejection log
+    "stream": "5ae6acb8364d8400",  # process_sample's outputs, streamed over the short ejection log
+    "ticks_csv": "5cb27147ab1ff0ea",  # replay_log's ticks CSV of the short ejection log
     "sweep_results": "f4e6e278f8f60202",  # results.csv of the default sweep over the ACCEPTANCE corpus
     "sweep_summary": "3791898264cdf365",  # summary.csv of the default sweep over the ACCEPTANCE corpus
-    "simulator": "645ae1fc7f0379cc",  # the simulator's arrays and annotations of the ACCEPTANCE corpus
+    "simulator": "8694237180583e5a",  # the simulator's arrays and annotations of the ACCEPTANCE corpus
 }
 
 

@@ -172,6 +172,32 @@ def test_sweep_rejects_unknown_parameter_before_any_run():
         spec.parameter_sets()
 
 
+BAD_VARIATIONS = {
+    "repeated-value": ((("k_threshold", (0.2, 0.2)),), "^parameter 'k_threshold' repeats the value 0.2$"),
+    "repeated-int-and-float": ((("g_p", (1, 1.0)),), "^parameter 'g_p' repeats the value 1.0$"),
+    "empty-values": ((("k_threshold", (0.2,)), ("g_p", ())), "^parameter 'g_p' has no values$"),
+    "bool-value": ((("process_noise_q", (True,)),), "^parameter 'process_noise_q' value true is not a number$"),
+    "string-value": ((("g_p", ("1e1",)),), '^parameter \'g_p\' value "1e1" is not a number$'),
+    "none-value": ((("g_p", (None,)),), "^parameter 'g_p' value null is not a number$"),
+    "repeated-name": ((("k_threshold", (0.15,)), ("k_threshold", (0.35,))), "^repeated parameter 'k_threshold'$"),
+}
+
+
+@pytest.mark.parametrize(("variations", "message"), BAD_VARIATIONS.values(), ids=BAD_VARIATIONS.keys())
+def test_sweep_spec_refuses_bad_variations_when_built(variations, message):
+    # The same rules a spec file meets, so a spec built in Python sweeps no set twice and no empty list.
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(base=default_config(), variations=variations)
+
+
+def test_sweep_spec_keeps_its_values_as_float_tuples():
+    spec = SweepSpec(base=default_config(), variations=[("k_threshold", [0.2, np.float64(0.3)]), ("g_p", (1,))])
+    assert spec.variations == (("k_threshold", (0.2, 0.3)), ("g_p", (1.0,)))
+    assert all(type(v) is float for _, values in spec.variations for v in values)
+    assert spec.parameter_sets()[3].set_id == "set_03_g_p=1.0"
+    assert SweepSpec(base=default_config(), variations=()).variations == ()
+
+
 def test_sweep_totality_every_pair_once(ejection_log):
     spec = SweepSpec(
         base=default_config(),

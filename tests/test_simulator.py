@@ -64,9 +64,9 @@ def quat_to_matrix(q):
 
 
 def oracle_wind_accel_z(quaternion, external_force, params):
-    """Body-z component of one world-frame external force, per unit mass: one ``R(q)ᵀ @ f`` per sample."""
-    f_body = quat_to_matrix(quaternion).T @ np.asarray(external_force, dtype=float)
-    return float(f_body[2]) / params.mass
+    """Body-z component of one world-frame external force, per unit mass: ``(R(q)ᵀ @ f)[2]`` left to right."""
+    column, f = quat_to_matrix(quaternion)[:, 2], np.asarray(external_force, dtype=float)
+    return float(column[0] * f[0] + column[1] * f[1] + column[2] * f[2]) / params.mass
 
 
 def oracle_moments_and_thrust(state, params):
@@ -117,9 +117,10 @@ def oracle_dynamics_step(state, rotor_setpoints, params, dt, external_force=None
     k4 = deriv(om + dt * k3[0], q + dt * k3[1], v + dt * k3[2])
     sixth = dt / 6.0
     new_q = q + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    norm = math.sqrt(new_q[0] * new_q[0] + new_q[1] * new_q[1] + new_q[2] * new_q[2] + new_q[3] * new_q[3])
     return SimState(
         angular_rate=om + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        quaternion=new_q / np.linalg.norm(new_q),
+        quaternion=new_q / norm,
         velocity=v + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
         position=pos
         + sixth * (v + 2 * (v + 0.5 * dt * k1[2]) + 2 * (v + 0.5 * dt * k2[2]) + (v + dt * k3[2])),
@@ -164,17 +165,17 @@ def oracle_measure(omega, az_true, rotor_speeds, draws, t):
     return gyro, az
 
 
+def allocation(params):
+    """The mixer from rotor ``w^2`` to (thrust, m_x, m_y, m_z): ``diag(d) @ signs``."""
+    signs = np.array([np.ones(4), SIGN_MATRIX[0], SIGN_MATRIX[1], YAW_SIGNS])
+    ct = params.thrust_coeff
+    return np.array([ct, ct * params.arm_y, ct * params.arm_x, params.moment_coeff]), signs
+
+
 def oracle_setpoints(state, roll_sp, pitch_sp, z_sp, params):
     """``_Controller.setpoints`` on arrays: same gains, same operations."""
-    ct, cm = params.thrust_coeff, params.moment_coeff
-    alloc = np.array(
-        [
-            [ct, ct, ct, ct],
-            ct * params.arm_y * SIGN_MATRIX[0],
-            ct * params.arm_x * SIGN_MATRIX[1],
-            cm * YAW_SIGNS,
-        ]
-    )
+    d, signs = allocation(params)
+    alloc_inv = signs.T / (4.0 * d)  # signs @ signs.T is 4I
     w, x, y, z = state.quaternion
     roll = math.atan2(2 * (w * x + y * z), 1 - 2 * (x * x + y * y))
     pitch = math.asin(np.clip(2 * (w * y - z * x), -1.0, 1.0))
@@ -185,7 +186,8 @@ def oracle_setpoints(state, roll_sp, pitch_sp, z_sp, params):
         GRAVITY + _Controller.ALT_P * (state.position[2] - z_sp) + _Controller.ALT_D * state.velocity[2]
     )
     thrust = max(thrust, 0.1 * params.mass * GRAVITY)
-    w_sq = np.linalg.inv(alloc) @ np.concatenate([[thrust], moments])
+    terms = alloc_inv * np.concatenate([[thrust], moments])  # column j scales input j
+    w_sq = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
     lo, hi = params.rotor_speed_limits
     return np.sqrt(np.clip(w_sq, lo**2, hi**2))
 
@@ -257,6 +259,26 @@ def test_dynamics_step_matches_vector_oracle_bit_for_bit():
             assert all(type(v) is float for v in getattr(got, name)), name
 
 
+def test_controller_and_dynamics_step_make_no_numpy_call(monkeypatch):
+    controller = _Controller(PARAMS)
+    state = random_state(np.random.default_rng(2026))
+    floats = as_floats(state)
+    want = oracle_setpoints(state, 0.1, -0.05, -1.5, PARAMS)
+    monkeypatch.setattr("loedetect.simulator.np", None)
+    setpoints = controller.setpoints(floats, 0.1, -0.05, -1.5)
+    stepped = dynamics_step(floats, setpoints, PARAMS, 0.002, [0.3, -0.2, 0.0], [0.002, 0.001, 0.0])
+    assert setpoints == want.tolist()
+    assert all(type(v) is float for v in stepped.quaternion + stepped.angular_rate)
+
+
+def test_closed_form_allocation_inverse_is_within_one_ulp_of_lapack():
+    d, signs = allocation(PARAMS)
+    lapack = np.linalg.inv(d[:, None] * signs)
+    got = np.array(_Controller(PARAMS)._alloc_inv)
+    assert np.all(np.abs(got - lapack) <= np.spacing(np.abs(lapack)))
+    assert np.array_equal(got, signs.T / (4.0 * d))
+
+
 def test_dynamics_step_reads_lists_tuples_and_arrays_alike():
     rng = np.random.default_rng(2025)
     for _ in range(200):
@@ -310,8 +332,8 @@ def test_synthesize_sensors_matches_vector_oracle_bit_for_bit():
 
 
 def test_wind_block_equals_one_projection_per_row_bit_for_bit():
-    # The stacked R(q)ᵀ @ f runs the per-row BLAS product; a scalar
-    # 3-term sum would round about a third of these rows differently.
+    # The block sums R's third column times f left to right, as the
+    # per-row oracle does; no BLAS product rounds either of them.
     rng = np.random.default_rng(10)
     n = 6000
     q = rng.normal(0.0, 1.0, (n, 4))
