@@ -19,10 +19,12 @@ is exactly symmetric; ``step`` builds each new state from its floats, and
 makes no array. No inverse is taken;
 ``s >= r > 0`` unless the arithmetic overflows, and a non-finite ``s``
 raises ``ArithmeticError``. ``step_lanes`` runs the same update on many
-independent estimators at once, one per numpy lane, for parameter sweeps.
-It takes all three innovations in one pass up front, as ``step`` does, and
-each 4-term sum as one numpy reduction, left to right and started from -0.0,
-so every lane keeps ``step``'s bits, signed zeros included.
+independent estimators at once, one per numpy lane, for parameter sweeps,
+in buffers made once per width (``LaneWorkspace``), so a tick allocates no
+array. It takes all three innovations in one pass up front, as ``step``
+does, and each 4-term sum as one numpy reduction, left to right and
+started from -0.0, so every lane keeps ``step``'s bits, signed zeros
+included.
 """
 
 from __future__ import annotations
@@ -156,12 +158,14 @@ def step(state: EstimatorState, H, z, noise: NoiseConfig) -> EstimatorState:
 # ---------------------------------------------------------------------------
 # Lanes: many independent estimators stepped together on float64 arrays, one
 # estimator per lane (the last axis). ``step_lanes`` performs ``step``'s
-# operations in ``step``'s order, and numpy rounds ``+ - * /`` exactly as
-# Python floats do, so each lane is bit-identical to ``step``. It is a second
-# source, not ``step`` run on arrays: ``step``'s NaN check, ``s`` check and
-# clamp are Python branches, which arrays cannot take, and giving them a form
-# both accept would put calls on the per-sample float path the streaming
-# detector runs. ``tests/test_kalman.py`` checks the two against each other.
+# operations in ``step``'s order, less one term that cannot move a lane
+# ``step`` accepts (see its docstring), and numpy rounds ``+ - * /`` exactly
+# as Python floats do, so each lane is bit-identical to ``step``. It is a
+# second source, not ``step`` run on arrays: ``step``'s NaN check, ``s``
+# check and clamp are Python branches, which arrays cannot take, and giving
+# them a form both accept would put calls on the per-sample float path the
+# streaming detector runs. ``tests/test_kalman.py`` checks the two against
+# each other.
 
 # Entry ``4 i + j`` of the row-major 4x4 P, read from the upper triangle:
 # gathering by it overwrites each lower entry with its upper twin.
@@ -175,48 +179,95 @@ def init_lanes(width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ones((4, width)), P
 
 
-def step_lanes(k: np.ndarray, P: np.ndarray, H: np.ndarray, z: np.ndarray, q, r):
+class LaneWorkspace:
+    """Every buffer ``step_lanes`` writes at one lane width, made once and reused each tick.
+
+    ``k`` (4, L) and ``P`` (16, L) are the estimates and covariance the
+    kernel steps in place; the rest hold one tick's intermediates, with
+    their views made here, once.
+    """
+
+    __slots__ = ("width", "k", "P", "square", "diagonal", "hk", "y", "s", "row_out")
+    __slots__ += ("d", "m", "flat", "a", "a_column", "t", "b", "g", "mask")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.k = np.empty((4, width))
+        self.P = np.empty((16, width))
+        self.square, self.diagonal = self.P.reshape(4, 4, width), self.P[::5]
+        self.hk = np.empty((3, 4, width))  # H * k
+        self.y, self.s = np.empty((2, 3, width))
+        self.row_out = tuple(zip(self.y, self.s))  # each row's y_j and s_j
+        self.d = np.empty((4, width))
+        self.m = np.empty((4, 4, width))
+        self.flat = self.m.reshape(16, width)
+        self.a, self.t, self.b = np.empty((3, 4, width))
+        self.a_column = self.a[:, None]
+        self.g = np.empty(width)
+        self.mask = np.empty((4, width), dtype=bool)  # the clamp's
+
+
+def step_lanes(k: np.ndarray, P: np.ndarray, H: np.ndarray, z: np.ndarray, q, r, work: LaneWorkspace):
     """``step`` on every lane at once; returns the new ``(k, P)`` and the unchecked ``(y, s)``.
 
     ``k`` is (4, L), ``P`` (16, L) as from ``init_lanes``, ``H`` (3, 4, L),
-    ``z`` (3, L), and ``q``, ``r`` scalars or (L,). ``y`` (3, L) holds the
-    innovations and ``s`` (3, L) the innovation variances that ``step``
-    checks; nothing is raised, so a lane that ``step`` would reject carries
-    on with whatever the arithmetic gives. Run it under ``np.errstate`` to
-    keep that arithmetic from warning. The inputs are left untouched.
+    ``z`` (3, L), ``q``, ``r`` scalars or (L,), and ``work`` a
+    ``LaneWorkspace(L)``. ``y`` (3, L) holds the innovations and ``s``
+    (3, L) the innovation variances that ``step`` checks; nothing is
+    raised, so a lane that ``step`` would reject carries on with whatever
+    the arithmetic gives. Run it under ``np.errstate`` to keep that
+    arithmetic from warning.
 
-    A tick costs about 55 numpy calls whatever the width: one pass takes
-    every row's innovation from the prior estimates, then each row about 15
-    calls that write into buffers allocated once per call. Each 4-term sum
-    (``h.x``, ``P h``, ``h.a``, ``h.d``) is one ``np.add.reduce`` over a
-    length-4 axis, which adds in order, as ``step`` does. It starts from
-    -0.0, not numpy's default +0.0: a sum of four -0.0 terms (every h
-    negative at zero rotor speed) is -0.0 in ``step``, and +0.0 from a +0.0
-    start would flip the sign of a zero innovation where z is -0.0.
+    All four results are ``work``'s own buffers, overwritten by its next
+    tick. ``k`` and ``P`` step in ``work.k`` and ``work.P`` in place: passed
+    back as returned, they are read where they are, and any other arrays
+    are copied in first and left untouched. ``H``, ``z``, ``q`` and ``r``
+    are only read.
+
+    A tick costs about 50 numpy calls whatever the width, and makes no
+    array but the three row views of ``H``: one pass takes every row's
+    innovation from the prior estimates, then each row 12 to 15 calls that
+    write into buffers made once per width. Each 4-term sum (``h.x``, ``P h``, ``h.a``, ``h.d``) is one
+    ``np.add.reduce`` over a length-4 axis, which adds in order, as
+    ``step`` does. It starts from -0.0, not numpy's default +0.0: a sum of
+    four -0.0 terms (every h negative at zero rotor speed) is -0.0 in
+    ``step``, and +0.0 from a +0.0 start would flip the sign of a zero
+    innovation where z is -0.0.
+
+    Row 0 leaves out ``step``'s ``h.dx`` term at dx = 0 and writes ``d =
+    0.0 + a g`` afresh, which is what resets ``d`` each tick. On a finite
+    ``h`` that term is +-0.0, so it can change only the sign of a zero
+    gain, and ``0.0 + a g`` is then +0.0 for either sign. An inf or NaN in
+    row 0 of ``H`` makes that row's ``y`` NaN or its ``s`` non-finite,
+    which ``step`` rejects, so no lane it accepts sees the difference.
     """
-    width = k.shape[1]
-    P = P.copy()
-    diagonal = P[::5]
-    diagonal += q
+    if k is not work.k or P is not work.P:
+        if k.shape != work.k.shape or P.shape != work.P.shape:
+            raise ValueError(f"k {k.shape} and P {P.shape} do not fit a workspace of width {work.width}")
+        work.k[...], work.P[...] = k, P
+    k, P, square, d, m, a, t, b, g = work.k, work.P, work.square, work.d, work.m, work.a, work.t, work.b, work.g
     # Every 4-term sum is one reduction in order, started from -0.0, which
     # adds to any value without changing its bits (see the docstring).
     reduce, multiply, divide, add, subtract = np.add.reduce, np.multiply, np.divide, np.add, np.subtract
-    y = subtract(z, reduce(H * k, 1, None, None, False, -0.0))  # every row's innovation, from the prior k
-    s = np.empty_like(y)
-    d = np.zeros((4, width))
-    m = np.empty((4, 4, width))
-    a, t, b = np.empty((3, 4, width))
-    g = np.empty(width)
-    # Views made once: the buffers are written in place, so they stay valid.
-    square, flat, a_column = P.reshape(4, 4, width), m.reshape(16, width), a[:, None]
-    for h, h_column, yj, sj in zip(H, H[:, :, None], y, s):  # positional ``out``: the cheapest ufunc call
-        reduce(multiply(square, h_column, m), 0, None, a, False, -0.0)  # m[c, i] = p_ci h_c = p_ic h_c
+    add(work.diagonal, q, work.diagonal)
+    y = subtract(z, reduce(multiply(H, k, work.hk), 1, None, work.y, False, -0.0), work.y)  # from the prior k
+    a_column, take = work.a_column, work.flat.take  # the method: ``np.take`` is a Python wrapper
+    for row, (h, (yj, sj)) in enumerate(zip(H, work.row_out)):  # positional ``out``: the cheapest ufunc call
+        # m[i, c] = p_ic h_c: h broadcasts along the rows of P, with no column view.
+        reduce(multiply(square, h, m), 1, None, a, False, -0.0)
         add(reduce(multiply(h, a, t), 0, None, sj, False, -0.0), r, sj)
-        reduce(multiply(h, d, t), 0, None, g, False, -0.0)  # h.d; row 0 keeps it at d = 0, as ``step`` does
-        divide(subtract(yj, g, g), sj, g)
-        add(d, multiply(a, g, t), d)
+        if row:
+            reduce(multiply(h, d, t), 0, None, g, False, -0.0)  # h.d
+            divide(subtract(yj, g, g), sj, g)
+            add(d, multiply(a, g, t), d)
+        else:  # d = 0.0 + a g: no h.d term at d = 0 (see the docstring)
+            divide(yj, sj, g)
+            add(0.0, multiply(a, g, d), d)
         divide(a, sj, b)
         subtract(square, multiply(a_column, b, m), m)
-        np.take(flat, _MIRROR, 0, P, "clip")  # "clip" writes into P unbuffered; no index is out of range
-    k = k + d
-    return np.where(k < K_MIN, K_MIN, np.where(k > K_MAX, K_MAX, k)), P, y, s
+        take(_MIRROR, 0, P, "clip")  # "clip" writes into P unbuffered; no index is out of range
+    add(k, d, k)
+    mask = work.mask
+    np.putmask(k, np.less(k, K_MIN, mask), K_MIN)
+    np.putmask(k, np.greater(k, K_MAX, mask), K_MAX)
+    return k, P, y, work.s

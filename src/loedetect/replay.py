@@ -21,13 +21,15 @@ estimator of every (log, distinct estimator key) pair in one lane pass: one
 numpy lane per pair, all stepped together by ``kalman.step_lanes``, which is
 bit-identical to ``kalman.step`` on each lane. Lanes run longest first, and
 the pass narrows as shorter runs end, so no lane steps past its own last
-tick. The failure probabilities of each distinct ``k_threshold`` are then
-taken per lane on the estimates below it only, each actuator's up to the
-first probability that latches every config sharing them, and each config
-latches by first exceedance (``decision.first_exceedance``), with the same
-results as a full replay. Errors come from one place, the serial replay
-(``_replay_serially``), which streams a log through a fresh ``Detector`` and
-so raises what ``run_detector`` raises. It runs on a log whose block
+tick. The lanes step in buffers made once per width, and each lane's
+inputs are sliced once per width. The failure probabilities of each
+distinct ``k_threshold`` are then taken per lane on the estimates below
+it only, each actuator's up to the first probability that latches every
+config sharing them, and each config latches by first exceedance
+(``decision.first_exceedance``), with the same results as a full replay.
+Errors come from one place, the serial replay (``_replay_serially``),
+which streams a log through a fresh ``Detector`` and so raises what
+``run_detector`` raises. It runs on a log whose block
 replay's conditioning flags it, and on a sweep's first bad log: one that
 fails a sample-rate check, that the conditioning lanes flag or whose
 estimator lane meets a NaN innovation, an innovation variance outside (0,
@@ -492,11 +494,17 @@ def _lane_pass(
     # A lane that trips carries on with infs and NaNs, which must not warn.
     with np.errstate(all="ignore"):
         k, P = kalman.init_lanes(len(keys))
+        work = None
         for t, width in enumerate(running.tolist()):
-            rows = by_column[:, first[:width] + t, sets[:width]]
+            if work is None or width != work.width:  # the pass narrows: slice once per width
+                work = kalman.LaneWorkspace(width)
+                k, P = k[:, :width], P[:, :width]
+                lane_first, lane_sets, lane_q, lane_r = first[:width], sets[:width], q[:width], r[:width]
+                lane_gains = gains[..., :width]
+            rows = by_column[:, lane_first + t, lane_sets]
             at = slice(offsets[t], offsets[t + 1])
             k, P, Y[:, at], S[:, at] = kalman.step_lanes(
-                k[:, :width], P[:, :width], gains[..., :width] * rows[4:], rows[1:4], q[:width], r[:width]
+                k, P, lane_gains * rows[4:], rows[1:4], lane_q, lane_r, work
             )
             K[:, at] = k
             V[:, at] = P[::5]

@@ -285,6 +285,7 @@ def test_step_lanes_equals_step_bit_for_bit(width):
     noises = [NoiseConfig(*pair) for pair in zip(q.tolist(), r.tolist())]
     states = [kalman.init()] * width
     k, P = kalman.init_lanes(width)
+    work = kalman.LaneWorkspace(width)
     clamped = set()
     padded = 0
     for _ in range(40):
@@ -295,7 +296,7 @@ def test_step_lanes_equals_step_bit_for_bit(width):
         z[:, pad] = 0.0
         padded += pad.sum()
         H = gains * w_sq
-        k, P, y, s = kalman.step_lanes(k, P, H, z, q, r)
+        k, P, y, s = kalman.step_lanes(k, P, H, z, q, r, work)
         assert not np.isnan(y).any() and ((0.0 < s) & (s < np.inf)).all()
         states = [
             kalman.step(state, H[:, :, lane].tolist(), z[:, lane].tolist(), noise)
@@ -324,7 +325,7 @@ def test_step_lanes_flags_what_step_rejects():
     q[4] = 1e308
     k, P = kalman.init_lanes(5)
     with np.errstate(all="ignore"):
-        _, _, y, s = kalman.step_lanes(k, P, H, z, q, 1.0)
+        _, _, y, s = kalman.step_lanes(k, P, H, z, q, 1.0, kalman.LaneWorkspace(5))
         bad_s = ~((0.0 < s) & (s < np.inf))
     for lane in range(5):
         step = (kalman.init(), H[:, :, lane].tolist(), z[:, lane].tolist(), NoiseConfig(float(q[lane]), 1.0))
@@ -370,9 +371,11 @@ def test_step_lanes_sums_in_order_and_keeps_zero_signs(width):
         z = np.array([zj for _, zj in cases]).T
         states = [kalman.init()] * len(cases)
         k, P = kalman.init_lanes(len(cases))
+        work = kalman.LaneWorkspace(len(cases))
         for _ in range(3):
             want_y = [_innovations(state, h, zj) for state, (h, zj) in zip(states, cases)]
-            k, P, y, s = kalman.step_lanes(k, P, H, z, TABLE_NOISE.process_noise_q, TABLE_NOISE.measurement_noise_r)
+            noise = TABLE_NOISE.process_noise_q, TABLE_NOISE.measurement_noise_r
+            k, P, y, s = kalman.step_lanes(k, P, H, z, *noise, work)
             states = [kalman.step(state, h, zj, TABLE_NOISE) for state, (h, zj) in zip(states, cases)]
             assert y.tobytes() == np.array(want_y).T.tobytes()
             assert k.tobytes() == np.array([state.k for state in states]).T.tobytes()
@@ -380,3 +383,43 @@ def test_step_lanes_sums_in_order_and_keeps_zero_signs(width):
     # The lanes hold what they are meant to: a signed zero innovation and an order-dependent one.
     assert math.copysign(1.0, _innovations(kalman.init(), *ZERO_SPEED)[2]) == 1.0  # -0.0 - (-0.0)
     assert _innovations(kalman.init(), *CANCELLING)[0] == 2.0
+
+
+def test_lane_workspace_carries_lanes_over_ticks_and_narrowing():
+    # One workspace per width, reused tick after tick, as ``replay._lane_pass``
+    # runs it: 66 lanes, then 11, then 1, each time carrying on with the
+    # returned k and P sliced to the lanes still running. Lane 0 is the
+    # zero-speed lane, whose sums are signed zeros; bytes tell -0.0 from 0.0.
+    # A ``d`` left over from the tick before moves every lane's k.
+    rng = np.random.default_rng(33)
+    q = rng.choice([0.05, 0.1, 0.2], 66)
+    r = rng.choice([0.5, 1.0, 2.0], 66)
+    noises = [NoiseConfig(*pair) for pair in zip(q.tolist(), r.tolist())]
+    states = [kalman.init()] * 66
+    k, P = kalman.init_lanes(66)
+    for width, n_ticks in ((66, 4), (11, 3), (1, 3)):
+        work = kalman.LaneWorkspace(width)
+        k, P, lane_q, lane_r = k[:, :width], P[:, :width], q[:width], r[:width]
+        for _ in range(n_ticks):
+            cases = [ZERO_SPEED] + [
+                (random_observation(rng).tolist(), rng.normal(0.0, 20.0, 3).tolist()) for _ in range(width - 1)
+            ]
+            H = np.array([h for h, _ in cases]).transpose(1, 2, 0)
+            z = np.array([zj for _, zj in cases]).T
+            inputs = [array.tobytes() for array in (H, z, lane_q, lane_r)]
+            want_y = [_innovations(state, *case) for state, case in zip(states, cases)]
+            k, P, y, s = kalman.step_lanes(k, P, H, z, lane_q, lane_r, work)
+            assert [array.tobytes() for array in (H, z, lane_q, lane_r)] == inputs
+            assert all(mine is its for mine, its in zip((k, P, y, s), (work.k, work.P, work.y, work.s)))
+            states = [kalman.step(state, *case, noise) for state, case, noise in zip(states, cases, noises)]
+            assert y.tobytes() == np.array(want_y).T.tobytes()
+            assert k.tobytes() == np.array([state.k for state in states]).T.tobytes()
+            assert P[UPPER].tobytes() == np.array([state.p_upper for state in states]).T.tobytes()
+    assert math.copysign(1.0, y[0, 0]) == -1.0  # the zero-speed lane's -0.0 innovation
+
+
+def test_lane_workspace_refuses_lanes_of_another_width():
+    k, P = kalman.init_lanes(3)
+    H, z = np.zeros((3, 4, 3)), np.zeros((3, 3))
+    with pytest.raises(ValueError, match=r"do not fit a workspace of width 4"):
+        kalman.step_lanes(k, P, H, z, 0.1, 1.0, kalman.LaneWorkspace(4))

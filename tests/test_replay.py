@@ -334,11 +334,11 @@ class _FaultyLanes:
         self.faults = faults
         self.calls = 0
 
-    def __call__(self, k, P, H, z, q, r):
+    def __call__(self, k, P, H, z, q, r, work):
         self.calls += 1
         P = P.copy()
         P[15] = abs(P[15])
-        k, P, y, s = self.step_lanes(k, P, H, z, q, r)
+        k, P, y, s = self.step_lanes(k, P, H, z, q, r, work)
         for noise_q, (negative_at, raise_at) in self.faults.items():
             lanes = q == noise_q
             if self.calls == negative_at:
@@ -413,10 +413,10 @@ def test_sweep_steps_each_lane_over_its_own_ticks_only(ejection_log, monkeypatch
     widths = []
     real_step_lanes = kalman.step_lanes
 
-    def step_lanes(k, P, H, z, q, r):
+    def step_lanes(k, P, H, z, q, r, work):
         assert np.abs(H).sum(axis=(0, 1)).all()
         widths.append(k.shape[1])
-        return real_step_lanes(k, P, H, z, q, r)
+        return real_step_lanes(k, P, H, z, q, r, work)
 
     monkeypatch.setattr(kalman, "step_lanes", step_lanes)
     rows = run_sweep(logs, spec)
