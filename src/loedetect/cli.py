@@ -96,21 +96,19 @@ def _spec_variations(payload) -> tuple[tuple[str, list], ...]:
 
 
 def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
-    """The spec at ``path`` (the default sweep if ``None``), its parameter sets built.
+    """The spec at ``path`` (the default sweep if ``None``).
 
-    Building the sets checks every parameter name and value, so every fault in a spec exits 2 here.
+    Building a spec builds its parameter sets, which checks every parameter name and value, so every
+    fault in a spec exits 2 here.
     """
     if path is not None and not os.path.exists(path):
         raise CommandError(f"sweep spec file not found: {path}", USAGE_ERROR)
     try:
         if path is None:
-            spec = default_sweep_spec(base)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh, object_pairs_hook=_unique_names)
-            spec = SweepSpec(base=base, variations=_spec_variations(payload))
-        spec.parameter_sets()
-        return spec
+            return default_sweep_spec(base)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh, object_pairs_hook=_unique_names)
+        return SweepSpec(base=base, variations=_spec_variations(payload))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         reason = exc.args[0] if isinstance(exc, KeyError) else exc
         raise CommandError(f"bad sweep spec {path or '(default)'}: {reason}", USAGE_ERROR) from exc

@@ -78,6 +78,11 @@ class DetectorConfig:
         if not 0.0 < self.estimator_interval < _INF:
             raise ValueError(f"estimator_interval must be finite and positive, got {self.estimator_interval}")
         ratio = self.estimator_interval / self.sensor_interval
+        if not ratio <= 2.0**53:  # past 2**53 every float is an integer, so the check below cannot tell
+            raise ValueError(
+                f"estimator_interval ({self.estimator_interval} s) is more than 2**53 "
+                f"sensor_intervals ({self.sensor_interval} s)"
+            )
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
             raise ValueError(
                 f"estimator_interval ({self.estimator_interval} s) is not an integer "

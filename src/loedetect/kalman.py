@@ -12,6 +12,7 @@ left to right, each row ``h_j`` runs
 
 and then x' = x + dx, clamped into [0, 1.5]. The ``h_j.dx`` term removes what
 the earlier rows already applied, and keeps x bit-unchanged when y is zero.
+Row 0 runs at dx = 0 without it, as ``g = y_0 / s`` and ``dx = 0.0 + a g``.
 Everything runs on Python floats. The state, ``EstimatorState``, is a
 NamedTuple of two float tuples: the four estimates and the ten
 upper-triangle entries of P. Only that triangle is computed and kept, so P
@@ -19,12 +20,12 @@ is exactly symmetric; ``step`` builds each new state from its floats, and
 makes no array. No inverse is taken;
 ``s >= r > 0`` unless the arithmetic overflows, and a non-finite ``s``
 raises ``ArithmeticError``. ``step_lanes`` runs the same update on many
-independent estimators at once, one per numpy lane, for parameter sweeps,
-in buffers made once per width (``LaneWorkspace``), so a tick allocates no
-array. It takes all three innovations in one pass up front, as ``step``
-does, and each 4-term sum as one numpy reduction, left to right and
-started from -0.0, so every lane keeps ``step``'s bits, signed zeros
-included.
+independent estimators at once, one per numpy lane, for parameter sweeps.
+The lanes are a ``LaneWorkspace``, which holds them and every buffer a tick
+writes, so a tick allocates no array. It takes all three innovations in one
+pass up front, as ``step`` does, and each 4-term sum as one numpy
+reduction, left to right and started from -0.0, so every lane keeps
+``step``'s bits, signed zeros included.
 """
 
 from __future__ import annotations
@@ -98,9 +99,6 @@ def step(state: EstimatorState, H, z, noise: NoiseConfig) -> EstimatorState:
     r = noise.measurement_noise_r
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = state.p_upper
     p00, p11, p22, p33 = p00 + q, p11 + q, p22 + q, p33 + q
-    # Row 0 keeps the ``h.dx`` term at dx = 0: with every h negative it is
-    # -0.0, and it sets the sign of a zero gain.
-    d0 = d1 = d2 = d3 = 0.0
 
     a0 = p00 * h00 + p01 * h01 + p02 * h02 + p03 * h03
     a1 = p01 * h00 + p11 * h01 + p12 * h02 + p13 * h03
@@ -109,8 +107,11 @@ def step(state: EstimatorState, H, z, noise: NoiseConfig) -> EstimatorState:
     s = h00 * a0 + h01 * a1 + h02 * a2 + h03 * a3 + r
     if not 0.0 < s < math.inf:
         raise ArithmeticError(f"innovation variance s={s} is not finite and positive")
-    g = (y0 - (h00 * d0 + h01 * d1 + h02 * d2 + h03 * d3)) / s
-    d0, d1, d2, d3 = d0 + a0 * g, d1 + a1 * g, d2 + a2 * g, d3 + a3 * g
+    # No ``h.dx`` term at dx = 0: on a finite h it is +-0.0, which can only
+    # set the sign of a zero gain, and ``0.0 + a g`` erases that sign. A NaN
+    # or inf in row 0 raises at the NaN or ``s`` check first.
+    g = y0 / s
+    d0, d1, d2, d3 = 0.0 + a0 * g, 0.0 + a1 * g, 0.0 + a2 * g, 0.0 + a3 * g
     b0, b1, b2, b3 = a0 / s, a1 / s, a2 / s, a3 / s
     p00, p01, p02, p03 = p00 - a0 * b0, p01 - a0 * b1, p02 - a0 * b2, p03 - a0 * b3
     p11, p12, p13 = p11 - a1 * b1, p12 - a1 * b2, p13 - a1 * b3
@@ -158,42 +159,42 @@ def step(state: EstimatorState, H, z, noise: NoiseConfig) -> EstimatorState:
 # ---------------------------------------------------------------------------
 # Lanes: many independent estimators stepped together on float64 arrays, one
 # estimator per lane (the last axis). ``step_lanes`` performs ``step``'s
-# operations in ``step``'s order, less one term that cannot move a lane
-# ``step`` accepts (see its docstring), and numpy rounds ``+ - * /`` exactly
-# as Python floats do, so each lane is bit-identical to ``step``. It is a
-# second source, not ``step`` run on arrays: ``step``'s NaN check, ``s``
-# check and clamp are Python branches, which arrays cannot take, and giving
-# them a form both accept would put calls on the per-sample float path the
-# streaming detector runs. ``tests/test_kalman.py`` checks the two against
-# each other.
+# operations in ``step``'s order, and numpy rounds ``+ - * /`` exactly as
+# Python floats do, so each lane is bit-identical to ``step``. It is a second
+# source, not ``step`` run on arrays: ``step``'s NaN check, ``s`` check and
+# clamp are Python branches, which arrays cannot take, and giving them a form
+# both accept would put calls on the per-sample float path the streaming
+# detector runs. ``tests/test_kalman.py`` checks the two against each other.
 
 # Entry ``4 i + j`` of the row-major 4x4 P, read from the upper triangle:
 # gathering by it overwrites each lower entry with its upper twin.
 _MIRROR = np.array([4 * min(i, j) + max(i, j) for i in range(4) for j in range(4)])
 
 
-def init_lanes(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``init()`` on ``width`` lanes: the estimates (4, width) and P, row-major, (16, width)."""
-    P = np.zeros((16, width))
-    P[::5] = 1.0
-    return np.ones((4, width)), P
-
-
 class LaneWorkspace:
-    """Every buffer ``step_lanes`` writes at one lane width, made once and reused each tick.
+    """``width`` estimators, one per lane, and every buffer ``step_lanes`` writes on a tick.
 
-    ``k`` (4, L) and ``P`` (16, L) are the estimates and covariance the
-    kernel steps in place; the rest hold one tick's intermediates, with
-    their views made here, once.
+    ``k`` (4, L) holds the estimates and ``P`` (16, L) the covariance, row
+    major, with ``diagonal`` its variances (a view). They start as
+    ``init()`` on every lane, or as a copy of the first ``width`` lanes of
+    ``carry``, a workspace at least as wide, when the lanes narrow.
+    ``step_lanes`` steps them in place, and leaves the tick's innovations in
+    ``y`` and innovation variances in ``s`` (3, L). The rest hold one tick's
+    intermediates, with their views made here, once.
     """
 
     __slots__ = ("width", "k", "P", "square", "diagonal", "hk", "y", "s", "row_out")
     __slots__ += ("d", "m", "flat", "a", "a_column", "t", "b", "g", "mask")
 
-    def __init__(self, width: int) -> None:
+    def __init__(self, width: int, carry: LaneWorkspace | None = None) -> None:
         self.width = width
-        self.k = np.empty((4, width))
-        self.P = np.empty((16, width))
+        if carry is None:
+            self.k, self.P = np.ones((4, width)), np.zeros((16, width))
+            self.P[::5] = 1.0
+        elif width > carry.width:
+            raise ValueError(f"a workspace of width {carry.width} cannot carry {width} lanes")
+        else:
+            self.k, self.P = carry.k[:, :width].copy(), carry.P[:, :width].copy()
         self.square, self.diagonal = self.P.reshape(4, 4, width), self.P[::5]
         self.hk = np.empty((3, 4, width))  # H * k
         self.y, self.s = np.empty((2, 3, width))
@@ -207,50 +208,33 @@ class LaneWorkspace:
         self.mask = np.empty((4, width), dtype=bool)  # the clamp's
 
 
-def step_lanes(k: np.ndarray, P: np.ndarray, H: np.ndarray, z: np.ndarray, q, r, work: LaneWorkspace):
-    """``step`` on every lane at once; returns the new ``(k, P)`` and the unchecked ``(y, s)``.
+def step_lanes(work: LaneWorkspace, H: np.ndarray, z: np.ndarray, q, r) -> None:
+    """``step`` on every lane of ``work`` at once, in place; ``work.y`` and ``work.s`` are left unchecked.
 
-    ``k`` is (4, L), ``P`` (16, L) as from ``init_lanes``, ``H`` (3, 4, L),
-    ``z`` (3, L), ``q``, ``r`` scalars or (L,), and ``work`` a
-    ``LaneWorkspace(L)``. ``y`` (3, L) holds the innovations and ``s``
-    (3, L) the innovation variances that ``step`` checks; nothing is
-    raised, so a lane that ``step`` would reject carries on with whatever
-    the arithmetic gives. Run it under ``np.errstate`` to keep that
-    arithmetic from warning.
-
-    All four results are ``work``'s own buffers, overwritten by its next
-    tick. ``k`` and ``P`` step in ``work.k`` and ``work.P`` in place: passed
-    back as returned, they are read where they are, and any other arrays
-    are copied in first and left untouched. ``H``, ``z``, ``q`` and ``r``
-    are only read.
+    ``H`` is (3, 4, L), ``z`` (3, L) and ``q``, ``r`` scalars or (L,), for
+    ``L = work.width``; they are only read. ``work.y`` holds the
+    innovations and ``work.s`` the innovation variances that ``step``
+    checks. Nothing is raised, so a lane that ``step`` would reject carries
+    on with whatever the arithmetic gives. Run it under ``np.errstate`` to
+    keep that arithmetic from warning.
 
     A tick costs about 50 numpy calls whatever the width, and makes no
     array but the three row views of ``H``: one pass takes every row's
     innovation from the prior estimates, then each row 12 to 15 calls that
-    write into buffers made once per width. Each 4-term sum (``h.x``, ``P h``, ``h.a``, ``h.d``) is one
-    ``np.add.reduce`` over a length-4 axis, which adds in order, as
-    ``step`` does. It starts from -0.0, not numpy's default +0.0: a sum of
-    four -0.0 terms (every h negative at zero rotor speed) is -0.0 in
-    ``step``, and +0.0 from a +0.0 start would flip the sign of a zero
-    innovation where z is -0.0.
-
-    Row 0 leaves out ``step``'s ``h.dx`` term at dx = 0 and writes ``d =
-    0.0 + a g`` afresh, which is what resets ``d`` each tick. On a finite
-    ``h`` that term is +-0.0, so it can change only the sign of a zero
-    gain, and ``0.0 + a g`` is then +0.0 for either sign. An inf or NaN in
-    row 0 of ``H`` makes that row's ``y`` NaN or its ``s`` non-finite,
-    which ``step`` rejects, so no lane it accepts sees the difference.
+    write into ``work``'s buffers. Each 4-term sum (``h.x``, ``P h``,
+    ``h.a``, ``h.d``) is one ``np.add.reduce`` over a length-4 axis, which
+    adds in order, as ``step`` does. It starts from -0.0, not numpy's
+    default +0.0: a sum of four -0.0 terms (every h negative at zero rotor
+    speed) is -0.0 in ``step``, and +0.0 from a +0.0 start would flip the
+    sign of a zero innovation where z is -0.0. Row 0 writes ``d = 0.0 + a
+    g`` afresh, as ``step`` does, which is what resets ``d`` each tick.
     """
-    if k is not work.k or P is not work.P:
-        if k.shape != work.k.shape or P.shape != work.P.shape:
-            raise ValueError(f"k {k.shape} and P {P.shape} do not fit a workspace of width {work.width}")
-        work.k[...], work.P[...] = k, P
     k, P, square, d, m, a, t, b, g = work.k, work.P, work.square, work.d, work.m, work.a, work.t, work.b, work.g
     # Every 4-term sum is one reduction in order, started from -0.0, which
     # adds to any value without changing its bits (see the docstring).
     reduce, multiply, divide, add, subtract = np.add.reduce, np.multiply, np.divide, np.add, np.subtract
     add(work.diagonal, q, work.diagonal)
-    y = subtract(z, reduce(multiply(H, k, work.hk), 1, None, work.y, False, -0.0), work.y)  # from the prior k
+    subtract(z, reduce(multiply(H, k, work.hk), 1, None, work.y, False, -0.0), work.y)  # from the prior k
     a_column, take = work.a_column, work.flat.take  # the method: ``np.take`` is a Python wrapper
     for row, (h, (yj, sj)) in enumerate(zip(H, work.row_out)):  # positional ``out``: the cheapest ufunc call
         # m[i, c] = p_ic h_c: h broadcasts along the rows of P, with no column view.
@@ -260,7 +244,7 @@ def step_lanes(k: np.ndarray, P: np.ndarray, H: np.ndarray, z: np.ndarray, q, r,
             reduce(multiply(h, d, t), 0, None, g, False, -0.0)  # h.d
             divide(subtract(yj, g, g), sj, g)
             add(d, multiply(a, g, t), d)
-        else:  # d = 0.0 + a g: no h.d term at d = 0 (see the docstring)
+        else:  # d = 0.0 + a g, with no h.d term at d = 0, as in ``step``
             divide(yj, sj, g)
             add(0.0, multiply(a, g, d), d)
         divide(a, sj, b)
@@ -270,4 +254,3 @@ def step_lanes(k: np.ndarray, P: np.ndarray, H: np.ndarray, z: np.ndarray, q, r,
     mask = work.mask
     np.putmask(k, np.less(k, K_MIN, mask), K_MIN)
     np.putmask(k, np.greater(k, K_MAX, mask), K_MAX)
-    return k, P, y, work.s

@@ -46,8 +46,7 @@ import json
 import math
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
@@ -247,12 +246,15 @@ class SweepSpec:
 
     Each parameter is named once, with a non-empty list of distinct real
     numbers (bools refused), kept as a tuple of floats; ``ValueError`` names
-    the first name or value that breaks a rule. ``variations=()`` sweeps the
-    base alone.
+    the first name or value that breaks a rule. The parameter sets are
+    built here too, so an unknown name raises ``KeyError`` and a value its
+    field rejects ``ValueError`` when the spec is built. ``variations=()``
+    sweeps the base alone.
     """
 
     base: DetectorConfig
     variations: tuple[tuple[str, tuple[float, ...]], ...]
+    _sets: tuple[ParameterSet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         variations = {}
@@ -269,30 +271,16 @@ class SweepSpec:
             if not floats:
                 raise ValueError(f"parameter {name!r} has no values")
         object.__setattr__(self, "variations", tuple((name, tuple(v)) for name, v in variations.items()))
-
-    def parameter_sets(self) -> tuple[ParameterSet, ...]:
-        """All runs, base first; unknown parameter names fail here, before any run.
-
-        Built on the first call and shared by every later call on this spec.
-        """
-        return self._parameter_sets
-
-    @cached_property
-    def _parameter_sets(self) -> tuple[ParameterSet, ...]:
         sets = [ParameterSet("set_00_base", "base", None, self.base)]
-        index = 1
         for name, values in self.variations:
             for value in values:
-                sets.append(
-                    ParameterSet(
-                        set_id=f"set_{index:02d}_{name}={value!r}",
-                        parameter=name,
-                        value=float(value),
-                        config=config_with(self.base, name, value),
-                    )
-                )
-                index += 1
-        return tuple(sets)
+                set_id = f"set_{len(sets):02d}_{name}={value!r}"
+                sets.append(ParameterSet(set_id, name, value, config_with(self.base, name, value)))
+        object.__setattr__(self, "_sets", tuple(sets))
+
+    def parameter_sets(self) -> tuple[ParameterSet, ...]:
+        """All runs, base first."""
+        return self._sets
 
 
 def default_sweep_spec(base: DetectorConfig | None = None) -> SweepSpec:
@@ -493,21 +481,16 @@ def _lane_pass(
     by_column = ticks.transpose(1, 0, 2)  # (8, n, tick sets): one fancy index gives a tick's (8, lanes)
     # A lane that trips carries on with infs and NaNs, which must not warn.
     with np.errstate(all="ignore"):
-        k, P = kalman.init_lanes(len(keys))
         work = None
         for t, width in enumerate(running.tolist()):
             if work is None or width != work.width:  # the pass narrows: slice once per width
-                work = kalman.LaneWorkspace(width)
-                k, P = k[:, :width], P[:, :width]
+                work = kalman.LaneWorkspace(width, work)
                 lane_first, lane_sets, lane_q, lane_r = first[:width], sets[:width], q[:width], r[:width]
                 lane_gains = gains[..., :width]
             rows = by_column[:, lane_first + t, lane_sets]
+            kalman.step_lanes(work, lane_gains * rows[4:], rows[1:4], lane_q, lane_r)
             at = slice(offsets[t], offsets[t + 1])
-            k, P, Y[:, at], S[:, at] = kalman.step_lanes(
-                k, P, lane_gains * rows[4:], rows[1:4], lane_q, lane_r, work
-            )
-            K[:, at] = k
-            V[:, at] = P[::5]
+            K[:, at], V[:, at], Y[:, at], S[:, at] = work.k, work.diagonal, work.y, work.s
         bad = np.isnan(Y).any(axis=0) | ~((S > 0.0) & (S < math.inf)).all(axis=0) | (V < 0.0).any(axis=0)
     place = np.argsort(run)  # each lane's column within a tick
     columns = [offsets[:n] + at for n, at in zip(n_ticks.tolist(), place.tolist())]

@@ -475,6 +475,21 @@ def test_detect_infinite_interval_or_thrust_reference_is_config_error(tmp_path, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["1e20", "1e308"])
+def test_detect_estimator_interval_past_2_53_sensor_intervals_is_config_error(tmp_path, capsys, value):
+    # 1e20 once crashed the block replay with an IndexError, and 1e308 exited 1 on an OverflowError.
+    log = _write_hover_log(tmp_path / "hover.csv")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(DEFAULT_CONFIG_TEXT.replace("estimator_interval = 0.02", f"estimator_interval = {value}"))
+    assert run_cli("detect", "--log", str(log), "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: bad config file {cfg}: estimator_interval ({float(value)} s) is more than 2**53 "
+        "sensor_intervals (0.002 s)"
+    ]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
 @pytest.mark.parametrize("key", CONFIG_KEYS)
 def test_detect_config_value_outside_its_field_is_config_error_naming_it(tmp_path, capsys, key, value):
@@ -733,6 +748,12 @@ BAD_SPECS = {
     "string-value": ('{"parameters": {"g_p": ["1e1"]}}', "parameter 'g_p' value \"1e1\" is not a number"),
     "empty-list": ('{"parameters": {"k_threshold": []}}', "parameter 'k_threshold' has no values"),
     "empty-parameters": ('{"parameters": {}}', "'parameters' names no config key"),
+    # 1e20 once crashed the sweep with an IndexError, and 1e308 exited without naming the key.
+    "huge-estimator-interval": ('{"parameters": {"estimator_interval": [1e20]}}', "estimator_interval (1e+20 s)"),
+    "overflowing-estimator-interval": (
+        '{"parameters": {"estimator_interval": [1e308]}}',
+        "estimator_interval (1e+308 s) is more than 2**53 sensor_intervals",
+    ),
     "repeated-value": ('{"parameters": {"k_threshold": [0.2, 0.2]}}', "parameter 'k_threshold' repeats the value 0.2"),
     # Only "parameters" is read: a base would be dropped without a word.
     "unknown-top-level-key": (

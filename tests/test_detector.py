@@ -81,6 +81,14 @@ def test_non_integer_rate_ratio_rejected():
         DetectorConfig(estimator_interval=0.003, sensor_interval=0.002)
 
 
+@pytest.mark.parametrize("estimator_interval", [1e20, 1e308])
+def test_rate_ratio_past_2_53_rejected(estimator_interval):
+    # Past 2**53 every float ratio is an integer: 1e20 was once taken as a
+    # multiple, and 1e308's infinite ratio raised OverflowError.
+    with pytest.raises(ValueError, match=r"^estimator_interval \(.* s\) is more than 2\*\*53 sensor_intervals"):
+        DetectorConfig(estimator_interval=estimator_interval)
+
+
 def test_one_millisecond_config_filters_at_one_millisecond():
     # The sensor interval alone sets the filter's sample period.
     config = DetectorConfig(sensor_interval=0.001)

@@ -257,12 +257,34 @@ def test_step_on_nested_lists_equals_step_on_arrays_bit_for_bit():
         assert list(map(float.hex, on_lists.p_upper)) == list(map(float.hex, on_arrays.p_upper))
 
 
+# Lanes whose bits depend on how a 4-term sum is taken: (H, z) held for every tick.
+ZERO_SPEED = (  # every h is +/-0.0, and the az row's are all -0.0: its sums are -0.0 only if taken from -0.0
+    (np.array(signed_gains(DEFAULT_GAINS)) * 0.0).tolist(),
+    [-0.0, -0.0, -0.0],
+)
+CANCELLING = (  # row 0's products at k = 1 sum to 1.0 left to right and to 0.0 pairwise
+    [[1.0, 1e16, -1e16, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    [3.0, 0.5, -0.0],
+)
+# Row 0 all negative or -0.0: its h.dx at dx = 0, which ``step`` leaves out, is -0.0.
+NEGATIVE_ROW_0 = [[-1.0, -0.0, -2.0, -0.5], [0.5, 1.0, -1.0, 0.0], [0.0, -1.0, 1.0, 2.0]]
+
+
 def test_step_equals_array_oracle_bit_for_bit():
+    # 500 random ticks, then three rounds of the special cases. The oracle
+    # keeps row 0's h.dx term at dx = 0; ``NEGATIVE_ROW_0`` meets it with a
+    # zero first innovation, where that term is -0.0.
     rng = np.random.default_rng(15)
-    mine = oracle = kalman.init()
+    cases = []
     for _ in range(500):
         H = random_observation(rng)
-        z = H @ rng.uniform(0.0, 1.5, 4) + rng.normal(0.0, 1.0, 3)
+        cases.append((H, H @ rng.uniform(0.0, 1.5, 4) + rng.normal(0.0, 1.0, 3)))
+    cases += [ZERO_SPEED, CANCELLING, (NEGATIVE_ROW_0, None)] * 3
+    mine = oracle = kalman.init()
+    for H, z in cases:
+        if z is None:
+            z = [_dot4(H[0], mine.k), 0.3, -0.7]
+            assert _innovations(mine, H, z)[0] == 0.0
         mine = kalman.step(mine, H, z, TABLE_NOISE)
         oracle = oracle_kalman_step(oracle, H, z, TABLE_NOISE)
         # bytes tell -0.0 from 0.0, which array_equal does not
@@ -284,8 +306,8 @@ def test_step_lanes_equals_step_bit_for_bit(width):
     gains = np.array(signed_gains(DEFAULT_GAINS))[:, :, None]
     noises = [NoiseConfig(*pair) for pair in zip(q.tolist(), r.tolist())]
     states = [kalman.init()] * width
-    k, P = kalman.init_lanes(width)
     work = kalman.LaneWorkspace(width)
+    k, P, y, s = work.k, work.P, work.y, work.s
     clamped = set()
     padded = 0
     for _ in range(40):
@@ -296,7 +318,7 @@ def test_step_lanes_equals_step_bit_for_bit(width):
         z[:, pad] = 0.0
         padded += pad.sum()
         H = gains * w_sq
-        k, P, y, s = kalman.step_lanes(k, P, H, z, q, r, work)
+        kalman.step_lanes(work, H, z, q, r)
         assert not np.isnan(y).any() and ((0.0 < s) & (s < np.inf)).all()
         states = [
             kalman.step(state, H[:, :, lane].tolist(), z[:, lane].tolist(), noise)
@@ -323,9 +345,10 @@ def test_step_lanes_flags_what_step_rejects():
     H[0, 2, 2] = np.nan
     H[:, :, 3] *= 1e200
     q[4] = 1e308
-    k, P = kalman.init_lanes(5)
+    work = kalman.LaneWorkspace(5)
     with np.errstate(all="ignore"):
-        _, _, y, s = kalman.step_lanes(k, P, H, z, q, 1.0, kalman.LaneWorkspace(5))
+        kalman.step_lanes(work, H, z, q, 1.0)
+        y, s = work.y, work.s
         bad_s = ~((0.0 < s) & (s < np.inf))
     for lane in range(5):
         step = (kalman.init(), H[:, :, lane].tolist(), z[:, lane].tolist(), NoiseConfig(float(q[lane]), 1.0))
@@ -348,17 +371,6 @@ def _innovations(state, H, z):
     return [zj - (h0 * x0 + h1 * x1 + h2 * x2 + h3 * x3) for (h0, h1, h2, h3), zj in zip(H, z)]
 
 
-# Lanes whose bits depend on how a 4-term sum is taken: (H, z) held for every tick.
-ZERO_SPEED = (  # every h is +/-0.0, and the az row's are all -0.0: its sums are -0.0 only if taken from -0.0
-    (np.array(signed_gains(DEFAULT_GAINS)) * 0.0).tolist(),
-    [-0.0, -0.0, -0.0],
-)
-CANCELLING = (  # row 0's products at k = 1 sum to 1.0 left to right and to 0.0 pairwise
-    [[1.0, 1e16, -1e16, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
-    [3.0, 0.5, -0.0],
-)
-
-
 @pytest.mark.parametrize("width", [1, 66])
 def test_step_lanes_sums_in_order_and_keeps_zero_signs(width):
     # The two special lanes, alone at width 1, or at both ends of 64 random
@@ -370,12 +382,11 @@ def test_step_lanes_sums_in_order_and_keeps_zero_signs(width):
         H = np.array([h for h, _ in cases]).transpose(1, 2, 0)
         z = np.array([zj for _, zj in cases]).T
         states = [kalman.init()] * len(cases)
-        k, P = kalman.init_lanes(len(cases))
         work = kalman.LaneWorkspace(len(cases))
+        k, P, y = work.k, work.P, work.y
         for _ in range(3):
             want_y = [_innovations(state, h, zj) for state, (h, zj) in zip(states, cases)]
-            noise = TABLE_NOISE.process_noise_q, TABLE_NOISE.measurement_noise_r
-            k, P, y, s = kalman.step_lanes(k, P, H, z, *noise, work)
+            kalman.step_lanes(work, H, z, TABLE_NOISE.process_noise_q, TABLE_NOISE.measurement_noise_r)
             states = [kalman.step(state, h, zj, TABLE_NOISE) for state, (h, zj) in zip(states, cases)]
             assert y.tobytes() == np.array(want_y).T.tobytes()
             assert k.tobytes() == np.array([state.k for state in states]).T.tobytes()
@@ -386,20 +397,20 @@ def test_step_lanes_sums_in_order_and_keeps_zero_signs(width):
 
 
 def test_lane_workspace_carries_lanes_over_ticks_and_narrowing():
-    # One workspace per width, reused tick after tick, as ``replay._lane_pass``
-    # runs it: 66 lanes, then 11, then 1, each time carrying on with the
-    # returned k and P sliced to the lanes still running. Lane 0 is the
-    # zero-speed lane, whose sums are signed zeros; bytes tell -0.0 from 0.0.
-    # A ``d`` left over from the tick before moves every lane's k.
+    # One workspace per width, stepped tick after tick, as ``replay._lane_pass``
+    # runs it: 66 lanes, then 11, then 1, each workspace carrying on with the
+    # first lanes of the one before. Lane 0 is the zero-speed lane, whose sums
+    # are signed zeros; bytes tell -0.0 from 0.0. A ``d`` left over from the
+    # tick before moves every lane's k.
     rng = np.random.default_rng(33)
     q = rng.choice([0.05, 0.1, 0.2], 66)
     r = rng.choice([0.5, 1.0, 2.0], 66)
     noises = [NoiseConfig(*pair) for pair in zip(q.tolist(), r.tolist())]
     states = [kalman.init()] * 66
-    k, P = kalman.init_lanes(66)
+    work = None
     for width, n_ticks in ((66, 4), (11, 3), (1, 3)):
-        work = kalman.LaneWorkspace(width)
-        k, P, lane_q, lane_r = k[:, :width], P[:, :width], q[:width], r[:width]
+        work = kalman.LaneWorkspace(width, work)
+        lane_q, lane_r = q[:width], r[:width]
         for _ in range(n_ticks):
             cases = [ZERO_SPEED] + [
                 (random_observation(rng).tolist(), rng.normal(0.0, 20.0, 3).tolist()) for _ in range(width - 1)
@@ -408,18 +419,16 @@ def test_lane_workspace_carries_lanes_over_ticks_and_narrowing():
             z = np.array([zj for _, zj in cases]).T
             inputs = [array.tobytes() for array in (H, z, lane_q, lane_r)]
             want_y = [_innovations(state, *case) for state, case in zip(states, cases)]
-            k, P, y, s = kalman.step_lanes(k, P, H, z, lane_q, lane_r, work)
+            kalman.step_lanes(work, H, z, lane_q, lane_r)
             assert [array.tobytes() for array in (H, z, lane_q, lane_r)] == inputs
-            assert all(mine is its for mine, its in zip((k, P, y, s), (work.k, work.P, work.y, work.s)))
             states = [kalman.step(state, *case, noise) for state, case, noise in zip(states, cases, noises)]
-            assert y.tobytes() == np.array(want_y).T.tobytes()
-            assert k.tobytes() == np.array([state.k for state in states]).T.tobytes()
-            assert P[UPPER].tobytes() == np.array([state.p_upper for state in states]).T.tobytes()
-    assert math.copysign(1.0, y[0, 0]) == -1.0  # the zero-speed lane's -0.0 innovation
+            assert work.y.tobytes() == np.array(want_y).T.tobytes()
+            assert work.k.tobytes() == np.array([state.k for state in states]).T.tobytes()
+            assert work.P[UPPER].tobytes() == np.array([state.p_upper for state in states]).T.tobytes()
+    assert math.copysign(1.0, work.y[0, 0]) == -1.0  # the zero-speed lane's -0.0 innovation
 
 
-def test_lane_workspace_refuses_lanes_of_another_width():
-    k, P = kalman.init_lanes(3)
-    H, z = np.zeros((3, 4, 3)), np.zeros((3, 3))
-    with pytest.raises(ValueError, match=r"do not fit a workspace of width 4"):
-        kalman.step_lanes(k, P, H, z, 0.1, 1.0, kalman.LaneWorkspace(4))
+def test_lane_workspace_refuses_to_widen():
+    narrow = kalman.LaneWorkspace(3)
+    with pytest.raises(ValueError, match=r"^a workspace of width 3 cannot carry 4 lanes$"):
+        kalman.LaneWorkspace(4, narrow)

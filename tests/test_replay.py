@@ -167,9 +167,8 @@ def test_lane_pass_signs_each_estimator_keys_gains_once(ejection_log, monkeypatc
 
 
 def test_sweep_rejects_unknown_parameter_before_any_run():
-    spec = SweepSpec(base=default_config(), variations=(("not_a_knob", (1.0,)),))
     with pytest.raises(KeyError, match="not_a_knob"):
-        spec.parameter_sets()
+        SweepSpec(base=default_config(), variations=(("not_a_knob", (1.0,)),))
 
 
 BAD_VARIATIONS = {
@@ -324,8 +323,9 @@ class _FaultyLanes:
 
     Ticks are counted per call, which on one log is ``_FaultyStep``'s count
     per noise config. On ``negative_at`` a lane's result carries a negative
-    variance for actuator 4, and on ``raise_at`` a NaN ``s``, so the lane
-    trips there and the sweep replays it through ``kalman.step``.
+    variance for actuator 4, and on ``raise_at`` a NaN ``s``, both written
+    into the workspace in place, so the lane trips there and the sweep
+    replays it through ``kalman.step``.
     """
 
     step_lanes = staticmethod(kalman.step_lanes)  # the real kernel, taken before any test patches it
@@ -334,18 +334,16 @@ class _FaultyLanes:
         self.faults = faults
         self.calls = 0
 
-    def __call__(self, k, P, H, z, q, r, work):
+    def __call__(self, work, H, z, q, r):
         self.calls += 1
-        P = P.copy()
-        P[15] = abs(P[15])
-        k, P, y, s = self.step_lanes(k, P, H, z, q, r, work)
+        work.P[15] = abs(work.P[15])
+        self.step_lanes(work, H, z, q, r)
         for noise_q, (negative_at, raise_at) in self.faults.items():
             lanes = q == noise_q
             if self.calls == negative_at:
-                P[15, lanes] = -P[15, lanes]
+                work.P[15, lanes] = -work.P[15, lanes]
             if self.calls == raise_at:
-                s[0, lanes] = np.nan
-        return k, P, y, s
+                work.s[0, lanes] = np.nan
 
 
 @pytest.mark.parametrize(
@@ -413,10 +411,10 @@ def test_sweep_steps_each_lane_over_its_own_ticks_only(ejection_log, monkeypatch
     widths = []
     real_step_lanes = kalman.step_lanes
 
-    def step_lanes(k, P, H, z, q, r, work):
+    def step_lanes(work, H, z, q, r):
         assert np.abs(H).sum(axis=(0, 1)).all()
-        widths.append(k.shape[1])
-        return real_step_lanes(k, P, H, z, q, r, work)
+        widths.append(work.width)
+        real_step_lanes(work, H, z, q, r)
 
     monkeypatch.setattr(kalman, "step_lanes", step_lanes)
     rows = run_sweep(logs, spec)

@@ -121,7 +121,7 @@ def test_sweep_runs_each_kernel_once_per_distinct_key_and_armed_tick(tmp_path, m
     widths = []
     real_step_lanes = kalman.step_lanes
     monkeypatch.setattr(
-        kalman, "step_lanes", lambda k, *args: widths.append(k.shape[1]) or real_step_lanes(k, *args)
+        kalman, "step_lanes", lambda work, *args: widths.append(work.width) or real_step_lanes(work, *args)
     )
     replays = []  # a clean sweep never reaches its serial-replay fallback
     monkeypatch.setattr(replay, "_replay_serially", lambda *args: replays.append(args))
