@@ -60,8 +60,8 @@ def _parse_fault(text: str) -> FaultEvent:
 def _load_config(path: str | None) -> DetectorConfig:
     if path is None:
         return default_config()
-    if not os.path.exists(path):
-        raise CommandError(f"config file not found: {path}", USAGE_ERROR)
+    if not os.path.isfile(path):
+        raise CommandError(f"no config file at {path}", USAGE_ERROR)
     try:
         return read_config(path)
     except ValueError as exc:
@@ -101,8 +101,8 @@ def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
     Building a spec builds its parameter sets, which checks every parameter name and value, so every
     fault in a spec exits 2 here.
     """
-    if path is not None and not os.path.exists(path):
-        raise CommandError(f"sweep spec file not found: {path}", USAGE_ERROR)
+    if path is not None and not os.path.isfile(path):
+        raise CommandError(f"no sweep spec file at {path}", USAGE_ERROR)
     try:
         if path is None:
             return default_sweep_spec(base)
@@ -136,8 +136,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if not os.path.exists(args.log):
-        raise CommandError(f"log file not found: {args.log}", USAGE_ERROR)
+    if not os.path.isfile(args.log):
+        raise CommandError(f"no log file at {args.log}", USAGE_ERROR)
     config = _load_config(args.config)
     try:
         log = flightlog.load_log(args.log)
@@ -171,6 +171,8 @@ def cmd_sweep(args) -> int:
     log_ids = [os.path.splitext(os.path.basename(path))[0] for path in paths]
     path_of: dict[str, str] = {}
     for log_id, path in zip(log_ids, paths):
+        if not os.path.isfile(path):
+            raise CommandError(f"no log file at {path}", USAGE_ERROR)
         other = path_of.setdefault(log_id, path)
         if other != path:
             raise CommandError(f"logs {other} and {path} share the log id {log_id!r}", USAGE_ERROR)
@@ -198,8 +200,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not os.path.exists(args.results):
-        raise CommandError(f"results file not found: {args.results}", USAGE_ERROR)
+    if not os.path.isfile(args.results):
+        raise CommandError(f"no results file at {args.results}", USAGE_ERROR)
     try:
         rows = read_results_csv(args.results)
     except ValueError as exc:

@@ -15,8 +15,8 @@ distinct conditioning key with one numpy lane per log: ``push``'s checks and
 the takeoff gate per log, the filter bank by ``filters.filter_lanes`` on
 blocks of every log's samples, and the differencing at the ticks, all
 bit-identical to ``Conditioner.push``. It writes each tick once, into one
-(ticks, 8, sets) table, and holds about three (block, 7, logs) arrays
-besides. The sweep then runs the
+(ticks, 8) table that holds each set's ticks one set after another, and
+holds about three (block, 7, logs) arrays besides. The sweep then runs the
 estimator of every (log, distinct estimator key) pair in one lane pass: one
 numpy lane per pair, all stepped together by ``kalman.step_lanes``, which is
 bit-identical to ``kalman.step`` on each lane. Lanes run longest first, and
@@ -197,7 +197,7 @@ def replay_log(log: FlightLog, config: DetectorConfig, ticks_path=None) -> Detec
     estimation = Estimation(config)
     steps, first, armed_at = config.steps_per_estimate(), int(first[0]), int(armed_at[0])
     first_tick = (first + 1) * steps - 1  # the sample of the first armed tick
-    rows, block = ticks[first : first + n_ticks[0], :, 0], max(1, SAMPLE_BLOCK_ROWS // steps)
+    rows, block = ticks[first : first + n_ticks[0]], max(1, SAMPLE_BLOCK_ROWS // steps)
     with nullcontext() if ticks_path is None else open(ticks_path, "w", encoding="utf-8") as fh:
         if fh is not None:
             fh.write(TICKS_HEADER + "\n")
@@ -265,9 +265,13 @@ class SweepSpec:
             for value in values:
                 if isinstance(value, bool) or not isinstance(value, Real):
                     raise ValueError(f"parameter {name!r} value {json.dumps(value, default=repr)} is not a number")
-                if float(value) in floats:
+                try:
+                    number = float(value)
+                except OverflowError:
+                    raise ValueError(f"parameter {name!r} value is too large for a float") from None
+                if number in floats:
                     raise ValueError(f"parameter {name!r} repeats the value {json.dumps(value, default=repr)}")
-                floats.append(float(value))
+                floats.append(number)
             if not floats:
                 raise ValueError(f"parameter {name!r} has no values")
         object.__setattr__(self, "variations", tuple((name, tuple(v)) for name, v in variations.items()))
@@ -304,58 +308,52 @@ class SweepResultRow:
     missed: bool
 
 
-# A flagged log, or a lane past its log's end, may overflow or divide by zero;
-# a clean log overflows only where the float kernel does, which does not warn
-# either.
+# A flagged log, or the differencing across two sets' rows, may overflow or
+# divide by zero; a clean log overflows only where the float kernel does,
+# which does not warn either.
 @np.errstate(all="ignore")
 def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tuple:
     """``Conditioner.push`` over every log under each config, with one numpy lane per log.
 
     ``configs`` hold distinct conditioning keys; tick set ``c * len(logs) +
     i`` is log ``i`` under ``configs[c]``. Returns ``(ticks, first,
-    n_ticks, flagged, armed_at)``. ``ticks`` (n, 8, tick sets) holds each
-    tick row of each set once; rows ``first[s] : first[s] + n_ticks[s]``
-    are set ``s``'s armed ticks, bit for bit the tick rows ``push``
-    returns. ``armed_at[s]`` is the sample that arms set ``s``'s takeoff
-    gate, or the log's length if none does. ``flagged[s]``
+    n_ticks, flagged, armed_at)``. ``ticks`` (n, 8) holds every tick row of
+    each set once, one set after another, with no padding; rows ``first[s]
+    : first[s] + n_ticks[s]`` are set ``s``'s armed ticks, bit for bit the
+    tick rows ``push`` returns. ``armed_at[s]`` is the sample that arms set
+    ``s``'s takeoff gate, or the log's length if none does. ``flagged[s]``
     marks a set whose log fails one of ``push``'s checks, with the same
     float comparisons; its rows mean nothing, and ``push`` raises on the
     log. The checks (``_log_checks``) and the takeoff gate
     (``_gate_arms_at``) run per log, a block of samples at a time. The
     filter bank (``_filtered_ticks``) writes into the table, where the
-    rates are differenced and the speeds squared in place.
+    rates are differenced and the speeds squared in place, once over every
+    set.
     """
-    width = len(logs)
     lengths = np.array([len(log) for log in logs])
     checks = [_log_checks(log) for log in logs]  # (passes, extreme steps) per log
-    n = int(lengths.max())
-    ticks = np.zeros((max(n // config.steps_per_estimate() for config in configs), 8, len(configs) * width))
-    first = np.zeros(len(configs) * width, dtype=int)
-    n_ticks = np.zeros(len(configs) * width, dtype=int)
-    flagged = np.zeros(len(configs) * width, dtype=bool)
-    armed_at = np.zeros(len(configs) * width, dtype=int)
+    counts = np.concatenate([lengths // config.steps_per_estimate() for config in configs])  # ticks per set
+    bases = np.concatenate(([0], np.cumsum(counts)))  # set ``s``'s rows are ``bases[s] : bases[s + 1]``
+    ticks = np.zeros((bases[-1], 8))
+    first, armed_at = np.zeros((2, len(counts)), dtype=int)
+    flagged = np.zeros(len(counts), dtype=bool)
     for c, config in enumerate(configs):
-        steps = config.steps_per_estimate()
-        rows = ticks[: n // steps, :, c * width : (c + 1) * width]  # this key's sets, one per log
-        _filtered_ticks(logs, design_lowpass(config.lowpass, config.sensor_interval), steps, rows[:, 1:])
-        for i, log in enumerate(logs):
-            rows[: lengths[i] // steps, 0, i] = log.t[steps - 1 :: steps]
-        # (p - p0) / (t - t0) in place, last block first, so each block reads its predecessor's rates.
-        for stop in range(len(rows), 1, -SAMPLE_BLOCK_ROWS):
-            start = max(stop - SAMPLE_BLOCK_ROWS, 1)
-            rates, t = rows[start - 1 : stop, 1:3], rows[start - 1 : stop, 0]
-            rows[start:stop, 1:3] = (rates[1:] - rates[:-1]) / (t[1:] - t[:-1])[:, None]
-        rows[:1, 1:3] = 0.0  # the first tick has no predecessor
-        np.multiply(rows[:, 4:], rows[:, 4:], out=rows[:, 4:])
+        steps, coeffs = config.steps_per_estimate(), design_lowpass(config.lowpass, config.sensor_interval)
+        _filtered_ticks(logs, coeffs, steps, ticks[:, 1:], bases[c * len(logs) :])
         gate = Conditioner(config)  # the gate's own window and level
-        for i, (log, (passes, extreme_steps)) in enumerate(zip(logs, checks)):
-            s = c * width + i
+        for s, (log, (passes, extreme_steps)) in enumerate(zip(logs, checks), c * len(logs)):
+            ticks[bases[s] : bases[s + 1], 0] = log.t[steps - 1 :: steps]
             armed_at[s] = _gate_arms_at(log, gate)
-            first[s] = armed_at[s] // steps  # the first armed tick
-            n_ticks[s] = lengths[i] // steps - first[s]
-            off = (np.abs(extreme_steps / config.sensor_interval - 1.0) >= STEP_TOLERANCE).any()
-            flagged[s] = not passes or off
-    return ticks, first, n_ticks, flagged, armed_at
+            first[s] = bases[s] + armed_at[s] // steps  # the first armed tick
+            flagged[s] = not passes or (np.abs(extreme_steps / config.sensor_interval - 1.0) >= STEP_TOLERANCE).any()
+    # (p - p0) / (t - t0) in place, last block first, so each block reads its predecessor's rates.
+    for stop in range(len(ticks), 1, -SAMPLE_BLOCK_ROWS):
+        start = max(stop - SAMPLE_BLOCK_ROWS, 1)
+        rates, t = ticks[start - 1 : stop, 1:3], ticks[start - 1 : stop, 0]
+        ticks[start:stop, 1:3] = (rates[1:] - rates[:-1]) / (t[1:] - t[:-1])[:, None]
+    ticks[bases[:-1][counts > 0], 1:3] = 0.0  # a set's first tick has no predecessor
+    np.multiply(ticks[:, 4:], ticks[:, 4:], out=ticks[:, 4:])
+    return ticks, first, bases[1:] - first, flagged, armed_at
 
 
 def _log_checks(log: FlightLog) -> tuple[bool, np.ndarray]:
@@ -414,15 +412,16 @@ def _thrust_proxies(speeds: np.ndarray) -> np.ndarray:
     return w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4
 
 
-def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: int, out: np.ndarray) -> None:
-    """Write the filtered p, q, az and w1..w4 of every log at every ``steps``-th sample into ``out`` (ticks, 7, logs).
+def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: int, out: np.ndarray, bases) -> None:
+    """Write the filtered p, q, az and w1..w4 of log ``i``'s ``k``-th tick into row ``bases[i] + k`` of ``out`` (n, 7).
 
-    ``filter_lanes`` runs on blocks of ``SAMPLE_BLOCK_ROWS`` samples of
-    every log at once, each block taking the bank's memory from the one
-    before, so it holds about three (block, 7, logs) arrays however long the
-    logs are. A lane past its log's end carries stale values, never read.
-    A single log runs in the column form, ``filter_columns``, which gives
-    the same bits without ``filter_lanes``'s ufunc calls per time step.
+    A tick is every ``steps``-th sample. ``filter_lanes`` runs on blocks of
+    ``SAMPLE_BLOCK_ROWS`` samples of every log at once, each block taking
+    the bank's memory from the one before, so it holds about three (block,
+    7, logs) arrays however long the logs are. A lane past its log's end
+    carries stale values and writes nothing. A single log runs in the
+    column form, ``filter_columns``, which gives the same bits without
+    ``filter_lanes``'s ufunc calls per time step.
     """
     n = max(len(log) for log in logs)
     x = np.zeros((min(n, SAMPLE_BLOCK_ROWS) + 2, 7, len(logs)))  # rows 0 and 1: the bank's memory
@@ -442,21 +441,21 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
         at = np.arange(start + offset, start + size, steps)  # tick samples in the block
         if len(logs) == 1:
             for channel, column in enumerate(filter_columns(coeffs, x[: size + 2, :, 0], y[:2, :, 0])):
-                out[at // steps, channel, 0] = column[2 + offset :: steps]
+                out[bases[0] + at // steps, channel] = column[2 + offset :: steps]
                 y[:2, channel, 0] = column[-2:]
         else:
             filter_lanes(coeffs, x[: size + 2], y[: size + 2])
-            out[at // steps] = y[2 + at - start]
+            for i, log in enumerate(logs):
+                mine = at[at < len(log)]
+                out[bases[i] + mine // steps] = y[2 + mine - start, :, i]
             y[:2] = y[size : size + 2]
         x[:2] = x[size : size + 2]
 
 
-def _lane_pass(
-    ticks: np.ndarray, first: np.ndarray, sets: np.ndarray, n_ticks: np.ndarray, configs: list, keys: np.ndarray
-) -> tuple:
-    """Run lane ``l``: ``configs[keys[l]]``'s estimator on ``n_ticks[l]`` ticks of set ``sets[l]``, from row ``first[l]``.
+def _lane_pass(ticks: np.ndarray, first: np.ndarray, n_ticks: np.ndarray, configs: list, keys: np.ndarray) -> tuple:
+    """Run lane ``l``: ``configs[keys[l]]``'s estimator on the ``n_ticks[l]`` rows of ``ticks`` from row ``first[l]``.
 
-    ``ticks`` (n, 8, tick sets) is the ``_condition_lanes`` table, and
+    ``ticks`` (n, 8) is the ``_condition_lanes`` table, and
     ``configs`` holds one config per estimator key, whose gains and noise
     are read once however many lanes run under it. The pass steps the
     lanes longest first, so the lanes still running at a tick are a prefix,
@@ -468,7 +467,7 @@ def _lane_pass(
     ``kalman.step`` or the decision raises.
     """
     run = np.argsort(-n_ticks, kind="stable")  # the lanes, longest first
-    first, sets, keys = first[run], sets[run], keys[run]
+    first, keys = first[run], keys[run]
     running = (n_ticks[run] > np.arange(n_ticks.max())[:, None]).sum(axis=1)  # lanes still running, per tick
     offsets = np.concatenate(([0], np.cumsum(running)))
     gains = np.stack([signed_gains(config.gains) for config in configs], axis=-1)[..., keys]
@@ -478,16 +477,15 @@ def _lane_pass(
     V = np.empty((4, offsets[-1]))
     Y = np.empty((3, offsets[-1]))
     S = np.empty((3, offsets[-1]))
-    by_column = ticks.transpose(1, 0, 2)  # (8, n, tick sets): one fancy index gives a tick's (8, lanes)
     # A lane that trips carries on with infs and NaNs, which must not warn.
     with np.errstate(all="ignore"):
         work = None
         for t, width in enumerate(running.tolist()):
             if work is None or width != work.width:  # the pass narrows: slice once per width
                 work = kalman.LaneWorkspace(width, work)
-                lane_first, lane_sets, lane_q, lane_r = first[:width], sets[:width], q[:width], r[:width]
+                lane_first, lane_q, lane_r = first[:width], q[:width], r[:width]
                 lane_gains = gains[..., :width]
-            rows = by_column[:, lane_first + t, lane_sets]
+            rows = ticks[lane_first + t].T  # (8, lanes)
             kalman.step_lanes(work, lane_gains * rows[4:], rows[1:4], lane_q, lane_r)
             at = slice(offsets[t], offsets[t + 1])
             K[:, at], V[:, at], Y[:, at], S[:, at] = work.k, work.diagonal, work.y, work.s
@@ -565,7 +563,7 @@ def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None 
     key_sets = [ckeys.index(first.conditioning_key()) * len(logs) for first in firsts]
     sets = np.array([key_set + i for i in range(len(logs)) for key_set in key_sets])
     starts, n_ticks = first_armed[sets], n_armed[sets]
-    K, V, columns, tripped = _lane_pass(ticks, starts, sets, n_ticks, firsts, np.arange(len(sets)) % len(firsts))
+    K, V, columns, tripped = _lane_pass(ticks, starts, n_ticks, firsts, np.arange(len(sets)) % len(firsts))
 
     bad = (flagged[sets] | tripped).reshape(len(logs), len(firsts))
     rows: list[SweepResultRow] = [None] * (len(psets) * len(logs))  # row ``position * len(logs) + i``
@@ -581,7 +579,7 @@ def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None 
         for position, (pair, config) in enumerate(zip(pairs, configs)):
             if pair not in records:
                 lane = i * len(firsts) + lane_of[pair[0]]
-                times = ticks[starts[lane] : starts[lane] + n_ticks[lane], 0, sets[lane]]
+                times = ticks[starts[lane] : starts[lane] + n_ticks[lane], 0]
                 k_hats, variances = K.take(columns[lane], axis=1), V.take(columns[lane], axis=1)
                 records[pair] = _exceedance_records(times, k_hats, variances, pair[1], tops[pair])
             result = evaluate_status(first_exceedance(records[pair], config.decision), *span, truth)

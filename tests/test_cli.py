@@ -312,6 +312,30 @@ def test_detect_missing_log_is_usage_error(tmp_path, capsys):
     assert run_cli("detect", "--log", str(tmp_path / "absent.csv")) == 2
 
 
+@pytest.mark.parametrize(
+    "command, what",
+    [("detect --log", "log"), ("detect --config", "config"), ("sweep --spec", "sweep spec"),
+     ("sweep --logs", "log"), ("report --results", "results")],
+)
+def test_directory_for_an_input_file_is_usage_error(tmp_path, capsys, command, what):
+    # A directory where a file is expected exits 2 with one line naming it, as a missing file does.
+    folder = tmp_path / "logs" / "b.csv"
+    folder.mkdir(parents=True)
+    log = _write_hover_log(tmp_path / "logs" / "a.csv")
+    out = tmp_path / "out"
+    argv = {
+        "detect --log": ["detect", "--log", str(folder), "--out", str(out)],
+        "detect --config": ["detect", "--log", str(log), "--config", str(folder), "--out", str(out)],
+        "sweep --spec": ["sweep", "--logs", str(log), "--spec", str(folder), "--out-dir", str(out)],
+        "sweep --logs": ["sweep", "--logs", str(tmp_path / "logs" / "*.csv"), "--out-dir", str(out)],
+        "report --results": ["report", "--results", str(folder), "--out", str(out)],
+    }[command]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: no {what} file at {folder}"]
+    assert captured.out == "" and not out.exists()
+
+
 def _write_hover_log(path, rotor_speed="700.0", gyro_p_at_row=None, gap_before_row=None, rows=40):
     """Hand-written hover log at 500 Hz, 40 rows unless ``rows`` says otherwise.
 
@@ -755,6 +779,8 @@ BAD_SPECS = {
         "estimator_interval (1e+308 s) is more than 2**53 sensor_intervals",
     ),
     "repeated-value": ('{"parameters": {"k_threshold": [0.2, 0.2]}}', "parameter 'k_threshold' repeats the value 0.2"),
+    # An integer past the float range once exited without naming the parameter.
+    "int-too-large-for-a-float": ('{"parameters": {"g_p": [1%s]}}' % ("0" * 400), "parameter 'g_p' value is too large"),
     # Only "parameters" is read: a base would be dropped without a word.
     "unknown-top-level-key": (
         '{"parameters": {"k_threshold": [0.2]}, "base": {"g_p": 9}}',

@@ -249,7 +249,8 @@ def _sweep_outcome(logs, spec):
 # then one long log beside short ones under a single estimator key, so the pass narrows to width
 # 1 and runs on across the 1,024- and 2,048-tick block edges; then a later log's NaN; an earlier
 # log's tripped lane; and one log bad under two estimator keys, where the first key's late NaN
-# comes before the second key's overflow.
+# comes before the second key's overflow. Last, a log more than ten times longer than the others
+# under two conditioning keys, beside a last log with no tick under either.
 @example(
     log_cases=[Case("long_ejection", 2049), Case("takeoff", 2048), Case("ejection", 11, idle=4)],
     base=_config(),
@@ -275,6 +276,11 @@ def _sweep_outcome(logs, spec):
     base=_config(),
     variations=[("g_az", 1e308)],
 )
+@example(
+    log_cases=[Case("takeoff", 3000), Case("ejection", 250, idle=100), Case("ejection", 5)],
+    base=_config(),
+    variations=[("estimator_interval", 7), ("k_threshold", 0.15)],
+)
 def test_sweep_rows_reach_the_streaming_outcomes(sources, log_cases, base, variations):
     logs = [_build(case, sources) for case in log_cases]
     values = {key: value * base.sensor_interval if key == "estimator_interval" else value for key, value in variations}
@@ -294,5 +300,5 @@ def test_sweep_rows_reach_the_streaming_outcomes(sources, log_cases, base, varia
             if not flagged[s]:
                 assert (n_ticks[s], armed_at[s]) == (one_n[0], one_armed_at[0])
                 armed, one_armed = slice(first[s], first[s] + n_ticks[s]), slice(one_first[0], one_first[0] + one_n[0])
-                assert ticks[armed, :, s].tobytes() == one_ticks[one_armed, :, 0].tobytes()
-                assert ticks[armed, :, s].tobytes() == pushed_ticks(log, config).tobytes()
+                assert ticks[armed].tobytes() == one_ticks[one_armed].tobytes()
+                assert ticks[armed].tobytes() == pushed_ticks(log, config).tobytes()

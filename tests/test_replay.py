@@ -179,6 +179,7 @@ BAD_VARIATIONS = {
     "string-value": ((("g_p", ("1e1",)),), '^parameter \'g_p\' value "1e1" is not a number$'),
     "none-value": ((("g_p", (None,)),), "^parameter 'g_p' value null is not a number$"),
     "repeated-name": ((("k_threshold", (0.15,)), ("k_threshold", (0.35,))), "^repeated parameter 'k_threshold'$"),
+    "int-too-large": ((("g_p", (10**400,)),), "^parameter 'g_p' value is too large for a float$"),
 }
 
 
@@ -540,7 +541,7 @@ def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, tak
                 armed = slice(set_firsts[s], set_firsts[s] + set_counts[s])
                 assert not set_flags[s]
                 assert set_counts[s] == len(want)
-                assert np.ascontiguousarray(set_ticks[armed, :, s]).tobytes() == want.tobytes(), (c, i, s)
+                assert np.ascontiguousarray(set_ticks[armed]).tobytes() == want.tobytes(), (c, i, s)
                 assert armed_at[s] == (len(log) if arming is None else arming), (c, i, s)
     per_log = n_ticks.reshape(len(configs), len(logs))
     periods = np.array([len(ramp) // config.steps_per_estimate() for config in configs])
@@ -556,6 +557,22 @@ def test_conditioning_lanes_equal_conditioner_push_bit_for_bit(ejection_log, tak
             direct.false_alarm_count,
             direct.missed_detection,
         )
+
+
+def test_conditioning_table_holds_each_sets_ticks_once(ejection_log, takeoff_logs):
+    # One 8-float row per tick of each (conditioning key, log) set, set after
+    # set in order, with no padding: short logs beside a long one, under two
+    # estimator periods, pay for their own ticks only, and a log with no tick
+    # holds no row.
+    base = default_config()
+    configs = [base, config_with(base, "estimator_interval", 7 * base.sensor_interval)]
+    logs = [takeoff_logs[0], _head(ejection_log, 250), _head(ejection_log, 5)]
+    counts = [len(log) // config.steps_per_estimate() for config in configs for log in logs]
+    assert counts[2] == counts[5] == 0 and len(logs[0]) >= 10 * len(logs[1])
+    ticks, first, n_ticks, flagged, _ = replay._condition_lanes(logs, configs)
+    assert not flagged.any()
+    assert ticks.shape == (sum(counts), 8) and ticks.dtype == np.float64
+    assert (first + n_ticks).tolist() == np.cumsum(counts).tolist()  # each set's armed ticks end its rows
 
 
 def _first_replay_error(logs, spec):
@@ -691,9 +708,9 @@ def test_sweep_refuses_a_trip_the_float_kernel_does_not_confirm(ejection_log, mo
     # raises nothing, and the sweep says so.
     lane_pass = replay._lane_pass
 
-    def trip_everything(ticks, first, sets, n_ticks, configs, keys):
-        K, V, offsets, _ = lane_pass(ticks, first, sets, n_ticks, configs, keys)
-        return K, V, offsets, np.arange(len(sets))
+    def trip_everything(ticks, first, n_ticks, configs, keys):
+        K, V, offsets, _ = lane_pass(ticks, first, n_ticks, configs, keys)
+        return K, V, offsets, np.arange(len(first))
 
     monkeypatch.setattr(replay, "_lane_pass", trip_everything)
     spec = SweepSpec(base=default_config(), variations=(("g_q", (1.2e-4,)),))
@@ -714,7 +731,7 @@ def test_conditioning_lanes_arm_while_the_gate_window_fills(ejection_log):
     want = pushed_ticks(log, config)
     for logs in ([log], [log, ejection_log]):
         ticks, first, n_ticks, flagged, armed_at = replay._condition_lanes(logs, [config])
-        armed = ticks[first[0] : first[0] + n_ticks[0], :, 0]
+        armed = ticks[first[0] : first[0] + n_ticks[0]]
         assert not flagged.any() and armed_at[0] == arming
         assert n_ticks[0] == len(want) and np.ascontiguousarray(armed).tobytes() == want.tobytes()
 
@@ -729,7 +746,7 @@ def test_conditioning_lanes_difference_across_tick_block_edges(takeoff_logs):
     assert len(want) > SAMPLE_BLOCK_ROWS
     for logs in (takeoff_logs[:1], takeoff_logs[:2]):
         ticks, first, n_ticks, flagged, _ = replay._condition_lanes(logs, [config])
-        armed = ticks[first[0] : first[0] + n_ticks[0], :, 0]
+        armed = ticks[first[0] : first[0] + n_ticks[0]]
         assert not flagged.any() and n_ticks[0] == len(want)
         assert np.ascontiguousarray(armed).tobytes() == want.tobytes()
 
