@@ -22,7 +22,9 @@ numpy lane per pair, all stepped together by ``kalman.step_lanes``, which is
 bit-identical to ``kalman.step`` on each lane. Lanes run longest first, and
 the pass narrows as shorter runs end, so no lane steps past its own last
 tick. The lanes step in buffers made once per width, and each lane's
-inputs are sliced once per width. The failure probabilities of each
+inputs are sliced once per width. Of each tick the pass keeps only the
+estimates below the lane's largest ``k_threshold``, and folds its trip
+checks into running extremes. The failure probabilities of each
 distinct ``k_threshold`` are then taken per lane on the estimates below
 it only, each actuator's up to the first probability that latches every
 config sharing them, and each config latches by first exceedance
@@ -44,6 +46,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -452,64 +455,67 @@ def _filtered_ticks(logs: list[FlightLog], coeffs: FilterCoefficients, steps: in
         x[:2] = x[size : size + 2]
 
 
-def _lane_pass(ticks: np.ndarray, first: np.ndarray, n_ticks: np.ndarray, configs: list, keys: np.ndarray) -> tuple:
+def _lane_pass(ticks: np.ndarray, first: np.ndarray, n_ticks: np.ndarray, configs: list, keys, k_tops) -> tuple:
     """Run lane ``l``: ``configs[keys[l]]``'s estimator on the ``n_ticks[l]`` rows of ``ticks`` from row ``first[l]``.
 
-    ``ticks`` (n, 8) is the ``_condition_lanes`` table, and
-    ``configs`` holds one config per estimator key, whose gains and noise
-    are read once however many lanes run under it. The pass steps the
-    lanes longest first, so the lanes still running at a tick are a prefix,
-    and it narrows to them as the others end. Returns ``(K, V, columns,
-    tripped)``: ``K`` and ``V`` (4, N) hold the estimates and variances
-    after each tick of each lane, lane ``l``'s in the columns
-    ``columns[l]``, in tick order. ``tripped[l]`` marks a lane that meets a
-    NaN innovation, an ``s`` outside (0, inf) or a negative variance: where
-    ``kalman.step`` or the decision raises.
+    ``ticks`` (n, 8) is the ``_condition_lanes`` table; ``configs`` holds
+    each estimator key's first config, whose gains and noise are read once,
+    and ``k_tops[l]`` is the largest ``k_threshold`` of lane ``l``'s key.
+    Lanes step longest first, so those still running are a prefix, and the
+    pass narrows to them. It returns ``(below, tripped)``, all the decision
+    reads: ``below[l]`` is lane ``l``'s ``(t, actuator, k_hat, variance)``
+    with ``k_hat < k_tops[l]`` in tick order; ``tripped[l]`` marks a lane
+    meeting a NaN innovation, an ``s`` outside (0, inf) or a negative
+    variance, where ``kalman.step`` or the decision raises.
     """
     run = np.argsort(-n_ticks, kind="stable")  # the lanes, longest first
-    first, keys = first[run], keys[run]
+    first, keys, top = first[run], keys[run], k_tops[run]
     running = (n_ticks[run] > np.arange(n_ticks.max())[:, None]).sum(axis=1)  # lanes still running, per tick
-    offsets = np.concatenate(([0], np.cumsum(running)))
     gains = np.stack([signed_gains(config.gains) for config in configs], axis=-1)[..., keys]
     q = np.array([config.noise.process_noise_q for config in configs])[keys]
     r = np.array([config.noise.measurement_noise_r for config in configs])[keys]
-    K = np.empty((4, offsets[-1]))
-    V = np.empty((4, offsets[-1]))
-    Y = np.empty((3, offsets[-1]))
-    S = np.empty((3, offsets[-1]))
+    below = [[] for _ in run]
+    below_run = [below[lane] for lane in run.tolist()]  # by each lane's place in the pass
+    # Each lane's running extremes, from 1, which trips nothing: a NaN y sticks, and fmin skips a NaN variance.
+    y_max, s_min, s_max, v_min = np.split(np.ones((13, len(run))), [3, 6, 9])
     # A lane that trips carries on with infs and NaNs, which must not warn.
     with np.errstate(all="ignore"):
         work = None
-        for t, width in enumerate(running.tolist()):
+        for tick, width in enumerate(running.tolist()):
             if work is None or width != work.width:  # the pass narrows: slice once per width
                 work = kalman.LaneWorkspace(width, work)
-                lane_first, lane_q, lane_r = first[:width], q[:width], r[:width]
-                lane_gains = gains[..., :width]
-            rows = ticks[lane_first + t].T  # (8, lanes)
+                lane_first, lane_q, lane_r, lane_top = first[:width], q[:width], r[:width], top[:width]
+                lane_gains, hit = gains[..., :width], np.empty((4, width), dtype=bool)
+                lane_y, lane_s_min, lane_s_max, lane_v = (a[:, :width] for a in (y_max, s_min, s_max, v_min))
+            rows = ticks[lane_first + tick].T  # (8, lanes)
             kalman.step_lanes(work, lane_gains * rows[4:], rows[1:4], lane_q, lane_r)
-            at = slice(offsets[t], offsets[t + 1])
-            K[:, at], V[:, at], Y[:, at], S[:, at] = work.k, work.diagonal, work.y, work.s
-        bad = np.isnan(Y).any(axis=0) | ~((S > 0.0) & (S < math.inf)).all(axis=0) | (V < 0.0).any(axis=0)
-    place = np.argsort(run)  # each lane's column within a tick
-    columns = [offsets[:n] + at for n, at in zip(n_ticks.tolist(), place.tolist())]
-    column_place = np.arange(offsets[-1]) - np.repeat(offsets[:-1], running)  # the place of each column's lane
-    return K, V, columns, np.isin(place, column_place[bad])
+            np.maximum(lane_y, work.y, out=lane_y)  # ``out`` by keyword: numpy 2.4 deprecates it positional here
+            np.minimum(lane_s_min, work.s, out=lane_s_min)
+            np.maximum(lane_s_max, work.s, out=lane_s_max)
+            np.fmin(lane_v, work.diagonal, out=lane_v)
+            i, lane = np.less(work.k, lane_top, hit).nonzero()  # by actuator, then lane
+            if i.size:
+                t, k_hat, variance = rows[0, lane].tolist(), work.k[i, lane].tolist(), work.diagonal[i, lane].tolist()
+                for place, entry in zip(lane.tolist(), zip(t, i.tolist(), k_hat, variance)):
+                    below_run[place].append(entry)
+    tripped = np.empty(len(run), dtype=bool)
+    tripped[run] = (np.isnan(y_max) | ~((s_min > 0.0) & (s_max < math.inf))).any(axis=0) | (v_min < 0.0).any(axis=0)
+    return below, tripped
 
 
-def _exceedance_records(times: np.ndarray, k_hats: np.ndarray, variances: np.ndarray, k_threshold, top) -> tuple:
+def _exceedance_records(below: list, k_threshold, top) -> tuple:
     """Each actuator's ``(t, p)`` pairs on its sub-threshold ticks, in tick order: ``first_exceedance``'s records.
 
-    ``k_hats`` and ``variances`` (4, n) are one lane's estimates after each
-    of its ticks at ``times``. Each record stops at its first ``p > top``:
-    every config whose ``probability_threshold`` is at most ``top`` has
-    latched by then, so ``first_exceedance`` never reads past it.
+    ``below`` is one lane's ``(t, actuator, k_hat, variance)`` entries from
+    ``_lane_pass``, in tick order; those with ``k_hat < k_threshold`` count.
+    Each record stops at its first ``p > top``: every config whose
+    ``probability_threshold`` is at most ``top`` has latched by then, so
+    ``first_exceedance`` never reads past it.
     """
     records = ([], [], [], [])
-    picked = actuator, tick = (k_hats < k_threshold).nonzero()  # by actuator, then tick
-    below = zip(actuator.tolist(), times[tick].tolist(), k_hats[picked].tolist(), variances[picked].tolist())
-    for i, t, k_hat, variance in below:
+    for t, i, k_hat, variance in below:
         record = records[i]
-        if not (record and record[-1][1] > top):
+        if k_hat < k_threshold and not (record and record[-1][1] > top):
             record.append((t, failure_probability(k_hat, variance, k_threshold)))
     return records
 
@@ -556,14 +562,15 @@ def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None 
         tops[pair] = max(tops.get(pair, 0.0), config.decision.probability_threshold)
     lane_of = {key: lane for lane, key in enumerate(first_of)}  # log ``i``'s lane is ``i * len(firsts) + lane``
     firsts = list(first_of.values())
+    k_tops = [max(k for key, k in pairs if key == first_key) for first_key in first_of]  # per estimator key
     conditioning = {first.conditioning_key(): first for first in firsts}  # equal keys condition alike
     ckeys = list(conditioning)
     ticks, first_armed, n_armed, flagged, _ = _condition_lanes(logs, list(conditioning.values()))
 
     key_sets = [ckeys.index(first.conditioning_key()) * len(logs) for first in firsts]
     sets = np.array([key_set + i for i in range(len(logs)) for key_set in key_sets])
-    starts, n_ticks = first_armed[sets], n_armed[sets]
-    K, V, columns, tripped = _lane_pass(ticks, starts, n_ticks, firsts, np.arange(len(sets)) % len(firsts))
+    keys = np.arange(len(sets)) % len(firsts)
+    below, tripped = _lane_pass(ticks, first_armed[sets], n_armed[sets], firsts, keys, np.array(k_tops)[keys])
 
     bad = (flagged[sets] | tripped).reshape(len(logs), len(firsts))
     rows: list[SweepResultRow] = [None] * (len(psets) * len(logs))  # row ``position * len(logs) + i``
@@ -578,10 +585,7 @@ def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None 
         records: dict[tuple, tuple] = {}  # (estimator key, k_threshold) -> this log's exceedance records
         for position, (pair, config) in enumerate(zip(pairs, configs)):
             if pair not in records:
-                lane = i * len(firsts) + lane_of[pair[0]]
-                times = ticks[starts[lane] : starts[lane] + n_ticks[lane], 0]
-                k_hats, variances = K.take(columns[lane], axis=1), V.take(columns[lane], axis=1)
-                records[pair] = _exceedance_records(times, k_hats, variances, pair[1], tops[pair])
+                records[pair] = _exceedance_records(below[i * len(firsts) + lane_of[pair[0]]], pair[1], tops[pair])
             result = evaluate_status(first_exceedance(records[pair], config.decision), *span, truth)
             rows[position * len(logs) + i] = SweepResultRow(
                 param_set_id=psets[position].set_id,
@@ -737,9 +741,11 @@ def read_results_csv(path) -> list[SweepResultRow]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = tuple(next(reader, ()))
-            if header != RESULTS_HEADER:
-                raise ValueError(f"unexpected results header {header!r}")
+            header, expected = next(reader, []), RESULTS_HEADER
+            if tuple(header) != expected:  # name the first field that differs, cut short
+                j = next(j for j, name in enumerate([*header, None]) if j == len(expected) or name != expected[j])
+                got = "missing" if j == len(header) else reprlib.repr(header[j])
+                raise ValueError(f"unexpected results header: field {j + 1} is {got}, expected {','.join(expected)}")
             for record in reader:
                 if not record:
                     continue

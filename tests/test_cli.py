@@ -611,6 +611,13 @@ def test_sweep_and_report_each_build_the_parameter_sets_once(tmp_path, capsys, m
     ("rows", "message"),
     [
         ("param_set_id,log_id,delay\n", "unexpected results header"),
+        (
+            "param_set_id,log_id," + "d" * 5000 + ",false_alarms,missed\n",
+            f"line 1: unexpected results header: field 3 is '{'d' * 12}...{'d' * 13}', "
+            "expected param_set_id,log_id,delay_s,false_alarms,missed",
+        ),
+        ("param_set_id,log_id,delay_s,false_alarms\n", "line 1: unexpected results header: field 5 is missing,"),
+        ("param_set_id,log_id,delay_s,false_alarms,missed,n\n", "line 1: unexpected results header: field 6 is 'n',"),
         ("param_set_id,log_id,delay_s,false_alarms,missed\nset_00_base,a\n", "line 2: expected 5 fields, got 2"),
         (
             "param_set_id,log_id,delay_s,false_alarms,missed\nset_00_base,a,0.1,0,0\nset_00_base,b,soon,0,0\n",
@@ -621,7 +628,8 @@ def test_sweep_and_report_each_build_the_parameter_sets_once(tmp_path, capsys, m
             "line 2: field larger than field limit",
         ),
     ],
-    ids=["header", "short-row", "number", "oversized-field"],
+    ids=["header", "long-header-field", "missing-header-field", "extra-header-field"]
+    + ["short-row", "number", "oversized-field"],
 )
 def test_report_malformed_results_file_is_usage_error(tmp_path, capsys, rows, message):
     # A malformed input file exits 2, as a bad log does for detect and sweep.

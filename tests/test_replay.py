@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from loedetect.replay import (
     write_results_csv,
     write_summary_csv,
 )
-from loedetect.simulator import SensorNoiseModel, fly_scenario
+from loedetect.simulator import FaultEvent, SensorNoiseModel, fly_scenario
 from oracles import pushed_ticks, serial_evaluation, state_arrays, state_from_arrays, sweep_probability_evaluations
 
 
@@ -429,6 +430,80 @@ def test_sweep_steps_each_lane_over_its_own_ticks_only(ejection_log, monkeypatch
         )
 
 
+TRIP_FAULTS = {
+    "nan-innovation": ({1: ("y", math.nan)}, True),
+    "zero-s": ({1: ("s", 0.0)}, True),
+    "infinite-s": ({1: ("s", math.inf)}, True),
+    "nan-s": ({1: ("s", math.nan)}, True),
+    "negative-variance": ({1: ("variance", -1e-9)}, True),
+    "nan-variance-then-negative": ({0: ("variance", math.nan), 1: ("variance", -1e-9)}, True),
+    "nan-innovation-then-finite": ({0: ("y", math.nan)}, True),
+    "nan-variance-only": ({0: ("variance", math.nan)}, False),
+    "none": ({}, False),
+}
+
+
+@pytest.mark.parametrize(("faults", "trips"), TRIP_FAULTS.values(), ids=TRIP_FAULTS.keys())
+def test_lane_pass_folds_each_trip_into_a_lane_that_leaves_early(monkeypatch, faults, trips):
+    # Lane 0 runs 3 ticks and lane 1 six, so lane 0 steps second and leaves
+    # the pass after its third tick; its fault lands on its first or second
+    # tick, and finite ticks follow it. The fake kernel writes a clean tick
+    # on every lane (k 1, variances 1, y 0, s 1), and on lane 0 (q = 0.05)
+    # the tick's fault and, on its last tick, k_hat 0.1 for actuator 4.
+    ticks = np.ones((9, 8))
+    ticks[:, 0] = 1.0 + 0.02 * np.arange(9)
+    configs = [config_with(default_config(), "process_noise_q", 0.05), default_config()]
+    calls = []
+
+    def step_lanes(work, H, z, q, r):
+        lane = q == 0.05
+        tick = len(calls)
+        calls.append(work.width)
+        work.k[:], work.P[:], work.y[:], work.s[:] = 1.0, 0.0, 0.0, 1.0
+        work.diagonal[:] = 1.0
+        field, value = faults.get(tick, ("y", 0.0))
+        {"y": work.y[0], "s": work.s[1], "variance": work.diagonal[2]}[field][lane] = value
+        if tick == 2:
+            work.k[3, lane] = 0.1
+
+    monkeypatch.setattr(kalman, "step_lanes", step_lanes)
+    first, n_ticks, keys = np.array([0, 3]), np.array([3, 6]), np.array([0, 1])
+    below, tripped = replay._lane_pass(ticks, first, n_ticks, configs, keys, np.array([0.25, 0.25]))
+    assert calls == [2, 2, 2, 1, 1, 1]
+    assert tripped.dtype == bool and tripped.tolist() == [trips, False]
+    assert below == [[(ticks[2, 0], 3, 0.1, 1.0)], []]
+
+
+def test_sweep_memory_grows_with_the_tick_table_only():
+    # A short ejection log beside a hover log that doubles from 10 to 20 s:
+    # the lanes keep no per-tick store, so the sweep's traced peak grows by
+    # at most 4 times the growth of the (ticks, 8) table that holds the
+    # added ticks.
+    fault = FaultEvent(time=1.1, actuator_index=3)
+    ejection = fly_scenario("hover", duration=1.5, fault=fault, noise=SensorNoiseModel(seed=3))
+    spec, tables, peaks = default_sweep_spec(), [], []
+    condition_lanes = replay._condition_lanes
+
+    def recording_condition_lanes(logs, configs):
+        conditioned = condition_lanes(logs, configs)
+        tables.append(conditioned[0].nbytes)
+        return conditioned
+
+    for seconds in (10.0, 20.0):
+        logs = [ejection, fly_scenario("hover", duration=seconds, noise=SensorNoiseModel(seed=5))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(replay, "_condition_lanes", recording_condition_lanes)
+            tracemalloc.start()
+            try:
+                rows = run_sweep(logs, spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(rows) == 2 * len(spec.parameter_sets())
+    assert tables[1] > tables[0]
+    assert peaks[1] - peaks[0] <= 4 * (tables[1] - tables[0])
+
+
 def test_sweep_replays_the_first_tripped_lane_in_log_order(ejection_log, monkeypatch):
     # Both logs trip under g_az = 1e308; the longer one runs first in the
     # lane pass, but the shorter one comes first in the sweep.
@@ -708,9 +783,9 @@ def test_sweep_refuses_a_trip_the_float_kernel_does_not_confirm(ejection_log, mo
     # raises nothing, and the sweep says so.
     lane_pass = replay._lane_pass
 
-    def trip_everything(ticks, first, n_ticks, configs, keys):
-        K, V, offsets, _ = lane_pass(ticks, first, n_ticks, configs, keys)
-        return K, V, offsets, np.arange(len(first))
+    def trip_everything(ticks, first, n_ticks, configs, keys, k_tops):
+        below, tripped = lane_pass(ticks, first, n_ticks, configs, keys, k_tops)
+        return below, np.ones_like(tripped)
 
     monkeypatch.setattr(replay, "_lane_pass", trip_everything)
     spec = SweepSpec(base=default_config(), variations=(("g_q", (1.2e-4,)),))
