@@ -106,7 +106,7 @@ def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
     try:
         if path is None:
             return default_sweep_spec(base)
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a UTF-8 byte-order mark is skipped
             payload = json.load(fh, object_pairs_hook=_unique_names)
         return SweepSpec(base=base, variations=_spec_variations(payload))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

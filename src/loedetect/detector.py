@@ -216,7 +216,7 @@ def parse_config(text: str) -> DetectorConfig:
 
 
 def read_config(path) -> DetectorConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a UTF-8 byte-order mark is skipped
         return parse_config(fh.read())
 
 

@@ -64,12 +64,16 @@ class LogFormatError(ValueError):
         self.sample = sample
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlightLog:
-    """Time series of raw samples plus the optional ground-truth annotation.
+    """Time series of raw samples plus the optional ground-truth annotation: a read-only value.
 
-    A log is validated when it is built; ``validate`` re-checks one whose
-    arrays were changed in place.
+    A log is validated when it is built, and its fields and four arrays are
+    read-only from then on; ``dataclasses.replace`` builds, so validates, a
+    new log. An array that owns its memory is made read-only in place, so
+    the caller's handle to it is read-only too (a view of it taken before
+    still writes); a view, or any other array-like, is copied first, since
+    whatever holds its base could still write to it.
     """
 
     sample_rate_hz: float
@@ -82,6 +86,12 @@ class FlightLog:
     vehicle: str = "default"
 
     def __post_init__(self) -> None:
+        for name in ("t", "gyro", "accel_z", "rotor_speeds"):
+            values = getattr(self, name)
+            if not isinstance(values, np.ndarray) or values.base is not None:
+                values = np.array(values)
+                object.__setattr__(self, name, values)
+            values.flags.writeable = False
         self.validate()
 
     def __len__(self) -> int:

@@ -35,8 +35,9 @@ which streams a log through a fresh ``Detector`` and so raises what
 replay's conditioning flags it, and on a sweep's first bad log: one that
 fails a sample-rate check, that the conditioning lanes flag or whose
 estimator lane meets a NaN innovation, an innovation variance outside (0,
-inf) or a negative variance. A sweep evaluates a log that is not bad, so
-checks its annotation, before the next. Evaluation produces the three
+inf) or a negative variance. A ``FlightLog`` is validated when built and
+read-only after, so the conditioning flags only a timestamp step outside
+a ``sensor_interval``'s step band. Evaluation produces the three
 metrics that matter for a fault detector: detection delay, false alarms,
 missed detections.
 """
@@ -68,7 +69,6 @@ from .detector import (
 )
 from .effectiveness import signed_gains
 from .filters import (
-    MAX_ROTOR_SPEED_RAD_S,
     STEP_TOLERANCE,
     FilterCoefficients,
     design_lowpass,
@@ -311,9 +311,8 @@ class SweepResultRow:
     missed: bool
 
 
-# A flagged log, or the differencing across two sets' rows, may overflow or
-# divide by zero; a clean log overflows only where the float kernel does,
-# which does not warn either.
+# The differencing across two sets' rows may divide by zero, and a log
+# overflows only where the float kernel does, which does not warn either.
 @np.errstate(all="ignore")
 def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tuple:
     """``Conditioner.push`` over every log under each config, with one numpy lane per log.
@@ -325,16 +324,19 @@ def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tu
     : first[s] + n_ticks[s]`` are set ``s``'s armed ticks, bit for bit the
     tick rows ``push`` returns. ``armed_at[s]`` is the sample that arms set
     ``s``'s takeoff gate, or the log's length if none does. ``flagged[s]``
-    marks a set whose log fails one of ``push``'s checks, with the same
-    float comparisons; its rows mean nothing, and ``push`` raises on the
-    log. The checks (``_log_checks``) and the takeoff gate
-    (``_gate_arms_at``) run per log, a block of samples at a time. The
-    filter bank (``_filtered_ticks``) writes into the table, where the
-    rates are differenced and the speeds squared in place, once over every
-    set.
+    marks a set whose log has a timestamp step outside ``push``'s step
+    band for the config's ``sensor_interval``, with the same float
+    comparison; its rows mean nothing, and ``push`` raises on the log.
+    ``FlightLog.validate`` holds every other rule of ``push``, and the
+    band is monotone in the step, so the log's shortest and longest step
+    decide the flag. The takeoff gate (``_gate_arms_at``) runs per log, a
+    block of samples at a time. The filter bank (``_filtered_ticks``)
+    writes into the table, where the rates are differenced and the speeds
+    squared in place, once over every set.
     """
     lengths = np.array([len(log) for log in logs])
-    checks = [_log_checks(log) for log in logs]  # (passes, extreme steps) per log
+    # Each log's shortest and longest timestamp step; a 1-row log has none.
+    extremes = [np.array([dt.min(), dt.max()]) if len(dt) else dt for dt in (np.diff(log.t) for log in logs)]
     counts = np.concatenate([lengths // config.steps_per_estimate() for config in configs])  # ticks per set
     bases = np.concatenate(([0], np.cumsum(counts)))  # set ``s``'s rows are ``bases[s] : bases[s + 1]``
     ticks = np.zeros((bases[-1], 8))
@@ -344,11 +346,11 @@ def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tu
         steps, coeffs = config.steps_per_estimate(), design_lowpass(config.lowpass, config.sensor_interval)
         _filtered_ticks(logs, coeffs, steps, ticks[:, 1:], bases[c * len(logs) :])
         gate = Conditioner(config)  # the gate's own window and level
-        for s, (log, (passes, extreme_steps)) in enumerate(zip(logs, checks), c * len(logs)):
+        for s, (log, extreme) in enumerate(zip(logs, extremes), c * len(logs)):
             ticks[bases[s] : bases[s + 1], 0] = log.t[steps - 1 :: steps]
             armed_at[s] = _gate_arms_at(log, gate)
             first[s] = bases[s] + armed_at[s] // steps  # the first armed tick
-            flagged[s] = not passes or (np.abs(extreme_steps / config.sensor_interval - 1.0) >= STEP_TOLERANCE).any()
+            flagged[s] = (np.abs(extreme / config.sensor_interval - 1.0) >= STEP_TOLERANCE).any()
     # (p - p0) / (t - t0) in place, last block first, so each block reads its predecessor's rates.
     for stop in range(len(ticks), 1, -SAMPLE_BLOCK_ROWS):
         start = max(stop - SAMPLE_BLOCK_ROWS, 1)
@@ -357,31 +359,6 @@ def _condition_lanes(logs: list[FlightLog], configs: list[DetectorConfig]) -> tu
     ticks[bases[:-1][counts > 0], 1:3] = 0.0  # a set's first tick has no predecessor
     np.multiply(ticks[:, 4:], ticks[:, 4:], out=ticks[:, 4:])
     return ticks, first, bases[1:] - first, flagged, armed_at
-
-
-def _log_checks(log: FlightLog) -> tuple[bool, np.ndarray]:
-    """Whether ``log`` passes ``push``'s order and value checks, and its shortest and longest timestamp steps.
-
-    Taken one block of ``SAMPLE_BLOCK_ROWS`` rows at a time. The step check
-    is monotone in the step, so the two extreme steps decide it for every
-    ``sensor_interval``; a 1-row log has none.
-    """
-    passes, shortest, longest = True, math.inf, -math.inf
-    for start in range(0, len(log), SAMPLE_BLOCK_ROWS):
-        block = slice(start, start + SAMPLE_BLOCK_ROWS)
-        t = np.asarray(log.t[max(start - 1, 0) : block.stop], dtype=float)  # from the sample before the block
-        speeds = np.asarray(log.rotor_speeds[block], dtype=float)
-        steps = np.diff(t)
-        passes = passes and bool(
-            (steps > 0.0).all()
-            and np.isfinite(t).all()
-            and np.isfinite(log.gyro[block]).all()
-            and np.isfinite(log.accel_z[block]).all()
-            and ((0.0 <= speeds) & (speeds <= MAX_ROTOR_SPEED_RAD_S)).all()
-        )
-        if len(steps):
-            shortest, longest = min(shortest, steps.min()), max(longest, steps.max())
-    return passes, np.array([shortest, longest] if len(log) > 1 else [])
 
 
 def _gate_arms_at(log: FlightLog, gate: Conditioner) -> int:
@@ -537,11 +514,9 @@ def run_sweep(logs: list[FlightLog], spec: SweepSpec, log_ids: list[str] | None 
     uses is flagged, or if one of its lanes tripped. A bad log is replayed
     serially: the sample-rate check of every config, then
     ``_replay_serially`` under the first config of each of its bad lanes,
-    in key order. A log that is not bad is evaluated, which checks its
-    annotation (``evaluate_status``). So an earlier log's trip or annotation
-    error beats a later log's failed check, and within one (log, estimator
-    key) the float replay decides which error comes first. A clean sweep
-    replays nothing.
+    in key order. So an earlier log's trip beats a later log's failed
+    check, and within one (log, estimator key) the float replay decides
+    which error comes first. A clean sweep replays nothing.
     """
     if not logs:
         raise ValueError("sweep needs at least one log")
@@ -732,13 +707,14 @@ def read_results_csv(path) -> list[SweepResultRow]:
 
     A wrong header, a malformed row, a non-finite ``delay_s``, a negative
     ``false_alarms``, a ``missed`` other than 0 or 1 or a repeated
-    ``(param_set_id, log_id)`` pair raises ``ValueError`` naming the line.
-    A negative delay is kept: a latch on the failed actuator before the
-    annotated fault time gives one.
+    ``(param_set_id, log_id)`` pair raises ``ValueError`` naming the line;
+    an empty file names line 1, where the header belongs. A UTF-8
+    byte-order mark is skipped. A negative delay is kept: a latch on the
+    failed actuator before the annotated fault time gives one.
     """
     rows = []
     seen = set()  # the (param_set_id, log_id) pairs read so far
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header, expected = next(reader, []), RESULTS_HEADER
@@ -765,7 +741,7 @@ def read_results_csv(path) -> list[SweepResultRow]:
                 seen.add(pair)
                 rows.append(SweepResultRow(record[0], record[1], delay, false_alarms, bool(missed)))
         except (ValueError, csv.Error) as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
+            raise ValueError(f"line {reader.line_num or 1}: {exc}") from None
     return rows
 
 

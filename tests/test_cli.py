@@ -617,6 +617,7 @@ def test_sweep_and_report_each_build_the_parameter_sets_once(tmp_path, capsys, m
             "expected param_set_id,log_id,delay_s,false_alarms,missed",
         ),
         ("param_set_id,log_id,delay_s,false_alarms\n", "line 1: unexpected results header: field 5 is missing,"),
+        ("", "line 1: unexpected results header: field 1 is missing,"),
         ("param_set_id,log_id,delay_s,false_alarms,missed,n\n", "line 1: unexpected results header: field 6 is 'n',"),
         ("param_set_id,log_id,delay_s,false_alarms,missed\nset_00_base,a\n", "line 2: expected 5 fields, got 2"),
         (
@@ -628,7 +629,7 @@ def test_sweep_and_report_each_build_the_parameter_sets_once(tmp_path, capsys, m
             "line 2: field larger than field limit",
         ),
     ],
-    ids=["header", "long-header-field", "missing-header-field", "extra-header-field"]
+    ids=["header", "long-header-field", "missing-header-field", "empty-file", "extra-header-field"]
     + ["short-row", "number", "oversized-field"],
 )
 def test_report_malformed_results_file_is_usage_error(tmp_path, capsys, rows, message):
@@ -815,6 +816,16 @@ def test_bad_sweep_spec_is_usage_error(tmp_path, capsys, command, spec_text, mes
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: bad sweep spec {spec}: ") and message in err[0]
     assert captured.out == "" and not out_dir.exists()
+
+
+def test_report_reads_a_spec_with_a_byte_order_mark(tmp_path, capsys):
+    # Editors on Windows save JSON with a UTF-8 byte-order mark; the spec loader skips it.
+    spec = tmp_path / "spec.json"
+    spec.write_text('\ufeff{"parameters": {"k_threshold": [0.15]}}', encoding="utf-8")
+    results = tmp_path / "results.csv"
+    results.write_text("param_set_id,log_id,delay_s,false_alarms,missed\nset_01_k_threshold=0.15,a,0.1,0,0\n")
+    assert run_cli("report", "--results", str(results), "--spec", str(spec)) == 0
+    assert "k_threshold" in capsys.readouterr().out
 
 
 def test_sweep_empty_glob_is_usage_error(tmp_path, capsys):

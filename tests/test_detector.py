@@ -148,6 +148,13 @@ def test_config_file_round_trip(tmp_path):
     assert read_config(path) == config
 
 
+def test_read_config_skips_a_byte_order_mark(tmp_path):
+    config = DetectorConfig(estimator_interval=0.01)
+    path = tmp_path / "detector.cfg"
+    path.write_text("\ufeff" + format_config(config), encoding="utf-8")
+    assert read_config(path) == config
+
+
 def test_config_dict_round_trip_default():
     config = default_config()
     assert config_from_dict(config_to_dict(config)) == config

@@ -7,10 +7,12 @@ rows. An outcome is an ``EvaluationResult``, or the type and message of the
 error raised. Logs are heads of four sources, at and beside the 1024-row
 block edges or of any length, some with an idle prefix that arms the
 takeoff gate mid-log, some with more than 1,024 estimator ticks, and some
-changed in place after ``FlightLog.validate`` ran: a NaN or Inf, a
-timestamp step at or beside half the step tolerance, a rotor speed at or
-above the ceiling, an accelerometer value at +/-1e308. The sweep's tick
-rows are also held to ``Conditioner.push``'s, bit for bit.
+with one row edited before the log is built: a NaN or Inf, a timestamp
+step at or beside half the step tolerance, a rotor speed at or above the
+ceiling, a roll rate at 1e308, an accelerometer value at +/-1e308. Where
+``FlightLog`` refuses the edited rows, streaming the same rows must raise
+at the sample its error names. The sweep's tick rows are also held to
+``Conditioner.push``'s, bit for bit.
 Configs take an estimator period of 1, 3, 5, 7 or 10 samples, a
 ``sensor_interval`` inside or outside the sample-rate tolerance, and
 ``g_az``, ``process_noise_q`` or ``measurement_noise_r`` at 1e308 or 1e-300.
@@ -25,9 +27,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loedetect.detector import config_from_dict, config_to_dict, default_config
-from loedetect.filters import MAX_ROTOR_SPEED_RAD_S
-from loedetect.flightlog import COLUMNS, FlightLog
+from loedetect.detector import Detector, config_from_dict, config_to_dict, default_config
+from loedetect.filters import MAX_ROTOR_SPEED_RAD_S, RawSample
+from loedetect.flightlog import COLUMNS, FlightLog, LogFormatError
 from loedetect.replay import (
     SweepSpec,
     _check_sample_rate,
@@ -49,11 +51,13 @@ BLOCK_EDGES = (1, 2, 9, 10, 11, 1023, 1024, 1025, 2047, 2048, 2049)
 EXTREMES = tuple(
     (key, value) for key in ("g_az", "process_noise_q", "measurement_noise_r") for value in (1e308, 1e-300)
 )
-# In-place edits: (column, value), or ("step", periods) to shift every timestamp from the edit on.
+# Edits to one row before the log is built: (column, value), or ("step", periods) to shift every
+# timestamp from the edit on.
 EDITS = (
     *((column, value) for column in COLUMNS for value in (math.nan, math.inf, -math.inf)),
     ("az", 1e308),
     ("az", -1e308),
+    ("p", 1e308),
     ("w3", MAX_ROTOR_SPEED_RAD_S),
     ("w3", math.nextafter(MAX_ROTOR_SPEED_RAD_S, math.inf)),
     ("w1", 2e5),
@@ -64,7 +68,7 @@ EDITS = (
 
 @dataclass(frozen=True)
 class Case:
-    """One log: the head of a source, optionally idled at the start and changed in place."""
+    """One log: the head of a source, optionally idled at the start and with one row edited."""
 
     source: str
     length: int  # rows kept, at most the source's
@@ -118,28 +122,50 @@ def sources(ejection_log, takeoff_logs, ground_idle_logs):
     }
 
 
-def _build(case, sources):
-    """The log ``case`` names, its arrays its own; annotated only if the fault lies in the head."""
+def _build(case, sources, steps):
+    """The log ``case`` names, annotated only if the fault lies in the unedited head; ``None`` if refused.
+
+    Where ``FlightLog`` refuses the edited rows, streaming them under
+    ``_config(steps)`` must raise at the sample its error names. A refusal
+    that names no sample (the header rate against the median step, or the
+    annotation against the span) is of the whole log, which streaming does
+    not check.
+    """
     source = sources[case.source]
     n = min(case.length, len(source))
-    speeds = source.rotor_speeds[:n].copy()
+    t, gyro, accel_z, speeds = (a[:n].copy() for a in (source.t, source.gyro, source.accel_z, source.rotor_speeds))
     speeds[: case.idle] *= 0.3
-    t = source.t[:n].copy()
     truth = source.ground_truth() if source.ground_truth() and source.fault_time_s <= t[-1] else (None, None)
-    log = FlightLog(source.sample_rate_hz, t, source.gyro[:n].copy(), source.accel_z[:n].copy(), speeds, *truth)
-    if case.edit is not None:  # after validate, as a caller changing the arrays would
+    if case.edit is not None:
         column, value = case.edit
         at = min(case.at, n - 1)
         if column == "step":
-            log.t[at:] += value * PERIOD
-        else:  # each column a view into the log's arrays
-            dict(zip(COLUMNS, (log.t, *log.gyro.T, log.accel_z, *log.rotor_speeds.T)))[column][at] = value
-    return log
+            t[at:] += value * PERIOD
+        else:  # each column a view into the arrays
+            dict(zip(COLUMNS, (t, *gyro.T, accel_z, *speeds.T)))[column][at] = value
+    try:
+        return FlightLog(source.sample_rate_hz, t, gyro, accel_z, speeds, *truth)
+    except LogFormatError as refusal:
+        if refusal.sample is not None:
+            rows = zip(t.tolist(), gyro, accel_z.tolist(), speeds)
+            assert _streaming_raises_at(rows, _config(steps)) == refusal.sample, refusal
+        return None
+
+
+def _streaming_raises_at(rows, config):
+    """The index of the first row ``Detector.process_sample`` raises on, or ``None``."""
+    detector = Detector(config)
+    for index, row in enumerate(rows):
+        try:
+            detector.process_sample(RawSample(*row))
+        except (ValueError, ArithmeticError):
+            return index
+    return None
 
 
 @st.composite
 def cases(draw, edit_odds=2):
-    """A ``Case``; one in ``edit_odds`` is changed in place."""
+    """A ``Case``; one in ``edit_odds`` has a row edited."""
     source = draw(st.sampled_from(("ejection", "long_ejection", "takeoff", "idle")))
     length = draw(st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(1, 3000)))
     idle = draw(st.one_of(st.just(0), st.integers(1, length)))
@@ -184,7 +210,9 @@ def configs(draw, extremes=True):
     config=_config(rate=1.009, extreme=("measurement_noise_r", 1e-300)),
 )
 def test_single_log_paths_reach_the_streaming_outcome(sources, tmp_path_factory, case, config):
-    log = _build(case, sources)
+    log = _build(case, sources, config.steps_per_estimate())
+    if log is None:  # refused, and the refusal held to streaming
+        return
     truth = log.ground_truth()
     outputs = _outcome(streamed_outputs, log, config)
     want = outputs if isinstance(outputs, Raised) else _outcome(evaluate, outputs, truth)
@@ -215,9 +243,8 @@ def _sweep_reference(logs, configs):
     """``run_sweep``'s outcome by serial replays: rows in (set, log) order, or the error it documents.
 
     Logs are taken in order, and the first log whose replay under some set
-    raises, or whose annotation fails the evaluation, decides the error:
-    its first sample-rate mismatch in set order, else the first set's error
-    in set order, else its annotation's error.
+    raises decides the error: its first sample-rate mismatch in set order,
+    else the first set's error in set order.
     """
     results = []
     for log in logs:
@@ -226,10 +253,7 @@ def _sweep_reference(logs, configs):
         if raised:
             checks = [_outcome(_check_sample_rate, log, config) for config in configs]
             return ([check for check in checks if check] or raised)[0]  # a passed check is None
-        per_set = [_outcome(evaluate, run, log.ground_truth()) for run in runs]
-        if isinstance(per_set[0], Raised):
-            return per_set[0]
-        results.append(per_set)
+        results.append([evaluate(run, log.ground_truth()) for run in runs])
     by_set = zip(*results)
     return [(r.detection_delay, r.false_alarm_count, r.missed_detection) for per_log in by_set for r in per_log]
 
@@ -250,7 +274,8 @@ def _sweep_outcome(logs, spec):
 # 1 and runs on across the 1,024- and 2,048-tick block edges; then a later log's NaN; an earlier
 # log's tripped lane; and one log bad under two estimator keys, where the first key's late NaN
 # comes before the second key's overflow. Last, a log more than ten times longer than the others
-# under two conditioning keys, beside a last log with no tick under either.
+# under two conditioning keys, beside a last log with no tick under either. A late NaN comes from a
+# rate of 1e308, which loads and overflows the filter bank.
 @example(
     log_cases=[Case("long_ejection", 2049), Case("takeoff", 2048), Case("ejection", 11, idle=4)],
     base=_config(),
@@ -262,17 +287,17 @@ def _sweep_outcome(logs, spec):
     variations=[("k_threshold", 0.15), ("probability_threshold", 0.99)],
 )
 @example(
-    log_cases=[Case("ejection", 980), Case("takeoff", 1025, edit=("r", math.nan), at=1024)],
+    log_cases=[Case("ejection", 980), Case("takeoff", 2049, edit=("p", 1e308), at=2040)],
     base=_config(steps=3),
     variations=[("takeoff_thrust_fraction", 0.6), ("probability_threshold", 0.99)],
 )
 @example(
-    log_cases=[Case("ejection", 980), Case("long_ejection", 1024, edit=("az", math.nan), at=500)],
+    log_cases=[Case("ejection", 980), Case("long_ejection", 1024, edit=("p", 1e308), at=500)],
     base=_config(),
     variations=[("g_az", 1e308)],
 )
 @example(
-    log_cases=[Case("ejection", 980, edit=("az", math.nan), at=900), Case("long_ejection", 1024)],
+    log_cases=[Case("ejection", 980, edit=("p", 1e308), at=900), Case("long_ejection", 1024)],
     base=_config(),
     variations=[("g_az", 1e308)],
 )
@@ -282,7 +307,10 @@ def _sweep_outcome(logs, spec):
     variations=[("estimator_interval", 7), ("k_threshold", 0.15)],
 )
 def test_sweep_rows_reach_the_streaming_outcomes(sources, log_cases, base, variations):
-    logs = [_build(case, sources) for case in log_cases]
+    # A refused log never reaches a sweep: its refusal is held to streaming, and the rest are swept.
+    logs = [log for case in log_cases if (log := _build(case, sources, base.steps_per_estimate())) is not None]
+    if not logs:
+        return
     values = {key: value * base.sensor_interval if key == "estimator_interval" else value for key, value in variations}
     spec = SweepSpec(base=base, variations=tuple((key, (value,)) for key, value in values.items()))
     configs = [pset.config for pset in spec.parameter_sets()]

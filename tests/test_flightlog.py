@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -60,9 +61,7 @@ def test_round_trip_keeps_numpy_scalar_headers(tmp_path):
 
 @pytest.mark.parametrize("vehicle", ["quad v2", "quad=v2", "", "quad\u2028v2", "quad\tv2"])
 def test_round_trip_keeps_the_vehicle(tmp_path, vehicle):
-    log = synthetic_log()
-    log.vehicle = vehicle
-    log.validate()
+    log = replace(synthetic_log(), vehicle=vehicle)
     save_log(log, tmp_path / "flight.csv")
     assert load_log(tmp_path / "flight.csv").vehicle == vehicle
 
@@ -227,13 +226,13 @@ def test_inf_field_reports_line(tmp_path):
 @pytest.mark.parametrize("column", ["t", "gyro", "accel_z", "rotor_speeds"])
 def test_validate_rejects_non_finite_values(column):
     log = synthetic_log()
-    values = getattr(log, column)
+    values = getattr(log, column).copy()
     if column == "t":
         values[-1] = np.inf  # still strictly increasing
     else:
         values[7] = np.nan if column == "gyro" else np.inf
     with pytest.raises(LogFormatError, match="NaN or Inf"):
-        log.validate()
+        replace(log, **{column: values})
 
 
 @pytest.mark.parametrize(
@@ -254,9 +253,10 @@ def test_rotor_speed_above_ceiling_reports_line(tmp_path, units, fast, ok):
 
 def test_validate_rejects_rotor_speed_above_ceiling():
     log = synthetic_log()
-    log.rotor_speeds[7, 2] = 1.5e5
+    speeds = log.rotor_speeds.copy()
+    speeds[7, 2] = 1.5e5
     with pytest.raises(LogFormatError, match=r"rotor speed above 100000 rad/s at sample 7 \(t=0\.016\)"):
-        log.validate()
+        replace(log, rotor_speeds=speeds)
 
 
 def test_short_row_reports_line(tmp_path):
@@ -357,9 +357,8 @@ def test_validate_rejects_a_rate_that_is_not_finite_and_positive(rate, n):
 def test_validate_rejects_a_non_finite_fault_time():
     log = synthetic_log(fault=(3, 0.05))
     for time in (math.nan, math.inf):
-        log.fault_time_s = time
         with pytest.raises(LogFormatError, match="^header fault_time_s=.* is not finite$") as caught:
-            log.validate()
+            replace(log, fault_time_s=time)
         assert caught.value.sample is None
 
 
@@ -374,8 +373,7 @@ def test_validate_rejects_a_fault_time_outside_the_log_span(time):
 def test_validate_accepts_a_fault_time_at_either_end_of_the_log():
     log = synthetic_log(fault=(3, 0.05))
     for time in (float(log.t[0]), float(log.t[-1])):
-        log.fault_time_s = time
-        log.validate()
+        assert replace(log, fault_time_s=time).ground_truth() == (3, time)
 
 
 @pytest.mark.parametrize(("rate", "rows"), [("nan", 3), ("inf", 3), ("0", 3), ("-500.0", 1), ("nan", 1)])
@@ -484,9 +482,10 @@ def test_negative_rotor_speed_reports_line(tmp_path):
 
 def test_validate_negative_rotor_speed_names_sample_and_time():
     log = synthetic_log()
-    log.rotor_speeds[7, 2] = -700.357
+    speeds = log.rotor_speeds.copy()
+    speeds[7, 2] = -700.357
     with pytest.raises(LogFormatError, match=rf"^negative rotor speed at sample 7 \(t={log.t[7]}\)$"):
-        log.validate()
+        replace(log, rotor_speeds=speeds)
 
 
 def _with_steps(log, t):
@@ -534,13 +533,60 @@ def test_mismatched_array_shapes_rejected_at_construction(field):
 
 def test_format_error_carries_the_sample_index():
     log = synthetic_log()
-    log.rotor_speeds[7, 2] = -1.0
+    speeds = log.rotor_speeds.copy()
+    speeds[7, 2] = -1.0
     with pytest.raises(LogFormatError) as caught:
-        log.validate()
+        replace(log, rotor_speeds=speeds)
     assert caught.value.sample == 7
     with pytest.raises(LogFormatError, match="^header sample_rate_hz") as caught:
-        FlightLog(100.0, log.t, log.gyro, log.accel_z, np.abs(log.rotor_speeds))
+        FlightLog(100.0, log.t, log.gyro, log.accel_z, np.abs(speeds))
     assert caught.value.sample is None
+
+
+@pytest.mark.parametrize("column", ["t", "gyro", "accel_z", "rotor_speeds"])
+def test_a_logs_arrays_are_read_only(column):
+    # An array the log owns is frozen in place, so the caller's handle to it too.
+    rng = np.random.default_rng(31)
+    speeds = rng.uniform(300.0, 1200.0, (50, 4))
+    log = FlightLog(500.0, np.arange(1, 51) / 500.0, rng.normal(0.0, 0.1, (50, 3)), rng.normal(-9.81, 0.2, 50), speeds)
+    assert log.rotor_speeds is speeds
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(log, column)[3] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        speeds[3, 0] = 1.0
+
+
+@pytest.mark.parametrize("field", ["t", "rotor_speeds", "sample_rate_hz", "fault_time_s", "vehicle"])
+def test_a_logs_fields_cannot_be_assigned(field):
+    log = synthetic_log(fault=(3, 0.05))
+    with pytest.raises(FrozenInstanceError):
+        setattr(log, field, getattr(log, field))
+
+
+def test_a_log_built_from_views_copies_them():
+    # Whatever holds a view's base can still write to it, so the log takes a copy.
+    n, rng = 50, np.random.default_rng(32)
+    table = np.column_stack(
+        [np.arange(1, n + 1) / 500.0, rng.normal(0.0, 0.1, (n, 4)), rng.uniform(300.0, 1200.0, (n, 4))]
+    )
+    log = FlightLog(500.0, table[:, 0], table[:, 1:4], table[:, 4], table[:, 5:9])
+    before = [a.copy() for a in (log.t, log.gyro, log.accel_z, log.rotor_speeds)]
+    table[7] = np.nan
+    assert all(np.array_equal(a, b) for a, b in zip((log.t, log.gyro, log.accel_z, log.rotor_speeds), before))
+    assert table.flags.writeable  # the caller's table stays theirs
+    listed = FlightLog(500.0, [0.002, 0.004], [[0.0] * 3] * 2, [-9.81] * 2, [[700.0] * 4] * 2)
+    assert isinstance(listed.gyro, np.ndarray) and not listed.gyro.flags.writeable
+
+
+def test_replace_validates_the_new_log():
+    log = synthetic_log(fault=(3, 0.05))
+    with pytest.raises(LogFormatError, match="^fault_actuator out of range: 5$"):
+        replace(log, fault_actuator=5)
+    with pytest.raises(LogFormatError, match="^header sample_rate_hz=100.0 does not match"):
+        replace(log, sample_rate_hz=100.0)
+    with pytest.raises(LogFormatError, match="^log arrays have inconsistent shapes$"):
+        replace(log, accel_z=log.accel_z[:-1])
+    assert replace(log, vehicle="quad v2").vehicle == "quad v2"
 
 
 def test_load_log_validates_once_and_nothing_downstream_validates_again(tmp_path, monkeypatch):
