@@ -68,6 +68,26 @@ def _load_config(path: str | None) -> DetectorConfig:
         raise CommandError(f"bad config file {path}: {exc}", USAGE_ERROR) from exc
 
 
+def _check_out_file(path: str | None) -> None:
+    """Refuse an ``--out`` file that could not be opened for writing, before any work is done."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise CommandError(f"--out {path} is a directory", USAGE_ERROR)
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise CommandError(f"--out {path}: no directory {parent}", USAGE_ERROR)
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse an ``--out-dir`` that ``os.makedirs`` could not make, before the sweep runs."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise CommandError(f"--out-dir {path}: {existing} is not a directory", USAGE_ERROR)
+
+
 def _unique_names(pairs: list) -> dict:
     """A JSON object's members as a dict; ``ValueError`` on a name given twice, where ``json`` keeps the last."""
     names = {}
@@ -116,6 +136,7 @@ def _load_sweep_spec(path: str | None, base: DetectorConfig) -> SweepSpec:
 
 def cmd_simulate(args) -> int:
     fault = _parse_fault(args.fault) if args.fault else None
+    _check_out_file(args.out)
     try:
         noise = SensorNoiseModel(seed=args.seed).scaled(args.noise_scale)
         log = fly_scenario(
@@ -139,6 +160,7 @@ def cmd_detect(args) -> int:
     if not os.path.isfile(args.log):
         raise CommandError(f"no log file at {args.log}", USAGE_ERROR)
     config = _load_config(args.config)
+    _check_out_file(args.out)
     try:
         log = flightlog.load_log(args.log)
     except flightlog.LogFormatError as exc:
@@ -178,6 +200,7 @@ def cmd_sweep(args) -> int:
             raise CommandError(f"logs {other} and {path} share the log id {log_id!r}", USAGE_ERROR)
     base = _load_config(args.config)
     spec = _load_sweep_spec(args.spec, base)
+    _check_out_dir(args.out_dir)
 
     logs = []
     for path in paths:
@@ -208,6 +231,7 @@ def cmd_report(args) -> int:
         raise CommandError(f"bad results file {args.results}: {exc}", USAGE_ERROR) from exc
     base = _load_config(args.config)
     spec = _load_sweep_spec(args.spec, base)
+    _check_out_file(args.out)
     known = {p.set_id for p in spec.parameter_sets()}
     missing = {r.param_set_id for r in rows} - known
     if missing:
@@ -286,8 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     except SampleRateMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return RUNTIME_ERROR
 
 

@@ -73,7 +73,8 @@ class FlightLog:
     new log. An array that owns its memory is made read-only in place, so
     the caller's handle to it is read-only too (a view of it taken before
     still writes); a view, or any other array-like, is copied first, since
-    whatever holds its base could still write to it.
+    whatever holds its base could still write to it. A refused log freezes
+    nothing.
     """
 
     sample_rate_hz: float
@@ -86,13 +87,14 @@ class FlightLog:
     vehicle: str = "default"
 
     def __post_init__(self) -> None:
-        for name in ("t", "gyro", "accel_z", "rotor_speeds"):
+        names = ("t", "gyro", "accel_z", "rotor_speeds")
+        for name in names:
             values = getattr(self, name)
             if not isinstance(values, np.ndarray) or values.base is not None:
-                values = np.array(values)
-                object.__setattr__(self, name, values)
-            values.flags.writeable = False
-        self.validate()
+                object.__setattr__(self, name, np.array(values))
+        self.validate()  # before the freeze, so a refused log leaves the caller's arrays writable
+        for name in names:
+            getattr(self, name).flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.t)

@@ -26,26 +26,16 @@ class DivergenceError(RuntimeError):
     """Simulated state left the plausible envelope."""
 
 
-@dataclass
+@dataclass  # not frozen: a frozen __init__ costs one call per field, every step
 class SimState:
-    """Vehicle state; every field is a list of Python floats."""
+    """Vehicle state; every field is a tuple of Python floats, shared between states."""
 
-    angular_rate: list[float]  # 3, body rad/s
-    quaternion: list[float]  # 4, w,x,y,z body-to-world
-    velocity: list[float]  # 3, world NED m/s
-    position: list[float]  # 3, world NED m, z down
-    rotor_speeds: list[float]  # 4, rad/s
-    true_k: list[float]  # 4, actual effectiveness factors
-
-    def copy(self) -> "SimState":
-        return SimState(
-            list(self.angular_rate),
-            list(self.quaternion),
-            list(self.velocity),
-            list(self.position),
-            list(self.rotor_speeds),
-            list(self.true_k),
-        )
+    angular_rate: tuple[float, ...]  # 3, body rad/s
+    quaternion: tuple[float, ...]  # 4, w,x,y,z body-to-world
+    velocity: tuple[float, ...]  # 3, world NED m/s
+    position: tuple[float, ...]  # 3, world NED m, z down
+    rotor_speeds: tuple[float, ...]  # 4, rad/s
+    true_k: tuple[float, ...]  # 4, actual effectiveness factors
 
 
 @dataclass(frozen=True)
@@ -105,12 +95,12 @@ class SensorNoiseModel:
 def hover_state(params: VehicleParams) -> SimState:
     """Trimmed hover 1.5 m above the ground (NED: z = -1.5)."""
     return SimState(
-        angular_rate=[0.0, 0.0, 0.0],
-        quaternion=[1.0, 0.0, 0.0, 0.0],
-        velocity=[0.0, 0.0, 0.0],
-        position=[0.0, 0.0, -1.5],
-        rotor_speeds=[params.hover_speed()] * 4,
-        true_k=[1.0] * 4,
+        angular_rate=(0.0, 0.0, 0.0),
+        quaternion=(1.0, 0.0, 0.0, 0.0),
+        velocity=(0.0, 0.0, 0.0),
+        position=(0.0, 0.0, -1.5),
+        rotor_speeds=(params.hover_speed(),) * 4,
+        true_k=(1.0,) * 4,
     )
 
 
@@ -165,12 +155,12 @@ def dynamics_step(
     w0, w1, w2, w3 = state.rotor_speeds
     x0, x1 = s0 + (w0 - s0) * decay, s1 + (w1 - s1) * decay
     x2, x3 = s2 + (w2 - s2) * decay, s3 + (w3 - s3) * decay
-    speeds = [
+    speeds = (
         hi if x0 > hi else lo if x0 < lo else x0,
         hi if x1 > hi else lo if x1 < lo else x1,
         hi if x2 > hi else lo if x2 < lo else x2,
         hi if x3 > hi else lo if x3 < lo else x3,
-    ]
+    )
 
     m_x, m_y, m_z, thrust = _moments_and_thrust(speeds, state.true_k, params)
     if external_moment is not None:
@@ -262,32 +252,31 @@ def dynamics_step(
     norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     x, y, z = state.position
     return SimState(
-        angular_rate=[
+        angular_rate=(
             p1 + sixth * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4),
             q1 + sixth * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4),
             r1 + sixth * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4),
-        ],
-        quaternion=[qw / norm, qx / norm, qy / norm, qz / norm],
-        velocity=[
+        ),
+        quaternion=(qw / norm, qx / norm, qy / norm, qz / norm),
+        velocity=(
             vx1 + sixth * (dvx1 + 2.0 * dvx2 + 2.0 * dvx3 + dvx4),
             vy1 + sixth * (dvy1 + 2.0 * dvy2 + 2.0 * dvy3 + dvy4),
             vz1 + sixth * (dvz1 + 2.0 * dvz2 + 2.0 * dvz3 + dvz4),
-        ],
-        position=[
+        ),
+        position=(
             x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4),
             y + sixth * (vy1 + 2.0 * vy2 + 2.0 * vy3 + vy4),
             z + sixth * (vz1 + 2.0 * vz2 + 2.0 * vz3 + vz4),
-        ],
+        ),
         rotor_speeds=speeds,
-        true_k=list(state.true_k),
+        true_k=tuple(state.true_k),  # the same object when it is a tuple already
     )
 
 
 def inject_fault(state: SimState, event: FaultEvent) -> SimState:
     """Apply a sudden effectiveness change; the motor keeps spinning."""
-    out = state.copy()
-    out.true_k[event.actuator_index - 1] = float(event.new_k)
-    return out
+    i, true_k = event.actuator_index - 1, tuple(state.true_k)
+    return replace(state, true_k=true_k[:i] + (float(event.new_k),) + true_k[i + 1 :])
 
 
 def _true_accel_z(rotor_speeds, true_k, params: VehicleParams, wind_accel_z=None) -> np.ndarray:
@@ -525,7 +514,7 @@ def fly_scenario(
         stepping, windy = scenario == "step", scenario == "wind"
         roll_sp = pitch_sp = 0.0
         force = moment = None
-        rates, speeds, quaternions, forces = [], [], [], []
+        rates, speeds, true_k, quaternions, forces = [], [], [], [], []
         for i in range(n):
             t_start = i * dt
             t_next = (i + 1) * dt
@@ -542,14 +531,11 @@ def fly_scenario(
             _check_plausible(state, i, t_next)
             rates.append(state.angular_rate)
             speeds.append(state.rotor_speeds)
+            true_k.append(state.true_k)
             if windy:
                 quaternions.append(state.quaternion)
                 forces.append(force)
         speeds = np.array(speeds)
-        # Row i flies faulted exactly when the loop's t_next = times[i] is past the fault.
-        true_k = np.ones((n, 4))
-        if fault is not None:
-            true_k[times > fault.time, fault.actuator_index - 1] = fault.new_k
         wind_accel_z = _wind_accel_z(quaternions, forces, params) if windy else None
         az_true = _true_accel_z(speeds, true_k, params, wind_accel_z)
 

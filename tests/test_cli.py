@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loedetect import flightlog, replay
+from loedetect import cli, flightlog, replay
 from loedetect.cli import main
 from loedetect.detector import (
     CONFIG_KEYS,
@@ -334,6 +334,51 @@ def test_directory_for_an_input_file_is_usage_error(tmp_path, capsys, command, w
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: no {what} file at {folder}"]
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("detect --log {log} --out {folder}", "--out {folder} is a directory"),
+        ("detect --log {log} --out {absent}/x.csv", "--out {absent}/x.csv: no directory {absent}"),
+        ("simulate --duration 0.1 --out {folder}", "--out {folder} is a directory"),
+        ("simulate --duration 0.1 --out {absent}/x.csv", "--out {absent}/x.csv: no directory {absent}"),
+        ("report --results {results} --out {folder}", "--out {folder} is a directory"),
+        ("report --results {results} --out {absent}/x.txt", "--out {absent}/x.txt: no directory {absent}"),
+        ("sweep --logs {log} --out-dir {file}", "--out-dir {file}: {file} is not a directory"),
+        ("sweep --logs {log} --out-dir {file}/out", "--out-dir {file}/out: {file} is not a directory"),
+    ],
+)
+def test_an_unwritable_output_path_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command, message):
+    # An output path that cannot be written exits 2 with one line naming it, as a bad input path does,
+    # before a log is read, a flight flown or the sweep run, and creates nothing.
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "file").write_text("")
+    replay.write_results_csv([], tmp_path / "results.csv")
+    _write_hover_log(tmp_path / "log.csv")
+    paths = {"log": tmp_path / "log.csv", "results": tmp_path / "results.csv"}
+    paths.update((name, tmp_path / name) for name in ("folder", "absent", "file"))
+    monkeypatch.setattr(flightlog, "load_log", _refuse_to_load)
+    for name in ("run_sweep", "fly_scenario"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} was called"))
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*shlex.split(command.format(**paths))) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: " + message.format(**paths)]
+    assert captured.out == "" and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 PiB for an array with shape (500000000000000000,)", ""])
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    # A flight too long to hold in memory is a runtime failure, reported as one line, not a traceback.
+    def out_of_memory(**kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "fly_scenario", out_of_memory)
+    assert run_cli("simulate", "--duration", "1e15", "--out", str(tmp_path / "long.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message or 'MemoryError'}"]
+    assert captured.out == "" and not (tmp_path / "long.csv").exists()
 
 
 def _write_hover_log(path, rotor_speed="700.0", gyro_p_at_row=None, gap_before_row=None, rows=40):

@@ -556,6 +556,19 @@ def test_a_logs_arrays_are_read_only(column):
         speeds[3, 0] = 1.0
 
 
+def test_a_refused_log_leaves_the_callers_arrays_writable():
+    # The freeze comes after validation, so the caller can mend the array and retry.
+    log = synthetic_log()
+    t, speeds = log.t.copy(), log.rotor_speeds.copy()
+    speeds[2, 1] = -1.0
+    with pytest.raises(LogFormatError, match="negative rotor speed at sample 2"):
+        FlightLog(log.sample_rate_hz, t, log.gyro, log.accel_z, speeds)
+    assert t.flags.writeable and speeds.flags.writeable
+    speeds[2, 1] = 1.0
+    assert FlightLog(log.sample_rate_hz, t, log.gyro, log.accel_z, speeds).rotor_speeds is speeds
+    assert not speeds.flags.writeable
+
+
 @pytest.mark.parametrize("field", ["t", "rotor_speeds", "sample_rate_hz", "fault_time_s", "vehicle"])
 def test_a_logs_fields_cannot_be_assigned(field):
     log = synthetic_log(fault=(3, 0.05))

@@ -444,7 +444,7 @@ def test_dynamics_step_needs_four_setpoints(count):
 
 def test_hover_equilibrium_is_a_fixed_point():
     state = hover_state(PARAMS)
-    setpoints = state.rotor_speeds.copy()
+    setpoints = list(state.rotor_speeds)
     for _ in range(100):
         state = dynamics_step(state, setpoints, PARAMS, 0.002)
     assert np.abs(state.angular_rate).max() <= 1e-9
@@ -460,7 +460,7 @@ def test_sudden_loss_of_rotor_three_signs():
     *moments, thrust_after = _moments_and_thrust(failed.rotor_speeds, failed.true_k, PARAMS)
     assert moments[0] > 0.0 and moments[1] > 0.0
     assert thrust_after < thrust_before
-    stepped = dynamics_step(failed, state.rotor_speeds.copy(), PARAMS, 0.002)
+    stepped = dynamics_step(failed, list(state.rotor_speeds), PARAMS, 0.002)
     assert stepped.angular_rate[0] > 0.0 and stepped.angular_rate[1] > 0.0
     # proper acceleration becomes less negative (one thrust share gone)
     assert -thrust_after / PARAMS.mass > -thrust_before / PARAMS.mass
@@ -472,7 +472,7 @@ def test_angular_momentum_conserved_without_applied_moments():
     state.angular_rate = [1.0, -2.0, 3.0]
     inertia = np.asarray(PARAMS.inertia_diag)
     h0 = np.linalg.norm(inertia * state.angular_rate)
-    setpoints = state.rotor_speeds.copy()
+    setpoints = list(state.rotor_speeds)
     for _ in range(1000):
         state = dynamics_step(state, setpoints, PARAMS, 0.002)
     h1 = np.linalg.norm(inertia * state.angular_rate)
@@ -482,7 +482,7 @@ def test_angular_momentum_conserved_without_applied_moments():
 def test_quaternion_stays_normalized():
     state = hover_state(PARAMS)
     state.angular_rate = [2.0, 1.0, -1.5]
-    setpoints = state.rotor_speeds.copy()
+    setpoints = list(state.rotor_speeds)
     for _ in range(500):
         state = dynamics_step(state, setpoints, PARAMS, 0.002)
         assert abs(np.linalg.norm(state.quaternion) - 1.0) <= 1e-9
@@ -682,7 +682,9 @@ def _diverged_components():
 @pytest.mark.parametrize(("field", "index", "value"), list(_diverged_components()))
 def test_divergence_check_catches_nan_and_runaway_states(field, index, value):
     state = hover_state(PARAMS)
-    getattr(state, field)[index] = value
+    bad = list(getattr(state, field))
+    bad[index] = value
+    setattr(state, field, bad)
     with pytest.raises(DivergenceError, match="step 7"):
         _check_plausible(state, 7, 0.016)
 
